@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..algorithms.yen import LazyYen
 from ..graph.errors import IndexStateError
 from ..graph.graph import DynamicGraph, WeightUpdate
 from ..graph.partition import GraphPartition
@@ -38,7 +39,7 @@ from ..kernel.heuristics import DTLPLowerBounds, LandmarkLowerBounds
 from ..kernel.snapshot import CSRSnapshot
 from .lsh import lsh_group_edges
 from .mfp_tree import MFPForest, build_mfp_forest
-from .skeleton import SkeletonGraph
+from .skeleton import SkeletonGraph, SkeletonSearchView
 from .subgraph_index import SubgraphIndex
 
 __all__ = ["DTLPConfig", "DTLPStatistics", "DTLP"]
@@ -186,13 +187,13 @@ class DTLP:
         # (subgraph_id, heuristic mode) -> lower-bound provider; providers
         # self-invalidate against their snapshot's weights_epoch.
         self._heuristic_providers: Dict[Tuple[int, str], object] = {}
-        # Shared kernel view of the un-augmented skeleton graph plus its
-        # landmark tables, refreshed by graph-version compare.  Augmented
-        # (per-query) skeletons always get fresh snapshots — their
-        # attachment edges create shortcuts, so cached base-skeleton
-        # distances would not be valid bounds for them.
+        # Shared kernel view of the un-augmented skeleton graph, refreshed
+        # by graph-version compare, plus what is derived from it per weight
+        # epoch: the search image every query overlays its endpoints on and
+        # the landmark tables the partition store persists.
         self._skeleton_kernel_snapshot: Optional[CSRSnapshot] = None
         self._skeleton_kernel_version: int = -1
+        self._skeleton_image: Optional[SkeletonSearchView] = None
         self._skeleton_landmarks: Optional[LandmarkLowerBounds] = None
 
     # ------------------------------------------------------------------
@@ -366,13 +367,90 @@ class DTLP:
             self._skeleton_kernel_version = version
         return snapshot
 
+    def skeleton_search_view(self) -> SkeletonSearchView:
+        """Per-epoch search image of the shared skeleton snapshot.
+
+        Built lazily on the first query and again whenever
+        :meth:`skeleton_snapshot` was rebuilt or its weights epoch moved;
+        queries only ever read it (:meth:`SkeletonSearchView.overlay`
+        copies), so one image serves every QueryBolt of the process.
+        """
+        snapshot = self.skeleton_snapshot()
+        image = self._skeleton_image
+        if (
+            image is None
+            or image.source is not snapshot
+            or image.weights_epoch != snapshot.weights_epoch
+        ):
+            image = SkeletonSearchView(snapshot)
+            self._skeleton_image = image
+        return image
+
+    def reference_enumerator(
+        self,
+        source: int,
+        target: int,
+        attachments: Optional[Mapping[int, Mapping[int, float]]] = None,
+        direct_edge: Optional[float] = None,
+        kernel: str = "snapshot",
+        pruning: bool = True,
+    ) -> LazyYen:
+        """Filter-step set-up (Section 5.3): the reference-path enumerator.
+
+        ``attachments`` maps each non-boundary query endpoint to its
+        ``{boundary_vertex: lower_bound}`` edges and ``direct_edge`` is the
+        within-subgraph distance between endpoints sharing a subgraph; the
+        enumeration runs on the skeleton graph with both added.
+
+        With ``kernel="dict"`` that graph is the reference tier,
+        :meth:`SkeletonGraph.augmented`, searched unbounded.  The array
+        kernels search a per-query overlay of :meth:`skeleton_search_view`
+        instead — the same paths in the same order, see
+        :class:`SkeletonSearchView` — and, with ``pruning``, bound every spur
+        search by the exact distance to ``target`` on that view.  Attachments
+        the image has no room for (more than two new vertices in one id gap,
+        which a query's two endpoints never are) get the rebuilt snapshot.
+        """
+        direct = (
+            (source, target, direct_edge)
+            if attachments and direct_edge is not None and source != target
+            else None
+        )
+        if kernel == "dict":
+            skeleton = self.skeleton_graph
+            if attachments:
+                skeleton = self._augmented_skeleton(attachments, direct)
+            return LazyYen(skeleton, source, target)
+        view = self.skeleton_search_view()
+        if attachments:
+            view = view.overlay(attachments, direct)
+            if view is None:
+                # More new vertices than the image has room for: rebuild,
+                # and search the rebuilt snapshot with cutoffs alone.
+                rebuilt = CSRSnapshot(self._augmented_skeleton(attachments, direct))
+                return LazyYen(rebuilt, source, target)
+        return LazyYen(view, source, target, heuristic=view if pruning else None)
+
+    def _augmented_skeleton(
+        self,
+        attachments: Mapping[int, Mapping[int, float]],
+        direct: Optional[Tuple[int, int, float]],
+    ) -> SkeletonGraph:
+        """A copy of the skeleton graph with the query endpoints attached."""
+        augmented = self._skeleton.augmented(attachments)
+        if direct is not None:
+            # Endpoints sharing a subgraph need a direct skeleton edge so
+            # that paths staying inside it are represented.
+            augmented.update_edge_minimum(*direct)
+        return augmented
+
     def skeleton_lower_bounds(self) -> LandmarkLowerBounds:
         """Shared ALT landmark tables over the un-augmented skeleton.
 
         Cached per skeleton snapshot and self-invalidating against its
-        weight epoch, so a batch of boundary-endpoint queries (whose
-        reference enumeration runs on the un-augmented skeleton) pays for
-        the tables once per maintenance round instead of once per query.
+        weight epoch.  Queries no longer consult them (reference searches
+        are bounded exactly, see :meth:`reference_enumerator`); they remain
+        what the partition store exports and adopts.
         """
         snapshot = self.skeleton_snapshot()
         provider = self._skeleton_landmarks
@@ -436,6 +514,7 @@ class DTLP:
         self._heuristic_providers.clear()
         self._skeleton_kernel_snapshot = None
         self._skeleton_kernel_version = -1
+        self._skeleton_image = None
         self._skeleton_landmarks = None
         with self._epoch_lock:
             self._weight_epochs.clear()
@@ -568,6 +647,7 @@ class DTLP:
         state["_heuristic_providers"] = {}
         state["_skeleton_kernel_snapshot"] = None
         state["_skeleton_kernel_version"] = -1
+        state["_skeleton_image"] = None
         state["_skeleton_landmarks"] = None
         return state
 

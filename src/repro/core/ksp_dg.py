@@ -24,9 +24,10 @@ without duplicating the algorithm.
 
 Both the filter and refine steps run on a selectable compute kernel
 (``kernel="snapshot"`` for the array-backed fast path, ``"dict"`` for the
-reference implementation — see ``ARCHITECTURE.md``): the skeleton is
-flattened once per query and subgraphs reuse the DTLP's shared snapshot
-cache across iterations and queries.
+reference implementation — see ``ARCHITECTURE.md``): the filter step is set
+up by :meth:`DTLP.reference_enumerator` (shared with the distributed
+QueryBolts) and subgraphs reuse the DTLP's shared snapshot cache across
+iterations and queries.
 """
 
 from __future__ import annotations
@@ -36,15 +37,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.dijkstra import dijkstra
-from ..algorithms.yen import LazyYen, yen_k_shortest_paths
+from ..algorithms.yen import yen_k_shortest_paths
 from ..graph.errors import PathNotFoundError, QueryError
 from ..graph.paths import Path, merge_paths
 from ..graph.partition import GraphPartition
-from ..kernel.heuristics import HEURISTICS, LandmarkLowerBounds, validate_heuristic
+from ..kernel.heuristics import HEURISTICS, validate_heuristic
 from ..kernel.primitives import astar_arrays
 from ..kernel.snapshot import CSRSnapshot
 from .dtlp import DTLP
-from .skeleton import SkeletonGraph
 
 __all__ = [
     "KSPResult",
@@ -209,38 +209,14 @@ class KSPDGQuery:
         self._partial_cache: Dict[Tuple[int, int], List[Path]] = {}
         self._partial_computations = 0
         self._partial_reused = 0
-        self._skeleton = self._augmented_skeleton()
-        # One skeleton view per query, reused across every filter iteration:
-        # with the snapshot kernel the (possibly augmented) skeleton is
-        # flattened once and all reference-path spur searches run on arrays.
-        # Un-augmented skeletons (both endpoints are boundary vertices)
-        # reuse the DTLP's shared snapshot and landmark tables across
-        # queries; augmented ones get fresh per-query views, because their
-        # attachment edges create shortcuts the cached tables don't know.
-        augmented = self._skeleton is not dtlp.skeleton_graph
-        if self._kernel == "dict":
-            search_skeleton = self._skeleton
-        elif augmented:
-            search_skeleton = CSRSnapshot(self._skeleton)
-        else:
-            search_skeleton = dtlp.skeleton_snapshot()
-        # Landmark bounds over the (augmented) skeleton tighten the
-        # reference-path spur pruning; the DTLP-native provider has no
-        # skeleton equivalent (its bounds live inside subgraphs), so that
-        # mode relies on upper-bound cutoffs alone here.
-        skeleton_bounds = None
-        if (
-            self._pruning
-            and self._heuristic == "landmark"
-            and isinstance(search_skeleton, CSRSnapshot)
-        ):
-            skeleton_bounds = (
-                LandmarkLowerBounds(search_skeleton)
-                if augmented
-                else dtlp.skeleton_lower_bounds()
-            )
-        self._reference_enumerator = LazyYen(
-            search_skeleton, source, target, heuristic=skeleton_bounds
+        attachments, direct_edge = self._endpoint_attachments()
+        self._reference_enumerator = dtlp.reference_enumerator(
+            source,
+            target,
+            attachments,
+            direct_edge,
+            kernel=self._kernel,
+            pruning=self._pruning,
         )
 
     def _subgraph_view(self, subgraph_id: int):
@@ -252,8 +228,16 @@ class KSPDGQuery:
     # ------------------------------------------------------------------
     # skeleton augmentation (Section 5.3)
     # ------------------------------------------------------------------
-    def _augmented_skeleton(self) -> SkeletonGraph:
-        """Return the skeleton graph with the query endpoints attached."""
+    def _endpoint_attachments(
+        self,
+    ) -> Tuple[Dict[int, Dict[int, float]], Optional[float]]:
+        """Skeleton attachments of the non-boundary endpoints, and the direct edge.
+
+        The direct edge is the within-subgraph distance between endpoints
+        that share a subgraph (at least one of them non-boundary): paths
+        staying inside that subgraph must be represented in the skeleton
+        graph too.
+        """
         base = self._dtlp.skeleton_graph
         attachments: Dict[int, Dict[int, float]] = {}
         for endpoint in (self._source, self._target):
@@ -261,28 +245,19 @@ class KSPDGQuery:
                 attachments[endpoint] = self._dtlp.attachment_edges(
                     endpoint, kernel=self._kernel
                 )
-        if not attachments:
-            return base
-        augmented = base.augmented(attachments)
-        # If both endpoints are non-boundary and share a subgraph, a direct
-        # skeleton edge between them is needed so that paths staying inside
-        # that subgraph are represented in the skeleton graph.
-        if self._source in attachments or self._target in attachments:
+        direct_edge: Optional[float] = None
+        if attachments and self._source != self._target:
             shared = set(
                 self._partition.subgraphs_of_vertex(self._source)
             ) & set(self._partition.subgraphs_of_vertex(self._target))
-            if shared and self._source != self._target:
-                best: Optional[float] = None
-                for subgraph_id in shared:
-                    # lower_bounds_from_vertex returns distances to boundary
-                    # vertices only; compute the direct within-subgraph
-                    # distance explicitly.
-                    value = self._direct_distance(subgraph_id)
-                    if value is not None and (best is None or value < best):
-                        best = value
-                if best is not None:
-                    augmented.update_edge_minimum(self._source, self._target, best)
-        return augmented
+            for subgraph_id in shared:
+                # lower_bounds_from_vertex returns distances to boundary
+                # vertices only; compute the direct within-subgraph
+                # distance explicitly.
+                value = self._direct_distance(subgraph_id)
+                if value is not None and (direct_edge is None or value < direct_edge):
+                    direct_edge = value
+        return attachments, direct_edge
 
     def _direct_distance(self, subgraph_id: int) -> Optional[float]:
         """Within-subgraph distance between the endpoints, or ``None``."""

@@ -11,17 +11,27 @@ The class supports *augmentation* for query processing (Section 5.3): when a
 query's source or destination is not a boundary vertex, a temporary copy of
 the skeleton graph is created with the endpoint attached to the boundary
 vertices of its subgraph.  :meth:`SkeletonGraph.augmented` returns such a
-copy without mutating the shared instance.
+copy without mutating the shared instance; it is the reference tier.
+
+:class:`SkeletonSearchView` is the array-kernel counterpart: an image of the
+shared skeleton snapshot built once per weight epoch, over which each query
+lays its endpoints in O(|V|) pointer copies instead of copying and
+re-flattening every skeleton edge, and which prices the exact distance to
+the query target as the lower bound of the reference-path searches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+import copy
+from bisect import bisect_left
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..graph.errors import VertexNotFoundError
+from ..graph.errors import EdgeNotFoundError, VertexNotFoundError
 from ..graph.graph import edge_key
+from ..kernel.primitives import dijkstra_arrays
+from ..kernel.snapshot import CSRSnapshot
 
-__all__ = ["SkeletonGraph"]
+__all__ = ["SkeletonGraph", "SkeletonSearchView"]
 
 
 class SkeletonGraph:
@@ -162,3 +172,208 @@ class SkeletonGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<SkeletonGraph |V|={self.num_vertices} |E|={self.num_edges}>"
+
+
+#: Index-space stride of the per-epoch skeleton image: the base vertex of
+#: rank ``r`` sits at index ``3r + 2``, leaving two free slots below it (and
+#: two after the last one) — room for both query endpoints in sorted-id
+#: position, even when they fall into the same gap.
+_IMAGE_STRIDE = 3
+
+_Row = Tuple[Tuple[int, float], ...]
+
+
+def _with_arc(row: _Row, neighbor: int, weight: float, exists: bool) -> _Row:
+    """``row`` with the arc to ``neighbor`` set the way a dict assignment would:
+    an existing arc keeps its position, a new one goes last."""
+    if exists:
+        return tuple((n, weight if n == neighbor else w) for n, w in row)
+    return row + ((neighbor, weight),)
+
+
+class SkeletonSearchView(CSRSnapshot):
+    """Search-only kernel view of a skeleton snapshot plus attached endpoints.
+
+    Built from the shared skeleton snapshot once per weight epoch, spread
+    over a gapped index space (see :data:`_IMAGE_STRIDE`); :meth:`overlay`
+    then derives the
+    per-query view of "skeleton + attached endpoints" by copying the row
+    list shallowly and rewriting only the rows the attachments touch.
+
+    Identity contract: an overlay searches exactly like
+    ``CSRSnapshot(skeleton.augmented(attachments))`` — index order is id
+    order (slots are handed out in sorted-id position) and row order is
+    adjacency insertion order (new arcs last, lowered arcs in place) — so
+    heap tie-breaks, predecessor choices and therefore reference paths
+    repeat bit for bit.  ``tests/test_skeleton_overlay.py`` pins this down.
+
+    Only what the search kernels read is materialised: ``ids`` (``None`` in
+    free slots), ``index_of``, ``rows`` and ``weight``; the flat CSR arrays
+    of the base class are never built, so ``num_vertices`` / ``len`` report
+    the size of the index space, not the vertex count.
+
+    The view doubles as its own lower-bound provider (:meth:`bounds_to`):
+    the exact distance to the target is the tightest admissible bound, and
+    it stays admissible under Yen's bans because removing vertices or arcs
+    only lengthens paths.
+    """
+
+    __slots__ = ("_base_ids", "_arcs", "_patch", "_reverse_rows")
+
+    def __init__(self, snapshot: CSRSnapshot) -> None:
+        # Deliberately not calling CSRSnapshot.__init__: it would flatten a
+        # graph-like source, which is the per-query cost this class removes.
+        stride = _IMAGE_STRIDE
+        offset = stride - 1
+        base_ids = snapshot.ids
+        size = stride * len(base_ids) + offset
+        self._source = snapshot
+        self._weights_epoch = snapshot.weights_epoch
+        self.directed = snapshot.directed
+        self._base_ids = base_ids
+        ids: List[Optional[int]] = [None] * size
+        ids[offset::stride] = base_ids
+        self.ids = ids
+        self.index_of = {
+            vid: stride * rank + offset for rank, vid in enumerate(base_ids)
+        }
+        rows: List[_Row] = [()] * size
+        rows[offset::stride] = [
+            tuple((stride * j + offset, w) for j, w in row) for row in snapshot.rows
+        ]
+        self.rows = rows
+        # (u_index, v_index) -> weight of every base arc, shared by all
+        # overlays of this image; an overlay's own arcs live in ``_patch``.
+        self._arcs: Dict[Tuple[int, int], float] = {
+            (ui, vi): w for ui, row in enumerate(rows) for vi, w in row
+        }
+        self._patch: Dict[Tuple[int, int], float] = {}
+        self._reverse_rows: Optional[List[_Row]] = None
+        if self.directed:
+            transposed: List[List[Tuple[int, float]]] = [[] for _ in range(size)]
+            for ui, row in enumerate(rows):
+                for vi, w in row:
+                    transposed[vi].append((ui, w))
+            self._reverse_rows = [tuple(row) for row in transposed]
+
+    # ------------------------------------------------------------------
+    # per-query overlay (Section 5.3)
+    # ------------------------------------------------------------------
+    def overlay(
+        self,
+        attachments: Mapping[int, Mapping[int, float]],
+        direct_edge: Optional[Tuple[int, int, float]] = None,
+    ) -> Optional["SkeletonSearchView"]:
+        """This view with ``attachments`` (and ``direct_edge``) applied.
+
+        Mirrors :meth:`SkeletonGraph.augmented` followed by
+        ``update_edge_minimum(*direct_edge)`` operation for operation.
+        Returns ``None`` when the vertices to add do not fit the free slots
+        of their id gap (more than two between two base vertices); the
+        caller then rebuilds instead of approximating.
+        """
+        mentioned = set(attachments)
+        for edges in attachments.values():
+            mentioned.update(edges)
+        if direct_edge is not None:
+            mentioned.update(direct_edge[:2])
+        ids = list(self.ids)
+        index_of = dict(self.index_of)
+        previous_slot = -1
+        for vertex in sorted(mentioned.difference(index_of)):
+            slot = max(
+                _IMAGE_STRIDE * bisect_left(self._base_ids, vertex), previous_slot + 1
+            )
+            if slot >= len(ids) or ids[slot] is not None:
+                return None
+            ids[slot] = vertex
+            index_of[vertex] = slot
+            previous_slot = slot
+        view = copy.copy(self)  # shares the per-epoch parts: base ids, arcs
+        view.ids = ids
+        view.index_of = index_of
+        view.rows = list(self.rows)
+        view._patch = dict(self._patch)
+        if self._reverse_rows is not None:
+            view._reverse_rows = list(self._reverse_rows)
+        for vertex, edges in attachments.items():
+            for boundary, weight in edges.items():
+                view._update_minimum(vertex, boundary, weight)
+                if view.directed:
+                    view._update_minimum(boundary, vertex, weight)
+        if direct_edge is not None:
+            view._update_minimum(*direct_edge)
+        return view
+
+    def _arc_weight(self, key: Tuple[int, int]) -> Optional[float]:
+        value = self._patch.get(key)
+        return self._arcs.get(key) if value is None else value
+
+    def _update_minimum(self, u: int, v: int, weight: float) -> None:
+        """:meth:`SkeletonGraph.update_edge_minimum` on this view's rows."""
+        ui, vi = self.index_of[u], self.index_of[v]
+        current = self._arc_weight((ui, vi))
+        if current is None or weight < current:
+            weight = float(weight)
+            self._set_arc(ui, vi, weight)
+            if not self.directed:
+                self._set_arc(vi, ui, weight)
+
+    def _set_arc(self, ui: int, vi: int, weight: float) -> None:
+        exists = self._arc_weight((ui, vi)) is not None
+        self._patch[(ui, vi)] = weight
+        self.rows[ui] = _with_arc(self.rows[ui], vi, weight, exists)
+        if self._reverse_rows is not None:
+            self._reverse_rows[vi] = _with_arc(
+                self._reverse_rows[vi], ui, weight, exists
+            )
+
+    # ------------------------------------------------------------------
+    # what the search kernels and Yen's bookkeeping read
+    # ------------------------------------------------------------------
+    def vertices(self) -> Iterator[int]:
+        """Iterate over the vertex ids (free slots skipped)."""
+        return iter(self.index_of)
+
+    def neighbors(self, vertex: int) -> Iterator[Tuple[int, float]]:
+        """Yield ``(neighbour_id, weight)`` pairs (graph-like protocol)."""
+        try:
+            row = self.rows[self.index_of[vertex]]
+        except KeyError:
+            raise VertexNotFoundError(vertex) from None
+        ids = self.ids
+        for j, w in row:
+            yield ids[j], w
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Return ``True`` when the arc ``(u, v)`` is in the view."""
+        index_of = self.index_of
+        if u not in index_of or v not in index_of:
+            return False
+        return self._arc_weight((index_of[u], index_of[v])) is not None
+
+    def weight(self, u: int, v: int) -> float:
+        """Current weight of arc ``(u, v)`` — O(1)."""
+        index_of = self.index_of
+        try:
+            value = self._arc_weight((index_of[u], index_of[v]))
+        except KeyError:
+            raise EdgeNotFoundError(u, v) from None
+        if value is None:
+            raise EdgeNotFoundError(u, v)
+        return value
+
+    def bounds_to(self, target: int) -> Optional[List[float]]:
+        """Exact per-index distances to ``target`` (``inf`` when unreachable).
+
+        One full search from the target — over the transposed rows when
+        directed — per call; ``None`` when ``target`` is not in the view.
+        """
+        target_index = self.index_of.get(target)
+        if target_index is None:
+            return None
+        rows = self.rows if self._reverse_rows is None else self._reverse_rows
+        dist, _, _ = dijkstra_arrays(
+            rows, len(self.ids), target_index, track_touched=False
+        )
+        return dist

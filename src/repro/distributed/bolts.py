@@ -23,8 +23,9 @@ Bolts compute on the kernel selected at topology construction (see
 ``ARCHITECTURE.md``): with the array-backed kernels (``"snapshot"`` and the
 batch-native ``"fast"`` tier) each SubgraphBolt reads its subgraphs through
 the DTLP's shared snapshot cache (persisted across micro-batches, refreshed
-incrementally after ``apply_updates``) and each QueryBolt keeps a
-version-keyed snapshot of its skeleton replica; ``"fast"`` additionally
+incrementally after ``apply_updates``) and each QueryBolt searches a
+per-query overlay of the DTLP's shared skeleton search view
+(:meth:`~repro.core.dtlp.DTLP.reference_enumerator`); ``"fast"`` additionally
 routes large attachment one-to-many searches through the wavefront kernel
 (distance-identical, tie-order free).
 
@@ -56,7 +57,6 @@ from ..core.ksp_dg import (
 from ..graph.errors import ClusterError, PathNotFoundError
 from ..graph.graph import WeightUpdate
 from ..graph.paths import Path, merge_paths
-from ..kernel.heuristics import LandmarkLowerBounds
 from ..kernel.snapshot import CSRSnapshot
 from ..obs.profile import KernelCounters
 from ..obs.profile import activate as activate_profiling
@@ -367,18 +367,15 @@ class QueryBolt:
         self._subgraph_bolts = list(subgraph_bolts)
 
     def sync_kernel_caches(self) -> None:
-        """Build/refresh the shared skeleton-replica snapshot, serially.
+        """Build/refresh the shared skeleton-replica search view, serially.
 
         Called by the topology before a concurrent batch; afterwards the
-        shared snapshot (hosted on the DTLP, one per process) is current
-        for the batch's graph version, so :meth:`_skeleton_view` never
-        mutates it mid-batch.  In landmark mode the shared landmark tables
-        are warmed here too, so concurrent queries only ever read them.
+        shared snapshot and the search image derived from it (hosted on the
+        DTLP, one per process) are current for the batch's graph version,
+        so concurrent queries only ever read them.
         """
         if self._kernel != "dict":
-            self._dtlp.skeleton_snapshot()
-            if self._pruning and self._heuristic == "landmark":
-                self._dtlp.skeleton_lower_bounds()
+            self._dtlp.skeleton_search_view()
 
     # ------------------------------------------------------------------
     # query processing (Step 2 of Figure 14)
@@ -402,24 +399,14 @@ class QueryBolt:
             when they share a subgraph and at least one is non-boundary.
         """
         worker = self._cluster.worker(self.worker_id)
-        skeleton = self._dtlp.skeleton_graph
         started = time.perf_counter()
-        if attachments:
-            skeleton = skeleton.augmented(attachments)
-            if direct_edge is not None and query.source != query.target:
-                skeleton.update_edge_minimum(query.source, query.target, direct_edge)
-        search_skeleton = (
-            self._skeleton_view(skeleton) if self._kernel != "dict" else skeleton
-        )
-        skeleton_bounds = None
-        if (
-            self._pruning
-            and self._heuristic == "landmark"
-            and isinstance(search_skeleton, CSRSnapshot)
-        ):
-            skeleton_bounds = self._skeleton_bounds(search_skeleton)
-        enumerator = LazyYen(
-            search_skeleton, query.source, query.target, heuristic=skeleton_bounds
+        enumerator = self._dtlp.reference_enumerator(
+            query.source,
+            query.target,
+            attachments,
+            direct_edge,
+            kernel=self._kernel,
+            pruning=self._pruning,
         )
         worker.charge_compute(time.perf_counter() - started)
 
@@ -442,10 +429,9 @@ class QueryBolt:
                 )
                 # Each SubgraphBolt computes the partial paths it can serve.
                 pair_paths: Dict[Tuple[int, int], List[Path]] = {}
-                for bolt in self._subgraph_bolts:
-                    needed_pairs = self._pairs_needing_work(reference, partial_cache)
-                    if not needed_pairs:
-                        break
+                needed_pairs = self._pairs_needing_work(reference, partial_cache)
+                serving_bolts = self._subgraph_bolts if needed_pairs else ()
+                for bolt in serving_bolts:
                     bolt_result = bolt.partial_ksps_for_reference(reference, query.k)
                     for pair, paths in bolt_result.items():
                         if pair not in needed_pairs:
@@ -511,30 +497,6 @@ class QueryBolt:
             paths=top_paths,
             iterations=iterations,
         )
-
-    def _skeleton_bounds(self, search_skeleton: CSRSnapshot):
-        """Landmark lower bounds for reference searches on ``search_skeleton``.
-
-        The shared replica snapshot uses the DTLP's process-wide landmark
-        tables (amortised across every QueryBolt and every query);
-        per-query augmented snapshots get a fresh provider, whose tables
-        the query's many spur searches amortise on their own.
-        """
-        if search_skeleton.source is self._dtlp.skeleton_graph:
-            return self._dtlp.skeleton_lower_bounds()
-        return LandmarkLowerBounds(search_skeleton)
-
-    def _skeleton_view(self, skeleton) -> CSRSnapshot:
-        """Kernel view of ``skeleton`` for this query's reference searches.
-
-        Per-query augmented skeletons get a fresh (small) snapshot; the
-        shared un-augmented replica uses the DTLP-hosted snapshot (one per
-        process, shared by every QueryBolt), re-read only after
-        maintenance changed the graph version.
-        """
-        if skeleton is not self._dtlp.skeleton_graph:
-            return CSRSnapshot(skeleton)
-        return self._dtlp.skeleton_snapshot()
 
     def _next_reference(self, enumerator: LazyYen, worker) -> Optional[Path]:
         started = time.perf_counter()

@@ -47,6 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.graph import WeightUpdate
+from ..graph.paths import Path
 from ..obs.metrics import MetricsRegistry
 from ..service.errors import (
     DeadlineExceededError,
@@ -329,11 +330,31 @@ class FrontDoorServer:
                     await self._respond(writer, 400, {"error": "malformed request"})
                     break
                 method, path = request_line
-                length = int(headers.get("content-length", "0") or "0")
+                try:
+                    length = int(headers.get("content-length", "0") or "0")
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    await self._respond(
+                        writer, 400, {"error": "invalid Content-Length"},
+                        keep_alive=False,
+                    )
+                    break
                 if length > _MAX_BODY_BYTES:
                     await self._respond(writer, 413, {"error": "body too large"})
                     break
-                body = await reader.readexactly(length) if length else b""
+                try:
+                    body = await reader.readexactly(length) if length else b""
+                except asyncio.IncompleteReadError:
+                    # The peer stopped sending mid-body; it may still be
+                    # reading (half-close), so say why before closing.
+                    await self._respond(
+                        writer, 400, {"error": "body shorter than Content-Length"},
+                        keep_alive=False,
+                    )
+                    break
+                except ConnectionResetError:
+                    break
                 status, payload, extra = await self._dispatch(
                     method, path, headers, body
                 )
@@ -480,18 +501,10 @@ class FrontDoorServer:
         self.counters["served_ok"] += 1
         if attempts > 1:
             self.counters["failovers"] += attempts - 1
-        core = {
-            "source": source,
-            "target": target,
-            "k": k,
-            "paths": [
-                {"vertices": list(path.vertices), "distance": path.distance}
-                for path in answer.paths
-            ],
-            "graph_version": answer.graph_version,
-        }
-        self.stale.put(key, core, answer.graph_version)
-        payload = dict(core)
+        # The stale cache keeps the Path objects the replica's result cache
+        # already holds; a degraded body is rendered only when one is served.
+        self.stale.put(key, tuple(answer.paths), answer.graph_version)
+        payload = self._answer_body(key, answer.paths, answer.graph_version)
         payload.update(
             degraded=False,
             from_cache=answer.from_cache,
@@ -554,6 +567,21 @@ class FrontDoorServer:
             f"({len(self.replicas)} replicas, all down or breaker-open)"
         )
 
+    @staticmethod
+    def _answer_body(key: QueryKey, paths: Sequence[Path], graph_version: int) -> dict:
+        """The fields fresh and degraded ``/query`` answers share."""
+        source, target, k = key
+        return {
+            "source": source,
+            "target": target,
+            "k": k,
+            "paths": [
+                {"vertices": list(path.vertices), "distance": path.distance}
+                for path in paths
+            ],
+            "graph_version": graph_version,
+        }
+
     def _try_degraded(self, key: QueryKey):
         """Serve the last-known answer when degradation is allowed."""
         if not self.degraded_mode:
@@ -561,9 +589,9 @@ class FrontDoorServer:
         entry = self.stale.get(key)
         if entry is None:
             return None
-        core, version = entry
+        paths, version = entry
         self.counters["served_degraded"] += 1
-        payload = dict(core)
+        payload = self._answer_body(key, paths, version)
         payload.update(degraded=True, stale_graph_version=version)
         return 200, payload, None
 

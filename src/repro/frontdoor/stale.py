@@ -14,8 +14,10 @@ This cache is deliberately different from the service-layer
 * it is **never invalidated** — staleness is its entire purpose; the
   stored ``graph_version`` makes the staleness inspectable instead of
   silent;
-* it stores the serialisable response payload, not live ``Path`` objects,
-  because it is written and read on the HTTP layer's event loop;
+* it stores the answer's immutable ``Path`` tuples — the very objects the
+  replica's result cache holds, so a remembered answer costs one small
+  tuple — and the front door renders the JSON body only when a degraded
+  answer is actually served;
 * it is bounded LRU, sized to the working set of hot keys — eviction only
   narrows degraded coverage, never correctness.
 """
@@ -25,19 +27,21 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
+from ..graph.paths import Path
+
 __all__ = ["StaleCache"]
 
 QueryKey = Tuple[int, int, int]
 
 
 class StaleCache:
-    """Bounded LRU of last-known response payloads, keyed by query key."""
+    """Bounded LRU of last-known answer paths, keyed by query key."""
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self._capacity = capacity
-        self._entries: "OrderedDict[QueryKey, Tuple[dict, int]]" = OrderedDict()
+        self._entries: "OrderedDict[QueryKey, Tuple[Tuple[Path, ...], int]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -49,16 +53,16 @@ class StaleCache:
         """Maximum number of retained keys."""
         return self._capacity
 
-    def put(self, key: QueryKey, payload: dict, graph_version: int) -> None:
-        """Remember the latest good payload for ``key`` (LRU insert)."""
+    def put(self, key: QueryKey, paths: Tuple[Path, ...], graph_version: int) -> None:
+        """Remember the latest good answer for ``key`` (LRU insert)."""
         if key in self._entries:
             self._entries.pop(key)
         elif len(self._entries) >= self._capacity:
             self._entries.popitem(last=False)
-        self._entries[key] = (payload, graph_version)
+        self._entries[key] = (paths, graph_version)
 
-    def get(self, key: QueryKey) -> Optional[Tuple[dict, int]]:
-        """Last ``(payload, graph_version)`` for ``key``, or ``None``."""
+    def get(self, key: QueryKey) -> Optional[Tuple[Tuple[Path, ...], int]]:
+        """Last ``(paths, graph_version)`` for ``key``, or ``None``."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1

@@ -1,9 +1,8 @@
 """Result cache with update-scoped invalidation.
 
 The cache stores KSP results keyed by ``(source, target, k)`` together with
-the graph version they were computed at and the set of edges their paths
-traverse.  Invalidation is driven by the stream of
-:class:`~repro.graph.graph.WeightUpdate` batches:
+the graph version they were computed at.  Invalidation is driven by the
+stream of :class:`~repro.graph.graph.WeightUpdate` batches:
 
 * **scoped** (default): only entries whose cached paths traverse an updated
   edge are evicted.  Entries that survive are *distance-exact* — every
@@ -30,7 +29,7 @@ one by one).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from ..graph.graph import WeightUpdate, edge_key
 from ..graph.paths import Path, path_edges
@@ -44,12 +43,11 @@ EdgeKey = Tuple[int, int]
 class CacheEntry:
     """One cached KSP result."""
 
-    __slots__ = ("paths", "version", "edges")
+    __slots__ = ("paths", "version")
 
-    def __init__(self, paths: Sequence[Path], version: int, edges: frozenset) -> None:
+    def __init__(self, paths: Sequence[Path], version: int) -> None:
         self.paths = list(paths)
         self.version = version
-        self.edges = edges
 
 
 class CacheStats:
@@ -132,6 +130,17 @@ class ResultCache:
     def _edge_key(self, u: int, v: int) -> EdgeKey:
         return (u, v) if self._directed else edge_key(u, v)
 
+    def _entry_edges(self, entry: CacheEntry) -> Iterator[EdgeKey]:
+        """Edge keys the entry's paths traverse (repeats included).
+
+        Derived from the paths on demand rather than stored per entry: the
+        inverted index's own keys are then the only per-edge objects the
+        cache retains.
+        """
+        for path in entry.paths:
+            for u, v in path_edges(path.vertices):
+                yield self._edge_key(u, v)
+
     # ------------------------------------------------------------------
     # lookups and insertion
     # ------------------------------------------------------------------
@@ -159,13 +168,15 @@ class ResultCache:
         """Insert (or replace) the result for ``key`` computed at ``version``."""
         if key in self._entries:
             self._remove(key)
-        edges = frozenset(
-            self._edge_key(u, v) for path in paths for (u, v) in path_edges(path.vertices)
-        )
-        entry = CacheEntry(paths, version, edges)
+        entry = CacheEntry(paths, version)
         self._entries[key] = entry
-        for edge in edges:
-            self._edge_index.setdefault(edge, set()).add(key)
+        edge_index = self._edge_index
+        for edge in self._entry_edges(entry):
+            keys = edge_index.get(edge)
+            if keys is None:
+                edge_index[edge] = {key}
+            else:
+                keys.add(key)
         while len(self._entries) > self._capacity:
             oldest_key = next(iter(self._entries))
             self._remove(oldest_key)
@@ -174,7 +185,7 @@ class ResultCache:
 
     def _remove(self, key: QueryKey) -> None:
         entry = self._entries.pop(key)
-        for edge in entry.edges:
+        for edge in self._entry_edges(entry):
             keys = self._edge_index.get(edge)
             if keys is not None:
                 keys.discard(key)

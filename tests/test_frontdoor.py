@@ -21,6 +21,7 @@ from repro.frontdoor import (
     StaleCache,
     rendezvous_order,
 )
+from repro.graph.paths import Path
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +295,9 @@ class TestRouter:
 class TestStaleCache:
     def test_round_trip_with_version(self):
         cache = StaleCache(capacity=4)
-        cache.put((1, 2, 3), {"paths": []}, graph_version=7)
-        assert cache.get((1, 2, 3)) == ({"paths": []}, 7)
+        paths = (Path(2.0, (1, 5, 2)),)
+        cache.put((1, 2, 3), paths, graph_version=7)
+        assert cache.get((1, 2, 3)) == (paths, 7)
         assert cache.hits == 1
 
     def test_miss_is_counted(self):
@@ -305,19 +307,20 @@ class TestStaleCache:
 
     def test_lru_evicts_the_coldest_key(self):
         cache = StaleCache(capacity=2)
-        cache.put((1, 1, 1), {"a": 1}, 0)
-        cache.put((2, 2, 2), {"b": 2}, 0)
+        cache.put((1, 1, 1), (), 0)
+        cache.put((2, 2, 2), (), 0)
         cache.get((1, 1, 1))  # touch: (2,2,2) is now coldest
-        cache.put((3, 3, 3), {"c": 3}, 0)
+        cache.put((3, 3, 3), (), 0)
         assert cache.get((2, 2, 2)) is None
         assert cache.get((1, 1, 1)) is not None
         assert len(cache) == 2
 
     def test_put_overwrites_in_place(self):
         cache = StaleCache(capacity=2)
-        cache.put((1, 1, 1), {"v": "old"}, 3)
-        cache.put((1, 1, 1), {"v": "new"}, 4)
-        assert cache.get((1, 1, 1)) == ({"v": "new"}, 4)
+        old, new = (Path(3.0, (1, 2, 1)),), (Path(2.0, (1, 3, 1)),)
+        cache.put((1, 1, 1), old, 3)
+        cache.put((1, 1, 1), new, 4)
+        assert cache.get((1, 1, 1)) == (new, 4)
         assert len(cache) == 1
 
     def test_capacity_must_be_positive(self):

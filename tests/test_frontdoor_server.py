@@ -12,6 +12,7 @@ health/metrics surfaces.
 from __future__ import annotations
 
 import socket
+import struct
 import urllib.request
 
 import pytest
@@ -127,6 +128,13 @@ class TestFailoverAndDegraded:
         assert [path["distance"] for path in stale.paths] == [
             path["distance"] for path in warm.paths
         ]
+        # The degraded body is rendered on demand from the remembered paths:
+        # same fields in the same order as the fresh answer's core.
+        shared = ["source", "target", "k", "paths", "graph_version"]
+        assert list(stale.payload) == shared + ["degraded", "stale_graph_version"]
+        assert [stale.payload[name] for name in shared] == [
+            warm.payload[name] for name in shared
+        ]
         assert server.counters["served_degraded"] == 1
 
     def test_uncached_key_fails_when_all_replicas_down(self, front_door, client):
@@ -214,6 +222,55 @@ class TestObservability:
             )
             status_line = sock.makefile("rb").readline()
         assert b"413" in status_line
+
+
+class TestMalformedFraming:
+    """Hostile framing gets a 400 and a closed connection; the server lives on."""
+
+    @staticmethod
+    def _exchange(front_door, request: bytes, half_close: bool = False) -> bytes:
+        host, _, port = front_door.url.split("//", 1)[-1].partition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(request)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as stream:
+                return stream.read()  # to EOF: the server must close
+
+    @pytest.mark.parametrize("value", [b"twelve", b"-5", b"1e3", b"0x10"])
+    def test_invalid_content_length_is_400(self, front_door, client, value):
+        response = self._exchange(
+            front_door,
+            b"POST /query HTTP/1.1\r\nHost: frontdoor\r\n"
+            b"Content-Length: " + value + b"\r\n\r\n",
+        )
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in response
+        assert client.query(0, 35, k=2).status == 200
+
+    def test_body_cut_short_is_400(self, front_door, client):
+        response = self._exchange(
+            front_door,
+            b"POST /query HTTP/1.1\r\nHost: frontdoor\r\n"
+            b"Content-Length: 64\r\n\r\n" + b'{"source": 0, "tar',
+            half_close=True,
+        )
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"shorter than Content-Length" in response
+        assert client.query(0, 35, k=2).status == 200
+
+    def test_reset_mid_body_leaves_the_server_up(self, front_door, client):
+        host, _, port = front_door.url.split("//", 1)[-1].partition(":")
+        sock = socket.create_connection((host, int(port)), timeout=10)
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: frontdoor\r\n"
+            b"Content-Length: 64\r\n\r\n" + b'{"source"'
+        )
+        # SO_LINGER 0 turns close() into a RST instead of a FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        assert client.query(0, 35, k=2).status == 200
+        assert client.health()["status"] == "ok"
 
 
 class TestOverload:

@@ -133,3 +133,50 @@ class TestScopedInvalidation:
         cache.put((0, 1, 1), make_paths([0, 1]), version=0)
         assert cache.invalidate([]) == 0
         assert (0, 1, 1) in cache
+
+
+class TestRetainedBytes:
+    """The per-answer footprint of ``put``: a serving window keeps every
+    entry, so bytes per entry is what ``peak_rss_mb`` grows by per answer."""
+
+    ENTRIES = 200
+    #: Measured 3.0 KB on CPython 3.11 (a list, a slotted entry, and one
+    #: 8-byte slot per traversed edge in the inverted index's key sets);
+    #: a stored per-entry edge set costs 8.8 KB here.
+    CEILING_BYTES_PER_ENTRY = 4096
+
+    @staticmethod
+    def _three_paths_of_sixty_vertices():
+        # Three near-identical 60-vertex paths, like a k=3 answer.  Every
+        # entry traverses the same edges, the steady state of a serving
+        # window on one network: the index's edge keys exist already and
+        # only what ``put`` itself retains is left to measure.
+        first = tuple(range(1000, 1060))
+        second = first[:30] + (1070,) + first[31:]
+        third = first[:40] + (1080,) + first[41:]
+        return [Path(59.0, first), Path(60.0, second), Path(61.0, third)]
+
+    def test_bytes_per_entry_stay_under_the_ceiling(self):
+        import gc
+        import tracemalloc
+
+        paths = self._three_paths_of_sixty_vertices()
+        keys = [(source, source + 1, 3) for source in range(self.ENTRIES)]
+        cache = ResultCache(capacity=2 * self.ENTRIES)
+        cache.put((-1, -1, 3), paths, version=0)  # edge keys now exist
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            for key in keys:
+                cache.put(key, paths, version=0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+            assert retained / self.ENTRIES <= self.CEILING_BYTES_PER_ENTRY
+            cache.flush()
+            gc.collect()
+            after_flush = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 0
+        assert after_flush <= self.CEILING_BYTES_PER_ENTRY  # nothing per entry left
