@@ -40,7 +40,7 @@ backend (worker processes hold resident index replicas; see
 to enable load-adaptive placement with live subgraph migration
 (``$REPRO_REBALANCE`` sets the default; see ``ARCHITECTURE.md``, "Load
 telemetry & rebalancing"); ``replay``/``serve`` accept
-``--kernel {snapshot,dict}`` to pick the compute path, which the printed
+``--kernel {snapshot,fast,dict}`` to pick the compute path, which the printed
 service report echoes back.
 
 Observability (see ``ARCHITECTURE.md``, "Observability"): ``replay`` and
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--source", type=int, required=True)
     query.add_argument("--target", type=int, required=True)
     query.add_argument("--k", type=int, default=3)
-    query.add_argument("--heuristic", choices=["none", "landmark", "dtlp"],
+    query.add_argument("--heuristic", choices=["none", "landmark"],
                        default="none",
                        help="admissible lower-bound provider pruning the searches")
     query.add_argument("--verify", action="store_true",
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(numpy wavefront/batched searches — distance-"
                             "identical, tie-order free), or the dict-based "
                             "reference path")
-    bench.add_argument("--heuristic", choices=["none", "landmark", "dtlp"],
+    bench.add_argument("--heuristic", choices=["none", "landmark"],
                        default="none",
                        help="admissible lower-bound provider pruning the query "
                             "searches (see ARCHITECTURE.md, 'Goal-directed "
@@ -224,11 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "batch-native fast tier (distance-identical, tie-order "
                               "free), or the dict-based reference path; surfaced in "
                               "the service report")
-        sub.add_argument("--heuristic", choices=["none", "landmark", "dtlp"],
+        sub.add_argument("--heuristic", choices=["none", "landmark"],
                          default="none",
                          help="admissible lower-bound provider pruning the kspdg "
-                              "engine's searches (landmark = ALT tables, dtlp = "
-                              "reuse the index's lower-bound distances); requires "
+                              "engine's searches (landmark = ALT tables); requires "
                               "an array-backed kernel, results are bit-identical")
         sub.add_argument("--workers", type=int, default=4,
                          help="simulated workers for the kspdg engine")
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "$REPRO_EXECUTOR or serial")
     chaos_cmd.add_argument("--kernel", choices=["snapshot", "fast", "dict"],
                            default="snapshot")
-    chaos_cmd.add_argument("--heuristic", choices=["none", "landmark", "dtlp"],
+    chaos_cmd.add_argument("--heuristic", choices=["none", "landmark"],
                            default="none")
     chaos_cmd.add_argument("--fault-rate", type=float, default=0.3,
                            help="probability a batch suffers one fault "

@@ -35,7 +35,7 @@ from ..graph.graph import DynamicGraph, WeightUpdate
 from ..graph.partition import GraphPartition
 from ..graph.partition_ml import make_partition
 from ..graph.paths import Path
-from ..kernel.heuristics import DTLPLowerBounds, LandmarkLowerBounds
+from ..kernel.heuristics import LandmarkLowerBounds
 from ..kernel.snapshot import CSRSnapshot
 from .lsh import lsh_group_edges
 from .mfp_tree import MFPForest, build_mfp_forest
@@ -184,17 +184,15 @@ class DTLP:
         self._partial_memo: Dict[
             Tuple[int, Tuple[int, int], int], Tuple[int, Tuple[Path, ...]]
         ] = {}
-        # (subgraph_id, heuristic mode) -> lower-bound provider; providers
+        # subgraph_id -> landmark lower-bound provider; providers
         # self-invalidate against their snapshot's weights_epoch.
-        self._heuristic_providers: Dict[Tuple[int, str], object] = {}
+        self._heuristic_providers: Dict[int, LandmarkLowerBounds] = {}
         # Shared kernel view of the un-augmented skeleton graph, refreshed
         # by graph-version compare, plus what is derived from it per weight
-        # epoch: the search image every query overlays its endpoints on and
-        # the landmark tables the partition store persists.
+        # epoch: the search image every query overlays its endpoints on.
         self._skeleton_kernel_snapshot: Optional[CSRSnapshot] = None
         self._skeleton_kernel_version: int = -1
         self._skeleton_image: Optional[SkeletonSearchView] = None
-        self._skeleton_landmarks: Optional[LandmarkLowerBounds] = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -444,43 +442,22 @@ class DTLP:
             augmented.update_edge_minimum(*direct)
         return augmented
 
-    def skeleton_lower_bounds(self) -> LandmarkLowerBounds:
-        """Shared ALT landmark tables over the un-augmented skeleton.
-
-        Cached per skeleton snapshot and self-invalidating against its
-        weight epoch.  Queries no longer consult them (reference searches
-        are bounded exactly, see :meth:`reference_enumerator`); they remain
-        what the partition store exports and adopts.
-        """
-        snapshot = self.skeleton_snapshot()
-        provider = self._skeleton_landmarks
-        if provider is None or provider.snapshot is not snapshot:
-            provider = LandmarkLowerBounds(snapshot)
-            self._skeleton_landmarks = provider
-        return provider
-
     def subgraph_lower_bounds(self, subgraph_id: int, heuristic: str):
         """Admissible lower-bound provider for searches inside one subgraph.
 
-        ``heuristic`` selects the provider family (``"landmark"`` or
-        ``"dtlp"``, see :mod:`repro.kernel.heuristics`); ``"none"`` returns
+        ``heuristic`` is ``"landmark"`` (ALT tables, see
+        :mod:`repro.kernel.heuristics`) or ``"none"``, which returns
         ``None``.  Providers are cached per subgraph and self-invalidate
         when the underlying snapshot's weights change, so a batch of
         queries over the same subgraph pays for landmark tables once.
         """
         if heuristic == "none":
             return None
-        key = (subgraph_id, heuristic)
-        provider = self._heuristic_providers.get(key)
+        provider = self._heuristic_providers.get(subgraph_id)
         snapshot = self.subgraph_snapshot(subgraph_id)
-        if provider is None or getattr(provider, "snapshot", None) is not snapshot:
-            if heuristic == "landmark":
-                provider = LandmarkLowerBounds(snapshot)
-            else:
-                provider = DTLPLowerBounds(
-                    snapshot, self.subgraph_index(subgraph_id)
-                )
-            self._heuristic_providers[key] = provider
+        if provider is None or provider.snapshot is not snapshot:
+            provider = LandmarkLowerBounds(snapshot)
+            self._heuristic_providers[subgraph_id] = provider
         return provider
 
     # ------------------------------------------------------------------
@@ -515,7 +492,6 @@ class DTLP:
         self._skeleton_kernel_snapshot = None
         self._skeleton_kernel_version = -1
         self._skeleton_image = None
-        self._skeleton_landmarks = None
         with self._epoch_lock:
             self._weight_epochs.clear()
             self._weight_epoch_version = self._graph.version
@@ -598,18 +574,6 @@ class DTLP:
         dtlp._build_seconds = time.perf_counter() - started
         return dtlp
 
-    def adopt_skeleton_landmarks(self, state: Dict[str, object]) -> None:
-        """Install stored ALT landmark tables for the skeleton graph.
-
-        Only valid when the skeleton's weights are identical to what they
-        were when the tables were exported (the store checks its weights
-        fingerprint before calling this); a later weight change invalidates
-        the tables through the snapshot's weights epoch as usual.
-        """
-        self._skeleton_landmarks = LandmarkLowerBounds.from_tables(
-            self.skeleton_snapshot(), state
-        )
-
     def _rebuild_skeleton(self) -> None:
         """Recompute every skeleton edge from the per-subgraph lower bounds."""
         skeleton = SkeletonGraph(directed=self._config.directed)
@@ -648,7 +612,6 @@ class DTLP:
         state["_skeleton_kernel_snapshot"] = None
         state["_skeleton_kernel_version"] = -1
         state["_skeleton_image"] = None
-        state["_skeleton_landmarks"] = None
         return state
 
     def __setstate__(self, state) -> None:

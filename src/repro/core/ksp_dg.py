@@ -14,42 +14,51 @@ iteratively:
 3. Terminate when the k-th distance in ``L`` is no larger than the distance
    of the next unexplored reference path (Theorem 3).
 
-The implementation keeps a per-query cache of partial k-shortest-path results
-keyed by adjacent-vertex pair — consecutive reference paths typically share
-many pairs, which the paper highlights as an important optimisation.
+This module is the only place those steps are written down.
+:meth:`KSPDGQuery.run` is Algorithm 3, :func:`solve_pair` /
+:func:`best_k_distinct` / :func:`join_paths` are Algorithm 4, and
+:func:`endpoint_attachments` is the local form of Section 5.3.  What varies
+between deployments is *where the partial paths come from*, so the loop
+takes a ``partials`` provider: :class:`KSPDG` uses the default ("every
+subgraph containing the pair, solved in this process"), and the distributed
+:class:`~repro.distributed.bolts.QueryBolt` passes "broadcast the reference
+path to my SubgraphBolts and gather what they own" — each SubgraphBolt
+solving its pairs through the same :func:`solve_pair`.  The
+``on_reference_path`` / ``on_partial`` / ``on_merge`` hooks report each
+phase's wall-clock time; they are how the bolts charge the work to their
+simulated workers.
 
-Hooks (``on_reference_path``, ``on_partial``, ``on_merge``) let the simulated
-distributed runtime attribute the work of each phase to cluster workers
-without duplicating the algorithm.
+The loop keeps a per-query cache of partial k-shortest-path results keyed
+by adjacent-vertex pair — consecutive reference paths typically share many
+pairs, which the paper highlights as an important optimisation.
 
-Both the filter and refine steps run on a selectable compute kernel
-(``kernel="snapshot"`` for the array-backed fast path, ``"dict"`` for the
-reference implementation — see ``ARCHITECTURE.md``): the filter step is set
-up by :meth:`DTLP.reference_enumerator` (shared with the distributed
-QueryBolts) and subgraphs reuse the DTLP's shared snapshot cache across
-iterations and queries.
+How searches run — the compute kernel (``"snapshot"``, ``"fast"`` or the
+``"dict"`` reference, see ``ARCHITECTURE.md``), the lower-bound heuristic
+and whether bound pruning is on — is one validated :class:`SearchMode`
+value: the public entry points build it once and everything below them
+receives it whole.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..algorithms.dijkstra import dijkstra
 from ..algorithms.yen import yen_k_shortest_paths
 from ..graph.errors import PathNotFoundError, QueryError
 from ..graph.paths import Path, merge_paths
-from ..graph.partition import GraphPartition
 from ..kernel.heuristics import HEURISTICS, validate_heuristic
 from ..kernel.primitives import astar_arrays
-from ..kernel.snapshot import CSRSnapshot
+from ..obs.trace import mark, span
 from .dtlp import DTLP
 
 __all__ = [
     "KSPResult",
     "KSPDGQuery",
     "KSPDG",
+    "SearchMode",
     "validate_kernel",
     "validate_heuristic",
     "HEURISTICS",
@@ -63,6 +72,8 @@ __all__ = [
 #: ``"dict"`` (the dict-of-dict reference implementation).  See
 #: ``ARCHITECTURE.md``, "Batched kernel & identity tiers".
 KERNELS = ("snapshot", "fast", "dict")
+
+Pair = Tuple[int, int]
 
 
 def validate_kernel(kernel: str) -> str:
@@ -89,37 +100,172 @@ def validate_heuristic_for_kernel(heuristic: str, kernel: str) -> str:
     return heuristic
 
 
-def goal_directed_distance(
-    dtlp: DTLP,
-    subgraph_id: int,
-    view,
-    source: int,
-    target: int,
-    heuristic: str,
-    pruning: bool,
-) -> Optional[float]:
-    """Within-subgraph distance probe, shared by KSP-DG and the bolts.
+@dataclass(frozen=True)
+class SearchMode:
+    """How the searches of a query run: kernel, heuristic and pruning.
 
-    Distance-only: with a heuristic mode active it runs the goal-directed
-    A* kernel (exact distances are tie-independent, so the f-ordered search
-    cannot perturb results); otherwise the plain early-exit Dijkstra used
-    since PR 2.  Returns ``None`` when the endpoints do not connect within
-    the subgraph ``view``.
+    ``pruning=False`` restores the exact pre-pruning code path (no bound
+    pruning, no cross-query memo) — the benchmark baseline; results are
+    bit-identical either way.  Instances built through :meth:`validated`
+    are known to be consistent, so code receiving a mode never re-checks it.
     """
-    if pruning and heuristic != "none" and isinstance(view, CSRSnapshot):
-        provider = dtlp.subgraph_lower_bounds(subgraph_id, heuristic)
-        bounds = provider.bounds_to(target) if provider is not None else None
+
+    kernel: str = "snapshot"
+    heuristic: str = "none"
+    pruning: bool = True
+
+    @classmethod
+    def validated(cls, kernel: str, heuristic: str, pruning: bool) -> "SearchMode":
+        """The mode for user-supplied settings; :class:`QueryError` if invalid."""
+        return cls(
+            validate_kernel(kernel),
+            validate_heuristic_for_kernel(heuristic, kernel),
+            pruning,
+        )
+
+
+def _subgraph_view(dtlp: DTLP, subgraph_id: int, mode: SearchMode):
+    """The compute view of one subgraph: the DTLP's shared, incrementally
+    refreshed snapshot on the array kernels, the dict-based subgraph itself
+    on the ``"dict"`` reference."""
+    if mode.kernel != "dict":
+        return dtlp.subgraph_snapshot(subgraph_id)
+    return dtlp.partition.subgraph(subgraph_id)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 4: partial k shortest paths per pair, joined left to right
+# ----------------------------------------------------------------------
+def best_k_distinct(paths: Iterable[Path], k: int) -> List[Path]:
+    """The ``k`` shortest of ``paths``, repeated vertex sequences dropped."""
+    kept: List[Path] = []
+    seen = set()
+    for path in sorted(paths):
+        if path.vertices in seen:
+            continue
+        seen.add(path.vertices)
+        kept.append(path)
+        if len(kept) >= k:
+            break
+    return kept
+
+
+def join_paths(prefixes: Sequence[Path], extensions: Sequence[Path], k: int) -> List[Path]:
+    """The ``k`` shortest simple concatenations of a prefix and an extension."""
+    joined: List[Path] = []
+    for prefix in prefixes:
+        for extension in extensions:
+            vertices = prefix.vertices + extension.vertices[1:]
+            if len(set(vertices)) == len(vertices):
+                joined.append(merge_paths(prefix, extension))
+    joined.sort()
+    return joined[:k]
+
+
+def solve_pair(
+    dtlp: DTLP,
+    mode: SearchMode,
+    pair: Pair,
+    k: int,
+    subgraph_ids: Iterable[int],
+    on_partial: Optional[Callable[[int, Pair, float], None]] = None,
+) -> Tuple[List[Path], int]:
+    """Partial k shortest paths of one adjacent pair inside ``subgraph_ids``.
+
+    Per subgraph: with pruning, the DTLP's weight-epoch memo answers a
+    (subgraph, pair, k) an earlier query or iteration already solved;
+    otherwise Yen's algorithm runs on the subgraph's view (upper-bound
+    pruned, with the mode's lower-bound heuristic) and the result is
+    memoised.  Memo hits are bit-identical to recomputation.  Returns the
+    concatenated per-subgraph results (callers keep the
+    :func:`best_k_distinct`) and how many subgraphs were memo hits;
+    ``on_partial(subgraph_id, pair, seconds)`` is called once per subgraph
+    either way.
+    """
+    source, target = pair
+    collected: List[Path] = []
+    reused = 0
+    for subgraph_id in subgraph_ids:
+        started = time.perf_counter()
+        paths = dtlp.partial_memo_get(subgraph_id, pair, k) if mode.pruning else None
+        if paths is not None:
+            reused += 1
+        else:
+            bounds = (
+                dtlp.subgraph_lower_bounds(subgraph_id, mode.heuristic)
+                if mode.pruning
+                else None
+            )
+            try:
+                paths = yen_k_shortest_paths(
+                    _subgraph_view(dtlp, subgraph_id, mode), source, target, k,
+                    prune=mode.pruning, heuristic=bounds,
+                )
+            except PathNotFoundError:
+                paths = []
+            if mode.pruning:
+                dtlp.partial_memo_put(subgraph_id, pair, k, paths)
+        collected.extend(paths)
+        if on_partial is not None:
+            on_partial(subgraph_id, pair, time.perf_counter() - started)
+    return collected, reused
+
+
+# ----------------------------------------------------------------------
+# Section 5.3: attaching non-boundary endpoints to the skeleton graph
+# ----------------------------------------------------------------------
+def direct_distance(
+    dtlp: DTLP, subgraph_id: int, source: int, target: int, mode: SearchMode
+) -> Optional[float]:
+    """Distance from ``source`` to ``target`` inside one subgraph, or ``None``.
+
+    Distance-only: with a heuristic active it runs the goal-directed A*
+    kernel (exact distances are tie-independent, so the f-ordered search
+    cannot perturb results); otherwise the plain early-exit Dijkstra.
+    """
+    view = _subgraph_view(dtlp, subgraph_id, mode)
+    if mode.pruning and mode.heuristic != "none":
+        provider = dtlp.subgraph_lower_bounds(subgraph_id, mode.heuristic)
         source_index = view.index_of.get(source)
         target_index = view.index_of.get(target)
         if source_index is None or target_index is None:
             return None
         distance, _, _ = astar_arrays(
             view.rows, view.num_vertices, source_index, target_index,
-            bounds=bounds,
+            bounds=provider.bounds_to(target),
         )
         return None if distance == float("inf") else distance
     distances, _ = dijkstra(view, source, target=target)
     return distances.get(target)
+
+
+def endpoint_attachments(
+    dtlp: DTLP, source: int, target: int, mode: SearchMode
+) -> Tuple[Dict[int, Dict[int, float]], Optional[float]]:
+    """Skeleton attachments of the non-boundary endpoints, and the direct edge.
+
+    The direct edge is the within-subgraph distance between endpoints that
+    share a subgraph (at least one of them non-boundary): paths staying
+    inside that subgraph must be represented in the skeleton graph too.
+    Computed in this process; the distributed EntranceSpout gathers the
+    same two values from its SubgraphBolts (Step 1 of Figure 14).
+    """
+    partition = dtlp.partition
+    attachments = {
+        endpoint: dtlp.attachment_edges(endpoint, kernel=mode.kernel)
+        for endpoint in (source, target)
+        if not partition.is_boundary(endpoint)
+    }
+    direct_edge: Optional[float] = None
+    if attachments and source != target:
+        shared = set(partition.subgraphs_of_vertex(source)) & set(
+            partition.subgraphs_of_vertex(target)
+        )
+        for subgraph_id in shared:
+            value = direct_distance(dtlp, subgraph_id, source, target, mode)
+            if value is not None and (direct_edge is None or value < direct_edge):
+                direct_edge = value
+    return attachments, direct_edge
 
 
 @dataclass
@@ -139,10 +285,11 @@ class KSPResult:
     reference_paths:
         The reference paths examined, in order.
     partial_computations:
-        Number of per-pair partial k-shortest-path computations performed
-        (cache misses); a proxy for refine-step work.
+        Number of per-(subgraph, pair) partial k-shortest-path computations
+        performed in this process (cache misses); a proxy for refine-step
+        work.  Zero when a ``partials`` provider did the solving elsewhere.
     partial_reused:
-        Number of per-pair partial computations *avoided* because the
+        Number of per-(subgraph, pair) computations *avoided* because the
         DTLP's cross-query memo already held the result for the current
         weight epoch (see ``ARCHITECTURE.md``, "Goal-directed search &
         pruning").
@@ -166,17 +313,28 @@ class KSPResult:
         return [path.distance for path in self.paths]
 
 
-# Hook signatures: (detail, elapsed_seconds)
-ReferenceHook = Callable[[Path, float], None]
-PartialHook = Callable[[int, Tuple[int, int], float], None]
+#: ``partials(reference_path, needed_pairs, k)`` returns, for the pairs it
+#: can serve, the partial k shortest paths found (any order, duplicates
+#: allowed); the loop keeps the best k distinct per pair.
+PartialsProvider = Callable[[Path, Sequence[Pair], int], Mapping[Pair, List[Path]]]
+#: ``on_reference_path(path, seconds)`` after every filter step; ``path`` is
+#: ``None`` when the skeleton graph has no further reference path.
+ReferenceHook = Callable[[Optional[Path], float], None]
+#: ``on_partial(subgraph_id, pair, seconds)`` per locally solved partial.
+PartialHook = Callable[[int, Pair, float], None]
+#: ``on_merge(seconds)`` once per iteration: join plus top-k update.
 MergeHook = Callable[[float], None]
 
 
 class KSPDGQuery:
-    """State of a single KSP-DG query evaluation.
+    """One KSP-DG query evaluation: the filter/refine loop of Algorithm 3.
 
-    Instances are created by :class:`KSPDG`; the class is public because the
-    distributed runtime drives queries step by step through it.
+    Created by :class:`KSPDG` for in-process queries and by the distributed
+    :class:`~repro.distributed.bolts.QueryBolt` for routed ones; both run
+    :meth:`run`.  ``attachments`` / ``direct_edge`` are the Section 5.3
+    values for the endpoints (see :func:`endpoint_attachments`);
+    ``partials`` replaces the in-process refine step (see the module
+    docstring); the hooks receive per-phase timings.
     """
 
     def __init__(
@@ -185,90 +343,34 @@ class KSPDGQuery:
         source: int,
         target: int,
         k: int,
+        mode: SearchMode = SearchMode(),
+        attachments: Optional[Mapping[int, Mapping[int, float]]] = None,
+        direct_edge: Optional[float] = None,
+        partials: Optional[PartialsProvider] = None,
         on_reference_path: Optional[ReferenceHook] = None,
         on_partial: Optional[PartialHook] = None,
         on_merge: Optional[MergeHook] = None,
-        kernel: str = "snapshot",
-        heuristic: str = "none",
-        pruning: bool = True,
     ) -> None:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
         self._dtlp = dtlp
-        self._partition: GraphPartition = dtlp.partition
-        self._graph = dtlp.graph
         self._source = source
         self._target = target
         self._k = k
-        self._kernel = validate_kernel(kernel)
-        self._heuristic = validate_heuristic_for_kernel(heuristic, self._kernel)
-        self._pruning = pruning
+        self._mode = mode
+        self._partials = partials or self._solve_locally
         self._on_reference_path = on_reference_path
         self._on_partial = on_partial
         self._on_merge = on_merge
-        self._partial_cache: Dict[Tuple[int, int], List[Path]] = {}
         self._partial_computations = 0
         self._partial_reused = 0
-        attachments, direct_edge = self._endpoint_attachments()
         self._reference_enumerator = dtlp.reference_enumerator(
             source,
             target,
             attachments,
             direct_edge,
-            kernel=self._kernel,
-            pruning=self._pruning,
-        )
-
-    def _subgraph_view(self, subgraph_id: int):
-        """The compute view of one subgraph under the selected kernel."""
-        if self._kernel != "dict":
-            return self._dtlp.subgraph_snapshot(subgraph_id)
-        return self._partition.subgraph(subgraph_id)
-
-    # ------------------------------------------------------------------
-    # skeleton augmentation (Section 5.3)
-    # ------------------------------------------------------------------
-    def _endpoint_attachments(
-        self,
-    ) -> Tuple[Dict[int, Dict[int, float]], Optional[float]]:
-        """Skeleton attachments of the non-boundary endpoints, and the direct edge.
-
-        The direct edge is the within-subgraph distance between endpoints
-        that share a subgraph (at least one of them non-boundary): paths
-        staying inside that subgraph must be represented in the skeleton
-        graph too.
-        """
-        base = self._dtlp.skeleton_graph
-        attachments: Dict[int, Dict[int, float]] = {}
-        for endpoint in (self._source, self._target):
-            if not base.has_vertex(endpoint):
-                attachments[endpoint] = self._dtlp.attachment_edges(
-                    endpoint, kernel=self._kernel
-                )
-        direct_edge: Optional[float] = None
-        if attachments and self._source != self._target:
-            shared = set(
-                self._partition.subgraphs_of_vertex(self._source)
-            ) & set(self._partition.subgraphs_of_vertex(self._target))
-            for subgraph_id in shared:
-                # lower_bounds_from_vertex returns distances to boundary
-                # vertices only; compute the direct within-subgraph
-                # distance explicitly.
-                value = self._direct_distance(subgraph_id)
-                if value is not None and (direct_edge is None or value < direct_edge):
-                    direct_edge = value
-        return attachments, direct_edge
-
-    def _direct_distance(self, subgraph_id: int) -> Optional[float]:
-        """Within-subgraph distance between the endpoints, or ``None``."""
-        return goal_directed_distance(
-            self._dtlp,
-            subgraph_id,
-            self._subgraph_view(subgraph_id),
-            self._source,
-            self._target,
-            self._heuristic,
-            self._pruning,
+            kernel=mode.kernel,
+            pruning=mode.pruning,
         )
 
     # ------------------------------------------------------------------
@@ -280,112 +382,42 @@ class KSPDGQuery:
         try:
             path = self._reference_enumerator.next_path()
         except (StopIteration, PathNotFoundError):
-            return None
-        elapsed = time.perf_counter() - started
+            path = None
         if self._on_reference_path is not None:
-            self._on_reference_path(path, elapsed)
+            self._on_reference_path(path, time.perf_counter() - started)
         return path
 
     # ------------------------------------------------------------------
     # refine step (Algorithm 4)
     # ------------------------------------------------------------------
-    def candidate_ksps(self, reference_path: Path) -> List[Path]:
-        """Compute candidate k shortest paths matching ``reference_path``.
+    def _solve_locally(
+        self, reference_path: Path, needed: Sequence[Pair], k: int
+    ) -> Dict[Pair, List[Path]]:
+        """Default partials provider: every subgraph containing each pair."""
+        partition = self._dtlp.partition
+        found: Dict[Pair, List[Path]] = {}
+        for pair in needed:
+            owners = partition.subgraphs_containing_pair(*pair)
+            found[pair], reused = solve_pair(
+                self._dtlp, self._mode, pair, k, owners, self._on_partial
+            )
+            self._partial_reused += reused
+            self._partial_computations += len(owners) - reused
+        return found
 
-        For every pair of adjacent vertices on the reference path the k
-        shortest partial paths are computed inside each subgraph containing
-        both vertices (results are cached across iterations), the best k per
-        pair are kept, and the per-pair lists are joined left to right while
-        keeping only the k shortest simple combinations.
-        """
-        vertices = reference_path.vertices
-        if len(vertices) < 2:
-            return []
-        merged: Optional[List[Path]] = None
-        for index in range(len(vertices) - 1):
-            pair = (vertices[index], vertices[index + 1])
-            partials = self._partial_ksps(pair)
+    def _candidates(
+        self, pairs: Sequence[Pair], partial_cache: Mapping[Pair, List[Path]]
+    ) -> List[Path]:
+        """Join the per-pair partials left to right, keeping k simple paths."""
+        merged: List[Path] = []
+        for index, pair in enumerate(pairs):
+            partials = partial_cache.get(pair)
             if not partials:
                 return []
-            merge_start = time.perf_counter()
-            if merged is None:
-                merged = list(partials[: self._k])
-            else:
-                merged = self._join(merged, partials)
-            if self._on_merge is not None:
-                self._on_merge(time.perf_counter() - merge_start)
+            merged = join_paths(merged, partials, self._k) if index else list(partials)
             if not merged:
                 return []
-        return merged or []
-
-    def _partial_ksps(self, pair: Tuple[int, int]) -> List[Path]:
-        """Partial k shortest paths for one adjacent boundary-vertex pair.
-
-        Two cache levels: the per-query ``_partial_cache`` (consecutive
-        reference paths share pairs — the paper's optimisation) and, with
-        pruning enabled, the DTLP's cross-query memo keyed by weight epoch
-        — a pair solved by an earlier query this round is not re-solved.
-        """
-        if pair in self._partial_cache:
-            return self._partial_cache[pair]
-        source, target = pair
-        subgraph_ids = self._partition.subgraphs_containing_pair(source, target)
-        use_memo = self._pruning
-        collected: List[Path] = []
-        for subgraph_id in subgraph_ids:
-            started = time.perf_counter()
-            paths = (
-                self._dtlp.partial_memo_get(subgraph_id, pair, self._k)
-                if use_memo
-                else None
-            )
-            if paths is None:
-                subgraph = self._subgraph_view(subgraph_id)
-                heuristic = (
-                    self._dtlp.subgraph_lower_bounds(subgraph_id, self._heuristic)
-                    if self._pruning and isinstance(subgraph, CSRSnapshot)
-                    else None
-                )
-                try:
-                    paths = yen_k_shortest_paths(
-                        subgraph, source, target, self._k,
-                        prune=self._pruning, heuristic=heuristic,
-                    )
-                except PathNotFoundError:
-                    paths = []
-                if use_memo:
-                    self._dtlp.partial_memo_put(subgraph_id, pair, self._k, paths)
-                self._partial_computations += 1
-            else:
-                self._partial_reused += 1
-            elapsed = time.perf_counter() - started
-            if self._on_partial is not None:
-                self._on_partial(subgraph_id, pair, elapsed)
-            collected.extend(paths)
-        collected.sort()
-        deduplicated: List[Path] = []
-        seen: Set[Tuple[int, ...]] = set()
-        for path in collected:
-            if path.vertices in seen:
-                continue
-            seen.add(path.vertices)
-            deduplicated.append(path)
-            if len(deduplicated) >= self._k:
-                break
-        self._partial_cache[pair] = deduplicated
-        return deduplicated
-
-    def _join(self, prefixes: List[Path], extensions: List[Path]) -> List[Path]:
-        """Join prefix paths with extension paths, keeping the k best simple results."""
-        candidates: List[Path] = []
-        for prefix in prefixes:
-            for extension in extensions:
-                joined_vertices = prefix.vertices + extension.vertices[1:]
-                if len(set(joined_vertices)) != len(joined_vertices):
-                    continue
-                candidates.append(merge_paths(prefix, extension))
-        candidates.sort()
-        return candidates[: self._k]
+        return merged
 
     # ------------------------------------------------------------------
     # full evaluation (Algorithm 3)
@@ -393,44 +425,56 @@ class KSPDGQuery:
     def run(self) -> KSPResult:
         """Execute the full iterative algorithm and return the result."""
         started = time.perf_counter()
-        result = KSPResult(source=self._source, target=self._target, k=self._k)
+        k = self._k
+        result = KSPResult(source=self._source, target=self._target, k=k)
         if self._source == self._target:
             result.paths = [Path(0.0, (self._source,))]
             result.elapsed_seconds = time.perf_counter() - started
             return result
 
         top_paths: List[Path] = []
-        seen_vertices: Set[Tuple[int, ...]] = set()
+        seen_vertices = set()
+        # Consecutive reference paths share pairs; each pair's best k
+        # partials are gathered once per query.
+        partial_cache: Dict[Pair, List[Path]] = {}
         reference = self.next_reference_path()
         while reference is not None:
             result.iterations += 1
             result.reference_paths.append(reference)
-            candidates = self.candidate_ksps(reference)
-            for candidate in candidates:
-                if candidate.vertices in seen_vertices:
-                    continue
-                seen_vertices.add(candidate.vertices)
-                top_paths.append(candidate)
-            top_paths.sort()
-            del top_paths[self._k:]
-            kth_distance = (
-                top_paths[self._k - 1].distance
-                if len(top_paths) >= self._k
-                else float("inf")
-            )
-            if self._pruning and top_paths:
-                # Theorem 3 stops the iteration at the first reference path
-                # no shorter than the k-th candidate — reference paths
-                # beyond that bound are dead weight, so the enumerator may
-                # prune the spur searches that would produce them.
-                self._reference_enumerator.set_upper_bound(kth_distance)
-            next_reference = self.next_reference_path()
-            if next_reference is None:
-                break
-            if top_paths and kth_distance <= next_reference.distance:
-                # Termination condition of Theorem 3.
-                break
-            reference = next_reference
+            with span("iteration", index=result.iterations):
+                vertices = reference.vertices
+                pairs = list(zip(vertices, vertices[1:]))
+                needed = [pair for pair in pairs if pair not in partial_cache]
+                for pair, paths in self._partials(reference, needed, k).items():
+                    partial_cache[pair] = best_k_distinct(paths, k)
+                merge_started = time.perf_counter()
+                candidates = self._candidates(pairs, partial_cache)
+                for candidate in candidates:
+                    # First sighting wins: the same vertex sequence can come
+                    # back from a later reference path with its distance
+                    # summed in another order.
+                    if candidate.vertices not in seen_vertices:
+                        seen_vertices.add(candidate.vertices)
+                        top_paths.append(candidate)
+                top_paths.sort()
+                del top_paths[k:]
+                if self._on_merge is not None:
+                    self._on_merge(time.perf_counter() - merge_started)
+                mark("merge", candidates=len(candidates), top=len(top_paths))
+                kth_distance = (
+                    top_paths[k - 1].distance if len(top_paths) >= k else float("inf")
+                )
+                if self._mode.pruning and top_paths:
+                    # Theorem 3 stops the iteration at the first reference
+                    # path no shorter than the k-th candidate — reference
+                    # paths beyond that bound are dead weight, so the
+                    # enumerator may prune the spur searches that would
+                    # produce them.
+                    self._reference_enumerator.set_upper_bound(kth_distance)
+                reference = self.next_reference_path()
+                if reference is not None and kth_distance <= reference.distance:
+                    # Termination condition of Theorem 3.
+                    break
         result.paths = top_paths
         result.partial_computations = self._partial_computations
         result.partial_reused = self._partial_reused
@@ -463,9 +507,7 @@ class KSPDG:
         if not dtlp.built:
             raise QueryError("the DTLP index must be built before creating KSPDG")
         self._dtlp = dtlp
-        self._kernel = validate_kernel(kernel)
-        self._heuristic = validate_heuristic_for_kernel(heuristic, self._kernel)
-        self._pruning = pruning
+        self._mode = SearchMode.validated(kernel, heuristic, pruning)
 
     @property
     def dtlp(self) -> DTLP:
@@ -475,12 +517,12 @@ class KSPDG:
     @property
     def kernel(self) -> str:
         """Compute kernel answering queries (one of :data:`KERNELS`)."""
-        return self._kernel
+        return self._mode.kernel
 
     @property
     def heuristic(self) -> str:
         """Lower-bound heuristic pruning the searches (``"none"`` disables)."""
-        return self._heuristic
+        return self._mode.heuristic
 
     @property
     def pruning(self) -> bool:
@@ -490,7 +532,7 @@ class KSPDG:
         benchmark baseline (``benchmarks/test_pruning_speedup.py``); results
         are bit-identical either way.
         """
-        return self._pruning
+        return self._mode.pruning
 
     def query(
         self,
@@ -503,26 +545,28 @@ class KSPDG:
     ) -> KSPResult:
         """Answer one k-shortest-path query.
 
-        The optional hooks receive per-phase timings; the simulated
-        distributed runtime uses them to attribute work to cluster workers.
+        The optional hooks receive per-phase timings (the same hooks the
+        distributed QueryBolt charges its simulated worker through).
         """
         if not self._dtlp.graph.has_vertex(source):
             raise QueryError(f"source vertex {source} is not in the graph")
         if not self._dtlp.graph.has_vertex(target):
             raise QueryError(f"target vertex {target} is not in the graph")
-        query = KSPDGQuery(
+        attachments, direct_edge = endpoint_attachments(
+            self._dtlp, source, target, self._mode
+        )
+        return KSPDGQuery(
             self._dtlp,
             source,
             target,
             k,
+            self._mode,
+            attachments,
+            direct_edge,
             on_reference_path=on_reference_path,
             on_partial=on_partial,
             on_merge=on_merge,
-            kernel=self._kernel,
-            heuristic=self._heuristic,
-            pruning=self._pruning,
-        )
-        return query.run()
+        ).run()
 
     def query_many(self, queries: Sequence[Tuple[int, int, int]]) -> List[KSPResult]:
         """Answer a batch of queries sequentially (single-process execution)."""

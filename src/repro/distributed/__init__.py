@@ -28,7 +28,12 @@ from .rebalance import (
     plan_rebalance,
     resolve_rebalance,
 )
-from .runtime import TopologyBundle, TopologyReplica, build_topology_replica
+from .runtime import (
+    LogicalTopology,
+    TopologyBundle,
+    TopologyReplica,
+    build_topology_replica,
+)
 from .messages import (
     AttachmentRequestMessage,
     AttachmentResponseMessage,
@@ -66,6 +71,7 @@ __all__ = [
     "default_rebalance_spec",
     "plan_rebalance",
     "resolve_rebalance",
+    "LogicalTopology",
     "TopologyBundle",
     "TopologyReplica",
     "build_topology_replica",

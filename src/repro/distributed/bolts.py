@@ -14,14 +14,23 @@ three component types.  The simulated runtime keeps the same decomposition:
   graph, computes reference paths, broadcasts them, merges the returned
   partial paths into candidate KSPs and applies the termination test.
 
+The algorithm itself is not repeated here.  A QueryBolt runs the one
+filter/refine loop, :meth:`repro.core.ksp_dg.KSPDGQuery.run`, handing it
+"broadcast to my SubgraphBolts and gather" as the partials provider and its
+worker's ``charge_compute`` as the phase hooks; a SubgraphBolt solves each
+pair it owns through the same :func:`repro.core.ksp_dg.solve_pair` the
+in-process engine uses.  What this module adds is placement: who owns which
+subgraph, which messages cross workers, and who is charged.
+
 Every piece of computation is timed with ``time.perf_counter`` and charged to
 the hosting worker through the :class:`~repro.distributed.cluster.SimulatedCluster`,
 and every inter-component message is charged as communication, so aggregate
 metrics reproduce the cost analysis of Section 5.6.
 
-Bolts compute on the kernel selected at topology construction (see
-``ARCHITECTURE.md``): with the array-backed kernels (``"snapshot"`` and the
-batch-native ``"fast"`` tier) each SubgraphBolt reads its subgraphs through
+Bolts search in the :class:`~repro.core.ksp_dg.SearchMode` chosen at
+topology construction (see ``ARCHITECTURE.md``): with the array-backed
+kernels (``"snapshot"`` and the batch-native ``"fast"`` tier) each
+SubgraphBolt reads its subgraphs through
 the DTLP's shared snapshot cache (persisted across micro-batches, refreshed
 incrementally after ``apply_updates``) and each QueryBolt searches a
 per-query overlay of the DTLP's shared skeleton search view
@@ -45,19 +54,21 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
-from ..algorithms.yen import LazyYen, yen_k_shortest_paths
 from ..core.dtlp import DTLP
 from ..core.ksp_dg import (
-    goal_directed_distance,
-    validate_heuristic_for_kernel,
-    validate_kernel,
+    KSPDGQuery,
+    Pair,
+    SearchMode,
+    best_k_distinct,
+    direct_distance,
+    solve_pair,
 )
-from ..graph.errors import ClusterError, PathNotFoundError
+from ..graph.errors import ClusterError
 from ..graph.graph import WeightUpdate
-from ..graph.paths import Path, merge_paths
-from ..kernel.snapshot import CSRSnapshot
+from ..graph.paths import Path
 from ..obs.profile import KernelCounters
 from ..obs.profile import activate as activate_profiling
 from ..obs.profile import deactivate as deactivate_profiling
@@ -78,18 +89,14 @@ class SubgraphBolt:
         cluster: SimulatedCluster,
         dtlp: DTLP,
         subgraph_ids: Sequence[int],
-        kernel: str = "snapshot",
-        heuristic: str = "none",
-        pruning: bool = True,
+        mode: SearchMode = SearchMode(),
     ) -> None:
         self.name = name
         self.worker_id = worker_id
         self._cluster = cluster
         self._dtlp = dtlp
         self._partition = dtlp.partition
-        self._kernel = validate_kernel(kernel)
-        self._heuristic = validate_heuristic_for_kernel(heuristic, self._kernel)
-        self._pruning = pruning
+        self._mode = mode
         self.subgraph_ids: Set[int] = set(subgraph_ids)
         worker = cluster.worker(worker_id)
         worker.host(name)
@@ -97,17 +104,6 @@ class SubgraphBolt:
             worker.charge_memory(
                 dtlp.subgraph_index(subgraph_id).memory_estimate_bytes()
             )
-
-    def _subgraph_view(self, subgraph_id: int):
-        """The compute view of one owned subgraph under the selected kernel.
-
-        Snapshots live in the shared DTLP cache, so they persist across
-        micro-batches and are refreshed incrementally after
-        ``apply_updates`` instead of being rebuilt per query.
-        """
-        if self._kernel != "dict":
-            return self._dtlp.subgraph_snapshot(subgraph_id)
-        return self._partition.subgraph(subgraph_id)
 
     def sync_kernel_caches(self) -> None:
         """Build/refresh the owned subgraphs' shared snapshots, serially.
@@ -120,12 +116,13 @@ class SubgraphBolt:
         threads lazily building them for the same subgraph mid-batch would
         duplicate real work.
         """
-        if self._kernel == "dict":
+        mode = self._mode
+        if mode.kernel == "dict":
             return
         for subgraph_id in self.subgraph_ids:
             self._dtlp.subgraph_snapshot(subgraph_id)
-            if self._pruning and self._heuristic != "none":
-                self._dtlp.subgraph_lower_bounds(subgraph_id, self._heuristic)
+            if mode.pruning:
+                self._dtlp.subgraph_lower_bounds(subgraph_id, mode.heuristic)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -151,98 +148,57 @@ class SubgraphBolt:
     # ------------------------------------------------------------------
     def partial_ksps_for_reference(
         self, reference_path: Path, k: int
-    ) -> Dict[Tuple[int, int], List[Path]]:
+    ) -> Dict[Pair, List[Path]]:
         """Partial k shortest paths for the reference-path pairs this bolt serves.
 
         For every pair of adjacent vertices on the reference path, if any of
-        the subgraphs owned by this bolt contains both vertices, Yen's
-        algorithm is run inside those subgraphs and the best ``k`` results
-        per pair are returned.
+        the subgraphs owned by this bolt contains both vertices, the pair is
+        solved inside those subgraphs (:func:`~repro.core.ksp_dg.solve_pair`:
+        weight-epoch memo, else pruned Yen) and the best ``k`` results per
+        pair are returned.
 
-        With pruning enabled, per-(subgraph, pair, k) results are reused
-        across queries and refinement rounds through the DTLP's weight-epoch
-        memo, and fresh computations run with upper-bound pruning plus the
-        configured lower-bound heuristic.  Reused results are bit-identical
-        to recomputation, and every subgraph still receives exactly one
-        ``charge_subgraph`` per served pair, so the deterministic load
-        telemetry (``subgraph_tasks``) and message accounting stay identical
-        on every execution backend regardless of memo warmth.
+        Memo hits are bit-identical to recomputation, and every subgraph
+        still receives exactly one ``charge_subgraph`` per served pair, so
+        the deterministic load telemetry (``subgraph_tasks``) and message
+        accounting stay identical on every execution backend regardless of
+        memo warmth.
         """
         started = time.perf_counter()
-        results: Dict[Tuple[int, int], List[Path]] = {}
+        worker = self._cluster.worker(self.worker_id)
+        results: Dict[Pair, List[Path]] = {}
         vertices = reference_path.vertices
         memo_hits = 0
         memo_misses = 0
         partials_span = push_span("partials", bolt=self.name)
-        for index in range(len(vertices) - 1):
-            pair = (vertices[index], vertices[index + 1])
-            owners = set(self._partition.subgraphs_containing_pair(*pair))
-            local_owners = owners & self.subgraph_ids
+
+        def charge_subgraph(subgraph_id: int, _pair: Pair, seconds: float) -> None:
+            worker.charge_subgraph(subgraph_id, seconds)
+
+        for pair in zip(vertices, vertices[1:]):
+            local_owners = (
+                set(self._partition.subgraphs_containing_pair(*pair)) & self.subgraph_ids
+            )
             if not local_owners:
                 continue
             # The per-pair span aggregates across owning subgraphs: spans are
             # keyed to the deterministic reference-path pair order, never to
             # set iteration order.
             pair_span = push_span("pair", _kernel=True, u=pair[0], v=pair[1])
-            pair_hits = 0
-            collected: List[Path] = []
-            for subgraph_id in local_owners:
-                sub_started = time.perf_counter()
-                try:
-                    memo = (
-                        self._dtlp.partial_memo_get(subgraph_id, pair, k)
-                        if self._pruning
-                        else None
-                    )
-                    if memo is not None:
-                        pair_hits += 1
-                        collected.extend(memo)
-                        continue
-                    subgraph = self._subgraph_view(subgraph_id)
-                    heuristic = (
-                        self._dtlp.subgraph_lower_bounds(subgraph_id, self._heuristic)
-                        if self._pruning and isinstance(subgraph, CSRSnapshot)
-                        else None
-                    )
-                    try:
-                        paths = yen_k_shortest_paths(
-                            subgraph, pair[0], pair[1], k,
-                            prune=self._pruning, heuristic=heuristic,
-                        )
-                    except PathNotFoundError:
-                        paths = []
-                    if self._pruning:
-                        self._dtlp.partial_memo_put(subgraph_id, pair, k, paths)
-                    if not paths:
-                        continue
-                    collected.extend(paths)
-                finally:
-                    self._cluster.worker(self.worker_id).charge_subgraph(
-                        subgraph_id, time.perf_counter() - sub_started
-                    )
+            collected, pair_hits = solve_pair(
+                self._dtlp, self._mode, pair, k, local_owners, charge_subgraph
+            )
             memo_hits += pair_hits
             memo_misses += len(local_owners) - pair_hits
             if pair_span is not None:
                 pair_span.args["memo_hits"] = pair_hits
                 pair_span.args["computed"] = len(local_owners) - pair_hits
             pop_span(pair_span)
-            if not collected:
-                continue
-            collected.sort()
-            deduplicated: List[Path] = []
-            seen: Set[Tuple[int, ...]] = set()
-            for path in collected:
-                if path.vertices in seen:
-                    continue
-                seen.add(path.vertices)
-                deduplicated.append(path)
-                if len(deduplicated) >= k:
-                    break
-            results[pair] = deduplicated
+            if collected:
+                results[pair] = best_k_distinct(collected, k)
         if partials_span is not None:
             partials_span.args["pairs"] = len(results)
         pop_span(partials_span)
-        self._cluster.worker(self.worker_id).charge_compute(time.perf_counter() - started)
+        worker.charge_compute(time.perf_counter() - started)
         metrics = self._cluster.metrics
         metrics.counter("bolt_partial_pairs_total").inc(len(results))
         if memo_hits:
@@ -266,13 +222,12 @@ class SubgraphBolt:
                 continue
             sub_started = time.perf_counter()
             index = self._dtlp.subgraph_index(subgraph_id)
+            kernel = self._mode.kernel
             view = (
-                self._dtlp.subgraph_snapshot(subgraph_id)
-                if self._kernel != "dict"
-                else None
+                self._dtlp.subgraph_snapshot(subgraph_id) if kernel != "dict" else None
             )
             for boundary, distance in index.lower_bounds_from_vertex(
-                vertex, view=view, fast=self._kernel == "fast"
+                vertex, view=view, fast=kernel == "fast"
             ).items():
                 current = bounds.get(boundary)
                 if current is None or distance < current:
@@ -290,10 +245,8 @@ class SubgraphBolt:
     def direct_distance(self, source: int, target: int) -> Optional[float]:
         """Within-subgraph distance between two vertices sharing an owned subgraph.
 
-        Distance-only probe: with a heuristic mode active it runs the
-        goal-directed A* kernel (exact distances are tie-independent, so the
-        f-ordered search cannot perturb results); otherwise the plain
-        early-exit Dijkstra.
+        The minimum of :func:`~repro.core.ksp_dg.direct_distance` over the
+        owned subgraphs containing both.
         """
         started = time.perf_counter()
         direct_span = push_span("direct", _kernel=True, bolt=self.name)
@@ -303,15 +256,7 @@ class SubgraphBolt:
             if source not in subgraph.vertices or target not in subgraph.vertices:
                 continue
             sub_started = time.perf_counter()
-            value = goal_directed_distance(
-                self._dtlp,
-                subgraph_id,
-                self._subgraph_view(subgraph_id),
-                source,
-                target,
-                self._heuristic,
-                self._pruning,
-            )
+            value = direct_distance(self._dtlp, subgraph_id, source, target, self._mode)
             if value is not None and (best is None or value < best):
                 best = value
             self._cluster.worker(self.worker_id).charge_subgraph(
@@ -335,21 +280,14 @@ class QueryBolt:
         cluster: SimulatedCluster,
         dtlp: DTLP,
         subgraph_bolts: Sequence[SubgraphBolt],
-        k_default: int = 2,
-        kernel: str = "snapshot",
-        heuristic: str = "none",
-        pruning: bool = True,
+        mode: SearchMode = SearchMode(),
     ) -> None:
         self.name = name
         self.worker_id = worker_id
         self._cluster = cluster
         self._dtlp = dtlp
-        self._partition = dtlp.partition
         self._subgraph_bolts = list(subgraph_bolts)
-        self._k_default = k_default
-        self._kernel = validate_kernel(kernel)
-        self._heuristic = validate_heuristic_for_kernel(heuristic, self._kernel)
-        self._pruning = pruning
+        self._mode = mode
         worker = cluster.worker(worker_id)
         worker.host(name)
         worker.charge_memory(dtlp.skeleton_graph.memory_estimate_bytes())
@@ -374,7 +312,7 @@ class QueryBolt:
         DTLP, one per process) are current for the batch's graph version,
         so concurrent queries only ever read them.
         """
-        if self._kernel != "dict":
+        if self._mode.kernel != "dict":
             self._dtlp.skeleton_search_view()
 
     # ------------------------------------------------------------------
@@ -388,6 +326,11 @@ class QueryBolt:
     ) -> "QueryBoltResult":
         """Run the iterative KSP-DG loop for one query.
 
+        The loop is :meth:`repro.core.ksp_dg.KSPDGQuery.run`; this bolt
+        supplies the refine step's partial paths by fan-out
+        (:meth:`_gather_partials`) and charges every filter step, the
+        enumerator set-up and every merge to its worker.
+
         Parameters
         ----------
         query:
@@ -400,153 +343,62 @@ class QueryBolt:
         """
         worker = self._cluster.worker(self.worker_id)
         started = time.perf_counter()
-        enumerator = self._dtlp.reference_enumerator(
+        evaluation = KSPDGQuery(
+            self._dtlp,
             query.source,
             query.target,
+            query.k,
+            self._mode,
             attachments,
             direct_edge,
-            kernel=self._kernel,
-            pruning=self._pruning,
+            partials=self._gather_partials,
+            on_reference_path=lambda _path, seconds: worker.charge_compute(seconds),
+            on_merge=worker.charge_compute,
         )
         worker.charge_compute(time.perf_counter() - started)
-
-        top_paths: List[Path] = []
-        seen: Set[Tuple[int, ...]] = set()
-        partial_cache: Dict[Tuple[int, int], List[Path]] = {}
-        iterations = 0
-        reference = self._next_reference(enumerator, worker)
-        while reference is not None:
-            iterations += 1
-            iteration_span = push_span("iteration", index=iterations)
-            try:
-                # Broadcast the reference path to all SubgraphBolts (communication).
-                for bolt in self._subgraph_bolts:
-                    self._cluster.send(self.worker_id, bolt.worker_id, len(reference.vertices))
-                mark(
-                    "broadcast",
-                    bolts=len(self._subgraph_bolts),
-                    units=len(reference.vertices),
-                )
-                # Each SubgraphBolt computes the partial paths it can serve.
-                pair_paths: Dict[Tuple[int, int], List[Path]] = {}
-                needed_pairs = self._pairs_needing_work(reference, partial_cache)
-                serving_bolts = self._subgraph_bolts if needed_pairs else ()
-                for bolt in serving_bolts:
-                    bolt_result = bolt.partial_ksps_for_reference(reference, query.k)
-                    for pair, paths in bolt_result.items():
-                        if pair not in needed_pairs:
-                            continue
-                        existing = pair_paths.setdefault(pair, [])
-                        existing.extend(paths)
-                        # Communication back to this QueryBolt.
-                        units = sum(len(path.vertices) for path in paths)
-                        self._cluster.send(bolt.worker_id, self.worker_id, units)
-                for pair, paths in pair_paths.items():
-                    paths.sort()
-                    deduplicated: List[Path] = []
-                    seen_partial: Set[Tuple[int, ...]] = set()
-                    for path in paths:
-                        if path.vertices in seen_partial:
-                            continue
-                        seen_partial.add(path.vertices)
-                        deduplicated.append(path)
-                        if len(deduplicated) >= query.k:
-                            break
-                    partial_cache[pair] = deduplicated
-                # Merge partial paths into candidate complete paths.
-                merge_start = time.perf_counter()
-                candidates = self._merge_candidates(reference, partial_cache, query.k)
-                for candidate in candidates:
-                    if candidate.vertices in seen:
-                        continue
-                    seen.add(candidate.vertices)
-                    top_paths.append(candidate)
-                top_paths.sort()
-                del top_paths[query.k:]
-                worker.charge_compute(time.perf_counter() - merge_start)
-                mark("merge", candidates=len(candidates), top=len(top_paths))
-
-                kth = (
-                    top_paths[query.k - 1].distance
-                    if len(top_paths) >= query.k
-                    else float("inf")
-                )
-                if self._pruning and top_paths:
-                    # Theorem 3 stops the loop at the first reference path no
-                    # shorter than the k-th candidate; longer reference paths
-                    # are never consumed, so the enumerator may prune them.
-                    enumerator.set_upper_bound(kth)
-                next_reference = self._next_reference(enumerator, worker)
-                if next_reference is None:
-                    break
-                if top_paths and kth <= next_reference.distance:
-                    break
-                reference = next_reference
-            finally:
-                pop_span(iteration_span)
+        result = evaluation.run()
         with self._counter_lock:
             self.queries_processed += 1
         metrics = self._cluster.metrics
         metrics.counter("bolt_queries_total").inc()
-        metrics.counter("bolt_iterations_total").inc(iterations)
+        metrics.counter("bolt_iterations_total").inc(result.iterations)
         metrics.histogram(
             "query_iterations", help="KSP-DG refinement rounds per query"
-        ).observe(float(iterations))
+        ).observe(float(result.iterations))
         return QueryBoltResult(
             query=query,
-            paths=top_paths,
-            iterations=iterations,
+            paths=result.paths,
+            iterations=result.iterations,
         )
 
-    def _next_reference(self, enumerator: LazyYen, worker) -> Optional[Path]:
-        started = time.perf_counter()
-        try:
-            reference = enumerator.next_path()
-        except (StopIteration, PathNotFoundError):
-            reference = None
-        worker.charge_compute(time.perf_counter() - started)
-        return reference
+    def _gather_partials(
+        self, reference: Path, needed: Sequence[Pair], k: int
+    ) -> Dict[Pair, List[Path]]:
+        """The loop's partials provider: broadcast, let the bolts solve, gather.
 
-    def _pairs_needing_work(
-        self, reference: Path, cache: Dict[Tuple[int, int], List[Path]]
-    ) -> Set[Tuple[int, int]]:
-        vertices = reference.vertices
-        return {
-            (vertices[index], vertices[index + 1])
-            for index in range(len(vertices) - 1)
-            if (vertices[index], vertices[index + 1]) not in cache
-        }
-
-    def _merge_candidates(
-        self,
-        reference: Path,
-        cache: Dict[Tuple[int, int], List[Path]],
-        k: int,
-    ) -> List[Path]:
-        vertices = reference.vertices
-        merged: Optional[List[Path]] = None
-        for index in range(len(vertices) - 1):
-            pair = (vertices[index], vertices[index + 1])
-            partials = cache.get(pair, [])
-            if not partials:
-                return []
-            if merged is None:
-                merged = list(partials[:k])
-                continue
-            combined: List[Path] = []
-            for prefix in merged:
-                for extension in partials:
-                    joined = prefix.vertices + extension.vertices[1:]
-                    if len(set(joined)) != len(joined):
-                        continue
-                    combined.append(merge_paths(prefix, extension))
-            combined.sort()
-            merged = combined[:k]
-            if not merged:
-                return []
-        return merged or []
+        The reference path goes to every SubgraphBolt each iteration (the
+        paper's broadcast, charged whether or not any pair is new); each
+        bolt answers for the pairs it owns and its reply is charged back in
+        vertex units.
+        """
+        units = len(reference.vertices)
+        for bolt in self._subgraph_bolts:
+            self._cluster.send(self.worker_id, bolt.worker_id, units)
+        mark("broadcast", bolts=len(self._subgraph_bolts), units=units)
+        wanted = set(needed)
+        gathered: Dict[Pair, List[Path]] = {}
+        for bolt in self._subgraph_bolts if wanted else ():
+            for pair, paths in bolt.partial_ksps_for_reference(reference, k).items():
+                if pair not in wanted:
+                    continue
+                gathered.setdefault(pair, []).extend(paths)
+                self._cluster.send(
+                    bolt.worker_id, self.worker_id, sum(len(path.vertices) for path in paths)
+                )
+        return gathered
 
 
+@dataclass
 class QueryBoltResult:
     """Outcome of one query processed by a QueryBolt.
 
@@ -556,17 +408,10 @@ class QueryBoltResult:
     the master with the paths.
     """
 
-    def __init__(
-        self,
-        query: KSPQuery,
-        paths: List[Path],
-        iterations: int,
-        trace: Optional[Span] = None,
-    ) -> None:
-        self.query = query
-        self.paths = paths
-        self.iterations = iterations
-        self.trace = trace
+    query: KSPQuery
+    paths: List[Path]
+    iterations: int
+    trace: Optional[Span] = None
 
 
 class EntranceSpout:

@@ -1,12 +1,21 @@
-"""Worker-process resident state for the distributed layer.
+"""The logical topology, and its resident copy inside a worker process.
 
-When :class:`~repro.distributed.topology.StormTopology` runs on the
-``process`` execution backend, each executor worker holds a
-:class:`TopologyReplica`: a full copy of the logical topology — graph,
-DTLP index (with its CSR snapshot caches), subgraph/query bolts and a
-private cost cluster — built **once** from a pickled
-:class:`TopologyBundle` when the group is spawned.  Afterwards only two
-kinds of envelope ever cross the process boundary:
+:class:`LogicalTopology` is the deployment of Figure 14 as one object: the
+SubgraphBolts and QueryBolts built from ordered specs, the EntranceSpout
+wired over them, the :class:`~repro.distributed.cluster.ClusterAccountant`
+they all charge through, the placement surgery (:meth:`~LogicalTopology.migrate`,
+:meth:`~LogicalTopology.fail_worker`, :meth:`~LogicalTopology.add_worker`,
+:meth:`~LogicalTopology.retire_worker`) and the query-envelope runner.  The
+master's :class:`~repro.distributed.topology.StormTopology` holds one and
+adds what only a master has (planning, the executor, broadcasts); with the
+``process`` execution backend every executor worker holds another — a
+:class:`TopologyReplica`, built **once** from a pickled
+:class:`TopologyBundle` when the group is spawned, which adds only how it
+boots and how it catches up.  Master and replicas therefore run the same
+surgery and the same runner by construction, which is what keeps routing
+and the deterministic cost counters bit-identical across backends.
+
+After the spawn only three kinds of message cross the process boundary:
 
 * **weight-update deltas** (:meth:`TopologyReplica.sync`) — the master
   ships ``graph.edges_changed_since(last_synced_version)`` before each
@@ -15,20 +24,18 @@ kinds of envelope ever cross the process boundary:
   the *current* weights (Algorithm 2), so a replica that catches up on a
   coalesced delta reaches exactly the state the master reached through the
   individual rounds.
-* **query envelopes** (:meth:`TopologyReplica.run_queries`) — ``(seq,
+* **query envelopes** (:meth:`LogicalTopology.run_on_ledger`) — ``(seq,
   route_index, query)`` triples.  The replica routes each query through
   its own spout using the shipped ``route_index``, so bolt selection —
   and therefore message/unit accounting — matches the serial reference
   bit for bit.  The chunk's charges are merged into one ledger cluster
   returned with the tagged results and absorbed by the master (charges
   are additive, so the merge is exact).
-* **placement-change plans** (:meth:`TopologyReplica.migrate` /
-  :meth:`TopologyReplica.fail_worker`) — the move lists computed on the
-  master by the load-adaptive placement layer
-  (:mod:`repro.distributed.rebalance`) or by failover.  Each replica
-  already holds every subgraph's state, so only the plan crosses the pipe
-  and the replica applies the identical bolt surgery in place — no
-  respawn, no bundle re-ship.
+* **placement-change plans** — the move lists computed on the master by
+  the load-adaptive placement layer (:mod:`repro.distributed.rebalance`),
+  by failover or by a join/retirement.  Each replica already holds every
+  subgraph's state, so only the plan crosses the pipe and the replica
+  applies the surgery in place — no respawn, no bundle re-ship.
 
 The module-level :func:`build_topology_replica` is the picklable factory
 handed to :meth:`repro.exec.base.Executor.spawn_group`.
@@ -40,6 +47,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.dtlp import DTLP
+from ..core.ksp_dg import SearchMode
 from ..graph.graph import WeightUpdate
 from ..workloads.queries import KSPQuery
 from .bolts import EntranceSpout, QueryBolt, QueryBoltResult, SubgraphBolt
@@ -47,25 +55,232 @@ from .cluster import ClusterAccountant, SimulatedCluster
 from .rebalance import Move, apply_join, apply_moves
 
 __all__ = [
+    "LogicalTopology",
     "TopologyBundle",
     "TopologyReplica",
     "QueryEnvelope",
     "build_topology_replica",
 ]
 
-#: One routed query shipped to a replica: ``(seq, route_index, query)``.
-#: ``seq`` restores submission order on the master; ``route_index`` pins
-#: the QueryBolt choice to the serial reference's round-robin.
+#: One routed query: ``(seq, route_index, query)``.  ``seq`` restores
+#: submission order on the master; ``route_index`` pins the QueryBolt
+#: choice to the serial reference's round-robin.
 QueryEnvelope = Tuple[int, int, KSPQuery]
+
+#: Ordered ``(name, worker_id, subgraph_ids)`` SubgraphBolt specs.
+SubgraphBoltSpec = Tuple[str, int, Tuple[int, ...]]
+#: Ordered ``(name, worker_id)`` QueryBolt specs.
+QueryBoltSpec = Tuple[str, int]
+
+
+class LogicalTopology:
+    """Bolts, spout and accountant of one copy of the deployment.
+
+    Components are built in spec order: SubgraphBolt order determines the
+    QueryBolts' fan-out (communication accounting) and QueryBolt order the
+    round-robin routing, so two copies built from the same specs and fed
+    the same plans stay interchangeable.  ``cluster`` receives every charge
+    made while no private ledger is active.
+    """
+
+    def __init__(
+        self,
+        dtlp: DTLP,
+        mode: SearchMode,
+        cluster: SimulatedCluster,
+        subgraph_bolts: Sequence[SubgraphBoltSpec],
+        query_bolts: Sequence[QueryBoltSpec],
+    ) -> None:
+        self.dtlp = dtlp
+        self.mode = mode
+        self.cluster = cluster
+        # All bolt/spout charges route through the accountant so that the
+        # concurrent backends can divert each query into a private ledger;
+        # with no ledger active it charges ``cluster`` directly.
+        self.account = ClusterAccountant(cluster)
+        self.subgraph_bolts: List[SubgraphBolt] = [
+            self._subgraph_bolt(*spec) for spec in subgraph_bolts
+        ]
+        self.query_bolts: List[QueryBolt] = [
+            self._query_bolt(*spec) for spec in query_bolts
+        ]
+        self._rewire()
+
+    def _subgraph_bolt(
+        self, name: str, worker_id: int, subgraph_ids: Sequence[int]
+    ) -> SubgraphBolt:
+        return SubgraphBolt(
+            name, worker_id, self.account, self.dtlp, subgraph_ids, self.mode
+        )
+
+    def _query_bolt(self, name: str, worker_id: int) -> QueryBolt:
+        return QueryBolt(
+            name, worker_id, self.account, self.dtlp, self.subgraph_bolts, self.mode
+        )
+
+    def _rewire(self) -> None:
+        """Point every QueryBolt and a fresh spout at the current bolt lists."""
+        for query_bolt in self.query_bolts:
+            query_bolt.set_subgraph_bolts(self.subgraph_bolts)
+        self.spout = EntranceSpout(
+            self.account, self.dtlp, self.subgraph_bolts, self.query_bolts
+        )
+
+    def specs(self) -> Tuple[List[SubgraphBoltSpec], List[QueryBoltSpec]]:
+        """The live bolt lists as ordered specs (what a bundle ships)."""
+        return (
+            [
+                (bolt.name, bolt.worker_id, tuple(sorted(bolt.subgraph_ids)))
+                for bolt in self.subgraph_bolts
+            ],
+            [(bolt.name, bolt.worker_id) for bolt in self.query_bolts],
+        )
+
+    # ------------------------------------------------------------------
+    # placement surgery (plans are computed by the master)
+    # ------------------------------------------------------------------
+    def migrate(self, moves: Sequence[Move]) -> int:
+        """Apply a live migration plan; returns the subgraphs migrated.
+
+        Every copy holds every subgraph's state already, so a migration is
+        pure bolt surgery (:func:`~repro.distributed.rebalance.apply_moves`
+        with state transfer charged) followed by a re-wire.
+        """
+        migrated = apply_moves(
+            moves, self.subgraph_bolts, self.account, self.dtlp, transfer_state=True
+        )
+        self._rewire()
+        return migrated
+
+    def _drain_worker(
+        self, worker_id: int, moves: Sequence[Move], transfer_state: bool
+    ) -> int:
+        # apply_moves discards every moved id from its source bolt, so the
+        # drained worker's bolts end up empty before they are dropped.
+        migrated = apply_moves(
+            moves, self.subgraph_bolts, self.account, self.dtlp,
+            transfer_state=transfer_state,
+        )
+        self.subgraph_bolts = [
+            bolt for bolt in self.subgraph_bolts if bolt.worker_id != worker_id
+        ]
+        self.query_bolts = [
+            bolt for bolt in self.query_bolts if bolt.worker_id != worker_id
+        ]
+        if not self.query_bolts:
+            # Always keep at least one QueryBolt alive on a surviving worker.
+            survivor = self.subgraph_bolts[0].worker_id
+            self.query_bolts = [
+                self._query_bolt(f"query-bolt-{survivor}-recovered", survivor)
+            ]
+        self._rewire()
+        return migrated
+
+    def fail_worker(self, worker_id: int, moves: Sequence[Move]) -> int:
+        """Drop a dead worker's bolts after re-hosting its subgraphs.
+
+        The dead worker cannot ship state: survivors rebuild from the
+        shared graph store and only memory is charged on the gainers.
+        """
+        return self._drain_worker(worker_id, moves, transfer_state=False)
+
+    def retire_worker(self, worker_id: int, moves: Sequence[Move]) -> int:
+        """Drop a live worker's bolts after it shipped its subgraphs away."""
+        return self._drain_worker(worker_id, moves, transfer_state=True)
+
+    def add_worker(
+        self,
+        worker_id: int,
+        moves: Sequence[Move],
+        from_store: bool = False,
+        catchup_updates: int = 0,
+    ) -> int:
+        """Add worker ``worker_id``'s bolts and apply the join plan.
+
+        Grows the cost cluster to hold the new id (so later ledgers have
+        the right shape) and appends an empty SubgraphBolt and one
+        QueryBolt — at the end of both lists, see the class docstring —
+        before :func:`~repro.distributed.rebalance.apply_join` moves load
+        onto the joiner.  Logical workers are a placement concept: the
+        executor's OS-process pool is untouched.
+        """
+        while self.cluster.num_workers <= worker_id:
+            self.cluster.add_worker()
+        self.subgraph_bolts.append(
+            self._subgraph_bolt(f"subgraph-bolt-{worker_id}", worker_id, ())
+        )
+        self.query_bolts.append(self._query_bolt(f"query-bolt-{worker_id}-0", worker_id))
+        migrated = apply_join(
+            moves, self.subgraph_bolts, self.account, self.dtlp,
+            from_store=from_store, catchup_updates=catchup_updates,
+        )
+        self._rewire()
+        return migrated
+
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
+    def sync_kernel_caches(self) -> None:
+        """Bring every shared kernel snapshot current, serially.
+
+        Run before fanning a batch over threads so that all snapshot
+        accesses inside the batch are read-only (refreshes would otherwise
+        race between tasks); see ``ARCHITECTURE.md``.
+        """
+        for bolt in self.subgraph_bolts:
+            bolt.sync_kernel_caches()
+        for query_bolt in self.query_bolts:
+            query_bolt.sync_kernel_caches()
+
+    def run(
+        self,
+        envelopes: Sequence[QueryEnvelope],
+        trace: bool = False,
+        profile: bool = False,
+    ) -> List[Tuple[int, QueryBoltResult]]:
+        """Route every envelope through the spout; ``(seq, result)`` pairs.
+
+        The observability switches arrive per call, so the master can turn
+        tracing/profiling on after replicas were spawned; span trees ride
+        back on the results and kernel counters on the metrics registry of
+        whichever cluster is being charged.
+        """
+        return [
+            (
+                seq,
+                self.spout.submit_query_observed(
+                    query, route_index=route_index, trace=trace, profile=profile
+                ),
+            )
+            for seq, route_index, query in envelopes
+        ]
+
+    def run_on_ledger(
+        self,
+        envelopes: Sequence[QueryEnvelope],
+        trace: bool = False,
+        profile: bool = False,
+    ) -> Tuple[List[Tuple[int, QueryBoltResult]], SimulatedCluster]:
+        """:meth:`run` charging a private ledger, returned with the results.
+
+        The unit of concurrent execution: one thread task or one replica
+        chunk.  Charges are additive, so pre-merging a chunk into a single
+        ledger (instead of one per query) keeps the reply payload
+        independent of batch size without changing the absorbed totals.
+        """
+        ledger = SimulatedCluster(self.cluster.num_workers)
+        self.account.activate(ledger)
+        try:
+            return self.run(envelopes, trace, profile), ledger
+        finally:
+            self.account.deactivate()
 
 
 @dataclass
 class TopologyBundle:
     """Everything a worker process needs to rebuild the logical topology.
 
-    The bolt lists are shipped as ordered specs (not live bolt objects) so
-    the replica constructs its components in exactly the master's order —
-    SubgraphBolt fan-out order determines communication accounting — while
+    The bolt lists are shipped as ordered specs (not live bolt objects),
     leaving master-side wiring (accountants, locks, executor handles)
     behind.
 
@@ -79,18 +294,10 @@ class TopologyBundle:
     """
 
     dtlp: Optional[DTLP]
-    kernel: str
+    mode: SearchMode
     num_workers: int
-    #: Ordered ``(name, worker_id, subgraph_ids)`` specs.
-    subgraph_bolts: List[Tuple[str, int, Tuple[int, ...]]]
-    #: Ordered ``(name, worker_id)`` specs.
-    query_bolts: List[Tuple[str, int]]
-    #: Master graph version at bundle time (sync baseline, informational —
-    #: the master tracks the authoritative baseline itself).
-    graph_version: int
-    #: Goal-directed pruning configuration (mirrors the master topology's).
-    heuristic: str = "none"
-    pruning: bool = True
+    subgraph_bolts: List[SubgraphBoltSpec]
+    query_bolts: List[QueryBoltSpec]
     #: Partition-store directory to cold-start from when ``dtlp`` is None.
     store_path: Optional[str] = None
     #: Weight updates bringing a store-loaded replica to the master's
@@ -98,13 +305,12 @@ class TopologyBundle:
     catchup: Tuple[WeightUpdate, ...] = ()
 
 
-class TopologyReplica:
+class TopologyReplica(LogicalTopology):
     """Resident copy of the topology inside one executor worker process."""
 
     def __init__(self, bundle: TopologyBundle) -> None:
-        if bundle.dtlp is not None:
-            self._dtlp = bundle.dtlp
-        else:
+        dtlp = bundle.dtlp
+        if dtlp is None:
             # Store-shipped bundle: rebuild graph and index from the
             # partition files (tier-1 load — the reconstructed graph
             # carries exactly the stored weights), then catch up to the
@@ -112,50 +318,16 @@ class TopologyReplica:
             from ..store.partition_store import PartitionStore
 
             store = PartitionStore(bundle.store_path)
-            graph = store.load_graph()
-            self._dtlp = store.load(graph)
-            if bundle.catchup:
-                catchup = list(bundle.catchup)
-                graph.apply_updates(catchup)
-                self._dtlp.handle_updates(catchup)
-        self._graph = self._dtlp.graph
-        self._kernel = bundle.kernel
-        self._heuristic = bundle.heuristic
-        self._pruning = bundle.pruning
-        self._cluster = SimulatedCluster(bundle.num_workers)
-        self._account = ClusterAccountant(self._cluster)
-        self._subgraph_bolts = [
-            SubgraphBolt(
-                name=name,
-                worker_id=worker_id,
-                cluster=self._account,
-                dtlp=self._dtlp,
-                subgraph_ids=subgraph_ids,
-                kernel=bundle.kernel,
-                heuristic=bundle.heuristic,
-                pruning=bundle.pruning,
-            )
-            for name, worker_id, subgraph_ids in bundle.subgraph_bolts
-        ]
-        self._query_bolts = [
-            QueryBolt(
-                name=name,
-                worker_id=worker_id,
-                cluster=self._account,
-                dtlp=self._dtlp,
-                subgraph_bolts=self._subgraph_bolts,
-                kernel=bundle.kernel,
-                heuristic=bundle.heuristic,
-                pruning=bundle.pruning,
-            )
-            for name, worker_id in bundle.query_bolts
-        ]
-        self._spout = EntranceSpout(
-            cluster=self._account,
-            dtlp=self._dtlp,
-            subgraph_bolts=self._subgraph_bolts,
-            query_bolts=self._query_bolts,
+            dtlp = store.load(store.load_graph())
+        super().__init__(
+            dtlp,
+            bundle.mode,
+            SimulatedCluster(bundle.num_workers),
+            bundle.subgraph_bolts,
+            bundle.query_bolts,
         )
+        if bundle.dtlp is None:
+            self.sync(bundle.catchup)
 
     def sync(self, updates: Sequence[WeightUpdate]) -> int:
         """Apply a coalesced weight-update delta to graph and index.
@@ -166,192 +338,11 @@ class TopologyReplica:
         land.  Returns the replica's new graph version.
         """
         updates = list(updates)
+        graph = self.dtlp.graph
         if updates:
-            self._graph.apply_updates(updates)
-            self._dtlp.handle_updates(updates)
-        return self._graph.version
-
-    def migrate(self, moves: Sequence[Move]) -> int:
-        """Apply a master-computed migration plan to this replica, in place.
-
-        The replica holds every subgraph's state already (graph, partition
-        and DTLP indexes are resident), so a live migration is pure bolt
-        surgery: the same :func:`~repro.distributed.rebalance.apply_moves`
-        the master ran, against this replica's bolts and private cost
-        cluster, followed by the same spout re-wire.  Keeping both sides on
-        one code path is what keeps routing and accounting bit-identical
-        across the swap.  Returns the number of subgraphs migrated.
-        """
-        migrated = apply_moves(
-            moves, self._subgraph_bolts, self._account, self._dtlp,
-            transfer_state=True,
-        )
-        self._rebuild_spout()
-        return migrated
-
-    def fail_worker(self, worker_id: int, moves: Sequence[Move]) -> int:
-        """Mirror the master's worker-failure surgery on this replica.
-
-        ``moves`` is the recovery plan the master computed; applying the
-        shipped plan (rather than recomputing it) guarantees the replica
-        reaches the exact same post-failure assignment.
-        """
-        # apply_moves discards every moved id from its failed source bolt,
-        # so the failed bolts end up empty without further surgery.
-        migrated = apply_moves(
-            moves, self._subgraph_bolts, self._account, self._dtlp,
-            transfer_state=False,
-        )
-        self._subgraph_bolts = [
-            b for b in self._subgraph_bolts if b.worker_id != worker_id
-        ]
-        self._query_bolts = [
-            b for b in self._query_bolts if b.worker_id != worker_id
-        ]
-        for query_bolt in self._query_bolts:
-            query_bolt.set_subgraph_bolts(self._subgraph_bolts)
-        if not self._query_bolts:
-            survivor = self._subgraph_bolts[0].worker_id
-            self._query_bolts = [
-                QueryBolt(
-                    name=f"query-bolt-{survivor}-recovered",
-                    worker_id=survivor,
-                    cluster=self._account,
-                    dtlp=self._dtlp,
-                    subgraph_bolts=self._subgraph_bolts,
-                    kernel=self._kernel,
-                    heuristic=self._heuristic,
-                    pruning=self._pruning,
-                )
-            ]
-        self._rebuild_spout()
-        return migrated
-
-    def add_worker(
-        self,
-        worker_id: int,
-        moves: Sequence[Move],
-        from_store: bool = False,
-        catchup_updates: int = 0,
-    ) -> int:
-        """Mirror the master's worker-join surgery on this replica.
-
-        Grows the private cost cluster (so later batch ledgers match the
-        master's new shape), appends the joiner's bolts in the master's
-        construction order — SubgraphBolt order determines communication
-        accounting, QueryBolt order determines round-robin routing — and
-        applies the shipped join plan.  The executor's OS-process pool is
-        untouched: logical workers are a placement concept, and one
-        resident replica serves any number of them.
-        """
-        while self._cluster.num_workers <= worker_id:
-            self._cluster.add_worker()
-        self._subgraph_bolts.append(
-            SubgraphBolt(
-                name=f"subgraph-bolt-{worker_id}",
-                worker_id=worker_id,
-                cluster=self._account,
-                dtlp=self._dtlp,
-                subgraph_ids=(),
-                kernel=self._kernel,
-                heuristic=self._heuristic,
-                pruning=self._pruning,
-            )
-        )
-        self._query_bolts.append(
-            QueryBolt(
-                name=f"query-bolt-{worker_id}-0",
-                worker_id=worker_id,
-                cluster=self._account,
-                dtlp=self._dtlp,
-                subgraph_bolts=self._subgraph_bolts,
-                kernel=self._kernel,
-                heuristic=self._heuristic,
-                pruning=self._pruning,
-            )
-        )
-        for query_bolt in self._query_bolts:
-            query_bolt.set_subgraph_bolts(self._subgraph_bolts)
-        migrated = apply_join(
-            moves, self._subgraph_bolts, self._account, self._dtlp,
-            from_store=from_store,
-            catchup_updates=catchup_updates,
-        )
-        self._rebuild_spout()
-        return migrated
-
-    def retire_worker(self, worker_id: int, moves: Sequence[Move]) -> int:
-        """Mirror the master's graceful scale-down surgery on this replica.
-
-        Like :meth:`fail_worker` but with live state transfer — the
-        retiree ships its subgraphs to the survivors before its bolts are
-        dropped.
-        """
-        migrated = apply_moves(
-            moves, self._subgraph_bolts, self._account, self._dtlp,
-            transfer_state=True,
-        )
-        self._subgraph_bolts = [
-            b for b in self._subgraph_bolts if b.worker_id != worker_id
-        ]
-        self._query_bolts = [
-            b for b in self._query_bolts if b.worker_id != worker_id
-        ]
-        for query_bolt in self._query_bolts:
-            query_bolt.set_subgraph_bolts(self._subgraph_bolts)
-        self._rebuild_spout()
-        return migrated
-
-    def _rebuild_spout(self) -> None:
-        """Re-wire this replica's spout against its current bolt lists."""
-        self._spout = EntranceSpout(
-            cluster=self._account,
-            dtlp=self._dtlp,
-            subgraph_bolts=self._subgraph_bolts,
-            query_bolts=self._query_bolts,
-        )
-
-    def run_queries(
-        self,
-        envelopes: Sequence[QueryEnvelope],
-        trace: bool = False,
-        profile: bool = False,
-    ) -> Tuple[List[Tuple[int, QueryBoltResult]], SimulatedCluster]:
-        """Process query envelopes against one chunk-level cost ledger.
-
-        Charges are additive, so pre-merging the chunk into a single
-        ledger (instead of shipping one per query) keeps the reply payload
-        independent of batch size without changing the absorbed totals.
-        The observability switches arrive per call (not in the bundle), so
-        the master can turn tracing/profiling on after the replicas were
-        spawned; span trees ride back on the results and kernel counters on
-        the ledger's metrics registry.
-        """
-        ledger = SimulatedCluster(self._cluster.num_workers)
-        self._account.activate(ledger)
-        out: List[Tuple[int, QueryBoltResult]] = []
-        try:
-            if trace or profile:
-                for seq, route_index, query in envelopes:
-                    out.append(
-                        (
-                            seq,
-                            self._spout.submit_query_observed(
-                                query,
-                                route_index=route_index,
-                                trace=trace,
-                                profile=profile,
-                            ),
-                        )
-                    )
-            else:
-                for seq, route_index, query in envelopes:
-                    out.append(
-                        (seq, self._spout.submit_query(query, route_index=route_index))
-                    )
-        finally:
-            self._account.deactivate()
-        return out, ledger
+            graph.apply_updates(updates)
+            self.dtlp.handle_updates(updates)
+        return graph.version
 
 
 def build_topology_replica(bundle: TopologyBundle) -> TopologyReplica:

@@ -7,8 +7,13 @@ worker (each holding a replica of the skeleton graph).  The topology exposes
 the two external operations of the system — submitting weight updates and
 submitting KSP queries — plus the cost metrics the benchmarks read.
 
-The topology separates two layers (``ARCHITECTURE.md``, "Placement vs.
-Executor"):
+The bolts, the spout and the surgery that re-hosts subgraphs live in one
+:class:`~repro.distributed.runtime.LogicalTopology`, the same object every
+process replica holds; this class adds what only the master does — planning
+(who moves where), the physical executor, the replica broadcasts, the
+rebalance/autoscale loops and their statistics, and the trace session.
+
+It separates two layers (``ARCHITECTURE.md``, "Placement vs. Executor"):
 
 * the **logical placement** (:class:`~repro.distributed.placement.Placement`)
   — subgraph→worker assignment, deterministic query routing and cost
@@ -27,18 +32,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.dtlp import DTLP
-from ..core.ksp_dg import validate_heuristic_for_kernel, validate_kernel
+from ..core.ksp_dg import SearchMode
 from ..exec import Executor, ReplicaSet, resolve_executor
 from ..graph.errors import ClusterError
 from ..graph.graph import WeightUpdate
 from ..obs.trace import Span, TraceSession
 from ..workloads.queries import KSPQuery
 from .autoscale import AutoscaleConfig, Autoscaler, resolve_autoscale
-from .bolts import EntranceSpout, QueryBolt, QueryBoltResult, SubgraphBolt
-from .cluster import ClusterAccountant, SimulatedCluster
+from .bolts import QueryBolt, QueryBoltResult, SubgraphBolt
+from .cluster import SimulatedCluster
 from .placement import Placement
 from .rebalance import (
     ElasticityStats,
@@ -47,13 +52,16 @@ from .rebalance import (
     Move,
     RebalanceConfig,
     Rebalancer,
-    apply_join,
-    apply_moves,
     collect_subgraph_loads,
     plan_join,
     resolve_rebalance,
 )
-from .runtime import QueryEnvelope, TopologyBundle, build_topology_replica
+from .runtime import (
+    LogicalTopology,
+    QueryEnvelope,
+    TopologyBundle,
+    build_topology_replica,
+)
 
 __all__ = ["TopologyReport", "JoinReport", "StormTopology"]
 
@@ -214,14 +222,8 @@ class StormTopology:
         # partition files plus a catch-up weight delta instead of a pickled
         # graph + index (see TopologyBundle).
         self._store_path = str(store_path) if store_path is not None else None
-        self._kernel = validate_kernel(kernel)
-        self._heuristic = validate_heuristic_for_kernel(heuristic, self._kernel)
-        self._pruning = pruning
+        self._mode = SearchMode.validated(kernel, heuristic, pruning)
         self._cluster = SimulatedCluster(num_workers)
-        # All bolt/spout charges route through the accountant so that the
-        # concurrent backends can divert each query into a private ledger;
-        # with no ledger active it charges the shared cluster directly.
-        self._account = ClusterAccountant(self._cluster)
         self._executor, self._owns_executor = resolve_executor(
             executor, workers=executor_workers or num_workers
         )
@@ -260,40 +262,19 @@ class StormTopology:
         )
         self.elasticity = ElasticityStats()
 
-        self._subgraph_bolts: List[SubgraphBolt] = []
-        for worker_id in range(num_workers):
-            bolt = SubgraphBolt(
-                name=f"subgraph-bolt-{worker_id}",
-                worker_id=worker_id,
-                cluster=self._account,
-                dtlp=dtlp,
-                subgraph_ids=self._placement.subgraphs_on(worker_id),
-                kernel=self._kernel,
-                heuristic=self._heuristic,
-                pruning=self._pruning,
-            )
-            self._subgraph_bolts.append(bolt)
-
-        self._query_bolts: List[QueryBolt] = []
-        for worker_id in range(num_workers):
-            for replica in range(query_bolts_per_worker):
-                bolt = QueryBolt(
-                    name=f"query-bolt-{worker_id}-{replica}",
-                    worker_id=worker_id,
-                    cluster=self._account,
-                    dtlp=dtlp,
-                    subgraph_bolts=self._subgraph_bolts,
-                    kernel=self._kernel,
-                    heuristic=self._heuristic,
-                    pruning=self._pruning,
-                )
-                self._query_bolts.append(bolt)
-
-        self._spout = EntranceSpout(
-            cluster=self._account,
-            dtlp=dtlp,
-            subgraph_bolts=self._subgraph_bolts,
-            query_bolts=self._query_bolts,
+        self._logical = LogicalTopology(
+            dtlp,
+            self._mode,
+            self._cluster,
+            [
+                (f"subgraph-bolt-{worker_id}", worker_id, self._placement.subgraphs_on(worker_id))
+                for worker_id in range(num_workers)
+            ],
+            [
+                (f"query-bolt-{worker_id}-{replica}", worker_id)
+                for worker_id in range(num_workers)
+                for replica in range(query_bolts_per_worker)
+            ],
         )
 
     # ------------------------------------------------------------------
@@ -311,18 +292,18 @@ class StormTopology:
 
     @property
     def kernel(self) -> str:
-        """Compute kernel used by the bolts (``"snapshot"`` or ``"dict"``)."""
-        return self._kernel
+        """Compute kernel used by the bolts (``"snapshot"``, ``"fast"`` or ``"dict"``)."""
+        return self._mode.kernel
 
     @property
     def heuristic(self) -> str:
         """Lower-bound heuristic pruning the bolts' searches (``"none"`` off)."""
-        return self._heuristic
+        return self._mode.heuristic
 
     @property
     def pruning(self) -> bool:
         """Whether bound pruning and cross-query reuse are active."""
-        return self._pruning
+        return self._mode.pruning
 
     @property
     def placement(self) -> Placement:
@@ -367,12 +348,12 @@ class StormTopology:
     @property
     def subgraph_bolts(self) -> Sequence[SubgraphBolt]:
         """The SubgraphBolt components."""
-        return tuple(self._subgraph_bolts)
+        return tuple(self._logical.subgraph_bolts)
 
     @property
     def query_bolts(self) -> Sequence[QueryBolt]:
         """The QueryBolt components."""
-        return tuple(self._query_bolts)
+        return tuple(self._logical.query_bolts)
 
     # ------------------------------------------------------------------
     # operations
@@ -388,11 +369,11 @@ class StormTopology:
         subgraphs) are exactly the skew the paper's scenario produces.
         """
         if self._rebalancer is None:
-            self._spout.submit_weight_updates(updates)
+            self._logical.spout.submit_weight_updates(updates)
             return
         metric = self._rebalancer.config.metric
         before = collect_subgraph_loads(self._cluster, metric)
-        self._spout.submit_weight_updates(updates)
+        self._logical.spout.submit_weight_updates(updates)
         after = collect_subgraph_loads(self._cluster, metric)
         delta = {
             subgraph_id: amount - before.get(subgraph_id, 0.0)
@@ -424,63 +405,19 @@ class StormTopology:
         when it is the only worker left.
         """
         started = time.perf_counter()
-        alive = [b.worker_id for b in self._subgraph_bolts if b.worker_id != worker_id]
         if worker_id < 0 or worker_id >= self._cluster.num_workers:
             raise ClusterError(f"no worker with id {worker_id}")
-        if not alive:
-            raise ClusterError("cannot fail the only remaining worker")
-
         # Greedy re-hosting, least-loaded survivor first (subgraph-count
-        # load, the seed policy) — expressed as an explicit move list so
-        # master and process replicas execute the same plan.
-        failed_bolts = [b for b in self._subgraph_bolts if b.worker_id == worker_id]
-        surviving_bolts = [b for b in self._subgraph_bolts if b.worker_id != worker_id]
-        sizes = {bolt.worker_id: len(bolt.subgraph_ids) for bolt in surviving_bolts}
-        moves: List[Move] = []
-        for bolt in failed_bolts:
-            for subgraph_id in sorted(bolt.subgraph_ids):
-                target = min(surviving_bolts, key=lambda b: sizes[b.worker_id])
-                moves.append((subgraph_id, worker_id, target.worker_id))
-                sizes[target.worker_id] += 1
-
-        # apply_moves discards every moved id from its failed source bolt,
-        # so the failed bolts end up empty without further surgery.
-        migrated = apply_moves(
-            moves, self._subgraph_bolts, self._account, self._dtlp,
-            transfer_state=False,
-        )
-        self._subgraph_bolts = surviving_bolts
-        self._query_bolts = [b for b in self._query_bolts if b.worker_id != worker_id]
-        for query_bolt in self._query_bolts:
-            query_bolt.set_subgraph_bolts(self._subgraph_bolts)
-        if not self._query_bolts:
-            # Always keep at least one QueryBolt alive on a surviving worker.
-            survivor = surviving_bolts[0].worker_id
-            self._query_bolts = [
-                QueryBolt(
-                    name=f"query-bolt-{survivor}-recovered",
-                    worker_id=survivor,
-                    cluster=self._account,
-                    dtlp=self._dtlp,
-                    subgraph_bolts=self._subgraph_bolts,
-                    kernel=self._kernel,
-                    heuristic=self._heuristic,
-                    pruning=self._pruning,
-                )
-            ]
-        self._rebuild_spout()
-        # The logical placement changed: refresh it from the live bolts and
-        # bring any resident process replicas along with one broadcast of
-        # the same failure plan (instead of a full respawn).
-        self._placement = Placement(
-            self._cluster.num_workers,
-            {
-                subgraph_id: bolt.worker_id
-                for bolt in self._subgraph_bolts
-                for subgraph_id in bolt.subgraph_ids
-            },
-        )
-        self._replica_set.broadcast("fail_worker", worker_id, moves)
+        # load, the seed policy).
+        counts = {
+            bolt.worker_id: float(len(bolt.subgraph_ids))
+            for bolt in self._logical.subgraph_bolts
+            if bolt.worker_id != worker_id
+        }
+        if not counts:
+            raise ClusterError("cannot fail the only remaining worker")
+        moves = self._drain_plan(worker_id, counts, lambda subgraph_id: 1.0)
+        migrated = self._apply_surgery("fail_worker", worker_id, moves)
         self.elasticity.workers_lost += 1
         self.elasticity.subgraphs_recovered += migrated
         self.elasticity.recovery_seconds += time.perf_counter() - started
@@ -503,65 +440,31 @@ class StormTopology:
         from the partition files and only the catch-up weight delta since
         the store was saved crosses the wire — O(load), the PR-8 path.
 
-        Resident process replicas mirror the identical surgery via one
-        ``add_worker`` broadcast (bolt construction order and the shipped
-        move list match the master's exactly), so routing and the
-        deterministic counters stay bit-identical across the join on every
-        backend.
+        Resident process replicas run the same
+        :meth:`~repro.distributed.runtime.LogicalTopology.add_worker` with
+        the same plan via one broadcast, so routing and the deterministic
+        counters stay bit-identical across the join on every backend.
         """
         started = time.perf_counter()
-        worker_id = self._cluster.add_worker()
-        bolt = SubgraphBolt(
-            name=f"subgraph-bolt-{worker_id}",
-            worker_id=worker_id,
-            cluster=self._account,
-            dtlp=self._dtlp,
-            subgraph_ids=(),
-            kernel=self._kernel,
-            heuristic=self._heuristic,
-            pruning=self._pruning,
-        )
-        self._subgraph_bolts.append(bolt)
-        self._query_bolts.append(
-            QueryBolt(
-                name=f"query-bolt-{worker_id}-0",
-                worker_id=worker_id,
-                cluster=self._account,
-                dtlp=self._dtlp,
-                subgraph_bolts=self._subgraph_bolts,
-                kernel=self._kernel,
-                heuristic=self._heuristic,
-                pruning=self._pruning,
-            )
-        )
-        for query_bolt in self._query_bolts:
-            query_bolt.set_subgraph_bolts(self._subgraph_bolts)
-
+        worker_id = self._cluster.num_workers  # ids are dense
         # Store-backed cold start: the joiner loads partition files from
         # disk and replays only the weight delta accumulated since the
-        # store was saved.  A store that no longer matches the live graph
-        # falls back to peer state transfer, mirroring _make_bundle.
-        from_store = False
-        catchup_updates = 0
-        if self._store_path is not None:
-            from ..store.partition_store import PartitionStore, StoreError
+        # store was saved; otherwise peers ship their state.
+        catchup = self._store_catchup()
+        from_store = catchup is not None
+        catchup_updates = len(catchup) if from_store else 0
 
-            try:
-                store = PartitionStore(self._store_path)
-                catchup_updates = len(store.stale_updates(self._dtlp.graph))
-                from_store = True
-            except StoreError:
-                from_store = False
-                catchup_updates = 0
-
-        plan = plan_join(
-            self._join_load_report(), self._grown_placement(), worker_id
+        grown = self._live_placement(worker_id + 1)
+        load = LoadReport.from_loads(
+            self._join_weights(),
+            grown,
+            self._load_metric(),
+            workers=self.alive_workers() + [worker_id],
         )
+        plan = plan_join(load, grown, worker_id)
         moves: Tuple[Move, ...] = plan.moves if plan is not None else ()
-        migrated = apply_join(
-            moves, self._subgraph_bolts, self._account, self._dtlp,
-            from_store=from_store,
-            catchup_updates=catchup_updates,
+        migrated = self._apply_surgery(
+            "add_worker", worker_id, list(moves), from_store, catchup_updates
         )
         transfer_units = (
             catchup_updates
@@ -570,11 +473,6 @@ class StormTopology:
                 self._dtlp.partition.subgraph(subgraph_id).num_vertices
                 for subgraph_id, _, _ in moves
             )
-        )
-        self._rebuild_spout()
-        self._refresh_placement()
-        self._replica_set.broadcast(
-            "add_worker", worker_id, list(moves), from_store, catchup_updates
         )
         seconds = time.perf_counter() - started
         self.elasticity.workers_joined += 1
@@ -605,12 +503,12 @@ class StormTopology:
         off the retiree.
         """
         started = time.perf_counter()
-        alive = self._alive_workers()
+        alive = self.alive_workers()
         if len(alive) <= 1:
             raise ClusterError("cannot retire the only remaining worker")
         weights = self._join_weights()
         load = LoadReport.from_loads(
-            weights, self._grown_placement(), self._load_metric(), workers=alive
+            weights, self._live_placement(), self._load_metric(), workers=alive
         )
         if worker_id is None:
             worker_id = min(
@@ -618,34 +516,70 @@ class StormTopology:
             )
         elif worker_id not in alive:
             raise ClusterError(f"no alive worker with id {worker_id}")
-
-        retiring = [b for b in self._subgraph_bolts if b.worker_id == worker_id]
-        survivors = [b for b in self._subgraph_bolts if b.worker_id != worker_id]
-        sizes = {
-            bolt.worker_id: load.worker_load.get(bolt.worker_id, 0.0)
-            for bolt in survivors
-        }
-        moves: List[Move] = []
-        for bolt in retiring:
-            for subgraph_id in sorted(bolt.subgraph_ids):
-                target = min(survivors, key=lambda b: (sizes[b.worker_id], b.worker_id))
-                moves.append((subgraph_id, worker_id, target.worker_id))
-                sizes[target.worker_id] += weights.get(subgraph_id, 0.0)
-        migrated = apply_moves(
-            moves, self._subgraph_bolts, self._account, self._dtlp,
-            transfer_state=True,
+        moves = self._drain_plan(
+            worker_id,
+            {w: load.worker_load.get(w, 0.0) for w in alive if w != worker_id},
+            lambda subgraph_id: weights.get(subgraph_id, 0.0),
         )
-        self._subgraph_bolts = survivors
-        self._query_bolts = [b for b in self._query_bolts if b.worker_id != worker_id]
-        for query_bolt in self._query_bolts:
-            query_bolt.set_subgraph_bolts(self._subgraph_bolts)
-        self._rebuild_spout()
-        self._refresh_placement()
-        self._replica_set.broadcast("retire_worker", worker_id, moves)
+        migrated = self._apply_surgery("retire_worker", worker_id, moves)
         self.elasticity.workers_retired += 1
         self.elasticity.subgraphs_recovered += migrated
         self.elasticity.recovery_seconds += time.perf_counter() - started
         return migrated
+
+    def _drain_plan(
+        self,
+        worker_id: int,
+        loads: Dict[int, float],
+        weight: Callable[[int], float],
+    ) -> List[Move]:
+        """Greedy plan emptying ``worker_id`` onto the workers in ``loads``.
+
+        Each of its subgraphs, in id order, goes to the currently
+        least-loaded target (lowest id on ties) and adds ``weight`` to it.
+        An explicit move list, so the master copy and the process replicas
+        execute the same plan.
+        """
+        moves: List[Move] = []
+        for bolt in self._logical.subgraph_bolts:
+            if bolt.worker_id != worker_id:
+                continue
+            for subgraph_id in sorted(bolt.subgraph_ids):
+                target = min(loads, key=lambda w: (loads[w], w))
+                moves.append((subgraph_id, worker_id, target))
+                loads[target] += weight(subgraph_id)
+        return moves
+
+    def _apply_surgery(self, operation: str, *plan: object) -> int:
+        """Run one placement change on the master copy and on every replica.
+
+        ``operation`` names a :class:`~repro.distributed.runtime.LogicalTopology`
+        method and ``plan`` its arguments; resident process replicas get the
+        identical call in one broadcast instead of a respawn.  The logical
+        placement is then re-read from the live bolts.  Returns the number
+        of subgraphs migrated.
+        """
+        migrated = getattr(self._logical, operation)(*plan)
+        self._placement = self._live_placement()
+        self._replica_set.broadcast(operation, *plan)
+        return migrated
+
+    def _store_catchup(self) -> Optional[Tuple[WeightUpdate, ...]]:
+        """Weight delta since the attached partition store was saved.
+
+        ``None`` without a store — or with one that no longer matches the
+        live graph (e.g. overwritten on disk), so callers fall back to
+        shipping state instead of failing.
+        """
+        if self._store_path is None:
+            return None
+        from ..store.partition_store import PartitionStore, StoreError
+
+        try:
+            store = PartitionStore(self._store_path)
+            return tuple(store.stale_updates(self._dtlp.graph))
+        except StoreError:
+            return None
 
     def _load_metric(self) -> str:
         """Load metric steering join/retire plans (rebalancer's, or tasks)."""
@@ -677,40 +611,23 @@ class StormTopology:
             for sid, size in baseline.items()
         }
 
-    def _grown_placement(self) -> Placement:
-        """The live assignment sized to the (possibly grown) cluster."""
+    def _live_placement(self, num_workers: Optional[int] = None) -> Placement:
+        """The live bolt assignment, sized to the cluster unless told otherwise."""
         return Placement(
-            self._cluster.num_workers,
+            num_workers or self._cluster.num_workers,
             {
                 subgraph_id: bolt.worker_id
-                for bolt in self._subgraph_bolts
+                for bolt in self._logical.subgraph_bolts
                 for subgraph_id in bolt.subgraph_ids
             },
         )
 
-    def _join_load_report(self) -> LoadReport:
-        """Load report over the alive pool (joiner included, at zero)."""
-        return LoadReport.from_loads(
-            self._join_weights(),
-            self._grown_placement(),
-            self._load_metric(),
-            workers=self._alive_workers(),
-        )
-
-    def _refresh_placement(self) -> None:
-        """Rebuild the logical placement from the live bolt assignment."""
-        self._placement = self._grown_placement()
-
     # ------------------------------------------------------------------
     # load-adaptive placement
     # ------------------------------------------------------------------
-    def _alive_workers(self) -> List[int]:
-        """Worker ids currently hosting SubgraphBolts (failures excluded)."""
-        return sorted({bolt.worker_id for bolt in self._subgraph_bolts})
-
     def alive_workers(self) -> List[int]:
         """Worker ids currently hosting SubgraphBolts (failures excluded)."""
-        return self._alive_workers()
+        return sorted({bolt.worker_id for bolt in self._logical.subgraph_bolts})
 
     @property
     def queries_routed(self) -> int:
@@ -726,7 +643,7 @@ class StormTopology:
         lives on :attr:`rebalancer` when rebalancing is enabled.
         """
         report = LoadReport.collect(
-            self._cluster, self._placement, metric, workers=self._alive_workers()
+            self._cluster, self._placement, metric, workers=self.alive_workers()
         )
         return replace(
             report,
@@ -751,7 +668,7 @@ class StormTopology:
             )
         plan = self._rebalancer.maybe_plan(
             self._placement,
-            workers=self._alive_workers(),
+            workers=self.alive_workers(),
             force=force,
             # Vertex counts — the deployment-time estimate — spread cold
             # (unobserved) subgraphs by size instead of piling them onto
@@ -790,22 +707,8 @@ class StormTopology:
         and with it the result stream — continues bit-identically across
         the swap.
         """
-        apply_moves(
-            plan.moves, self._subgraph_bolts, self._account, self._dtlp,
-            transfer_state=True,
-        )
+        self._apply_surgery("migrate", list(plan.moves))
         self._placement = plan.placement
-        self._rebuild_spout()
-        self._replica_set.broadcast("migrate", list(plan.moves))
-
-    def _rebuild_spout(self) -> None:
-        """Re-wire the EntranceSpout against the current bolt assignment."""
-        self._spout = EntranceSpout(
-            cluster=self._account,
-            dtlp=self._dtlp,
-            subgraph_bolts=self._subgraph_bolts,
-            query_bolts=self._query_bolts,
-        )
 
     def run_queries(self, queries: Sequence[KSPQuery], reset_metrics: bool = True) -> TopologyReport:
         """Process a batch of queries and return the aggregate report.
@@ -828,22 +731,16 @@ class StormTopology:
         backend = self._executor.name
         base = self._route_counter
         trace, profile = self._observability_flags()
+        envelopes: List[QueryEnvelope] = [
+            (offset, base + offset, query) for offset, query in enumerate(queries)
+        ]
         if backend == "process" and queries:
-            results = self._run_on_replicas(queries, trace, profile)
+            tagged = self._run_on_replicas(envelopes, trace, profile)
         elif backend == "thread" and len(queries) > 1:
-            results = self._run_threaded(queries, trace, profile)
-        elif trace or profile:
-            results = [
-                self._spout.submit_query_observed(
-                    query, route_index=base + offset, trace=trace, profile=profile
-                )
-                for offset, query in enumerate(queries)
-            ]
+            tagged = self._run_threaded(envelopes, trace, profile)
         else:
-            results = [
-                self._spout.submit_query(query, route_index=base + offset)
-                for offset, query in enumerate(queries)
-            ]
+            tagged = self._logical.run(envelopes, trace, profile)
+        results = [result for _, result in tagged]
         self._route_counter += len(queries)
         if self._tracer is not None and queries:
             # The batch event records logical work only — no backend name,
@@ -878,7 +775,7 @@ class StormTopology:
             loads = collect_subgraph_loads(
                 self._cluster, self._autoscaler.config.metric
             )
-            alive = self._alive_workers()
+            alive = self.alive_workers()
             decision = self._autoscaler.observe(sum(loads.values()), len(alive))
             if decision == "up":
                 self.add_worker()
@@ -891,93 +788,46 @@ class StormTopology:
     # ------------------------------------------------------------------
     # concurrent execution backends
     # ------------------------------------------------------------------
-    def _sync_kernel_caches(self) -> None:
-        """Bring every shared kernel snapshot current, serially.
-
-        Run before fanning a batch over threads so that all snapshot
-        accesses inside the batch are read-only (refreshes would otherwise
-        race between tasks); see ``ARCHITECTURE.md``.
-        """
-        for bolt in self._subgraph_bolts:
-            bolt.sync_kernel_caches()
-        for query_bolt in self._query_bolts:
-            query_bolt.sync_kernel_caches()
-
     def _run_threaded(
-        self, queries: Sequence[KSPQuery], trace: bool = False, profile: bool = False
-    ) -> List[QueryBoltResult]:
-        """Fan a batch over the thread pool against the shared topology."""
-        self._sync_kernel_caches()
-        base = self._route_counter
-        num_workers = self._cluster.num_workers
-        observed = trace or profile
+        self, envelopes: Sequence[QueryEnvelope], trace: bool, profile: bool
+    ) -> List[Tuple[int, QueryBoltResult]]:
+        """Fan a batch over the thread pool against the shared topology.
 
-        def task(item: Tuple[int, KSPQuery]) -> Tuple[QueryBoltResult, SimulatedCluster]:
-            offset, query = item
-            ledger = SimulatedCluster(num_workers)
-            self._account.activate(ledger)
-            try:
-                if observed:
-                    result = self._spout.submit_query_observed(
-                        query, route_index=base + offset, trace=trace, profile=profile
-                    )
-                else:
-                    result = self._spout.submit_query(query, route_index=base + offset)
-                return (result, ledger)
-            finally:
-                self._account.deactivate()
-
-        results: List[QueryBoltResult] = []
-        for result, ledger in self._executor.map(task, list(enumerate(queries))):
+        One task and one private cost ledger per query; the kernel caches
+        are brought current first so the tasks only read them.
+        """
+        self._logical.sync_kernel_caches()
+        tagged: List[Tuple[int, QueryBoltResult]] = []
+        for chunk, ledger in self._executor.map(
+            lambda envelope: self._logical.run_on_ledger([envelope], trace, profile),
+            list(envelopes),
+        ):
             self._cluster.absorb(ledger)
-            results.append(result)
-        return results
+            tagged.extend(chunk)
+        return tagged
 
     def _make_bundle(self) -> TopologyBundle:
         """Capture the live topology state for replica construction.
 
-        With a partition store attached, the bundle ships the store *path*
-        and a catch-up weight delta instead of the pickled graph + index —
-        each worker cold-starts from the partition files.  A store that no
-        longer matches the live graph (e.g. overwritten on disk) falls back
-        to the classic whole-state pickle rather than failing the spawn.
+        With a usable partition store attached, the bundle ships the store
+        *path* and a catch-up weight delta instead of the pickled graph +
+        index — each worker cold-starts from the partition files.
         """
-        dtlp: Optional[DTLP] = self._dtlp
-        store_path = None
-        catchup: tuple = ()
-        if self._store_path is not None:
-            from ..store.partition_store import PartitionStore, StoreError
-
-            try:
-                store = PartitionStore(self._store_path)
-                catchup = tuple(store.stale_updates(self._dtlp.graph))
-                dtlp = None
-                store_path = self._store_path
-            except StoreError:
-                dtlp = self._dtlp
-                store_path = None
-                catchup = ()
+        catchup = self._store_catchup()
+        subgraph_bolts, query_bolts = self._logical.specs()
         return TopologyBundle(
-            dtlp=dtlp,
-            store_path=store_path,
-            catchup=catchup,
-            kernel=self._kernel,
-            heuristic=self._heuristic,
-            pruning=self._pruning,
+            dtlp=self._dtlp if catchup is None else None,
+            mode=self._mode,
             num_workers=self._cluster.num_workers,
-            subgraph_bolts=[
-                (bolt.name, bolt.worker_id, tuple(sorted(bolt.subgraph_ids)))
-                for bolt in self._subgraph_bolts
-            ],
-            query_bolts=[
-                (bolt.name, bolt.worker_id) for bolt in self._query_bolts
-            ],
-            graph_version=self._dtlp.graph.version,
+            subgraph_bolts=subgraph_bolts,
+            query_bolts=query_bolts,
+            store_path=None if catchup is None else self._store_path,
+            catchup=catchup or (),
         )
 
     def _run_on_replicas(
-        self, queries: Sequence[KSPQuery], trace: bool = False, profile: bool = False
-    ) -> List[QueryBoltResult]:
+        self, envelopes: Sequence[QueryEnvelope], trace: bool, profile: bool
+    ) -> List[Tuple[int, QueryBoltResult]]:
         """Shard a batch across the resident worker-process replicas.
 
         The :class:`~repro.exec.replicas.ReplicaSet` spawns the group on
@@ -986,16 +836,13 @@ class StormTopology:
         costs one broadcast.
         """
         group = self._replica_set.ensure(self._make_bundle)
-        base = self._route_counter
         shards: Dict[int, List[QueryEnvelope]] = {}
-        for offset, query in enumerate(queries):
-            shards.setdefault(offset % group.num_slots, []).append(
-                (offset, base + offset, query)
-            )
+        for envelope in envelopes:
+            shards.setdefault(envelope[0] % group.num_slots, []).append(envelope)
         replies = group.call_each(
             [
-                (slot, "run_queries", (envelopes, trace, profile))
-                for slot, envelopes in shards.items()
+                (slot, "run_on_ledger", (chunk, trace, profile))
+                for slot, chunk in shards.items()
             ]
         )
         tagged: List[Tuple[int, QueryBoltResult]] = []
@@ -1006,7 +853,7 @@ class StormTopology:
             self._cluster.absorb(ledger)
             tagged.extend(chunk)
         tagged.sort(key=lambda item: item[0])
-        return [result for _, result in tagged]
+        return tagged
 
     # ------------------------------------------------------------------
     # lifecycle

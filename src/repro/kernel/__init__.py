@@ -26,7 +26,6 @@ bit-identical results for both.
 
 from .heuristics import (
     HEURISTICS,
-    DTLPLowerBounds,
     LandmarkLowerBounds,
     validate_heuristic,
 )
@@ -50,7 +49,6 @@ from .wavefront import (
 __all__ = [
     "CSRSnapshot",
     "HEURISTICS",
-    "DTLPLowerBounds",
     "LandmarkLowerBounds",
     "validate_heuristic",
     "astar_arrays",

@@ -9,7 +9,7 @@ The query stack prunes its searches with two kinds of bound (see
   relaxations whose best possible total ``g(v) + h(v)`` already exceeds the
   upper bound.
 
-This module supplies the lower bounds.  Both providers operate purely in a
+This module supplies the lower bounds.  The provider operates purely in a
 :class:`~repro.kernel.snapshot.CSRSnapshot`'s index space — ``bounds_to``
 returns a dense array aligned with the snapshot's vertex indices, ready for
 the kernel primitives (:func:`~repro.kernel.primitives.bounded_dijkstra_arrays`
@@ -18,15 +18,9 @@ and :func:`~repro.kernel.primitives.astar_arrays`):
 * :class:`LandmarkLowerBounds` — classic ALT: full Dijkstra distance tables
   from a handful of deterministically chosen, farthest-point-spread
   landmarks; ``h(v) = max_l |d(l, v) - d(l, t)|`` (the directed variant uses
-  forward and reverse tables).  Works on any snapshot, including the
-  skeleton graph driving reference-path enumeration.
-* :class:`DTLPLowerBounds` — the paper-native provider: a subgraph's
-  :class:`~repro.core.subgraph_index.SubgraphIndex` already maintains a
-  lower bound of the within-subgraph distance between every boundary pair
-  (Theorem 1); ``h(v)`` is that stored bound for boundary vertices and ``0``
-  elsewhere, costing no extra searches at all.
+  forward and reverse tables).  Works on any snapshot.
 
-Both providers self-invalidate against the snapshot's
+The provider self-invalidates against the snapshot's
 :attr:`~repro.kernel.snapshot.CSRSnapshot.weights_epoch`: the first
 ``bounds_to`` call after the snapshot's weights changed rebuilds the tables
 and drops the per-target cache.  Admissibility is **asserted, not assumed**,
@@ -50,15 +44,13 @@ __all__ = [
     "HEURISTICS",
     "validate_heuristic",
     "LandmarkLowerBounds",
-    "DTLPLowerBounds",
 ]
 
 #: Heuristic modes accepted across the query/serving stack: ``"none"``
-#: (no lower bounds — upper-bound pruning only), ``"landmark"`` (ALT) and
-#: ``"dtlp"`` (reuse the subgraph indexes' lower-bound distances).  The
-#: non-trivial modes require the ``"snapshot"`` kernel: bounds are dense
-#: index-space arrays that have no dict-path equivalent.
-HEURISTICS = ("none", "landmark", "dtlp")
+#: (no lower bounds — upper-bound pruning only) and ``"landmark"`` (ALT),
+#: which requires an array-backed kernel: bounds are dense index-space
+#: arrays that have no dict-path equivalent.
+HEURISTICS = ("none", "landmark")
 
 _INF = float("inf")
 
@@ -212,52 +204,6 @@ class LandmarkLowerBounds:
         if reversed_snapshot is not None:
             self._reverse.append(self._table_sssp(reversed_snapshot, index))
 
-    # ------------------------------------------------------------------
-    # serialization (repro.store)
-    # ------------------------------------------------------------------
-    def export_tables(self) -> Dict[str, object]:
-        """Plain-data snapshot of the landmark tables for the partition store.
-
-        Tables are stored in the snapshot's index space; restoring them is
-        only valid against a snapshot with the same vertex ordering and the
-        same weights (the store checks both via its fingerprints before
-        reusing stored tables — otherwise it lets the provider rebuild).
-        """
-        self._ensure_current()
-        return {
-            "num_landmarks": self._num_landmarks,
-            "landmarks": [int(i) for i in self._landmarks],
-            "forward": [[float(x) for x in table] for table in self._forward],
-            "reverse": [[float(x) for x in table] for table in self._reverse],
-        }
-
-    @classmethod
-    def from_tables(
-        cls, snapshot: CSRSnapshot, state: Dict[str, object]
-    ) -> "LandmarkLowerBounds":
-        """Restore a provider from :meth:`export_tables` output.
-
-        The caller guarantees that ``snapshot`` carries the same vertex
-        ordering and weights the tables were built from; the restored
-        provider adopts the snapshot's current weights epoch, so a later
-        weight change still triggers the normal lazy rebuild.
-        """
-
-        def _table(values):
-            if _np is not None:
-                return _np.asarray(values, dtype=_np.float64)
-            return [float(x) for x in values]
-
-        provider = cls.__new__(cls)
-        provider._snapshot = snapshot
-        provider._num_landmarks = int(state["num_landmarks"])
-        provider._landmarks = [int(i) for i in state["landmarks"]]
-        provider._forward = [_table(table) for table in state["forward"]]
-        provider._reverse = [_table(table) for table in state["reverse"]]
-        provider._bounds_cache = {}
-        provider._built_epoch = snapshot.weights_epoch
-        return provider
-
     @staticmethod
     def _argmax_distance(
         tables: Sequence[Sequence[float]], n: int, exclude
@@ -400,77 +346,3 @@ class LandmarkLowerBounds:
                 )
                 _np.maximum(best, values, out=best)
         return best.tolist()
-
-
-class DTLPLowerBounds:
-    """Reuse a subgraph index's lower-bound distances as a search heuristic.
-
-    For a search towards boundary vertex ``t`` inside the indexed subgraph,
-    every other boundary vertex ``b`` already carries a maintained lower
-    bound of ``dist(b, t)`` (Theorem 1 of the paper — the exact quantity
-    DTLP aggregates into skeleton edge weights).  Non-boundary vertices get
-    ``0``, which is trivially admissible.  Construction is free: no
-    searches, just one array fill per distinct target.
-
-    Parameters
-    ----------
-    snapshot:
-        The subgraph's kernel snapshot (defines the index space).
-    subgraph_index:
-        The subgraph's first-level DTLP index
-        (:class:`~repro.core.subgraph_index.SubgraphIndex`), kept current
-        by the ordinary maintenance path.
-    """
-
-    def __init__(self, snapshot: CSRSnapshot, subgraph_index) -> None:
-        self._snapshot = snapshot
-        self._index = subgraph_index
-        self._bounds_cache: Dict[int, List[float]] = {}
-        self._built_epoch = snapshot.weights_epoch
-        # Boundary ids resolved once; the boundary set is topology, which a
-        # snapshot freezes.
-        self._boundary_indices: List[int] = sorted(
-            snapshot.index_of[vertex]
-            for vertex in subgraph_index.subgraph.boundary_vertices
-            if vertex in snapshot.index_of
-        )
-
-    @property
-    def snapshot(self) -> CSRSnapshot:
-        """The snapshot the bounds are aligned with."""
-        return self._snapshot
-
-    def bounds_to(self, target: int) -> Optional[List[float]]:
-        """Dense per-index lower bounds of the distance to ``target``.
-
-        Returns ``None`` when ``target`` is not in the snapshot.  Arrays
-        are cached per target until the snapshot's weights change.
-        """
-        epoch = self._snapshot.weights_epoch
-        if epoch != self._built_epoch:
-            self._bounds_cache.clear()
-            self._built_epoch = epoch
-        snapshot = self._snapshot
-        target_index = snapshot.index_of.get(target)
-        if target_index is None:
-            return None
-        cached = self._bounds_cache.get(target_index)
-        prof = kernel_counters()
-        if cached is not None:
-            if prof is not None:
-                prof.bound_cache_hits += 1
-            return cached
-        if prof is not None:
-            prof.bound_cache_misses += 1
-        bounds = [0.0] * snapshot.num_vertices
-        ids = snapshot.ids
-        index = self._index
-        for boundary_index in self._boundary_indices:
-            if boundary_index == target_index:
-                continue
-            value = index.lower_bound_distance(ids[boundary_index], target)
-            if value is not None and value > 0.0:
-                bounds[boundary_index] = value
-        bounds[target_index] = 0.0
-        _cache_bounds(self._bounds_cache, target_index, bounds)
-        return bounds

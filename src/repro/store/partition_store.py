@@ -5,7 +5,7 @@ Layout of a store directory::
     store/
       manifest.json        # format, fingerprints, epoch, DTLP config
       node_map.json        # sorted [vertex, home partition] pairs
-      skeleton.json        # skeleton edges + ALT landmark tables
+      skeleton.json        # skeleton edges
       part0/
         nodes.json         # {"nodes": sorted global ids, "boundary": local ids}
         edges.json         # [lu, lv, initial w, current w] in local ids
@@ -26,7 +26,7 @@ The manifest carries two fingerprints:
   tiers (cheapest first):
 
   1. weights fingerprint matches → nothing changed; the stored skeleton
-     and landmark tables are adopted as-is.
+     is adopted as-is.
   2. the live graph's version is ahead of the save epoch (same lineage,
      e.g. a long-running process reloading its own store) →
      ``edges_changed_since(epoch)`` yields exactly the candidate edges;
@@ -36,16 +36,21 @@ The manifest carries two fingerprints:
 
   Differing edges are refreshed through the normal maintenance path
   (``SubgraphIndex.apply_updates`` + skeleton refresh), which recomputes
-  exactly the bounding-path distances the changes touched; any stale edge
-  invalidates the stored landmark tables (they rebuild lazily).  Either
-  way the expensive part of a build — the bounding-path searches — never
-  reruns, which is where the O(load) cold start comes from.
+  exactly the bounding-path distances the changes touched.  Either way the
+  expensive part of a build — the bounding-path searches — never reruns,
+  which is where the O(load) cold start comes from.
+
+Every file is written to a sibling temp file and moved into place with
+``os.replace``, and the manifest goes last: a save that dies midway leaves
+each file absent, in its previous version or complete — never half-written
+— and a directory without a manifest is not a store (:meth:`PartitionStore.exists`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
@@ -118,10 +123,16 @@ def graph_weights_fingerprint(graph: DynamicGraph) -> str:
 # JSON helpers
 # ----------------------------------------------------------------------
 def _write_json(path: Path, payload: object) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="ascii",
-    )
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        temp.write_text(
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+            encoding="ascii",
+        )
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _read_json(path: Path) -> object:
@@ -269,10 +280,7 @@ class PartitionStore:
         skeleton = dtlp.skeleton_graph
         _write_json(
             store.root / _SKELETON,
-            {
-                "edges": sorted([u, v, w] for u, v, w in skeleton.edges()),
-                "landmarks": dtlp.skeleton_lower_bounds().export_tables(),
-            },
+            {"edges": sorted([u, v, w] for u, v, w in skeleton.edges())},
         )
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -449,8 +457,9 @@ class PartitionStore:
         Validates the structure fingerprint, restores every partition and
         first-level index, applies the staleness tiers described in the
         module docstring, and assembles the DTLP — adopting the stored
-        skeleton and landmark tables when no edge was stale, otherwise
-        refreshing through the normal maintenance path.
+        skeleton when no edge was stale, otherwise refreshing through the
+        normal maintenance path.  Keys of ``skeleton.json`` other than
+        ``edges`` (older stores carry a ``landmarks`` table) are ignored.
         """
         self._validate_structure(graph)
         manifest = self.manifest
@@ -479,11 +488,8 @@ class PartitionStore:
         dtlp = DTLP.assemble(graph, config, partition, indexes, skeleton=skeleton)
         if stale:
             # Boundary-pair distances and skeleton edges touched by the
-            # changed weights refresh through the normal Algorithm 2 path;
-            # the stored landmark tables are stale and rebuild lazily.
+            # changed weights refresh through the normal Algorithm 2 path.
             dtlp.handle_updates(stale)
-        else:
-            dtlp.adopt_skeleton_landmarks(skeleton_state["landmarks"])
         return dtlp
 
 

@@ -272,7 +272,7 @@ def test_fast_engines_match_snapshot_across_executors(executor: str) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
-@pytest.mark.parametrize("heuristic", ["none", "dtlp"])
+@pytest.mark.parametrize("heuristic", ["none", "landmark"])
 def test_ksp_dg_fast_matches_snapshot_under_maintenance(
     seed: int, heuristic: str
 ) -> None:

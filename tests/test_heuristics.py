@@ -19,7 +19,6 @@ from repro.graph import DynamicGraph, random_graph, road_network
 from repro.graph.errors import QueryError
 from repro.kernel import (
     CSRSnapshot,
-    DTLPLowerBounds,
     LandmarkLowerBounds,
     astar_arrays,
     bounded_dijkstra_arrays,
@@ -111,30 +110,6 @@ class TestLandmarkLowerBounds:
         snapshot = CSRSnapshot(graph)
         provider = LandmarkLowerBounds(snapshot)
         _assert_admissible(snapshot, provider, random.Random(5), samples=5)
-
-
-class TestDTLPLowerBounds:
-    def test_admissible_within_every_subgraph(self):
-        graph = road_network(8, 8, seed=9)
-        dtlp = DTLP(graph, DTLPConfig(z=16, xi=3)).build()
-        rng = random.Random(7)
-        for subgraph_id in list(dtlp.subgraph_indexes())[:4]:
-            snapshot = dtlp.subgraph_snapshot(subgraph_id)
-            provider = DTLPLowerBounds(snapshot, dtlp.subgraph_index(subgraph_id))
-            _assert_admissible(snapshot, provider, rng, samples=5)
-
-    def test_admissible_after_maintenance_rounds(self):
-        graph = road_network(8, 8, seed=10)
-        dtlp = DTLP(graph, DTLPConfig(z=16, xi=2)).build()
-        graph.add_listener(dtlp.handle_updates)
-        model = TrafficModel(graph, alpha=0.4, tau=0.7, seed=8)
-        rng = random.Random(9)
-        for _ in range(3):
-            model.advance()
-            subgraph_id = rng.choice(list(dtlp.subgraph_indexes()))
-            snapshot = dtlp.subgraph_snapshot(subgraph_id)
-            provider = DTLPLowerBounds(snapshot, dtlp.subgraph_index(subgraph_id))
-            _assert_admissible(snapshot, provider, rng, samples=4)
 
 
 class TestBoundedDijkstra:
@@ -418,4 +393,6 @@ class TestValidation:
         with pytest.raises(QueryError):
             validate_heuristic_for_kernel("landmark", "dict")
         assert validate_heuristic_for_kernel("none", "dict") == "none"
-        assert validate_heuristic_for_kernel("dtlp", "snapshot") == "dtlp"
+        assert validate_heuristic_for_kernel("landmark", "fast") == "landmark"
+        with pytest.raises(QueryError):
+            validate_heuristic_for_kernel("dtlp", "snapshot")

@@ -28,10 +28,13 @@ from repro.graph import partition_graph, random_graph
 from repro.graph.graph import WeightUpdate, edge_key
 
 # Keep hypothesis examples modest: each example builds graphs and indexes.
+# Derandomized with no example database, so tier-1 runs are repeatable.
 COMMON_SETTINGS = dict(
     max_examples=12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+    database=None,
 )
 
 

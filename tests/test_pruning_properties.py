@@ -26,7 +26,7 @@ from repro.graph.errors import PathNotFoundError
 from repro.kernel import CSRSnapshot, LandmarkLowerBounds
 from repro.workloads import QueryGenerator
 
-HEURISTICS = ("none", "landmark", "dtlp")
+HEURISTICS = ("none", "landmark")
 
 
 def _signature(paths):
@@ -175,7 +175,7 @@ class TestKSPDGPruningIdentity:
 
 class TestTopologyPruningIdentity:
     @pytest.mark.parametrize("executor", ("serial", "process"))
-    @pytest.mark.parametrize("heuristic", ("landmark", "dtlp"))
+    @pytest.mark.parametrize("heuristic", ("landmark",))
     def test_pruned_topology_matches_unpruned_serial(self, executor, heuristic):
         def run(backend, heuristic_mode, pruning):
             graph = road_network(6, 6, seed=35)

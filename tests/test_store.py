@@ -24,6 +24,7 @@ from repro.core import DTLP, DTLPConfig
 from repro.distributed import KSPDGEngine, distributed_build_report
 from repro.dynamics import TrafficModel
 from repro.graph import DynamicGraph, road_network
+from repro.store import partition_store
 from repro.store import (
     PartitionStore,
     StoreError,
@@ -161,6 +162,20 @@ class TestRoundTrip:
         loaded = PartitionStore(store.root).load(graph)
         assert _answers(loaded, queries, heuristic="landmark") == fresh
 
+    def test_store_with_legacy_landmarks_table_still_loads(self, saved):
+        graph, dtlp, store, queries = saved
+        # Stores written before the landmark tables were dropped carry a
+        # "landmarks" key in skeleton.json; it is ignored, not an error.
+        skeleton_path = store.root / "skeleton.json"
+        state = json.loads(skeleton_path.read_text())
+        assert set(state) == {"edges"}
+        state["landmarks"] = {
+            "num_landmarks": 1, "landmarks": [0], "forward": [[0.0]], "reverse": [],
+        }
+        skeleton_path.write_text(json.dumps(state))
+        loaded = PartitionStore(store.root).load(graph)
+        assert _answers(loaded, queries) == _answers(dtlp, queries)
+
     def test_same_lineage_refresh_after_updates(self, saved):
         graph, _, store, queries = saved
         model = TrafficModel(graph, alpha=0.3, tau=0.4, seed=34)
@@ -217,6 +232,54 @@ class TestRoundTrip:
         for update in stale:
             assert update.new_weight == graph.weight(update.u, update.v)
             assert expected.get((update.u, update.v)) == update.new_weight
+
+
+class TestInterruptedSave:
+    """Files appear whole or not at all; no manifest means no store."""
+
+    @staticmethod
+    def _die_on(monkeypatch, file_name):
+        real_replace = partition_store.os.replace
+
+        def replace_or_die(source, target):
+            if Path(target).name == file_name:
+                raise KeyboardInterrupt(f"killed before {file_name} landed")
+            real_replace(source, target)
+
+        monkeypatch.setattr(partition_store.os, "replace", replace_or_die)
+
+    @staticmethod
+    def _assert_only_whole_json(root):
+        files = [path for path in root.rglob("*") if path.is_file()]
+        assert files
+        for path in files:
+            assert path.suffix == ".json", f"leftover temp file {path}"
+            json.loads(path.read_text())
+
+    def test_fresh_directory_is_not_a_store(self, tmp_path, monkeypatch):
+        graph = road_network(6, 6, seed=31)
+        dtlp = DTLP(graph, CONFIG).build()
+        self._die_on(monkeypatch, "manifest.json")
+        with pytest.raises(KeyboardInterrupt):
+            PartitionStore.save(dtlp, tmp_path / "store")
+        self._assert_only_whole_json(tmp_path / "store")
+        assert not PartitionStore(tmp_path / "store").exists()
+        with pytest.raises(StoreError):
+            PartitionStore(tmp_path / "store").load(graph)
+
+    @pytest.mark.parametrize(
+        "file_name", ["index.json", "skeleton.json", "manifest.json"]
+    )
+    def test_previous_store_stays_loadable(self, saved, monkeypatch, file_name):
+        graph, dtlp, store, queries = saved
+        fresh = _answers(dtlp, queries)
+        self._die_on(monkeypatch, file_name)
+        with pytest.raises(KeyboardInterrupt):
+            PartitionStore.save(dtlp, store.root)
+        monkeypatch.undo()
+        self._assert_only_whole_json(store.root)
+        assert PartitionStore(store.root).exists()
+        assert _answers(PartitionStore(store.root).load(graph), queries) == fresh
 
 
 class TestLoadPartition:
