@@ -43,14 +43,6 @@ class CandsIndex:
     ----------
     partition:
         A :class:`~repro.graph.partition.GraphPartition` of the dynamic graph.
-    kernel:
-        ``"dict"`` (default) builds each subgraph's boundary-pair index with
-        per-source one-to-many heap searches; ``"fast"`` batches all of a
-        subgraph's boundary sources into one multi-source wavefront run
-        (:func:`~repro.kernel.wavefront.batch_one_to_many_paths`).  Indexed
-        *distances* are identical; the stored vertex sequences are tie-order
-        free under ``"fast"``.  Falls back to the heap build when numpy is
-        unavailable.
 
     Notes
     -----
@@ -61,12 +53,9 @@ class CandsIndex:
     paths of that subgraph, which must then be recomputed from scratch.
     """
 
-    def __init__(self, partition: GraphPartition, kernel: str = "dict") -> None:
-        from ..core.ksp_dg import validate_kernel
-
+    def __init__(self, partition: GraphPartition) -> None:
         self._partition = partition
         self._graph = partition.graph
-        self._kernel = validate_kernel(kernel)
         # subgraph id -> {(u, v): Path}
         self._paths: Dict[int, Dict[Tuple[int, int], Path]] = {}
         self._built = False
@@ -86,16 +75,6 @@ class CandsIndex:
         subgraph = self._partition.subgraph(subgraph_id)
         boundary = sorted(subgraph.boundary_vertices)
         boundary_set = set(boundary)
-        if self._kernel == "fast" and len(boundary) > 1:
-            from ..kernel.snapshot import CSRSnapshot
-            from ..kernel.wavefront import batch_one_to_many_paths, numpy_available
-
-            if numpy_available():
-                # All boundary sources share one flat multi-source search
-                # structure — the batched build amortises the per-sweep
-                # numpy overhead over the whole boundary set.
-                snapshot = CSRSnapshot(subgraph)
-                return batch_one_to_many_paths(snapshot, boundary, boundary)
         indexed: Dict[Tuple[int, int], Path] = {}
         for source in boundary:
             # One-to-many: stop as soon as the last reachable boundary

@@ -142,15 +142,20 @@ def _dijkstra_snapshot(
             for u, v in banned_edges
             if u in index_of and v in index_of
         }
-    ids = snapshot.ids
-    get_id = ids.__getitem__
-    if cutoff is not None and target_index >= 0:
-        # Upper-bound pruned variant (spur searches with a known bound):
-        # the labelled set is tracked by the kernel, so the id-space
-        # conversion stays O(labelled) like the unpruned path's.
+    rows, num_vertices = snapshot.rows, len(snapshot.ids)
+    if targets is not None:
+        # One-to-many (the dispatch in :func:`dijkstra` admits ``targets``
+        # only without constraints): stop as soon as every requested target
+        # is settled.
+        dist, pred, _settled, touched = dijkstra_arrays_multi(
+            rows, num_vertices, source_index,
+            {index_of[v] for v in targets if v in index_of},
+        )
+    elif cutoff is not None:
+        # Upper-bound pruned variant (spur searches with a known bound).
         dist, pred, _found, touched = bounded_dijkstra_arrays(
-            snapshot.rows,
-            len(ids),
+            rows,
+            num_vertices,
             source_index,
             target_index,
             cutoff=cutoff,
@@ -159,43 +164,21 @@ def _dijkstra_snapshot(
             banned_pairs=banned_pairs or None,
             track_touched=True,
         )
-        assert touched is not None
-        distances = dict(zip(map(get_id, touched), map(dist.__getitem__, touched)))
-        rest = touched[1:]
-        predecessors = dict(
-            zip(map(get_id, rest), map(get_id, map(pred.__getitem__, rest)))
+    else:
+        dist, pred, touched = dijkstra_arrays(
+            rows,
+            num_vertices,
+            source_index,
+            target=target_index,
+            allowed=allowed_idx,
+            banned_vertices=banned_idx or None,
+            banned_pairs=banned_pairs or None,
         )
-        return distances, predecessors
-    if (
-        targets is not None
-        and target_index < 0
-        and allowed_idx is None
-        and not banned_idx
-        and not banned_pairs
-    ):
-        # One-to-many: stop as soon as every requested target is settled.
-        target_idx_set = {index_of[v] for v in targets if v in index_of}
-        dist, pred, _settled, touched = dijkstra_arrays_multi(
-            snapshot.rows, len(ids), source_index, target_idx_set
-        )
-        distances = dict(zip(map(get_id, touched), map(dist.__getitem__, touched)))
-        rest = touched[1:]
-        predecessors = dict(
-            zip(map(get_id, rest), map(get_id, map(pred.__getitem__, rest)))
-        )
-        return distances, predecessors
-    dist, pred, touched = dijkstra_arrays(
-        snapshot.rows,
-        len(ids),
-        source_index,
-        target=target_index,
-        allowed=allowed_idx,
-        banned_vertices=banned_idx or None,
-        banned_pairs=banned_pairs or None,
-    )
-    # Labelled indices back to id space; every labelled vertex except the
+    # Labelled indices back to id space — the kernels track the labelled
+    # set, so this stays O(labelled) — and every labelled vertex except the
     # source has a predecessor, so both conversions run at C speed.
     assert touched is not None
+    get_id = snapshot.ids.__getitem__
     distances = dict(zip(map(get_id, touched), map(dist.__getitem__, touched)))
     rest = touched[1:]
     predecessors = dict(
@@ -277,17 +260,17 @@ def dijkstra(
                 graph, source, target, allowed_vertices, banned_vertices,
                 banned_edges, targets=targets, cutoff=cutoff,
             )
-    # The generic loop routes through the same per-search profiling gate as
-    # the kernel primitives (one thread-local lookup; the instrumented twin
-    # only runs when a collector is active), so ``repro stats`` totals stay
-    # consistent whichever code path answered — including the fallback
-    # combinations above that the kernel fast paths do not cover.
+    # The generic loop counts into the same per-thread collector as the
+    # kernel primitives (one thread-local lookup per search), so ``repro
+    # stats`` totals stay consistent whichever code path answered —
+    # including the fallback combinations above that the kernel fast paths
+    # do not cover.  The counters observe, never steer: enabling profiling
+    # cannot change labels or tie-breaks.  ``pruned`` counts cutoff
+    # discards, mirroring the bound test of the kernel's
+    # :func:`~repro.kernel.primitives.bounded_dijkstra_arrays`.
     prof = kernel_counters()
     if prof is not None:
-        return _dijkstra_generic_profiled(
-            graph, source, target, allowed_vertices, banned_vertices,
-            banned_edges, targets, cutoff, prof,
-        )
+        prof.searches += 1
     distances: Dict[int, float] = {source: 0.0}
     predecessors: Dict[int, int] = {}
     visited: Set[int] = set()
@@ -309,6 +292,8 @@ def dijkstra(
         if vertex in visited:
             continue
         visited.add(vertex)
+        if prof is not None:
+            prof.settled += 1
         if target is not None and vertex == target:
             break
         if remaining is not None and vertex in remaining:
@@ -324,80 +309,18 @@ def dijkstra(
                 continue
             candidate = distance + weight
             if cutoff is not None and candidate > cutoff:
+                if prof is not None:
+                    prof.pruned += 1
                 continue
             if candidate < distances.get(neighbor, float("inf")):
                 distances[neighbor] = candidate
                 predecessors[neighbor] = vertex
                 heapq.heappush(heap, (candidate, neighbor))
-    return distances, predecessors
-
-
-def _dijkstra_generic_profiled(
-    graph,
-    source: int,
-    target: Optional[int],
-    allowed_vertices: Optional[Set[int]],
-    banned_vertices: Optional[Set[int]],
-    banned_edges: Optional[Set[Tuple[int, int]]],
-    targets: Optional[Set[int]],
-    cutoff: Optional[float],
-    prof,
-) -> Tuple[Dict[int, float], Dict[int, int]]:
-    """Instrumented twin of :func:`dijkstra`'s generic loop.
-
-    Identical relaxation sequence — the counters observe, never steer — so
-    enabling profiling cannot change labels or tie-breaks.  ``pruned``
-    counts cutoff discards, mirroring the bound test of the kernel's
-    :func:`~repro.kernel.primitives.bounded_dijkstra_arrays` twin.
-    """
-    prof.searches += 1
-    distances: Dict[int, float] = {source: 0.0}
-    predecessors: Dict[int, int] = {}
-    visited: Set[int] = set()
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    banned_vertices = banned_vertices or set()
-    banned_edges = banned_edges or set()
-
-    if source in banned_vertices:
-        return {}, {}
-    remaining: Optional[Set[int]] = None
-    if targets is not None:
-        remaining = set(targets)
-        remaining.discard(source)
-        if not remaining:
-            return distances, predecessors
-
-    while heap:
-        distance, vertex = heapq.heappop(heap)
-        if vertex in visited:
-            continue
-        visited.add(vertex)
-        prof.settled += 1
-        if target is not None and vertex == target:
-            break
-        if remaining is not None and vertex in remaining:
-            remaining.discard(vertex)
-            if not remaining:
-                break
-        for neighbor, weight in iter_neighbors(graph, vertex):
-            if neighbor in visited or neighbor in banned_vertices:
-                continue
-            if allowed_vertices is not None and neighbor not in allowed_vertices:
-                continue
-            if (vertex, neighbor) in banned_edges:
-                continue
-            candidate = distance + weight
-            if cutoff is not None and candidate > cutoff:
-                prof.pruned += 1
-                continue
-            if candidate < distances.get(neighbor, float("inf")):
-                distances[neighbor] = candidate
-                predecessors[neighbor] = vertex
-                heapq.heappush(heap, (candidate, neighbor))
-                prof.relaxed += 1
-                prof.heap_pushes += 1
-                if len(heap) > prof.heap_peak:
-                    prof.heap_peak = len(heap)
+                if prof is not None:
+                    prof.relaxed += 1
+                    prof.heap_pushes += 1
+                    if len(heap) > prof.heap_peak:
+                        prof.heap_peak = len(heap)
     return distances, predecessors
 
 

@@ -41,11 +41,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..graph.errors import QueryError
 from ..graph.paths import Path
-from ..kernel.primitives import (
-    bounded_dijkstra_arrays,
-    dijkstra_arrays,
-    reconstruct_indices,
-)
+from ..kernel.primitives import bounded_dijkstra_arrays, reconstruct_indices
 from ..kernel.snapshot import CSRSnapshot
 from .dijkstra import dijkstra, path_weight, shortest_path
 
@@ -281,9 +277,9 @@ class LazyYen:
         Returns ``(spur_distance, spur_vertex_sequence)``.  On a snapshot
         the search stays in index space end to end; otherwise the generic
         :func:`~repro.algorithms.dijkstra.dijkstra` runs and the result
-        dictionaries are walked as before.  A finite ``cutoff`` switches to
-        the bound-pruned kernel: spur paths longer than the cutoff are
-        reported as missing, which is exactly how the caller treats them.
+        dictionaries are walked as before.  Under a finite ``cutoff`` spur
+        paths longer than it are reported as missing, which is exactly how
+        the caller treats them.
         """
         snapshot = self._snapshot
         if snapshot is None:
@@ -314,33 +310,19 @@ class LazyYen:
             for u, v in banned_edges
             if u in index_of and v in index_of
         }
-        if cutoff != _INF:
-            dist, pred, found, _ = bounded_dijkstra_arrays(
-                snapshot.rows,
-                len(snapshot.ids),
-                spur_index_pos,
-                target_index,
-                bounds=self._bounds,
-                cutoff=cutoff,
-                allowed=self._allowed_idx,
-                banned_vertices=banned_idx or None,
-                banned_pairs=banned_pairs or None,
-            )
-            if not found:
-                return None
-        else:
-            dist, pred, _ = dijkstra_arrays(
-                snapshot.rows,
-                len(snapshot.ids),
-                spur_index_pos,
-                target=target_index,
-                allowed=self._allowed_idx,
-                banned_vertices=banned_idx or None,
-                banned_pairs=banned_pairs or None,
-                track_touched=False,
-            )
-            if target_index != spur_index_pos and pred[target_index] < 0:
-                return None
+        dist, pred, found, _ = bounded_dijkstra_arrays(
+            snapshot.rows,
+            len(snapshot.ids),
+            spur_index_pos,
+            target_index,
+            bounds=self._bounds,
+            cutoff=cutoff,
+            allowed=self._allowed_idx,
+            banned_vertices=banned_idx or None,
+            banned_pairs=banned_pairs or None,
+        )
+        if not found:
+            return None
         sequence = reconstruct_indices(pred, spur_index_pos, target_index)
         get_id = snapshot.ids.__getitem__
         return dist[target_index], list(map(get_id, sequence))

@@ -40,7 +40,7 @@ backend (worker processes hold resident index replicas; see
 to enable load-adaptive placement with live subgraph migration
 (``$REPRO_REBALANCE`` sets the default; see ``ARCHITECTURE.md``, "Load
 telemetry & rebalancing"); ``replay``/``serve`` accept
-``--kernel {snapshot,fast,dict}`` to pick the compute path, which the printed
+``--kernel {snapshot,dict}`` to pick the compute path, which the printed
 service report echoes back.
 
 Observability (see ``ARCHITECTURE.md``, "Observability"): ``replay`` and
@@ -190,12 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "HIGH (tasks per batch), retire the coldest one "
                             "below LOW (default HIGH/4); implies rounds so the "
                             "trigger can fire mid-run")
-    bench.add_argument("--kernel", choices=["snapshot", "fast", "dict"],
+    bench.add_argument("--kernel", choices=["snapshot", "dict"],
                        default="snapshot",
                        help="compute kernel: array-backed snapshots (default, "
-                            "bit-identical to dict), the batch-native fast tier "
-                            "(numpy wavefront/batched searches — distance-"
-                            "identical, tie-order free), or the dict-based "
+                            "bit-identical to dict) or the dict-based "
                             "reference path")
     bench.add_argument("--heuristic", choices=["none", "landmark"],
                        default="none",
@@ -218,17 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--k", type=int, default=2)
         sub.add_argument("--engine", choices=["kspdg", "yen", "findksp"], default="kspdg",
                          help="query engine serving cache misses (default kspdg)")
-        sub.add_argument("--kernel", choices=["snapshot", "fast", "dict"],
+        sub.add_argument("--kernel", choices=["snapshot", "dict"],
                          default="snapshot",
-                         help="compute kernel: array-backed snapshots (default), the "
-                              "batch-native fast tier (distance-identical, tie-order "
-                              "free), or the dict-based reference path; surfaced in "
-                              "the service report")
+                         help="compute kernel: array-backed snapshots (default) or "
+                              "the dict-based reference path; surfaced in the "
+                              "service report")
         sub.add_argument("--heuristic", choices=["none", "landmark"],
                          default="none",
                          help="admissible lower-bound provider pruning the kspdg "
                               "engine's searches (landmark = ALT tables); requires "
-                              "an array-backed kernel, results are bit-identical")
+                              "the snapshot kernel, results are bit-identical")
         sub.add_argument("--workers", type=int, default=4,
                          help="simulated workers for the kspdg engine")
         sub.add_argument("--executor", choices=list(EXECUTORS), default=None,
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_cmd.add_argument("--executor", choices=list(EXECUTORS), default=None,
                            help="execution backend under test; defaults to "
                                 "$REPRO_EXECUTOR or serial")
-    chaos_cmd.add_argument("--kernel", choices=["snapshot", "fast", "dict"],
+    chaos_cmd.add_argument("--kernel", choices=["snapshot", "dict"],
                            default="snapshot")
     chaos_cmd.add_argument("--heuristic", choices=["none", "landmark"],
                            default="none")
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--engine", choices=["yen", "findksp", "kspdg"],
                          default="yen",
                          help="query engine inside each replica (default yen)")
-        sub.add_argument("--kernel", choices=["snapshot", "fast", "dict"],
+        sub.add_argument("--kernel", choices=["snapshot", "dict"],
                          default="snapshot")
         sub.add_argument("--executor", choices=list(EXECUTORS), default=None,
                          help="execution backend inside each replica; defaults "

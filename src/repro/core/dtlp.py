@@ -722,9 +722,7 @@ class DTLP:
 
         With ``kernel="snapshot"`` the one-to-many searches run on the
         shared subgraph snapshots (bit-identical distances, array speed);
-        ``kernel="fast"`` additionally lets large subgraphs search with the
-        wavefront kernel (identical distances, tie-order free); the default
-        keeps the dict-based reference path.
+        the default keeps the dict-based reference path.
         """
         assert self._partition is not None
         if self._partition.is_boundary(vertex):
@@ -734,7 +732,7 @@ class DTLP:
             index = self._subgraph_indexes[subgraph_id]
             view = self.subgraph_snapshot(subgraph_id) if kernel != "dict" else None
             for boundary, distance in index.lower_bounds_from_vertex(
-                vertex, view=view, fast=kernel == "fast"
+                vertex, view=view
             ).items():
                 current = edges.get(boundary)
                 if current is None or distance < current:

@@ -32,8 +32,8 @@ The loop keeps a per-query cache of partial k-shortest-path results keyed
 by adjacent-vertex pair — consecutive reference paths typically share many
 pairs, which the paper highlights as an important optimisation.
 
-How searches run — the compute kernel (``"snapshot"``, ``"fast"`` or the
-``"dict"`` reference, see ``ARCHITECTURE.md``), the lower-bound heuristic
+How searches run — the compute kernel (``"snapshot"`` or the ``"dict"``
+reference, see ``ARCHITECTURE.md``), the lower-bound heuristic
 and whether bound pruning is on — is one validated :class:`SearchMode`
 value: the public entry points build it once and everything below them
 receives it whole.
@@ -50,7 +50,6 @@ from ..algorithms.yen import yen_k_shortest_paths
 from ..graph.errors import PathNotFoundError, QueryError
 from ..graph.paths import Path, merge_paths
 from ..kernel.heuristics import HEURISTICS, validate_heuristic
-from ..kernel.primitives import astar_arrays
 from ..obs.trace import mark, span
 from .dtlp import DTLP
 
@@ -65,13 +64,10 @@ __all__ = [
 ]
 
 #: Kernel modes accepted across the query/serving stack: ``"snapshot"``
-#: (array-backed, bit-identical to the reference — the default), ``"fast"``
-#: (the batch-native tier: snapshot views plus numpy wavefront/batched
-#: searches at the profitable call sites — distance-identical but tie-order
-#: free, falling back to the heap kernel when numpy is missing) and
+#: (array-backed, bit-identical to the reference — the default) and
 #: ``"dict"`` (the dict-of-dict reference implementation).  See
-#: ``ARCHITECTURE.md``, "Batched kernel & identity tiers".
-KERNELS = ("snapshot", "fast", "dict")
+#: ``ARCHITECTURE.md``, "The compute tiers".
+KERNELS = ("snapshot", "dict")
 
 Pair = Tuple[int, int]
 
@@ -87,15 +83,15 @@ def validate_heuristic_for_kernel(heuristic: str, kernel: str) -> str:
     """Validate a heuristic mode against the selected compute kernel.
 
     The non-trivial heuristics are dense index-space bound arrays, which
-    only exist on the array-backed kernels (``snapshot`` / ``fast``);
-    requesting them with the dict reference kernel is a configuration error
-    rather than a silent no-op.
+    only exist on the array-backed ``snapshot`` kernel; requesting them
+    with the dict reference kernel is a configuration error rather than a
+    silent no-op.
     """
     validate_heuristic(heuristic)
     if heuristic != "none" and kernel == "dict":
         raise QueryError(
-            f"heuristic {heuristic!r} requires an array-backed kernel "
-            f"('snapshot' or 'fast'), got {kernel!r}"
+            f"heuristic {heuristic!r} requires the array-backed "
+            f"'snapshot' kernel, got {kernel!r}"
         )
     return heuristic
 
@@ -126,7 +122,7 @@ class SearchMode:
 
 def _subgraph_view(dtlp: DTLP, subgraph_id: int, mode: SearchMode):
     """The compute view of one subgraph: the DTLP's shared, incrementally
-    refreshed snapshot on the array kernels, the dict-based subgraph itself
+    refreshed snapshot on the array kernel, the dict-based subgraph itself
     on the ``"dict"`` reference."""
     if mode.kernel != "dict":
         return dtlp.subgraph_snapshot(subgraph_id)
@@ -219,22 +215,9 @@ def direct_distance(
 ) -> Optional[float]:
     """Distance from ``source`` to ``target`` inside one subgraph, or ``None``.
 
-    Distance-only: with a heuristic active it runs the goal-directed A*
-    kernel (exact distances are tie-independent, so the f-ordered search
-    cannot perturb results); otherwise the plain early-exit Dijkstra.
+    Distance-only, one plain early-exit Dijkstra in every mode.
     """
     view = _subgraph_view(dtlp, subgraph_id, mode)
-    if mode.pruning and mode.heuristic != "none":
-        provider = dtlp.subgraph_lower_bounds(subgraph_id, mode.heuristic)
-        source_index = view.index_of.get(source)
-        target_index = view.index_of.get(target)
-        if source_index is None or target_index is None:
-            return None
-        distance, _, _ = astar_arrays(
-            view.rows, view.num_vertices, source_index, target_index,
-            bounds=provider.bounds_to(target),
-        )
-        return None if distance == float("inf") else distance
     distances, _ = dijkstra(view, source, target=target)
     return distances.get(target)
 

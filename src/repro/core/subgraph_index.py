@@ -379,9 +379,7 @@ class SubgraphIndex:
                 result[key] = value
         return result
 
-    def lower_bounds_from_vertex(
-        self, vertex: int, view=None, fast: bool = False
-    ) -> Dict[int, float]:
+    def lower_bounds_from_vertex(self, vertex: int, view=None) -> Dict[int, float]:
         """Lower bounds from an arbitrary vertex to each boundary vertex.
 
         Used by Step 1 of the Storm deployment (Section 6.1) when a query's
@@ -395,28 +393,11 @@ class SubgraphIndex:
         subgraph.  ``view`` optionally substitutes a kernel view of the
         same subgraph (a :class:`~repro.kernel.snapshot.CSRSnapshot` from
         the DTLP's shared cache) so the search runs on the array kernel;
-        results are bit-identical to the dict path.  ``fast=True``
-        additionally allows the wavefront kernel on large views (the
-        ``fast`` tier's attachment searches) — distances stay identical,
-        only the crossover-guarded search engine changes.
+        results are bit-identical to the dict path.
         """
         from ..algorithms.dijkstra import dijkstra
-        from ..kernel.wavefront import (
-            WAVEFRONT_MIN_VERTICES,
-            numpy_available,
-            one_to_many_distances,
-        )
 
         boundary = self._subgraph.boundary_vertices
-        if (
-            fast
-            and view is not None
-            and numpy_available()
-            and view.num_vertices >= WAVEFRONT_MIN_VERTICES
-        ):
-            distances = one_to_many_distances(view, vertex, boundary)
-            distances.pop(vertex, None)
-            return distances
         distances, _ = dijkstra(view if view is not None else self._subgraph,
                                 vertex, targets=set(boundary))
         return {

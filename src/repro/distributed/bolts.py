@@ -29,14 +29,11 @@ metrics reproduce the cost analysis of Section 5.6.
 
 Bolts search in the :class:`~repro.core.ksp_dg.SearchMode` chosen at
 topology construction (see ``ARCHITECTURE.md``): with the array-backed
-kernels (``"snapshot"`` and the batch-native ``"fast"`` tier) each
-SubgraphBolt reads its subgraphs through
+``"snapshot"`` kernel each SubgraphBolt reads its subgraphs through
 the DTLP's shared snapshot cache (persisted across micro-batches, refreshed
 incrementally after ``apply_updates``) and each QueryBolt searches a
 per-query overlay of the DTLP's shared skeleton search view
-(:meth:`~repro.core.dtlp.DTLP.reference_enumerator`); ``"fast"`` additionally
-routes large attachment one-to-many searches through the wavefront kernel
-(distance-identical, tie-order free).
+(:meth:`~repro.core.dtlp.DTLP.reference_enumerator`).
 
 Bolts charge their work through an object with the
 :class:`~repro.distributed.cluster.SimulatedCluster` interface — under
@@ -227,7 +224,7 @@ class SubgraphBolt:
                 self._dtlp.subgraph_snapshot(subgraph_id) if kernel != "dict" else None
             )
             for boundary, distance in index.lower_bounds_from_vertex(
-                vertex, view=view, fast=kernel == "fast"
+                vertex, view=view
             ).items():
                 current = bounds.get(boundary)
                 if current is None or distance < current:

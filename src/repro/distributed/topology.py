@@ -292,7 +292,7 @@ class StormTopology:
 
     @property
     def kernel(self) -> str:
-        """Compute kernel used by the bolts (``"snapshot"``, ``"fast"`` or ``"dict"``)."""
+        """Compute kernel used by the bolts (``"snapshot"`` or ``"dict"``)."""
         return self._mode.kernel
 
     @property

@@ -12,15 +12,16 @@ This package is the performance layer between the mutable graph objects
 * :mod:`~repro.kernel.primitives` — array-native single-source shortest-path
   primitives operating purely in index space, with O(1) edge-weight lookup
   and cheap vertex/edge ban sets for Yen-style spur searches.
-* :mod:`~repro.kernel.wavefront` — the batch-native tier: frontier-at-a-time
+* :mod:`~repro.kernel.wavefront` — batch-native primitives: frontier-at-a-time
   (delta-stepping) searches and multi-source batching over the same CSR
   arrays via numpy scatter operations.  Distance-identical to the heap
   primitives but tie-order free, and optional (numpy-gated with heap
-  fallbacks) — this is what the ``fast`` kernel tier selects.
+  fallbacks); the code selects them from input size (large landmark-table
+  builds), no kernel mode does.
 
 The generic wrappers in :mod:`repro.algorithms.dijkstra` and
 :mod:`repro.algorithms.yen` accept either a plain graph-like object (the
-dict-based reference path) or a snapshot (the fast path) and produce
+dict-based reference path) or a snapshot (the array path) and produce
 bit-identical results for both.
 """
 
@@ -30,7 +31,6 @@ from .heuristics import (
     validate_heuristic,
 )
 from .primitives import (
-    astar_arrays,
     bounded_dijkstra_arrays,
     dijkstra_arrays,
     dijkstra_arrays_multi,
@@ -38,11 +38,9 @@ from .primitives import (
 )
 from .snapshot import CSRSnapshot
 from .wavefront import (
-    batch_one_to_many_paths,
     batch_shortest_paths,
     dijkstra_arrays_batch,
     numpy_available,
-    one_to_many_distances,
     wavefront_sssp,
 )
 
@@ -51,15 +49,12 @@ __all__ = [
     "HEURISTICS",
     "LandmarkLowerBounds",
     "validate_heuristic",
-    "astar_arrays",
-    "batch_one_to_many_paths",
     "batch_shortest_paths",
     "bounded_dijkstra_arrays",
     "dijkstra_arrays",
     "dijkstra_arrays_batch",
     "dijkstra_arrays_multi",
     "numpy_available",
-    "one_to_many_distances",
     "reconstruct_indices",
     "wavefront_sssp",
 ]

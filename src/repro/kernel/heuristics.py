@@ -12,8 +12,8 @@ The query stack prunes its searches with two kinds of bound (see
 This module supplies the lower bounds.  The provider operates purely in a
 :class:`~repro.kernel.snapshot.CSRSnapshot`'s index space — ``bounds_to``
 returns a dense array aligned with the snapshot's vertex indices, ready for
-the kernel primitives (:func:`~repro.kernel.primitives.bounded_dijkstra_arrays`
-and :func:`~repro.kernel.primitives.astar_arrays`):
+the kernel primitive
+:func:`~repro.kernel.primitives.bounded_dijkstra_arrays`:
 
 * :class:`LandmarkLowerBounds` — classic ALT: full Dijkstra distance tables
   from a handful of deterministically chosen, farthest-point-spread
@@ -48,7 +48,7 @@ __all__ = [
 
 #: Heuristic modes accepted across the query/serving stack: ``"none"``
 #: (no lower bounds — upper-bound pruning only) and ``"landmark"`` (ALT),
-#: which requires an array-backed kernel: bounds are dense index-space
+#: which requires the array-backed kernel: bounds are dense index-space
 #: arrays that have no dict-path equivalent.
 HEURISTICS = ("none", "landmark")
 

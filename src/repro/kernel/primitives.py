@@ -33,7 +33,6 @@ __all__ = [
     "dijkstra_arrays",
     "dijkstra_arrays_multi",
     "bounded_dijkstra_arrays",
-    "astar_arrays",
     "reconstruct_indices",
 ]
 
@@ -41,11 +40,11 @@ _INF = float("inf")
 
 # Profiling contract: each primitive pays exactly one thread-local lookup
 # (kernel_counters()) per call.  When a collector is active the call is
-# forwarded to an instrumented twin (_*_profiled below) that replays the
-# identical relaxation sequence while counting; when not, the original
-# loops run with zero added per-relaxation work.  The twins accumulate
-# into locals and fold once at the end, so even the enabled path adds no
-# attribute access inside the inner loop.
+# forwarded to the one counting loop (_counting_search below), which replays
+# the identical relaxation sequence while counting; when not, the lean
+# loops run with zero added per-relaxation work.  The counting loop
+# accumulates into locals and folds once at the end, so even the enabled
+# path adds no attribute access inside the inner loop.
 
 
 def dijkstra_arrays(
@@ -91,18 +90,18 @@ def dijkstra_arrays(
         (``inf`` / ``-1`` when unlabelled); ``touched`` is ``None`` when
         ``track_touched`` is ``False``.
     """
-    prof = kernel_counters()
-    if prof is not None:
-        return _dijkstra_arrays_profiled(
-            prof, rows, num_vertices, source, target,
-            allowed, banned_vertices, banned_pairs, track_touched,
-        )
-    dist: List[float] = [_INF] * num_vertices
-    pred: List[int] = [-1] * num_vertices
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-
     if allowed is None and banned_vertices is None and banned_pairs is None:
+        prof = kernel_counters()
+        if prof is not None:
+            dist, pred, _found, touched, _settled = _counting_search(
+                prof, rows, num_vertices, source, target,
+                track_touched=track_touched,
+            )
+            return dist, pred, touched
+        dist: List[float] = [_INF] * num_vertices
+        pred: List[int] = [-1] * num_vertices
+        dist[source] = 0.0
+        heap: List[Tuple[float, int]] = [(0.0, source)]
         if not track_touched:
             # Leanest loop: full-path queries need only the target label
             # and the predecessor chain.
@@ -136,95 +135,16 @@ def dijkstra_arrays(
                     heappush(heap, (nd, v))
         return dist, pred, touched
 
-    # Constrained variant (spur searches): ban tests mirror the reference
-    # implementation's order so the relaxation sequence stays identical.
-    # Early exit at target settlement applies here exactly as in the
-    # unconstrained loops — spur searches supply both a target and ban
-    # sets, and must never pay for settling the rest of the graph.
-    banned_v = banned_vertices if banned_vertices is not None else ()
-    banned_p = banned_pairs if banned_pairs is not None else ()
-    touched = [source] if track_touched else None
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == target:
-            break
-        for v, w in rows[u]:
-            if v in banned_v:
-                continue
-            if allowed is not None and v not in allowed:
-                continue
-            if banned_p and (u, v) in banned_p:
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                if touched is not None and dist[v] == _INF:
-                    touched.append(v)
-                dist[v] = nd
-                pred[v] = u
-                heappush(heap, (nd, v))
-    return dist, pred, touched
-
-
-def _dijkstra_arrays_profiled(
-    prof,
-    rows: Sequence[Sequence[Tuple[int, float]]],
-    num_vertices: int,
-    source: int,
-    target: int,
-    allowed: Optional[Set[int]],
-    banned_vertices: Optional[Set[int]],
-    banned_pairs: Optional[Set[Tuple[int, int]]],
-    track_touched: bool,
-) -> Tuple[List[float], List[int], Optional[List[int]]]:
-    """Counting twin of :func:`dijkstra_arrays`.
-
-    One general loop covers all three unprofiled variants: with empty ban
-    collections every extra membership test is a constant-false, so the
-    relaxation sequence — and the returned dist/pred/touched — is
-    bit-identical to whichever specialised loop would have run.
-    """
-    dist: List[float] = [_INF] * num_vertices
-    pred: List[int] = [-1] * num_vertices
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    banned_v = banned_vertices if banned_vertices is not None else ()
-    banned_p = banned_pairs if banned_pairs is not None else ()
-    touched: Optional[List[int]] = [source] if track_touched else None
-    settled = relaxed = pushes = 0
-    peak = 1
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        settled += 1
-        if u == target:
-            break
-        for v, w in rows[u]:
-            if banned_v and v in banned_v:
-                continue
-            if allowed is not None and v not in allowed:
-                continue
-            if banned_p and (u, v) in banned_p:
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                if touched is not None and dist[v] == _INF:
-                    touched.append(v)
-                dist[v] = nd
-                pred[v] = u
-                heappush(heap, (nd, v))
-                relaxed += 1
-                pushes += 1
-                if len(heap) > peak:
-                    peak = len(heap)
-    prof.searches += 1
-    prof.settled += settled
-    prof.relaxed += relaxed
-    prof.heap_pushes += pushes
-    if peak > prof.heap_peak:
-        prof.heap_peak = peak
+    # Constrained variant (``allowed`` restrictions, ban sets): the
+    # cutoff-free case of the bound-pruned loop, whose ban tests mirror the
+    # reference implementation's order so the relaxation sequence stays
+    # identical.  Early exit at target settlement applies there exactly as
+    # in the unconstrained loops above.
+    dist, pred, _found, touched = bounded_dijkstra_arrays(
+        rows, num_vertices, source, target,
+        allowed=allowed, banned_vertices=banned_vertices,
+        banned_pairs=banned_pairs, track_touched=track_touched,
+    )
     return dist, pred, touched
 
 
@@ -255,7 +175,10 @@ def dijkstra_arrays_multi(
     """
     prof = kernel_counters()
     if prof is not None:
-        return _dijkstra_arrays_multi_profiled(prof, rows, num_vertices, source, targets)
+        dist, pred, _found, touched, settled_targets = _counting_search(
+            prof, rows, num_vertices, source, targets=targets
+        )
+        return dist, pred, settled_targets, touched
     dist: List[float] = [_INF] * num_vertices
     pred: List[int] = [-1] * num_vertices
     dist[source] = 0.0
@@ -285,59 +208,6 @@ def dijkstra_arrays_multi(
                 dist[v] = nd
                 pred[v] = u
                 heappush(heap, (nd, v))
-    return dist, pred, settled_targets, touched
-
-
-def _dijkstra_arrays_multi_profiled(
-    prof,
-    rows: Sequence[Sequence[Tuple[int, float]]],
-    num_vertices: int,
-    source: int,
-    targets: Iterable[int],
-) -> Tuple[List[float], List[int], List[int], List[int]]:
-    """Counting twin of :func:`dijkstra_arrays_multi` (same sequence)."""
-    dist: List[float] = [_INF] * num_vertices
-    pred: List[int] = [-1] * num_vertices
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    remaining = set(targets)
-    settled_targets: List[int] = []
-    touched: List[int] = [source]
-    if source in remaining:
-        remaining.discard(source)
-        settled_targets.append(source)
-    prof.searches += 1
-    if not remaining:
-        return dist, pred, settled_targets, touched
-    settled = relaxed = pushes = 0
-    peak = 1
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        settled += 1
-        if u in remaining:
-            remaining.discard(u)
-            settled_targets.append(u)
-            if not remaining:
-                break
-        for v, w in rows[u]:
-            nd = d + w
-            if nd < dist[v]:
-                if dist[v] == _INF:
-                    touched.append(v)
-                dist[v] = nd
-                pred[v] = u
-                heappush(heap, (nd, v))
-                relaxed += 1
-                pushes += 1
-                if len(heap) > peak:
-                    peak = len(heap)
-    prof.settled += settled
-    prof.relaxed += relaxed
-    prof.heap_pushes += pushes
-    if peak > prof.heap_peak:
-        prof.heap_peak = peak
     return dist, pred, settled_targets, touched
 
 
@@ -371,10 +241,13 @@ def bounded_dijkstra_arrays(
     ``g(v) + bounds(v) <= g(v) + dist(v, target) <= dist(source, target)
     <= cutoff`` and therefore survives pruning with its exact ``g`` and
     predecessor, and the relative pop order of surviving heap entries is
-    unchanged because their keys are unchanged.  Classical f-ordered A*
-    (:func:`astar_arrays`) settles fewer vertices but may return a
-    different — equally short — path on ties, so the query stack uses it
-    only where the *distance* alone is consumed.
+    unchanged because their keys are unchanged.  (Classical f-ordered A*
+    settles fewer vertices but may return a different — equally short —
+    path on ties, which is why this repository does not use it.)
+
+    With ``cutoff`` left at ``inf`` nothing is ever discarded and this is
+    plain constrained Dijkstra — the loop constrained
+    :func:`dijkstra_arrays` calls and Yen's first-round spur searches run.
 
     Returns ``(dist, pred, found, touched)``; ``found`` is ``True`` iff the
     target was settled, in which case ``dist[target]`` is its exact
@@ -387,10 +260,13 @@ def bounded_dijkstra_arrays(
     """
     prof = kernel_counters()
     if prof is not None:
-        return _bounded_dijkstra_arrays_profiled(
-            prof, rows, num_vertices, source, target, bounds, cutoff,
-            allowed, banned_vertices, banned_pairs, track_touched,
+        dist, pred, found, touched, _settled = _counting_search(
+            prof, rows, num_vertices, source, target,
+            bounds=bounds, cutoff=cutoff, allowed=allowed,
+            banned_vertices=banned_vertices, banned_pairs=banned_pairs,
+            track_touched=track_touched,
         )
+        return dist, pred, found, touched
     dist: List[float] = [_INF] * num_vertices
     pred: List[int] = [-1] * num_vertices
     dist[source] = 0.0
@@ -428,23 +304,34 @@ def bounded_dijkstra_arrays(
     return dist, pred, found, touched
 
 
-def _bounded_dijkstra_arrays_profiled(
+def _counting_search(
     prof,
     rows: Sequence[Sequence[Tuple[int, float]]],
     num_vertices: int,
     source: int,
-    target: int,
-    bounds: Optional[Sequence[float]],
-    cutoff: float,
-    allowed: Optional[Set[int]],
-    banned_vertices: Optional[Set[int]],
-    banned_pairs: Optional[Set[Tuple[int, int]]],
-    track_touched: bool,
-) -> Tuple[List[float], List[int], bool, Optional[List[int]]]:
-    """Counting twin of :func:`bounded_dijkstra_arrays` (same sequence).
+    target: int = -1,
+    targets: Optional[Iterable[int]] = None,
+    bounds: Optional[Sequence[float]] = None,
+    cutoff: float = _INF,
+    allowed: Optional[Set[int]] = None,
+    banned_vertices: Optional[Set[int]] = None,
+    banned_pairs: Optional[Set[Tuple[int, int]]] = None,
+    track_touched: bool = True,
+) -> Tuple[List[float], List[int], bool, Optional[List[int]], List[int]]:
+    """The one counting loop: any search above, replayed into ``prof``.
 
-    ``pruned`` counts relaxations discarded by the bound test — the
-    push-time pruning the paper's Theorem-3 cutoff enables.
+    General over the four lean loops.  With no ban sets, no ``allowed``
+    restriction, no ``targets`` and an infinite ``cutoff`` every extra test
+    is a constant-false, so the relaxation sequence — and the returned
+    dist/pred/touched — is bit-identical to whichever specialised loop
+    would have run; the counters observe, never steer.  ``pruned`` counts
+    relaxations discarded by the bound test — the push-time pruning the
+    paper's Theorem-3 cutoff enables.  Every successful relaxation is
+    exactly one heap push, so one local feeds both ``relaxed`` and
+    ``heap_pushes``.
+
+    Returns ``(dist, pred, found, touched, settled_targets)``; each public
+    primitive keeps the members of its own return contract.
     """
     dist: List[float] = [_INF] * num_vertices
     pred: List[int] = [-1] * num_vertices
@@ -453,8 +340,18 @@ def _bounded_dijkstra_arrays_profiled(
     banned_v = banned_vertices if banned_vertices is not None else ()
     banned_p = banned_pairs if banned_pairs is not None else ()
     touched: Optional[List[int]] = [source] if track_touched else None
+    settled_targets: List[int] = []
     found = False
-    settled = relaxed = pruned = pushes = 0
+    prof.searches += 1
+    remaining: Optional[Set[int]] = None
+    if targets is not None:
+        remaining = set(targets)
+        if source in remaining:
+            remaining.discard(source)
+            settled_targets.append(source)
+        if not remaining:
+            return dist, pred, found, touched, settled_targets
+    settled = relaxed = pruned = 0
     peak = 1
     while heap:
         d, u = heappop(heap)
@@ -464,6 +361,11 @@ def _bounded_dijkstra_arrays_profiled(
         if u == target:
             found = True
             break
+        if remaining and u in remaining:
+            remaining.discard(u)
+            settled_targets.append(u)
+            if not remaining:
+                break
         for v, w in rows[u]:
             if banned_v and v in banned_v:
                 continue
@@ -473,11 +375,7 @@ def _bounded_dijkstra_arrays_profiled(
                 continue
             nd = d + w
             if nd < dist[v]:
-                if bounds is None:
-                    if nd > cutoff:
-                        pruned += 1
-                        continue
-                elif nd + bounds[v] > cutoff:
+                if (nd if bounds is None else nd + bounds[v]) > cutoff:
                     pruned += 1
                     continue
                 if touched is not None and dist[v] == _INF:
@@ -486,130 +384,15 @@ def _bounded_dijkstra_arrays_profiled(
                 pred[v] = u
                 heappush(heap, (nd, v))
                 relaxed += 1
-                pushes += 1
-                if len(heap) > peak:
-                    peak = len(heap)
-    prof.searches += 1
-    prof.settled += settled
-    prof.relaxed += relaxed
-    prof.pruned += pruned
-    prof.heap_pushes += pushes
-    if peak > prof.heap_peak:
-        prof.heap_peak = peak
-    return dist, pred, found, touched
-
-
-def astar_arrays(
-    rows: Sequence[Sequence[Tuple[int, float]]],
-    num_vertices: int,
-    source: int,
-    target: int,
-    bounds: Optional[Sequence[float]] = None,
-    cutoff: float = _INF,
-) -> Tuple[float, List[float], List[int]]:
-    """Classical A* over snapshot rows: heap ordered by ``f = g + bounds[v]``.
-
-    ``bounds`` must be an *admissible* per-vertex lower bound of the
-    distance to ``target`` (``bounds[target] == 0``); with ``bounds=None``
-    this degenerates to plain early-exit Dijkstra.  Because the stale-entry
-    scheme re-expands a vertex whenever its tentative distance improves,
-    admissibility alone (without consistency) suffices for the returned
-    *distance* to be exact.
-
-    The settle order — and therefore the predecessor choice among
-    equal-length shortest paths — differs from Dijkstra's, so the query
-    stack calls this only for *distance-only* probes (e.g. the direct
-    within-subgraph distance feeding skeleton augmentation), where ties
-    cannot leak into results.  Path-returning searches use
-    :func:`bounded_dijkstra_arrays` instead.
-
-    Returns ``(distance, dist, pred)``; ``distance`` is ``inf`` when the
-    target is unreachable (or only reachable above ``cutoff``).
-    """
-    prof = kernel_counters()
-    if prof is not None:
-        return _astar_arrays_profiled(
-            prof, rows, num_vertices, source, target, bounds, cutoff
-        )
-    dist: List[float] = [_INF] * num_vertices
-    pred: List[int] = [-1] * num_vertices
-    dist[source] = 0.0
-    start_f = bounds[source] if bounds is not None else 0.0
-    if start_f > cutoff:
-        return _INF, dist, pred
-    # Heap entries are (f, g, vertex): f orders the search, g drives the
-    # stale-entry test without re-deriving it from f (float subtraction
-    # would reintroduce rounding).
-    heap: List[Tuple[float, float, int]] = [(start_f, 0.0, source)]
-    while heap:
-        f, g, u = heappop(heap)
-        if g > dist[u]:
-            continue
-        if u == target:
-            return g, dist, pred
-        for v, w in rows[u]:
-            ng = g + w
-            if ng < dist[v]:
-                nf = ng + (bounds[v] if bounds is not None else 0.0)
-                if nf > cutoff:
-                    continue
-                dist[v] = ng
-                pred[v] = u
-                heappush(heap, (nf, ng, v))
-    return _INF, dist, pred
-
-
-def _astar_arrays_profiled(
-    prof,
-    rows: Sequence[Sequence[Tuple[int, float]]],
-    num_vertices: int,
-    source: int,
-    target: int,
-    bounds: Optional[Sequence[float]],
-    cutoff: float,
-) -> Tuple[float, List[float], List[int]]:
-    """Counting twin of :func:`astar_arrays` (same f-ordered sequence)."""
-    dist: List[float] = [_INF] * num_vertices
-    pred: List[int] = [-1] * num_vertices
-    dist[source] = 0.0
-    prof.searches += 1
-    start_f = bounds[source] if bounds is not None else 0.0
-    if start_f > cutoff:
-        prof.pruned += 1
-        return _INF, dist, pred
-    heap: List[Tuple[float, float, int]] = [(start_f, 0.0, source)]
-    settled = relaxed = pruned = pushes = 0
-    peak = 1
-    result = _INF
-    while heap:
-        f, g, u = heappop(heap)
-        if g > dist[u]:
-            continue
-        settled += 1
-        if u == target:
-            result = g
-            break
-        for v, w in rows[u]:
-            ng = g + w
-            if ng < dist[v]:
-                nf = ng + (bounds[v] if bounds is not None else 0.0)
-                if nf > cutoff:
-                    pruned += 1
-                    continue
-                dist[v] = ng
-                pred[v] = u
-                heappush(heap, (nf, ng, v))
-                relaxed += 1
-                pushes += 1
                 if len(heap) > peak:
                     peak = len(heap)
     prof.settled += settled
     prof.relaxed += relaxed
     prof.pruned += pruned
-    prof.heap_pushes += pushes
+    prof.heap_pushes += relaxed
     if peak > prof.heap_peak:
         prof.heap_peak = peak
-    return result, dist, pred
+    return dist, pred, found, touched, settled_targets
 
 
 def reconstruct_indices(pred: Sequence[int], source: int, target: int) -> List[int]:

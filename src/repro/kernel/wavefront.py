@@ -13,24 +13,25 @@ arrays of a :class:`~repro.kernel.snapshot.CSRSnapshot`
 * :func:`dijkstra_arrays_batch` — multi-source search sharing one flat
   distance/frontier structure across a micro-batch of sources, amortising
   the per-sweep numpy overhead over the whole batch;
-* :func:`batch_shortest_paths` / :func:`batch_one_to_many_paths` /
-  :func:`one_to_many_distances` — id-space conveniences on top of the two
-  kernels, used by the ``fast`` tier's call sites (micro-batched
-  point-to-point queries, CANDS boundary-pair builds, DTLP attachment
-  searches) and by the numpy-bulk landmark builds in
-  :mod:`repro.kernel.heuristics`.
+* :func:`batch_shortest_paths` — the id-space convenience on top of the
+  batch kernel (micro-batched point-to-point queries).
 
-Identity contract (the ``fast`` tier): **distance-identical, tie-order
-free**.  With non-negative weights the final label vector is the unique
-fixpoint of the float Bellman equations ``dist[v] = min_u fl(dist[u] +
+No option selects these kernels.  The code picks :func:`wavefront_sssp` from
+input size — the numpy-bulk landmark builds in :mod:`repro.kernel.heuristics`
+above :data:`WAVEFRONT_MIN_VERTICES` — and the batch kernel is kept, with
+its tests, for the refine step's batched spur searches (ROADMAP).
+
+Identity contract: **distance-identical, tie-order free**.  With
+non-negative weights the final label vector is the unique fixpoint of the
+float Bellman equations ``dist[v] = min_u fl(dist[u] +
 w(u, v))``; heap Dijkstra and the wavefront both converge to that same
 fixpoint, accumulating each shortest path's weights left to right, so the
 *distances* they produce are bitwise equal (the property suite asserts
 this).  Predecessors, however, are whichever candidate won the scatter —
 on ties the returned *path* may legitimately differ from the heap kernel's,
-which is why ``fast`` is a separate tier and ``snapshot`` remains the
-bit-identical default (see ``ARCHITECTURE.md``, "Batched kernel & identity
-tiers").
+which is why only distance consumers may call them and the heap kernel
+answers every path-returning search (see ``ARCHITECTURE.md``, "Batched
+kernel & identity tiers").
 
 numpy is an optional dependency: every consumer gates on
 :func:`numpy_available` and falls back to the heap kernel (identical
@@ -39,7 +40,7 @@ distances, by the same argument) when it is missing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..graph.paths import Path
 from ..obs.profile import kernel_counters
@@ -55,8 +56,6 @@ __all__ = [
     "wavefront_sssp",
     "dijkstra_arrays_batch",
     "batch_shortest_paths",
-    "batch_one_to_many_paths",
-    "one_to_many_distances",
     "WAVEFRONT_MIN_VERTICES",
 ]
 
@@ -66,9 +65,9 @@ _INF = float("inf")
 #: vertices the heap kernel's small constant beats the fixed numpy overhead
 #: a sweep pays, above it the scatter relaxations win.  Batched multi-source
 #: searches amortise the sweep overhead over the whole batch and profit at
-#: every size, so only single-source call sites (landmark table builds,
-#: one-to-many attachment searches) consult this.  Distances are identical
-#: either way — the constant is purely a cost decision.
+#: every size, so only single-source call sites (landmark table builds)
+#: consult this.  Distances are identical either way — the constant is
+#: purely a cost decision.
 WAVEFRONT_MIN_VERTICES = 4096
 
 #: ``delta="auto"`` multiplier: the bucket width is this many mean edge
@@ -377,7 +376,7 @@ def batch_shortest_paths(
     Returns one :class:`~repro.graph.paths.Path` per pair (``None`` where
     the endpoints are missing or disconnected).  Distances are identical to
     per-pair :func:`~repro.algorithms.dijkstra.shortest_path` calls; the
-    returned vertex sequences are tie-order free (``fast`` tier contract).
+    returned vertex sequences are tie-order free (module contract).
     """
     index_of = snapshot.index_of
     ids = snapshot.ids
@@ -408,66 +407,3 @@ def batch_shortest_paths(
             float(dist[row][targets[row]]), tuple(map(get_id, sequence))
         )
     return results
-
-
-def batch_one_to_many_paths(
-    snapshot: CSRSnapshot,
-    source_ids: Sequence[int],
-    target_ids: Sequence[int],
-) -> Dict[Tuple[int, int], Path]:
-    """All source→target shortest paths, every source batched into one run.
-
-    The CANDS boundary-pair build: ``B`` sources sharing one flat search
-    structure, then per-pair path reconstruction.  Runs each source to
-    completion (no early exit) so every finite label is exact.  Returns
-    only connected, non-trivial pairs.
-    """
-    index_of = snapshot.index_of
-    ids = snapshot.ids
-    source_indices = [index_of[v] for v in source_ids]
-    target_indices = [(t, index_of[t]) for t in target_ids if t in index_of]
-    dist, pred = dijkstra_arrays_batch(snapshot, source_indices)
-    get_id = ids.__getitem__
-    paths: Dict[Tuple[int, int], Path] = {}
-    for row, source in enumerate(source_ids):
-        source_index = source_indices[row]
-        pred_row = pred[row]
-        dist_row = dist[row]
-        for target, target_index in target_indices:
-            if target == source:
-                continue
-            sequence = _walk(pred_row, source_index, target_index)
-            if sequence is None:
-                continue
-            paths[(source, target)] = Path(
-                float(dist_row[target_index]), tuple(map(get_id, sequence))
-            )
-    return paths
-
-
-def one_to_many_distances(
-    snapshot: CSRSnapshot,
-    source: int,
-    target_ids: Iterable[int],
-) -> Dict[int, float]:
-    """Exact distances from one id-space source to many id-space targets.
-
-    Runs a full (no early exit) wavefront so every finite label is exact;
-    unreachable or unknown targets are omitted.  The DTLP attachment /
-    boundary one-to-many analog of the heap kernel's
-    :func:`~repro.kernel.primitives.dijkstra_arrays_multi`.
-    """
-    index_of = snapshot.index_of
-    source_index = index_of.get(source)
-    if source_index is None:
-        return {}
-    dist, _pred = wavefront_sssp(snapshot, source_index)
-    distances: Dict[int, float] = {}
-    for target in target_ids:
-        target_index = index_of.get(target)
-        if target_index is None:
-            continue
-        value = dist[target_index]
-        if value != _INF:
-            distances[target] = float(value)
-    return distances

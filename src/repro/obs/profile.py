@@ -5,16 +5,17 @@ loops of the repository — a per-relaxation branch testing "is profiling on?"
 would tax every search even when nobody is measuring.  The hooks therefore
 gate at *function entry*: each primitive performs exactly one
 :func:`kernel_counters` lookup (a thread-local ``getattr``) and, when no
-collector is active, runs its original unhooked loop byte for byte.  When a
-:class:`KernelCounters` collector is active on the current thread, the
-primitive switches to an instrumented twin of the same loop that counts
+collector is active, runs its own lean unhooked loop.  When a
+:class:`KernelCounters` collector is active on the current thread, every
+primitive forwards to the kernel's one counting loop
+(``repro.kernel.primitives._counting_search`` — general over all of them),
+which counts
 
 * ``searches`` — primitive invocations,
 * ``settled`` — fresh heap pops (vertices whose distance became final),
 * ``relaxed`` — successful edge relaxations (distance improvements),
 * ``pruned`` — relaxations discarded by a lower-bound/cutoff test
-  (:func:`~repro.kernel.primitives.bounded_dijkstra_arrays` /
-  :func:`~repro.kernel.primitives.astar_arrays`),
+  (:func:`~repro.kernel.primitives.bounded_dijkstra_arrays`),
 * ``heap_pushes`` / ``heap_peak`` — heap traffic and high-water mark,
 * ``bound_cache_hits`` / ``bound_cache_misses`` — per-target bound-array
   cache effectiveness in :mod:`repro.kernel.heuristics`,
@@ -23,9 +24,11 @@ primitive switches to an instrumented twin of the same loop that counts
   (:mod:`repro.kernel.wavefront`): distance buckets processed, candidate
   relaxations applied by scatter, and the largest frontier swept.
 
-The instrumented twins preserve the relaxation sequence exactly, so enabling
-profiling never changes distances, predecessors or tie-breaks — the property
-suite asserts bit-identical results with the collector on and off.
+The counting loop preserves each lean loop's relaxation sequence exactly, so
+enabling profiling never changes distances, predecessors or tie-breaks — the
+property suite asserts bit-identical results with the collector on and off.
+The dict reference loop (:func:`repro.algorithms.dijkstra.dijkstra`) counts
+the same quantities inline, behind the same per-search lookup.
 
 Activation is per thread (:func:`activate` / :func:`deactivate`, or the
 :func:`collecting` context manager), which is what lets the distributed
@@ -128,8 +131,8 @@ def kernel_counters() -> Optional[KernelCounters]:
     """The collector active on this thread, or ``None`` (profiling off).
 
     This is the single check the kernel primitives pay per call; everything
-    per-relaxation lives inside the instrumented loop variants that only
-    run when this returns a collector.
+    per-relaxation lives inside the counting loop, which only runs when
+    this returns a collector.
     """
     return getattr(_local, "counters", None)
 

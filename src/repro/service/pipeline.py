@@ -204,15 +204,14 @@ class RequestPipeline:
             pending = self._pending.get(key)
             if pending is not None:
                 pending.queries.append(query)
-                if deadline is not None and (
-                    pending.deadline is None or deadline > pending.deadline
-                ):
-                    # Max-merge below keeps the slot alive for the most
-                    # patient waiter; earlier waiters simply time out on
-                    # their own clocks.
-                    pending.deadline = (
-                        pending.deadline if pending.deadline is None else deadline
-                    )
+                # Max-merge keeps the slot alive for the most patient
+                # waiter — ``None`` (unbounded) being the longest deadline
+                # of all; earlier waiters simply time out on their own
+                # clocks.
+                if deadline is None:
+                    pending.deadline = None
+                elif pending.deadline is not None and deadline > pending.deadline:
+                    pending.deadline = deadline
                 self.submitted += 1
                 self.coalesced += 1
                 return True

@@ -179,10 +179,7 @@ class _CentralizedEngine:
     queries and refreshes it incrementally before each answer — one int
     compare when nothing changed, O(changed edges) after a maintenance
     round; ``kernel="dict"`` answers on the live adjacency dictionaries
-    (the reference path, see ``ARCHITECTURE.md``).  ``kernel="fast"`` uses
-    the same shared snapshot — the centralized baselines are Yen-style
-    enumerations whose spur searches favour the heap kernel, so the tier
-    differs only in the batched/wavefront call sites further down the stack.
+    (the reference path, see ``ARCHITECTURE.md``).
 
     ``executor`` selects the physical backend used by :meth:`answer_many`
     to fan a batch's independent OD pairs out (``"serial"`` — or ``None`` —

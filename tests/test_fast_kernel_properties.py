@@ -1,4 +1,4 @@
-"""Property tests: the ``fast`` tier is distance-identical to ``snapshot``.
+"""Property tests: the wavefront primitives are distance-identical to the heap kernel.
 
 The wavefront/batched kernels (:mod:`repro.kernel.wavefront`) are tie-order
 free — predecessor choices on equal-length paths may differ from the heap
@@ -7,13 +7,15 @@ non-negative weights both converge to the unique float fixpoint of the
 Bellman equations (see the module docstring of ``wavefront.py``).  These
 tests assert that contract over randomized graphs, constraint sets
 (bans/allowed/cutoffs), weight-update/refresh rounds, the multi-source
-batch, the numpy-bulk landmark builds, the Yen/FindKSP engines across
-serial/thread/process executors, and the full KSP-DG stack — plus the
-frontier profiling counters and the generic-fallback profiling fix.
+batch and the numpy-bulk landmark builds (the one call site the code
+selects them for, by snapshot size) — plus the frontier profiling counters
+and the generic-fallback profiling fix.  No kernel mode selects these
+primitives, so there is no stack-level case here.
 
 Everything numpy-dependent is skipped cleanly when numpy is missing; the
-consumers all fall back to the heap kernel in that case, which the ordinary
-bit-identity suite (``tests/test_kernel_properties.py``) already covers.
+landmark builds fall back to the heap kernel in that case, which the
+ordinary bit-identity suite (``tests/test_kernel_properties.py``) already
+covers.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import random
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra, shortest_path
-from repro.core import DTLP, DTLPConfig, KSPDG
-from repro.dynamics import TrafficModel
 from repro.graph import road_network
 from repro.graph.generators import random_graph
 from repro.graph.graph import WeightUpdate
@@ -40,13 +40,11 @@ from repro.kernel.wavefront import (
     wavefront_sssp,
 )
 from repro.obs.profile import KernelCounters, collecting
-from repro.workloads.queries import QueryGenerator
-from repro.workloads.runner import FindKSPEngine, YenEngine
 
 SEEDS = [0, 1, 2]
 
 requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="fast tier requires numpy"
+    not numpy_available(), reason="wavefront kernels require numpy"
 )
 
 
@@ -245,52 +243,6 @@ def test_landmark_wavefront_build_identical(
         bounds = bulk.bounds_to(t)
         assert isinstance(bounds, list)
         assert bounds == expected[t]
-
-
-# ----------------------------------------------------------------------
-# engines and the full stack
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_fast_engines_match_snapshot_across_executors(executor: str) -> None:
-    """Yen/FindKSP engine outputs under ``kernel="fast"`` carry exactly the
-    snapshot kernel's distances on every execution backend."""
-    graph = road_network(8, 8, seed=4)
-    queries = QueryGenerator(graph, seed=9, min_hops=3).generate(6, k=3)
-    for engine_cls in (YenEngine, FindKSPEngine):
-        reference = engine_cls(graph, kernel="snapshot", executor="serial")
-        fast = engine_cls(
-            graph, kernel="fast", executor=executor, executor_workers=2
-        )
-        try:
-            expected = reference.answer_many(queries)
-            actual = fast.answer_many(queries)
-        finally:
-            reference.close()
-            fast.close()
-        for a, b in zip(expected, actual):
-            assert [p.distance for p in a.paths] == [p.distance for p in b.paths]
-
-
-@pytest.mark.parametrize("seed", SEEDS[:2])
-@pytest.mark.parametrize("heuristic", ["none", "landmark"])
-def test_ksp_dg_fast_matches_snapshot_under_maintenance(
-    seed: int, heuristic: str
-) -> None:
-    """KSP-DG distance multisets: fast == snapshot across update rounds."""
-    graph = road_network(10, 10, seed=seed)
-    dtlp = DTLP(graph, DTLPConfig(z=24, xi=3)).build().attach()
-    reference = KSPDG(dtlp, kernel="snapshot", heuristic=heuristic)
-    fast = KSPDG(dtlp, kernel="fast", heuristic=heuristic)
-    model = TrafficModel(graph, alpha=0.25, tau=0.4, seed=seed)
-    rng = random.Random(seed + 40)
-    vertices = list(graph.vertices())
-    for _ in range(3):
-        model.advance()
-        for _ in range(3):
-            source, target = rng.choice(vertices), rng.choice(vertices)
-            a = reference.query(source, target, 3)
-            b = fast.query(source, target, 3)
-            assert [p.distance for p in a.paths] == [p.distance for p in b.paths]
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.graph.errors import QueryError
 from repro.kernel import (
     CSRSnapshot,
     LandmarkLowerBounds,
-    astar_arrays,
     bounded_dijkstra_arrays,
     dijkstra_arrays,
     dijkstra_arrays_multi,
@@ -154,37 +153,6 @@ class TestBoundedDijkstra:
             snapshot.rows, 3, snapshot.index_of[0], snapshot.index_of[2], cutoff=4.999
         )
         assert not found
-
-
-class TestAStar:
-    def test_distances_match_dijkstra(self):
-        rng = random.Random(31)
-        graph = road_network(9, 9, seed=12)
-        snapshot = CSRSnapshot(graph)
-        n = snapshot.num_vertices
-        provider = LandmarkLowerBounds(snapshot)
-        for _ in range(40):
-            s, t = rng.randrange(n), rng.randrange(n)
-            dist, _, _ = dijkstra_arrays(snapshot.rows, n, s, target=t, track_touched=False)
-            bounds = provider.bounds_to(snapshot.ids[t])
-            distance, _, _ = astar_arrays(snapshot.rows, n, s, t, bounds=bounds)
-            expected = dist[t]
-            if expected == INF:
-                assert distance == INF
-            else:
-                assert abs(distance - expected) < 1e-9
-
-    def test_settles_fewer_vertices_than_dijkstra(self):
-        graph = road_network(12, 12, seed=13)
-        snapshot = CSRSnapshot(graph)
-        n = snapshot.num_vertices
-        provider = LandmarkLowerBounds(snapshot)
-        s, t = snapshot.index_of[0], snapshot.index_of[13]
-        _, _, touched = dijkstra_arrays(snapshot.rows, n, s, target=t)
-        bounds = provider.bounds_to(13)
-        _, dist, _ = astar_arrays(snapshot.rows, n, s, t, bounds=bounds)
-        labelled = sum(1 for value in dist if value != INF)
-        assert labelled < len(touched)
 
 
 class TestOneToMany:
@@ -393,6 +361,5 @@ class TestValidation:
         with pytest.raises(QueryError):
             validate_heuristic_for_kernel("landmark", "dict")
         assert validate_heuristic_for_kernel("none", "dict") == "none"
-        assert validate_heuristic_for_kernel("landmark", "fast") == "landmark"
         with pytest.raises(QueryError):
             validate_heuristic_for_kernel("dtlp", "snapshot")

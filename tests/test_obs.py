@@ -27,7 +27,6 @@ from repro.graph import road_network
 from repro.kernel import CSRSnapshot
 from repro.kernel.heuristics import LandmarkLowerBounds
 from repro.kernel.primitives import (
-    astar_arrays,
     bounded_dijkstra_arrays,
     dijkstra_arrays,
     dijkstra_arrays_multi,
@@ -290,7 +289,6 @@ class TestKernelProfiling:
             lambda: dijkstra_arrays_multi(rows, n, 0, {n - 1, n - 2}),
             lambda: bounded_dijkstra_arrays(rows, n, 0, n - 1, bounds, 30.0),
             lambda: bounded_dijkstra_arrays(rows, n, 0, n - 1, None, 30.0),
-            lambda: astar_arrays(rows, n, 0, n - 1, bounds, 30.0),
         ]
         for call in calls:
             lean = call()

@@ -52,6 +52,16 @@ def graph_and_query(draw):
     return graph, source, target, k
 
 
+def _random_update_batch(graph, update_seed):
+    """Rescale a random third of the edges by a factor in [0.3, 2.5]."""
+    rng = random.Random(update_seed)
+    edges = [(u, v) for u, v, _ in graph.edges()]
+    return [
+        WeightUpdate(u, v, graph.initial_weight(u, v) * rng.uniform(0.3, 2.5))
+        for u, v in rng.sample(edges, max(1, len(edges) // 3))
+    ]
+
+
 class TestKSPAlgorithmsAgree:
     @given(data=graph_and_query())
     @settings(**COMMON_SETTINGS)
@@ -91,16 +101,46 @@ class TestKSPAlgorithmsAgree:
         z = max(4, graph.num_vertices // 3)
         dtlp = DTLP(graph, DTLPConfig(z=z, xi=2)).build()
         graph.add_listener(dtlp.handle_updates)
-        rng = random.Random(update_seed)
-        edges = [(u, v) for u, v, _ in graph.edges()]
-        batch = []
-        for u, v in rng.sample(edges, max(1, len(edges) // 3)):
-            factor = rng.uniform(0.3, 2.5)
-            batch.append(WeightUpdate(u, v, graph.initial_weight(u, v) * factor))
-        graph.apply_updates(batch)
+        graph.apply_updates(_random_update_batch(graph, update_seed))
         engine = KSPDG(dtlp)
         expected = [p.distance for p in yen_k_shortest_paths(graph, source, target, k)]
         actual = engine.query(source, target, k).distances
+        assert [round(d, 6) for d in actual] == [round(d, 6) for d in expected]
+
+    # Counterexamples to the two properties above, found by search over graph
+    # seeds 0-10,000 (the derandomized budgets no longer reach them) and
+    # pinned for the exactness fix (ROADMAP, first open item).  On 6-vertex
+    # graphs KSP-DG misses the second path of query (1, 3, k=2): on seed 8
+    # after update batch 174 — [1.0, 15.778605] against Yen's [1.0, 15.0],
+    # path 1-5-0-3 missed — whether the index was maintained through the
+    # update or built fresh on the updated graph, and on seed 566 with no
+    # update at all ([2.0] against [2.0, 13.0], path 1-2-0-5-3 missed).  So
+    # the defect is in the termination/bound logic, not in maintenance.
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="KSP-DG misses a k-th path (ROADMAP, first open item)",
+    )
+    @pytest.mark.parametrize(
+        "graph_seed, update_seed, maintained",
+        [
+            pytest.param(8, 174, True, id="seed8-maintained"),
+            pytest.param(8, 174, False, id="seed8-rebuilt"),
+            pytest.param(566, None, False, id="seed566-static"),
+        ],
+    )
+    def test_ksp_dg_matches_yen_on_pinned_counterexamples(
+        self, graph_seed, update_seed, maintained
+    ):
+        graph = random_graph(6, 8, seed=graph_seed)
+        config = DTLPConfig(z=4, xi=2)
+        dtlp = DTLP(graph, config).build().attach() if maintained else None
+        if update_seed is not None:
+            graph.apply_updates(_random_update_batch(graph, update_seed))
+        if dtlp is None:
+            dtlp = DTLP(graph, config).build()
+        expected = [p.distance for p in yen_k_shortest_paths(graph, 1, 3, 2)]
+        actual = KSPDG(dtlp).query(1, 3, 2).distances
         assert [round(d, 6) for d in actual] == [round(d, 6) for d in expected]
 
 

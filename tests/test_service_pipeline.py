@@ -78,3 +78,26 @@ class TestBatching:
         (pending,) = pipeline.next_batch()
         assert pending.fanout == 3
         assert [waiting.query_id for waiting in pending.queries] == [0, 1, 2]
+
+
+class TestDeadlineMerge:
+    """Coalescing max-merges deadlines; ``None`` (unbounded) is the longest."""
+
+    @pytest.mark.parametrize(
+        "first, second, merged",
+        [
+            (1.0, None, None),  # an unbounded waiter unbounds the slot
+            (None, 1.0, None),  # finite onto unbounded stays unbounded
+            (1.0, 3.0, 3.0),  # later finite extends earlier finite
+            (3.0, 1.0, 3.0),  # earlier finite does not shorten
+        ],
+    )
+    def test_slot_keeps_the_most_patient_deadline(self, first, second, merged):
+        pipeline = RequestPipeline(capacity=4)
+        pipeline.submit(query(0, 1, 2), now=0.0, deadline=first)
+        assert pipeline.submit(query(1, 1, 2), now=0.1, deadline=second) is True
+        # now=2.0 is past the 1.0 deadline and inside every merged one.
+        (pending,) = pipeline.next_batch(now=2.0)
+        assert pipeline.drain_expired() == []
+        assert pending.deadline == merged
+        assert pending.fanout == 2
