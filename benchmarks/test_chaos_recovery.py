@@ -14,7 +14,7 @@ Two classes of claims:
   fault/recovery event log is deterministic for the pinned plan.
 * **recovery SLO** (reported, wall-clock): per fault kind, the qps dip
   relative to the pre-fault baseline and the time below the recovery
-  threshold, written to ``BENCH_chaos.json`` as ``kind: "recovery"`` rows.
+  threshold.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import print_experiment
-from repro.bench.benchjson import write_bench_rows
 from repro.chaos import ChaosHarness, FaultEvent, FaultPlan, generate_chaos_workload
 from repro.core import DTLP, DTLPConfig
 from repro.graph import road_network
@@ -60,7 +59,6 @@ def test_recovery_slo_per_fault_kind(scale) -> None:
     harness = ChaosHarness(builder, num_workers=NUM_WORKERS, executor="serial")
 
     table_rows = []
-    bench_rows = []
     for kind, event in FAULTS.items():
         plan = FaultPlan(seed=17, events=(event,))
         report = harness.execute(workload, plan)
@@ -93,23 +91,6 @@ def test_recovery_slo_per_fault_kind(scale) -> None:
                 report.join_transfer_units,
             ]
         )
-        bench_rows.append(
-            {
-                "config": {
-                    "graph": f"road_network({size}x{size})",
-                    "workers": NUM_WORKERS,
-                    "executor": "serial",
-                    "batches": num_batches,
-                    "batch_size": batch_size,
-                    "fault_batch": FAULT_BATCH,
-                },
-                "fault": kind,
-                "recovery_ms": sample.recovery_seconds * 1e3,
-                "qps_baseline": sample.qps_baseline,
-                "qps_dip": sample.qps_dip,
-                "qps_recovered": sample.qps_recovered,
-            }
-        )
 
     print_experiment(
         "Recovery SLOs per fault kind "
@@ -129,4 +110,3 @@ def test_recovery_slo_per_fault_kind(scale) -> None:
         "answers asserted); recovery = first batch back above 70% of the "
         "median pre-fault qps",
     )
-    write_bench_rows("chaos", bench_rows)

@@ -4,7 +4,7 @@ Paper map (``docs/paper_map.md``): the paper's Section 6 measures query
 throughput of the engine itself; a deployed KSP-DG answers over HTTP
 behind admission control, so the operational question is *what qps can
 the front door sustain at a latency SLO, and what availability does it
-hold when replicas fail*.  Two rows land in ``BENCH_frontdoor.json``:
+hold when replicas fail*.  Two rows are reported:
 
 * **clean knee** — a closed-loop concurrency sweep finds the saturation
   knee: the highest-throughput operating point whose p99 still meets the
@@ -20,7 +20,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import print_experiment
-from repro.bench.benchjson import write_bench_rows
 from repro.chaos import FaultEvent, FaultPlan
 from repro.frontdoor import build_replicas, find_knee, run_chaos_frontdoor, start_front_door
 from repro.graph import road_network
@@ -110,37 +109,4 @@ def test_knee_and_availability_under_faults(scale) -> None:
         notes="knee = highest-qps closed-loop point meeting the SLO with "
         "availability 1.0; faulted row runs the pinned kill+stall plan with "
         "zero wrong answers asserted",
-    )
-    write_bench_rows(
-        "frontdoor",
-        [
-            {
-                "config": {
-                    "mode": "clean-knee",
-                    "graph": f"road_network({size}x{size})",
-                    "replicas": 2,
-                    "engine": "yen",
-                    "requests": requests,
-                    "concurrency": knee.concurrency,
-                },
-                "qps": knee.qps,
-                "p99_ms": knee.p99_ms,
-                "slo_ms": SLO_MS,
-                "availability": knee.availability,
-            },
-            {
-                "config": {
-                    "mode": "pinned-faults",
-                    "graph": f"road_network({size}x{size})",
-                    "replicas": 3,
-                    "engine": "yen",
-                    "plan": "kill@1x2+stall@2x2",
-                    "windows": chaos.windows + chaos.cooldown_windows,
-                },
-                "qps": chaos.qps,
-                "p99_ms": chaos.p99_ms,
-                "slo_ms": SLO_MS,
-                "availability": chaos.availability,
-            },
-        ],
     )

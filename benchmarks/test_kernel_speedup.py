@@ -34,7 +34,6 @@ import pytest
 from repro.algorithms.dijkstra import dijkstra, shortest_path
 from repro.algorithms.yen import yen_k_shortest_paths
 from repro.bench import print_experiment
-from repro.bench.benchjson import write_bench_rows
 from repro.graph import road_network
 from repro.kernel import CSRSnapshot
 from repro.kernel.wavefront import (
@@ -136,37 +135,6 @@ def test_kernel_speedup(scale, benchmark) -> None:
         "amortises across every query until the next topology change; the "
         "fast tier answers the whole pair batch in one multi-source run",
     )
-
-    # Machine-readable perf trajectory: the headline point-to-point Dijkstra
-    # comparison per kernel tier, uploaded as a CI artifact (see
-    # .github/workflows/ci.yml).  Both rows share the dict baseline.
-    base_config = {
-        "scale": scale.name,
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "queries": len(pairs),
-        "workload": "shortest-path dijkstra",
-    }
-    bench_rows = [
-        {
-            "config": dict(base_config, kernel_tier="snapshot"),
-            "baseline_ms": sp_dict * 1e3,
-            "new_ms": sp_snap * 1e3,
-            "qps": len(pairs) / sp_snap if sp_snap else None,
-        }
-    ]
-    if sp_fast is not None:
-        bench_rows.append(
-            {
-                "config": dict(
-                    base_config, kernel_tier="fast", batch_size=len(pairs)
-                ),
-                "baseline_ms": sp_dict * 1e3,
-                "new_ms": sp_fast * 1e3,
-                "qps": len(pairs) / sp_fast if sp_fast else None,
-            }
-        )
-    write_bench_rows("kernel", bench_rows)
 
     # Acceptance floors: the array kernel answers point-to-point Dijkstra
     # queries at least twice as fast as dict, and the batched fast tier at

@@ -16,9 +16,6 @@ The enabled comparison runs with ``pruning=False`` so both sides do
 identical logical work (the cross-round partial-path memo is per-process
 state; see ARCHITECTURE.md, "Observability") and on fresh topologies so
 memo warmth cannot leak between the timed sides.
-
-Writes ``BENCH_obs.json`` (baseline = fully observed batch, new = same
-batch unobserved, so ``speedup`` reads as the ×-cost of full tracing).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import time
 from heapq import heappop, heappush
 from typing import List, Tuple
 
-from repro.bench import print_experiment, write_bench_json
+from repro.bench import print_experiment
 from repro.core import DTLP, DTLPConfig
 from repro.distributed import StormTopology
 from repro.graph import road_network
@@ -134,7 +131,7 @@ def test_obs_overhead(scale) -> None:
     enabled_overhead = observed_s / plain_s - 1.0
 
     print_experiment(
-        "Observability overhead (BENCH_obs)",
+        "Observability overhead",
         ["configuration", "time (ms)", "overhead", "ceiling"],
         [
             ["kernel lean copy", round(lean_s * 1e3, 3), "-", "-"],
@@ -154,21 +151,6 @@ def test_obs_overhead(scale) -> None:
         ],
         notes="min-of-N timings; enabled comparison uses pruning=False and "
         "fresh topologies so both sides do identical logical work",
-    )
-    write_bench_json(
-        "obs",
-        {
-            "scale": scale.name,
-            "kernel_vertices": n,
-            "kernel_queries": len(pairs),
-            "batch_vertices": qgraph.num_vertices,
-            "batch_queries": len(queries),
-            "disabled_overhead_pct": round(disabled_overhead * 100, 2),
-            "enabled_overhead_pct": round(enabled_overhead * 100, 2),
-        },
-        baseline_ms=observed_s * 1e3,
-        new_ms=plain_s * 1e3,
-        qps=len(queries) / plain_s,
     )
 
     assert disabled_overhead < DISABLED_CEILING, (

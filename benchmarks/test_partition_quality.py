@@ -19,9 +19,6 @@ grids cap any partitioner's gap at around ten percent):
   rebuild, answers asserted identical.  Acceptance floor: load at least
   5x faster, the O(load)-not-O(rebuild) contract of ``repro.store``.
 
-Emits ``BENCH_partition.json``: one ``kind: "counts"`` row (boundary
-facts) and two timing rows (batch qps, cold start).
-
 Paper map: ``docs/paper_map.md`` ties every benchmark to its figure/table.
 """
 
@@ -31,7 +28,7 @@ import time
 
 import pytest
 
-from repro.bench import print_experiment, write_bench_rows
+from repro.bench import print_experiment
 from repro.core import DTLP, DTLPConfig
 from repro.distributed import StormTopology
 from repro.graph import clustered_road_network, partition_graph, partition_mincut
@@ -144,43 +141,6 @@ def test_partition_quality(scale, benchmark, tmp_path) -> None:
         "answers between store load and fresh rebuild before any timing is "
         "trusted; cold start compares a full partition+DTLP build against "
         "PartitionStore.load on the saved index",
-    )
-
-    config = {
-        "scale": scale.name,
-        "network": "clustered",
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "z": z,
-        "xi": xi,
-    }
-    write_bench_rows(
-        "partition",
-        [
-            {
-                "config": dict(config, comparison="boundary_vertices"),
-                "counts": {
-                    "bfs_boundary": bfs_boundary,
-                    "mincut_boundary": mincut_boundary,
-                    "bfs_partitions": bfs_partition.num_subgraphs,
-                    "mincut_partitions": mincut_partition.num_subgraphs,
-                },
-            },
-            {
-                "config": dict(
-                    config, comparison="kspdg_batch_bfs_vs_mincut",
-                    queries=len(queries), k=3,
-                ),
-                "baseline_ms": timings["bfs"] * 1e3,
-                "new_ms": timings["mincut"] * 1e3,
-                "qps": len(queries) / timings["mincut"],
-            },
-            {
-                "config": dict(config, comparison="coldstart_rebuild_vs_load"),
-                "baseline_ms": rebuild_seconds * 1e3,
-                "new_ms": load_seconds * 1e3,
-            },
-        ],
     )
 
     # Acceptance floors (ISSUE 8).

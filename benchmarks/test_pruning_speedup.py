@@ -30,7 +30,7 @@ import time
 
 import pytest
 
-from repro.bench import print_experiment, write_bench_json
+from repro.bench import print_experiment
 from repro.core import DTLP, DTLPConfig
 from repro.distributed import StormTopology
 from repro.graph import road_network
@@ -115,23 +115,6 @@ def test_pruning_speedup(scale, benchmark) -> None:
     )
 
     best = timings["pruned + landmarks"]
-    write_bench_json(
-        "pruning",
-        config={
-            "scale": scale.name,
-            "vertices": graph.num_vertices,
-            "edges": graph.num_edges,
-            "z": z,
-            "xi": xi,
-            "queries": 24,
-            "k": 4,
-            "heuristic": "landmark",
-        },
-        baseline_ms=baseline * 1e3,
-        new_ms=best * 1e3,
-        qps=24 / best if best else None,
-    )
-
     # Acceptance floor of the goal-directed query kernel.
     assert baseline / best >= 1.5, (
         f"pruned landmark speedup {baseline / best:.2f}x below the 1.5x floor"

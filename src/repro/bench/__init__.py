@@ -1,6 +1,5 @@
 """Benchmark harness: scaled experiment profiles and reporting helpers."""
 
-from .benchjson import bench_output_dir, write_bench_json, write_bench_rows
 from .harness import (
     DATASET_DEFAULT_Z,
     FULL_SCALE,
@@ -24,7 +23,4 @@ __all__ = [
     "make_update_batch",
     "format_table",
     "print_experiment",
-    "bench_output_dir",
-    "write_bench_json",
-    "write_bench_rows",
 ]

@@ -16,7 +16,8 @@ The CLI exposes the main workflows without writing Python code::
 ``partition`` partitions the graph (``--partitioner {bfs,mincut}``), builds
 the DTLP index and saves a partition store (:mod:`repro.store`) that
 ``bench``/``replay``/``serve`` reload with ``--store DIR`` for an O(load)
-cold start; ``stats`` builds a DTLP index and prints its statistics;
+cold start (an omitted ``--partitioner`` follows the store's record);
+``stats`` builds a DTLP index and prints its statistics;
 ``query`` answers a
 single KSP query (and cross-checks it against Yen's algorithm); ``bench``
 runs a query batch on the simulated cluster and prints the cost report.
@@ -103,11 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_arguments(generate)
     generate.add_argument("--out", required=True, help="output .gr path")
 
+    def add_partitioner_argument(sub: argparse.ArgumentParser) -> None:
+        # No argparse default: an omitted flag must be distinguishable from
+        # an explicit one, so that ``--store`` can follow the store's record.
+        sub.add_argument("--partitioner", choices=["bfs", "mincut"], default=None,
+                         help="graph partitioner: the paper's Section 3.3 BFS "
+                              "sweep or the multilevel min-cut partitioner (fewer "
+                              "boundary vertices, smaller index, faster queries). "
+                              "Default: whatever the --store directory was built "
+                              "with, else bfs ('partition' builds with mincut)")
+
     def add_store_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--partitioner", choices=["bfs", "mincut"], default="bfs",
-                         help="graph partitioner: the paper's BFS sweep or the "
-                              "multilevel min-cut partitioner (fewer boundary "
-                              "vertices, smaller index, faster queries)")
+        add_partitioner_argument(sub)
         sub.add_argument("--store", metavar="DIR", default=None,
                          help="partition-store directory: load the partition + "
                               "DTLP index from DIR when it matches the graph "
@@ -121,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("--z", type=int, default=48, help="subgraph size threshold")
     partition.add_argument("--xi", type=int, default=3,
                            help="bounding paths per boundary pair")
-    partition.add_argument("--partitioner", choices=["bfs", "mincut"], default="mincut",
-                           help="graph partitioner (default mincut; 'bfs' is the "
-                                "paper's Section 3.3 sweep)")
+    add_partitioner_argument(partition)
     partition.add_argument("--out", required=True, metavar="DIR",
                            help="store directory to write (DGL-style part<k>/ "
                                 "layout + manifest)")
@@ -432,16 +438,34 @@ def _build_dtlp(args: argparse.Namespace, graph: DynamicGraph) -> DTLP:
     With ``--store DIR`` the index comes from the partition store when the
     directory matches the graph and configuration (stale weights refreshed
     through the change feed); otherwise it is built fresh and saved there,
-    so the next invocation cold-starts in O(load).
+    so the next invocation cold-starts in O(load).  An omitted
+    ``--partitioner`` follows the store's record, so pointing a command at
+    a store never rebuilds it by default; a configuration that does
+    disagree with the store still rebuilds and overwrites it, announced on
+    stderr with both configurations.
     """
-    config = DTLPConfig(
-        z=args.z, xi=args.xi, partitioner=getattr(args, "partitioner", "bfs")
-    )
+    partitioner = getattr(args, "partitioner", None)
     store_dir = getattr(args, "store", None)
     if not store_dir:
+        config = DTLPConfig(z=args.z, xi=args.xi, partitioner=partitioner or "bfs")
         return DTLP(graph, config).build()
-    from .store import load_or_build
+    from .store import PartitionStore, StoreError, load_or_build
 
+    try:
+        recorded = PartitionStore(store_dir).config()
+    except (StoreError, TypeError, KeyError):
+        recorded = None  # absent or unreadable: load_or_build (re)writes it
+    if partitioner is None:
+        partitioner = recorded.partitioner if recorded is not None else "bfs"
+    config = DTLPConfig(
+        z=args.z, xi=args.xi, partitioner=partitioner, directed=graph.directed
+    )
+    if recorded is not None and recorded != config:
+        print(
+            f"store {store_dir} was built with {recorded}; this command asks "
+            f"for {config}: rebuilding and overwriting the store",
+            file=sys.stderr,
+        )
     started = time.perf_counter()
     dtlp, loaded = load_or_build(graph, config, store_dir)
     elapsed = time.perf_counter() - started
@@ -509,7 +533,8 @@ def _command_partition(args: argparse.Namespace) -> int:
     from .store import PartitionStore
 
     graph = _load_graph(args)
-    config = DTLPConfig(z=args.z, xi=args.xi, partitioner=args.partitioner)
+    partitioner = args.partitioner or "mincut"
+    config = DTLPConfig(z=args.z, xi=args.xi, partitioner=partitioner)
     started = time.perf_counter()
     executor = args.executor
     if executor is not None and executor != "serial":
@@ -525,7 +550,7 @@ def _command_partition(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     stats = dtlp.statistics()
     rows = [
-        ["partitioner", args.partitioner],
+        ["partitioner", partitioner],
         ["vertices", graph.num_vertices],
         ["edges", graph.num_edges],
         ["partitions", stats.num_subgraphs],

@@ -634,7 +634,7 @@ class DTLP:
         ``graph.add_listener(dtlp.handle_updates)`` is recognised and not
         registered a second time (which would double maintenance work), so
         callers that receive a possibly-already-maintained index (the
-        serving layer, the workload driver) can call this unconditionally.
+        serving layer, the CLI) can call this unconditionally.
         Returns ``self`` for chaining with :meth:`build`.
         """
         if not self._attached:

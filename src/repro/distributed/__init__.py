@@ -34,15 +34,6 @@ from .runtime import (
     TopologyReplica,
     build_topology_replica,
 )
-from .messages import (
-    AttachmentRequestMessage,
-    AttachmentResponseMessage,
-    Message,
-    PartialPathsMessage,
-    QueryMessage,
-    ReferencePathMessage,
-    WeightUpdateMessage,
-)
 from .topology import JoinReport, StormTopology, TopologyReport
 
 __all__ = [
@@ -78,13 +69,6 @@ __all__ = [
     "DistributedBuildReport",
     "KSPDGEngine",
     "distributed_build_report",
-    "Message",
-    "QueryMessage",
-    "WeightUpdateMessage",
-    "ReferencePathMessage",
-    "PartialPathsMessage",
-    "AttachmentRequestMessage",
-    "AttachmentResponseMessage",
     "StormTopology",
     "TopologyReport",
 ]

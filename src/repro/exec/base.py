@@ -27,10 +27,10 @@ Two execution shapes are provided:
 * :meth:`Executor.map` — a stateless parallel map (used e.g. for parallel
   DTLP index construction and for fanning independent OD-pair queries of
   the centralized baselines).
-* :meth:`Executor.spawn_group` — *stateful* worker groups: ``factory`` is
-  applied once per slot to build a resident state object, after which
-  methods are invoked on those states by name.  For the process backend the
-  factory/payload pair is shipped once and the state never crosses the
+* :meth:`Executor.spawn_group` — *stateful* worker groups, **process
+  backend only**: ``factory`` is applied once per slot to build a resident
+  state object, after which methods are invoked on those states by name.
+  The factory/payload pair is shipped once and the state never crosses the
   process boundary again — callers send small deltas instead.
 """
 
@@ -112,11 +112,10 @@ def default_executor_name() -> str:
 class WorkerGroup(abc.ABC):
     """A set of resident state objects, one per *slot*, owned by an executor.
 
-    Slots are logical: the serial and thread backends keep every state in
-    the calling process, while the process backend pins slot ``s`` to worker
-    process ``s % workers`` and keeps the state resident there.  Methods are
-    invoked by name so that only arguments and results ever cross a process
-    boundary.
+    Slots are logical: the process backend (the only one that hosts
+    groups) pins slot ``s`` to worker process ``s % workers`` and keeps the
+    state resident there.  Methods are invoked by name so that only
+    arguments and results ever cross a process boundary.
     """
 
     @property
@@ -133,10 +132,8 @@ class WorkerGroup(abc.ABC):
         """Invoke a batch of calls (concurrently where the backend allows).
 
         Results are returned in the order of ``calls`` regardless of
-        completion order.  On every backend the first failing call (in
-        ``calls`` order) is re-raised as
-        :class:`~repro.graph.errors.ExecutorTaskError`; in-process
-        backends chain the original exception as ``__cause__``.
+        completion order.  The first failing call (in ``calls`` order) is
+        re-raised as :class:`~repro.graph.errors.ExecutorTaskError`.
         """
 
     def broadcast(self, method: str, *args: Any) -> List[Any]:
@@ -204,16 +201,24 @@ class Executor(abc.ABC):
         as :class:`~repro.graph.errors.ExecutorTaskError`.
         """
 
-    @abc.abstractmethod
     def spawn_group(
         self, factory: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> WorkerGroup:
         """Create one resident state per payload via ``factory(payload)``.
 
-        For the process backend ``factory`` must be a module-level callable
-        and each payload picklable; both are shipped to the owning worker
-        process exactly once.
+        Stateful groups exist only across a process boundary: ``factory``
+        must be a module-level callable and each payload picklable, and
+        both are shipped to the owning worker process exactly once.  An
+        in-process backend raises :class:`~repro.graph.errors.ExecutorError`
+        instead — it would alias one payload across every slot, so each
+        "replica" would mutate the caller's live objects and a broadcast
+        would re-apply the same delta once per slot.  Serial and thread
+        callers share master state directly.
         """
+        raise ExecutorError(
+            f"worker groups require the process backend; the {self.name!r} "
+            "backend shares in-process state and has nothing to make resident"
+        )
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""

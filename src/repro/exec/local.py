@@ -1,8 +1,7 @@
 """In-process execution backends: ``serial`` (reference) and ``thread``.
 
-Both backends keep all state in the calling process, so factories and work
-functions may be closures and results are returned by reference (no
-pickling).  The serial backend is the semantic reference: every other
+Both backends keep all state in the calling process, so work functions may
+be closures and results are returned by reference (no pickling).  The serial backend is the semantic reference: every other
 backend must be bit-identical to it.  The thread backend provides real
 concurrency inside one interpreter — bounded by the GIL for pure-Python
 compute, but a faithful stepping stone between the serial reference and the
@@ -18,59 +17,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence
 
-from ..graph.errors import ExecutorError
-from .base import Executor, GroupCall, WorkerGroup, call_wrapped
+from .base import Executor, call_wrapped
 
 __all__ = ["SerialExecutor", "ThreadExecutor"]
-
-
-class _LocalGroup(WorkerGroup):
-    """Worker group whose states live in the calling process."""
-
-    def __init__(
-        self,
-        owner: Executor,
-        factory: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        pool: Optional[ThreadPoolExecutor] = None,
-    ) -> None:
-        self._owner = owner
-        self._states: List[Any] = [factory(payload) for payload in payloads]
-        self._pool = pool
-        self._closed = False
-
-    @property
-    def num_slots(self) -> int:
-        return len(self._states)
-
-    def _invoke(self, slot: int, method: str, args: Sequence[Any]) -> Any:
-        if self._closed:
-            raise ExecutorError("worker group is closed")
-        if self._owner.closed:
-            # Same contract as the process backend: a group cannot outlive
-            # its executor (the thread pool behind it is already gone).
-            raise ExecutorError(f"{self._owner.name} executor is closed")
-        try:
-            state = self._states[slot]
-        except IndexError:
-            raise ExecutorError(f"no slot {slot} in group of {len(self._states)}") from None
-        return call_wrapped(getattr(state, method), *args)
-
-    def call(self, slot: int, method: str, *args: Any) -> Any:
-        return self._invoke(slot, method, args)
-
-    def call_each(self, calls: Sequence[GroupCall]) -> List[Any]:
-        if self._pool is None or self._owner.closed or len(calls) <= 1:
-            return [self._invoke(slot, method, args) for slot, method, args in calls]
-        futures = [
-            self._pool.submit(self._invoke, slot, method, args)
-            for slot, method, args in calls
-        ]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        self._states = []
-        self._closed = True
 
 
 class SerialExecutor(Executor):
@@ -85,12 +34,6 @@ class SerialExecutor(Executor):
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         self._check_open()
         return [call_wrapped(fn, item) for item in items]
-
-    def spawn_group(
-        self, factory: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> WorkerGroup:
-        self._check_open()
-        return _LocalGroup(self, factory, payloads)
 
 
 class ThreadExecutor(Executor):
@@ -127,12 +70,6 @@ class ThreadExecutor(Executor):
         pool = self._ensure_pool()
         futures = [pool.submit(call_wrapped, fn, item) for item in items]
         return [future.result() for future in futures]
-
-    def spawn_group(
-        self, factory: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> WorkerGroup:
-        self._check_open()
-        return _LocalGroup(self, factory, payloads, pool=self._ensure_pool())
 
     def close(self) -> None:
         if self._closed:

@@ -35,8 +35,8 @@ class ReplicaSet:
     executor:
         The backend hosting the replicas (one slot per executor worker).
         Must be the ``process`` backend — in-process backends share master
-        state directly and must not be replica-synchronised (the guard in
-        :meth:`ensure` enforces this).
+        state directly and their ``spawn_group`` raises (see
+        :meth:`~repro.exec.base.Executor.spawn_group`).
     factory:
         Module-level picklable factory handed to
         :meth:`~repro.exec.base.Executor.spawn_group`.
@@ -50,19 +50,6 @@ class ReplicaSet:
         self._graph = graph
         self._group: Optional[WorkerGroup] = None
         self._synced_version = 0
-
-    def _check_backend(self) -> None:
-        # Replication only makes sense across process boundaries: an
-        # in-process backend would alias one bundle across every slot, so
-        # each "replica" would mutate the shared live objects and a sync
-        # broadcast would re-apply the same delta once per slot.  Serial
-        # and thread backends share master state directly instead.
-        if self._executor.name != "process":
-            raise ExecutorError(
-                "ReplicaSet requires the process backend; the "
-                f"{self._executor.name!r} backend shares in-process state "
-                "and must not be replica-synchronised"
-            )
 
     @property
     def active(self) -> bool:
@@ -79,7 +66,6 @@ class ReplicaSet:
         weight-update delta since the last sync.
         """
         if self._group is None:
-            self._check_backend()
             self._synced_version = self._graph.version
             bundle = bundle_factory()
             self._group = self._executor.spawn_group(

@@ -19,7 +19,7 @@ needs once there is more than one replica: an asyncio HTTP/JSON server
 * **graceful degradation** — a last-known-answer cache serving
   version-stale results flagged ``degraded: true`` when every live route
   is exhausted; strict mode disables it (:mod:`.stale`);
-* **measurement** — closed/open-loop load generation with knee search
+* **measurement** — closed-loop load generation with knee search
   (:mod:`.loadtest`) and a chaos driver that scores zero-wrong-answers,
   availability floors and breaker recovery through real HTTP
   (:mod:`.chaos`).
@@ -34,7 +34,7 @@ from .errors import (
     NoReplicaAvailableError,
     ReplicaUnavailableError,
 )
-from .loadtest import LoadtestResult, find_knee, run_closed_loop, run_open_loop
+from .loadtest import LoadtestResult, find_knee, run_closed_loop
 from .replicas import REPLICA_ENGINES, ServiceReplica, build_replicas
 from .retry import RetryPolicy
 from .router import Router, rendezvous_order
@@ -59,7 +59,6 @@ __all__ = [
     "LoadtestResult",
     "find_knee",
     "run_closed_loop",
-    "run_open_loop",
     "REPLICA_ENGINES",
     "ServiceReplica",
     "build_replicas",

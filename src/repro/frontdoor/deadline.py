@@ -18,6 +18,7 @@ budgets as milliseconds (``X-Deadline-Ms``) and converts to an absolute
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional
 
@@ -46,8 +47,13 @@ class Deadline:
         """Fix a deadline ``budget_ms`` from now (default budget if None)."""
         if budget_ms is None:
             budget_ms = DEFAULT_BUDGET_MS
-        if budget_ms <= 0:
-            raise ValueError(f"deadline budget must be positive, got {budget_ms}")
+        # A NaN budget compares false to everything and would slip through
+        # ``<= 0`` to become a ~1 ms wait that charges a timeout to every
+        # replica it touches.
+        if not (math.isfinite(budget_ms) and budget_ms > 0):
+            raise ValueError(
+                f"deadline budget must be positive and finite, got {budget_ms}"
+            )
         start = time.perf_counter() if now is None else now
         seconds = budget_ms / 1e3
         return cls(start + seconds, budget_seconds=seconds)

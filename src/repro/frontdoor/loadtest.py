@@ -1,19 +1,13 @@
-"""Load generation against the front door: closed loop, open loop, knee.
+"""Load generation against the front door: closed loop and knee.
 
-Two canonical load shapes, because they answer different questions:
-
-* **closed loop** — N workers, each issuing its next query only after the
-  previous answer returns.  Offered load adapts to service speed, so this
-  measures *capacity*: the throughput the system sustains at a given
-  concurrency.  Sweeping N upward and watching p99 finds the *saturation
-  knee* — the largest concurrency whose p99 still meets the SLO, and the
-  qps achieved there (:func:`find_knee`, the headline of
-  ``BENCH_frontdoor.json``).
-* **open loop** — requests fire on a fixed schedule whether or not earlier
-  ones returned, the way real traffic arrives.  Past the knee this is the
-  shape that exposes queue collapse: latency grows without bound while a
-  closed loop would quietly self-throttle.  Used by the overload tests and
-  available from the CLI.
+The load shape is a **closed loop** — N workers, each issuing its next
+query only after the previous answer returns.  Offered load adapts to
+service speed, so this measures *capacity*: the throughput the system
+sustains at a given concurrency.  Sweeping N upward and watching p99 finds
+the *saturation knee* — the largest concurrency whose p99 still meets the
+SLO, and the qps achieved there (:func:`find_knee`, what ``repro loadtest``
+reports).  A closed loop self-throttles past the knee, so these numbers
+say nothing about queue collapse under a fixed arrival schedule.
 
 Workers use :class:`~repro.frontdoor.client.FrontDoorClient` (one per
 thread), so retries/backoff/deadline discipline are part of the measured
@@ -32,7 +26,7 @@ from ..obs.metrics import percentile
 from .client import FrontDoorClient
 from .retry import RetryPolicy
 
-__all__ = ["LoadtestResult", "run_closed_loop", "run_open_loop", "find_knee"]
+__all__ = ["LoadtestResult", "run_closed_loop", "find_knee"]
 
 QuerySpec = Tuple[int, int, int]  # (source, target, k)
 
@@ -53,7 +47,6 @@ class LoadtestResult:
     p99_ms: float
     elapsed_seconds: float
     retries: int
-    offered_qps: Optional[float] = None
     statuses: dict = field(default_factory=dict)
 
     @property
@@ -62,7 +55,7 @@ class LoadtestResult:
         return (self.ok + self.degraded) / self.total if self.total else 0.0
 
     def as_row(self) -> dict:
-        """Flat summary used by report tables and the bench JSON."""
+        """Flat summary used by report tables and the ``--json`` reports."""
         return {
             "mode": self.mode,
             "concurrency": self.concurrency,
@@ -85,7 +78,6 @@ def _aggregate(
     outcomes: Sequence[Tuple[int, float, bool]],
     elapsed: float,
     retries: int,
-    offered_qps: Optional[float] = None,
 ) -> LoadtestResult:
     """Fold raw ``(status, latency, degraded)`` samples into one result."""
     statuses: dict = {}
@@ -114,7 +106,6 @@ def _aggregate(
         p99_ms=percentile(answered_latencies_ms, 99.0),
         elapsed_seconds=elapsed,
         retries=retries,
-        offered_qps=offered_qps,
         statuses=statuses,
     )
 
@@ -175,61 +166,6 @@ def run_closed_loop(
         thread.join()
     elapsed = time.perf_counter() - started
     return _aggregate("closed", concurrency, outcomes, elapsed, retries[0])
-
-
-def run_open_loop(
-    url: str,
-    queries: Sequence[QuerySpec],
-    offered_qps: float,
-    budget_ms: float = 1_000.0,
-    retry_seed: int = 0,
-) -> LoadtestResult:
-    """Fire ``queries`` on a fixed ``offered_qps`` schedule (one thread each).
-
-    The schedule does not wait for responses — this is the arrival process
-    that overwhelms a saturated service instead of politely adapting, which
-    is exactly what the shedding/degradation paths need to be tested under.
-    """
-    if offered_qps <= 0:
-        raise ValueError("offered_qps must be positive")
-    interval = 1.0 / offered_qps
-    outcomes: List[Tuple[int, float, bool]] = []
-    outcome_lock = threading.Lock()
-    retries = [0]
-
-    def fire(index: int, spec: QuerySpec) -> None:
-        client = FrontDoorClient.for_url(
-            url,
-            retry_policy=RetryPolicy(seed=retry_seed * 1_000 + index),
-            default_budget_ms=budget_ms,
-        )
-        try:
-            source, target, k = spec
-            result = client.query(source, target, k, budget_ms=budget_ms)
-            with outcome_lock:
-                outcomes.append(
-                    (result.status, result.latency_seconds, result.degraded)
-                )
-                retries[0] += client.retries
-        finally:
-            client.close()
-
-    threads: List[threading.Thread] = []
-    started = time.perf_counter()
-    for index, spec in enumerate(queries):
-        target_time = started + index * interval
-        delay = target_time - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        thread = threading.Thread(target=fire, args=(index, spec), daemon=True)
-        thread.start()
-        threads.append(thread)
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    return _aggregate(
-        "open", len(threads), outcomes, elapsed, retries[0], offered_qps=offered_qps
-    )
 
 
 def find_knee(

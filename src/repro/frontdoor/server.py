@@ -42,10 +42,12 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..graph.errors import EdgeNotFoundError
 from ..graph.graph import WeightUpdate
 from ..graph.paths import Path
 from ..obs.metrics import MetricsRegistry
@@ -68,6 +70,13 @@ __all__ = ["FrontDoorServer", "FrontDoorHandle", "start_front_door"]
 QueryKey = Tuple[int, int, int]
 
 _MAX_BODY_BYTES = 1 << 20
+
+#: Largest ``k`` a ``/query`` may ask for.  Yen's cost grows with every
+#: path enumerated and a batch cannot be abandoned once it runs, so an
+#: unbounded ``k`` pins a replica's only batch thread long after the
+#: request's own deadline lapsed.  Over an order of magnitude above any
+#: ``k`` the paper's evaluation or this repository's benchmarks use.
+MAX_K = 500
 
 
 class _ReplicaWorker:
@@ -204,12 +213,15 @@ class FrontDoorServer:
     ``POST /query``
         Body ``{"source": s, "target": t, "k": k}``; optional
         ``X-Deadline-Ms`` header.  200 with the answer (``degraded: true``
-        when served from the stale cache), 400 on a bad request, 429/503
-        (+ ``Retry-After``) on shed/unavailable, 504 on a spent deadline.
+        when served from the stale cache), 400 on a bad request (including
+        ``k`` above :data:`MAX_K` and a non-finite or non-positive budget),
+        429/503 (+ ``Retry-After``) on shed/unavailable, 504 on a spent
+        deadline.
     ``POST /maintenance``
         Body ``{"updates": [[u, v, new_weight], ...]}``; quiesces every
         replica, applies the round to all of them, returns the new
-        ``graph_version``.
+        ``graph_version``.  400, with nothing applied, when a weight is
+        negative or non-finite or an edge is not in the graph.
     ``GET /healthz``
         Replica/breaker states and counters, as JSON.
     ``GET /metrics``
@@ -266,6 +278,7 @@ class FrontDoorServer:
             "no_replica_available": 0,
             "failovers": 0,
             "bad_requests": 0,
+            "internal_errors": 0,
             "maintenance_rounds": 0,
         }
 
@@ -425,15 +438,27 @@ class FrontDoorServer:
     async def _dispatch(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ):
-        if method == "POST" and path == "/query":
-            return await self._handle_query(headers, body)
-        if method == "POST" and path == "/maintenance":
-            return await self._handle_maintenance(body)
-        if method == "GET" and path == "/healthz":
-            return 200, self.health_snapshot(), None
-        if method == "GET" and path == "/metrics":
-            return 200, self.metrics_registry().render_prometheus(), None
-        return 404, {"error": f"no route for {method} {path}"}, None
+        """Route one request; no handler failure escapes as a dropped socket.
+
+        An exception out of the connection callback closes the socket with
+        no response at all, so anything a handler did not anticipate is
+        answered 500 here, with the traceback on stderr, and the server
+        keeps serving.
+        """
+        try:
+            if method == "POST" and path == "/query":
+                return await self._handle_query(headers, body)
+            if method == "POST" and path == "/maintenance":
+                return await self._handle_maintenance(body)
+            if method == "GET" and path == "/healthz":
+                return 200, self.health_snapshot(), None
+            if method == "GET" and path == "/metrics":
+                return 200, self.metrics_registry().render_prometheus(), None
+            return 404, {"error": f"no route for {method} {path}"}, None
+        except Exception as exc:
+            traceback.print_exc()
+            self.counters["internal_errors"] += 1
+            return 500, {"error": f"internal error: {type(exc).__name__}: {exc}"}, None
 
     # ------------------------------------------------------------------
     # /query
@@ -445,13 +470,16 @@ class FrontDoorServer:
             source = int(request["source"])
             target = int(request["target"])
             k = int(request.get("k", 2))
-            if k < 1:
-                raise ValueError("k must be positive")
+            if not 1 <= k <= MAX_K:
+                raise ValueError(f"k must be between 1 and {MAX_K}, got {k}")
             budget_ms = headers.get("x-deadline-ms")
             deadline = Deadline.from_budget_ms(
                 float(budget_ms) if budget_ms else self.default_budget_ms
             )
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        except (
+            ValueError, KeyError, TypeError, UnicodeDecodeError, OverflowError
+        ) as exc:
+            # OverflowError: int() of a JSON ``Infinity``.
             self.counters["bad_requests"] += 1
             return 400, {"error": f"bad request: {exc}"}, None
         topology = next(iter(self.replicas.values())).service.graph
@@ -610,10 +638,17 @@ class FrontDoorServer:
                 WeightUpdate(int(u), int(v), float(weight))
                 for u, v, weight in request["updates"]
             ]
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        except (
+            ValueError, KeyError, TypeError, UnicodeDecodeError, OverflowError
+        ) as exc:
             self.counters["bad_requests"] += 1
             return 400, {"error": f"bad maintenance request: {exc}"}, None
-        version = await self._apply_maintenance(updates)
+        try:
+            version = await self._apply_maintenance(updates)
+        except EdgeNotFoundError as exc:
+            self.counters["bad_requests"] += 1
+            edge = f"({exc.u}, {exc.v})"
+            return 400, {"error": f"bad maintenance request: no edge {edge}"}, None
         return 200, {"applied": len(updates), "graph_version": version}, None
 
     async def _apply_maintenance(self, updates: List[WeightUpdate]) -> int:
@@ -622,8 +657,14 @@ class FrontDoorServer:
         The gate closes admission first so the drain converges; every
         replica then applies the identical round, keeping graph versions
         aligned across the set — the invariant that makes ``graph_version``
-        in responses meaningful for validation.
+        in responses meaningful for validation.  Edges are checked before
+        anything is touched: a round is applied replica by replica, so an
+        unknown edge discovered halfway would leave the versions diverged.
         """
+        topology = next(iter(self.replicas.values())).service.graph
+        for update in updates:
+            if not topology.has_edge(update.u, update.v):
+                raise EdgeNotFoundError(update.u, update.v)
         self._maintenance_gate.clear()
         try:
             for worker in self.workers.values():

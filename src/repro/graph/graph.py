@@ -76,9 +76,10 @@ class WeightUpdate:
     __slots__ = ("u", "v", "new_weight", "timestamp")
 
     def __init__(self, u: int, v: int, new_weight: float, timestamp: int = 0) -> None:
-        if new_weight < 0 or math.isnan(new_weight):
+        if new_weight < 0 or math.isnan(new_weight) or math.isinf(new_weight):
             raise InvalidWeightError(
-                f"weight of edge ({u}, {v}) must be non-negative, got {new_weight!r}"
+                f"weight of edge ({u}, {v}) must be finite and non-negative, "
+                f"got {new_weight!r}"
             )
         self.u = u
         self.v = v

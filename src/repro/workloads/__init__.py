@@ -1,4 +1,4 @@
-"""Workloads: query generation, batch execution and mixed update/query driving.
+"""Workloads: query generation and batch execution.
 
 The evaluation layer between raw engines and the benchmarks/serving stack:
 
@@ -11,15 +11,12 @@ The evaluation layer between raw engines and the benchmarks/serving stack:
   centralized baselines :class:`YenEngine` / :class:`FindKSPEngine` live
   here, the distributed KSP-DG engine in :mod:`repro.distributed.engine`;
 * :class:`BatchRunner` — executes a batch against an engine, recording
-  wall-clock and simulated parallel time;
-* :class:`WorkloadDriver` — replays a configurable mix of traffic
-  snapshots and query batches epoch by epoch.
+  wall-clock and simulated parallel time.
 
 See ``ARCHITECTURE.md`` for where this layer sits in the stack and
 ``docs/paper_map.md`` for which benchmarks drive it.
 """
 
-from .driver import EpochStats, WorkloadDriver, WorkloadReport
 from .queries import KSPQuery, QueryGenerator
 from .runner import (
     BatchReport,
@@ -39,7 +36,4 @@ __all__ = [
     "QueryEngine",
     "QueryOutcome",
     "YenEngine",
-    "EpochStats",
-    "WorkloadDriver",
-    "WorkloadReport",
 ]

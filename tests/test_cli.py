@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -92,6 +93,33 @@ class TestCommands:
         assert "stale served results: 0" in captured
         assert "cache hit rate" in captured
         assert "latency p99 (ms)" in captured
+
+    def test_store_partitioner_follows_the_store_unless_told_otherwise(
+        self, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        graph_args = ["--dataset", "NY", "--scale", "0.25", "--z", "12"]
+        replay = ["replay", *graph_args, "--num-queries", "10", "--update-rounds", "1",
+                  "--store", str(store)]
+        assert main(["partition", *graph_args, "--out", str(store)]) == 0
+        manifest = (store / "manifest.json").read_bytes()
+        assert json.loads(manifest)["config"]["partitioner"] == "mincut"
+        capsys.readouterr()
+
+        # No --partitioner: the store's own record wins over any default,
+        # so the store is loaded, not silently rebuilt as bfs.
+        assert main(replay) == 0
+        assert "loaded index from store" in capsys.readouterr().err
+        assert (store / "manifest.json").read_bytes() == manifest
+
+        # An explicit disagreeing flag keeps the rebuild-and-overwrite
+        # contract, announced with both configurations.
+        assert main([*replay, "--partitioner", "bfs"]) == 0
+        err = capsys.readouterr().err
+        assert "partitioner='mincut'" in err and "partitioner='bfs'" in err
+        assert "built index and saved to store" in err
+        rebuilt = json.loads((store / "manifest.json").read_bytes())
+        assert rebuilt["config"]["partitioner"] == "bfs"
 
     def test_serve_command_sheds_instead_of_crashing(self, capsys):
         # An epoch wave larger than the admission queue: the overflow must

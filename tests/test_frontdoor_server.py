@@ -11,6 +11,7 @@ health/metrics surfaces.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import urllib.request
@@ -24,7 +25,8 @@ from repro.frontdoor import (
     build_replicas,
     start_front_door,
 )
-from repro.graph import road_network
+from repro.frontdoor.server import MAX_K
+from repro.graph import EdgeNotFoundError, WeightUpdate, road_network
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +273,108 @@ class TestMalformedFraming:
         sock.close()
         assert client.query(0, 35, k=2).status == 200
         assert client.health()["status"] == "ok"
+
+
+class TestHostileInputs:
+    """Well-framed requests with hostile *values*: a 4xx JSON error, never
+    an empty reply or a 200, and no collateral damage — the next well-formed
+    query on a fresh connection answers, ``/healthz`` says ``ok`` and no
+    breaker has been charged a failure."""
+
+    @staticmethod
+    def _post(front_door, path: str, body: bytes, headers: bytes = b""):
+        """One raw exchange; returns ``(status, decoded JSON payload)``."""
+        response = TestMalformedFraming._exchange(
+            front_door,
+            b"POST " + path.encode() + b" HTTP/1.1\r\nHost: frontdoor\r\n"
+            b"Connection: close\r\n" + headers
+            + b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body,
+        )
+        assert response, "the server closed the socket without answering"
+        head, _, payload = response.partition(b"\r\n\r\n")
+        return int(head.split(b" ", 2)[1]), json.loads(payload)
+
+    @staticmethod
+    def _assert_unharmed(front_door):
+        with FrontDoorClient.for_url(front_door.url) as fresh:
+            assert fresh.query(0, 35, k=2).status == 200
+            assert fresh.health()["status"] == "ok"
+        for breaker in front_door.server.breakers.values():
+            assert breaker.state == "closed"
+            assert breaker.consecutive_failures == 0
+
+    def test_maintenance_on_unknown_edge_is_400(self, graph, front_door):
+        assert not graph.has_edge(0, 35)
+        status, payload = self._post(
+            front_door, "/maintenance", b'{"updates": [[0, 1, 2.5], [0, 35, 1.0]]}'
+        )
+        assert status == 400
+        assert "(0, 35)" in payload["error"]
+        # The in-process entry point refuses the same round the same way.
+        with pytest.raises(EdgeNotFoundError):
+            front_door.apply_maintenance(
+                [WeightUpdate(0, 1, 2.5), WeightUpdate(0, 35, 1.0)]
+            )
+        # Nothing of the rejected round was applied — not even its valid edge.
+        assert front_door.health()["counters"]["maintenance_rounds"] == 0
+        for replica in front_door.server.replicas.values():
+            assert replica.service.graph.version == 0
+        self._assert_unharmed(front_door)
+
+    def test_unexpected_handler_error_is_500_and_the_server_lives(
+        self, front_door, monkeypatch, capsys
+    ):
+        def explode():
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(front_door.server, "metrics_registry", explode)
+        response = TestMalformedFraming._exchange(
+            front_door,
+            b"GET /metrics HTTP/1.1\r\nHost: frontdoor\r\nConnection: close\r\n\r\n",
+        )
+        assert response.startswith(b"HTTP/1.1 500 ")
+        assert b"RuntimeError" in response
+        assert "handler bug" in capsys.readouterr().err  # traceback recorded
+        self._assert_unharmed(front_door)
+        assert front_door.health()["counters"]["internal_errors"] == 1
+
+    @pytest.mark.parametrize("budget", [b"nan", b"inf"])
+    def test_non_finite_deadline_is_400(self, front_door, budget):
+        for _ in range(3):
+            status, payload = self._post(
+                front_door, "/query", b'{"source": 0, "target": 35, "k": 2}',
+                headers=b"X-Deadline-Ms: " + budget + b"\r\n",
+            )
+            assert status == 400
+            assert "deadline" in payload["error"]
+        self._assert_unharmed(front_door)
+
+    def test_infinite_weight_is_400(self, front_door):
+        status, payload = self._post(
+            front_door, "/maintenance", b'{"updates": [[0, 1, Infinity]]}'
+        )
+        assert status == 400
+        assert "finite" in payload["error"]
+        self._assert_unharmed(front_door)
+
+    def test_unbounded_k_is_400(self, front_door):
+        # On the parent this pinned the replica's only batch thread far past
+        # the 500 ms budget; the cap answers before any work is admitted.
+        for k in (MAX_K + 1, 200_000):
+            status, payload = self._post(
+                front_door, "/query",
+                b'{"source": 0, "target": 35, "k": %d}' % k,
+                headers=b"X-Deadline-Ms: 500\r\n",
+            )
+            assert status == 400
+            assert str(MAX_K) in payload["error"]
+        # A JSON ``Infinity`` cannot even become an int.
+        status, _payload = self._post(
+            front_door, "/query", b'{"source": 0, "target": 35, "k": Infinity}'
+        )
+        assert status == 400
+        assert all(worker.idle for worker in front_door.server.workers.values())
+        self._assert_unharmed(front_door)
 
 
 class TestOverload:

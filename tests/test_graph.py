@@ -166,8 +166,10 @@ class TestUpdates:
         assert received == []
 
     def test_weight_update_rejects_negative(self):
-        with pytest.raises(InvalidWeightError):
-            WeightUpdate(1, 2, -3.0)
+        # The same rule as add_edge: finite and non-negative.
+        for weight in (-3.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidWeightError):
+                WeightUpdate(1, 2, weight)
 
     def test_weight_update_equality_and_hash(self):
         first = WeightUpdate(1, 2, 3.0, timestamp=1)

@@ -6,20 +6,17 @@ live graph — including after post-save weight updates, which exercise the
 staleness tiers (weights-fingerprint short-circuit, same-lineage
 ``edges_changed_since`` candidates, full per-edge compare).  On top of
 that the layout itself is pinned (DGL's ``part<k>/`` + ``node_map``
-shape, contiguous local ids) and the ``counts`` benchmark-row kind the
-partition benchmark emits is validated against ``tools/check_bench.py``.
+shape, contiguous local ids).
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.bench.benchjson import write_bench_rows
 from repro.core import DTLP, DTLPConfig
 from repro.distributed import KSPDGEngine, distributed_build_report
 from repro.dynamics import TrafficModel
@@ -384,76 +381,3 @@ class TestStoreShippedReplicas:
         finally:
             serial.close()
             process.close()
-
-
-def _load_check_bench():
-    spec = importlib.util.spec_from_file_location(
-        "check_bench",
-        Path(__file__).resolve().parent.parent / "tools" / "check_bench.py",
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchCountsRows:
-    """The ``kind: "counts"`` row shape BENCH_partition.json uses."""
-
-    def test_write_bench_rows_emits_counts_kind(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_REPORT", str(tmp_path / "report.txt"))
-        path = write_bench_rows(
-            "demo",
-            [
-                {"config": {"z": 48}, "counts": {"bfs": 100, "mincut": 40}},
-                {"config": {"z": 48}, "baseline_ms": 10.0, "new_ms": 5.0},
-            ],
-        )
-        rows = json.loads(Path(path).read_text())
-        assert rows[0]["kind"] == "counts"
-        assert rows[0]["counts"] == {"bfs": 100, "mincut": 40}
-        assert "baseline_ms" not in rows[0]
-        assert rows[1]["speedup"] == 2.0
-
-    def test_check_bench_accepts_valid_counts_row(self):
-        check_bench = _load_check_bench()
-        row = {
-            "bench": "partition",
-            "kind": "counts",
-            "config": {"z": 48, "network": "clustered"},
-            "counts": {"bfs_boundary": 120, "mincut_boundary": 40},
-        }
-        assert check_bench.check_row("BENCH_partition.json[0]", row) == []
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda row: row.pop("counts"),
-            lambda row: row.__setitem__("counts", {}),
-            lambda row: row["counts"].__setitem__("bfs_boundary", -1),
-            lambda row: row["counts"].__setitem__("bfs_boundary", 1.5),
-            lambda row: row["counts"].__setitem__("bfs_boundary", True),
-            lambda row: row.__setitem__("bench", ""),
-        ],
-    )
-    def test_check_bench_rejects_malformed_counts_rows(self, mutate):
-        check_bench = _load_check_bench()
-        row = {
-            "bench": "partition",
-            "kind": "counts",
-            "config": {"z": 48},
-            "counts": {"bfs_boundary": 120, "mincut_boundary": 40},
-        }
-        mutate(row)
-        assert check_bench.check_row("BENCH_partition.json[0]", row)
-
-    def test_counts_rows_skip_speedup_rules(self):
-        # A counts row has no latency keys at all — the timing-row rules
-        # (positive finite latencies, speedup ratio) must not fire.
-        check_bench = _load_check_bench()
-        row = {
-            "bench": "partition",
-            "kind": "counts",
-            "config": {},
-            "counts": {"boundary": 0},
-        }
-        assert check_bench.check_row("x", row) == []

@@ -6,7 +6,12 @@ import pytest
 
 from repro.algorithms import yen_k_shortest_paths
 from repro.core import DTLP, DTLPConfig, KSPDG
-from repro.distributed import KSPDGEngine, StormTopology, distributed_build_report
+from repro.distributed import (
+    KSPDGEngine,
+    StormTopology,
+    distributed_build_report,
+    greedy_balance,
+)
 from repro.dynamics import TrafficModel
 from repro.graph import ClusterError, road_network
 from repro.workloads import BatchRunner, QueryGenerator
@@ -143,12 +148,16 @@ class TestDistributedBuild:
 
     def test_more_workers_never_increase_parallel_time(self):
         graph = road_network(6, 6, seed=23)
-        two = distributed_build_report(graph, DTLPConfig(z=12, xi=2), num_workers=2)
         eight = distributed_build_report(graph, DTLPConfig(z=12, xi=2), num_workers=8)
-        # Each report re-measures per-subgraph build times, so absolute values
-        # are noisy; the robust claims are that spreading over more workers
-        # never exceeds the single-core total, and that the 8-worker makespan
-        # stays below the 2-worker single-core total.
-        assert eight.parallel_build_seconds <= eight.total_build_seconds + 1e-9
-        assert two.parallel_build_seconds <= two.total_build_seconds + 1e-9
-        assert eight.parallel_build_seconds <= two.total_build_seconds * 1.2
+        # Two separately timed builds differ by scheduling noise, so the
+        # 2-worker makespan is modelled on the *same* per-subgraph build
+        # times the 8-worker report measured.
+        durations = {
+            subgraph_id: index.build_seconds
+            for subgraph_id, index in eight.dtlp.subgraph_indexes().items()
+        }
+        two_loads = [0.0, 0.0]
+        for subgraph_id, worker_id in greedy_balance(durations, 2).items():
+            two_loads[worker_id] += durations[subgraph_id]
+        assert eight.parallel_build_seconds <= max(two_loads) + 1e-9
+        assert max(two_loads) <= eight.total_build_seconds + 1e-9

@@ -71,6 +71,18 @@ class TestQueryGenerator:
         assert len(list(generator.stream(5, k=2))) == 5
 
 
+class _ReplayEngine:
+    """Hands back already-measured outcomes, one per ``answer`` call."""
+
+    name = "replay"
+
+    def __init__(self, outcomes):
+        self._outcomes = iter(outcomes)
+
+    def answer(self, query):
+        return next(self._outcomes)
+
+
 class TestBatchRunner:
     def test_yen_engine_answers_queries(self, small_road_network):
         engine = YenEngine(small_road_network)
@@ -95,8 +107,12 @@ class TestBatchRunner:
         generator = QueryGenerator(small_road_network, seed=4)
         queries = generator.generate(8, k=2)
         single = BatchRunner(YenEngine(small_road_network), num_servers=1).run(queries)
-        quad = BatchRunner(YenEngine(small_road_network), num_servers=4).run(queries)
+        # Two separately timed runs differ by scheduling noise; replay the
+        # outcomes just measured so both makespans model the same durations.
+        quad = BatchRunner(_ReplayEngine(single.outcomes), num_servers=4).run(queries)
+        assert quad.total_cpu_seconds == single.total_cpu_seconds
         assert quad.parallel_seconds <= single.parallel_seconds + 1e-9
+        assert quad.parallel_seconds >= single.total_cpu_seconds / 4 - 1e-9
         assert single.parallel_seconds == pytest.approx(single.total_cpu_seconds)
 
     def test_mean_statistics(self, small_road_network):
