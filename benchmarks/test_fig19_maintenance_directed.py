@@ -18,7 +18,7 @@ from repro.dynamics import TrafficModel
 
 
 @pytest.mark.paper_figure("fig19")
-def test_fig19_maintenance_directed_vs_undirected(scale, benchmark):
+def test_fig19_maintenance_directed_vs_undirected(scale, benchmark, maintenance_seconds):
     name = "CUSA" if "CUSA" in scale.datasets else scale.datasets[-1]
     graph_scale = min(scale.graph_scale, 0.5)
     rows = []
@@ -28,8 +28,8 @@ def test_fig19_maintenance_directed_vs_undirected(scale, benchmark):
         for z in scale.z_values[name][:2]:
             dtlp = DTLP(graph, DTLPConfig(z=z, xi=5)).build()
             model = TrafficModel(graph, alpha=0.5, tau=0.5, seed=17)
-            updates = model.advance()
-            elapsed = dtlp.handle_updates(updates)
+            updates = model.generate_updates()
+            elapsed = maintenance_seconds(graph, dtlp, updates)
             label = "directed" if directed else "undirected"
             rows.append([label, z, len(updates), round(elapsed, 4)])
             timings[(label, z)] = elapsed

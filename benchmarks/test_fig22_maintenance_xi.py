@@ -17,7 +17,7 @@ from repro.dynamics import TrafficModel
 
 
 @pytest.mark.paper_figure("fig22")
-def test_fig22_maintenance_cost_vs_xi(scale, benchmark):
+def test_fig22_maintenance_cost_vs_xi(scale, benchmark, maintenance_seconds):
     rows = []
     per_dataset_times = {}
     xi_grid = tuple(scale.xi_values) + ((10,) if 10 not in scale.xi_values else ())
@@ -27,8 +27,7 @@ def test_fig22_maintenance_cost_vs_xi(scale, benchmark):
             graph = build_dataset(name, scale=scale.graph_scale).snapshot()
             dtlp = DTLP(graph, DTLPConfig(z=scale.z_values[name][1], xi=xi)).build()
             model = TrafficModel(graph, alpha=0.5, tau=0.5, seed=23)
-            updates = model.advance()
-            elapsed = dtlp.handle_updates(updates)
+            elapsed = maintenance_seconds(graph, dtlp, model.generate_updates())
             times.append(elapsed)
             rows.append([name, xi, dtlp.statistics().num_bounding_paths, round(elapsed, 4)])
         per_dataset_times[name] = times

@@ -17,7 +17,7 @@ from repro.dynamics import TrafficModel
 
 
 @pytest.mark.paper_figure("fig23")
-def test_fig23_maintenance_cost_vs_alpha(scale, benchmark):
+def test_fig23_maintenance_cost_vs_alpha(scale, benchmark, maintenance_seconds):
     alpha_grid = (0.1, 0.2, 0.3, 0.4, 0.5)
     rows = []
     per_dataset_times = {}
@@ -27,8 +27,8 @@ def test_fig23_maintenance_cost_vs_alpha(scale, benchmark):
             graph = build_dataset(name, scale=scale.graph_scale).snapshot()
             dtlp = DTLP(graph, DTLPConfig(z=scale.z_values[name][1], xi=10)).build()
             model = TrafficModel(graph, alpha=alpha, tau=0.5, seed=29)
-            updates = model.advance()
-            elapsed = dtlp.handle_updates(updates)
+            updates = model.generate_updates()
+            elapsed = maintenance_seconds(graph, dtlp, updates)
             times.append(elapsed)
             rows.append([name, f"{int(alpha * 100)}%", len(updates), round(elapsed, 4)])
         per_dataset_times[name] = times

@@ -162,8 +162,11 @@ class DTLP:
         self._subgraph_indexes: Dict[int, SubgraphIndex] = {}
         # Lazily built per-subgraph kernel snapshots, shared by every
         # consumer (KSP-DG refine, distributed bolts) and refreshed
-        # incrementally instead of re-adapting the mutable graph per call.
+        # incrementally instead of re-adapting the mutable graph per call:
+        # the epoch fold leaves each cached snapshot's changed edges in its
+        # bucket (edge -> latest (u, v, weight)), applied on its next read.
         self._subgraph_snapshots: Dict[int, CSRSnapshot] = {}
+        self._snapshot_changes: Dict[int, Dict[Tuple[int, int], Tuple[int, int, float]]] = {}
         self._skeleton = SkeletonGraph(directed=self._config.directed)
         self._mfp_forests: Dict[int, MFPForest] = {}
         self._built = False
@@ -253,21 +256,29 @@ class DTLP:
         """A current kernel snapshot of one subgraph (built lazily, cached).
 
         The snapshot is shared across queries and iterations: the first
-        access pays the CSR build, subsequent accesses only compare the
-        parent graph's version counter and, when weights changed, refresh
-        the affected arcs in O(changed edges).  This is the array-backed
-        fast path of the refine step; the :class:`~repro.graph.subgraph.Subgraph`
-        object itself remains the dict-based reference (see
-        ``ARCHITECTURE.md``).
+        access pays the CSR build, later ones compare versions and, when the
+        graph moved, rewrite the arcs of this subgraph's own changed edges
+        — bucketed by the one walk of the change feed per graph version
+        (:meth:`_advance_weight_epochs`), so a round costs O(changed edges)
+        over all snapshots together.  This is the array-backed fast path of
+        the refine step; the :class:`~repro.graph.subgraph.Subgraph` object
+        itself remains the dict-based reference (see ``ARCHITECTURE.md``).
         """
         if self._partition is None:
             raise IndexStateError("DTLP.build() must run before snapshots are read")
-        snapshot = self._subgraph_snapshots.get(subgraph_id)
-        if snapshot is None:
-            snapshot = CSRSnapshot(self._partition.subgraph(subgraph_id))
-            self._subgraph_snapshots[subgraph_id] = snapshot
-        else:
-            snapshot.refresh()
+        with self._epoch_lock:
+            # Fold first: a snapshot built below already holds every change
+            # up to the version the fold stops at.
+            self._advance_weight_epochs()
+            snapshot = self._subgraph_snapshots.get(subgraph_id)
+            if snapshot is None:
+                snapshot = CSRSnapshot(self._partition.subgraph(subgraph_id))
+                self._subgraph_snapshots[subgraph_id] = snapshot
+            elif snapshot.version != self._weight_epoch_version:
+                snapshot.apply_changes(
+                    self._snapshot_changes.pop(subgraph_id, {}).values(),
+                    self._weight_epoch_version,
+                )
         return snapshot
 
     def mfp_forest(self, subgraph_id: int) -> Optional[MFPForest]:
@@ -294,18 +305,31 @@ class DTLP:
             return self._weight_epochs.get(subgraph_id, 0)
 
     def _advance_weight_epochs(self) -> None:
-        """Fold graph changes since the last look into per-subgraph epochs."""
+        """Fold graph changes since the last look into per-subgraph state.
+
+        The one walk of the change feed per graph version: bumps the epoch
+        of every subgraph holding a changed edge's endpoints and files the
+        edge under its owner's cached snapshot, if any (one built later
+        reads live weights).  Callers hold ``_epoch_lock``.
+        """
         current = self._graph.version
         if current == self._weight_epoch_version:
             return
-        assert self._partition is not None
+        partition = self._partition
+        assert partition is not None
         epochs = self._weight_epochs
+        pending = self._snapshot_changes
         bumped: Set[int] = set()
-        for u, v, _weight in self._graph.edges_changed_since(
+        for u, v, weight in self._graph.edges_changed_since(
             self._weight_epoch_version
         ):
-            for subgraph_id in self._partition.subgraphs_containing_pair(u, v):
-                bumped.add(subgraph_id)
+            owner = partition.owner_of_edge(u, v)
+            if partition.is_boundary(u) and partition.is_boundary(v):
+                bumped.update(partition.subgraphs_containing_pair(u, v))
+            else:  # only boundary vertices are shared: the owner holds both
+                bumped.add(owner)
+            if owner in self._subgraph_snapshots:
+                pending.setdefault(owner, {})[(u, v)] = (u, v, weight)
         for subgraph_id in bumped:
             epochs[subgraph_id] = epochs.get(subgraph_id, 0) + 1
         self._weight_epoch_version = current
@@ -487,6 +511,7 @@ class DTLP:
             )
         self._subgraph_indexes.clear()
         self._subgraph_snapshots.clear()
+        self._snapshot_changes.clear()
         self._partial_memo.clear()
         self._heuristic_providers.clear()
         self._skeleton_kernel_snapshot = None

@@ -297,10 +297,12 @@ class SubgraphIndex:
     def apply_updates(self, updates: Sequence[WeightUpdate]) -> Set[Tuple[int, int]]:
         """Apply a batch of weight updates affecting this subgraph.
 
-        Implements Algorithm 2: for each changed edge, the distances of the
-        bounding paths covering it (found through the EP-Index) are adjusted
-        by the weight delta, and the subgraph's sorted unit weights are
-        refreshed so bound distances reflect the new weights.
+        Implements Algorithm 2, per batch rather than per vfrag: the
+        subgraph's sorted unit weights take the whole batch at once
+        (:meth:`~repro.graph.subgraph.SortedUnitWeights.update_edges` — one
+        re-sort, the same sorted multiset), and every bounding path covering
+        a changed edge (found through the EP-Index) is re-priced once,
+        however many of its edges changed.
 
         Parameters
         ----------
@@ -320,13 +322,12 @@ class SubgraphIndex:
             raise IndexStateError("SubgraphIndex.build() must run before updates")
         affected_pairs: Set[Tuple[int, int]] = set()
         touched_paths: Set[int] = set()
-        for update in updates:
-            if not self._subgraph.has_edge(update.u, update.v):
-                continue
-            if self._unit_weights is not None:
-                self._unit_weights.update_edge(update.u, update.v)
-            for path_id in self._ep_index.paths_through_edge(update.u, update.v):
-                touched_paths.add(path_id)
+        has_edge = self._subgraph.has_edge
+        owned = [(update.u, update.v) for update in updates if has_edge(update.u, update.v)]
+        if self._unit_weights is not None:
+            self._unit_weights.update_edges(owned)
+        for u, v in owned:
+            touched_paths.update(self._ep_index.paths_through_edge(u, v))
         for path_id in touched_paths:
             path = self._paths_by_id[path_id]
             path.distance = self._subgraph.path_distance(path.vertices)

@@ -71,6 +71,12 @@ QueryKey = Tuple[int, int, int]
 
 _MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a request body may take to arrive once its head is read; a writer
+#: that stalls mid-body would otherwise pin its handler task for good.  The
+#: wait for the *next* head on an idle keep-alive connection stays unbounded:
+#: a client whose connection is closed under it retries, i.e. sees a failure.
+_BODY_READ_TIMEOUT = 10.0
+
 #: Largest ``k`` a ``/query`` may ask for.  Yen's cost grows with every
 #: path enumerated and a batch cannot be abandoned once it runs, so an
 #: unbounded ``k`` pins a replica's only batch thread long after the
@@ -356,8 +362,19 @@ class FrontDoorServer:
                 if length > _MAX_BODY_BYTES:
                     await self._respond(writer, 413, {"error": "body too large"})
                     break
+                # A timer failing the read, not ``wait_for``: that wraps the
+                # read in a task of its own, on every request.
+                stalled = self._loop.call_later(
+                    _BODY_READ_TIMEOUT, reader.set_exception, asyncio.TimeoutError()
+                )
                 try:
                     body = await reader.readexactly(length) if length else b""
+                except asyncio.TimeoutError:
+                    await self._respond(
+                        writer, 408, {"error": "request body timed out"},
+                        keep_alive=False,
+                    )
+                    break
                 except asyncio.IncompleteReadError:
                     # The peer stopped sending mid-body; it may still be
                     # reading (half-close), so say why before closing.
@@ -368,6 +385,8 @@ class FrontDoorServer:
                     break
                 except ConnectionResetError:
                     break
+                finally:
+                    stalled.cancel()
                 status, payload, extra = await self._dispatch(
                     method, path, headers, body
                 )
@@ -407,7 +426,7 @@ class FrontDoorServer:
         keep_alive: bool = True,
     ) -> None:
         reasons = {
-            200: "OK", 400: "Bad Request", 404: "Not Found",
+            200: "OK", 400: "Bad Request", 404: "Not Found", 408: "Request Timeout",
             413: "Payload Too Large", 429: "Too Many Requests",
             431: "Request Header Fields Too Large", 500: "Internal Server Error",
             503: "Service Unavailable", 504: "Gateway Timeout",
@@ -671,12 +690,9 @@ class FrontDoorServer:
                 await worker.quiesce()
             loop = asyncio.get_running_loop()
             for replica_id, replica in self.replicas.items():
-                if not replica.alive:
-                    # A killed replica still receives maintenance: its
-                    # graph must stay version-aligned for revival.  Apply
-                    # directly (its worker thread is idle by quiesce).
-                    replica.service.maintenance_step(list(updates))
-                    continue
+                # A killed replica receives the round too (its graph must
+                # stay version-aligned for revival), like a live one on its
+                # own batch thread, idle by quiesce: never on the loop thread.
                 await loop.run_in_executor(
                     self.workers[replica_id]._pool,
                     replica.apply_maintenance,

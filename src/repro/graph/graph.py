@@ -124,11 +124,6 @@ class DynamicGraph:
         should instantiate the directed subclass instead of passing ``True``.
     """
 
-    #: Compaction bound of the per-edge change log: when the log exceeds
-    #: this many entries its older half is dropped (consumers that far
-    #: behind fall back to the full version-table scan).
-    CHANGE_LOG_LIMIT = 100_000
-
     def __init__(self, directed: bool = False) -> None:
         self._directed = directed
         # vertex -> {neighbour -> current weight}
@@ -141,9 +136,9 @@ class DynamicGraph:
         self._edge_versions: Dict[Tuple[int, int], int] = {}
         # Append-only (version, edge key) log of weight changes, so
         # edges_changed_since(v) costs O(changes after v) instead of
-        # O(all edges ever changed).  Compacted at CHANGE_LOG_LIMIT;
-        # _change_log_floor is the newest version whose changes may have
-        # been dropped from the log.
+        # O(all edges ever changed).  Compacted once it outgrows 2 * |E|
+        # (see apply_updates); _change_log_floor is the newest version
+        # whose changes may have been dropped from the log.
         self._change_log: List[Tuple[int, Tuple[int, int]]] = []
         self._change_log_floor = 0
 
@@ -288,14 +283,16 @@ class DynamicGraph:
         Walks the append-only change log from the first entry newer than
         ``version`` (found by bisection), so the cost is O(changes after
         ``version``) — each edge reported once with its current weight.
-        Callers that fell behind a log compaction (more than
-        :data:`CHANGE_LOG_LIMIT` changes ago) fall back to scanning the
-        per-edge version table, which is still O(edges ever changed), not
-        O(E).  This is the incremental-refresh feed of
-        :meth:`repro.kernel.snapshot.CSRSnapshot.refresh`: a snapshot built
-        at version ``t`` becomes current again by rewriting exactly these
-        weights.  Edges are reported with their canonical orientation
-        (``u <= v`` for undirected graphs).
+        The log holds at most ``2 * num_edges`` entries after any batch of
+        up to ``num_edges`` updates; callers that fell behind a compaction
+        fall back to scanning the per-edge version table, O(edges ever
+        changed) <= |E| — no dearer than the log it replaces.  This is the
+        feed of :meth:`repro.core.dtlp.DTLP.subgraph_snapshot` (one walk per
+        graph version for every subgraph snapshot together) and of a
+        stand-alone :meth:`repro.kernel.snapshot.CSRSnapshot.refresh`: a
+        snapshot built at version ``t`` becomes current again by rewriting
+        exactly these weights.  Edges are reported with their canonical
+        orientation (``u <= v`` for undirected graphs).
         """
         if version >= self._version:
             return
@@ -398,7 +395,9 @@ class DynamicGraph:
             key = self._key(update.u, update.v)
             self._edge_versions[key] = self._version
             self._change_log.append((self._version, key))
-        if len(self._change_log) > self.CHANGE_LOG_LIMIT:
+        # Past 2 * |E| entries the version-table fallback of
+        # edges_changed_since is no dearer than the log: drop the older half.
+        if len(self._change_log) > 2 * len(self._initial_weights):
             keep_from = len(self._change_log) // 2
             self._change_log_floor = self._change_log[keep_from - 1][0]
             del self._change_log[:keep_from]

@@ -19,7 +19,6 @@ subgraphs.
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .errors import EdgeNotFoundError, VertexNotFoundError
@@ -163,10 +162,21 @@ class Subgraph:
         return self._parent.unit_weight(u, v)
 
     def path_distance(self, vertices: Sequence[int]) -> float:
-        """Distance of a path that stays inside this subgraph."""
+        """Distance of a path that stays inside this subgraph.
+
+        :meth:`weight` summed left to right, written as one loop: Algorithm
+        2 re-prices every touched bounding path through here.
+        """
+        edges = self._edges
+        directed = self._parent.directed
+        parent_weight = self._parent.weight
         total = 0.0
         for index in range(len(vertices) - 1):
-            total += self.weight(vertices[index], vertices[index + 1])
+            u = vertices[index]
+            v = vertices[index + 1]
+            if ((u, v) if directed or u <= v else (v, u)) not in edges:
+                raise EdgeNotFoundError(u, v)
+            total += parent_weight(u, v)
         return total
 
     # ------------------------------------------------------------------
@@ -223,22 +233,27 @@ class SortedUnitWeights:
     The DTLP maintenance path needs repeated ``smallest_unit_weight_sum``
     evaluations after each weight update; recomputing the full profile every
     time is wasteful.  This helper keeps one entry per vfrag in a sorted list
-    and supports replacing all vfrags of an edge when its weight changes.
+    and re-derives it once per batch of edges whose weights changed.
     """
 
     def __init__(self, subgraph: Subgraph) -> None:
         self._subgraph = subgraph
-        self._values: List[float] = []
-        self._edge_units: Dict[Tuple[int, int], Tuple[float, int]] = {}
-        for u, v in subgraph.edge_set:
-            unit = subgraph.unit_weight(u, v)
-            count = subgraph.vfrag_count(u, v)
-            self._edge_units[(u, v)] = (unit, count)
-            self._values.extend([unit] * count)
-        self._values.sort()
-        # Prefix sums for O(1) bound-distance queries; rebuilt lazily so a
-        # batch of edge updates pays the O(total vfrags) rebuild only once.
+        self._edge_units: Dict[Tuple[int, int], Tuple[float, int]] = {
+            (u, v): (subgraph.unit_weight(u, v), subgraph.vfrag_count(u, v))
+            for u, v in subgraph.edge_set
+        }
+        # Prefix sums for O(1) bound-distance queries; rebuilt lazily, on
+        # the first bound read after a batch of edge updates.
         self._prefix: List[float] = []
+        self._resort()
+
+    def _resort(self) -> None:
+        """Re-derive the sorted values (one per vfrag) from ``_edge_units``."""
+        values: List[float] = []
+        for unit, count in self._edge_units.values():
+            values.extend([unit] * count)
+        values.sort()
+        self._values = values
         self._prefix_dirty = True
 
     def _rebuild_prefix(self) -> None:
@@ -250,22 +265,29 @@ class SortedUnitWeights:
         self._prefix = prefix
         self._prefix_dirty = False
 
-    def update_edge(self, u: int, v: int) -> None:
-        """Refresh the unit weights of edge ``(u, v)`` after a weight change."""
-        key = (u, v) if self._subgraph.directed else edge_key(u, v)
-        if key not in self._edge_units:
-            raise EdgeNotFoundError(u, v)
-        old_unit, count = self._edge_units[key]
-        new_unit = self._subgraph.unit_weight(*key)
-        if new_unit == old_unit:
-            return
-        for _ in range(count):
-            index = bisect.bisect_left(self._values, old_unit)
-            del self._values[index]
-        for _ in range(count):
-            bisect.insort(self._values, new_unit)
-        self._edge_units[key] = (new_unit, count)
-        self._prefix_dirty = True
+    def update_edges(self, edges: Iterable[Tuple[int, int]]) -> None:
+        """Refresh the unit weights of ``edges`` after their weights changed.
+
+        One pass over the batch and, if any unit weight moved, one re-sort:
+        the same sorted multiset as replacing vfrags edge by edge, so every
+        bound distance is bit-identical.
+        """
+        directed = self._subgraph.directed
+        parent_weight = self._subgraph.parent.weight
+        edge_units = self._edge_units
+        moved = False
+        for u, v in edges:
+            key = (u, v) if directed else edge_key(u, v)
+            if key not in edge_units:
+                raise EdgeNotFoundError(u, v)
+            old_unit, count = edge_units[key]
+            # DynamicGraph.unit_weight, with the vfrag count already at hand.
+            new_unit = parent_weight(u, v) / count
+            if new_unit != old_unit:
+                edge_units[key] = (new_unit, count)
+                moved = True
+        if moved:
+            self._resort()
 
     def rebind(self, subgraph: Subgraph) -> None:
         """Re-point at an equivalent subgraph (see ``SubgraphIndex.rebind``)."""

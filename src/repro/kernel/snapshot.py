@@ -19,12 +19,14 @@ flat arrays while keeping the *weights* cheaply refreshable:
 Snapshots model the paper's dynamics: topology is fixed, weights change.
 :meth:`CSRSnapshot.refresh` pulls in weight changes incrementally, keyed off
 the per-edge version counters of :class:`~repro.graph.graph.DynamicGraph`
-(``edges_changed_since``), so a long-lived consumer (DTLP, the distributed
-bolts, the serving loop) refreshes in O(changed edges) instead of rebuilding
-in O(V + E).  Sources without version counters (the skeleton graph) fall
-back to a full weight re-read, which is still cheap because no structure is
-rebuilt.  See ``ARCHITECTURE.md`` for where snapshots sit in the layer
-stack and when to prefer them over the dict-based reference path.
+(``edges_changed_since``), so a long-lived consumer (the serving loop)
+refreshes in O(changed edges) instead of rebuilding in O(V + E); the DTLP
+hands each of its per-subgraph snapshots its own share of that list through
+:meth:`CSRSnapshot.apply_changes`.  Sources without version counters (the
+skeleton graph) fall back to a full weight re-read, which is still cheap
+because no structure is rebuilt.  See ``ARCHITECTURE.md`` for where
+snapshots sit in the layer stack and when to prefer them over the
+dict-based reference path.
 """
 
 from __future__ import annotations
@@ -284,22 +286,22 @@ class CSRSnapshot:
     def refresh(self) -> int:
         """Pull weight changes from the source; returns arcs rewritten.
 
-        Incremental for versioned sources — only edges whose per-edge
-        version advanced past the snapshot's version are touched; a no-op
-        when the source did not change.  Unversioned sources re-read every
-        arc weight.  Topology changes (edge insertions) are *not* picked
-        up; build a fresh snapshot for those.
+        A no-op when a versioned source did not move; otherwise one walk of
+        the *whole graph's* change list since the snapshot's version, of
+        which :meth:`apply_changes` keeps the arcs held here — right for one
+        stand-alone snapshot; a set of them should share the walk, as
+        :meth:`repro.core.dtlp.DTLP.subgraph_snapshot` does.  Unversioned
+        sources re-read every arc weight.  Topology changes (edge
+        insertions) are *not* picked up; build a fresh snapshot for those.
         """
-        weights = self.weights
-        arc_pos = self._arc_pos
-        index_of = self.index_of
-        rewritten = 0
         versioned = self._version_source
         if versioned is None:
+            weights = self.weights
             source = self._source
             ids = self.ids
+            rewritten = 0
             changed_rows = set()
-            for (ui, vi), pos in arc_pos.items():
+            for (ui, vi), pos in self._arc_pos.items():
                 value = source.weight(ids[ui], ids[vi])
                 if value != weights[pos]:
                     weights[pos] = value
@@ -312,11 +314,26 @@ class CSRSnapshot:
         current = versioned.version
         if current == self._built_version:
             return 0
-        subgraph = self._source if isinstance(self._source, Subgraph) else None
+        return self.apply_changes(
+            versioned.edges_changed_since(self._built_version), current
+        )
+
+    def apply_changes(self, changes, version: int) -> int:
+        """Rewrite the arcs of ``changes``; returns arcs rewritten.
+
+        The one writer of versioned snapshots.  ``changes`` iterates over
+        ``(u, v, weight)`` in the source graph's edge orientation and must
+        cover every edge held here that changed up to ``version``, which
+        becomes the snapshot's; edges not held are skipped.  Touched rows
+        are rebuilt; :attr:`weights_epoch` advances iff an arc was rewritten.
+        """
+        weights = self.weights
+        arc_pos = self._arc_pos
+        index_of = self.index_of
+        directed = self.directed
+        rewritten = 0
         stale_rows = set()
-        for u, v, weight in versioned.edges_changed_since(self._built_version):
-            if subgraph is not None and not subgraph.has_edge(u, v):
-                continue
+        for u, v, weight in changes:
             ui = index_of.get(u)
             vi = index_of.get(v)
             if ui is None or vi is None:
@@ -326,14 +343,14 @@ class CSRSnapshot:
                 weights[pos] = weight
                 stale_rows.add(ui)
                 rewritten += 1
-            if not self.directed:
+            if not directed:
                 pos = arc_pos.get((vi, ui))
                 if pos is not None:
                     weights[pos] = weight
                     stale_rows.add(vi)
                     rewritten += 1
         self._rebuild_rows(stale_rows)
-        self._built_version = current
+        self._built_version = version
         if rewritten:
             self._weights_epoch += 1
         return rewritten

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -25,6 +27,7 @@ from repro.frontdoor import (
     build_replicas,
     start_front_door,
 )
+from repro.frontdoor import server as frontdoor_server
 from repro.frontdoor.server import MAX_K
 from repro.graph import EdgeNotFoundError, WeightUpdate, road_network
 
@@ -192,6 +195,37 @@ class TestMaintenance:
         }
         assert versions == {1}
 
+    def test_killed_replica_round_runs_off_the_event_loop(
+        self, graph, front_door, client, monkeypatch
+    ):
+        """Index maintenance is tens of ms: on the loop thread it would stall
+        ``/healthz``, ``/metrics`` and every socket.  A dead replica's round
+        goes through its own (idle) batch thread like a live one's."""
+        server = front_door.server
+        dead = server.replicas[1]
+        front_door.run_on_loop(dead.kill)
+        ran_on = []
+        step = dead.service.maintenance_step
+
+        def recording_step(updates):
+            ran_on.append(threading.current_thread().name)
+            return step(updates)
+
+        monkeypatch.setattr(dead.service, "maintenance_step", recording_step)
+        edges = list(graph.edges())[:2]
+        response = client.maintenance([(u, v, w * 1.5) for u, v, w in edges])
+        assert response["graph_version"] == 1
+        assert len(ran_on) == 1 and ran_on[0].startswith("replica-1")
+        assert {r.service.graph.version for r in server.replicas.values()} == {1}
+        # Revived, it serves at the new version: kill the other so the
+        # answer can only be its own.
+        front_door.run_on_loop(dead.revive)
+        front_door.run_on_loop(server.replicas[0].kill)
+        answer = client.query(0, 35, k=2)
+        assert answer.status == 200 and not answer.degraded
+        assert answer.payload["replica"] == 1
+        assert answer.payload["graph_version"] == 1
+
 
 class TestObservability:
     def test_healthz_document(self, front_door, client):
@@ -273,6 +307,37 @@ class TestMalformedFraming:
         sock.close()
         assert client.query(0, 35, k=2).status == 200
         assert client.health()["status"] == "ok"
+
+    def test_stalled_body_is_408(self, front_door, monkeypatch):
+        """A writer that stops mid-body, socket open, is told so and dropped
+        instead of pinning its handler task for good."""
+        monkeypatch.setattr(frontdoor_server, "_BODY_READ_TIMEOUT", 0.2)
+        host, _, port = front_door.url.split("//", 1)[-1].partition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                b"POST /maintenance HTTP/1.1\r\nHost: frontdoor\r\n"
+                b"Content-Length: 64\r\n\r\n" + b'{"updates": [[0, 1'
+            )
+            with sock.makefile("rb") as stream:  # nothing more is sent
+                response = stream.read()  # to EOF: the server must close
+        assert response.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in response
+        assert not front_door.server._connections
+        with FrontDoorClient.for_url(front_door.url) as fresh:
+            assert fresh.query(0, 35, k=2).status == 200
+            assert fresh.health()["status"] == "ok"
+
+    def test_idle_keep_alive_connection_is_not_timed_out(
+        self, front_door, client, monkeypatch
+    ):
+        """Only the body read is bounded: a client that sits on its one
+        connection longer than the bound is answered on it, not retried."""
+        monkeypatch.setattr(frontdoor_server, "_BODY_READ_TIMEOUT", 0.05)
+        assert client.query(0, 35, k=2).status == 200
+        time.sleep(0.2)
+        again = client.query(0, 35, k=2)
+        assert again.status == 200 and again.attempts == 1
+        assert client.retries == 0
 
 
 class TestHostileInputs:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra, shortest_path
@@ -14,7 +16,7 @@ from repro.graph.errors import (
     QueryError,
     VertexNotFoundError,
 )
-from repro.graph.generators import random_graph
+from repro.graph.generators import grid_graph, random_graph
 from repro.graph.graph import DirectedDynamicGraph, WeightUpdate
 from repro.kernel import CSRSnapshot, dijkstra_arrays
 from repro.workloads import FindKSPEngine, YenEngine
@@ -184,24 +186,39 @@ class TestRefresh:
         assert list(graph.edges_changed_since(graph.version)) == []
 
     def test_edges_changed_since_survives_log_compaction(self) -> None:
-        graph = road_network(4, 4, seed=2)
+        """The change log is bounded by the graph, and no reader sees the cut.
+
+        200 rounds of 1..|E| updates (repeats within a batch included) on a
+        24-edge grid compact the log dozens of times; after every round the
+        log holds at most 2 * |E| entries and ``edges_changed_since(v)``
+        equals the brute-force answer from the per-edge version table for
+        every past ``v`` — those served from the log and those that fell
+        behind a compaction alike.
+        """
+        graph = grid_graph(4, 4)
         edges = [(u, v) for u, v, _ in graph.edges()]
-        original_limit = DynamicGraph.CHANGE_LOG_LIMIT
-        DynamicGraph.CHANGE_LOG_LIMIT = 8
-        try:
-            base = graph.version
-            for round_number in range(6):
-                graph.apply_updates(
-                    [WeightUpdate(u, v, 1.0 + round_number) for u, v in edges[:4]]
-                )
-            # base predates the compacted log: the fallback scan must still
-            # report every changed edge with its current weight.
-            changed = {(u, v): w for u, v, w in graph.edges_changed_since(base)}
-            assert len(changed) == 4
-            for (u, v), weight in changed.items():
-                assert weight == graph.weight(u, v)
-        finally:
-            DynamicGraph.CHANGE_LOG_LIMIT = original_limit
+        assert graph.num_edges == len(edges) == 24
+        rng = random.Random(11)
+        longest = 0
+        for round_number in range(200):
+            batch = rng.choices(edges, k=rng.randint(1, len(edges)))
+            graph.apply_updates(
+                [WeightUpdate(u, v, float(rng.randint(1, 9))) for u, v in batch]
+            )
+            longest = max(longest, len(graph._change_log))
+            assert len(graph._change_log) <= 2 * graph.num_edges
+            for past in range(graph.version + 1):
+                expected = {
+                    (u, v): graph.weight(u, v)
+                    for (u, v), changed_at in graph._edge_versions.items()
+                    if changed_at > past
+                }
+                reported = list(graph.edges_changed_since(past))
+                assert len(reported) == len(expected)  # each edge once
+                assert {(u, v): w for u, v, w in reported} == expected
+        assert graph.version == 200
+        assert graph._change_log_floor > 0  # compaction did happen
+        assert longest > graph.num_edges  # and the bound is not vacuous
 
     def test_unversioned_source_full_reread(self) -> None:
         skeleton = DTLP(road_network(8, 8, seed=1), DTLPConfig(z=20, xi=3)).build().skeleton_graph

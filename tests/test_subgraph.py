@@ -120,8 +120,7 @@ class TestSortedUnitWeights:
         subgraph = make_sg4_subgraph(sg4_graph)
         sorted_units = SortedUnitWeights(subgraph)
         apply_sg4_change(sg4_graph)
-        for u, v in [(13, 18), (18, 17), (17, 16), (17, 19)]:
-            sorted_units.update_edge(u, v)
+        sorted_units.update_edges([(13, 18), (18, 17), (17, 16), (17, 19)])
         assert sorted_units.smallest_sum(8) == pytest.approx(4.0)
         assert len(sorted_units) == 18
 
@@ -129,11 +128,11 @@ class TestSortedUnitWeights:
         subgraph = make_sg4_subgraph(sg4_graph)
         sorted_units = SortedUnitWeights(subgraph)
         with pytest.raises(EdgeNotFoundError):
-            sorted_units.update_edge(13, 19)
+            sorted_units.update_edges([(13, 19)])
 
     def test_noop_update_keeps_sums(self, sg4_graph):
         subgraph = make_sg4_subgraph(sg4_graph)
         sorted_units = SortedUnitWeights(subgraph)
         before = sorted_units.smallest_sum(5)
-        sorted_units.update_edge(13, 16)
+        sorted_units.update_edges([(13, 16)])
         assert sorted_units.smallest_sum(5) == pytest.approx(before)
