@@ -1,25 +1,19 @@
-"""Kernel microbenchmark: dict reference vs snapshot vs batched fast tier.
+"""Kernel microbenchmark: dict reference vs snapshot.
 
-Measures the compute paths the rest of the system chooses between (see
-``ARCHITECTURE.md``, "Batched kernel & identity tiers"): the dict-based
-graph objects driven through the generic neighbour adapter, the
-:class:`~repro.kernel.snapshot.CSRSnapshot` heap kernel, and the ``fast``
-tier's batched wavefront kernel.  Workloads on a ~5k-vertex synthetic road
-network:
+Measures the two compute tiers the rest of the system chooses between (see
+``ARCHITECTURE.md``, "The compute tiers"): the dict-based graph objects
+driven through the generic neighbour adapter, and the
+:class:`~repro.kernel.snapshot.CSRSnapshot` heap kernel.  Workloads on a
+~5k-vertex synthetic road network:
 
 * point-to-point shortest-path queries (early-exit Dijkstra + path
-  reconstruction) — the repository's hottest primitive — answered per-pair
-  on dict/snapshot and as one micro-batch by the fast tier,
+  reconstruction) — the repository's hottest primitive,
 * full single-source Dijkstra (labelled-dictionary output, as consumed by
   FindKSP's SPT build),
-* Yen's k shortest simple paths,
-* a batched multi-source case: one shared flat search structure
-  (:func:`~repro.kernel.wavefront.dijkstra_arrays_batch`) vs N independent
-  heap searches over the same sources.
+* Yen's k shortest simple paths.
 
 The snapshot build cost is reported separately so the amortisation argument
-is visible.  Acceptance floors: snapshot shortest-path Dijkstra ≥ 2x dict,
-fast batched tier ≥ 3x dict, batch ≥ 2x its per-source equivalent.
+is visible.  Acceptance floor: snapshot shortest-path Dijkstra ≥ 2x dict.
 
 Paper map: ``docs/paper_map.md`` ties every benchmark to its figure/table.
 """
@@ -36,12 +30,6 @@ from repro.algorithms.yen import yen_k_shortest_paths
 from repro.bench import print_experiment
 from repro.graph import road_network
 from repro.kernel import CSRSnapshot
-from repro.kernel.wavefront import (
-    batch_shortest_paths,
-    dijkstra_arrays_batch,
-    numpy_available,
-    wavefront_sssp,
-)
 
 
 def _best_of(callable_, repeats: int) -> float:
@@ -65,20 +53,14 @@ def test_kernel_speedup(scale, benchmark) -> None:
     num = graph.num_vertices
     pairs = [(rng.randrange(num), rng.randrange(num)) for _ in range(20)]
     yen_pairs = pairs[:3]
-    have_numpy = numpy_available()
 
     # The two bit-identical paths must agree exactly before timing means
-    # anything; the fast tier must match their distances (its paths are
-    # tie-order free, so only the distance is compared).
+    # anything.
     for source, target in pairs[:5]:
         assert shortest_path(graph, source, target) == shortest_path(
             snapshot, source, target
         )
         assert dijkstra(graph, source) == dijkstra(snapshot, source)
-    if have_numpy:
-        reference = [shortest_path(snapshot, s, t) for s, t in pairs]
-        batched = batch_shortest_paths(snapshot, pairs)
-        assert [p.distance for p in batched] == [p.distance for p in reference]
 
     repeats = 3 if scale.name == "quick" else 5
     sp_dict = _best_of(
@@ -86,11 +68,6 @@ def test_kernel_speedup(scale, benchmark) -> None:
     )
     sp_snap = _best_of(
         lambda: [shortest_path(snapshot, s, t) for s, t in pairs], repeats
-    )
-    sp_fast = (
-        _best_of(lambda: batch_shortest_paths(snapshot, pairs), repeats)
-        if have_numpy
-        else None
     )
     full_dict = _best_of(lambda: [dijkstra(graph, s) for s, _ in pairs[:5]], repeats)
     full_snap = _best_of(lambda: [dijkstra(snapshot, s) for s, _ in pairs[:5]], repeats)
@@ -121,81 +98,21 @@ def test_kernel_speedup(scale, benchmark) -> None:
         row("full Dijkstra (labelled dicts)", full_dict, full_snap, 5),
         row("Yen k=3", yen_dict, yen_snap, len(yen_pairs)),
     ]
-    if sp_fast is not None:
-        rows.insert(
-            1, row("fast tier: batched s->t (vs dict)", sp_dict, sp_fast, len(pairs))
-        )
     print_experiment(
-        f"Kernel microbenchmark: dict vs CSRSnapshot vs fast "
+        f"Kernel microbenchmark: dict vs CSRSnapshot "
         f"({graph.num_vertices} vertices, {graph.num_edges} edges; "
         f"snapshot build {build_seconds * 1e3:.1f} ms)",
         ["workload", "#queries", "baseline (ms)", "new (ms)", "speedup"],
         rows,
         notes="identical distances asserted before timing; snapshot build "
-        "amortises across every query until the next topology change; the "
-        "fast tier answers the whole pair batch in one multi-source run",
+        "amortises across every query until the next topology change",
     )
 
-    # Acceptance floors: the array kernel answers point-to-point Dijkstra
-    # queries at least twice as fast as dict, and the batched fast tier at
-    # least three times as fast (the PR-7 tentpole target).
+    # Acceptance floor: the array kernel answers point-to-point Dijkstra
+    # queries at least twice as fast as dict.
     assert sp_dict / sp_snap >= 2.0, (
         f"snapshot Dijkstra speedup {sp_dict / sp_snap:.2f}x below the 2x floor"
     )
-    if sp_fast is not None:
-        assert sp_dict / sp_fast >= 3.0, (
-            f"fast batched speedup {sp_dict / sp_fast:.2f}x below the 3x floor"
-        )
     # The other paths must at least not regress.
     assert full_dict / full_snap >= 1.2
     assert yen_dict / yen_snap >= 1.2
-
-
-@pytest.mark.skipif(not numpy_available(), reason="fast tier requires numpy")
-def test_batched_multi_source_speedup(scale, benchmark) -> None:
-    """One shared flat structure vs N independent searches (same sources)."""
-    side = 71 if scale.name == "quick" else 100
-    graph = road_network(side, side, seed=3)
-    snapshot = CSRSnapshot(graph)
-    rng = random.Random(2)
-    sources = sorted(rng.sample(range(snapshot.num_vertices), 16))
-
-    # Distance identity first: each batch row must equal its own full
-    # single-source wavefront (itself bitwise equal to the heap kernel —
-    # tests/test_fast_kernel_properties.py).
-    dist, _pred = dijkstra_arrays_batch(snapshot, sources)
-    for row_index, source in enumerate(sources):
-        single, _ = wavefront_sssp(snapshot, source)
-        assert list(dist[row_index]) == list(single)
-
-    repeats = 3 if scale.name == "quick" else 5
-    independent = _best_of(
-        lambda: [wavefront_sssp(snapshot, source) for source in sources], repeats
-    )
-    batched = _best_of(lambda: dijkstra_arrays_batch(snapshot, sources), repeats)
-    benchmark.pedantic(
-        lambda: dijkstra_arrays_batch(snapshot, sources), rounds=1, iterations=1
-    )
-
-    print_experiment(
-        f"Batched multi-source wavefront ({snapshot.num_vertices} vertices, "
-        f"{len(sources)} sources)",
-        ["strategy", "#sources", "time (ms)", "speedup"],
-        [
-            ["independent wavefronts", len(sources), round(independent * 1e3, 2), 1.0],
-            [
-                "one shared batch",
-                len(sources),
-                round(batched * 1e3, 2),
-                round(independent / batched, 2),
-            ],
-        ],
-        notes="identical per-source distance rows asserted before timing; the "
-        "batch pays each sweep's numpy overhead once for all sources",
-    )
-
-    # Sharing the frontier structure must amortise the per-sweep overhead.
-    assert independent / batched >= 2.0, (
-        f"batched multi-source speedup {independent / batched:.2f}x "
-        "below the 2x floor"
-    )

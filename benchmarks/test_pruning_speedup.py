@@ -8,17 +8,16 @@ isolation on the same DTLP index and the same snapshot kernel:
 * **unpruned** — the PR-2 baseline: every reference-path spur search and
   every partial-KSP spur search is a blind early-exit Dijkstra, partial
   results are cached per query only.
-* **pruned** — the goal-directed stack (``ARCHITECTURE.md``, "Goal-directed
-  search & pruning"): upper-bound cutoffs from the current k-th best
-  candidate, admissible lower bounds (the exact distance to the target on
-  the skeleton, ALT landmarks inside subgraphs), one-to-many attachment
-  searches,
-  and the cross-query partial-KSP memo keyed by weight epochs.
+* **bound-pruned** — the goal-directed stack that ships (``ARCHITECTURE.md``,
+  "Goal-directed search & pruning"): upper-bound cutoffs from the current
+  k-th best candidate, the exact distance to the target on the skeleton as
+  the filter step's lower bound, one-to-many attachment searches, and the
+  cross-query partial-KSP memo keyed by weight epochs.
 
 Paths and distances are asserted **bit-identical** between the two
 configurations — and between the serial and process execution backends for
 the pruned one — before any timing is trusted.  Acceptance floor: the
-pruned landmark configuration answers the batch at least 1.5x faster than
+bound-pruned configuration answers the batch at least 1.5x faster than
 the unpruned baseline on a >= 2k-vertex network.
 
 Paper map: ``docs/paper_map.md`` ties every benchmark to its figure/table.
@@ -37,20 +36,17 @@ from repro.graph import road_network
 from repro.workloads import QueryGenerator
 
 
-def _build(side, z, xi, executor, heuristic, pruning):
+def _build(side, z, xi, executor, pruning):
     graph = road_network(side, side, seed=7)
     dtlp = DTLP(graph, DTLPConfig(z=z, xi=xi)).build()
     queries = QueryGenerator(graph, seed=11, min_hops=4).generate(24, k=4)
-    topology = StormTopology(
-        dtlp, num_workers=4, executor=executor,
-        heuristic=heuristic, pruning=pruning,
-    )
+    topology = StormTopology(dtlp, num_workers=4, executor=executor, pruning=pruning)
     return graph, topology, queries
 
 
-def _run_batch(side, z, xi, executor, heuristic, pruning):
+def _run_batch(side, z, xi, executor, pruning):
     """One cold end-to-end batch; returns (wall seconds, result signature)."""
-    graph, topology, queries = _build(side, z, xi, executor, heuristic, pruning)
+    graph, topology, queries = _build(side, z, xi, executor, pruning)
     with topology:
         started = time.perf_counter()
         report = topology.run_queries(queries)
@@ -68,32 +64,27 @@ def test_pruning_speedup(scale, benchmark) -> None:
     z = 64
     xi = 3
 
-    configs = [
-        ("unpruned (baseline)", "serial", "none", False),
-        ("bound-pruned", "serial", "none", True),
-        ("pruned + landmarks", "serial", "landmark", True),
-    ]
+    configs = [("unpruned (baseline)", False), ("bound-pruned", True)]
     timings = {}
     signatures = {}
     graph = None
-    for label, executor, heuristic, pruning in configs:
-        elapsed, signature, graph = _run_batch(side, z, xi, executor, heuristic, pruning)
+    for label, pruning in configs:
+        elapsed, signature, graph = _run_batch(side, z, xi, "serial", pruning)
         timings[label] = elapsed
         signatures[label] = signature
 
-    # Identity first: every pruned configuration must reproduce the
-    # unpruned baseline's paths and distances bit for bit.
+    # Identity first: the pruned configuration must reproduce the unpruned
+    # baseline's paths and distances bit for bit.
     reference = signatures["unpruned (baseline)"]
-    for label, signature in signatures.items():
-        assert signature == reference, f"{label} diverged from the unpruned baseline"
+    assert signatures["bound-pruned"] == reference
 
     # ... and the pruned stack must stay bit-identical when the batch runs
     # on resident worker-process replicas instead of the serial reference.
-    _, process_signature, _ = _run_batch(side, z, xi, "process", "landmark", True)
+    _, process_signature, _ = _run_batch(side, z, xi, "process", True)
     assert process_signature == reference
 
     benchmark.pedantic(
-        lambda: _run_batch(side, z, xi, "serial", "landmark", True),
+        lambda: _run_batch(side, z, xi, "serial", True),
         rounds=1,
         iterations=1,
     )
@@ -101,23 +92,21 @@ def test_pruning_speedup(scale, benchmark) -> None:
     baseline = timings["unpruned (baseline)"]
     rows = [
         [label, round(timings[label] * 1e3, 1), round(baseline / timings[label], 2)]
-        for label, _, _, _ in configs
+        for label, _ in configs
     ]
     print_experiment(
         f"Goal-directed pruning: end-to-end KSP-DG batch of 24 queries, k=4 "
         f"({graph.num_vertices} vertices, {graph.num_edges} edges, z={z}, xi={xi})",
         ["configuration", "batch (ms)", "speedup"],
         rows,
-        notes="identical paths/distances asserted across all configurations and "
+        notes="identical paths/distances asserted across both configurations and "
         "across serial vs process executors before timing; each configuration "
-        "runs cold on a fresh index (landmark tables, memos and snapshot caches "
-        "are built inside the timed batch)",
+        "runs cold on a fresh index (memos and snapshot caches are built inside "
+        "the timed batch)",
     )
 
-    best = timings["pruned + landmarks"]
+    pruned = timings["bound-pruned"]
     # Acceptance floor of the goal-directed query kernel.
-    assert baseline / best >= 1.5, (
-        f"pruned landmark speedup {baseline / best:.2f}x below the 1.5x floor"
+    assert baseline / pruned >= 1.5, (
+        f"bound-pruned speedup {baseline / pruned:.2f}x below the 1.5x floor"
     )
-    # The intermediate configuration must at least not regress materially.
-    assert baseline / timings["bound-pruned"] >= 0.9

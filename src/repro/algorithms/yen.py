@@ -27,7 +27,7 @@ paths the caller will consume is known (``prune_k`` / the ``k`` of
 :func:`yen_k_shortest_paths`), any spur search whose best possible total
 distance strictly exceeds the current k-th best known path can be abandoned
 — it provably cannot contribute to the output.  An optional admissible
-lower-bound provider (:mod:`repro.kernel.heuristics`) tightens the test
+lower-bound provider (:class:`LazyYen`'s ``heuristic``) tightens the test
 from "root distance" to "root distance + lower bound of the spur".  The
 pruned enumeration returns **bit-identical** paths: bounds only ever
 discard candidates strictly worse than the k-th best, and the pruned
@@ -74,8 +74,10 @@ class LazyYen:
         to the unpruned enumeration — but only the first ``prune_k`` of
         them exist; requesting more is a contract violation.
     heuristic:
-        Optional admissible lower-bound provider (an object exposing
-        ``bounds_to(target)``, see :mod:`repro.kernel.heuristics`).
+        Optional admissible lower-bound provider: an object exposing
+        ``bounds_to(target)``, a dense per-index array with ``h(v) <=
+        dist(v, target)`` (the filter step passes its
+        :class:`~repro.core.skeleton.SkeletonSearchView`).
         Honoured only when ``graph`` is a snapshot; it tightens both the
         per-spur skip test and the in-search pruning.  Admissibility keeps
         results exact; the test suite asserts it rather than assuming it.
@@ -335,7 +337,6 @@ def yen_k_shortest_paths(
     k: int,
     allowed_vertices: Optional[Set[int]] = None,
     prune: bool = True,
-    heuristic=None,
 ) -> List[Path]:
     """Compute the ``k`` shortest simple paths from ``source`` to ``target``.
 
@@ -346,9 +347,7 @@ def yen_k_shortest_paths(
 
     ``prune`` (default on) enables upper-bound pruning of the spur searches
     — output is bit-identical either way; ``prune=False`` exists for
-    benchmarking the unpruned baseline.  ``heuristic`` optionally supplies
-    admissible lower bounds (snapshot graphs only, see
-    :mod:`repro.kernel.heuristics`) that tighten the pruning further.
+    benchmarking the unpruned baseline.
     """
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
@@ -358,7 +357,6 @@ def yen_k_shortest_paths(
         target,
         allowed_vertices=allowed_vertices,
         prune_k=k if prune else None,
-        heuristic=heuristic,
     )
     paths: List[Path] = []
     for _ in range(k):

@@ -263,8 +263,8 @@ class ChaosHarness:
         :class:`~repro.core.dtlp.DTLP` (graph included).  Called once per
         run, so the chaos run and its oracle each start from the same
         pristine snapshot.
-    num_workers, executor, kernel, heuristic, pruning, rebalance,
-    autoscale, store_path:
+    num_workers, executor, kernel, pruning, rebalance, autoscale,
+    store_path:
         Forwarded to :class:`~repro.distributed.topology.StormTopology`
         for the *chaos* run.  The oracle always runs on the serial
         backend with faults and autoscaling disabled — the reference
@@ -283,7 +283,6 @@ class ChaosHarness:
         num_workers: int = 4,
         executor: Optional[str] = None,
         kernel: str = "snapshot",
-        heuristic: str = "none",
         pruning: bool = True,
         rebalance=None,
         autoscale=None,
@@ -297,7 +296,6 @@ class ChaosHarness:
         self._num_workers = num_workers
         self._executor = executor
         self._kernel = kernel
-        self._heuristic = heuristic
         self._pruning = pruning
         self._rebalance = rebalance
         self._autoscale = autoscale
@@ -325,7 +323,6 @@ class ChaosHarness:
             num_workers=self._num_workers,
             kernel=self._kernel,
             executor=(executor or self._executor),
-            heuristic=self._heuristic,
             pruning=self._pruning,
             rebalance=None if _oracle else self._rebalance,
             autoscale=None if _oracle else (autoscale or self._autoscale),

@@ -158,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--source", type=int, required=True)
     query.add_argument("--target", type=int, required=True)
     query.add_argument("--k", type=int, default=3)
-    query.add_argument("--heuristic", choices=["none", "landmark"],
-                       default="none",
-                       help="admissible lower-bound provider pruning the searches")
     query.add_argument("--verify", action="store_true",
                        help="cross-check the answer against Yen's algorithm")
 
@@ -201,11 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute kernel: array-backed snapshots (default, "
                             "bit-identical to dict) or the dict-based "
                             "reference path")
-    bench.add_argument("--heuristic", choices=["none", "landmark"],
-                       default="none",
-                       help="admissible lower-bound provider pruning the query "
-                            "searches (see ARCHITECTURE.md, 'Goal-directed "
-                            "search & pruning'); results are bit-identical")
     bench.add_argument("--profile", action="store_true",
                        help="run the query batch under cProfile and print the "
                             "top-25 functions by cumulative time, so perf work "
@@ -227,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compute kernel: array-backed snapshots (default) or "
                               "the dict-based reference path; surfaced in the "
                               "service report")
-        sub.add_argument("--heuristic", choices=["none", "landmark"],
-                         default="none",
-                         help="admissible lower-bound provider pruning the kspdg "
-                              "engine's searches (landmark = ALT tables); requires "
-                              "the snapshot kernel, results are bit-identical")
         sub.add_argument("--workers", type=int, default=4,
                          help="simulated workers for the kspdg engine")
         sub.add_argument("--executor", choices=list(EXECUTORS), default=None,
@@ -308,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "$REPRO_EXECUTOR or serial")
     chaos_cmd.add_argument("--kernel", choices=["snapshot", "dict"],
                            default="snapshot")
-    chaos_cmd.add_argument("--heuristic", choices=["none", "landmark"],
-                           default="none")
     chaos_cmd.add_argument("--fault-rate", type=float, default=0.3,
                            help="probability a batch suffers one fault "
                                 "(default 0.3)")
@@ -506,7 +491,7 @@ def _command_stats(args: argparse.Namespace) -> int:
 def _command_query(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     dtlp = DTLP(graph, DTLPConfig(z=args.z, xi=args.xi)).build()
-    engine = KSPDG(dtlp, heuristic=args.heuristic)
+    engine = KSPDG(dtlp)
     result = engine.query(args.source, args.target, args.k)
     if not result.paths:
         print(f"no path from {args.source} to {args.target}")
@@ -572,8 +557,7 @@ def _command_bench(args: argparse.Namespace) -> int:
     rebalance = _rebalance_spec(args)
     with StormTopology(
         dtlp, num_workers=args.workers, executor=args.executor, rebalance=rebalance,
-        autoscale=args.autoscale, kernel=args.kernel, heuristic=args.heuristic,
-        store_path=args.store,
+        autoscale=args.autoscale, kernel=args.kernel, store_path=args.store,
     ) as topology:
         executor_name = topology.executor.name
         queries = QueryGenerator(graph, seed=args.seed, min_hops=3).generate(
@@ -684,18 +668,11 @@ def _build_service(args: argparse.Namespace, graph: DynamicGraph) -> KSPService:
         dtlp = _build_dtlp(args, graph)
         engine = KSPDGEngine.local(
             dtlp, num_workers=args.workers, kernel=args.kernel,
-            executor=args.executor, rebalance=rebalance,
-            heuristic=args.heuristic, store_path=args.store,
+            executor=args.executor, rebalance=rebalance, store_path=args.store,
         )
     if rebalance_enabled and args.engine != "kspdg":
         print(
             f"note: --rebalance only applies to the kspdg engine's topology; "
-            f"ignored for {args.engine}",
-            file=sys.stderr,
-        )
-    if args.heuristic != "none" and args.engine != "kspdg":
-        print(
-            f"note: --heuristic only applies to the kspdg engine; "
             f"ignored for {args.engine}",
             file=sys.stderr,
         )
@@ -819,7 +796,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         executor=args.executor,
         kernel=args.kernel,
-        heuristic=args.heuristic,
         autoscale=args.autoscale,
         store_path=args.store,
     )

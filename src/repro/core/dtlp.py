@@ -30,12 +30,11 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..algorithms.yen import LazyYen
-from ..graph.errors import IndexStateError
+from ..graph.errors import IndexStateError, StaleStructureError
 from ..graph.graph import DynamicGraph, WeightUpdate
 from ..graph.partition import GraphPartition
 from ..graph.partition_ml import make_partition
 from ..graph.paths import Path
-from ..kernel.heuristics import LandmarkLowerBounds
 from ..kernel.snapshot import CSRSnapshot
 from .lsh import lsh_group_edges
 from .mfp_tree import MFPForest, build_mfp_forest
@@ -159,6 +158,9 @@ class DTLP:
             # the directed index and vice versa.
             self._config = replace(self._config, directed=graph.directed)
         self._partition = partition
+        # The graph topology the partition and everything built on it
+        # describe; see _check_structure.
+        self._structure_version = graph.structure_version
         self._subgraph_indexes: Dict[int, SubgraphIndex] = {}
         # Lazily built per-subgraph kernel snapshots, shared by every
         # consumer (KSP-DG refine, distributed bolts) and refreshed
@@ -175,9 +177,9 @@ class DTLP:
         self._attached = False
         # Per-subgraph weight epochs: a subgraph's epoch advances only when
         # an edge it contains changed weight, derived lazily from the
-        # graph's change feed.  Epochs key the cross-query caches below —
-        # the partial-KSP memo and the heuristic lower-bound providers —
-        # so a maintenance round invalidates exactly the touched subgraphs.
+        # graph's change feed.  Epochs key the cross-query partial-KSP
+        # memo below, so a maintenance round invalidates exactly the
+        # touched subgraphs.
         self._weight_epochs: Dict[int, int] = {}
         self._weight_epoch_version = graph.version
         self._epoch_lock = threading.Lock()
@@ -187,9 +189,6 @@ class DTLP:
         self._partial_memo: Dict[
             Tuple[int, Tuple[int, int], int], Tuple[int, Tuple[Path, ...]]
         ] = {}
-        # subgraph_id -> landmark lower-bound provider; providers
-        # self-invalidate against their snapshot's weights_epoch.
-        self._heuristic_providers: Dict[int, LandmarkLowerBounds] = {}
         # Shared kernel view of the un-augmented skeleton graph, refreshed
         # by graph-version compare, plus what is derived from it per weight
         # epoch: the search image every query overlays its endpoints on.
@@ -286,7 +285,7 @@ class DTLP:
         return self._mfp_forests.get(subgraph_id)
 
     # ------------------------------------------------------------------
-    # cross-query reuse: weight epochs, partial-KSP memo, heuristics
+    # cross-query reuse: weight epochs, partial-KSP memo
     # ------------------------------------------------------------------
     def subgraph_weights_epoch(self, subgraph_id: int) -> int:
         """Epoch counter of one subgraph's weights.
@@ -304,6 +303,14 @@ class DTLP:
             self._advance_weight_epochs()
             return self._weight_epochs.get(subgraph_id, 0)
 
+    def _check_structure(self) -> None:
+        """Refuse to serve a graph whose topology moved under the index."""
+        if self._graph.structure_version != self._structure_version:
+            raise StaleStructureError(
+                "vertices or edges were added to the graph after this DTLP "
+                "was built; call DTLP.build() again"
+            )
+
     def _advance_weight_epochs(self) -> None:
         """Fold graph changes since the last look into per-subgraph state.
 
@@ -312,6 +319,7 @@ class DTLP:
         edge under its owner's cached snapshot, if any (one built later
         reads live weights).  Callers hold ``_epoch_lock``.
         """
+        self._check_structure()
         current = self._graph.version
         if current == self._weight_epoch_version:
             return
@@ -466,24 +474,6 @@ class DTLP:
             augmented.update_edge_minimum(*direct)
         return augmented
 
-    def subgraph_lower_bounds(self, subgraph_id: int, heuristic: str):
-        """Admissible lower-bound provider for searches inside one subgraph.
-
-        ``heuristic`` is ``"landmark"`` (ALT tables, see
-        :mod:`repro.kernel.heuristics`) or ``"none"``, which returns
-        ``None``.  Providers are cached per subgraph and self-invalidate
-        when the underlying snapshot's weights change, so a batch of
-        queries over the same subgraph pays for landmark tables once.
-        """
-        if heuristic == "none":
-            return None
-        provider = self._heuristic_providers.get(subgraph_id)
-        snapshot = self.subgraph_snapshot(subgraph_id)
-        if provider is None or provider.snapshot is not snapshot:
-            provider = LandmarkLowerBounds(snapshot)
-            self._heuristic_providers[subgraph_id] = provider
-        return provider
-
     # ------------------------------------------------------------------
     # build
     # ------------------------------------------------------------------
@@ -491,6 +481,9 @@ class DTLP:
         self, prebuilt_indexes: Optional[Mapping[int, SubgraphIndex]] = None
     ) -> "DTLP":
         """Construct the full two-level index (Algorithm 1).
+
+        The graph is partitioned first when no partition was given, or when
+        vertices or edges were added since the one held was made.
 
         Parameters
         ----------
@@ -505,15 +498,16 @@ class DTLP:
             pickled copy of the graph stay maintainable afterwards.
         """
         started = time.perf_counter()
-        if self._partition is None:
+        structure_version = self._graph.structure_version
+        if self._partition is None or structure_version != self._structure_version:
             self._partition = make_partition(
                 self._graph, self._config.z, partitioner=self._config.partitioner
             )
+            self._structure_version = structure_version
         self._subgraph_indexes.clear()
         self._subgraph_snapshots.clear()
         self._snapshot_changes.clear()
         self._partial_memo.clear()
-        self._heuristic_providers.clear()
         self._skeleton_kernel_snapshot = None
         self._skeleton_kernel_version = -1
         self._skeleton_image = None
@@ -633,7 +627,6 @@ class DTLP:
         # them to the sender's epochs across the pipe buys nothing.
         state["_epoch_lock"] = None
         state["_partial_memo"] = {}
-        state["_heuristic_providers"] = {}
         state["_skeleton_kernel_snapshot"] = None
         state["_skeleton_kernel_version"] = -1
         state["_skeleton_image"] = None
@@ -687,6 +680,7 @@ class DTLP:
         if not self._built:
             raise IndexStateError("DTLP.build() must run before updates are applied")
         assert self._partition is not None
+        self._check_structure()
         started = time.perf_counter()
         updates_by_subgraph: Dict[int, List[WeightUpdate]] = {}
         for update in updates:

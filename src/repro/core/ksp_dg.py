@@ -33,7 +33,7 @@ by adjacent-vertex pair — consecutive reference paths typically share many
 pairs, which the paper highlights as an important optimisation.
 
 How searches run — the compute kernel (``"snapshot"`` or the ``"dict"``
-reference, see ``ARCHITECTURE.md``), the lower-bound heuristic
+reference, see ``ARCHITECTURE.md``)
 and whether bound pruning is on — is one validated :class:`SearchMode`
 value: the public entry points build it once and everything below them
 receives it whole.
@@ -49,7 +49,6 @@ from ..algorithms.dijkstra import dijkstra
 from ..algorithms.yen import yen_k_shortest_paths
 from ..graph.errors import PathNotFoundError, QueryError
 from ..graph.paths import Path, merge_paths
-from ..kernel.heuristics import HEURISTICS, validate_heuristic
 from ..obs.trace import mark, span
 from .dtlp import DTLP
 
@@ -59,8 +58,6 @@ __all__ = [
     "KSPDG",
     "SearchMode",
     "validate_kernel",
-    "validate_heuristic",
-    "HEURISTICS",
 ]
 
 #: Kernel modes accepted across the query/serving stack: ``"snapshot"``
@@ -79,26 +76,9 @@ def validate_kernel(kernel: str) -> str:
     return kernel
 
 
-def validate_heuristic_for_kernel(heuristic: str, kernel: str) -> str:
-    """Validate a heuristic mode against the selected compute kernel.
-
-    The non-trivial heuristics are dense index-space bound arrays, which
-    only exist on the array-backed ``snapshot`` kernel; requesting them
-    with the dict reference kernel is a configuration error rather than a
-    silent no-op.
-    """
-    validate_heuristic(heuristic)
-    if heuristic != "none" and kernel == "dict":
-        raise QueryError(
-            f"heuristic {heuristic!r} requires the array-backed "
-            f"'snapshot' kernel, got {kernel!r}"
-        )
-    return heuristic
-
-
 @dataclass(frozen=True)
 class SearchMode:
-    """How the searches of a query run: kernel, heuristic and pruning.
+    """How the searches of a query run: kernel and pruning.
 
     ``pruning=False`` restores the exact pre-pruning code path (no bound
     pruning, no cross-query memo) — the benchmark baseline; results are
@@ -107,17 +87,12 @@ class SearchMode:
     """
 
     kernel: str = "snapshot"
-    heuristic: str = "none"
     pruning: bool = True
 
     @classmethod
-    def validated(cls, kernel: str, heuristic: str, pruning: bool) -> "SearchMode":
+    def validated(cls, kernel: str, pruning: bool) -> "SearchMode":
         """The mode for user-supplied settings; :class:`QueryError` if invalid."""
-        return cls(
-            validate_kernel(kernel),
-            validate_heuristic_for_kernel(heuristic, kernel),
-            pruning,
-        )
+        return cls(validate_kernel(kernel), pruning)
 
 
 def _subgraph_view(dtlp: DTLP, subgraph_id: int, mode: SearchMode):
@@ -171,7 +146,7 @@ def solve_pair(
     Per subgraph: with pruning, the DTLP's weight-epoch memo answers a
     (subgraph, pair, k) an earlier query or iteration already solved;
     otherwise Yen's algorithm runs on the subgraph's view (upper-bound
-    pruned, with the mode's lower-bound heuristic) and the result is
+    pruned) and the result is
     memoised.  Memo hits are bit-identical to recomputation.  Returns the
     concatenated per-subgraph results (callers keep the
     :func:`best_k_distinct`) and how many subgraphs were memo hits;
@@ -187,15 +162,10 @@ def solve_pair(
         if paths is not None:
             reused += 1
         else:
-            bounds = (
-                dtlp.subgraph_lower_bounds(subgraph_id, mode.heuristic)
-                if mode.pruning
-                else None
-            )
             try:
                 paths = yen_k_shortest_paths(
                     _subgraph_view(dtlp, subgraph_id, mode), source, target, k,
-                    prune=mode.pruning, heuristic=bounds,
+                    prune=mode.pruning,
                 )
             except PathNotFoundError:
                 paths = []
@@ -484,13 +454,12 @@ class KSPDG:
         self,
         dtlp: DTLP,
         kernel: str = "snapshot",
-        heuristic: str = "none",
         pruning: bool = True,
     ) -> None:
         if not dtlp.built:
             raise QueryError("the DTLP index must be built before creating KSPDG")
         self._dtlp = dtlp
-        self._mode = SearchMode.validated(kernel, heuristic, pruning)
+        self._mode = SearchMode.validated(kernel, pruning)
 
     @property
     def dtlp(self) -> DTLP:
@@ -501,11 +470,6 @@ class KSPDG:
     def kernel(self) -> str:
         """Compute kernel answering queries (one of :data:`KERNELS`)."""
         return self._mode.kernel
-
-    @property
-    def heuristic(self) -> str:
-        """Lower-bound heuristic pruning the searches (``"none"`` disables)."""
-        return self._mode.heuristic
 
     @property
     def pruning(self) -> bool:

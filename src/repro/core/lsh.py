@@ -11,8 +11,8 @@ construction:
 3. Split the signatures into ``num_bands`` bands; two columns landing in the
    same bucket for at least one band are placed in the same group.
 
-The implementation is self-contained (no numpy dependency) because signature
-lengths are small and the number of edges per subgraph is bounded by ``z``.
+The implementation is self-contained (no third-party dependency) because
+signature lengths are small and the number of edges per subgraph is bounded by ``z``.
 """
 
 from __future__ import annotations

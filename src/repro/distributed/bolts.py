@@ -107,19 +107,12 @@ class SubgraphBolt:
 
         Called by the topology before a concurrent batch so that every
         snapshot is already current and all accesses during the batch are
-        read-only (refresh would otherwise race between tasks).  With a
-        heuristic mode active the per-subgraph lower-bound providers are
-        warmed here too — landmark tables are expensive enough that two
-        threads lazily building them for the same subgraph mid-batch would
-        duplicate real work.
+        read-only (refresh would otherwise race between tasks).
         """
-        mode = self._mode
-        if mode.kernel == "dict":
+        if self._mode.kernel == "dict":
             return
         for subgraph_id in self.subgraph_ids:
             self._dtlp.subgraph_snapshot(subgraph_id)
-            if mode.pruning:
-                self._dtlp.subgraph_lower_bounds(subgraph_id, mode.heuristic)
 
     # ------------------------------------------------------------------
     # maintenance

@@ -54,7 +54,6 @@ class KSPDGEngine:
         executor_workers: Optional[int] = None,
         rebalance: Union[None, bool, float, str] = None,
         autoscale: Union[None, bool, int, float, str] = None,
-        heuristic: str = "none",
         pruning: bool = True,
         store_path: Optional[str] = None,
     ) -> "KSPDGEngine":
@@ -69,8 +68,8 @@ class KSPDGEngine:
         ``rebalance`` enables load-adaptive placement with live subgraph
         migration, ``autoscale`` enables saturation-driven worker
         join/retirement (see :mod:`repro.distributed.autoscale`),
-        ``heuristic``/``pruning`` configure the goal-directed
-        pruned query kernel (see ``ARCHITECTURE.md``), and ``store_path``
+        ``pruning`` switches the bound-pruned query kernel (see
+        ``ARCHITECTURE.md``), and ``store_path``
         lets process replicas cold-start from a partition store instead of
         a pickled bundle (see :mod:`repro.store`).
         """
@@ -83,7 +82,6 @@ class KSPDGEngine:
                 executor_workers=executor_workers,
                 rebalance=rebalance,
                 autoscale=autoscale,
-                heuristic=heuristic,
                 pruning=pruning,
                 store_path=store_path,
             )
@@ -103,11 +101,6 @@ class KSPDGEngine:
     def executor_name(self) -> str:
         """Execution backend of the underlying topology."""
         return self._topology.executor.name
-
-    @property
-    def heuristic(self) -> str:
-        """Lower-bound heuristic of the underlying topology."""
-        return self._topology.heuristic
 
     def enable_tracing(self) -> None:
         """Run subsequent queries under span tracing.

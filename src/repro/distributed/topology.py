@@ -206,7 +206,6 @@ class StormTopology:
         executor_workers: Optional[int] = None,
         rebalance: Union[None, bool, float, str, RebalanceConfig] = None,
         autoscale: Union[None, bool, int, float, str, AutoscaleConfig] = None,
-        heuristic: str = "none",
         pruning: bool = True,
         tracer: Optional[TraceSession] = None,
         kernel_profiling: Optional[bool] = None,
@@ -222,7 +221,7 @@ class StormTopology:
         # partition files plus a catch-up weight delta instead of a pickled
         # graph + index (see TopologyBundle).
         self._store_path = str(store_path) if store_path is not None else None
-        self._mode = SearchMode.validated(kernel, heuristic, pruning)
+        self._mode = SearchMode.validated(kernel, pruning)
         self._cluster = SimulatedCluster(num_workers)
         self._executor, self._owns_executor = resolve_executor(
             executor, workers=executor_workers or num_workers
@@ -294,11 +293,6 @@ class StormTopology:
     def kernel(self) -> str:
         """Compute kernel used by the bolts (``"snapshot"`` or ``"dict"``)."""
         return self._mode.kernel
-
-    @property
-    def heuristic(self) -> str:
-        """Lower-bound heuristic pruning the bolts' searches (``"none"`` off)."""
-        return self._mode.heuristic
 
     @property
     def pruning(self) -> bool:

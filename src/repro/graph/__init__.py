@@ -10,6 +10,7 @@ from .errors import (
     PathNotFoundError,
     QueryError,
     ReproError,
+    StaleStructureError,
     VertexNotFoundError,
 )
 from .graph import DirectedDynamicGraph, DynamicGraph, WeightUpdate, edge_key
@@ -39,6 +40,7 @@ __all__ = [
     "VertexNotFoundError",
     "EdgeNotFoundError",
     "InvalidWeightError",
+    "StaleStructureError",
     "PartitionError",
     "PathNotFoundError",
     "QueryError",

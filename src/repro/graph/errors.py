@@ -35,6 +35,14 @@ class EdgeNotFoundError(GraphError, KeyError):
         self.v = v
 
 
+class StaleStructureError(GraphError):
+    """Raised when a snapshot or index outlived a structural edit of its graph.
+
+    Vertices or edges were added after it was built; only weight changes
+    can be followed, so it must be rebuilt.
+    """
+
+
 class InvalidWeightError(GraphError, ValueError):
     """Raised when an edge weight is negative, NaN or otherwise unusable."""
 

@@ -132,6 +132,10 @@ class DynamicGraph:
         self._initial_weights: Dict[Tuple[int, int], float] = {}
         self._listeners: List[UpdateListener] = []
         self._version = 0
+        # Bumped whenever a vertex or edge is actually new; what was built
+        # from the graph (snapshots, DTLP) records it and refuses to go on
+        # once it moved.
+        self._structure_version = 0
         # canonical edge key -> version at which the edge last changed weight
         self._edge_versions: Dict[Tuple[int, int], int] = {}
         # Append-only (version, edge key) log of weight changes, so
@@ -154,6 +158,16 @@ class DynamicGraph:
     def version(self) -> int:
         """Monotone counter incremented on every batch of weight updates."""
         return self._version
+
+    @property
+    def structure_version(self) -> int:
+        """Monotone counter incremented when a vertex or an edge is added.
+
+        Weight updates never move it.  Everything derived from the graph's
+        topology records the value it was built at and raises
+        :class:`~repro.graph.errors.StaleStructureError` once it differs.
+        """
+        return self._structure_version
 
     @property
     def num_vertices(self) -> int:
@@ -206,7 +220,9 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def add_vertex(self, vertex: int) -> None:
         """Insert an isolated vertex (no-op if already present)."""
-        self._adjacency.setdefault(vertex, {})
+        if vertex not in self._adjacency:
+            self._adjacency[vertex] = {}
+            self._structure_version += 1
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
         """Insert the edge ``(u, v)`` with the given initial weight.
@@ -225,6 +241,8 @@ class DynamicGraph:
         self.add_vertex(u)
         self.add_vertex(v)
         key = self._key(u, v)
+        if v not in self._adjacency[u]:
+            self._structure_version += 1
         self._adjacency[u][v] = float(weight)
         if not self._directed:
             self._adjacency[v][u] = float(weight)
@@ -437,6 +455,7 @@ class DynamicGraph:
         clone._adjacency = {v: dict(nbrs) for v, nbrs in self._adjacency.items()}
         clone._initial_weights = dict(self._initial_weights)
         clone._version = self._version
+        clone._structure_version = self._structure_version
         clone._edge_versions = dict(self._edge_versions)
         # The change log is not copied: queries older than the clone point
         # must fall back to the version-table scan.

@@ -12,12 +12,6 @@ This package is the performance layer between the mutable graph objects
 * :mod:`~repro.kernel.primitives` — array-native single-source shortest-path
   primitives operating purely in index space, with O(1) edge-weight lookup
   and cheap vertex/edge ban sets for Yen-style spur searches.
-* :mod:`~repro.kernel.wavefront` — batch-native primitives: frontier-at-a-time
-  (delta-stepping) searches and multi-source batching over the same CSR
-  arrays via numpy scatter operations.  Distance-identical to the heap
-  primitives but tie-order free, and optional (numpy-gated with heap
-  fallbacks); the code selects them from input size (large landmark-table
-  builds), no kernel mode does.
 
 The generic wrappers in :mod:`repro.algorithms.dijkstra` and
 :mod:`repro.algorithms.yen` accept either a plain graph-like object (the
@@ -25,11 +19,6 @@ dict-based reference path) or a snapshot (the array path) and produce
 bit-identical results for both.
 """
 
-from .heuristics import (
-    HEURISTICS,
-    LandmarkLowerBounds,
-    validate_heuristic,
-)
 from .primitives import (
     bounded_dijkstra_arrays,
     dijkstra_arrays,
@@ -37,24 +26,11 @@ from .primitives import (
     reconstruct_indices,
 )
 from .snapshot import CSRSnapshot
-from .wavefront import (
-    batch_shortest_paths,
-    dijkstra_arrays_batch,
-    numpy_available,
-    wavefront_sssp,
-)
 
 __all__ = [
     "CSRSnapshot",
-    "HEURISTICS",
-    "LandmarkLowerBounds",
-    "validate_heuristic",
-    "batch_shortest_paths",
     "bounded_dijkstra_arrays",
     "dijkstra_arrays",
-    "dijkstra_arrays_batch",
     "dijkstra_arrays_multi",
-    "numpy_available",
     "reconstruct_indices",
-    "wavefront_sssp",
 ]

@@ -233,8 +233,8 @@ def bounded_dijkstra_arrays(
     ``g(v) + bounds[v]``, strictly exceeds ``cutoff`` — it provably cannot
     lie on a source→target path of distance ``<= cutoff``.
 
-    Unlike classical A*, the heap keys stay plain ``(g, v)``: the heuristic
-    prunes but never *reorders* the search.  That is what makes the result
+    Unlike classical A*, the heap keys stay plain ``(g, v)``: the bounds
+    prune but never *reorder* the search.  That is what makes the result
     bit-identical to the unpruned search even on graphs with distance ties
     (this repository's road networks have integer base weights): every
     vertex on the unpruned run's returned path satisfies

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..graph.errors import EdgeNotFoundError, VertexNotFoundError
+from ..graph.errors import EdgeNotFoundError, StaleStructureError, VertexNotFoundError
 from ..graph.graph import DynamicGraph
 from ..graph.subgraph import Subgraph
 
@@ -85,9 +85,9 @@ class CSRSnapshot:
         "_source",
         "_version_source",
         "_built_version",
+        "_built_structure_version",
         "_arc_pos",
         "_weights_epoch",
-        "_array_cache",
     )
 
     def __init__(self, source) -> None:
@@ -131,10 +131,12 @@ class CSRSnapshot:
         self._built_version: int = (
             self._version_source.version if self._version_source is not None else 0
         )
+        self._built_structure_version: int = (
+            self._version_source.structure_version
+            if self._version_source is not None
+            else 0
+        )
         self._weights_epoch: int = 0
-        # Lazily-built numpy views of the CSR arrays, keyed by the weights
-        # epoch they were materialised at (see :meth:`array_view`).
-        self._array_cache: Optional[Tuple[int, tuple]] = None
 
     # ------------------------------------------------------------------
     # structure accessors
@@ -157,7 +159,7 @@ class CSRSnapshot:
         and advances even when none of the changed edges belong to this
         snapshot), the epoch moves only when this snapshot's weights
         actually changed — the invalidation key used by derived caches
-        (heuristic lower-bound tables, partial-KSP memos).
+        (the skeleton search image, partial-KSP memos).
         """
         return self._weights_epoch
 
@@ -203,47 +205,6 @@ class CSRSnapshot:
         weights = self.weights
         for e in range(self.indptr[i], self.indptr[i + 1]):
             yield ids[indices[e]], weights[e]
-
-    def array_view(self):
-        """Numpy views of the CSR arrays: ``(indptr, indices, weights)``.
-
-        Materialised lazily (the snapshot itself stays pure-Python lists,
-        which the heap kernel indexes faster) and cached until the next
-        weight refresh — the wavefront kernel
-        (:mod:`repro.kernel.wavefront`) calls this once per search and the
-        conversion cost amortises across every search until the weights
-        change.  Requires numpy; callers gate on
-        :func:`repro.kernel.wavefront.numpy_available`.
-
-        The returned arrays are shared and must not be mutated.
-        """
-        import numpy as np
-
-        epoch = self._weights_epoch
-        cached = self._array_cache
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        view = (
-            np.asarray(self.indptr, dtype=np.int64),
-            np.asarray(self.indices, dtype=np.int64),
-            np.asarray(self.weights, dtype=np.float64),
-        )
-        self._array_cache = (epoch, view)
-        return view
-
-    def arc_index_positions(self, pairs) -> List[int]:
-        """Flat CSR positions of index-space arc pairs (absent pairs skipped).
-
-        ``pairs`` iterates over ``(u_index, v_index)`` tuples; used to turn
-        edge-ban sets into positional masks for the wavefront kernel.
-        """
-        arc_pos = self._arc_pos
-        positions: List[int] = []
-        for pair in pairs:
-            pos = arc_pos.get(pair)
-            if pos is not None:
-                positions.append(pos)
-        return positions
 
     def degree(self, vertex: int) -> int:
         """Number of outgoing arcs of ``vertex``."""
@@ -291,8 +252,9 @@ class CSRSnapshot:
         which :meth:`apply_changes` keeps the arcs held here — right for one
         stand-alone snapshot; a set of them should share the walk, as
         :meth:`repro.core.dtlp.DTLP.subgraph_snapshot` does.  Unversioned
-        sources re-read every arc weight.  Topology changes (edge
-        insertions) are *not* picked up; build a fresh snapshot for those.
+        sources re-read every arc weight.  Topology changes are *not*
+        picked up: a versioned source that gained a vertex or an edge
+        since the build raises :class:`StaleStructureError`.
         """
         versioned = self._version_source
         if versioned is None:
@@ -311,6 +273,11 @@ class CSRSnapshot:
             if rewritten:
                 self._weights_epoch += 1
             return rewritten
+        if versioned.structure_version != self._built_structure_version:
+            raise StaleStructureError(
+                "vertices or edges were added to the graph after this "
+                "CSRSnapshot was built; build a fresh CSRSnapshot"
+            )
         current = versioned.version
         if current == self._built_version:
             return 0

@@ -45,7 +45,7 @@ Number = Union[int, float]
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated ``q``-th percentile (``q`` in [0, 100]).
 
-    Matches numpy's default ("linear") method; returns 0.0 on empty input
+    The "linear" method statistics packages default to; 0.0 on empty input
     so reports over zero observations stay printable.
     """
     if not values:

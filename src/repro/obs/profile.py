@@ -16,13 +16,7 @@ which counts
 * ``relaxed`` — successful edge relaxations (distance improvements),
 * ``pruned`` — relaxations discarded by a lower-bound/cutoff test
   (:func:`~repro.kernel.primitives.bounded_dijkstra_arrays`),
-* ``heap_pushes`` / ``heap_peak`` — heap traffic and high-water mark,
-* ``bound_cache_hits`` / ``bound_cache_misses`` — per-target bound-array
-  cache effectiveness in :mod:`repro.kernel.heuristics`,
-* ``buckets`` / ``scatter_relaxations`` / ``frontier_peak`` — the
-  frontier-at-a-time counters of the batched wavefront kernel
-  (:mod:`repro.kernel.wavefront`): distance buckets processed, candidate
-  relaxations applied by scatter, and the largest frontier swept.
+* ``heap_pushes`` / ``heap_peak`` — heap traffic and high-water mark.
 
 The counting loop preserves each lean loop's relaxation sequence exactly, so
 enabling profiling never changes distances, predecessors or tie-breaks — the
@@ -65,11 +59,6 @@ class KernelCounters:
         "pruned",
         "heap_pushes",
         "heap_peak",
-        "bound_cache_hits",
-        "bound_cache_misses",
-        "buckets",
-        "scatter_relaxations",
-        "frontier_peak",
     )
 
     def __init__(self) -> None:
@@ -79,11 +68,6 @@ class KernelCounters:
         self.pruned = 0
         self.heap_pushes = 0
         self.heap_peak = 0
-        self.bound_cache_hits = 0
-        self.bound_cache_misses = 0
-        self.buckets = 0
-        self.scatter_relaxations = 0
-        self.frontier_peak = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain mapping of every counter (stable key order)."""
@@ -97,11 +81,6 @@ class KernelCounters:
         self.pruned += other.pruned
         self.heap_pushes += other.heap_pushes
         self.heap_peak = max(self.heap_peak, other.heap_peak)
-        self.bound_cache_hits += other.bound_cache_hits
-        self.bound_cache_misses += other.bound_cache_misses
-        self.buckets += other.buckets
-        self.scatter_relaxations += other.scatter_relaxations
-        self.frontier_peak = max(self.frontier_peak, other.frontier_peak)
 
     def fold_into(self, registry) -> None:
         """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`.
@@ -116,11 +95,6 @@ class KernelCounters:
         registry.counter("kernel_pruned_pushes_total").inc(self.pruned)
         registry.counter("kernel_heap_pushes_total").inc(self.heap_pushes)
         registry.gauge("kernel_heap_peak").set_max(self.heap_peak)
-        registry.counter("kernel_bound_cache_hits_total").inc(self.bound_cache_hits)
-        registry.counter("kernel_bound_cache_misses_total").inc(self.bound_cache_misses)
-        registry.counter("kernel_buckets_total").inc(self.buckets)
-        registry.counter("kernel_scatter_relaxations_total").inc(self.scatter_relaxations)
-        registry.gauge("kernel_frontier_peak").set_max(self.frontier_peak)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())

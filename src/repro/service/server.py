@@ -596,7 +596,6 @@ class KSPService:
         return self._telemetry.build_report(
             engine_name=getattr(self._engine, "name", type(self._engine).__name__),
             kernel=getattr(self._engine, "kernel", "dict"),
-            heuristic=getattr(self._engine, "heuristic", "none"),
             graph_version=self._graph.version,
             cache_hits=hits,
             cache_misses=misses,

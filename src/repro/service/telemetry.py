@@ -53,7 +53,6 @@ class ServiceReport:
     cache_full_flushes: int
     cache_stale_rejections: int
     kernel: str = "dict"
-    heuristic: str = "none"
     #: Deadline-budget accounting: admissions shed up front as infeasible
     #: within their budget, queued slots whose deadline lapsed before
     #: batching, and client retries of previously shed submissions
@@ -86,7 +85,6 @@ class ServiceReport:
         return {
             "engine": self.engine_name,
             "kernel": self.kernel,
-            "heuristic": self.heuristic,
             "graph version": self.graph_version,
             "queries served": self.queries_served,
             "unique computations": self.unique_computations,
@@ -190,7 +188,6 @@ class ServiceTelemetry:
         cache_full_flushes: int,
         cache_stale_rejections: int = 0,
         kernel: str = "dict",
-        heuristic: str = "none",
         shed_deadline: int = 0,
         deadline_expired: int = 0,
         retried_submissions: int = 0,
@@ -239,7 +236,6 @@ class ServiceTelemetry:
             cache_full_flushes=cache_full_flushes,
             cache_stale_rejections=cache_stale_rejections,
             kernel=kernel,
-            heuristic=heuristic,
             shed_deadline=shed_deadline,
             deadline_expired=deadline_expired,
             retried_submissions=retried_submissions,

@@ -459,7 +459,7 @@ class PartitionStore:
         module docstring, and assembles the DTLP — adopting the stored
         skeleton when no edge was stale, otherwise refreshing through the
         normal maintenance path.  Keys of ``skeleton.json`` other than
-        ``edges`` (older stores carry a ``landmarks`` table) are ignored.
+        ``edges`` (older stores wrote more) are ignored.
         """
         self._validate_structure(graph)
         manifest = self.manifest

@@ -2,10 +2,43 @@
 
 from __future__ import annotations
 
+import random
+from typing import List
+
 import pytest
 
 from repro.core import DTLP, DTLPConfig
 from repro.graph import DynamicGraph, road_network
+from repro.kernel import CSRSnapshot, dijkstra_arrays
+
+
+class LooseLowerBounds:
+    """Admissible but inexact lower bounds: the adversary of ``bounds=`` consumers.
+
+    Speaks the ``bounds_to(target)`` protocol of ``LazyYen(heuristic=...)``:
+    the exact distance-to-target (one reverse ``dijkstra_arrays``) times a
+    seeded per-vertex factor in [0, 1], so some vertices carry the exact
+    distance, some carry no information at all and the rest anything in
+    between.  Unreachable vertices keep ``inf``.
+    """
+
+    def __init__(self, snapshot: CSRSnapshot, seed: int) -> None:
+        self._snapshot = snapshot
+        self._seed = seed
+
+    def bounds_to(self, target: int) -> List[float]:
+        snapshot = self._snapshot
+        rows = snapshot.reverse().rows if snapshot.directed else snapshot.rows
+        exact, _, _ = dijkstra_arrays(
+            rows, snapshot.num_vertices, snapshot.index_of[target], track_touched=False
+        )
+        rng = random.Random(self._seed)
+        return [
+            distance
+            if distance == float("inf")
+            else distance * rng.choice((0.0, 1.0, rng.random()))
+            for distance in exact
+        ]
 
 
 @pytest.fixture(scope="session")

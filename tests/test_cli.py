@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -28,6 +33,17 @@ class TestParser:
             ["query", "--dataset", "COL", "--source", "1", "--target", "2", "--k", "4"]
         )
         assert args.k == 4
+
+    def test_removed_heuristic_flag_is_an_argparse_error(self, capsys):
+        # Not a silently accepted no-op: the knob is gone everywhere it was.
+        for command in ("query", "bench", "replay", "serve", "chaos"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(
+                    [command, "--dataset", "NY", "--source", "0", "--target", "5",
+                     "--heuristic", "landmark"]
+                )
+            assert excinfo.value.code == 2
+            assert "--heuristic" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -147,3 +163,29 @@ class TestCommands:
     def test_missing_graph_source_fails(self):
         with pytest.raises(SystemExit):
             main(["stats", "--z", "16"])
+
+
+def test_package_imports_nothing_outside_the_standard_library():
+    """"Zero runtime dependencies", checked: a fresh interpreter imports every
+    module under ``repro`` and only stdlib and ``repro.*`` modules appear."""
+    script = (
+        "import pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import repro\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    __import__(module.name)\n"
+        "# __mp_main__ is multiprocessing's alias of __main__\n"
+        "allowed = sys.stdlib_module_names | {'repro', '__mp_main__'}\n"
+        "foreign = sorted(\n"
+        "    name for name in set(sys.modules) - before\n"
+        "    if name.split('.')[0] not in allowed\n"
+        ")\n"
+        "assert not foreign, foreign\n"
+    )
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": source_root},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import dijkstra
-from repro.core import DTLP, DTLPConfig
+from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.dynamics import TrafficModel
-from repro.graph import IndexStateError, partition_graph, road_network
+from repro.graph import IndexStateError, StaleStructureError, partition_graph, road_network
 
 
 def min_within_subgraph_distance(partition, u, v):
@@ -123,6 +123,25 @@ class TestMaintenance:
         dtlp = DTLP(small_road_network, DTLPConfig(z=20, xi=2))
         with pytest.raises(IndexStateError):
             dtlp.handle_updates([])
+
+    def test_structural_edit_after_build_raises_until_rebuilt(self):
+        graph = road_network(6, 6, seed=10)
+        dtlp = DTLP(graph, DTLPConfig(z=12, xi=2)).build().attach()
+        engine = KSPDG(dtlp)
+        before = engine.query(0, 35, 2)
+        graph.add_edge(0, 35, 1.0)  # a shortcut no built structure knows
+        with pytest.raises(StaleStructureError, match=r"DTLP\.build\(\)"):
+            engine.query(0, 35, 2)
+        with pytest.raises(StaleStructureError):
+            dtlp.handle_updates([])
+        with pytest.raises(StaleStructureError):
+            graph.update_weight(0, 1, graph.weight(0, 1) + 1.0)  # via the listener
+        dtlp.build()
+        after = KSPDG(dtlp).query(0, 35, 2)
+        assert after.paths[0].vertices == (0, 35)
+        assert after.paths[0].distance == 1.0 < before.paths[0].distance
+        graph.update_weight(0, 35, 2.0)
+        assert KSPDG(dtlp).query(0, 35, 2).paths[0].distance == 2.0
 
     def test_listener_integration_keeps_bounds_valid(self):
         graph = road_network(6, 6, seed=10)

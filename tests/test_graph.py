@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.graph import (
@@ -186,6 +188,21 @@ class TestSnapshotsAndViews:
         graph.update_weight(1, 2, 9.0)
         assert snapshot.weight(1, 2) == 3.0
         assert graph.weight(1, 2) == 9.0
+
+    def test_structure_version_counts_new_vertices_and_edges_only(self):
+        graph = DynamicGraph()
+        assert graph.structure_version == 0
+        graph.add_edge(1, 2, 3.0)  # two vertices and an edge
+        assert graph.structure_version == 3
+        graph.add_edge(1, 2, 4.0)  # existing edge: a weight overwrite
+        graph.add_edge(2, 1, 4.0)
+        graph.add_vertex(1)
+        graph.update_weight(1, 2, 9.0)
+        assert graph.structure_version == 3
+        graph.add_vertex(7)
+        assert graph.structure_version == 4
+        assert graph.snapshot().structure_version == 4
+        assert pickle.loads(pickle.dumps(graph)).structure_version == 4
 
     def test_snapshot_preserves_initial_weights(self):
         graph = DynamicGraph()

@@ -12,8 +12,10 @@ from repro.core import DTLP, DTLPConfig, validate_kernel
 from repro.graph import DynamicGraph, road_network
 from repro.graph.errors import (
     EdgeNotFoundError,
+    GraphError,
     PathNotFoundError,
     QueryError,
+    StaleStructureError,
     VertexNotFoundError,
 )
 from repro.graph.generators import grid_graph, random_graph
@@ -132,6 +134,29 @@ class TestRefresh:
         assert snapshot.is_current()
         # The derived row view was rebuilt too.
         assert dict(snapshot.neighbors(1))[2] == 7.5
+
+    def test_refresh_after_a_structural_edit_raises(self, triangle: DynamicGraph) -> None:
+        # Graph construction before any snapshot is unaffected; an edge or
+        # vertex added afterwards cannot be followed and must not go unnoticed.
+        snapshot = CSRSnapshot(triangle)
+        triangle.add_edge(1, 2, 4.0)  # existing edge: no new structure
+        assert snapshot.refresh() == 0
+        triangle.add_edge(3, 4, 1.0)
+        with pytest.raises(StaleStructureError, match="fresh CSRSnapshot") as excinfo:
+            snapshot.refresh()
+        assert isinstance(excinfo.value, GraphError)
+        fresh = CSRSnapshot(triangle)
+        assert fresh.refresh() == 0
+        assert fresh.weight(3, 4) == 1.0
+
+    def test_subgraph_snapshot_notices_a_structural_edit_of_the_parent(self) -> None:
+        graph = road_network(6, 6, seed=2)
+        dtlp = DTLP(graph, DTLPConfig(z=12, xi=2)).build()
+        subgraph = dtlp.partition.subgraph(next(iter(dtlp.subgraph_indexes())))
+        snapshot = CSRSnapshot(subgraph)
+        graph.add_vertex(10_000)
+        with pytest.raises(StaleStructureError):
+            snapshot.refresh()
 
     def test_refresh_is_incremental_across_batches(self) -> None:
         graph = road_network(6, 6, seed=2)

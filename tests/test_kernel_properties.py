@@ -21,6 +21,7 @@ import itertools
 import random
 
 import pytest
+from conftest import LooseLowerBounds
 
 from repro.algorithms.dijkstra import dijkstra, shortest_path
 from repro.algorithms.find_ksp import find_ksp
@@ -35,7 +36,6 @@ from repro.graph.generators import random_graph
 from repro.graph.graph import WeightUpdate
 from repro.kernel import (
     CSRSnapshot,
-    LandmarkLowerBounds,
     bounded_dijkstra_arrays,
     dijkstra_arrays,
     dijkstra_arrays_multi,
@@ -161,7 +161,7 @@ def test_kernel_entries_identical_counting_or_not(seed: int) -> None:
             banned_vertices={index_of[v] for v in constraints["banned_vertices"]},
             banned_pairs={(index_of[u], index_of[v]) for u, v in constraints["banned_edges"]},
         )
-        bounds = LandmarkLowerBounds(snapshot, num_landmarks=3).bounds_to(target)
+        bounds = LooseLowerBounds(snapshot, seed).bounds_to(target)
         finite = dijkstra(graph, source, target=target)[0].get(target, 5.0) * 1.2
         # (kernel call, the dict reference's arguments for the same search,
         #  whether every label must match or only the target's and its path)
@@ -333,7 +333,7 @@ GOLDEN_HEAP_TOTALS = {
 def test_kernel_counter_totals_are_pinned(kernel: str, pruning: bool) -> None:
     graph = road_network(12, 12, seed=5)
     dtlp = DTLP(graph, DTLPConfig(z=24, xi=3)).build()
-    engine = KSPDG(dtlp, kernel=kernel, heuristic="none", pruning=pruning)
+    engine = KSPDG(dtlp, kernel=kernel, pruning=pruning)
     with collecting() as prof:
         for query in QueryGenerator(graph, seed=5, min_hops=3).generate(20, k=3):
             engine.query(query.source, query.target, query.k)
@@ -342,6 +342,40 @@ def test_kernel_counter_totals_are_pinned(kernel: str, pruning: bool) -> None:
         prof.pruned, prof.heap_pushes, prof.heap_peak,
     )
     assert totals == GOLDEN_HEAP_TOTALS[kernel, pruning]
+
+
+def test_generic_fallback_routes_through_kernel_counters() -> None:
+    """Regression (PR-7 satellite): the ``dijkstra()`` combinations that
+    bypass the kernel fast paths — ``targets`` with ban sets, ``cutoff``
+    without a resolvable target — used to run uncounted."""
+    graph = random_graph(60, 160, seed=3)
+    snapshot = CSRSnapshot(graph)
+    vertices = list(graph.vertices())
+    targets = set(vertices[5:9])
+    banned = {vertices[10]}
+
+    plain = dijkstra(snapshot, vertices[0], targets=targets, banned_vertices=banned)
+    with collecting() as counters:
+        profiled = dijkstra(
+            snapshot, vertices[0], targets=targets, banned_vertices=banned
+        )
+        assert counters.searches == 1
+        assert counters.settled > 0
+        assert counters.relaxed > 0
+        assert counters.heap_pushes > 0
+        assert counters.heap_peak > 0
+    assert profiled == plain  # instrumentation cannot change labels
+
+    with collecting() as counters:
+        dijkstra(snapshot, vertices[0], cutoff=9.0)  # cutoff, no target
+        assert counters.searches == 1
+        assert counters.pruned > 0
+
+    # Dict graphs share the same gate, so cross-path totals stay consistent.
+    with collecting() as counters:
+        dijkstra(graph, vertices[0], targets=targets, banned_vertices=banned)
+        assert counters.searches == 1
+        assert counters.settled > 0
 
 
 def test_removed_fast_kernel_value_is_a_clean_error(capsys) -> None:

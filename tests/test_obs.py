@@ -24,8 +24,6 @@ import pytest
 from repro.core import DTLP, DTLPConfig
 from repro.distributed import KSPDGEngine, StormTopology
 from repro.graph import road_network
-from repro.kernel import CSRSnapshot
-from repro.kernel.heuristics import LandmarkLowerBounds
 from repro.kernel.primitives import (
     bounded_dijkstra_arrays,
     dijkstra_arrays,
@@ -316,17 +314,6 @@ class TestKernelProfiling:
         assert flat["kernel_searches_total"] == 2
         assert flat["kernel_settled_total"] == 10
         assert flat["kernel_heap_peak"] == 7
-
-    def test_heuristic_bound_cache_counters(self):
-        graph = road_network(5, 5, seed=4)
-        snapshot = CSRSnapshot(graph)
-        provider = LandmarkLowerBounds(snapshot, num_landmarks=2)
-        target = snapshot.ids[-1]
-        with collecting() as prof:
-            provider.bounds_to(target)
-            provider.bounds_to(target)
-        assert prof.bound_cache_misses == 1
-        assert prof.bound_cache_hits == 1
 
 
 # ----------------------------------------------------------------------

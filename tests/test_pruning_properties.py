@@ -1,7 +1,7 @@
 """Identity properties of the goal-directed, bound-pruned query stack.
 
 The contract (``ARCHITECTURE.md``, "Goal-directed search & pruning"): every
-pruned configuration — upper-bound cutoffs, landmark/DTLP lower bounds,
+pruned configuration — upper-bound cutoffs, admissible lower bounds,
 one-to-many boundary searches, cross-query partial-KSP memos — returns
 **bit-identical** paths and distances to the unpruned reference, on both
 compute kernels, across weight-update rounds, and on the serial and
@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import LooseLowerBounds
 
 from repro.algorithms.find_ksp import find_ksp
 from repro.algorithms.yen import LazyYen, yen_k_shortest_paths
@@ -23,10 +24,8 @@ from repro.distributed import StormTopology
 from repro.dynamics import TrafficModel
 from repro.graph import random_graph, road_network
 from repro.graph.errors import PathNotFoundError
-from repro.kernel import CSRSnapshot, LandmarkLowerBounds
+from repro.kernel import CSRSnapshot
 from repro.workloads import QueryGenerator
-
-HEURISTICS = ("none", "landmark")
 
 
 def _signature(paths):
@@ -44,7 +43,7 @@ class TestYenPruningIdentity:
                 else road_network(6, 6, seed=seed)
             )
             snapshot = CSRSnapshot(graph)
-            landmarks = LandmarkLowerBounds(snapshot, num_landmarks=3)
+            loose = LooseLowerBounds(snapshot, seed)
             vertices = sorted(snapshot.ids)
             for _ in range(6):
                 source, target = rng.sample(vertices, 2)
@@ -60,10 +59,9 @@ class TestYenPruningIdentity:
                 assert _signature(
                     yen_k_shortest_paths(snapshot, source, target, k, prune=True)
                 ) == expected
+                bounded = LazyYen(snapshot, source, target, prune_k=k, heuristic=loose)
                 assert _signature(
-                    yen_k_shortest_paths(
-                        snapshot, source, target, k, prune=True, heuristic=landmarks
-                    )
+                    [bounded.next_path() for _ in expected]
                 ) == expected
 
     def test_pruned_respects_allowed_vertices(self):
@@ -124,13 +122,15 @@ class TestFindKSPPruningIdentity:
 
 
 class TestKSPDGPruningIdentity:
-    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    # One value: the id says no lower-bound source besides the filter
+    # step's own, and keeps the name it had when there was a second.
+    @pytest.mark.parametrize("heuristic", ("none",))
     def test_identical_across_update_rounds(self, heuristic):
         graph = road_network(7, 7, seed=23)
         dtlp = DTLP(graph, DTLPConfig(z=14, xi=2)).build()
         graph.add_listener(dtlp.handle_updates)
-        baseline = KSPDG(dtlp, heuristic="none", pruning=False)
-        pruned = KSPDG(dtlp, heuristic=heuristic, pruning=True)
+        baseline = KSPDG(dtlp, pruning=False)
+        pruned = KSPDG(dtlp, pruning=True)
         queries = QueryGenerator(graph, seed=24, min_hops=3).generate(6, k=3)
         model = TrafficModel(graph, alpha=0.4, tau=0.6, seed=25)
         for _ in range(3):
@@ -175,9 +175,8 @@ class TestKSPDGPruningIdentity:
 
 class TestTopologyPruningIdentity:
     @pytest.mark.parametrize("executor", ("serial", "process"))
-    @pytest.mark.parametrize("heuristic", ("landmark",))
-    def test_pruned_topology_matches_unpruned_serial(self, executor, heuristic):
-        def run(backend, heuristic_mode, pruning):
+    def test_pruned_topology_matches_unpruned_serial(self, executor):
+        def run(backend, pruning):
             graph = road_network(6, 6, seed=35)
             dtlp = DTLP(graph, DTLPConfig(z=14, xi=2)).build()
             queries = QueryGenerator(graph, seed=36, min_hops=3).generate(6, k=3)
@@ -185,7 +184,7 @@ class TestTopologyPruningIdentity:
             signatures = []
             with StormTopology(
                 dtlp, num_workers=3, executor=backend, executor_workers=2,
-                heuristic=heuristic_mode, pruning=pruning,
+                pruning=pruning,
             ) as topology:
                 for round_number in range(2):
                     report = topology.run_queries(queries)
@@ -211,5 +210,5 @@ class TestTopologyPruningIdentity:
                         topology.submit_weight_updates(model.advance())
             return signatures
 
-        reference = run("serial", "none", False)
-        assert run(executor, heuristic, True) == reference
+        reference = run("serial", False)
+        assert run(executor, True) == reference

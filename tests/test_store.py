@@ -41,8 +41,8 @@ def _signature(outcomes):
     ]
 
 
-def _answers(dtlp, queries, **kwargs):
-    engine = KSPDGEngine.local(dtlp, **kwargs)
+def _answers(dtlp, queries):
+    engine = KSPDGEngine.local(dtlp)
     try:
         return _signature(engine.answer_many(queries))
     finally:
@@ -152,12 +152,6 @@ class TestRoundTrip:
         loaded = PartitionStore(store.root).load(graph)
         assert loaded.built
         assert _answers(loaded, queries) == fresh
-
-    def test_cold_load_with_landmark_heuristic(self, saved):
-        graph, dtlp, store, queries = saved
-        fresh = _answers(dtlp, queries, heuristic="landmark")
-        loaded = PartitionStore(store.root).load(graph)
-        assert _answers(loaded, queries, heuristic="landmark") == fresh
 
     def test_store_with_legacy_landmarks_table_still_loads(self, saved):
         graph, dtlp, store, queries = saved
