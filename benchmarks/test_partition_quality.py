@@ -17,7 +17,11 @@ grids cap any partitioner's gap at around ten percent):
   function of the graph, not the partition).
 * **cold start** — ``PartitionStore`` load vs full partition + DTLP
   rebuild, answers asserted identical.  Acceptance floor: load at least
-  5x faster, the O(load)-not-O(rebuild) contract of ``repro.store``.
+  2x faster — the contract of ``repro.store`` is "a load is O(load) and
+  cheaper than a rebuild", not a fixed ratio against a slow build: the
+  index-space bounding-path search (PR 22) took the rebuild side from
+  ~140 ms to ~48 ms with the load side unchanged at ~11.5 ms, so the ratio
+  went 12x -> 4.2x while nothing about the store moved.
 
 Paper map: ``docs/paper_map.md`` ties every benchmark to its figure/table.
 """
@@ -148,7 +152,8 @@ def test_partition_quality(scale, benchmark, tmp_path) -> None:
         f"min-cut boundary reduction {reduction:.0%} below the 25% floor "
         f"({bfs_boundary} -> {mincut_boundary})"
     )
-    assert rebuild_seconds / load_seconds >= 5.0, (
+    assert rebuild_seconds / load_seconds >= 2.0, (
         f"store cold load only {rebuild_seconds / load_seconds:.1f}x faster "
-        f"than a full rebuild (floor: 5x)"
+        f"than a full partition + rebuild (floor: 2x; ~4.2x measured): a load "
+        f"must stay O(load) and cheaper than rebuilding"
     )

@@ -22,15 +22,16 @@ Provided algorithms:
   :class:`~repro.graph.paths.Path`.
 * :func:`shortest_path_tree` — full predecessor tree towards a destination
   (used by the FindKSP baseline).
-* :func:`k_lightest_paths_by_vfrags` — a Dijkstra-like enumeration of the
-  paths with the fewest *virtual fragments* between two vertices, used to
-  compute the DTLP bounding paths (Section 3.4 of the paper).
+* :func:`vfrag_label_search` — the bounding-path search of Section 3.4
+  (Algorithm 1's inner loop): a multi-label enumeration of the simple paths
+  with the fewest *virtual fragments*, run in index space over
+  :func:`vfrag_rows`.  :func:`lightest_vfrag_paths_from_source` and
+  :func:`k_lightest_paths_by_vfrags` are its id-space entry points.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import (
     Callable,
     Dict,
@@ -63,9 +64,13 @@ __all__ = [
     "shortest_path_tree",
     "k_lightest_paths_by_vfrags",
     "lightest_vfrag_paths_from_source",
+    "vfrag_rows",
+    "vfrag_label_search",
 ]
 
 NeighborFn = Callable[[int], Iterable[Tuple[int, float]]]
+#: ``rows[i]``: ``(j, 1 << j, vfrag_count)`` per arc out of local index ``i``.
+VfragRows = List[List[Tuple[int, int, int]]]
 
 
 def iter_neighbors(graph, vertex: int) -> Iterator[Tuple[int, float]]:
@@ -416,6 +421,120 @@ def shortest_path_tree(graph, destination: int) -> Tuple[Dict[int, float], Dict[
     return distances, successors
 
 
+def vfrag_rows(graph_like, seeds: Iterable[int]) -> Tuple[List[int], VfragRows]:
+    """Index-space adjacency of everything reachable from ``seeds``.
+
+    Returns ``(ids, rows)``: ``ids[i]`` is the vertex with local index ``i``
+    (the seeds come first, in the order given) and ``rows[i]`` lists
+    ``(j, 1 << j, vfrag_count)`` for every arc ``ids[i] -> ids[j]``, in the
+    order ``graph_like.neighbors`` yields them.  Vfrag counts derive from
+    *initial* weights, so the rows stay valid under weight updates.
+    """
+    ids: List[int] = list(dict.fromkeys(seeds))
+    index_of: Dict[int, int] = {vertex: index for index, vertex in enumerate(ids)}
+    vfrag_count = graph_like.vfrag_count
+    rows: VfragRows = []
+    for vertex in ids:  # grows while neighbours are discovered
+        row = []
+        for neighbor, _weight in iter_neighbors(graph_like, vertex):
+            index = index_of.get(neighbor)
+            if index is None:
+                index = index_of[neighbor] = len(ids)
+                ids.append(neighbor)
+            row.append((index, 1 << index, vfrag_count(vertex, neighbor)))
+        rows.append(row)
+    return ids, rows
+
+
+def vfrag_label_search(
+    ids: List[int],
+    rows: VfragRows,
+    source: int,
+    max_distinct_counts: int,
+    wanted: Optional[Iterable[int]] = None,
+    label_slack: int = 2,
+    labels_per_count: int = 2,
+    max_expansions: int = 500_000,
+) -> Tuple[Dict[int, List[Tuple[int, Tuple[int, ...]]]], bool]:
+    """The bounding-path search of Section 3.4, in index space.
+
+    The one loop behind :func:`lightest_vfrag_paths_from_source` (which
+    documents the search and its caps); ``ids`` / ``rows`` come from
+    :func:`vfrag_rows`, ``source`` and ``wanted`` are local indices.  A label
+    is ``(count, seq, vertex, visited_mask, parent_label)``: a push is O(1),
+    simplicity is one ``mask & bit`` test, and a vertex tuple is rebuilt from
+    the parent chain only for the labels that are recorded.
+
+    Only ``wanted`` vertices are recorded (all when ``None``) and the search
+    stops once each of them holds ``max_distinct_counts`` counts — nothing
+    popped later could be recorded, so what is returned equals the
+    unrestricted result restricted to ``wanted``.
+
+    Returns ``(results, truncated)``; ``truncated`` says the search stopped on
+    ``max_expansions`` with labels left and a wanted vertex still short of
+    ``max_distinct_counts`` counts, i.e. Theorem 1's bound may be looser than
+    an exhaustive search would make it.
+    """
+    if max_distinct_counts <= 0:
+        raise ValueError("max_distinct_counts must be positive")
+    labels_per_vertex = max_distinct_counts + max(0, label_slack)
+    labels_per_count = max(1, labels_per_count)
+    wanted = range(len(rows)) if wanted is None else set(wanted)
+    pending = len(wanted) - (source in wanted)
+    # accepted[vertex] -> {count: number of accepted labels with that count}
+    accepted: List[Optional[Dict[int, int]]] = [None] * len(rows)
+    recorded: Dict[int, list] = {}
+    heappop, heappush = heapq.heappop, heapq.heappush
+    heap: list = [(0, 0, source, 1 << source, None)]
+    seq = 0
+    expansions = 0
+
+    while heap and pending and expansions < max_expansions:
+        label = heappop(heap)
+        expansions += 1
+        vfrags, _, vertex, mask, _ = label
+        counts = accepted[vertex]
+        if counts is None:
+            counts = accepted[vertex] = {}
+        held = counts.get(vfrags, 0)
+        if held >= labels_per_count or (not held and len(counts) >= labels_per_vertex):
+            continue
+        counts[vfrags] = held + 1
+        # Recorded counts are a subset of accepted ones, so the first label
+        # accepted for a count is the only one that can be a new record.
+        if not held and vertex != source and vertex in wanted:
+            found = recorded.setdefault(vertex, [])
+            if len(found) < max_distinct_counts:
+                found.append(label)
+                if len(found) == max_distinct_counts:
+                    pending -= 1
+        for neighbor, bit, step in rows[vertex]:
+            if mask & bit:
+                continue
+            next_count = vfrags + step
+            counts = accepted[neighbor]
+            if counts is not None:
+                held = counts.get(next_count, 0)
+                if held >= labels_per_count or (
+                    not held and len(counts) >= labels_per_vertex
+                ):
+                    continue
+            seq += 1
+            heappush(heap, (next_count, seq, neighbor, mask | bit, label))
+
+    results: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+    for vertex, found in recorded.items():
+        paths = results[ids[vertex]] = []
+        for label in found:
+            vfrags = label[0]
+            sequence = []
+            while label is not None:
+                sequence.append(ids[label[2]])
+                label = label[4]
+            paths.append((vfrags, tuple(reversed(sequence))))
+    return results, bool(heap) and pending > 0
+
+
 def lightest_vfrag_paths_from_source(
     subgraph,
     source: int,
@@ -423,6 +542,7 @@ def lightest_vfrag_paths_from_source(
     label_slack: int = 2,
     labels_per_count: int = 2,
     max_expansions: int = 500_000,
+    targets: Optional[Iterable[int]] = None,
 ) -> Dict[int, List[Tuple[int, Tuple[int, ...]]]]:
     """Simple paths with the smallest distinct vfrag counts from one source.
 
@@ -435,11 +555,16 @@ def lightest_vfrag_paths_from_source(
     up to ``max_distinct_counts + label_slack`` distinct count values, with at
     most ``labels_per_count`` concrete labels per count (keeping more than one
     avoids the case where the single kept witness of a tied count is a dead
-    end that cannot be extended into a simple path).  A label carries its full
-    vertex sequence so loops are excluded (bounding paths must be simple
+    end that cannot be extended into a simple path).  A label remembers the
+    vertices it visited so loops are excluded (bounding paths must be simple
     paths).  The label caps make the search polynomial; they can in principle
     miss a distinct count at a far target, which only makes the resulting
     lower bound slightly looser, never incorrect.
+
+    This wrapper maps the part of ``subgraph`` reachable from ``source`` into
+    index space (:func:`vfrag_rows`) and runs :func:`vfrag_label_search`;
+    a caller with many sources on one subgraph (the index build) builds the
+    rows once and calls the search itself.
 
     Parameters
     ----------
@@ -456,6 +581,10 @@ def lightest_vfrag_paths_from_source(
         Number of concrete labels expanded per (vertex, count) pair.
     max_expansions:
         Safety cap on heap pops.
+    targets:
+        Record only these vertices and stop as soon as each holds
+        ``max_distinct_counts`` counts; the result equals the ``None`` (every
+        vertex) result restricted to ``targets``.
 
     Returns
     -------
@@ -463,49 +592,22 @@ def lightest_vfrag_paths_from_source(
     sorted by vfrag count (at most ``max_distinct_counts`` entries, distinct
     counts, simple paths only).  The source itself is not included.
     """
-    if max_distinct_counts <= 0:
-        raise ValueError("max_distinct_counts must be positive")
-    labels_per_vertex = max_distinct_counts + max(0, label_slack)
-    labels_per_count = max(1, labels_per_count)
-    # vertex -> {count: number of accepted labels with that count}
-    accepted_counts: Dict[int, Dict[int, int]] = {}
-    results: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-    recorded_counts: Dict[int, Set[int]] = {}
-    counter = itertools.count()
-    heap: List[Tuple[int, int, Tuple[int, ...]]] = [(0, next(counter), (source,))]
-    expansions = 0
-
-    while heap and expansions < max_expansions:
-        vfrags, _, vertices = heapq.heappop(heap)
-        expansions += 1
-        vertex = vertices[-1]
-        counts = accepted_counts.setdefault(vertex, {})
-        if counts.get(vfrags, 0) >= labels_per_count:
-            continue
-        if vfrags not in counts and len(counts) >= labels_per_vertex:
-            continue
-        counts[vfrags] = counts.get(vfrags, 0) + 1
-        if vertex != source:
-            recorded = recorded_counts.setdefault(vertex, set())
-            if vfrags not in recorded and len(recorded) < max_distinct_counts:
-                recorded.add(vfrags)
-                results.setdefault(vertex, []).append((vfrags, vertices))
-        for neighbor, _weight in iter_neighbors(subgraph, vertex):
-            if neighbor in vertices:
-                continue
-            step = subgraph.vfrag_count(vertex, neighbor)
-            next_count = vfrags + step
-            neighbor_counts = accepted_counts.get(neighbor)
-            if neighbor_counts is not None:
-                if neighbor_counts.get(next_count, 0) >= labels_per_count:
-                    continue
-                if (
-                    next_count not in neighbor_counts
-                    and len(neighbor_counts) >= labels_per_vertex
-                ):
-                    continue
-            heapq.heappush(heap, (next_count, next(counter), vertices + (neighbor,)))
-    return {target: paths for target, paths in results.items() if paths}
+    ids, rows = vfrag_rows(subgraph, (source,))
+    wanted = None
+    if targets is not None:
+        index_of = {vertex: index for index, vertex in enumerate(ids)}
+        wanted = [index_of[vertex] for vertex in targets if vertex in index_of]
+    results, _ = vfrag_label_search(
+        ids,
+        rows,
+        0,
+        max_distinct_counts,
+        wanted=wanted,
+        label_slack=label_slack,
+        labels_per_count=labels_per_count,
+        max_expansions=max_expansions,
+    )
+    return results
 
 
 def k_lightest_paths_by_vfrags(
@@ -513,14 +615,12 @@ def k_lightest_paths_by_vfrags(
     source: int,
     target: int,
     max_distinct_counts: int,
-    max_paths_per_count: int = 1,
     max_expansions: int = 500_000,
 ) -> List[Tuple[int, Tuple[int, ...]]]:
     """Simple paths from ``source`` to ``target`` with the smallest vfrag counts.
 
-    Pairwise variant of :func:`lightest_vfrag_paths_from_source`, kept for
-    API symmetry and tests.  ``max_paths_per_count`` is accepted for backward
-    compatibility; the label search keeps one witness per distinct count.
+    Pairwise variant of :func:`lightest_vfrag_paths_from_source`: the same
+    search with ``target`` as its only wanted vertex.
 
     Returns a list of ``(vfrag_count, vertex_sequence)`` sorted by vfrag count.
     """
@@ -531,5 +631,6 @@ def k_lightest_paths_by_vfrags(
         source,
         max_distinct_counts=max_distinct_counts,
         max_expansions=max_expansions,
+        targets=(target,),
     )
     return per_target.get(target, [])

@@ -77,7 +77,6 @@ def compute_bounding_paths(
     target: int,
     xi: int,
     first_path_id: int = 0,
-    max_paths_per_count: int = 4,
     max_expansions: int = 20_000,
 ) -> List[BoundingPath]:
     """Compute the bounding paths between ``source`` and ``target``.
@@ -93,10 +92,6 @@ def compute_bounding_paths(
     first_path_id:
         The id assigned to the first returned path; subsequent paths receive
         consecutive ids.  The caller (the subgraph index) manages id spaces.
-    max_paths_per_count:
-        How many concrete witness paths to keep per distinct vfrag count.
-        Keeping more than one improves the chance that the Theorem 1 shortcut
-        recognises the true within-subgraph shortest path.
     max_expansions:
         Safety cap on the number of search expansions; prevents pathological
         subgraphs from stalling index construction.  When the cap is hit the
@@ -115,7 +110,6 @@ def compute_bounding_paths(
         source,
         target,
         max_distinct_counts=xi,
-        max_paths_per_count=max_paths_per_count,
         max_expansions=max_expansions,
     )
     paths: List[BoundingPath] = []

@@ -70,9 +70,11 @@ class DTLPConfig:
         Optional because the compression affects memory, not correctness.
     lsh_num_hashes, lsh_num_bands:
         MinHash/LSH parameters of Section 4.1.
-    max_paths_per_count, max_expansions:
-        Bounding-path search limits; see
-        :func:`repro.core.bounding_paths.compute_bounding_paths`.
+    max_expansions:
+        Cap on heap pops per bounding-path search; see
+        :func:`repro.algorithms.dijkstra.lightest_vfrag_paths_from_source`.
+        ``DTLPStatistics.truncated_searches`` counts the searches it cut
+        short.
     partitioner:
         Which partitioner :meth:`DTLP.build` uses when no pre-computed
         partition is supplied: ``"bfs"`` (the paper's Section 3.3 sweep)
@@ -87,7 +89,6 @@ class DTLPConfig:
     build_mfp_trees: bool = False
     lsh_num_hashes: int = 16
     lsh_num_bands: int = 4
-    max_paths_per_count: int = 4
     max_expansions: int = 20_000
     partitioner: str = "bfs"
 
@@ -113,6 +114,7 @@ class DTLPStatistics:
     skeleton_bytes: int = 0
     mfp_nodes: int = 0
     mfp_bytes: int = 0
+    truncated_searches: int = 0
     build_seconds: float = 0.0
     last_maintenance_seconds: float = 0.0
 
@@ -536,7 +538,6 @@ class DTLP:
                     subgraph,
                     xi=self._config.xi,
                     directed=self._config.directed,
-                    max_paths_per_count=self._config.max_paths_per_count,
                     max_expansions=self._config.max_expansions,
                 ).build()
                 self._subgraph_indexes[subgraph.subgraph_id] = index
@@ -789,6 +790,9 @@ class DTLP:
         stats.mfp_nodes = sum(forest.num_nodes() for forest in self._mfp_forests.values())
         stats.mfp_bytes = sum(
             forest.memory_estimate_bytes() for forest in self._mfp_forests.values()
+        )
+        stats.truncated_searches = sum(
+            index.truncated_searches for index in self._subgraph_indexes.values()
         )
         stats.build_seconds = self._build_seconds
         stats.last_maintenance_seconds = self._last_maintenance_seconds

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..algorithms.dijkstra import lightest_vfrag_paths_from_source
+from ..algorithms.dijkstra import vfrag_label_search, vfrag_rows
 from ..graph.errors import IndexStateError
 from ..graph.graph import WeightUpdate, edge_key
 from ..graph.subgraph import SortedUnitWeights, Subgraph
@@ -42,9 +42,10 @@ class SubgraphIndex:
     directed:
         When ``True`` bounding paths are computed separately for both
         directions of every boundary pair (Section 5.3).
-    max_paths_per_count, max_expansions:
-        Passed through to the bounding-path search; see
-        :func:`repro.core.bounding_paths.compute_bounding_paths`.
+    max_expansions:
+        Cap on heap pops per bounding-path search; see
+        :func:`repro.algorithms.dijkstra.lightest_vfrag_paths_from_source`.
+        :attr:`truncated_searches` counts the searches it cut short.
     """
 
     def __init__(
@@ -52,7 +53,6 @@ class SubgraphIndex:
         subgraph: Subgraph,
         xi: int,
         directed: bool = False,
-        max_paths_per_count: int = 4,
         max_expansions: int = 20_000,
     ) -> None:
         if xi <= 0:
@@ -60,7 +60,6 @@ class SubgraphIndex:
         self._subgraph = subgraph
         self._xi = xi
         self._directed = directed
-        self._max_paths_per_count = max_paths_per_count
         self._max_expansions = max_expansions
         self._paths_by_id: Dict[int, BoundingPath] = {}
         self._paths_by_pair: Dict[Tuple[int, int], List[int]] = {}
@@ -68,6 +67,7 @@ class SubgraphIndex:
         self._unit_weights: Optional[SortedUnitWeights] = None
         self._built = False
         self._build_seconds = 0.0
+        self._truncated_searches = 0
 
     # ------------------------------------------------------------------
     # properties
@@ -101,6 +101,13 @@ class SubgraphIndex:
     def build_seconds(self) -> float:
         """Wall-clock time the last :meth:`build` call took."""
         return self._build_seconds
+
+    @property
+    def truncated_searches(self) -> int:
+        """Bounding-path searches of the last :meth:`build` that stopped on
+        ``max_expansions`` with a boundary target still short of ``xi``
+        counts — each may have loosened Theorem 1's bound for its pairs."""
+        return self._truncated_searches
 
     def boundary_pairs(self) -> Iterator[Tuple[int, int]]:
         """Iterate over the indexed boundary-vertex pairs."""
@@ -145,44 +152,42 @@ class SubgraphIndex:
         """
         started = time.perf_counter()
         boundary = sorted(self._subgraph.boundary_vertices)
-        boundary_set = set(boundary)
         self._paths_by_id.clear()
         self._paths_by_pair.clear()
         self._ep_index = EPIndex(directed=self._directed)
+        self._truncated_searches = 0
+        # Seeded with the boundary, so boundary[i] has local index i.
+        ids, rows = vfrag_rows(self._subgraph, boundary)
         next_id = 0
         for position, source in enumerate(boundary):
-            per_target = lightest_vfrag_paths_from_source(
-                self._subgraph,
-                source,
-                max_distinct_counts=self._xi,
+            # Undirected: each unordered pair is indexed once, from its
+            # smaller endpoint.
+            first_wanted = 0 if self._directed else position + 1
+            per_target, truncated = vfrag_label_search(
+                ids,
+                rows,
+                position,
+                self._xi,
+                wanted=range(first_wanted, len(boundary)),
                 max_expansions=self._max_expansions,
             )
+            self._truncated_searches += truncated
             for target, raw_paths in per_target.items():
-                if target not in boundary_set:
-                    continue
-                if not self._directed and target <= source:
-                    # Undirected: each unordered pair is indexed once, from
-                    # its smaller endpoint.
-                    continue
-                key = self._pair_key(source, target)
-                if key in self._paths_by_pair:
-                    continue
                 path_ids: List[int] = []
                 for vfrags, vertices in raw_paths:
                     bounding_path = BoundingPath(
                         path_id=next_id,
                         source=source,
                         target=target,
-                        vertices=tuple(vertices),
+                        vertices=vertices,
                         vfrag_count=vfrags,
                         distance=self._subgraph.path_distance(vertices),
                     )
                     self._paths_by_id[next_id] = bounding_path
-                    self._ep_index.add_path(next_id, bounding_path.vertices)
+                    self._ep_index.add_path(next_id, vertices)
                     path_ids.append(next_id)
                     next_id += 1
-                if path_ids:
-                    self._paths_by_pair[key] = path_ids
+                self._paths_by_pair[self._pair_key(source, target)] = path_ids
         self._unit_weights = SortedUnitWeights(self._subgraph)
         self._built = True
         self._build_seconds = time.perf_counter() - started
@@ -245,9 +250,9 @@ class SubgraphIndex:
             "subgraph_id": self._subgraph.subgraph_id,
             "xi": self._xi,
             "directed": self._directed,
-            "max_paths_per_count": self._max_paths_per_count,
             "max_expansions": self._max_expansions,
             "build_seconds": self._build_seconds,
+            "truncated_searches": self._truncated_searches,
             "paths": paths,
             "pairs": pairs,
         }
@@ -270,7 +275,6 @@ class SubgraphIndex:
             subgraph,
             xi=int(state["xi"]),
             directed=bool(state["directed"]),
-            max_paths_per_count=int(state["max_paths_per_count"]),
             max_expansions=int(state["max_expansions"]),
         )
         for path_id, source, target, vertices, vfrags, distance in state["paths"]:
@@ -289,6 +293,7 @@ class SubgraphIndex:
         index._unit_weights = SortedUnitWeights(subgraph)
         index._built = True
         index._build_seconds = float(state.get("build_seconds", 0.0))
+        index._truncated_searches = int(state.get("truncated_searches", 0))
         return index
 
     # ------------------------------------------------------------------

@@ -207,7 +207,6 @@ def _build_index_chunk(
             partition.subgraph(subgraph_id),
             xi=config.xi,
             directed=config.directed,
-            max_paths_per_count=config.max_paths_per_count,
             max_expansions=config.max_expansions,
         ).build()
         for subgraph_id in subgraph_ids

@@ -51,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -233,8 +233,14 @@ class PartitionStore:
         return int(self.manifest["num_partitions"])
 
     def config(self) -> DTLPConfig:
-        """The DTLP configuration the store was built with."""
-        return DTLPConfig(**self.manifest["config"])
+        """The DTLP configuration the store was built with.
+
+        Keys that are no longer ``DTLPConfig`` fields are dropped, so a store
+        written before an option was retired still loads.
+        """
+        known = {field.name for field in fields(DTLPConfig)}
+        stored = self.manifest["config"]
+        return DTLPConfig(**{key: stored[key] for key in stored if key in known})
 
     def partition_path(self, part_id: int) -> Path:
         """Directory of one partition's files."""

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     dijkstra,
@@ -13,7 +18,14 @@ from repro.algorithms import (
     shortest_path,
     shortest_path_tree,
 )
-from repro.graph import DynamicGraph, PathNotFoundError, Subgraph, grid_graph, road_network
+from repro.graph import (
+    DynamicGraph,
+    PathNotFoundError,
+    Subgraph,
+    grid_graph,
+    random_graph,
+    road_network,
+)
 
 
 def brute_force_shortest(graph, source, target):
@@ -211,3 +223,107 @@ class TestVfragLabelSearch:
                 for index in range(len(vertices) - 1)
             )
             assert count == expected
+
+
+def reference_label_search(subgraph, source, xi, max_expansions=500_000):
+    """The id-space search ``vfrag_label_search`` replaced, kept as the oracle:
+    labels carry their whole vertex tuple, every vertex is recorded and the
+    search floods until the heap or the cap runs out."""
+    labels_per_vertex, labels_per_count = xi + 2, 2
+    accepted, results, recorded = {}, {}, {}
+    counter = itertools.count()
+    heap = [(0, next(counter), (source,))]
+    expansions = 0
+    while heap and expansions < max_expansions:
+        vfrags, _, vertices = heapq.heappop(heap)
+        expansions += 1
+        vertex = vertices[-1]
+        counts = accepted.setdefault(vertex, {})
+        if counts.get(vfrags, 0) >= labels_per_count:
+            continue
+        if vfrags not in counts and len(counts) >= labels_per_vertex:
+            continue
+        counts[vfrags] = counts.get(vfrags, 0) + 1
+        if vertex != source:
+            seen = recorded.setdefault(vertex, set())
+            if vfrags not in seen and len(seen) < xi:
+                seen.add(vfrags)
+                results.setdefault(vertex, []).append((vfrags, vertices))
+        for neighbor, _ in subgraph.neighbors(vertex):
+            if neighbor in vertices:
+                continue
+            next_count = vfrags + subgraph.vfrag_count(vertex, neighbor)
+            known = accepted.get(neighbor)
+            if known is not None:
+                if known.get(next_count, 0) >= labels_per_count:
+                    continue
+                if next_count not in known and len(known) >= labels_per_vertex:
+                    continue
+            heapq.heappush(heap, (next_count, next(counter), vertices + (neighbor,)))
+    return results
+
+
+@st.composite
+def sparse_subgraph_and_search(draw):
+    """A subgraph over a random part of a small graph's edges (so some
+    vertices are unreachable, or reachable one way only), a source, ``xi``
+    and an expansion cap that sometimes fires after a handful of pops."""
+    num_vertices = draw(st.integers(min_value=3, max_value=7))
+    extra_edges = draw(st.integers(min_value=0, max_value=num_vertices))
+    directed = draw(st.booleans())
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    graph = random_graph(
+        num_vertices, num_vertices - 1 + extra_edges, seed=seed, directed=directed
+    )
+    edges = sorted((u, v) for u, v, _ in graph.edges())
+    kept = random.Random(seed).sample(edges, max(1, (len(edges) * 3) // 4))
+    subgraph = Subgraph(0, graph, graph.vertices(), kept)
+    source = draw(st.sampled_from(sorted(graph.vertices())))
+    xi = draw(st.integers(min_value=1, max_value=3))
+    max_expansions = draw(st.sampled_from([3, 8, 500_000]))
+    return subgraph, source, xi, max_expansions
+
+
+class TestVfragSearchTargets:
+    @given(case=sparse_subgraph_and_search())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        derandomize=True,
+        database=None,
+    )
+    def test_targets_restrict_the_full_result_and_paths_are_well_formed(self, case):
+        subgraph, source, xi, max_expansions = case
+        full = lightest_vfrag_paths_from_source(
+            subgraph, source, max_distinct_counts=xi, max_expansions=max_expansions
+        )
+        reference = reference_label_search(subgraph, source, xi, max_expansions)
+        assert list(full.items()) == list(reference.items())
+
+        for target, paths in full.items():
+            assert 1 <= len(paths) <= xi
+            counts = [count for count, _ in paths]
+            assert counts == sorted(set(counts))
+            for count, vertices in paths:
+                assert vertices[0] == source and vertices[-1] == target
+                assert len(set(vertices)) == len(vertices)
+                assert count == sum(
+                    subgraph.vfrag_count(u, v) for u, v in zip(vertices, vertices[1:])
+                )
+
+        # Every subset of the vertices plus one id the subgraph does not
+        # have: unreachable and unknown targets must not end the search
+        # early for the reachable ones.
+        candidates = sorted(subgraph.vertices) + [max(subgraph.vertices) + 1]
+        for size in range(len(candidates) + 1):
+            for targets in itertools.combinations(candidates, size):
+                restricted = lightest_vfrag_paths_from_source(
+                    subgraph,
+                    source,
+                    max_distinct_counts=xi,
+                    max_expansions=max_expansions,
+                    targets=targets,
+                )
+                expected = [item for item in full.items() if item[0] in targets]
+                assert list(restricted.items()) == expected

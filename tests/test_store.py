@@ -167,6 +167,24 @@ class TestRoundTrip:
         loaded = PartitionStore(store.root).load(graph)
         assert _answers(loaded, queries) == _answers(dtlp, queries)
 
+    def test_store_with_retired_max_paths_per_count_still_loads(self, saved):
+        graph, dtlp, store, queries = saved
+        # Stores written while ``max_paths_per_count`` was still a (dead)
+        # knob carry it in the manifest's config and in every index state.
+        manifest_path = store.root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "max_paths_per_count" not in manifest["config"]
+        manifest["config"]["max_paths_per_count"] = 4
+        manifest_path.write_text(json.dumps(manifest))
+        for part_dir in store.partition_paths():
+            state = json.loads((part_dir / "index.json").read_text())
+            assert "max_paths_per_count" not in state
+            state["max_paths_per_count"] = 4
+            (part_dir / "index.json").write_text(json.dumps(state))
+        legacy = PartitionStore(store.root)
+        assert legacy.config() == CONFIG
+        assert _answers(legacy.load(graph), queries) == _answers(dtlp, queries)
+
     def test_same_lineage_refresh_after_updates(self, saved):
         graph, _, store, queries = saved
         model = TrafficModel(graph, alpha=0.3, tau=0.4, seed=34)

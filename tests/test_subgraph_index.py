@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.algorithms import shortest_distance
-from repro.core import SubgraphIndex
-from repro.graph import DynamicGraph, IndexStateError, Subgraph, WeightUpdate, road_network
+from repro.core import DTLP, DTLPConfig, SubgraphIndex
+from repro.graph import (
+    DynamicGraph,
+    IndexStateError,
+    Subgraph,
+    WeightUpdate,
+    clustered_road_network,
+    random_graph,
+    road_network,
+)
 from repro.dynamics import TrafficModel
 
 from conftest import apply_sg4_change
@@ -176,3 +187,100 @@ class TestMaintenance:
         subgraph = full_subgraph(sg4_graph, boundary={13, 14})
         index = SubgraphIndex(subgraph, xi=2).build()
         assert index.memory_estimate_bytes() > 0
+
+
+def index_digest(dtlp: DTLP) -> str:
+    """sha256 over every subgraph's paths + pair table and the skeleton edges."""
+    subgraphs = []
+    for subgraph_id, index in sorted(dtlp.subgraph_indexes().items()):
+        state = index.export_state()
+        subgraphs.append([subgraph_id, state["paths"], state["pairs"]])
+    skeleton = sorted([u, v, w] for u, v, w in dtlp.skeleton_graph.edges())
+    blob = json.dumps({"subgraphs": subgraphs, "skeleton": skeleton}, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: Captured on the commit *before* the bounding-path search moved to index
+#: space (PR 22), with the tuple-carrying id-space search: any reordering of
+#: paths, path ids, pair tables or skeleton weights changes a digest.
+#: ``(generator, directed, z, xi)`` on ``road_network(10, 10, seed=1)`` /
+#: ``random_graph(100, 220, seed=1)``.
+GOLDEN_SMALL = {
+    ("road_network", False, 16, 2):
+        "5880f5f4bc1933b775611d55d213db24f9d8357703f5c4e0c890aa8c2255b3d1",
+    ("road_network", False, 32, 5):
+        "ea036a3c2a76c2ff5d40e2cde0f08b9bbc9a7b7f73050c50cfed4178c3d8f631",
+    ("road_network", False, 48, 3):
+        "e94335e895fc22094b87d3c31a7a0ff22a65f60bd50945ed9303bcf46c2e2101",
+    ("road_network", True, 16, 2):
+        "c39065cf8a767e3c716cd10304c1df30b979aed6065012747dad9bc8a913b49f",
+    ("road_network", True, 32, 5):
+        "741cf61af57de0bd2bb39da0c21be402a4d869dd11811762385f5ee51356c86d",
+    ("road_network", True, 48, 3):
+        "ddfc2471cc37a8a43c779b8bfa33f7c8d023a0c7959617f8e3b5a0a59e1e5be7",
+    ("random_graph", False, 16, 2):
+        "ccebe5edc4657d25918565678f4e468e96fb842aafb935a8c71b850f69805805",
+    ("random_graph", False, 32, 5):
+        "27f1d1040415e410ac743619adaad373ecdc372fcd5e188ab85a026ccbc699d9",
+    ("random_graph", False, 48, 3):
+        "cd652206d8ce1ee56b9eacbb072507126cbff16958006081144805b5b129c31a",
+    ("random_graph", True, 16, 2):
+        "7d2c0e97aa24d03900e7e5d169c8423bfcf3fbe4e0f89da22f42e2ae5f599a7e",
+    ("random_graph", True, 32, 5):
+        "89e6805ef2abf5d608e295b30780cf5e16691205dbfe843892884e5275bd2a07",
+    ("random_graph", True, 48, 3):
+        "367b2fa8b8ad369b9c3bd7eb568aa49ef9f72d8c32f2834e17059e970b68dc7c",
+}
+#: The benchmark's pinned network ``M`` (``perf/stack.py``): 6 x 6 cities of
+#: 8 x 8 vertices, seed 7, ``DTLPConfig(z=64, xi=3, partitioner="mincut")``.
+GOLDEN_M = "59ec09982007f03dd3e60c731f740633026b51debcae8faecb81396b51a13f04"
+PINNED_CONFIG = DTLPConfig(z=64, xi=3, partitioner="mincut")
+
+
+def pinned_network(clusters_per_side):
+    return clustered_road_network(
+        clusters_per_side=clusters_per_side, cluster_rows=8, cluster_cols=8, seed=7
+    )
+
+
+class TestSameIndex:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SMALL))
+    def test_small_graphs_build_the_golden_index(self, case):
+        generator, directed, z, xi = case
+        if generator == "road_network":
+            graph = road_network(10, 10, seed=1, directed=directed)
+        else:
+            graph = random_graph(100, 220, seed=1, directed=directed)
+        dtlp = DTLP(graph, DTLPConfig(z=z, xi=xi, directed=directed)).build()
+        assert index_digest(dtlp) == GOLDEN_SMALL[case]
+
+    def test_pinned_network_m_builds_the_golden_index_untruncated(self):
+        dtlp = DTLP(pinned_network(6), PINNED_CONFIG).build()
+        assert index_digest(dtlp) == GOLDEN_M
+        assert dtlp.statistics().truncated_searches == 0
+
+    def test_pinned_network_l_is_untruncated(self):
+        dtlp = DTLP(pinned_network(9), PINNED_CONFIG).build()
+        assert dtlp.statistics().truncated_searches == 0
+
+
+class TestTruncatedSearches:
+    def test_cap_that_fires_is_counted_and_survives_export(self):
+        graph = road_network(5, 5, seed=12)
+        subgraph = full_subgraph(graph, boundary={0, 4, 20, 24, 12})
+        capped = SubgraphIndex(subgraph, xi=3, max_expansions=5).build()
+        # Undirected: the largest boundary vertex runs no search of its own.
+        assert capped.truncated_searches == 4
+        state = capped.export_state()
+        assert state["truncated_searches"] == 4
+        assert SubgraphIndex.from_state(subgraph, state).truncated_searches == 4
+        del state["truncated_searches"]  # written before the count existed
+        assert SubgraphIndex.from_state(subgraph, state).truncated_searches == 0
+        assert SubgraphIndex(subgraph, xi=3).build().truncated_searches == 0
+
+    def test_dtlp_statistics_sum_the_subgraphs(self):
+        graph = road_network(8, 8, seed=1)
+        capped = DTLP(graph, DTLPConfig(z=20, xi=3, max_expansions=5)).build()
+        per_subgraph = [i.truncated_searches for i in capped.subgraph_indexes().values()]
+        assert capped.statistics().truncated_searches == sum(per_subgraph) > 0
+        assert DTLP(graph, DTLPConfig(z=20, xi=3)).build().statistics().truncated_searches == 0
