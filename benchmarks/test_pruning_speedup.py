@@ -11,12 +11,17 @@ isolation on the same DTLP index and the same snapshot kernel:
 * **bound-pruned** — the goal-directed stack that ships (``ARCHITECTURE.md``,
   "Goal-directed search & pruning"): upper-bound cutoffs from the current
   k-th best candidate, the exact distance to the target on the skeleton as
-  the filter step's lower bound, one-to-many attachment searches, and the
-  cross-query partial-KSP memo keyed by weight epochs.
+  the filter step's lower bound, every partial-KSP Yen pruning against the
+  exact distance-to-target array it computes for itself, one-to-many
+  attachment searches, and the cross-query partial-KSP memo keyed by
+  weight epochs.
 
 Paths and distances are asserted **bit-identical** between the two
 configurations — and between the serial and process execution backends for
-the pruned one — before any timing is trusted.  Acceptance floor: the
+the pruned one — before any timing is trusted, in two phases: on the
+network as generated (integer weights, exact ties) and again after one
+``TrafficModel`` round (non-integer weights, where a tie survives only up
+to rounding — the case ``PRUNE_SLACK`` exists for).  Acceptance floor: the
 bound-pruned configuration answers the batch at least 1.5x faster than
 the unpruned baseline on a >= 2k-vertex network.
 
@@ -32,8 +37,12 @@ import pytest
 from repro.bench import print_experiment
 from repro.core import DTLP, DTLPConfig
 from repro.distributed import StormTopology
+from repro.dynamics import TrafficModel
 from repro.graph import road_network
 from repro.workloads import QueryGenerator
+
+#: The traffic of ``perf/workloads.py``: congestion on top of free flow.
+TRAFFIC = {"alpha": 0.35, "tau": 0.10, "direction": "increase"}
 
 
 def _build(side, z, xi, executor, pruning):
@@ -44,10 +53,14 @@ def _build(side, z, xi, executor, pruning):
     return graph, topology, queries
 
 
-def _run_batch(side, z, xi, executor, pruning):
-    """One cold end-to-end batch; returns (wall seconds, result signature)."""
+def _run_batch(side, z, xi, executor, pruning, traffic_rounds=0):
+    """One cold end-to-end batch, after ``traffic_rounds`` maintained update
+    rounds; returns (wall seconds, result signature, graph)."""
     graph, topology, queries = _build(side, z, xi, executor, pruning)
     with topology:
+        model = TrafficModel(graph, seed=13, **TRAFFIC)
+        for _ in range(traffic_rounds):
+            topology.submit_weight_updates(model.advance())
         started = time.perf_counter()
         report = topology.run_queries(queries)
         elapsed = time.perf_counter() - started
@@ -83,6 +96,21 @@ def test_pruning_speedup(scale, benchmark) -> None:
     _, process_signature, _ = _run_batch(side, z, xi, "process", True)
     assert process_signature == reference
 
+    # Second phase, before any floor is read: one traffic round leaves
+    # weights that are no longer integers, so a path tying the k-th best
+    # does so only up to rounding.  Same batch, same three-way identity.
+    moved = {
+        label: _run_batch(side, z, xi, "serial", pruning, traffic_rounds=1)
+        for label, pruning in configs
+    }
+    moved_graph = moved["bound-pruned"][2]
+    assert any(weight != int(weight) for _, _, weight in moved_graph.edges())
+    moved_reference = moved["unpruned (baseline)"][1]
+    assert moved_reference != reference  # the round did move the answers
+    assert moved["bound-pruned"][1] == moved_reference
+    _, process_signature, _ = _run_batch(side, z, xi, "process", True, traffic_rounds=1)
+    assert process_signature == moved_reference
+
     benchmark.pedantic(
         lambda: _run_batch(side, z, xi, "serial", True),
         rounds=1,
@@ -100,7 +128,8 @@ def test_pruning_speedup(scale, benchmark) -> None:
         ["configuration", "batch (ms)", "speedup"],
         rows,
         notes="identical paths/distances asserted across both configurations and "
-        "across serial vs process executors before timing; each configuration "
+        "across serial vs process executors before timing, on integer weights "
+        "and again after one TrafficModel round; each configuration "
         "runs cold on a fresh index (memos and snapshot caches are built inside "
         "the timed batch)",
     )

@@ -32,6 +32,7 @@ Provided algorithms:
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 from typing import (
     Callable,
     Dict,
@@ -58,6 +59,7 @@ from ..kernel.snapshot import CSRSnapshot
 __all__ = [
     "iter_neighbors",
     "path_weight",
+    "prefix_weights",
     "dijkstra",
     "shortest_path",
     "shortest_distance",
@@ -85,32 +87,50 @@ def iter_neighbors(graph, vertex: int) -> Iterator[Tuple[int, float]]:
     return iter(result)
 
 
-def path_weight(graph, vertices) -> float:
-    """Distance of the path ``vertices`` on any graph-like object.
+def _edge_weights(graph, vertices) -> Iterator[float]:
+    """Weights of the consecutive edges of ``vertices`` on any graph-like.
 
     Uses the graph's O(1) ``weight(u, v)`` accessor when available (every
     graph class in this repository, including snapshots, has one); the
     O(degree) linear neighbour scan survives only as a fallback for minimal
-    graph-likes that expose nothing but ``neighbors``.  Shared by Yen's
-    root pricing and FindKSP's candidate pricing.
+    graph-likes that expose nothing but ``neighbors``.
     """
     weight_of = getattr(graph, "weight", None)
-    total = 0.0
     for index in range(len(vertices) - 1):
         u, v = vertices[index], vertices[index + 1]
         if weight_of is not None:
             try:
-                total += weight_of(u, v)
+                yield weight_of(u, v)
             except (EdgeNotFoundError, KeyError):
                 raise PathNotFoundError(u, v) from None
             continue
         for neighbor, weight in iter_neighbors(graph, u):
             if neighbor == v:
-                total += weight
+                yield weight
                 break
         else:
             raise PathNotFoundError(u, v)
+
+
+def path_weight(graph, vertices) -> float:
+    """Distance of the path ``vertices`` on any graph-like object.
+
+    The edge weights added left to right; FindKSP's candidate pricing.
+    """
+    total = 0.0
+    for weight in _edge_weights(graph, vertices):
+        total += weight
     return total
+
+
+def prefix_weights(graph, vertices) -> List[float]:
+    """Distance of every prefix of ``vertices``: entry ``i`` prices
+    ``vertices[:i + 1]``.
+
+    One running sum — the same left-to-right additions, so the same bits,
+    as :func:`path_weight` of each prefix.  Yen's root pricing.
+    """
+    return list(accumulate(_edge_weights(graph, vertices), initial=0.0))
 
 
 def _dijkstra_snapshot(

@@ -30,6 +30,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from ..graph.errors import PathNotFoundError, QueryError
 from ..graph.paths import Path
 from .dijkstra import dijkstra, iter_neighbors, path_weight
+from .yen import PRUNE_SLACK
 
 __all__ = ["find_ksp", "FindKSP"]
 
@@ -194,12 +195,14 @@ class FindKSP:
                     # Any simple completion of root+(neighbor,) is at least
                     # as long as the unconstrained SPT distance — a free
                     # admissible lower bound.  Strictly worse than the
-                    # current k-th best means provably useless.
+                    # current k-th best (by more than rounding, see
+                    # PRUNE_SLACK) means provably useless.
                     prefix_weight = root_weight + weight
                     spt_bound = self._dist_to_target.get(neighbor, _INF)
-                    if prefix_weight + spt_bound > bound:
+                    loosened = bound + bound * PRUNE_SLACK
+                    if prefix_weight + spt_bound > loosened:
                         continue
-                    cutoff = bound - prefix_weight
+                    cutoff = loosened - prefix_weight
                 candidate_vertices = self._complete_via_spt(root + (neighbor,))
                 if candidate_vertices is None:
                     candidate_vertices = self._complete_via_dijkstra(

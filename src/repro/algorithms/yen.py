@@ -26,12 +26,16 @@ Both interfaces additionally support *upper-bound pruning* (see
 paths the caller will consume is known (``prune_k`` / the ``k`` of
 :func:`yen_k_shortest_paths`), any spur search whose best possible total
 distance strictly exceeds the current k-th best known path can be abandoned
-— it provably cannot contribute to the output.  An optional admissible
-lower-bound provider (:class:`LazyYen`'s ``heuristic``) tightens the test
-from "root distance" to "root distance + lower bound of the spur".  The
-pruned enumeration returns **bit-identical** paths: bounds only ever
-discard candidates strictly worse than the k-th best, and the pruned
-kernel searches preserve relaxation order (ties included).
+— it provably cannot contribute to the output.  On a snapshot a pruned
+enumeration *bounds itself*: the first time its prune bound is finite it
+takes the snapshot's exact distance-to-target array
+(:meth:`~repro.kernel.snapshot.CSRSnapshot.bounds_to`, one search from the
+target) and the test tightens from "root distance" to "root distance +
+distance left"; the array lives and dies with the enumerator.  The pruned
+enumeration returns **bit-identical** paths: bounds only ever discard
+candidates strictly worse than the k-th best (:data:`PRUNE_SLACK` keeps
+rounding from turning a tie into "worse"), and the pruned kernel searches
+preserve relaxation order (ties included).
 """
 
 from __future__ import annotations
@@ -43,11 +47,25 @@ from ..graph.errors import QueryError
 from ..graph.paths import Path
 from ..kernel.primitives import bounded_dijkstra_arrays, reconstruct_indices
 from ..kernel.snapshot import CSRSnapshot
-from .dijkstra import dijkstra, path_weight, shortest_path
+from .dijkstra import dijkstra, prefix_weights, shortest_path
 
-__all__ = ["yen_k_shortest_paths", "LazyYen"]
+__all__ = ["yen_k_shortest_paths", "LazyYen", "PRUNE_SLACK"]
 
 _INF = float("inf")
+
+#: Relative slack of every pruning test: a deviation is abandoned only when
+#: its best possible total exceeds ``bound * (1 + PRUNE_SLACK)``.  The bound
+#: is a sum of edge weights and so is what it is compared with, but the two
+#: add the same weights in different orders (root left to right, spur from
+#: its own zero, the distance left backwards from the target), so a
+#: candidate that *ties* the k-th best can come out an ulp above it — and be
+#: discarded where the unpruned run keeps it and lets ``(distance,
+#: vertices)`` order decide.  Rounding moves a sum of n weights by at most
+#: n * 2**-53 of itself; 1e-12 covers paths of thousands of edges.  A looser
+#: cutoff is always sound: pruning only ever *discards*, so loosening it can
+#: only keep more candidates, and a candidate above the true bound sorts
+#: after the ``prune_k`` paths the caller consumes and is never popped.
+PRUNE_SLACK = 1e-12
 
 
 class LazyYen:
@@ -74,13 +92,19 @@ class LazyYen:
         to the unpruned enumeration — but only the first ``prune_k`` of
         them exist; requesting more is a contract violation.
     heuristic:
-        Optional admissible lower-bound provider: an object exposing
+        Optional override of the lower bounds a pruned enumeration on a
+        snapshot otherwise computes for itself: an object exposing
         ``bounds_to(target)``, a dense per-index array with ``h(v) <=
-        dist(v, target)`` (the filter step passes its
-        :class:`~repro.core.skeleton.SkeletonSearchView`).
-        Honoured only when ``graph`` is a snapshot; it tightens both the
-        per-spur skip test and the in-search pruning.  Admissibility keeps
-        results exact; the test suite asserts it rather than assuming it.
+        dist(v, target)``.  The filter step passes its
+        :class:`~repro.core.skeleton.SkeletonSearchView` (the same exact
+        distances, named where the query is set up) and the test suite an
+        adversary with admissible but loose bounds.  Honoured only when
+        ``graph`` is a snapshot; bounds tighten both the per-spur skip test
+        and the in-search pruning.  Admissibility keeps results exact; the
+        test suite asserts it rather than assuming it.
+
+    Without ``prune_k`` and without :meth:`set_upper_bound` nothing is ever
+    pruned and no bound is ever computed.
     """
 
     def __init__(
@@ -110,7 +134,9 @@ class LazyYen:
             self._allowed_idx = {
                 index_of[v] for v in allowed_vertices if v in index_of
             }
-        # Admissible per-index lower bounds to the target (snapshot only).
+        # Admissible per-index lower bounds to the target (snapshot only):
+        # the override's now, or the snapshot's own exact distances the
+        # first time the prune bound is finite (see _prune_bound).
         self._bounds: Optional[Sequence[float]] = None
         if self._snapshot is not None and heuristic is not None:
             self._bounds = heuristic.bounds_to(target)
@@ -189,27 +215,31 @@ class LazyYen:
         them bounds everything the caller can still consume.  Candidates
         duplicating an already-found path are excluded (they will be
         skipped on pop), so the bound is never too tight.  Ties survive:
-        every pruning test downstream uses *strictly greater than*.
+        every pruning test downstream uses *strictly greater than*, with
+        :data:`PRUNE_SLACK` to spare.
+
+        The first finite bound on a snapshot is also when the enumerator
+        takes its distance-to-target array: from here on there is something
+        to prune against, before there was not.
         """
         bound = self._upper_bound
         k = self._prune_k
-        if k is None:
-            return bound
-        remaining = k - len(self._found)
-        if remaining <= 0:
-            # Contract violation guard (more paths requested than promised):
-            # stop tightening rather than over-prune further.
-            return bound
-        found_vertices = {path.vertices for path in self._found}
-        fresh = [
-            distance
-            for distance, vertices in self._candidates
-            if vertices not in found_vertices
-        ]
-        if len(fresh) >= remaining:
-            kth = heapq.nsmallest(remaining, fresh)[-1]
-            if kth < bound:
-                bound = kth
+        remaining = 0 if k is None else k - len(self._found)
+        # remaining <= 0 with a prune_k is a contract violation (more paths
+        # requested than promised): stop tightening rather than over-prune.
+        if remaining > 0:
+            found_vertices = {path.vertices for path in self._found}
+            fresh = [
+                distance
+                for distance, vertices in self._candidates
+                if vertices not in found_vertices
+            ]
+            if len(fresh) >= remaining:
+                kth = heapq.nsmallest(remaining, fresh)[-1]
+                if kth < bound:
+                    bound = kth
+        if bound != _INF and self._bounds is None and self._snapshot is not None:
+            self._bounds = self._snapshot.bounds_to(self._target)
         return bound
 
     def _bound_at(self, vertex: int) -> float:
@@ -229,21 +259,26 @@ class LazyYen:
         generated when the parent was expanded, so they are skipped.  With a
         finite prune bound, deviations that provably cannot beat the current
         k-th best path are skipped entirely, and the remaining spur searches
-        run with an upper-bound cutoff.
+        run with an upper-bound cutoff.  The bound is re-derived inside the
+        round whenever a pushed candidate can lower it — it lands below the
+        bound, or it completes the first ``prune_k`` known paths — so the
+        very first round stops being cutoff-free as soon as it can.
         """
         previous_vertices = previous.vertices
         first_spur_index = self._deviation_index.get(previous.vertices, 0)
+        root_distances = prefix_weights(self._graph, previous_vertices)
+        tightens = self._prune_k is not None
         bound = self._prune_bound()
         for spur_index in range(first_spur_index, len(previous_vertices) - 1):
             root = previous_vertices[: spur_index + 1]
             spur_vertex = previous_vertices[spur_index]
-            root_distance: Optional[float] = None
+            root_distance = root_distances[spur_index]
             cutoff = _INF
             if bound != _INF:
-                root_distance = path_weight(self._graph, root)
-                if root_distance + self._bound_at(spur_vertex) > bound:
+                loosened = bound + bound * PRUNE_SLACK
+                if root_distance + self._bound_at(spur_vertex) > loosened:
                     continue
-                cutoff = bound - root_distance
+                cutoff = loosened - root_distance
             banned_edges: Set[Tuple[int, int]] = set()
             for path in self._found:
                 if path.vertices[: spur_index + 1] == root and len(path.vertices) > spur_index + 1:
@@ -260,12 +295,12 @@ class LazyYen:
                 continue
             if total_vertices in self._candidate_set:
                 continue
-            if root_distance is None:
-                root_distance = path_weight(self._graph, root)
             total_distance = root_distance + spur_distance
             self._candidate_set.add(total_vertices)
             self._deviation_index.setdefault(total_vertices, spur_index)
             heapq.heappush(self._candidates, (total_distance, total_vertices))
+            if tightens and total_distance < bound:
+                bound = self._prune_bound()
 
     def _spur_search(
         self,
@@ -346,8 +381,10 @@ def yen_k_shortest_paths(
     disconnected and :class:`~repro.graph.errors.QueryError` for ``k <= 0``.
 
     ``prune`` (default on) enables upper-bound pruning of the spur searches
-    — output is bit-identical either way; ``prune=False`` exists for
-    benchmarking the unpruned baseline.
+    — on a snapshot with the exact distance-to-target bounds the enumerator
+    computes for itself (see :class:`LazyYen`); output is bit-identical
+    either way, and ``prune=False``, which never computes a bound, exists
+    for benchmarking the unpruned baseline.
     """
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")

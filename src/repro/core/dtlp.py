@@ -439,7 +439,8 @@ class DTLP:
         kernels search a per-query overlay of :meth:`skeleton_search_view`
         instead — the same paths in the same order, see
         :class:`SkeletonSearchView` — and, with ``pruning``, bound every spur
-        search by the exact distance to ``target`` on that view.  Attachments
+        search by the exact distance to ``target`` on that view (its
+        ``bounds_to``, the one every pruned Yen on a snapshot uses).  Attachments
         the image has no room for (more than two new vertices in one id gap,
         which a query's two endpoints never are) get the rebuilt snapshot.
         """
@@ -457,8 +458,8 @@ class DTLP:
         if attachments:
             view = view.overlay(attachments, direct)
             if view is None:
-                # More new vertices than the image has room for: rebuild,
-                # and search the rebuilt snapshot with cutoffs alone.
+                # More new vertices than the image has room for: rebuild;
+                # the enumerator bounds itself on the rebuilt snapshot.
                 rebuilt = CSRSnapshot(self._augmented_skeleton(attachments, direct))
                 return LazyYen(rebuilt, source, target)
         return LazyYen(view, source, target, heuristic=view if pruning else None)
@@ -696,6 +697,10 @@ class DTLP:
         # edge weight is a minimum over subgraphs, edges incident to affected
         # pairs are recomputed from every subgraph containing the pair.
         self._refresh_skeleton_for_subgraphs(affected_subgraphs)
+        # Fold the round into the per-subgraph epochs and snapshot buckets
+        # now, so the first query after it does not pay the walk.
+        with self._epoch_lock:
+            self._advance_weight_epochs()
         elapsed = time.perf_counter() - started
         self._last_maintenance_seconds = elapsed
         return elapsed

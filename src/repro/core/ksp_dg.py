@@ -145,9 +145,13 @@ def solve_pair(
 
     Per subgraph: with pruning, the DTLP's weight-epoch memo answers a
     (subgraph, pair, k) an earlier query or iteration already solved;
-    otherwise Yen's algorithm runs on the subgraph's view (upper-bound
-    pruned) and the result is
-    memoised.  Memo hits are bit-identical to recomputation.  Returns the
+    otherwise Yen's algorithm runs on the subgraph's view and the result is
+    memoised.  A pruned Yen on the snapshot kernel bounds itself — cutoffs
+    from its k-th best known path plus the exact distance-to-target array
+    it takes from the snapshot for the length of the call (see
+    :class:`~repro.algorithms.yen.LazyYen`); on the ``dict`` tier it runs
+    on cutoffs alone, and with ``pruning=False`` on neither.  Memo hits and
+    pruned runs are bit-identical to the unpruned computation.  Returns the
     concatenated per-subgraph results (callers keep the
     :func:`best_k_distinct`) and how many subgraphs were memo hits;
     ``on_partial(subgraph_id, pair, seconds)`` is called once per subgraph
@@ -317,6 +321,8 @@ class KSPDGQuery:
         self._on_merge = on_merge
         self._partial_computations = 0
         self._partial_reused = 0
+        # pairs[:i] of a reference path -> its joined k best (see _candidates).
+        self._joined_prefixes: Dict[Tuple[Pair, ...], List[Path]] = {}
         self._reference_enumerator = dtlp.reference_enumerator(
             source,
             target,
@@ -359,17 +365,27 @@ class KSPDGQuery:
         return found
 
     def _candidates(
-        self, pairs: Sequence[Pair], partial_cache: Mapping[Pair, List[Path]]
+        self, pairs: Tuple[Pair, ...], partial_cache: Mapping[Pair, List[Path]]
     ) -> List[Path]:
-        """Join the per-pair partials left to right, keeping k simple paths."""
-        merged: List[Path] = []
-        for index, pair in enumerate(pairs):
-            partials = partial_cache.get(pair)
-            if not partials:
+        """Join the per-pair partials left to right, keeping k simple paths.
+
+        Consecutive reference paths share root prefixes by construction of
+        Yen's deviations, and a pair's partials are fixed once gathered, so
+        every joined prefix is kept for the rest of the query and the join
+        resumes after the longest prefix an earlier reference path already
+        paid for.
+        """
+        joined = self._joined_prefixes
+        done = len(pairs)
+        while done and pairs[:done] not in joined:
+            done -= 1
+        merged: List[Path] = joined[pairs[:done]] if done else []
+        for index in range(done, len(pairs)):
+            partials = partial_cache.get(pairs[index])
+            if not partials or (index and not merged):
                 return []
             merged = join_paths(merged, partials, self._k) if index else list(partials)
-            if not merged:
-                return []
+            joined[pairs[: index + 1]] = merged
         return merged
 
     # ------------------------------------------------------------------
@@ -396,7 +412,7 @@ class KSPDGQuery:
             result.reference_paths.append(reference)
             with span("iteration", index=result.iterations):
                 vertices = reference.vertices
-                pairs = list(zip(vertices, vertices[1:]))
+                pairs = tuple(zip(vertices, vertices[1:]))
                 needed = [pair for pair in pairs if pair not in partial_cache]
                 for pair, paths in self._partials(reference, needed, k).items():
                     partial_cache[pair] = best_k_distinct(paths, k)

@@ -28,7 +28,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..graph.errors import EdgeNotFoundError, VertexNotFoundError
 from ..graph.graph import edge_key
-from ..kernel.primitives import dijkstra_arrays
 from ..kernel.snapshot import CSRSnapshot
 
 __all__ = ["SkeletonGraph", "SkeletonSearchView"]
@@ -212,10 +211,9 @@ class SkeletonSearchView(CSRSnapshot):
     of the base class are never built, so ``num_vertices`` / ``len`` report
     the size of the index space, not the vertex count.
 
-    The view doubles as its own lower-bound provider (:meth:`bounds_to`):
-    the exact distance to the target is the tightest admissible bound, and
-    it stays admissible under Yen's bans because removing vertices or arcs
-    only lengthens paths.
+    The view doubles as its own lower-bound provider: the inherited
+    :meth:`~repro.kernel.snapshot.CSRSnapshot.bounds_to` searches the rows
+    above, or the transposed rows each overlay keeps current when directed.
     """
 
     __slots__ = ("_base_ids", "_arcs", "_patch", "_reverse_rows")
@@ -363,17 +361,6 @@ class SkeletonSearchView(CSRSnapshot):
             raise EdgeNotFoundError(u, v)
         return value
 
-    def bounds_to(self, target: int) -> Optional[List[float]]:
-        """Exact per-index distances to ``target`` (``inf`` when unreachable).
-
-        One full search from the target — over the transposed rows when
-        directed — per call; ``None`` when ``target`` is not in the view.
-        """
-        target_index = self.index_of.get(target)
-        if target_index is None:
-            return None
-        rows = self.rows if self._reverse_rows is None else self._reverse_rows
-        dist, _, _ = dijkstra_arrays(
-            rows, len(self.ids), target_index, track_touched=False
-        )
-        return dist
+    def _rows_towards(self) -> List[_Row]:
+        """The transposed rows every overlay keeps current (directed only)."""
+        return self.rows if self._reverse_rows is None else self._reverse_rows

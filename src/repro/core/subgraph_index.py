@@ -277,12 +277,21 @@ class SubgraphIndex:
             directed=bool(state["directed"]),
             max_expansions=int(state["max_expansions"]),
         )
+        has_edge = subgraph.has_edge
         for path_id, source, target, vertices, vfrags, distance in state["paths"]:
+            vertices = tuple(int(v) for v in vertices)
+            # Checked once here, as build() checks while pricing:
+            # apply_updates re-prices stored paths without looking again.
+            if not all(map(has_edge, vertices, vertices[1:])):
+                raise IndexStateError(
+                    f"stored bounding path {path_id} leaves subgraph "
+                    f"{subgraph.subgraph_id}"
+                )
             bounding_path = BoundingPath(
                 path_id=int(path_id),
                 source=int(source),
                 target=int(target),
-                vertices=tuple(int(v) for v in vertices),
+                vertices=vertices,
                 vfrag_count=int(vfrags),
                 distance=float(distance),
             )
@@ -333,9 +342,13 @@ class SubgraphIndex:
             self._unit_weights.update_edges(owned)
         for u, v in owned:
             touched_paths.update(self._ep_index.paths_through_edge(u, v))
+        # Every stored path was checked edge by edge against this subgraph
+        # at build / from_state and the topology cannot have moved since
+        # (StaleStructureError), so the parent prices it without re-checking.
+        price = self._subgraph.parent.path_distance
         for path_id in touched_paths:
             path = self._paths_by_id[path_id]
-            path.distance = self._subgraph.path_distance(path.vertices)
+            path.distance = price(path.vertices)
             affected_pairs.add(self._pair_key(path.source, path.target))
         # A change in any unit weight shifts every bound distance in the
         # subgraph, so conservatively all pairs may need their skeleton edge
@@ -362,19 +375,23 @@ class SubgraphIndex:
         ``BD_max`` the largest bound distance; if ``BD_max >= D_u`` the pair's
         within-subgraph shortest distance is ``D_u`` (claim 1), otherwise
         ``BD_max`` is a valid lower bound (claim 2).  Both cases collapse to
-        ``min(D_u, BD_max)``.
+        ``min(D_u, BD_max)``.  Bound distances grow with the vfrag count, so
+        ``BD_max`` is read once, for the pair's widest path.
         """
         key = self._pair_key(source, target)
         path_ids = self._paths_by_pair.get(key)
         if not path_ids:
             return None
+        paths_by_id = self._paths_by_id
         best_actual = float("inf")
-        max_bound = 0.0
+        widest = paths_by_id[path_ids[0]]
         for path_id in path_ids:
-            path = self._paths_by_id[path_id]
-            best_actual = min(best_actual, path.distance)
-            max_bound = max(max_bound, self.bound_distance(path))
-        return min(best_actual, max_bound)
+            path = paths_by_id[path_id]
+            if path.distance < best_actual:
+                best_actual = path.distance
+            if path.vfrag_count > widest.vfrag_count:
+                widest = path
+        return min(best_actual, self.bound_distance(widest))
 
     def lower_bound_distances(self) -> Dict[Tuple[int, int], float]:
         """Lower bound distances for every indexed boundary pair."""

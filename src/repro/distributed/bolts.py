@@ -206,10 +206,10 @@ class SubgraphBolt:
         started = time.perf_counter()
         attach_span = push_span("attach", _kernel=True, bolt=self.name, vertex=vertex)
         bounds: Dict[int, float] = {}
-        for subgraph_id in self.subgraph_ids:
-            subgraph = self._partition.subgraph(subgraph_id)
-            if vertex not in subgraph.vertices:
-                continue
+        owners = self.subgraph_ids.intersection(
+            self._partition.subgraphs_of_vertex(vertex)
+        )
+        for subgraph_id in sorted(owners):
             sub_started = time.perf_counter()
             index = self._dtlp.subgraph_index(subgraph_id)
             kernel = self._mode.kernel
@@ -241,9 +241,8 @@ class SubgraphBolt:
         started = time.perf_counter()
         direct_span = push_span("direct", _kernel=True, bolt=self.name)
         best: Optional[float] = None
-        for subgraph_id in self.subgraph_ids:
-            subgraph = self._partition.subgraph(subgraph_id)
-            if source not in subgraph.vertices or target not in subgraph.vertices:
+        for subgraph_id in self._partition.subgraphs_containing_pair(source, target):
+            if subgraph_id not in self.subgraph_ids:
                 continue
             sub_started = time.perf_counter()
             value = direct_distance(self._dtlp, subgraph_id, source, target, self._mode)

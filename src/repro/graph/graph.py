@@ -345,10 +345,19 @@ class DynamicGraph:
         return newest
 
     def path_distance(self, vertices: Sequence[int]) -> float:
-        """Distance of the path ``vertices`` under the current weights."""
+        """Distance of the path ``vertices`` under the current weights.
+
+        :meth:`weight` summed left to right, written as one loop over the
+        adjacency: Algorithm 2 re-prices every touched bounding path here.
+        """
+        adjacency = self._adjacency
         total = 0.0
-        for index in range(len(vertices) - 1):
-            total += self.weight(vertices[index], vertices[index + 1])
+        u = v = None
+        try:
+            for u, v in zip(vertices, vertices[1:]):
+                total += adjacency[u][v]
+        except KeyError:
+            raise EdgeNotFoundError(u, v) from None
         return total
 
     def path(self, vertices: Sequence[int]) -> Path:

@@ -19,6 +19,7 @@ subgraphs.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .errors import EdgeNotFoundError, VertexNotFoundError
@@ -164,8 +165,10 @@ class Subgraph:
     def path_distance(self, vertices: Sequence[int]) -> float:
         """Distance of a path that stays inside this subgraph.
 
-        :meth:`weight` summed left to right, written as one loop: Algorithm
-        2 re-prices every touched bounding path through here.
+        :meth:`weight` summed left to right, written as one loop; every edge
+        is checked to belong to the subgraph, which is what the index build
+        wants.  (Algorithm 2 re-prices paths validated then through the
+        parent's :meth:`~repro.graph.graph.DynamicGraph.path_distance`.)
         """
         edges = self._edges
         directed = self._parent.directed
@@ -257,12 +260,7 @@ class SortedUnitWeights:
         self._prefix_dirty = True
 
     def _rebuild_prefix(self) -> None:
-        prefix: List[float] = [0.0]
-        total = 0.0
-        for value in self._values:
-            total += value
-            prefix.append(total)
-        self._prefix = prefix
+        self._prefix = list(accumulate(self._values, initial=0.0))
         self._prefix_dirty = False
 
     def update_edges(self, edges: Iterable[Tuple[int, int]]) -> None:

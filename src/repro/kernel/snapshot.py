@@ -31,11 +31,12 @@ dict-based reference path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..graph.errors import EdgeNotFoundError, StaleStructureError, VertexNotFoundError
 from ..graph.graph import DynamicGraph
 from ..graph.subgraph import Subgraph
+from .primitives import dijkstra_arrays
 
 __all__ = ["CSRSnapshot"]
 
@@ -72,6 +73,9 @@ class CSRSnapshot:
     classes, so generic (non-kernel) code also runs on it unchanged; the
     point of the class, however, is that :func:`repro.algorithms.dijkstra.dijkstra`
     and Yen's algorithm recognise it and dispatch to the array kernel.
+    It is also where a pruned Yen gets its lower bounds: :meth:`bounds_to`
+    prices the exact distance of every vertex to a target under the
+    current weights, on request and without keeping it.
     """
 
     __slots__ = (
@@ -332,6 +336,39 @@ class CSRSnapshot:
             rows[i] = tuple(
                 zip(indices[indptr[i]:indptr[i + 1]], weights[indptr[i]:indptr[i + 1]])
             )
+
+    # ------------------------------------------------------------------
+    # lower bounds
+    # ------------------------------------------------------------------
+    def bounds_to(self, target: int) -> Optional[List[float]]:
+        """Exact per-index distances to ``target`` (``inf`` when unreachable).
+
+        One full search from the target under the current weights — over
+        the transposed rows when directed — per call; ``None`` when
+        ``target`` is not in the snapshot.  The exact distance is the
+        tightest admissible lower bound, and it stays admissible under
+        Yen's bans and an ``allowed`` set because removing vertices or arcs
+        only lengthens paths.  Nothing is kept: the array belongs to the
+        caller (one pruned :class:`~repro.algorithms.yen.LazyYen`) and dies
+        with it, so it can never outlive the weights it was priced on.
+        """
+        target_index = self.index_of.get(target)
+        if target_index is None:
+            return None
+        rows = self._rows_towards()
+        dist, _, _ = dijkstra_arrays(rows, len(rows), target_index, track_touched=False)
+        return dist
+
+    def _rows_towards(self) -> Sequence[Sequence[Tuple[int, float]]]:
+        """Rows of the transposed graph: ``rows`` itself unless directed."""
+        rows = self.rows
+        if not self.directed:
+            return rows
+        transposed: List[List[Tuple[int, float]]] = [[] for _ in rows]
+        for ui, row in enumerate(rows):
+            for vi, w in row:
+                transposed[vi].append((ui, w))
+        return transposed
 
     # ------------------------------------------------------------------
     # directed support

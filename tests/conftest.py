@@ -9,14 +9,14 @@ import pytest
 
 from repro.core import DTLP, DTLPConfig
 from repro.graph import DynamicGraph, road_network
-from repro.kernel import CSRSnapshot, dijkstra_arrays
+from repro.kernel import CSRSnapshot
 
 
 class LooseLowerBounds:
     """Admissible but inexact lower bounds: the adversary of ``bounds=`` consumers.
 
     Speaks the ``bounds_to(target)`` protocol of ``LazyYen(heuristic=...)``:
-    the exact distance-to-target (one reverse ``dijkstra_arrays``) times a
+    the exact distance-to-target (``CSRSnapshot.bounds_to``) times a
     seeded per-vertex factor in [0, 1], so some vertices carry the exact
     distance, some carry no information at all and the rest anything in
     between.  Unreachable vertices keep ``inf``.
@@ -27,11 +27,7 @@ class LooseLowerBounds:
         self._seed = seed
 
     def bounds_to(self, target: int) -> List[float]:
-        snapshot = self._snapshot
-        rows = snapshot.reverse().rows if snapshot.directed else snapshot.rows
-        exact, _, _ = dijkstra_arrays(
-            rows, snapshot.num_vertices, snapshot.index_of[target], track_touched=False
-        )
+        exact = self._snapshot.bounds_to(target)
         rng = random.Random(self._seed)
         return [
             distance
