@@ -20,14 +20,22 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import print_experiment
-from repro.chaos import FaultEvent, FaultPlan
-from repro.frontdoor import build_replicas, find_knee, run_chaos_frontdoor, start_front_door
+from repro.chaos import (
+    FaultEvent,
+    FaultPlan,
+    FrontDoorTarget,
+    generate_chaos_workload,
+    run_chaos,
+)
+from repro.frontdoor import build_replicas, find_knee, start_front_door
 from repro.graph import road_network
 from repro.workloads.queries import QueryGenerator
 
 SLO_MS = 250.0
 BUDGET_MS = 1000.0
 AVAILABILITY_FLOOR = 0.95
+#: Clean windows after the plan in which breakers must close again.
+COOLDOWN = 3
 
 #: The acceptance-criteria fault plan: one replica dies mid-run for two
 #: windows while another stalls across two windows.
@@ -65,17 +73,16 @@ def test_knee_and_availability_under_faults(scale) -> None:
     assert knee.availability == 1.0
 
     # -- pinned faults: same HTTP path, acceptance-criteria plan ---------
-    chaos = run_chaos_frontdoor(
-        road_network(size, size, seed=3),
-        PINNED_PLAN,
-        windows=5,
-        num_replicas=3,
-        engine="yen",
-        window_requests=8 if scale.name == "quick" else 16,
-        concurrency=4,
-        budget_ms=800.0,
+    workload = generate_chaos_workload(
+        graph,
+        num_batches=5 + COOLDOWN,
+        batch_size=8 if scale.name == "quick" else 16,
         update_every=2,
     )
+    target = FrontDoorTarget(
+        graph, build_replicas(graph, num_replicas=3, engine="yen"), concurrency=4
+    )
+    chaos = run_chaos(target, workload, PINNED_PLAN, cooldown_windows=COOLDOWN)
     assert chaos.correct, chaos.wrong_answers[:3]
     assert chaos.availability >= AVAILABILITY_FLOOR
     assert chaos.breaker_trips >= 1

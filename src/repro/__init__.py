@@ -32,9 +32,10 @@ queries over dynamic road networks:
   replay driver (``repro replay`` / ``repro serve``).
 * :mod:`repro.chaos` — the deterministic fault-injection harness: seeded
   :class:`~repro.chaos.plan.FaultPlan` schedules (kill / join / stall /
-  slow pinned to batch indices) replayed against a live topology, with
-  every run compared bit-for-bit to a fault-free oracle and recovery SLOs
-  (time-to-recover, qps dip) scored per fault (``repro chaos``).
+  slow pinned to batch indices) replayed against a live topology or an
+  HTTP front door, every answer checked against Yen on a twin graph, and
+  recovery SLOs (time-to-recover, qps dip) scored per fault
+  (``repro chaos``, ``repro loadtest``).
 * :mod:`repro.bench` — the experiment harness used by ``benchmarks/``.
 
 Quickstart
@@ -67,11 +68,12 @@ from .algorithms import (
     yen_k_shortest_paths,
 )
 from .chaos import (
-    ChaosHarness,
     ChaosReport,
     FaultEvent,
     FaultPlan,
+    TopologyTarget,
     generate_chaos_workload,
+    run_chaos,
 )
 from .core import (
     DTLP,
@@ -204,9 +206,10 @@ __all__ = [
     "generate_trace",
     "replay",
     # chaos
-    "ChaosHarness",
     "ChaosReport",
     "FaultEvent",
     "FaultPlan",
+    "TopologyTarget",
     "generate_chaos_workload",
+    "run_chaos",
 ]

@@ -1,57 +1,89 @@
-"""Deterministic fault-injection harness.
+"""One chaos harness: a seeded fault plan, a workload, a target, one oracle.
 
-The harness replays one pre-generated workload (query micro-batches
-interleaved with pre-generated traffic rounds) through a fresh
-:class:`~repro.distributed.topology.StormTopology`, injecting the faults
-of a :class:`~repro.chaos.plan.FaultPlan` at their pinned batch indices,
-and compares every answer against a fault-free **oracle** run of the
-identical workload.
+:func:`run_chaos` replays a pre-generated workload (query batches
+interleaved with pre-generated traffic rounds) into a *target* — a live
+:class:`~repro.distributed.topology.StormTopology`
+(:class:`~repro.chaos.targets.TopologyTarget`) or an HTTP front door over
+service replicas (:class:`~repro.chaos.targets.FrontDoorTarget`) —
+injecting the faults of a :class:`~repro.chaos.plan.FaultPlan` at their
+pinned batch indices, and scores every answer against one
+:class:`Oracle`: Yen on a twin graph that receives the same rounds.
+
+A target serves one run, which closes it.  It exposes ``graph`` (the
+served graph before the run, from which the oracle's twin is copied),
+``MID_BATCH_KILLS`` (whether a kill with an ``offset`` lands inside its
+batch) and ``alive()``, ``kill(victim, event, upcoming) -> moved``,
+``join() -> (worker, moved) | None``, ``stall(victim, event)``,
+``slow(victim, event)``, ``apply_round(updates) -> version``,
+``run(queries) -> answers``, plus the hooks ``begin_batch(index, heal)``,
+``end_batch(index, queries, wall) -> BatchSample``, ``finish(report)``
+and ``close()``.  Workers (topology) and replicas (front door) share one
+id space: the victims.
+
+Batches are windows of traffic.  Faults and weight-update rounds land on
+the quiet boundary before a batch (or, for a topology kill with an
+``offset``, between two segments of it), so every fresh answer is
+computed at one well-defined graph version and the oracle comparison is
+exact.
 
 Determinism contract
 --------------------
-For a fixed workload and plan, two runs — on any execution backend —
-produce byte-identical:
-
-* answer signatures (vertex tuples + rounded distances, per query),
-* fault/recovery event logs (:class:`ChaosEvent` tuples), and
-* per-batch deterministic counters (communication units, message counts).
-
-Only wall-clock fields (batch seconds, qps, recovery seconds) vary
-between runs; they feed the recovery SLOs, never the correctness checks.
-Faults are pinned to batch indices, so "kill worker 2 after query 7 of
-batch 3" replays exactly — there is no wall-clock race to win.
+On a topology target, two runs of one workload and plan — on any
+execution backend — produce byte-identical answer signatures, fault
+event logs and per-batch counters
+(:meth:`ChaosReport.deterministic_signature`), and the answers of a
+faulted run equal those of a fault-free run bit for bit.  Only wall-clock
+fields (batch seconds, qps, recovery seconds) vary; they feed the
+recovery SLOs, never the correctness checks.
 """
 
 from __future__ import annotations
 
+import math
+import pickle
 import statistics
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, field
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.dtlp import DTLP
+from ..algorithms.yen import yen_k_shortest_paths
 from ..distributed.rebalance import ElasticityStats
-from ..distributed.topology import StormTopology
 from ..dynamics.traffic import TrafficModel
-from ..graph.graph import WeightUpdate
+from ..frontdoor.breaker import OPEN
+from ..graph.errors import EdgeNotFoundError
+from ..graph.graph import DynamicGraph, WeightUpdate
+from ..graph.paths import is_simple
+from ..obs.metrics import percentile
 from ..workloads.queries import KSPQuery, QueryGenerator
 from .plan import ChaosError, FaultEvent, FaultPlan
 
 __all__ = [
+    "Answer",
     "AnswerSignature",
     "BatchSample",
     "ChaosEvent",
-    "ChaosHarness",
     "ChaosReport",
-    "ChaosRunResult",
     "ChaosWorkload",
+    "Oracle",
     "RecoverySample",
     "generate_chaos_workload",
+    "run_chaos",
 ]
+
+QueryKey = Tuple[int, int, int]
+
+#: One answer's paths as ``(vertices, distance)`` pairs, best first.
+Paths = Tuple[Tuple[Tuple[int, ...], float], ...]
 
 #: One query's answer, reduced to a comparable value: a tuple of
 #: ``(path vertices, distance rounded to 9 decimals)`` per returned path.
 AnswerSignature = Tuple[Tuple[Tuple[int, ...], float], ...]
+
+#: Relative tolerance when comparing distances against the oracle.
+_DISTANCE_RTOL = 1e-6
+
+#: A batch back above this fraction of the pre-fault qps has recovered.
+RECOVERY_FRACTION = 0.7
 
 
 @dataclass(frozen=True)
@@ -61,8 +93,8 @@ class ChaosWorkload:
     ``updates`` maps a batch index to the weight-update round applied
     *before* that batch.  Updates are pre-generated against the initial
     weights (see :meth:`~repro.dynamics.traffic.TrafficModel.pregenerate`),
-    so replaying the workload on a freshly built graph reproduces the
-    exact snapshot sequence — the property the oracle comparison needs.
+    so replaying the workload on a fresh copy of the graph reproduces the
+    exact snapshot sequence.
     """
 
     batches: Tuple[Tuple[KSPQuery, ...], ...]
@@ -116,22 +148,17 @@ class ChaosEvent:
     kind: str
     worker_id: int
     #: Whether the event took effect (a kill is skipped when one worker
-    #: is left; a join is skipped at the pool ceiling).
+    #: is left; a front-door join is skipped when no replica is down).
     applied: bool
     subgraphs_moved: int = 0
     offset: Optional[int] = None
     workers_alive: int = 0
+    #: Position of the event among its batch's events: with the batch
+    #: index, the seed of its deferred-victim draw.
+    ordinal: int = 0
 
     def as_tuple(self) -> Tuple:
-        return (
-            self.batch_index,
-            self.kind,
-            self.worker_id,
-            self.applied,
-            self.subgraphs_moved,
-            self.offset,
-            self.workers_alive,
-        )
+        return astuple(self)
 
 
 @dataclass(frozen=True)
@@ -140,11 +167,13 @@ class BatchSample:
 
     batch_index: int
     queries: int
-    #: Deterministic (identical across backends and repeats).
+    #: Deterministic (identical across backends and repeats); zero on
+    #: targets that keep no such counters.
     communication_units: int
     messages: int
-    #: Wall clock — includes any fault surgery injected during the batch
-    #: plus simulated stall/slowdown penalties; feeds qps and SLOs only.
+    #: Wall clock — includes the round and any fault surgery injected
+    #: during the batch plus simulated stall/slowdown penalties; feeds qps
+    #: and SLOs only.
     wall_seconds: float
 
     @property
@@ -158,7 +187,7 @@ class RecoverySample:
 
     The baseline is the median qps of the clean batches before the first
     fault; the system has *recovered* at the first post-fault batch whose
-    qps is back above ``recovery_fraction`` of that baseline.
+    qps is back above :data:`RECOVERY_FRACTION` of that baseline.
     """
 
     kind: str
@@ -172,19 +201,204 @@ class RecoverySample:
     qps_recovered: float
 
 
-@dataclass
-class ChaosRunResult:
-    """Everything one replay produced (chaos or oracle)."""
+@dataclass(frozen=True)
+class Answer:
+    """One query's outcome as a target returns it to the loop."""
 
-    signatures: List[AnswerSignature]
-    events: List[ChaosEvent]
-    samples: List[BatchSample]
-    elasticity: ElasticityStats
-    wall_seconds: float
+    key: QueryKey
+    #: 200 when answered; any other status counts as unavailable.
+    status: int = 200
+    paths: Paths = ()
+    #: The graph version the answer claims: the one it was computed at
+    #: (fresh) or the one it is replayed from (degraded).
+    version: int = -1
+    degraded: bool = False
+    latency_seconds: float = 0.0
+
+    def signature(self) -> AnswerSignature:
+        return tuple((vertices, round(distance, 9)) for vertices, distance in self.paths)
+
+
+def _close(got: float, expected: float) -> bool:
+    return abs(got - expected) <= _DISTANCE_RTOL * max(1.0, abs(expected))
+
+
+def _wrong(key: QueryKey, reason: str, **details: object) -> dict:
+    return {"key": list(key), "reason": reason, **details}
+
+
+class Oracle:
+    """Yen on a fault-free twin graph: the one judge of every answer.
+
+    The twin starts as a pickled copy of the target's graph (the copy
+    mechanism the replicas use) and receives the identical rounds, so its
+    version equals the target's at every batch boundary.  Yen's distances
+    are memoised by ``(key, version)``; ``validated`` remembers every fresh
+    answer that passed, by ``(key, version)`` — the only legitimate
+    provenance for a degraded answer.
+    """
+
+    def __init__(self, graph: DynamicGraph) -> None:
+        self.graph = pickle.loads(pickle.dumps(graph))
+        self._expected: Dict[Tuple[QueryKey, int], Tuple[float, ...]] = {}
+        self.validated: Dict[Tuple[QueryKey, int], Set[Paths]] = {}
+
+    def apply_round(self, updates: Sequence[WeightUpdate]) -> int:
+        self.graph.apply_updates(list(updates))
+        return self.graph.version
+
+    def expected_distances(self, key: QueryKey) -> Tuple[float, ...]:
+        """Yen distances for ``key`` at the twin's current version."""
+        memo_key = (key, self.graph.version)
+        if memo_key not in self._expected:
+            source, target, k = key
+            paths = yen_k_shortest_paths(self.graph, source, target, k)
+            self._expected[memo_key] = tuple(path.distance for path in paths)
+        return self._expected[memo_key]
+
+    def check(self, answer: Answer) -> Optional[dict]:
+        """Score one answered query; return a wrong-answer record or ``None``."""
+        key = answer.key
+        if answer.degraded:
+            originals = self.validated.get((key, answer.version))
+            if originals is None:
+                return _wrong(
+                    key,
+                    "degraded answer with unvalidated provenance",
+                    stale_graph_version=answer.version,
+                )
+            if answer.paths not in originals:
+                return _wrong(
+                    key,
+                    "degraded answer differs from its validated original",
+                    got=[list(path) for path in answer.paths],
+                )
+            return None
+        if answer.version != self.graph.version:
+            return _wrong(
+                key,
+                "fresh answer at stale graph version",
+                got_version=answer.version,
+                oracle_version=self.graph.version,
+            )
+        reason = self._invalid_paths(key, answer.paths)
+        if reason is not None:
+            return _wrong(key, reason)
+        distances = [distance for _, distance in answer.paths]
+        expected = self.expected_distances(key)
+        if len(distances) != len(expected) or not all(
+            _close(got, want) for got, want in zip(distances, expected)
+        ):
+            return _wrong(
+                key,
+                "fresh answer distances differ from oracle",
+                got=distances,
+                expected=list(expected),
+            )
+        self.validated.setdefault((key, answer.version), set()).add(answer.paths)
+        return None
+
+    def _invalid_paths(self, key: QueryKey, paths: Paths) -> Optional[str]:
+        """Why ``paths`` are not k simple s→t paths priced on the twin."""
+        source, target, _ = key
+        if len({vertices for vertices, _ in paths}) != len(paths):
+            return "duplicate path"
+        previous = -math.inf
+        for vertices, distance in paths:
+            if not vertices or vertices[0] != source or vertices[-1] != target:
+                return "path does not join source and target"
+            if not is_simple(vertices):
+                return "path is not simple"
+            try:
+                weight = self.graph.path_distance(vertices)
+            except EdgeNotFoundError:
+                return "path uses an edge the twin lacks"
+            if not _close(distance, weight):
+                return "path weight differs from its stated distance"
+            if distance < previous:
+                return "paths out of order"
+            previous = distance
+        return None
+
+
+@dataclass
+class ChaosReport:
+    """One scored chaos run, whichever target it drove."""
+
+    #: Batches the plan may fault, then clean cooldown batches.
+    windows: int
+    cooldown_windows: int = 0
+    total: int = 0
+    fresh: int = 0
+    degraded: int = 0
+    cooldown_unavailable: int = 0
+    maintenance_rounds: int = 0
+    wrong_answers: List[dict] = field(default_factory=list)
+    status_counts: Dict[int, int] = field(default_factory=dict)
+    events: List[ChaosEvent] = field(default_factory=list)
+    samples: List[BatchSample] = field(default_factory=list)
+    signatures: List[AnswerSignature] = field(default_factory=list)
+    recoveries: List[RecoverySample] = field(default_factory=list)
+    #: End-to-end latencies (ms) of every answered query.
+    latencies_ms: List[float] = field(default_factory=list)
+    #: Wall clock spent in the target's ``run`` (boundaries excluded).
+    traffic_seconds: float = 0.0
+    # -- counted by the target ---------------------------------------------
+    #: Work re-submitted because of a fault: queries re-routed off a dying
+    #: worker (topology) or replica re-submissions (front door).
+    retries: int = 0
+    #: Topology only: the elasticity counters.
+    elasticity: Optional[ElasticityStats] = None
+    #: Front door only: breaker trips and the breakers' final states.
+    breaker_trips: int = 0
+    final_breaker_states: Dict[int, str] = field(default_factory=dict)
+
+    @property
+    def unavailable(self) -> int:
+        return self.total - self.fresh - self.degraded
+
+    @property
+    def availability(self) -> float:
+        """Fraction of queries answered, fresh or degraded."""
+        return (self.fresh + self.degraded) / self.total if self.total else 0.0
+
+    @property
+    def qps(self) -> float:
+        """Answered queries per second of traffic time, faults included."""
+        answered = self.fresh + self.degraded
+        return answered / self.traffic_seconds if self.traffic_seconds else 0.0
+
+    @property
+    def p99_ms(self) -> float:
+        return percentile(self.latencies_ms, 99.0) if self.latencies_ms else 0.0
+
+    @property
+    def kills(self) -> int:
+        return sum(1 for e in self.events if e.kind == "kill" and e.applied)
+
+    @property
+    def dropped_queries(self) -> int:
+        lost = self.elasticity.dropped_queries if self.elasticity else 0
+        return self.unavailable + lost
+
+    @property
+    def correct(self) -> bool:
+        """True when every answer held up against the oracle."""
+        return not self.wrong_answers
+
+    @property
+    def ok(self) -> bool:
+        """Zero wrong answers and zero dropped queries."""
+        return self.correct and self.dropped_queries == 0
+
+    @property
+    def breakers_recovered(self) -> bool:
+        """True when no breaker is still open after the cooldown."""
+        return all(state != OPEN for state in self.final_breaker_states.values())
 
     def deterministic_signature(self) -> Tuple:
-        """The portion of the run that must be identical across repeats
-        and backends: answers, event log, per-batch counters."""
+        """The portion of a topology run that must be identical across
+        repeats and backends: answers, event log, per-batch counters."""
         return (
             tuple(self.signatures),
             tuple(event.as_tuple() for event in self.events),
@@ -195,435 +409,177 @@ class ChaosRunResult:
         )
 
 
-@dataclass
-class ChaosReport:
-    """Outcome of a chaos run scored against its fault-free oracle."""
+def run_chaos(
+    target,
+    workload: ChaosWorkload,
+    plan: Optional[FaultPlan] = None,
+    cooldown_windows: int = 0,
+) -> ChaosReport:
+    """Replay ``workload`` into ``target`` under ``plan`` and score it.
 
-    total_queries: int
-    wrong_answers: int
-    dropped_queries: int
-    retried_queries: int
-    workers_joined: int
-    workers_lost: int
-    workers_retired: int
-    join_transfer_units: int
-    subgraphs_recovered: int
-    events: List[ChaosEvent]
-    recoveries: List[RecoverySample]
-    oracle: ChaosRunResult
-    chaos: ChaosRunResult
+    The last ``cooldown_windows`` batches are fault-free and start with
+    ``target.begin_batch(heal=True)``.  The run closes ``target``.
+    """
+    try:
+        oracle = Oracle(target.graph)
+        events = plan.events if plan is not None else ()
+        windows = len(workload.batches) - cooldown_windows
+        report = ChaosReport(windows=windows, cooldown_windows=cooldown_windows)
+        for index, batch in enumerate(workload.batches):
+            started = time.perf_counter()
+            cooldown = index >= windows
+            target.begin_batch(index, heal=index == windows)
+            round_updates = workload.updates.get(index)
+            if round_updates:
+                served = target.apply_round(round_updates)
+                expected = oracle.apply_round(round_updates)
+                report.maintenance_rounds += 1
+                if served != expected:
+                    report.wrong_answers.append({
+                        "reason": "maintenance version drift",
+                        "served_version": served,
+                        "oracle_version": expected,
+                        "window": index,
+                    })
+            # Events by the batch position they fire at (0 = boundary).
+            cuts: Dict[int, List[Tuple[int, FaultEvent]]] = {}
+            due = () if cooldown else [e for e in events if e.batch_index == index]
+            for ordinal, event in enumerate(due):
+                at = 0
+                if target.MID_BATCH_KILLS and event.kind == "kill" and event.offset:
+                    at = min(event.offset, len(batch))
+                cuts.setdefault(at, []).append((ordinal, event))
+            start = 0
+            for at in sorted(set(cuts) | {len(batch)}):
+                if at > start:
+                    _serve(target, oracle, batch[start:at], report, index, cooldown)
+                    start = at
+                for ordinal, event in cuts.get(at, ()):
+                    report.events.append(
+                        _inject(target, plan, event, ordinal, len(batch) - at)
+                    )
+            wall = time.perf_counter() - started
+            report.samples.append(target.end_batch(index, len(batch), wall))
+        target.finish(report)
+    finally:
+        target.close()
+    report.recoveries = _score_recoveries(report)
+    return report
 
-    @property
-    def ok(self) -> bool:
-        """Zero wrong answers and zero dropped queries."""
-        return self.wrong_answers == 0 and self.dropped_queries == 0
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "total_queries": self.total_queries,
-            "wrong_answers": self.wrong_answers,
-            "dropped_queries": self.dropped_queries,
-            "retried_queries": self.retried_queries,
-            "workers_joined": self.workers_joined,
-            "workers_lost": self.workers_lost,
-            "workers_retired": self.workers_retired,
-            "join_transfer_units": self.join_transfer_units,
-            "subgraphs_recovered": self.subgraphs_recovered,
-            "events": [list(event.as_tuple()) for event in self.events],
-            "recoveries": [
-                {
-                    "fault": r.kind,
-                    "batch_index": r.batch_index,
-                    "worker_id": r.worker_id,
-                    "recovered": r.recovered,
-                    "recovery_batches": r.recovery_batches,
-                    "recovery_ms": r.recovery_seconds * 1e3,
-                    "qps_baseline": r.qps_baseline,
-                    "qps_dip": r.qps_dip,
-                    "qps_recovered": r.qps_recovered,
-                }
-                for r in self.recoveries
-            ],
-        }
+def _serve(
+    target,
+    oracle: Oracle,
+    queries: Sequence[KSPQuery],
+    report: ChaosReport,
+    index: int,
+    cooldown: bool,
+) -> None:
+    """Run one segment of a batch and score its answers."""
+    started = time.perf_counter()
+    answers = target.run(queries)
+    report.traffic_seconds += time.perf_counter() - started
+    report.total += len(queries)
+    answered = 0
+    for answer in answers:
+        report.status_counts[answer.status] = report.status_counts.get(answer.status, 0) + 1
+        if answer.status != 200:
+            continue
+        answered += 1
+        if answer.degraded:
+            report.degraded += 1
+        else:
+            report.fresh += 1
+        report.latencies_ms.append(answer.latency_seconds * 1e3)
+        report.signatures.append(answer.signature())
+        wrong = oracle.check(answer)
+        if wrong is not None:
+            wrong["window"] = index
+            report.wrong_answers.append(wrong)
+    if cooldown:
+        report.cooldown_unavailable += len(queries) - answered
 
 
-def _signature(result) -> AnswerSignature:
-    return tuple(
-        (tuple(path.vertices), round(path.distance, 9)) for path in result.paths
+def _inject(
+    target,
+    plan: FaultPlan,
+    event: FaultEvent,
+    ordinal: int,
+    upcoming: int,
+) -> ChaosEvent:
+    """Apply one fault event to the target and log how it landed.
+
+    The victim rule: ``event.worker_id`` when that worker is alive, else
+    a draw over the sorted live set from the event's own
+    ``plan.victim_rng(batch, ordinal)``.  The last live worker is never
+    killed — the kill is logged as skipped.
+    """
+    alive = target.alive()
+    applied, moved = True, 0
+    if event.kind == "join":
+        joined = target.join()
+        applied = joined is not None
+        victim, moved = joined if applied else (-1, 0)
+    else:
+        victim = event.worker_id
+        if victim not in alive:
+            victim = alive[plan.victim_rng(event.batch_index, ordinal).randrange(len(alive))]
+        if event.kind != "kill":
+            getattr(target, event.kind)(victim, event)
+        elif len(alive) > 1:
+            moved = target.kill(victim, event, upcoming)
+        else:
+            applied = False
+    return ChaosEvent(
+        batch_index=event.batch_index,
+        kind=event.kind,
+        worker_id=victim,
+        applied=applied,
+        subgraphs_moved=moved,
+        offset=event.offset,
+        workers_alive=len(target.alive()),
+        ordinal=ordinal,
     )
 
 
-class ChaosHarness:
-    """Replays a workload under a fault plan and scores it.
+def _score_recoveries(report: ChaosReport) -> List[RecoverySample]:
+    """Score time-to-recover for every applied fault event.
 
-    Parameters
-    ----------
-    builder:
-        Zero-argument callable returning a **freshly built**
-        :class:`~repro.core.dtlp.DTLP` (graph included).  Called once per
-        run, so the chaos run and its oracle each start from the same
-        pristine snapshot.
-    num_workers, executor, kernel, pruning, rebalance, autoscale,
-    store_path:
-        Forwarded to :class:`~repro.distributed.topology.StormTopology`
-        for the *chaos* run.  The oracle always runs on the serial
-        backend with faults and autoscaling disabled — the reference
-        answers must not depend on the machinery under test.
-    stall_seconds:
-        Simulated wall-clock penalty per stalled worker per batch
-        (bookkeeping only; pinned to batches, it never perturbs answers).
-    recovery_fraction:
-        Fraction of the pre-fault baseline qps at which a post-fault
-        batch counts as recovered.
-    """
-
-    def __init__(
-        self,
-        builder: Callable[[], DTLP],
-        num_workers: int = 4,
-        executor: Optional[str] = None,
-        kernel: str = "snapshot",
-        pruning: bool = True,
-        rebalance=None,
-        autoscale=None,
-        store_path: Optional[str] = None,
-        stall_seconds: float = 0.02,
-        recovery_fraction: float = 0.7,
-    ) -> None:
-        if not 0.0 < recovery_fraction <= 1.0:
-            raise ChaosError("recovery_fraction must be in (0, 1]")
-        self._builder = builder
-        self._num_workers = num_workers
-        self._executor = executor
-        self._kernel = kernel
-        self._pruning = pruning
-        self._rebalance = rebalance
-        self._autoscale = autoscale
-        self._store_path = store_path
-        self._stall_seconds = stall_seconds
-        self._recovery_fraction = recovery_fraction
-
-    # ------------------------------------------------------------------
-    # Single replay
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        workload: ChaosWorkload,
-        plan: Optional[FaultPlan] = None,
-        executor: Optional[str] = None,
-        autoscale=None,
-        _oracle: bool = False,
-    ) -> ChaosRunResult:
-        """Replay ``workload`` once, injecting ``plan`` (if any)."""
-        dtlp = self._builder()
-        graph = dtlp.graph
-        topology = StormTopology(
-            dtlp,
-            num_workers=self._num_workers,
-            kernel=self._kernel,
-            executor=(executor or self._executor),
-            pruning=self._pruning,
-            rebalance=None if _oracle else self._rebalance,
-            autoscale=None if _oracle else (autoscale or self._autoscale),
-            store_path=None if _oracle else self._store_path,
+    Baseline qps is the median over the clean batches before the first
+    fault (falling back to the overall median when a plan starts faulting
+    immediately)."""
+    applied = [event for event in report.events if event.applied]
+    samples = report.samples
+    if not applied or not samples:
+        return []
+    qps = [sample.qps for sample in samples]
+    first_fault = min(event.batch_index for event in applied)
+    clean = qps[:first_fault]
+    baseline = statistics.median(clean if clean else qps)
+    threshold = RECOVERY_FRACTION * baseline
+    recoveries = []
+    for event in applied:
+        index = event.batch_index
+        recovered_at = next(
+            (probe for probe in range(index + 1, len(qps)) if qps[probe] >= threshold),
+            None,
         )
-        by_batch = plan.by_batch() if plan is not None else {}
-        signatures: List[AnswerSignature] = []
-        events: List[ChaosEvent] = []
-        samples: List[BatchSample] = []
-        # Active stall/slow handicaps: worker -> [kind, remaining, factor].
-        handicaps: Dict[int, List] = {}
-        submitted = 0
-        run_started = time.perf_counter()
-        try:
-            for batch_index, batch in enumerate(workload.batches):
-                started = time.perf_counter()
-                round_updates = workload.updates.get(batch_index)
-                if round_updates:
-                    graph.apply_updates(round_updates)
-                    topology.submit_weight_updates(round_updates)
-                batch_events = by_batch.get(batch_index, ())
-                boundary = [e for e in batch_events if not self._is_mid_batch(e)]
-                mid = [e for e in batch_events if self._is_mid_batch(e)]
-                for ordinal, event in enumerate(batch_events):
-                    if event in boundary:
-                        events.append(
-                            self._inject(
-                                topology, plan, event, ordinal, len(batch), handicaps
-                            )
-                        )
-                submitted += self._run_batch(
-                    topology,
-                    plan,
-                    batch,
-                    batch_events,
-                    mid,
-                    signatures,
-                    events,
-                    handicaps,
-                    submitted,
-                )
-                wall = time.perf_counter() - started
-                wall = self._apply_handicaps(wall, handicaps)
-                cluster = topology.cluster
-                messages = cluster.master.stats.messages_sent + sum(
-                    worker.stats.messages_sent for worker in cluster.workers
-                )
-                samples.append(
-                    BatchSample(
-                        batch_index=batch_index,
-                        queries=len(batch),
-                        communication_units=cluster.total_communication_units(),
-                        messages=messages,
-                        wall_seconds=wall,
-                    )
-                )
-            elasticity = replace(topology.elasticity)
-        finally:
-            topology.close()
-        return ChaosRunResult(
-            signatures=signatures,
-            events=events,
-            samples=samples,
-            elasticity=elasticity,
-            wall_seconds=time.perf_counter() - run_started,
-        )
-
-    @staticmethod
-    def _is_mid_batch(event: FaultEvent) -> bool:
-        return event.kind == "kill" and event.offset is not None and event.offset > 0
-
-    def _run_batch(
-        self,
-        topology: StormTopology,
-        plan: Optional[FaultPlan],
-        batch: Sequence[KSPQuery],
-        batch_events: Sequence[FaultEvent],
-        mid: List[FaultEvent],
-        signatures: List[AnswerSignature],
-        events: List[ChaosEvent],
-        handicaps: Dict[int, List],
-        submitted: int,
-    ) -> int:
-        """Run one batch, splitting it at mid-batch kill offsets.
-
-        Only the first segment resets the cluster's deterministic batch
-        counters, so the batch's sample reads as one unit of work no
-        matter how many faults sliced it.
-        """
-        cuts = sorted(
-            {min(e.offset, len(batch)) for e in mid if e.offset is not None}
-        )
-        segments = []
-        start = 0
-        for cut in cuts:
-            segments.append((start, cut))
-            start = cut
-        segments.append((start, len(batch)))
-        first = True
-        for seg_start, seg_end in segments:
-            if seg_start > 0:
-                remaining = len(batch) - seg_start
-                for event in mid:
-                    if min(event.offset, len(batch)) == seg_start:
-                        ordinal = list(batch_events).index(event)
-                        events.append(
-                            self._inject(
-                                topology,
-                                plan,
-                                event,
-                                ordinal,
-                                remaining,
-                                handicaps,
-                                submitted=submitted + seg_start,
-                            )
-                        )
-            if seg_end > seg_start:
-                report = topology.run_queries(
-                    list(batch[seg_start:seg_end]), reset_metrics=first
-                )
-                first = False
-                signatures.extend(_signature(r) for r in report.results)
-        return len(batch)
-
-    def _inject(
-        self,
-        topology: StormTopology,
-        plan: Optional[FaultPlan],
-        event: FaultEvent,
-        ordinal: int,
-        upcoming_queries: int,
-        handicaps: Dict[int, List],
-        submitted: Optional[int] = None,
-    ) -> ChaosEvent:
-        """Apply one fault event to the live topology."""
-        assert plan is not None
-        alive = topology.alive_workers()
-        if event.kind == "join":
-            report = topology.add_worker()
-            return ChaosEvent(
-                batch_index=event.batch_index,
-                kind="join",
-                worker_id=report.worker_id,
-                applied=True,
-                subgraphs_moved=report.subgraphs_migrated,
-                offset=event.offset,
-                workers_alive=len(topology.alive_workers()),
+        window_end = recovered_at if recovered_at is not None else len(qps)
+        recoveries.append(
+            RecoverySample(
+                kind=event.kind,
+                batch_index=index,
+                worker_id=event.worker_id,
+                recovered=recovered_at is not None,
+                recovery_batches=(
+                    recovered_at - index if recovered_at is not None else -1
+                ),
+                recovery_seconds=sum(s.wall_seconds for s in samples[index:window_end]),
+                qps_baseline=baseline,
+                qps_dip=min(qps[index:window_end] or [qps[index]]),
+                qps_recovered=(
+                    qps[recovered_at] if recovered_at is not None else qps[-1]
+                ),
             )
-        victim = event.worker_id
-        if victim is None or victim not in alive:
-            rng = plan.victim_rng(event.batch_index, ordinal)
-            victim = sorted(alive)[rng.randrange(len(alive))]
-        if event.kind == "kill":
-            if len(alive) <= 1:
-                return ChaosEvent(
-                    batch_index=event.batch_index,
-                    kind="kill",
-                    worker_id=victim,
-                    applied=False,
-                    offset=event.offset,
-                    workers_alive=len(alive),
-                )
-            retried = self._count_retried(
-                topology, victim, upcoming_queries, submitted
-            )
-            migrated = topology.fail_worker(victim)
-            topology.elasticity.retried_queries += retried
-            handicaps.pop(victim, None)
-            return ChaosEvent(
-                batch_index=event.batch_index,
-                kind="kill",
-                worker_id=victim,
-                applied=True,
-                subgraphs_moved=migrated,
-                offset=event.offset,
-                workers_alive=len(topology.alive_workers()),
-            )
-        # stall / slow: deterministic-log + wall-clock bookkeeping only.
-        handicaps[victim] = [event.kind, event.duration_batches, event.factor]
-        return ChaosEvent(
-            batch_index=event.batch_index,
-            kind=event.kind,
-            worker_id=victim,
-            applied=True,
-            offset=event.offset,
-            workers_alive=len(alive),
         )
-
-    def _count_retried(
-        self,
-        topology: StormTopology,
-        victim: int,
-        upcoming_queries: int,
-        submitted: Optional[int],
-    ) -> int:
-        """Queries that were bound for the victim's QueryBolt and will be
-        re-routed (re-tried) after the failover surgery: the remainder of
-        the current batch whose round-robin slot — under the *pre-kill*
-        bolt list — lands on the dying worker."""
-        bolts = list(topology.query_bolts)
-        if not bolts:
-            return 0
-        base = submitted if submitted is not None else topology.queries_routed
-        return sum(
-            1
-            for offset in range(upcoming_queries)
-            if bolts[(base + offset) % len(bolts)].worker_id == victim
-        )
-
-    def _apply_handicaps(self, wall: float, handicaps: Dict[int, List]) -> float:
-        """Fold active stall/slow penalties into one batch's wall clock."""
-        for worker_id in list(handicaps):
-            kind, remaining, factor = handicaps[worker_id]
-            if kind == "stall":
-                wall += self._stall_seconds
-            else:
-                wall *= factor
-            remaining -= 1
-            if remaining <= 0:
-                del handicaps[worker_id]
-            else:
-                handicaps[worker_id][1] = remaining
-        return wall
-
-    # ------------------------------------------------------------------
-    # Scored execution: chaos run vs fault-free oracle
-    # ------------------------------------------------------------------
-
-    def execute(
-        self, workload: ChaosWorkload, plan: FaultPlan
-    ) -> ChaosReport:
-        """Run the oracle, run the chaos replay, and score them."""
-        oracle = self.run(workload, plan=None, executor="serial", _oracle=True)
-        chaos = self.run(workload, plan=plan)
-        expected = workload.total_queries
-        dropped = expected - len(chaos.signatures)
-        wrong = sum(
-            1
-            for ours, reference in zip(chaos.signatures, oracle.signatures)
-            if ours != reference
-        )
-        recoveries = self._score_recoveries(chaos)
-        stats = chaos.elasticity
-        return ChaosReport(
-            total_queries=expected,
-            wrong_answers=wrong,
-            dropped_queries=max(dropped, 0) + stats.dropped_queries,
-            retried_queries=stats.retried_queries,
-            workers_joined=stats.workers_joined,
-            workers_lost=stats.workers_lost,
-            workers_retired=stats.workers_retired,
-            join_transfer_units=stats.join_transfer_units,
-            subgraphs_recovered=stats.subgraphs_recovered,
-            events=list(chaos.events),
-            recoveries=recoveries,
-            oracle=oracle,
-            chaos=chaos,
-        )
-
-    def _score_recoveries(self, chaos: ChaosRunResult) -> List[RecoverySample]:
-        """Score time-to-recover for every applied fault event.
-
-        Baseline qps is the median over the clean batches before the
-        first fault (falling back to the overall median when a plan
-        starts faulting immediately)."""
-        applied = [event for event in chaos.events if event.applied]
-        if not applied or not chaos.samples:
-            return []
-        qps = [sample.qps for sample in chaos.samples]
-        first_fault = min(event.batch_index for event in applied)
-        clean = qps[:first_fault]
-        baseline = statistics.median(clean if clean else qps)
-        threshold = self._recovery_fraction * baseline
-        recoveries = []
-        for event in applied:
-            index = event.batch_index
-            recovered_at = None
-            for probe in range(index + 1, len(qps)):
-                if qps[probe] >= threshold:
-                    recovered_at = probe
-                    break
-            window_end = recovered_at if recovered_at is not None else len(qps)
-            dip = min(qps[index:window_end] or [qps[index]])
-            seconds = sum(
-                sample.wall_seconds for sample in chaos.samples[index:window_end]
-            )
-            recoveries.append(
-                RecoverySample(
-                    kind=event.kind,
-                    batch_index=index,
-                    worker_id=event.worker_id,
-                    recovered=recovered_at is not None,
-                    recovery_batches=(
-                        recovered_at - index if recovered_at is not None else -1
-                    ),
-                    recovery_seconds=seconds,
-                    qps_baseline=baseline,
-                    qps_dip=dip,
-                    qps_recovered=(
-                        qps[recovered_at] if recovered_at is not None else qps[-1]
-                    ),
-                )
-            )
-        return recoveries
+    return recoveries

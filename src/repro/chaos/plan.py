@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..graph.errors import ReproError
 
@@ -91,13 +91,6 @@ class FaultPlan:
         object.__setattr__(
             self, "events", tuple(sorted(self.events, key=lambda e: e.batch_index))
         )
-
-    def by_batch(self) -> Dict[int, Tuple[FaultEvent, ...]]:
-        """Events grouped by batch index (insertion order preserved)."""
-        grouped: Dict[int, list] = {}
-        for event in self.events:
-            grouped.setdefault(event.batch_index, []).append(event)
-        return {index: tuple(events) for index, events in grouped.items()}
 
     def victim_rng(self, batch_index: int, ordinal: int) -> random.Random:
         """The deferred-victim RNG for one event (string-seeded: stable

@@ -763,19 +763,12 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_chaos(args: argparse.Namespace) -> int:
-    from .chaos import ChaosHarness, FaultPlan, generate_chaos_workload
+    from .chaos import FaultPlan, TopologyTarget, generate_chaos_workload, run_chaos
 
     kinds = tuple(kind.strip() for kind in args.kinds.split(",") if kind.strip())
-
-    # Fresh graph + index per run: the harness replays the same workload
-    # twice (fault-free oracle, then chaos) from identical pristine
-    # snapshots, so the builder must re-create everything from seeds.
-    def builder() -> DTLP:
-        return _build_dtlp(args, _load_graph(args))
-
-    graph = _load_graph(args)
+    dtlp = _build_dtlp(args, _load_graph(args))
     workload = generate_chaos_workload(
-        graph,
+        dtlp.graph,
         num_batches=args.batches,
         batch_size=args.batch_size,
         k=args.k,
@@ -791,27 +784,28 @@ def _command_chaos(args: argparse.Namespace) -> int:
         rate=args.fault_rate,
         batch_size=args.batch_size,
     )
-    harness = ChaosHarness(
-        builder,
+    topology = StormTopology(
+        dtlp,
         num_workers=args.workers,
         executor=args.executor,
         kernel=args.kernel,
         autoscale=args.autoscale,
         store_path=args.store,
     )
-    report = harness.execute(workload, plan)
+    report = run_chaos(TopologyTarget(topology), workload, plan)
+    stats = report.elasticity
     rows = [
         ["batches x batch size", f"{args.batches} x {args.batch_size}"],
         ["planned faults", len(plan.events)],
-        ["total queries", report.total_queries],
-        ["wrong answers (vs oracle)", report.wrong_answers],
+        ["total queries", report.total],
+        ["wrong answers (vs oracle)", len(report.wrong_answers)],
         ["dropped queries", report.dropped_queries],
-        ["retried queries", report.retried_queries],
-        ["workers lost", report.workers_lost],
-        ["workers joined", report.workers_joined],
-        ["workers retired", report.workers_retired],
-        ["subgraphs recovered", report.subgraphs_recovered],
-        ["join transfer (vertex units)", report.join_transfer_units],
+        ["retried queries", stats.retried_queries],
+        ["workers lost", stats.workers_lost],
+        ["workers joined", stats.workers_joined],
+        ["workers retired", stats.workers_retired],
+        ["subgraphs recovered", stats.subgraphs_recovered],
+        ["join transfer (vertex units)", stats.join_transfer_units],
     ]
     print(format_table(["metric", "value"], rows))
     if report.recoveries:
@@ -837,7 +831,7 @@ def _command_chaos(args: argparse.Namespace) -> int:
         ))
     if args.json:
         with open(args.json, "w", encoding="ascii") as handle:
-            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
+            json.dump(TopologyTarget.summary(report), handle, indent=2, sort_keys=True)
         print(f"wrote chaos report to {args.json}")
     joined_with_migration = any(
         event.kind == "join" and event.applied and event.subgraphs_moved > 0
@@ -901,8 +895,10 @@ def _command_serve_http(args: argparse.Namespace) -> int:
 
 
 def _command_loadtest(args: argparse.Namespace) -> int:
-    from .chaos import FaultPlan
-    from .frontdoor import find_knee, run_chaos_frontdoor, start_front_door
+    from .chaos import (
+        FaultEvent, FaultPlan, FrontDoorTarget, generate_chaos_workload, run_chaos,
+    )
+    from .frontdoor import find_knee, start_front_door
 
     graph = _load_graph(args)
     queries = QueryGenerator(graph, seed=args.seed, min_hops=2).generate(
@@ -951,8 +947,6 @@ def _command_loadtest(args: argparse.Namespace) -> int:
     chaos_report = None
     if args.pin_faults or args.fault_rate > 0:
         if args.pin_faults:
-            from .chaos import FaultEvent
-
             # The reference plan from the acceptance criteria: one replica
             # dies mid-run for two windows while another stalls — enough to
             # trip a breaker, force failovers, and still recover in-plan.
@@ -968,28 +962,29 @@ def _command_loadtest(args: argparse.Namespace) -> int:
                 rate=args.fault_rate,
                 batch_size=args.window_requests,
             )
-        chaos = run_chaos_frontdoor(
+        cooldown = 3  # clean windows in which breakers must close again
+        workload = generate_chaos_workload(
             graph,
-            plan,
-            windows=args.fault_windows,
-            num_replicas=args.replicas,
-            engine=args.engine,
-            kernel=args.kernel,
-            executor=args.executor,
-            workers=args.workers,
-            window_requests=args.window_requests,
-            budget_ms=args.budget_ms,
+            num_batches=args.fault_windows + cooldown,
+            batch_size=args.window_requests,
             k=args.k,
-            degraded_mode=not args.strict,
-            query_seed=args.seed + 1,
+            seed=args.seed + 1,
+            update_every=2,
         )
-        chaos_report = chaos.as_dict()
+        target = FrontDoorTarget(
+            graph,
+            _build_frontdoor_replicas(args, graph),
+            budget_ms=args.budget_ms,
+            degraded_mode=not args.strict,
+        )
+        chaos = run_chaos(target, workload, plan, cooldown_windows=cooldown)
+        chaos_report = FrontDoorTarget.summary(chaos)
         print()
         print(format_table(["metric", "value"], [
             ["fault windows (+cooldown)", f"{chaos.windows} (+{chaos.cooldown_windows})"],
             ["planned faults", len(plan.events)],
             ["requests", chaos.total],
-            ["answered fresh / degraded", f"{chaos.ok} / {chaos.degraded}"],
+            ["answered fresh / degraded", f"{chaos.fresh} / {chaos.degraded}"],
             ["availability", round(chaos.availability, 4)],
             ["wrong answers (vs oracle)", len(chaos.wrong_answers)],
             ["replica kills", chaos.kills],

@@ -20,13 +20,11 @@ needs once there is more than one replica: an asyncio HTTP/JSON server
   version-stale results flagged ``degraded: true`` when every live route
   is exhausted; strict mode disables it (:mod:`.stale`);
 * **measurement** — closed-loop load generation with knee search
-  (:mod:`.loadtest`) and a chaos driver that scores zero-wrong-answers,
-  availability floors and breaker recovery through real HTTP
-  (:mod:`.chaos`).
+  (:mod:`.loadtest`); fault drills through real HTTP are the front-door
+  target of :mod:`repro.chaos`.
 """
 
 from .breaker import CLOSED, FAILURE_KINDS, HALF_OPEN, OPEN, CircuitBreaker
-from .chaos import FrontDoorChaosResult, run_chaos_frontdoor
 from .client import ClientResult, FrontDoorClient
 from .deadline import DEFAULT_BUDGET_MS, Deadline
 from .errors import (
@@ -34,7 +32,7 @@ from .errors import (
     NoReplicaAvailableError,
     ReplicaUnavailableError,
 )
-from .loadtest import LoadtestResult, find_knee, run_closed_loop
+from .loadtest import LoadtestResult, find_knee, push_queries, run_closed_loop
 from .replicas import REPLICA_ENGINES, ServiceReplica, build_replicas
 from .retry import RetryPolicy
 from .router import Router, rendezvous_order
@@ -47,8 +45,6 @@ __all__ = [
     "HALF_OPEN",
     "FAILURE_KINDS",
     "CircuitBreaker",
-    "FrontDoorChaosResult",
-    "run_chaos_frontdoor",
     "ClientResult",
     "FrontDoorClient",
     "DEFAULT_BUDGET_MS",
@@ -58,6 +54,7 @@ __all__ = [
     "ReplicaUnavailableError",
     "LoadtestResult",
     "find_knee",
+    "push_queries",
     "run_closed_loop",
     "REPLICA_ENGINES",
     "ServiceReplica",

@@ -60,9 +60,8 @@ class FrontDoorClient:
         self.retry_policy = retry_policy or RetryPolicy()
         self.default_budget_ms = default_budget_ms
         self._connection: Optional[http.client.HTTPConnection] = None
-        #: Lifetime counters, for report lines.
+        #: Lifetime retry count, for report lines.
         self.retries = 0
-        self.degraded_answers = 0
 
     @classmethod
     def for_url(cls, url: str, **kwargs) -> "FrontDoorClient":
@@ -159,15 +158,12 @@ class FrontDoorClient:
             except (OSError, http.client.HTTPException):
                 status, payload, retry_after = 503, {"error": "transport"}, 0.0
             if status == 200 or status not in (429, 503):
-                degraded = bool(payload.get("degraded", False))
-                if degraded:
-                    self.degraded_answers += 1
                 return ClientResult(
                     status=status,
                     payload=payload,
                     attempts=attempt + 1,
                     latency_seconds=time.perf_counter() - started,
-                    degraded=degraded,
+                    degraded=bool(payload.get("degraded", False)),
                 )
             delay = self.retry_policy.next_delay(
                 attempt, key=key, retry_after=retry_after, deadline=deadline

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..obs.metrics import percentile
-from .client import FrontDoorClient
+from .client import ClientResult, FrontDoorClient
 from .retry import RetryPolicy
 
-__all__ = ["LoadtestResult", "run_closed_loop", "find_knee"]
+__all__ = ["LoadtestResult", "find_knee", "push_queries", "run_closed_loop"]
 
 QuerySpec = Tuple[int, int, int]  # (source, target, k)
 
@@ -72,63 +72,26 @@ class LoadtestResult:
         }
 
 
-def _aggregate(
-    mode: str,
-    concurrency: int,
-    outcomes: Sequence[Tuple[int, float, bool]],
-    elapsed: float,
-    retries: int,
-) -> LoadtestResult:
-    """Fold raw ``(status, latency, degraded)`` samples into one result."""
-    statuses: dict = {}
-    ok = degraded = 0
-    answered_latencies_ms: List[float] = []
-    for status, latency, was_degraded in outcomes:
-        statuses[status] = statuses.get(status, 0) + 1
-        if status == 200:
-            if was_degraded:
-                degraded += 1
-            else:
-                ok += 1
-            answered_latencies_ms.append(latency * 1e3)
-    answered_latencies_ms.sort()
-    total = len(outcomes)
-    return LoadtestResult(
-        mode=mode,
-        concurrency=concurrency,
-        total=total,
-        ok=ok,
-        degraded=degraded,
-        unavailable=total - ok - degraded,
-        qps=(ok + degraded) / elapsed if elapsed > 0 else 0.0,
-        p50_ms=percentile(answered_latencies_ms, 50.0),
-        p95_ms=percentile(answered_latencies_ms, 95.0),
-        p99_ms=percentile(answered_latencies_ms, 99.0),
-        elapsed_seconds=elapsed,
-        retries=retries,
-        statuses=statuses,
-    )
-
-
-def run_closed_loop(
+def push_queries(
     url: str,
     queries: Sequence[QuerySpec],
     concurrency: int = 4,
     budget_ms: float = 1_000.0,
     retry_seed: int = 0,
-) -> LoadtestResult:
+) -> Tuple[List[Tuple[QuerySpec, ClientResult]], int]:
     """Issue ``queries`` from ``concurrency`` synchronous workers.
 
     Queries are consumed from one shared cursor, so the split across
     workers adapts to per-request latency (a worker stuck on a slow
     replica takes fewer).  Each worker owns one keep-alive client with a
-    deterministic per-worker retry seed.
+    deterministic per-worker retry seed.  Returns ``(query, result)``
+    pairs in completion order and the clients' total retries.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be at least 1")
     cursor_lock = threading.Lock()
     cursor = [0]
-    outcomes: List[Tuple[int, float, bool]] = []
+    outcomes: List[Tuple[QuerySpec, ClientResult]] = []
     outcome_lock = threading.Lock()
     retries = [0]
 
@@ -138,7 +101,7 @@ def run_closed_loop(
             retry_policy=RetryPolicy(seed=retry_seed * 1_000 + worker_index),
             default_budget_ms=budget_ms,
         )
-        local: List[Tuple[int, float, bool]] = []
+        local: List[Tuple[QuerySpec, ClientResult]] = []
         try:
             while True:
                 with cursor_lock:
@@ -147,8 +110,9 @@ def run_closed_loop(
                         break
                     cursor[0] = index + 1
                 source, target, k = queries[index]
-                result = client.query(source, target, k, budget_ms=budget_ms)
-                local.append((result.status, result.latency_seconds, result.degraded))
+                local.append(
+                    (queries[index], client.query(source, target, k, budget_ms=budget_ms))
+                )
         finally:
             with outcome_lock:
                 outcomes.extend(local)
@@ -157,15 +121,47 @@ def run_closed_loop(
 
     threads = [
         threading.Thread(target=worker, args=(index,), daemon=True)
-        for index in range(concurrency)
+        for index in range(min(concurrency, max(1, len(queries))))
     ]
-    started = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
+    return outcomes, retries[0]
+
+
+def run_closed_loop(
+    url: str,
+    queries: Sequence[QuerySpec],
+    concurrency: int = 4,
+    budget_ms: float = 1_000.0,
+    retry_seed: int = 0,
+) -> LoadtestResult:
+    """One closed-loop operating point: :func:`push_queries`, aggregated."""
+    started = time.perf_counter()
+    outcomes, retries = push_queries(url, queries, concurrency, budget_ms, retry_seed)
     elapsed = time.perf_counter() - started
-    return _aggregate("closed", concurrency, outcomes, elapsed, retries[0])
+    statuses: dict = {}
+    for _, result in outcomes:
+        statuses[result.status] = statuses.get(result.status, 0) + 1
+    answered = [result for _, result in outcomes if result.ok]
+    degraded = sum(1 for result in answered if result.degraded)
+    latencies_ms = sorted(result.latency_seconds * 1e3 for result in answered)
+    return LoadtestResult(
+        mode="closed",
+        concurrency=concurrency,
+        total=len(outcomes),
+        ok=len(answered) - degraded,
+        degraded=degraded,
+        unavailable=len(outcomes) - len(answered),
+        qps=len(answered) / elapsed if elapsed > 0 else 0.0,
+        p50_ms=percentile(latencies_ms, 50.0),
+        p95_ms=percentile(latencies_ms, 95.0),
+        p99_ms=percentile(latencies_ms, 99.0),
+        elapsed_seconds=elapsed,
+        retries=retries,
+        statuses=statuses,
+    )
 
 
 def find_knee(

@@ -9,7 +9,7 @@ replica starts from an identical network; maintenance keeps them identical
 by applying the *same* pregenerated update rounds to all replicas at
 quiesced boundaries (see :class:`~repro.frontdoor.server.FrontDoorServer`).
 
-Fault injection mirrors the PR-9 chaos vocabulary, but at replica
+Fault injection speaks the :mod:`repro.chaos` vocabulary, but at replica
 granularity — this is the failure *domain* the front door routes around:
 
 * ``kill``    — the replica refuses all work immediately
@@ -67,8 +67,7 @@ class ServiceReplica:
         self._stall_batches = 0
         self._slow_batches = 0
         self._slow_factor = 1.0
-        #: Fault bookkeeping for reports.
-        self.kills = 0
+        #: Batches served, for the health report.
         self.batches_served = 0
 
     # ------------------------------------------------------------------
@@ -76,8 +75,6 @@ class ServiceReplica:
     # ------------------------------------------------------------------
     def kill(self) -> None:
         """Refuse all subsequent work until :meth:`revive`."""
-        if self.alive:
-            self.kills += 1
         self.alive = False
 
     def revive(self) -> None:

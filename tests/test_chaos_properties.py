@@ -1,27 +1,31 @@
-"""Determinism properties of the chaos harness.
+"""Determinism properties of the chaos harness on its topology target.
 
 Randomized graphs x randomized seeded fault plans x every execution
-backend x both array kernels: the chaos run's answers must be
-bit-identical to the fault-free oracle, and everything the determinism
-contract covers — answer signatures, the fault/recovery event log and
-the per-batch counters (communication units, message counts) — must be
-identical for a fixed seed across repeats and across backends.
+backend: every answer of a chaos run must hold up against the Yen oracle,
+a faulted run's answers must be bit-identical to a fault-free run's, and
+everything the determinism contract covers — answer signatures, the
+fault event log and the per-batch counters (communication units, message
+counts) — must be identical for a fixed seed across repeats and across
+backends.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.chaos import (
     ChaosError,
-    ChaosHarness,
     FaultEvent,
     FaultPlan,
+    TopologyTarget,
     generate_chaos_workload,
+    run_chaos,
 )
 from repro.core import DTLP, DTLPConfig
+from repro.distributed import StormTopology
 from repro.exec import EXECUTORS
 from repro.graph import road_network
 
@@ -32,6 +36,14 @@ def _builder(size: int, seed: int):
         return DTLP(graph, DTLPConfig(z=12, xi=2)).build()
 
     return build
+
+
+def _run(builder, workload, plan, num_workers=4, executor="serial", **kwargs):
+    """One chaos run on a freshly built topology."""
+    topology = StormTopology(
+        builder(), num_workers=num_workers, executor=executor, **kwargs
+    )
+    return run_chaos(TopologyTarget(topology), workload, plan)
 
 
 def _random_case(case_seed: int):
@@ -73,10 +85,15 @@ class TestFaultPlan:
         assert all(index >= 1 for index in indices)
 
     def test_victim_rng_stable(self) -> None:
-        plan = FaultPlan(seed=4)
-        first = plan.victim_rng(2, 0).randrange(100)
-        assert plan.victim_rng(2, 0).randrange(100) == first
-        assert plan.victim_rng(3, 0).randrange(100) != first or True
+        # Pinned draws: string-seeded, so stable across processes and
+        # interpreter runs; equal seeds give equal draws on any instance.
+        draws = [
+            FaultPlan(seed=4).victim_rng(batch, ordinal).randrange(100)
+            for batch, ordinal in ((2, 0), (2, 1), (3, 0))
+        ]
+        assert draws == [98, 39, 46]
+        assert FaultPlan(seed=4).victim_rng(2, 1).randrange(100) == draws[1]
+        assert FaultPlan(seed=5).victim_rng(2, 0).randrange(100) != draws[0]
 
     def test_validation(self) -> None:
         with pytest.raises(ChaosError):
@@ -97,34 +114,40 @@ class TestChaosDeterminism:
     def test_zero_wrong_answers_and_repeat_identity(
         self, case_seed: int, kernel: str
     ) -> None:
-        """Randomized case: chaos == oracle, and the run replays exactly."""
+        """Randomized case: every answer passes the oracle, and the run
+        replays exactly."""
         builder, workload, plan = _random_case(case_seed)
-        harness = ChaosHarness(
-            builder, num_workers=4, executor="serial", kernel=kernel
-        )
-        report = harness.execute(workload, plan)
-        assert report.wrong_answers == 0
+        report = _run(builder, workload, plan, kernel=kernel)
+        assert report.wrong_answers == []
         assert report.dropped_queries == 0
-        assert len(report.chaos.signatures) == workload.total_queries
-        repeat = harness.run(workload, plan)
-        assert (
-            repeat.deterministic_signature()
-            == report.chaos.deterministic_signature()
-        )
+        assert len(report.signatures) == workload.total_queries
+        repeat = _run(builder, workload, plan, kernel=kernel)
+        assert repeat.deterministic_signature() == report.deterministic_signature()
 
     @pytest.mark.parametrize("case_seed", [111, 212])
     def test_backends_bit_identical(self, case_seed: int) -> None:
         """The full deterministic signature matches on every backend."""
         builder, workload, plan = _random_case(case_seed)
-        signatures = {}
-        for executor in EXECUTORS:
-            harness = ChaosHarness(builder, num_workers=4, executor=executor)
-            signatures[executor] = harness.run(
-                workload, plan
-            ).deterministic_signature()
+        signatures = {
+            executor: _run(builder, workload, plan, executor=executor)
+            .deterministic_signature()
+            for executor in EXECUTORS
+        }
         reference = signatures["serial"]
         for executor, signature in signatures.items():
             assert signature == reference, f"{executor} diverged from serial"
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_faulted_answers_equal_fault_free(self, executor: str) -> None:
+        """Faults change who answers, never what: the faulted run's
+        answers are bit-identical to a fault-free run's."""
+        builder, workload, plan = _random_case(505)
+        assert plan.events
+        faulted = _run(builder, workload, plan, executor=executor)
+        clean = _run(builder, workload, None, executor=executor)
+        assert faulted.ok and clean.ok
+        assert not clean.events
+        assert faulted.signatures == clean.signatures
 
     def test_mid_batch_kill_matches_oracle(self) -> None:
         """A worker dying with half a batch in flight loses no answers."""
@@ -136,25 +159,58 @@ class TestChaosDeterminism:
             seed=5,
             events=(FaultEvent(batch_index=1, kind="kill", offset=3),),
         )
-        harness = ChaosHarness(builder, num_workers=4, executor="process")
-        report = harness.execute(workload, plan)
+        report = _run(builder, workload, plan, executor="process")
         assert report.ok
-        assert report.workers_lost == 1
+        assert report.elasticity.workers_lost == 1
         kill = next(e for e in report.events if e.kind == "kill")
         assert kill.applied and kill.offset == 3
+
+    def test_identical_mid_batch_kills_get_their_own_ordinals(self) -> None:
+        """Two equal events in one batch are two events: each is logged
+        with its own ordinal and draws its victim from its own RNG."""
+        builder = _builder(7, seed=31)
+        workload = generate_chaos_workload(
+            builder().graph, num_batches=3, batch_size=6, seed=3
+        )
+        kill = FaultEvent(batch_index=1, kind="kill", offset=3)
+        plan = FaultPlan(seed=5, events=(kill, kill))
+        report = _run(builder, workload, plan)
+        assert report.ok
+        assert [e.ordinal for e in report.events] == [0, 1]
+        alive = [0, 1, 2, 3]
+        for event in report.events:
+            draw = plan.victim_rng(1, event.ordinal).randrange(len(alive))
+            assert event.applied and event.worker_id == alive.pop(draw)
+
+    def test_pinned_victim_is_hit(self) -> None:
+        """A named live worker is the victim; no draw replaces it."""
+        builder = _builder(6, seed=9)
+        workload = generate_chaos_workload(
+            builder().graph, num_batches=3, batch_size=4, seed=1
+        )
+        plan = FaultPlan(
+            seed=2,
+            events=(
+                FaultEvent(batch_index=1, kind="stall", worker_id=3),
+                FaultEvent(batch_index=2, kind="kill", worker_id=2),
+            ),
+        )
+        report = _run(builder, workload, plan)
+        assert report.ok
+        assert [(e.kind, e.worker_id, e.applied) for e in report.events] == [
+            ("stall", 3, True),
+            ("kill", 2, True),
+        ]
 
     def test_counters_deterministic_for_fixed_seed(self) -> None:
         """subgraph_tasks / message counters replay exactly under faults."""
         builder, workload, plan = _random_case(404)
-        harness = ChaosHarness(builder, num_workers=4, executor="serial")
-        first = harness.run(workload, plan)
-        second = harness.run(workload, plan)
+        first = _run(builder, workload, plan)
+        second = _run(builder, workload, plan)
         assert [
             (s.communication_units, s.messages) for s in first.samples
         ] == [(s.communication_units, s.messages) for s in second.samples]
         # Everything except the wall-clock recovery timer is replayable.
-        from dataclasses import replace
-
         assert replace(first.elasticity, recovery_seconds=0.0) == replace(
             second.elasticity, recovery_seconds=0.0
         )
@@ -174,10 +230,9 @@ class TestChaosSafety:
                 for index in range(1, 5)
             ),
         )
-        harness = ChaosHarness(builder, num_workers=3, executor="serial")
-        report = harness.execute(workload, plan)
+        report = _run(builder, workload, plan, num_workers=3)
         assert report.ok
-        assert report.workers_lost == 2  # 3 workers, 2 killable
+        assert report.elasticity.workers_lost == 2  # 3 workers, 2 killable
         skipped = [e for e in report.events if not e.applied]
         assert len(skipped) == 2
         assert all(e.workers_alive == 1 for e in skipped)
@@ -195,11 +250,10 @@ class TestChaosSafety:
                 FaultEvent(batch_index=2, kind="join"),
             ),
         )
-        harness = ChaosHarness(builder, num_workers=4, executor="serial")
-        report = harness.execute(workload, plan)
+        report = _run(builder, workload, plan)
         assert report.ok
-        assert report.workers_lost == 1
-        assert report.workers_joined == 1
+        assert report.elasticity.workers_lost == 1
+        assert report.elasticity.workers_joined == 1
         join = next(e for e in report.events if e.kind == "join")
         assert join.applied and join.subgraphs_moved >= 1
-        assert report.join_transfer_units > 0
+        assert report.elasticity.join_transfer_units > 0

@@ -13,6 +13,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.graph import road_network, write_gr
 
 
 class TestParser:
@@ -159,6 +160,61 @@ class TestCommands:
         assert match is not None
         assert int(match.group(1)) > 0
         assert "shed requests" in captured
+
+    def test_chaos_command_writes_its_report(self, tmp_path, capsys):
+        out = tmp_path / "chaos.json"
+        code = main(
+            [
+                "chaos",
+                "--dataset", "NY",
+                "--scale", "0.25",
+                "--z", "16",
+                "--xi", "2",
+                "--batches", "4",
+                "--batch-size", "4",
+                "--fault-rate", "1.0",
+                "--json", str(out),
+            ]
+        )
+        assert code == 0
+        assert "OK: zero wrong answers" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert sorted(report) == [
+            "dropped_queries", "events", "join_transfer_units", "recoveries",
+            "retried_queries", "subgraphs_recovered", "total_queries",
+            "workers_joined", "workers_lost", "workers_retired", "wrong_answers",
+        ]
+        assert report["total_queries"] == 16 and report["wrong_answers"] == 0
+        assert len(report["events"]) == 3
+
+    def test_loadtest_pinned_faults_write_their_report(self, tmp_path, capsys):
+        graph_file = tmp_path / "grid.gr"
+        write_gr(road_network(5, 5, seed=3), graph_file)
+        out = tmp_path / "loadtest.json"
+        code = main(
+            [
+                "loadtest",
+                "--gr", str(graph_file),
+                "--requests", "24",
+                "--concurrency", "2",
+                "--replicas", "3",
+                "--pin-faults",
+                "--json", str(out),
+            ]
+        )
+        assert code == 0
+        assert "OK: zero wrong answers" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert sorted(report) == ["budget_ms", "chaos", "knee", "slo_ms", "sweep"]
+        assert sorted(report["chaos"]) == [
+            "availability", "breaker_trips", "breakers_recovered",
+            "cooldown_unavailable", "cooldown_windows", "degraded",
+            "final_breaker_states", "kills", "maintenance_rounds", "ok",
+            "p99_ms", "qps", "retries", "status_counts", "total",
+            "unavailable", "windows", "wrong_answer_count", "wrong_answers",
+        ]
+        assert report["chaos"]["wrong_answer_count"] == 0
+        assert report["chaos"]["kills"] == 1
 
     def test_missing_graph_source_fails(self):
         with pytest.raises(SystemExit):

@@ -1,12 +1,12 @@
-"""Chaos-through-the-front-door properties.
+"""Chaos through the front door: the harness's HTTP target.
 
 Seeded replica fault plans (kill / stall / slow) pushed through real HTTP
 while clients with retries and deadlines drive traffic.  The resilient
 serving contract must hold on every run:
 
-* zero wrong answers — every 200 matches the fault-free oracle graph that
-  received the identical maintenance rounds (degraded answers must match
-  an answer that was itself validated when fresh);
+* zero wrong answers — every 200 holds up against the Yen oracle on a
+  twin graph that received the identical maintenance rounds (degraded
+  answers must byte-match an answer that was itself validated when fresh);
 * availability stays above a floor while replicas die, because rendezvous
   failover and degraded mode route around the holes;
 * breakers trip during the faulted windows and are no longer open after
@@ -14,15 +14,28 @@ serving contract must hold on every run:
 
 The pinned reference plan (mid-run replica kill + two-window stall) runs
 on both the serial and the process executor; the seed sweep stays on the
-serial backend to keep the suite fast.
+serial backend to keep the suite fast.  The oracle itself is tested here
+too: a table of wrong answers, each of which it must reject.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.chaos import FaultEvent, FaultPlan
-from repro.frontdoor import run_chaos_frontdoor
+from repro.algorithms import yen_k_shortest_paths
+from repro.chaos import (
+    Answer,
+    FaultEvent,
+    FaultPlan,
+    FrontDoorTarget,
+    Oracle,
+    generate_chaos_workload,
+    run_chaos,
+)
+from repro.dynamics import TrafficModel
+from repro.frontdoor import build_replicas
 from repro.graph import road_network
 
 #: The acceptance-criteria reference plan: one replica dies mid-run for two
@@ -36,29 +49,43 @@ PINNED_PLAN = FaultPlan(
 )
 
 AVAILABILITY_FLOOR = 0.95
+COOLDOWN = 3
 
 
-def run_pinned(executor, graph=None, **kwargs):
+def run_frontdoor(
+    plan,
+    graph=None,
+    windows=5,
+    window_requests=6,
+    seed=0,
+    num_replicas=3,
+    engine="yen",
+    executor=None,
+    degraded_mode=True,
+):
+    """One chaos run against a fresh front door over ``graph``."""
     if graph is None:
         graph = road_network(6, 6, seed=3)
-    defaults = dict(
-        windows=5,
-        num_replicas=3,
-        engine="yen",
-        executor=executor,
-        window_requests=6,
-        concurrency=3,
-        budget_ms=800.0,
+    workload = generate_chaos_workload(
+        graph,
+        num_batches=windows + COOLDOWN,
+        batch_size=window_requests,
+        seed=seed,
         update_every=2,
     )
-    defaults.update(kwargs)
-    return run_chaos_frontdoor(graph, PINNED_PLAN, **defaults)
+    replicas = build_replicas(
+        graph, num_replicas=num_replicas, engine=engine, executor=executor
+    )
+    target = FrontDoorTarget(
+        graph, replicas, concurrency=3, degraded_mode=degraded_mode
+    )
+    return run_chaos(target, workload, plan, cooldown_windows=COOLDOWN)
 
 
 class TestPinnedPlan:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_contract_holds_end_to_end(self, executor):
-        result = run_pinned(executor)
+        result = run_frontdoor(PINNED_PLAN, executor=executor)
         assert result.correct, result.wrong_answers[:3]
         assert result.availability >= AVAILABILITY_FLOOR
         assert result.kills >= 1
@@ -74,16 +101,32 @@ class TestPinnedPlan:
     def test_strict_mode_still_never_lies(self):
         # Without degraded mode availability may dip, but answers must
         # still be correct and breakers must still recover.
-        result = run_pinned("serial", degraded_mode=False)
+        result = run_frontdoor(PINNED_PLAN, executor="serial", degraded_mode=False)
         assert result.correct, result.wrong_answers[:3]
         assert result.breakers_recovered
         assert result.cooldown_unavailable == 0
+
+    def test_pinned_victims_are_hit(self):
+        plan = FaultPlan(
+            seed=11,
+            events=(
+                FaultEvent(batch_index=1, kind="kill", worker_id=2),
+                FaultEvent(batch_index=1, kind="stall", worker_id=1),
+                FaultEvent(batch_index=2, kind="slow", worker_id=0),
+            ),
+        )
+        result = run_frontdoor(plan, windows=3)
+        assert result.correct, result.wrong_answers[:3]
+        assert [(e.kind, e.worker_id, e.applied) for e in result.events] == [
+            ("kill", 2, True),
+            ("stall", 1, True),
+            ("slow", 0, True),
+        ]
 
 
 class TestSeededPlans:
     @pytest.mark.parametrize("plan_seed", [1, 7, 23])
     def test_generated_plans_uphold_the_contract(self, plan_seed):
-        graph = road_network(6, 6, seed=plan_seed)
         plan = FaultPlan.generate(
             plan_seed,
             num_batches=5,
@@ -91,17 +134,8 @@ class TestSeededPlans:
             rate=0.6,
             batch_size=6,
         )
-        result = run_chaos_frontdoor(
-            graph,
-            plan,
-            windows=5,
-            num_replicas=3,
-            engine="yen",
-            window_requests=6,
-            concurrency=3,
-            budget_ms=800.0,
-            query_seed=plan_seed,
-            update_seed=plan_seed,
+        result = run_frontdoor(
+            plan, graph=road_network(6, 6, seed=plan_seed), seed=plan_seed
         )
         assert result.correct, result.wrong_answers[:3]
         assert result.availability >= AVAILABILITY_FLOOR
@@ -110,8 +144,8 @@ class TestSeededPlans:
     def test_runs_are_deterministic_in_shape(self):
         # Same seeds -> same request totals, kills and maintenance rounds
         # (latency-dependent counters like retries may differ).
-        first = run_pinned("serial")
-        second = run_pinned("serial")
+        first = run_frontdoor(PINNED_PLAN, executor="serial")
+        second = run_frontdoor(PINNED_PLAN, executor="serial")
         assert first.total == second.total
         assert first.kills == second.kills
         assert first.maintenance_rounds == second.maintenance_rounds
@@ -121,8 +155,8 @@ class TestSeededPlans:
 class TestDegradedProvenance:
     def test_kspdg_engine_replicas_also_hold(self):
         # The DTLP-backed engine takes the same front-door contract.
-        result = run_pinned(
-            "serial",
+        result = run_frontdoor(
+            PINNED_PLAN,
             graph=road_network(5, 5, seed=9),
             engine="kspdg",
             num_replicas=2,
@@ -131,3 +165,81 @@ class TestDegradedProvenance:
         )
         assert result.correct, result.wrong_answers[:3]
         assert result.availability >= AVAILABILITY_FLOOR
+
+
+def _yen_answer(graph, key, **fields) -> Answer:
+    source, target, k = key
+    paths = yen_k_shortest_paths(graph, source, target, k)
+    return Answer(
+        key,
+        paths=tuple((tuple(p.vertices), p.distance) for p in paths),
+        version=graph.version,
+        **fields,
+    )
+
+
+def _wrong_answers():
+    """``(case, answer, expected reason)`` rows against an oracle that
+    validated a fresh answer one round ago."""
+    graph = road_network(5, 5, seed=4)
+    oracle = Oracle(graph)
+    key = (0, 24, 3)
+    oracle.apply_round(TrafficModel(graph, seed=1).generate_updates())
+    validated = _yen_answer(oracle.graph, key)
+    assert oracle.check(validated) is None
+    stale_version = validated.version
+    oracle.apply_round(TrafficModel(graph, seed=2).generate_updates())
+
+    right = _yen_answer(oracle.graph, key)
+    assert oracle.check(right) is None
+    first, second, third = right.paths
+    assert first[1] < second[1] < third[1]
+    source, target, _ = key
+    # A fourth-best path in place of the third: a real path, honestly
+    # priced, but not one of the k shortest.
+    fourth = _yen_answer(oracle.graph, (source, target, 4)).paths[3]
+    # Go one hop forward and back before following the best path.
+    hop = first[0][1]
+    walk = (source, hop) + first[0]
+    looped = (walk, oracle.graph.path_distance(walk))
+    return oracle, [
+        ("wrong distance", Answer(key, paths=(first, second, fourth),
+                                  version=right.version),
+         "fresh answer distances differ from oracle"),
+        ("paths out of order", Answer(key, paths=(second, first, third),
+                                      version=right.version),
+         "paths out of order"),
+        ("non-simple path", Answer(key, paths=(looped, second, third),
+                                   version=right.version),
+         "path is not simple"),
+        ("weight != distance", Answer(key, paths=((first[0], first[1] + 0.5),
+                                                  second, third),
+                                      version=right.version),
+         "path weight differs from its stated distance"),
+        ("fresh at stale version", Answer(key, paths=validated.paths,
+                                          version=stale_version),
+         "fresh answer at stale graph version"),
+        ("degraded, unvalidated provenance", Answer(key, paths=right.paths,
+                                                    version=0, degraded=True),
+         "degraded answer with unvalidated provenance"),
+        ("degraded, differs from original", Answer(key,
+                                                   paths=validated.paths[:2],
+                                                   version=stale_version,
+                                                   degraded=True),
+         "degraded answer differs from its validated original"),
+    ]
+
+
+class TestOracleRejects:
+    def test_every_wrong_answer_is_recorded(self):
+        oracle, cases = _wrong_answers()
+        for case, answer, reason in cases:
+            record = oracle.check(answer)
+            assert record is not None, case
+            assert record["reason"] == reason, case
+            assert record["key"] == list(answer.key)
+
+    def test_degraded_replay_of_a_validated_answer_passes(self):
+        oracle, cases = _wrong_answers()
+        validated = next(a for c, a, _ in cases if c == "fresh at stale version")
+        assert oracle.check(replace(validated, degraded=True)) is None
