@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..algorithms.yen import LazyYen
 from ..graph.errors import IndexStateError, StaleStructureError
@@ -184,7 +184,17 @@ class DTLP:
         # touched subgraphs.
         self._weight_epochs: Dict[int, int] = {}
         self._weight_epoch_version = graph.version
+        # The graph version the bounding-path prices and skeleton weights
+        # reflect; see handle_updates and attach.
+        self._priced_version = graph.version
         self._epoch_lock = threading.Lock()
+        # Built once with the indexes: canonical edge key -> (global edge
+        # id, owner, owner's edge id, subgraphs whose epoch it bumps); per
+        # global id the weight the last fold saw; per boundary pair the
+        # (index, pair number) of every subgraph holding it.
+        self._edge_slots: Dict[Tuple[int, int], Tuple[int, int, int, Tuple[int, ...]]] = {}
+        self._fold_weights: List[float] = []
+        self._pair_owners: Dict[Tuple[int, int], List[Tuple[SubgraphIndex, int]]] = {}
         # (subgraph_id, ordered pair, k) -> (epoch, partial k shortest
         # paths).  Shared by KSP-DG queries and the SubgraphBolts; entries
         # from stale epochs are overwritten on first recompute.
@@ -314,35 +324,41 @@ class DTLP:
             )
 
     def _advance_weight_epochs(self) -> None:
-        """Fold graph changes since the last look into per-subgraph state.
-
-        The one walk of the change feed per graph version: bumps the epoch
-        of every subgraph holding a changed edge's endpoints and files the
-        edge under its owner's cached snapshot, if any (one built later
-        reads live weights).  Callers hold ``_epoch_lock``.
-        """
+        """Fold graph changes since the last look into per-subgraph state
+        (the lazy fold of a detached index; an attached one folds in
+        :meth:`handle_updates`).  Callers hold ``_epoch_lock``."""
         self._check_structure()
-        current = self._graph.version
-        if current == self._weight_epoch_version:
-            return
-        partition = self._partition
-        assert partition is not None
-        epochs = self._weight_epochs
+        if self._graph.version != self._weight_epoch_version:
+            self._fold(self._graph.edges_changed_since(self._weight_epoch_version))
+
+    def _fold(
+        self, changes: Iterable[Tuple[int, int, float]], regroup: bool = False
+    ) -> Dict[int, List[Tuple[int, float]]]:
+        """The one walk of the change feed per graph version.  Files each
+        ``(u, v, weight)`` under its owner's cached snapshot, if any;
+        if the weight differs from the last fold's, bumps the epochs its
+        slot names and, with ``regroup``, groups ``(edge id, weight)`` under
+        the owner.  Callers hold ``_epoch_lock``."""
+        slots = self._edge_slots
+        fold_weights = self._fold_weights
+        snapshots = self._subgraph_snapshots
         pending = self._snapshot_changes
+        groups: Dict[int, List[Tuple[int, float]]] = {}
         bumped: Set[int] = set()
-        for u, v, weight in self._graph.edges_changed_since(
-            self._weight_epoch_version
-        ):
-            owner = partition.owner_of_edge(u, v)
-            if partition.is_boundary(u) and partition.is_boundary(v):
-                bumped.update(partition.subgraphs_containing_pair(u, v))
-            else:  # only boundary vertices are shared: the owner holds both
-                bumped.add(owner)
-            if owner in self._subgraph_snapshots:
+        for u, v, weight in changes:
+            slot, owner, edge, bumps = slots[(u, v)]
+            if owner in snapshots:
                 pending.setdefault(owner, {})[(u, v)] = (u, v, weight)
+            if weight != fold_weights[slot]:
+                fold_weights[slot] = weight
+                bumped.update(bumps)
+                if regroup:
+                    groups.setdefault(owner, []).append((edge, weight))
+        epochs = self._weight_epochs
         for subgraph_id in bumped:
             epochs[subgraph_id] = epochs.get(subgraph_id, 0) + 1
-        self._weight_epoch_version = current
+        self._weight_epoch_version = self._graph.version
+        return groups
 
     def partial_memo_get(
         self, subgraph_id: int, pair: Tuple[int, int], k: int
@@ -516,7 +532,7 @@ class DTLP:
         self._skeleton_image = None
         with self._epoch_lock:
             self._weight_epochs.clear()
-            self._weight_epoch_version = self._graph.version
+            self._weight_epoch_version = self._priced_version = self._graph.version
         if prebuilt_indexes is not None:
             expected = {s.subgraph_id for s in self._partition.subgraphs}
             if set(prebuilt_indexes) != expected:
@@ -543,6 +559,7 @@ class DTLP:
                 ).build()
                 self._subgraph_indexes[subgraph.subgraph_id] = index
         self._rebuild_skeleton()
+        self._build_round_tables()
         if self._config.build_mfp_trees:
             self._build_mfp_forests()
         self._built = True
@@ -589,6 +606,7 @@ class DTLP:
             dtlp._skeleton = skeleton
         else:
             dtlp._rebuild_skeleton()
+        dtlp._build_round_tables()
         if dtlp._config.build_mfp_trees:
             dtlp._build_mfp_forests()
         dtlp._built = True
@@ -605,6 +623,25 @@ class DTLP:
             for (source, target), value in index.lower_bound_distances().items():
                 skeleton.update_edge_minimum(source, target, value)
         self._skeleton = skeleton
+
+    def _build_round_tables(self) -> None:
+        """Lay the partition out in index space for maintenance rounds.  An
+        edge bumps the epoch of every subgraph holding both endpoints: only
+        boundary vertices are shared, so that is the owner alone unless both
+        are boundary vertices."""
+        partition = self._partition
+        assert partition is not None
+        boundary = partition.boundary_vertices
+        self._edge_slots, self._fold_weights, self._pair_owners = {}, [], {}
+        for owner, index in self._subgraph_indexes.items():
+            alone = (owner,)
+            for (u, v), edge in index.edge_ids.items():
+                both = u in boundary and v in boundary
+                bumps = partition.subgraphs_containing_pair(u, v) if both else alone
+                self._edge_slots[(u, v)] = (len(self._fold_weights), owner, edge, bumps)
+                self._fold_weights.append(self._graph.weight(u, v))
+            for number, pair in enumerate(index.boundary_pairs()):
+                self._pair_owners.setdefault(pair, []).append((index, number))
 
     def _build_mfp_forests(self) -> None:
         """Build the LSH/MFP-tree compression for every subgraph."""
@@ -649,6 +686,9 @@ class DTLP:
     def attach(self) -> "DTLP":
         """Register :meth:`handle_updates` as a listener on the graph.
 
+        An index whose prices are older than the graph (built, restored or
+        detached before the graph moved) first catches up with one round
+        over every edge changed since, so it never serves stale bounds.
         Idempotent: attaching twice keeps a single registration, and an
         index already registered directly via
         ``graph.add_listener(dtlp.handle_updates)`` is recognised and not
@@ -658,6 +698,8 @@ class DTLP:
         Returns ``self`` for chaining with :meth:`build`.
         """
         if not self._attached:
+            if self._built and self._priced_version != self._graph.version:
+                self.handle_updates(())
             if not self._graph.has_listener(self.handle_updates):
                 self._graph.add_listener(self.handle_updates)
             self._attached = True
@@ -676,52 +718,61 @@ class DTLP:
 
             graph.add_listener(dtlp.handle_updates)
 
+        One round of Algorithm 2 in index space (ARCHITECTURE.md, "A round
+        in index space"): the edges changed since the priced version — or,
+        when the prices already claim the graph's version (a store restored
+        at save-time weights), the edges of ``updates`` — are grouped per
+        owner, each owner re-prices (:meth:`SubgraphIndex.reprice`) and the
+        skeleton weights of its pairs are set.
+
         Returns the wall-clock time spent, which the maintenance-cost
         experiments (Figures 19-23) report.
         """
         if not self._built:
             raise IndexStateError("DTLP.build() must run before updates are applied")
-        assert self._partition is not None
-        self._check_structure()
         started = time.perf_counter()
-        updates_by_subgraph: Dict[int, List[WeightUpdate]] = {}
-        for update in updates:
-            owner = self._partition.owner_of_edge(update.u, update.v)
-            updates_by_subgraph.setdefault(owner, []).append(update)
-        affected_subgraphs: Set[int] = set()
-        for subgraph_id, subgraph_updates in updates_by_subgraph.items():
-            index = self._subgraph_indexes[subgraph_id]
-            index.apply_updates(subgraph_updates)
-            affected_subgraphs.add(subgraph_id)
-        # Refresh skeleton edges of affected subgraphs.  Because the skeleton
-        # edge weight is a minimum over subgraphs, edges incident to affected
-        # pairs are recomputed from every subgraph containing the pair.
-        self._refresh_skeleton_for_subgraphs(affected_subgraphs)
-        # Fold the round into the per-subgraph epochs and snapshot buckets
-        # now, so the first query after it does not pay the walk.
+        graph = self._graph
         with self._epoch_lock:
-            self._advance_weight_epochs()
+            self._check_structure()
+            priced = self._priced_version
+            if priced == self._weight_epoch_version < graph.version:
+                # Every attached round: one walk folds and groups.
+                groups = self._fold(graph.edges_changed_since(priced), regroup=True)
+            else:
+                self._advance_weight_epochs()
+                changed = (
+                    graph.edges_changed_since(priced) if priced < graph.version
+                    else ((u.u, u.v, graph.weight(u.u, u.v)) for u in updates)
+                )
+                groups = {}
+                for u, v, weight in changed:
+                    key = (u, v) if graph.directed or u <= v else (v, u)
+                    _, owner, edge, _ = self._edge_slots[key]
+                    groups.setdefault(owner, []).append((edge, weight))
+            indexes = self._subgraph_indexes
+            for owner, changes in groups.items():
+                indexes[owner].reprice(changes)
+            self._refresh_skeleton_for_subgraphs(groups)
+            self._priced_version = graph.version
         elapsed = time.perf_counter() - started
         self._last_maintenance_seconds = elapsed
         return elapsed
 
-    def _refresh_skeleton_for_subgraphs(self, subgraph_ids: Set[int]) -> None:
-        """Recompute skeleton edges whose pairs live in the given subgraphs."""
-        assert self._partition is not None
-        pairs: Set[Tuple[int, int]] = set()
+    def _refresh_skeleton_for_subgraphs(self, subgraph_ids: Iterable[int]) -> None:
+        """Set the skeleton weight of every pair the given subgraphs hold:
+        the minimum of its holders' Theorem 1 bounds."""
+        pair_owners = self._pair_owners
+        set_edge = self._skeleton.set_edge
+        done: Set[Tuple[int, int]] = set()
         for subgraph_id in subgraph_ids:
-            index = self._subgraph_indexes[subgraph_id]
-            pairs.update(index.boundary_pairs())
-        for source, target in pairs:
-            best: Optional[float] = None
-            for owner in self._partition.subgraphs_containing_pair(source, target):
-                value = self._subgraph_indexes[owner].lower_bound_distance(source, target)
-                if value is None:
+            for pair in self._subgraph_indexes[subgraph_id].boundary_pairs():
+                if pair in done:
                     continue
-                if best is None or value < best:
-                    best = value
-            if best is not None:
-                self._skeleton.set_edge(source, target, best)
+                done.add(pair)
+                bounds = [index.pair_bounds[number] for index, number in pair_owners[pair]]
+                bounds = [bound for bound in bounds if bound is not None]
+                if bounds:
+                    set_edge(pair[0], pair[1], min(bounds))
 
     # ------------------------------------------------------------------
     # queries used by KSP-DG

@@ -6,51 +6,68 @@ that edge.  When the weight of an edge changes by ``delta_w``, the actual
 distance of every bounding path covering the edge changes by the same amount,
 so maintenance touches exactly the paths listed under that edge (Algorithm 2).
 
-This module stores *path ids* rather than path objects to keep the structure
-compact; the owning :class:`~repro.core.subgraph_index.SubgraphIndex` resolves
-ids to :class:`~repro.core.bounding_paths.BoundingPath` records.
+Here it is one CSR pair of flat arrays over the owning subgraph's edge ids
+and bounding-path numbers — the paths through edge ``e`` are
+``paths[offsets[e]:offsets[e + 1]]`` — built once and never changed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
-
-from ..graph.graph import edge_key
+from array import array
+from itertools import accumulate
+from typing import Dict, Iterator, Mapping, Sequence, Set, Tuple
 
 __all__ = ["EPIndex"]
 
 
 class EPIndex:
-    """Map from edge keys to the ids of bounding paths covering the edge.
+    """Edge id -> numbers of the bounding paths covering the edge.
 
     Parameters
     ----------
+    edge_ids:
+        Canonical edge key -> dense edge id (shared, not copied).
+    path_edges:
+        The edge ids of bounding path ``p`` at position ``p``.
     directed:
         Whether edge keys preserve orientation.  For undirected graphs the
         canonical ``(min, max)`` ordering is used.
     """
 
-    def __init__(self, directed: bool = False) -> None:
+    def __init__(
+        self,
+        edge_ids: Mapping[Tuple[int, int], int],
+        path_edges: Sequence[Sequence[int]],
+        directed: bool = False,
+    ) -> None:
         self._directed = directed
-        self._paths_by_edge: Dict[Tuple[int, int], List[int]] = {}
+        self._edge_ids = edge_ids
+        counts = [0] * (len(edge_ids) + 1)
+        for edges in path_edges:
+            for edge in edges:
+                counts[edge + 1] += 1
+        self.offsets = array("i", accumulate(counts))
+        self.paths = array("i", [0]) * self.offsets[-1]
+        fill = list(self.offsets)
+        for number, edges in enumerate(path_edges):
+            for edge in edges:
+                self.paths[fill[edge]] = number
+                fill[edge] += 1
 
-    def _key(self, u: int, v: int) -> Tuple[int, int]:
-        return (u, v) if self._directed else edge_key(u, v)
-
-    def add_path(self, path_id: int, vertices: Iterable[int]) -> None:
-        """Register ``path_id`` under every edge of ``vertices``."""
-        vertex_list = list(vertices)
-        for index in range(len(vertex_list) - 1):
-            key = self._key(vertex_list[index], vertex_list[index + 1])
-            self._paths_by_edge.setdefault(key, []).append(path_id)
+    def _slice(self, u: int, v: int) -> array:
+        edge = self._edge_ids.get((u, v) if self._directed or u <= v else (v, u))
+        if edge is None:
+            return self.paths[:0]
+        return self.paths[self.offsets[edge]:self.offsets[edge + 1]]
 
     def paths_through_edge(self, u: int, v: int) -> Tuple[int, ...]:
-        """Ids of the bounding paths passing through edge ``(u, v)``."""
-        return tuple(self._paths_by_edge.get(self._key(u, v), ()))
+        """Numbers of the bounding paths passing through edge ``(u, v)``."""
+        return tuple(self._slice(u, v))
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over every edge that carries at least one bounding path."""
-        return iter(self._paths_by_edge)
+        offsets = self.offsets
+        return (key for key, e in self._edge_ids.items() if offsets[e] < offsets[e + 1])
 
     def num_entries(self) -> int:
         """Total number of (edge, path) entries.
@@ -59,29 +76,25 @@ class EPIndex:
         worst case, i.e. usually much larger than the subgraph itself —
         motivating the MFP-tree compression of Section 4.
         """
-        return sum(len(path_ids) for path_ids in self._paths_by_edge.values())
+        return len(self.paths)
 
     def num_edges(self) -> int:
         """Number of distinct edges with at least one bounding path."""
-        return len(self._paths_by_edge)
+        return sum(1 for _ in self.edges())
 
     def path_sets(self) -> Dict[Tuple[int, int], Set[int]]:
-        """Return edge -> set-of-path-ids, the input shape for the MFP-tree."""
-        return {edge: set(ids) for edge, ids in self._paths_by_edge.items()}
+        """Return edge -> set-of-path-numbers, the input shape for the MFP-tree."""
+        return {edge: set(self._slice(*edge)) for edge in self.edges()}
 
     def memory_estimate_bytes(self) -> int:
-        """Rough memory footprint estimate (8 bytes per stored id plus keys).
+        """Bytes of the two flat arrays (the edge-id map is the subgraph's).
 
-        Used by the construction-cost experiments (Figures 15-18) to report
-        index size without relying on interpreter-specific ``sys.getsizeof``
-        recursion.
+        Used by the construction-cost experiments (Figures 15-18).
         """
-        entry_bytes = 8
-        key_bytes = 16
-        return self.num_entries() * entry_bytes + self.num_edges() * key_bytes
+        return (len(self.offsets) + len(self.paths)) * self.paths.itemsize
 
     def __contains__(self, edge: Tuple[int, int]) -> bool:
-        return self._key(*edge) in self._paths_by_edge
+        return len(self._slice(*edge)) > 0
 
     def __len__(self) -> int:
-        return len(self._paths_by_edge)
+        return self.num_edges()

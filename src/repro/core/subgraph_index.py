@@ -11,13 +11,20 @@ maintains:
   smallest unit weights of the subgraph),
 * the resulting *lower bound distance* (Definitions 6-7, Theorem 1).
 
+All of it in index space (ARCHITECTURE.md, "A round in index space"): the
+structure is built once, and a weight update writes edge weights, path
+prices, the unit-weight prefix and the pair bounds, nothing else.
+
 The class also exposes the statistics the evaluation section reports
 (number of bounding paths, EP-Index size, maintenance timing hooks).
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.dijkstra import vfrag_label_search, vfrag_rows
@@ -28,6 +35,8 @@ from .bounding_paths import BoundingPath
 from .ep_index import EPIndex
 
 __all__ = ["SubgraphIndex"]
+
+Pair = Tuple[int, int]
 
 
 class SubgraphIndex:
@@ -61,13 +70,12 @@ class SubgraphIndex:
         self._xi = xi
         self._directed = directed
         self._max_expansions = max_expansions
-        self._paths_by_id: Dict[int, BoundingPath] = {}
-        self._paths_by_pair: Dict[Tuple[int, int], List[int]] = {}
-        self._ep_index = EPIndex(directed=directed)
-        self._unit_weights: Optional[SortedUnitWeights] = None
         self._built = False
         self._build_seconds = 0.0
         self._truncated_searches = 0
+        #: Theorem 1's bound of the i-th pair of :meth:`boundary_pairs`.
+        self.pair_bounds: List[Optional[float]] = []
+        self._install([], [], [])
 
     # ------------------------------------------------------------------
     # properties
@@ -109,34 +117,46 @@ class SubgraphIndex:
         counts — each may have loosened Theorem 1's bound for its pairs."""
         return self._truncated_searches
 
-    def boundary_pairs(self) -> Iterator[Tuple[int, int]]:
+    @property
+    def edge_ids(self) -> Dict[Pair, int]:
+        """Canonical edge key -> the dense edge id used by this index."""
+        return self._units.edge_ids
+
+    def boundary_pairs(self) -> Iterator[Pair]:
         """Iterate over the indexed boundary-vertex pairs."""
-        return iter(self._paths_by_pair)
+        return iter(self._pair_keys)
 
     def num_bounding_paths(self) -> int:
         """Total number of bounding paths stored for this subgraph."""
-        return len(self._paths_by_id)
+        return len(self._prices)
 
     def bounding_paths(self, source: int, target: int) -> List[BoundingPath]:
         """The bounding paths for one (ordered) boundary pair."""
-        key = self._pair_key(source, target)
-        return [self._paths_by_id[path_id] for path_id in self._paths_by_pair.get(key, [])]
+        pair = self._pair_numbers.get(self._pair_key(source, target))
+        return [] if pair is None else [self.path(p) for p in self._pair_paths[pair]]
 
     def path(self, path_id: int) -> BoundingPath:
-        """Resolve a bounding-path id."""
-        return self._paths_by_id[path_id]
+        """A record of bounding path ``path_id`` at its current price."""
+        vertices = self._path_vertices[path_id]
+        return BoundingPath(path_id, vertices[0], vertices[-1], vertices,
+                            self._path_vfrags[path_id], self._prices[path_id])
 
     def memory_estimate_bytes(self) -> int:
-        """Rough memory footprint of the first-level index for this subgraph."""
-        path_bytes = sum(
-            48 + 8 * len(path.vertices) for path in self._paths_by_id.values()
-        )
-        return path_bytes + self._ep_index.memory_estimate_bytes()
+        """Bytes of the index's arrays, lists and tuples as ``sys.getsizeof``
+        counts them, plus the float objects the float lists point to."""
+        units = self._units
+        floats = (units.weights, units.prefix, self._prices, self.pair_bounds)
+        others = (units.vfrags, self._path_vfrags, self._pair_depth,
+                  self._path_vertices, self._path_edges, self._pair_paths,
+                  *self._path_vertices, *self._path_edges, *self._pair_paths)
+        return (self._ep_index.memory_estimate_bytes()
+                + sum(map(sys.getsizeof, floats + others))
+                + sys.getsizeof(0.0) * sum(map(len, floats)))
 
     # ------------------------------------------------------------------
     # build
     # ------------------------------------------------------------------
-    def _pair_key(self, source: int, target: int) -> Tuple[int, int]:
+    def _pair_key(self, source: int, target: int) -> Pair:
         if self._directed:
             return (source, target)
         return edge_key(source, target)
@@ -152,13 +172,12 @@ class SubgraphIndex:
         """
         started = time.perf_counter()
         boundary = sorted(self._subgraph.boundary_vertices)
-        self._paths_by_id.clear()
-        self._paths_by_pair.clear()
-        self._ep_index = EPIndex(directed=self._directed)
         self._truncated_searches = 0
+        vertices: List[Tuple[int, ...]] = []
+        vfrags: List[int] = []
+        pairs: List[Tuple[Pair, List[int]]] = []
         # Seeded with the boundary, so boundary[i] has local index i.
         ids, rows = vfrag_rows(self._subgraph, boundary)
-        next_id = 0
         for position, source in enumerate(boundary):
             # Undirected: each unordered pair is indexed once, from its
             # smaller endpoint.
@@ -173,25 +192,53 @@ class SubgraphIndex:
             )
             self._truncated_searches += truncated
             for target, raw_paths in per_target.items():
-                path_ids: List[int] = []
-                for vfrags, vertices in raw_paths:
-                    bounding_path = BoundingPath(
-                        path_id=next_id,
-                        source=source,
-                        target=target,
-                        vertices=vertices,
-                        vfrag_count=vfrags,
-                        distance=self._subgraph.path_distance(vertices),
-                    )
-                    self._paths_by_id[next_id] = bounding_path
-                    self._ep_index.add_path(next_id, vertices)
-                    path_ids.append(next_id)
-                    next_id += 1
-                self._paths_by_pair[self._pair_key(source, target)] = path_ids
-        self._unit_weights = SortedUnitWeights(self._subgraph)
+                first = len(vertices)
+                for count, path_vertices in raw_paths:
+                    vertices.append(path_vertices)
+                    vfrags.append(count)
+                key = self._pair_key(source, target)
+                pairs.append((key, list(range(first, len(vertices)))))
+        self._install(vertices, vfrags, pairs)
         self._built = True
         self._build_seconds = time.perf_counter() - started
         return self
+
+    def _install(
+        self,
+        vertices: List[Tuple[int, ...]],
+        vfrags: List[int],
+        pairs: List[Tuple[Pair, List[int]]],
+        prices: Optional[List[float]] = None,
+    ) -> None:
+        """Lay bounding paths out in index space: path ``p`` is
+        ``vertices[p]`` with ``vfrags[p]``, each pair lists its path numbers,
+        and ``prices`` (a restored index's) default to the live weights."""
+        units = SortedUnitWeights(self._subgraph, depth=max(vfrags, default=0))
+        edge_ids = units.edge_ids
+        directed = self._subgraph.directed
+        try:
+            path_edges = [tuple(edge_ids[(u, v) if directed or u <= v else (v, u)]
+                                for u, v in zip(path, path[1:])) for path in vertices]
+        except KeyError:
+            raise IndexStateError(
+                f"a bounding path leaves subgraph {self._subgraph.subgraph_id}"
+            ) from None
+        self._units = units
+        self._path_vertices = vertices
+        self._path_edges = path_edges
+        self._path_vfrags = array("i", vfrags)
+        self._ep_index = EPIndex(edge_ids, path_edges, directed)
+        self._pair_keys = [key for key, _ in pairs]
+        self._pair_numbers = {key: number for number, key in enumerate(self._pair_keys)}
+        self._pair_paths = [numbers for _, numbers in pairs]
+        # Bound distances grow with the vfrag count, so Theorem 1 reads the
+        # prefix once per pair, at its widest path.
+        self._pair_depth = array("i", (min(max(vfrags[p] for p in numbers), units.depth)
+                                       if numbers else 0 for numbers in self._pair_paths))
+        self._prices = [0.0] * len(vertices) if prices is None else prices
+        if prices is None:
+            self._price(range(len(vertices)))
+        self._refresh_bounds()
 
     def rebind(self, subgraph: Subgraph) -> "SubgraphIndex":
         """Re-point the index at an equivalent subgraph object.
@@ -218,8 +265,7 @@ class SubgraphIndex:
                 "vertex or edge set differs"
             )
         self._subgraph = subgraph
-        if self._unit_weights is not None:
-            self._unit_weights.rebind(subgraph)
+        self._units.rebind(subgraph)
         return self
 
     # ------------------------------------------------------------------
@@ -230,21 +276,21 @@ class SubgraphIndex:
 
         The snapshot captures only the stable, expensive-to-recompute part
         of the index: the bounding paths and their pair table.  The EP-Index
-        is reconstructed from the paths on restore and the sorted unit
-        weights are rebuilt from the live subgraph (so they are always
-        current).  Vertex ids are *global*; the store layer remaps them to
-        per-partition local ids on disk.
+        is reconstructed from the paths on restore and the unit weights are
+        read from the live subgraph (so they are always current).  Vertex
+        ids are *global*; the store layer remaps them to per-partition local
+        ids on disk.
         """
         if not self._built:
             raise IndexStateError("SubgraphIndex.build() must run before export")
         paths = [
-            [path.path_id, path.source, path.target,
-             list(path.vertices), path.vfrag_count, path.distance]
-            for _, path in sorted(self._paths_by_id.items())
+            [p, vertices[0], vertices[-1], list(vertices), self._path_vfrags[p],
+             self._prices[p]]
+            for p, vertices in enumerate(self._path_vertices)
         ]
         pairs = [
-            [key[0], key[1], list(path_ids)]
-            for key, path_ids in sorted(self._paths_by_pair.items())
+            [key[0], key[1], list(numbers)]
+            for key, numbers in sorted(zip(self._pair_keys, self._pair_paths))
         ]
         return {
             "subgraph_id": self._subgraph.subgraph_id,
@@ -277,29 +323,20 @@ class SubgraphIndex:
             directed=bool(state["directed"]),
             max_expansions=int(state["max_expansions"]),
         )
-        has_edge = subgraph.has_edge
-        for path_id, source, target, vertices, vfrags, distance in state["paths"]:
-            vertices = tuple(int(v) for v in vertices)
-            # Checked once here, as build() checks while pricing:
-            # apply_updates re-prices stored paths without looking again.
-            if not all(map(has_edge, vertices, vertices[1:])):
-                raise IndexStateError(
-                    f"stored bounding path {path_id} leaves subgraph "
-                    f"{subgraph.subgraph_id}"
-                )
-            bounding_path = BoundingPath(
-                path_id=int(path_id),
-                source=int(source),
-                target=int(target),
-                vertices=vertices,
-                vfrag_count=int(vfrags),
-                distance=float(distance),
+        rows = state["paths"]
+        if [int(row[0]) for row in rows] != list(range(len(rows))):
+            raise IndexStateError(
+                f"stored bounding-path ids of subgraph {subgraph.subgraph_id} "
+                "are not 0..n-1 in order"
             )
-            index._paths_by_id[bounding_path.path_id] = bounding_path
-            index._ep_index.add_path(bounding_path.path_id, bounding_path.vertices)
-        for u, v, path_ids in state["pairs"]:
-            index._paths_by_pair[(int(u), int(v))] = [int(i) for i in path_ids]
-        index._unit_weights = SortedUnitWeights(subgraph)
+        # Checked once here, as build() checks while pricing: a path that
+        # leaves the subgraph has an edge with no id.
+        index._install(
+            [tuple(int(v) for v in row[3]) for row in rows],
+            [int(row[4]) for row in rows],
+            [((int(u), int(v)), [int(i) for i in ids]) for u, v, ids in state["pairs"]],
+            prices=[float(row[5]) for row in rows],
+        )
         index._built = True
         index._build_seconds = float(state.get("build_seconds", 0.0))
         index._truncated_searches = int(state.get("truncated_searches", 0))
@@ -308,99 +345,93 @@ class SubgraphIndex:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def apply_updates(self, updates: Sequence[WeightUpdate]) -> Set[Tuple[int, int]]:
-        """Apply a batch of weight updates affecting this subgraph.
-
-        Implements Algorithm 2, per batch rather than per vfrag: the
-        subgraph's sorted unit weights take the whole batch at once
-        (:meth:`~repro.graph.subgraph.SortedUnitWeights.update_edges` — one
-        re-sort, the same sorted multiset), and every bounding path covering
-        a changed edge (found through the EP-Index) is re-priced once,
-        however many of its edges changed.
-
-        Parameters
-        ----------
-        updates:
-            Weight updates whose edges belong to this subgraph.  The *new*
-            weight is read from the update; the delta is derived from the
-            parent graph's previous state implicitly because updates are
-            applied to the graph before listeners run, so this method
-            recomputes affected path distances from scratch instead of
-            applying deltas — equally cheap and immune to ordering issues.
-
-        Returns
-        -------
-        set of boundary pairs whose lower bound distance may have changed.
-        """
+    def apply_updates(self, updates: Sequence[WeightUpdate]) -> Set[Pair]:
+        """:meth:`reprice` the edges of ``updates`` this subgraph owns, at
+        their weights in the parent graph (updated before listeners run).
+        Returns the boundary pairs whose bounding paths were re-priced."""
         if not self._built:
             raise IndexStateError("SubgraphIndex.build() must run before updates")
-        affected_pairs: Set[Tuple[int, int]] = set()
-        touched_paths: Set[int] = set()
-        has_edge = self._subgraph.has_edge
-        owned = [(update.u, update.v) for update in updates if has_edge(update.u, update.v)]
-        if self._unit_weights is not None:
-            self._unit_weights.update_edges(owned)
-        for u, v in owned:
-            touched_paths.update(self._ep_index.paths_through_edge(u, v))
-        # Every stored path was checked edge by edge against this subgraph
-        # at build / from_state and the topology cannot have moved since
-        # (StaleStructureError), so the parent prices it without re-checking.
-        price = self._subgraph.parent.path_distance
-        for path_id in touched_paths:
-            path = self._paths_by_id[path_id]
-            path.distance = price(path.vertices)
-            affected_pairs.add(self._pair_key(path.source, path.target))
-        # A change in any unit weight shifts every bound distance in the
-        # subgraph, so conservatively all pairs may need their skeleton edge
-        # refreshed; returning only the pairs with touched paths matches the
-        # paper's Algorithm 2, while lower_bound_distance() always reads the
-        # current unit-weight profile so correctness does not depend on this.
-        return affected_pairs
+        edge_ids = self._units.edge_ids
+        directed = self._subgraph.directed
+        weight = self._subgraph.parent.weight
+        changes = []
+        for update in updates:
+            u, v = update.u, update.v
+            edge = edge_ids.get((u, v) if directed or u <= v else (v, u))
+            if edge is not None:
+                changes.append((edge, weight(u, v)))
+        repriced = set(self.reprice(changes))
+        return {key for key, numbers in zip(self._pair_keys, self._pair_paths)
+                if not repriced.isdisjoint(numbers)}
+
+    def reprice(self, changes: Sequence[Tuple[int, float]]) -> List[int]:
+        """Algorithm 2 for one subgraph: ``changes`` lists ``(edge id, new
+        weight)``, the last entry for an edge winning.  Every path the
+        EP-Index lists under a changed edge is re-priced once, the unit-weight
+        prefix is re-derived once and every pair's bound recomputed (a unit
+        weight shifts every bound distance).  Returns the re-priced paths."""
+        if not changes:
+            return []
+        weights = self._units.weights
+        offsets = self._ep_index.offsets
+        through = self._ep_index.paths
+        touched = bytearray(len(self._prices))
+        for edge, weight in changes:
+            weights[edge] = weight
+            for p in through[offsets[edge]:offsets[edge + 1]]:
+                touched[p] = 1
+        repriced = list(compress(range(len(touched)), touched))
+        self._price(repriced)
+        self._units.refresh()
+        self._refresh_bounds()
+        return repriced
+
+    def _price(self, numbers) -> None:
+        """Price paths ``numbers`` from the edge weights, left to right —
+        the loop of ``DynamicGraph.path_distance``, never ``sum()``."""
+        weights = self._units.weights
+        prices = self._prices
+        path_edges = self._path_edges
+        for p in numbers:
+            total = 0.0
+            for edge in path_edges[p]:
+                total += weights[edge]
+            prices[p] = total
+
+    def _refresh_bounds(self) -> None:
+        """Theorem 1 for every pair: with ``D_u`` the smallest price among its
+        bounding paths and ``BD_max`` the bound distance of its widest, the
+        within-subgraph distance is ``D_u`` if ``BD_max >= D_u`` (claim 1),
+        else at least ``BD_max`` (claim 2): ``min(D_u, BD_max)`` either way."""
+        price = self._prices.__getitem__
+        prefix = self._units.prefix
+        self.pair_bounds = [
+            min(min(map(price, numbers)), prefix[depth]) if numbers else None
+            for numbers, depth in zip(self._pair_paths, self._pair_depth)
+        ]
 
     # ------------------------------------------------------------------
     # lower bounds (Theorem 1)
     # ------------------------------------------------------------------
     def bound_distance(self, path: BoundingPath) -> float:
-        """Bound distance of ``path``: sum of its vfrag-count smallest unit weights."""
-        if self._unit_weights is None:
-            self._unit_weights = SortedUnitWeights(self._subgraph)
-        return self._unit_weights.smallest_sum(path.vfrag_count)
+        """Bound distance of one of this index's bounding paths: the sum of
+        its vfrag-count smallest unit weights."""
+        return self._units.smallest_sum(path.vfrag_count)
 
     def lower_bound_distance(self, source: int, target: int) -> Optional[float]:
         """Lower bound of the shortest distance between two boundary vertices.
 
         Returns ``None`` when the pair is not connected within this subgraph
-        (no bounding paths exist).  Otherwise applies Theorem 1: let ``D_u``
-        be the smallest actual distance among the stored bounding paths and
-        ``BD_max`` the largest bound distance; if ``BD_max >= D_u`` the pair's
-        within-subgraph shortest distance is ``D_u`` (claim 1), otherwise
-        ``BD_max`` is a valid lower bound (claim 2).  Both cases collapse to
-        ``min(D_u, BD_max)``.  Bound distances grow with the vfrag count, so
-        ``BD_max`` is read once, for the pair's widest path.
+        (no bounding paths exist); otherwise Theorem 1's bound, as of the
+        last build, restore or :meth:`reprice`.
         """
-        key = self._pair_key(source, target)
-        path_ids = self._paths_by_pair.get(key)
-        if not path_ids:
-            return None
-        paths_by_id = self._paths_by_id
-        best_actual = float("inf")
-        widest = paths_by_id[path_ids[0]]
-        for path_id in path_ids:
-            path = paths_by_id[path_id]
-            if path.distance < best_actual:
-                best_actual = path.distance
-            if path.vfrag_count > widest.vfrag_count:
-                widest = path
-        return min(best_actual, self.bound_distance(widest))
+        pair = self._pair_numbers.get(self._pair_key(source, target))
+        return None if pair is None else self.pair_bounds[pair]
 
-    def lower_bound_distances(self) -> Dict[Tuple[int, int], float]:
+    def lower_bound_distances(self) -> Dict[Pair, float]:
         """Lower bound distances for every indexed boundary pair."""
-        result: Dict[Tuple[int, int], float] = {}
-        for key in self._paths_by_pair:
-            value = self.lower_bound_distance(*key)
-            if value is not None:
-                result[key] = value
-        return result
+        pairs = zip(self._pair_keys, self.pair_bounds)
+        return {key: bound for key, bound in pairs if bound is not None}
 
     def lower_bounds_from_vertex(self, vertex: int, view=None) -> Dict[int, float]:
         """Lower bounds from an arbitrary vertex to each boundary vertex.

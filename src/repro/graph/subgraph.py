@@ -19,8 +19,7 @@ subgraphs.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import EdgeNotFoundError, VertexNotFoundError
 from .graph import DynamicGraph, edge_key
@@ -166,9 +165,7 @@ class Subgraph:
         """Distance of a path that stays inside this subgraph.
 
         :meth:`weight` summed left to right, written as one loop; every edge
-        is checked to belong to the subgraph, which is what the index build
-        wants.  (Algorithm 2 re-prices paths validated then through the
-        parent's :meth:`~repro.graph.graph.DynamicGraph.path_distance`.)
+        is checked to belong to the subgraph.
         """
         edges = self._edges
         directed = self._parent.directed
@@ -231,77 +228,68 @@ class Subgraph:
 
 
 class SortedUnitWeights:
-    """Incrementally maintained sorted list of a subgraph's unit weights.
+    """A subgraph's edges in index space, and its smallest unit weights.
 
-    The DTLP maintenance path needs repeated ``smallest_unit_weight_sum``
-    evaluations after each weight update; recomputing the full profile every
-    time is wasteful.  This helper keeps one entry per vfrag in a sorted list
-    and re-derives it once per batch of edges whose weights changed.
+    Edge ``i`` is the ``i``-th key of ``sorted(subgraph.edge_set)``, with its
+    current weight and vfrag count.  :attr:`prefix` holds the sums of the
+    smallest unit weights (one per vfrag) — the bound distances of Section
+    3.4 — ``depth`` vfrags deep: a bounding path is simple, so no bound reads
+    past the widest one.  :meth:`refresh` sorts per *edge* and adds one vfrag
+    at a time: bit for bit the sums of the sorted per-vfrag list.
     """
 
-    def __init__(self, subgraph: Subgraph) -> None:
+    def __init__(self, subgraph: Subgraph, depth: Optional[int] = None) -> None:
         self._subgraph = subgraph
-        self._edge_units: Dict[Tuple[int, int], Tuple[float, int]] = {
-            (u, v): (subgraph.unit_weight(u, v), subgraph.vfrag_count(u, v))
-            for u, v in subgraph.edge_set
-        }
-        # Prefix sums for O(1) bound-distance queries; rebuilt lazily, on
-        # the first bound read after a batch of edge updates.
-        self._prefix: List[float] = []
-        self._resort()
+        parent = subgraph.parent
+        keys = sorted(subgraph.edge_set)
+        self.edge_ids: Dict[Tuple[int, int], int] = {key: i for i, key in enumerate(keys)}
+        self.weights: List[float] = [parent.weight(u, v) for u, v in keys]
+        self.vfrags: List[int] = [parent.vfrag_count(u, v) for u, v in keys]
+        total = sum(self.vfrags)
+        self.depth = total if depth is None else min(depth, total)
+        self.prefix: List[float] = []
+        self.refresh()
 
-    def _resort(self) -> None:
-        """Re-derive the sorted values (one per vfrag) from ``_edge_units``."""
-        values: List[float] = []
-        for unit, count in self._edge_units.values():
-            values.extend([unit] * count)
-        values.sort()
-        self._values = values
-        self._prefix_dirty = True
-
-    def _rebuild_prefix(self) -> None:
-        self._prefix = list(accumulate(self._values, initial=0.0))
-        self._prefix_dirty = False
+    def refresh(self) -> None:
+        """Re-derive :attr:`prefix` from :attr:`weights`."""
+        prefix = [0.0]
+        total = 0.0
+        need = self.depth
+        for unit, count in sorted(
+            # DynamicGraph.unit_weight, with the vfrag count at hand.
+            (weight / count, count) for weight, count in zip(self.weights, self.vfrags)
+        ):
+            if need <= 0:
+                break
+            for _ in range(min(count, need)):
+                total += unit
+                prefix.append(total)
+            need -= count
+        self.prefix = prefix
 
     def update_edges(self, edges: Iterable[Tuple[int, int]]) -> None:
-        """Refresh the unit weights of ``edges`` after their weights changed.
-
-        One pass over the batch and, if any unit weight moved, one re-sort:
-        the same sorted multiset as replacing vfrags edge by edge, so every
-        bound distance is bit-identical.
-        """
+        """Read the current weights of ``edges`` from the parent, then
+        :meth:`refresh`."""
         directed = self._subgraph.directed
         parent_weight = self._subgraph.parent.weight
-        edge_units = self._edge_units
-        moved = False
         for u, v in edges:
-            key = (u, v) if directed else edge_key(u, v)
-            if key not in edge_units:
+            eid = self.edge_ids.get((u, v) if directed else edge_key(u, v))
+            if eid is None:
                 raise EdgeNotFoundError(u, v)
-            old_unit, count = edge_units[key]
-            # DynamicGraph.unit_weight, with the vfrag count already at hand.
-            new_unit = parent_weight(u, v) / count
-            if new_unit != old_unit:
-                edge_units[key] = (new_unit, count)
-                moved = True
-        if moved:
-            self._resort()
+            self.weights[eid] = parent_weight(u, v)
+        self.refresh()
 
     def rebind(self, subgraph: Subgraph) -> None:
         """Re-point at an equivalent subgraph (see ``SubgraphIndex.rebind``)."""
         self._subgraph = subgraph
 
     def smallest_sum(self, num_vfrags: int) -> float:
-        """Sum of the smallest ``num_vfrags`` unit weights."""
-        if num_vfrags <= 0:
-            return 0.0
-        if self._prefix_dirty:
-            self._rebuild_prefix()
-        index = min(num_vfrags, len(self._values))
-        return self._prefix[index]
+        """Sum of the smallest ``num_vfrags`` unit weights (at most
+        :attr:`depth` of them)."""
+        return self.prefix[max(0, min(num_vfrags, self.depth))]
 
     def __len__(self) -> int:
-        return len(self._values)
+        return sum(self.vfrags)
 
 
 __all__.append("SortedUnitWeights")

@@ -40,10 +40,11 @@ The manifest carries two fingerprints:
   expensive part of a build — the bounding-path searches — never reruns,
   which is where the O(load) cold start comes from.
 
-Every file is written to a sibling temp file and moved into place with
-``os.replace``, and the manifest goes last: a save that dies midway leaves
-each file absent, in its previous version or complete — never half-written
-— and a directory without a manifest is not a store (:meth:`PartitionStore.exists`).
+Every file is written to a sibling temp file, fsynced, moved into place with
+``os.replace`` and its directory fsynced, and the manifest goes last: a save
+that dies midway, or a host that crashes, leaves each file absent, in its
+previous version or complete — never half-written — and a directory without
+a manifest is not a store (:meth:`PartitionStore.exists`).
 """
 
 from __future__ import annotations
@@ -123,16 +124,23 @@ def graph_weights_fingerprint(graph: DynamicGraph) -> str:
 # JSON helpers
 # ----------------------------------------------------------------------
 def _write_json(path: Path, payload: object) -> None:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     temp = path.with_name(path.name + ".tmp")
     try:
-        temp.write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="ascii",
-        )
+        with open(temp, "w", encoding="ascii") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+    # The rename is durable only once the directory entry is.
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _read_json(path: Path) -> object:

@@ -68,51 +68,57 @@ class TestComputeBoundingPaths:
         assert paths[0].distance == pytest.approx(53.0)
 
 
+def ep_index(paths, directed=False):
+    """An EPIndex over vertex paths: path ``p`` is ``paths[p]``, edges are
+    numbered as first seen."""
+    edge_ids = {}
+    path_edges = []
+    for vertices in paths:
+        path_edges.append([
+            edge_ids.setdefault((u, v) if directed or u <= v else (v, u), len(edge_ids))
+            for u, v in zip(vertices, vertices[1:])
+        ])
+    return EPIndex(edge_ids, path_edges, directed)
+
+
 class TestEPIndex:
     def test_paths_registered_under_every_edge(self):
-        index = EPIndex()
-        index.add_path(1, (10, 11, 12))
-        index.add_path(2, (11, 12, 13))
-        assert set(index.paths_through_edge(11, 12)) == {1, 2}
-        assert set(index.paths_through_edge(10, 11)) == {1}
+        index = ep_index([(10, 11, 12), (11, 12, 13)])
+        assert index.paths_through_edge(11, 12) == (0, 1)
+        assert index.paths_through_edge(10, 11) == (0,)
         assert index.paths_through_edge(13, 14) == ()
 
     def test_undirected_key_normalisation(self):
-        index = EPIndex()
-        index.add_path(1, (5, 6))
-        assert index.paths_through_edge(6, 5) == (1,)
+        index = ep_index([(5, 6)])
+        assert index.paths_through_edge(6, 5) == (0,)
 
     def test_directed_keys_preserve_orientation(self):
-        index = EPIndex(directed=True)
-        index.add_path(1, (5, 6))
-        assert index.paths_through_edge(5, 6) == (1,)
+        index = ep_index([(5, 6)], directed=True)
+        assert index.paths_through_edge(5, 6) == (0,)
         assert index.paths_through_edge(6, 5) == ()
 
     def test_entry_count(self):
-        index = EPIndex()
-        index.add_path(1, (1, 2, 3))
-        index.add_path(2, (2, 3, 4))
+        index = ep_index([(1, 2, 3), (2, 3, 4)])
         assert index.num_entries() == 4
         assert index.num_edges() == 3
+        # An edge of the subgraph no bounding path uses is not counted.
+        bare = EPIndex({(1, 2): 0, (2, 3): 1, (7, 8): 2}, [[0, 1]])
+        assert bare.num_edges() == 2 and (7, 8) not in bare
 
     def test_path_sets(self):
-        index = EPIndex()
-        index.add_path(1, (1, 2, 3))
+        index = ep_index([(1, 2, 3)])
         sets = index.path_sets()
-        assert sets[(1, 2)] == {1}
-        assert sets[(2, 3)] == {1}
+        assert sets[(1, 2)] == {0}
+        assert sets[(2, 3)] == {0}
 
     def test_contains_and_len(self):
-        index = EPIndex()
-        index.add_path(1, (1, 2))
+        index = ep_index([(1, 2)])
         assert (1, 2) in index
         assert (2, 1) in index
         assert len(index) == 1
 
     def test_memory_estimate_grows_with_entries(self):
-        small = EPIndex()
-        small.add_path(1, (1, 2))
-        large = EPIndex()
-        for path_id in range(20):
-            large.add_path(path_id, (path_id, path_id + 1, path_id + 2))
+        small = ep_index([(1, 2)])
+        large = ep_index([(p, p + 1, p + 2) for p in range(20)])
         assert large.memory_estimate_bytes() > small.memory_estimate_bytes()
+        assert small.memory_estimate_bytes() == (len(small.offsets) + len(small.paths)) * 4

@@ -12,6 +12,8 @@ shape, contiguous local ids).
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -289,6 +291,27 @@ class TestInterruptedSave:
         self._assert_only_whole_json(store.root)
         assert PartitionStore(store.root).exists()
         assert _answers(PartitionStore(store.root).load(graph), queries) == fresh
+
+    def test_each_file_is_synced_before_it_lands_and_its_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        dtlp = DTLP(road_network(6, 6, seed=31), CONFIG).build()
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace_file(source, target):
+            events.append("replace")
+            real_replace(source, target)
+
+        monkeypatch.setattr(partition_store.os, "fsync", fsync)
+        monkeypatch.setattr(partition_store.os, "replace", replace_file)
+        PartitionStore.save(dtlp, tmp_path / "store")
+        written = list((tmp_path / "store").rglob("*.json"))
+        assert events == ["file", "replace", "dir"] * len(written)
 
 
 class TestLoadPartition:
