@@ -27,11 +27,17 @@ paths the caller will consume is known (``prune_k`` / the ``k`` of
 :func:`yen_k_shortest_paths`), any spur search whose best possible total
 distance strictly exceeds the current k-th best known path can be abandoned
 — it provably cannot contribute to the output.  On a snapshot a pruned
-enumeration *bounds itself*: the first time its prune bound is finite it
-takes the snapshot's exact distance-to-target array
-(:meth:`~repro.kernel.snapshot.CSRSnapshot.bounds_to`, one search from the
-target) and the test tightens from "root distance" to "root distance +
-distance left"; the array lives and dies with the enumerator.  The pruned
+enumeration *bounds itself* with one resumable search from the target
+(:meth:`~repro.kernel.snapshot.CSRSnapshot.reverse_search`) that it owns
+for its lifetime: the search settles only the vertices within the loosened
+prune bound — everything farther away stays ``inf``, which every cutoff at
+or below that radius prunes anyway — and grows when the bound does; the
+test tightens from "root distance" to "root distance + distance left".  An
+enumeration that promises to be bounded (``prune_k >= 2``, or ``bounded``
+— the filter step's reference paths) finds even its first path under a
+bound: the search runs until it reaches the source, settles on to
+h(source)·(1 + :data:`PRUNE_SLACK`), and the bounded kernel searches from
+the source under that cutoff instead of an unbounded Dijkstra.  The pruned
 enumeration returns **bit-identical** paths: bounds only ever discard
 candidates strictly worse than the k-th best (:data:`PRUNE_SLACK` keeps
 rounding from turning a tie into "worse"), and the pruned kernel searches
@@ -43,9 +49,13 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..graph.errors import QueryError
+from ..graph.errors import PathNotFoundError, QueryError
 from ..graph.paths import Path
-from ..kernel.primitives import bounded_dijkstra_arrays, reconstruct_indices
+from ..kernel.primitives import (
+    ResumableSearch,
+    bounded_dijkstra_arrays,
+    reconstruct_indices,
+)
 from ..kernel.snapshot import CSRSnapshot
 from .dijkstra import dijkstra, prefix_weights, shortest_path
 
@@ -95,13 +105,18 @@ class LazyYen:
         Optional override of the lower bounds a pruned enumeration on a
         snapshot otherwise computes for itself: an object exposing
         ``bounds_to(target)``, a dense per-index array with ``h(v) <=
-        dist(v, target)``.  The filter step passes its
-        :class:`~repro.core.skeleton.SkeletonSearchView` (the same exact
-        distances, named where the query is set up) and the test suite an
-        adversary with admissible but loose bounds.  Honoured only when
-        ``graph`` is a snapshot; bounds tighten both the per-spur skip test
-        and the in-search pruning.  Admissibility keeps results exact; the
-        test suite asserts it rather than assuming it.
+        dist(v, target)`` — the test suite passes adversaries with
+        admissible but loose bounds.  Honoured only when ``graph`` is a
+        snapshot; bounds tighten both the per-spur skip test and the
+        in-search pruning.  Admissibility keeps results exact; the test
+        suite asserts it rather than assuming it.
+    bounded:
+        Promise that the enumeration will be bounded even without a
+        ``prune_k`` — the filter step installs a finite
+        :meth:`set_upper_bound` after its first merge — so that on a
+        snapshot the first path is searched under a bound too (see the
+        module docstring).  ``prune_k >= 2`` implies it; ``k = 1`` never
+        deviates and has nothing to gain from a bound.
 
     Without ``prune_k`` and without :meth:`set_upper_bound` nothing is ever
     pruned and no bound is ever computed.
@@ -115,6 +130,7 @@ class LazyYen:
         allowed_vertices: Optional[Set[int]] = None,
         prune_k: Optional[int] = None,
         heuristic=None,
+        bounded: bool = False,
     ) -> None:
         self._graph = graph
         self._source = source
@@ -134,12 +150,22 @@ class LazyYen:
             self._allowed_idx = {
                 index_of[v] for v in allowed_vertices if v in index_of
             }
-        # Admissible per-index lower bounds to the target (snapshot only):
-        # the override's now, or the snapshot's own exact distances the
-        # first time the prune bound is finite (see _prune_bound).
+        # Per-index lower bounds to the target (snapshot only): the
+        # override's now, or the ``settled`` array of the enumerator's own
+        # reverse search, created the first time a bound is needed and
+        # extended to every loosened prune bound after that (_prune_bound).
         self._bounds: Optional[Sequence[float]] = None
+        self._reverse: Optional[ResumableSearch] = None
+        self._self_bounding = self._snapshot is not None and heuristic is None
         if self._snapshot is not None and heuristic is not None:
             self._bounds = heuristic.bounds_to(target)
+        # An ``allowed`` restriction can make the first path longer than
+        # the reverse search's h(source), so it keeps the unbounded search.
+        self._bound_first = (
+            self._self_bounding
+            and allowed_vertices is None
+            and (bounded or (prune_k or 0) >= 2)
+        )
         self._found: List[Path] = []
         self._candidates: List[Tuple[float, Tuple[int, ...]]] = []
         self._candidate_set: Set[Tuple[int, ...]] = set()
@@ -187,9 +213,7 @@ class LazyYen:
         if self._exhausted:
             raise StopIteration
         if not self._found:
-            first = shortest_path(
-                self._graph, self._source, self._target, allowed_vertices=self._allowed
-            )
+            first = self._first_path()
             self._found.append(first)
             return first
 
@@ -206,6 +230,37 @@ class LazyYen:
         self._exhausted = True
         raise StopIteration
 
+    def _first_path(self) -> Path:
+        """The shortest path, under a bound when the enumeration promised one.
+
+        The bounded kernel keeps plain Dijkstra's relaxation order, so it
+        returns the path :func:`~repro.algorithms.dijkstra.shortest_path`
+        returns while settling only what can lie on a shortest path.
+        """
+        if not self._bound_first or self._source not in self._snapshot.index_of:
+            return shortest_path(
+                self._graph, self._source, self._target, allowed_vertices=self._allowed
+            )
+        search = self._reverse_search()
+        distance = _INF
+        if search is not None:
+            distance = search.extend(_INF, stop=self._snapshot.index_of[self._source])
+        if distance == _INF:
+            raise PathNotFoundError(self._source, self._target)
+        radius = distance + distance * PRUNE_SLACK
+        search.extend(radius)
+        distance, vertices = self._spur_search(self._source, set(), set(), radius)
+        return Path(distance, tuple(vertices))
+
+    def _reverse_search(self) -> Optional[ResumableSearch]:
+        """The enumerator's own search from the target (``None`` when the
+        target is not in the snapshot), created on first use."""
+        if self._reverse is None:
+            self._reverse = self._snapshot.reverse_search(self._target)
+            if self._reverse is not None:
+                self._bounds = self._reverse.settled
+        return self._reverse
+
     def _prune_bound(self) -> float:
         """Current upper bound on the distance of a *useful* new candidate.
 
@@ -218,9 +273,10 @@ class LazyYen:
         every pruning test downstream uses *strictly greater than*, with
         :data:`PRUNE_SLACK` to spare.
 
-        The first finite bound on a snapshot is also when the enumerator
-        takes its distance-to-target array: from here on there is something
-        to prune against, before there was not.
+        On a snapshot the enumerator's reverse search is extended to the
+        loosened bound here, so every vertex a cutoff derived from it could
+        keep carries its exact distance left; the first finite bound is when
+        a search not started for the first path starts.
         """
         bound = self._upper_bound
         k = self._prune_k
@@ -238,8 +294,10 @@ class LazyYen:
                 kth = heapq.nsmallest(remaining, fresh)[-1]
                 if kth < bound:
                     bound = kth
-        if bound != _INF and self._bounds is None and self._snapshot is not None:
-            self._bounds = self._snapshot.bounds_to(self._target)
+        if bound != _INF and self._self_bounding:
+            search = self._reverse_search()
+            if search is not None:
+                search.extend(bound + bound * PRUNE_SLACK)
         return bound
 
     def _bound_at(self, vertex: int) -> float:
@@ -381,10 +439,10 @@ def yen_k_shortest_paths(
     disconnected and :class:`~repro.graph.errors.QueryError` for ``k <= 0``.
 
     ``prune`` (default on) enables upper-bound pruning of the spur searches
-    — on a snapshot with the exact distance-to-target bounds the enumerator
-    computes for itself (see :class:`LazyYen`); output is bit-identical
-    either way, and ``prune=False``, which never computes a bound, exists
-    for benchmarking the unpruned baseline.
+    — on a snapshot with the distance-to-target bounds the enumerator
+    computes for itself, first path included (see :class:`LazyYen`);
+    output is bit-identical either way, and ``prune=False``, which never
+    computes a bound, exists for benchmarking the unpruned baseline.
     """
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")

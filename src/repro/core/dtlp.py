@@ -454,11 +454,13 @@ class DTLP:
         :meth:`SkeletonGraph.augmented`, searched unbounded.  The array
         kernels search a per-query overlay of :meth:`skeleton_search_view`
         instead — the same paths in the same order, see
-        :class:`SkeletonSearchView` — and, with ``pruning``, bound every spur
-        search by the exact distance to ``target`` on that view (its
-        ``bounds_to``, the one every pruned Yen on a snapshot uses).  Attachments
-        the image has no room for (more than two new vertices in one id gap,
-        which a query's two endpoints never are) get the rebuilt snapshot.
+        :class:`SkeletonSearchView` — and, with ``pruning``, the enumerator
+        is ``bounded``: it owns one resumable search from ``target`` on that
+        view, finds the first reference path under h(source) and every
+        later one under the Theorem 3 bound the query installs, settling
+        only what those bounds reach.  Attachments the image has no room
+        for (more than two new vertices in one id gap, which a query's two
+        endpoints never are) get the rebuilt snapshot.
         """
         direct = (
             (source, target, direct_edge)
@@ -474,11 +476,9 @@ class DTLP:
         if attachments:
             view = view.overlay(attachments, direct)
             if view is None:
-                # More new vertices than the image has room for: rebuild;
-                # the enumerator bounds itself on the rebuilt snapshot.
-                rebuilt = CSRSnapshot(self._augmented_skeleton(attachments, direct))
-                return LazyYen(rebuilt, source, target)
-        return LazyYen(view, source, target, heuristic=view if pruning else None)
+                # More new vertices than the image has room for: rebuild.
+                view = CSRSnapshot(self._augmented_skeleton(attachments, direct))
+        return LazyYen(view, source, target, bounded=pruning)
 
     def _augmented_skeleton(
         self,
@@ -698,12 +698,25 @@ class DTLP:
         Returns ``self`` for chaining with :meth:`build`.
         """
         if not self._attached:
-            if self._built and self._priced_version != self._graph.version:
-                self.handle_updates(())
+            self.catch_up()
             if not self._graph.has_listener(self.handle_updates):
                 self._graph.add_listener(self.handle_updates)
             self._attached = True
         return self
+
+    def catch_up(self) -> None:
+        """Re-price an index whose graph moved without it.
+
+        An index never attached, or detached, keeps the prices of the
+        version it last saw.  When that version is behind the graph's, one
+        :meth:`handle_updates` round (under the epoch lock) re-prices every
+        edge changed since — the round :meth:`attach` opens with.  A current
+        index costs one compare, so the query entry points
+        (:meth:`KSPDG.query`, the topology's batch entry) call it serially
+        before they search or fan out.
+        """
+        if self._built and self._priced_version != self._graph.version:
+            self.handle_updates(())
 
     def detach(self) -> None:
         """Unregister the index from the graph (no-op when not attached)."""

@@ -48,7 +48,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from ..algorithms.dijkstra import dijkstra
 from ..algorithms.yen import yen_k_shortest_paths
 from ..graph.errors import PathNotFoundError, QueryError
-from ..graph.paths import Path, merge_paths
+from ..graph.paths import Path
 from ..obs.trace import mark, span
 from .dtlp import DTLP
 
@@ -122,15 +122,29 @@ def best_k_distinct(paths: Iterable[Path], k: int) -> List[Path]:
 
 
 def join_paths(prefixes: Sequence[Path], extensions: Sequence[Path], k: int) -> List[Path]:
-    """The ``k`` shortest simple concatenations of a prefix and an extension."""
-    joined: List[Path] = []
-    for prefix in prefixes:
-        for extension in extensions:
-            vertices = prefix.vertices + extension.vertices[1:]
-            if len(set(vertices)) == len(vertices):
-                joined.append(merge_paths(prefix, extension))
-    joined.sort()
-    return joined[:k]
+    """The ``k`` shortest simple concatenations of a prefix and an extension.
+
+    Best first: every combination is priced (prefix distance + extension
+    distance, the sum :func:`~repro.graph.paths.merge_paths` forms), and
+    vertex sequences are built in price order only until ``k`` simple ones
+    are kept and the next price is dearer than the ``k``-th kept.  Sorting
+    what was kept by ``(distance, vertices)`` then orders ties the way
+    sorting every concatenation would.
+    """
+    priced = sorted([
+        (prefix.distance + extension.distance, i, j)
+        for i, prefix in enumerate(prefixes)
+        for j, extension in enumerate(extensions)
+    ])
+    kept: List[Tuple[float, Tuple[int, ...]]] = []
+    for distance, i, j in priced:
+        if len(kept) >= k and distance > kept[k - 1][0]:
+            break
+        vertices = prefixes[i].vertices + extensions[j].vertices[1:]
+        if len(set(vertices)) == len(vertices):
+            kept.append((distance, vertices))
+    kept.sort()
+    return [Path(distance, vertices) for distance, vertices in kept[:k]]
 
 
 def solve_pair(
@@ -147,10 +161,11 @@ def solve_pair(
     (subgraph, pair, k) an earlier query or iteration already solved;
     otherwise Yen's algorithm runs on the subgraph's view and the result is
     memoised.  A pruned Yen on the snapshot kernel bounds itself — cutoffs
-    from its k-th best known path plus the exact distance-to-target array
-    it takes from the snapshot for the length of the call (see
-    :class:`~repro.algorithms.yen.LazyYen`); on the ``dict`` tier it runs
-    on cutoffs alone, and with ``pruning=False`` on neither.  Memo hits and
+    from its k-th best known path plus exact distances left from one
+    resumable search from the target, settled only as far as those cutoffs
+    reach, first path included (see :class:`~repro.algorithms.yen.LazyYen`);
+    on the ``dict`` tier it runs on cutoffs alone, and with
+    ``pruning=False`` on neither.  Memo hits and
     pruned runs are bit-identical to the unpruned computation.  Returns the
     concatenated per-subgraph results (callers keep the
     :func:`best_k_distinct`) and how many subgraphs were memo hits;
@@ -509,12 +524,15 @@ class KSPDG:
         """Answer one k-shortest-path query.
 
         The optional hooks receive per-phase timings (the same hooks the
-        distributed QueryBolt charges its simulated worker through).
+        distributed QueryBolt charges its simulated worker through).  An
+        index the graph moved past without it is caught up first
+        (:meth:`~repro.core.dtlp.DTLP.catch_up`).
         """
         if not self._dtlp.graph.has_vertex(source):
             raise QueryError(f"source vertex {source} is not in the graph")
         if not self._dtlp.graph.has_vertex(target):
             raise QueryError(f"target vertex {target} is not in the graph")
+        self._dtlp.catch_up()
         attachments, direct_edge = endpoint_attachments(
             self._dtlp, source, target, self._mode
         )

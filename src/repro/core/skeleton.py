@@ -212,8 +212,9 @@ class SkeletonSearchView(CSRSnapshot):
     the size of the index space, not the vertex count.
 
     The view doubles as its own lower-bound provider: the inherited
-    :meth:`~repro.kernel.snapshot.CSRSnapshot.bounds_to` searches the rows
-    above, or the transposed rows each overlay keeps current when directed.
+    :meth:`~repro.kernel.snapshot.CSRSnapshot.reverse_search` searches the
+    rows above, or the transposed rows each overlay keeps current when
+    directed.
     """
 
     __slots__ = ("_base_ids", "_arcs", "_patch", "_reverse_rows")

@@ -137,15 +137,18 @@ class SubgraphBolt:
     # query support
     # ------------------------------------------------------------------
     def partial_ksps_for_reference(
-        self, reference_path: Path, k: int
+        self, needed: Sequence[Pair], k: int
     ) -> Dict[Pair, List[Path]]:
         """Partial k shortest paths for the reference-path pairs this bolt serves.
 
-        For every pair of adjacent vertices on the reference path, if any of
-        the subgraphs owned by this bolt contains both vertices, the pair is
-        solved inside those subgraphs (:func:`~repro.core.ksp_dg.solve_pair`:
-        weight-epoch memo, else pruned Yen) and the best ``k`` results per
-        pair are returned.
+        ``needed`` lists the adjacent vertex pairs of the broadcast
+        reference path that the QueryBolt has no partials for yet, in path
+        order.  For each of them, if any of the subgraphs owned by this
+        bolt contains both vertices, the pair is solved inside those
+        subgraphs (:func:`~repro.core.ksp_dg.solve_pair`: weight-epoch memo,
+        else pruned Yen) and the best ``k`` results per pair are returned.
+        Pairs an earlier reference path of the query already brought in are
+        not solved again.
 
         Memo hits are bit-identical to recomputation, and every subgraph
         still receives exactly one ``charge_subgraph`` per served pair, so
@@ -156,7 +159,6 @@ class SubgraphBolt:
         started = time.perf_counter()
         worker = self._cluster.worker(self.worker_id)
         results: Dict[Pair, List[Path]] = {}
-        vertices = reference_path.vertices
         memo_hits = 0
         memo_misses = 0
         partials_span = push_span("partials", bolt=self.name)
@@ -164,7 +166,7 @@ class SubgraphBolt:
         def charge_subgraph(subgraph_id: int, _pair: Pair, seconds: float) -> None:
             worker.charge_subgraph(subgraph_id, seconds)
 
-        for pair in zip(vertices, vertices[1:]):
+        for pair in needed:
             local_owners = (
                 set(self._partition.subgraphs_containing_pair(*pair)) & self.subgraph_ids
             )
@@ -367,19 +369,16 @@ class QueryBolt:
 
         The reference path goes to every SubgraphBolt each iteration (the
         paper's broadcast, charged whether or not any pair is new); each
-        bolt answers for the pairs it owns and its reply is charged back in
-        vertex units.
+        bolt solves the ``needed`` pairs it owns and its reply is charged
+        back in vertex units.
         """
         units = len(reference.vertices)
         for bolt in self._subgraph_bolts:
             self._cluster.send(self.worker_id, bolt.worker_id, units)
         mark("broadcast", bolts=len(self._subgraph_bolts), units=units)
-        wanted = set(needed)
         gathered: Dict[Pair, List[Path]] = {}
-        for bolt in self._subgraph_bolts if wanted else ():
-            for pair, paths in bolt.partial_ksps_for_reference(reference, k).items():
-                if pair not in wanted:
-                    continue
+        for bolt in self._subgraph_bolts if needed else ():
+            for pair, paths in bolt.partial_ksps_for_reference(needed, k).items():
                 gathered.setdefault(pair, []).extend(paths)
                 self._cluster.send(
                     bolt.worker_id, self.worker_id, sum(len(path.vertices) for path in paths)

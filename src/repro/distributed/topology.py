@@ -718,10 +718,16 @@ class StormTopology:
         reset_metrics:
             When ``True`` (default) the cluster's time counters are reset
             before the batch so the report reflects only this batch.
+
+        An index the graph moved past without it (one that is not
+        attached) is caught up first, serially, before any task fans out
+        (:meth:`~repro.core.dtlp.DTLP.catch_up`).
         """
         if reset_metrics:
             self._cluster.reset_time()
         queries = list(queries)
+        if queries:
+            self._dtlp.catch_up()
         backend = self._executor.name
         base = self._route_counter
         trace, profile = self._observability_flags()

@@ -227,7 +227,9 @@ class FrontDoorServer:
         Body ``{"updates": [[u, v, new_weight], ...]}``; quiesces every
         replica, applies the round to all of them, returns the new
         ``graph_version``.  400, with nothing applied, when a weight is
-        negative or non-finite or an edge is not in the graph.
+        negative or non-finite or an edge is not in the graph; such rejects
+        count as ``maintenance_rejected``, not as ``/query``'s
+        ``bad_requests``.
     ``GET /healthz``
         Replica/breaker states and counters, as JSON.
     ``GET /metrics``
@@ -286,6 +288,7 @@ class FrontDoorServer:
             "bad_requests": 0,
             "internal_errors": 0,
             "maintenance_rounds": 0,
+            "maintenance_rejected": 0,
         }
 
     # ------------------------------------------------------------------
@@ -660,12 +663,12 @@ class FrontDoorServer:
         except (
             ValueError, KeyError, TypeError, UnicodeDecodeError, OverflowError
         ) as exc:
-            self.counters["bad_requests"] += 1
+            self.counters["maintenance_rejected"] += 1
             return 400, {"error": f"bad maintenance request: {exc}"}, None
         try:
             version = await self._apply_maintenance(updates)
         except EdgeNotFoundError as exc:
-            self.counters["bad_requests"] += 1
+            self.counters["maintenance_rejected"] += 1
             edge = f"({exc.u}, {exc.v})"
             return 400, {"error": f"bad maintenance request: no edge {edge}"}, None
         return 200, {"applied": len(updates), "graph_version": version}, None

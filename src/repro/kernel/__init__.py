@@ -11,7 +11,8 @@ This package is the performance layer between the mutable graph objects
   table plus flat CSR arrays (``indptr`` / ``indices`` / ``weights``).
 * :mod:`~repro.kernel.primitives` — array-native single-source shortest-path
   primitives operating purely in index space, with O(1) edge-weight lookup
-  and cheap vertex/edge ban sets for Yen-style spur searches.
+  and cheap vertex/edge ban sets for Yen-style spur searches, plus the
+  resumable search a pruned Yen extends only as far as its bound reaches.
 
 The generic wrappers in :mod:`repro.algorithms.dijkstra` and
 :mod:`repro.algorithms.yen` accept either a plain graph-like object (the
@@ -20,6 +21,7 @@ bit-identical results for both.
 """
 
 from .primitives import (
+    ResumableSearch,
     bounded_dijkstra_arrays,
     dijkstra_arrays,
     dijkstra_arrays_multi,
@@ -29,6 +31,7 @@ from .snapshot import CSRSnapshot
 
 __all__ = [
     "CSRSnapshot",
+    "ResumableSearch",
     "bounded_dijkstra_arrays",
     "dijkstra_arrays",
     "dijkstra_arrays_multi",

@@ -34,6 +34,7 @@ __all__ = [
     "dijkstra_arrays_multi",
     "bounded_dijkstra_arrays",
     "reconstruct_indices",
+    "ResumableSearch",
 ]
 
 _INF = float("inf")
@@ -44,7 +45,9 @@ _INF = float("inf")
 # the identical relaxation sequence while counting; when not, the lean
 # loops run with zero added per-relaxation work.  The counting loop
 # accumulates into locals and folds once at the end, so even the enabled
-# path adds no attribute access inside the inner loop.
+# path adds no attribute access inside the inner loop.  A ResumableSearch
+# pays the lookup once when created (that is when it counts as a search)
+# and once per extend, which forwards to the same counting loop.
 
 
 def dijkstra_arrays(
@@ -304,6 +307,75 @@ def bounded_dijkstra_arrays(
     return dist, pred, found, touched
 
 
+class ResumableSearch:
+    """A Dijkstra from one vertex that settles on demand, ring by ring.
+
+    :meth:`extend` settles every vertex whose distance is at most a radius
+    and keeps the rest of the frontier for the next call, so a consumer
+    whose question only grows — a pruned Yen whose prune bound is fixed
+    after the search started — pays for each vertex once.  ``settled[i]``
+    is the exact distance of every settled index and ``inf`` for every
+    other one; ``extend(inf)`` completes the search, and ``settled`` is
+    then the full search's distance array
+    (:meth:`~repro.kernel.snapshot.CSRSnapshot.bounds_to`).  Pausing never
+    reorders the heap, so every settled distance is bit-identical to the
+    one an uninterrupted search computes.
+    """
+
+    __slots__ = ("settled", "_rows", "_dist", "_heap", "_frontier")
+
+    def __init__(self, rows: Sequence[Sequence[Tuple[int, float]]], source: int) -> None:
+        num_vertices = len(rows)
+        self._rows = rows
+        self.settled: List[float] = [_INF] * num_vertices
+        self._dist: List[float] = [_INF] * num_vertices
+        self._dist[source] = 0.0
+        self._heap: List[Tuple[float, int]] = [(0.0, source)]
+        # Distance of the nearest unsettled vertex (inf once exhausted).
+        self._frontier = 0.0
+        prof = kernel_counters()
+        if prof is not None:
+            prof.searches += 1
+
+    def extend(self, radius: float, stop: int = -1) -> float:
+        """Settle every vertex within ``radius``; returns the nearest distance
+        left unsettled (``inf`` when nothing is left).
+
+        With ``stop`` the search also halts the moment ``stop`` is the
+        nearest unsettled vertex, without settling it: the return value is
+        then ``stop``'s exact distance.  Halting puts the popped entry back,
+        so the next call resumes exactly where this one ended.
+        """
+        if stop < 0 and radius < self._frontier:
+            return self._frontier
+        heap = self._heap
+        prof = kernel_counters()
+        if prof is not None:
+            _counting_search(
+                prof, self._rows, len(self._rows), -1, stop,
+                track_touched=False, frontier=self, radius=radius,
+            )
+        else:
+            dist = self._dist
+            settled = self.settled
+            rows = self._rows
+            while heap:
+                d, u = heappop(heap)
+                if d > dist[u]:
+                    continue
+                if d > radius or u == stop:
+                    heappush(heap, (d, u))
+                    break
+                settled[u] = d
+                for v, w in rows[u]:
+                    nd = d + w
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        heappush(heap, (nd, v))
+        self._frontier = heap[0][0] if heap else _INF
+        return self._frontier
+
+
 def _counting_search(
     prof,
     rows: Sequence[Sequence[Tuple[int, float]]],
@@ -317,32 +389,44 @@ def _counting_search(
     banned_vertices: Optional[Set[int]] = None,
     banned_pairs: Optional[Set[Tuple[int, int]]] = None,
     track_touched: bool = True,
+    frontier: Optional[ResumableSearch] = None,
+    radius: float = _INF,
 ) -> Tuple[List[float], List[int], bool, Optional[List[int]], List[int]]:
     """The one counting loop: any search above, replayed into ``prof``.
 
-    General over the four lean loops.  With no ban sets, no ``allowed``
-    restriction, no ``targets`` and an infinite ``cutoff`` every extra test
-    is a constant-false, so the relaxation sequence — and the returned
-    dist/pred/touched — is bit-identical to whichever specialised loop
-    would have run; the counters observe, never steer.  ``pruned`` counts
-    relaxations discarded by the bound test — the push-time pruning the
-    paper's Theorem-3 cutoff enables.  Every successful relaxation is
-    exactly one heap push, so one local feeds both ``relaxed`` and
-    ``heap_pushes``.
+    General over the four lean loops and the resumable search.  With no
+    ban sets, no ``allowed`` restriction, no ``targets``, an infinite
+    ``cutoff`` and no ``frontier`` every extra test is a constant-false, so
+    the relaxation sequence — and the returned dist/pred/touched — is
+    bit-identical to whichever specialised loop would have run; the
+    counters observe, never steer.  ``pruned`` counts relaxations
+    discarded by the bound test — the push-time pruning the paper's
+    Theorem-3 cutoff enables.  Every successful relaxation is exactly one
+    heap push, so one local feeds both ``relaxed`` and ``heap_pushes``.
+
+    With ``frontier`` the loop runs one :meth:`ResumableSearch.extend` on
+    that search's own labels and heap (``source`` is ignored; the search
+    was counted when it was created): ``radius`` and ``target`` then halt
+    it *before* settling, the popped entry going back onto the heap, and
+    each settled distance is written to ``frontier.settled``.
 
     Returns ``(dist, pred, found, touched, settled_targets)``; each public
     primitive keeps the members of its own return contract.
     """
-    dist: List[float] = [_INF] * num_vertices
+    final: Optional[List[float]] = None
+    if frontier is None:
+        dist: List[float] = [_INF] * num_vertices
+        dist[source] = 0.0
+        heap: List[Tuple[float, int]] = [(0.0, source)]
+        prof.searches += 1
+    else:
+        dist, heap, final = frontier._dist, frontier._heap, frontier.settled
     pred: List[int] = [-1] * num_vertices
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
     banned_v = banned_vertices if banned_vertices is not None else ()
     banned_p = banned_pairs if banned_pairs is not None else ()
     touched: Optional[List[int]] = [source] if track_touched else None
     settled_targets: List[int] = []
     found = False
-    prof.searches += 1
     remaining: Optional[Set[int]] = None
     if targets is not None:
         remaining = set(targets)
@@ -352,11 +436,16 @@ def _counting_search(
         if not remaining:
             return dist, pred, found, touched, settled_targets
     settled = relaxed = pruned = 0
-    peak = 1
+    peak = len(heap)
     while heap:
         d, u = heappop(heap)
         if d > dist[u]:
             continue
+        if final is not None:
+            if d > radius or u == target:
+                heappush(heap, (d, u))
+                break
+            final[u] = d
         settled += 1
         if u == target:
             found = True

@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from ..graph.errors import EdgeNotFoundError, StaleStructureError, VertexNotFoundError
 from ..graph.graph import DynamicGraph
 from ..graph.subgraph import Subgraph
-from .primitives import dijkstra_arrays
+from .primitives import ResumableSearch
 
 __all__ = ["CSRSnapshot"]
 
@@ -73,9 +73,9 @@ class CSRSnapshot:
     classes, so generic (non-kernel) code also runs on it unchanged; the
     point of the class, however, is that :func:`repro.algorithms.dijkstra.dijkstra`
     and Yen's algorithm recognise it and dispatch to the array kernel.
-    It is also where a pruned Yen gets its lower bounds: :meth:`bounds_to`
-    prices the exact distance of every vertex to a target under the
-    current weights, on request and without keeping it.
+    It is also where a pruned Yen gets its lower bounds:
+    :meth:`reverse_search` prices the exact distance of vertices to a
+    target under the current weights, ring by ring and without keeping it.
     """
 
     __slots__ = (
@@ -340,24 +340,34 @@ class CSRSnapshot:
     # ------------------------------------------------------------------
     # lower bounds
     # ------------------------------------------------------------------
-    def bounds_to(self, target: int) -> Optional[List[float]]:
-        """Exact per-index distances to ``target`` (``inf`` when unreachable).
+    def reverse_search(self, target: int) -> Optional[ResumableSearch]:
+        """A resumable search from ``target`` against the arcs, or ``None``.
 
-        One full search from the target under the current weights — over
-        the transposed rows when directed — per call; ``None`` when
-        ``target`` is not in the snapshot.  The exact distance is the
-        tightest admissible lower bound, and it stays admissible under
-        Yen's bans and an ``allowed`` set because removing vertices or arcs
-        only lengthens paths.  Nothing is kept: the array belongs to the
-        caller (one pruned :class:`~repro.algorithms.yen.LazyYen`) and dies
-        with it, so it can never outlive the weights it was priced on.
+        Over the transposed rows when directed, so what it settles is each
+        vertex's exact distance *to* ``target`` under the current weights —
+        the tightest admissible lower bound, and one that stays admissible
+        under Yen's bans and an ``allowed`` set because removing vertices
+        or arcs only lengthens paths.  The search belongs to the caller (one
+        pruned :class:`~repro.algorithms.yen.LazyYen`, which extends it only
+        as far as its prune bound reaches) and dies with it, so it can never
+        outlive the weights it was priced on.
         """
         target_index = self.index_of.get(target)
         if target_index is None:
             return None
-        rows = self._rows_towards()
-        dist, _, _ = dijkstra_arrays(rows, len(rows), target_index, track_touched=False)
-        return dist
+        return ResumableSearch(self._rows_towards(), target_index)
+
+    def bounds_to(self, target: int) -> Optional[List[float]]:
+        """Exact per-index distances to ``target`` (``inf`` when unreachable).
+
+        :meth:`reverse_search` run to completion; ``None`` when ``target``
+        is not in the snapshot.
+        """
+        search = self.reverse_search(target)
+        if search is None:
+            return None
+        search.extend(float("inf"))
+        return search.settled
 
     def _rows_towards(self) -> Sequence[Sequence[Tuple[int, float]]]:
         """Rows of the transposed graph: ``rows`` itself unless directed."""

@@ -234,6 +234,9 @@ class Histogram:
             step = len(combined) / cap
             combined = [combined[int(i * step)] for i in range(cap)]
         self._reservoir.samples = combined
+        # The merged reservoir stands for every observation of both, so
+        # later additions are kept with probability cap / (their total).
+        self._reservoir.count += other._reservoir.count
 
     def __getstate__(self):
         return (self.name, self.help, self.count, self.total, self.min, self.max,

@@ -11,7 +11,8 @@ primitive forwards to the kernel's one counting loop
 (``repro.kernel.primitives._counting_search`` — general over all of them),
 which counts
 
-* ``searches`` — primitive invocations,
+* ``searches`` — primitive invocations (a resumable search counts once,
+  when it is created, however often it is extended),
 * ``settled`` — fresh heap pops (vertices whose distance became final),
 * ``relaxed`` — successful edge relaxations (distance improvements),
 * ``pruned`` — relaxations discarded by a lower-bound/cutoff test

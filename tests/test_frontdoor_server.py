@@ -386,6 +386,27 @@ class TestHostileInputs:
             assert replica.service.graph.version == 0
         self._assert_unharmed(front_door)
 
+    def test_rejected_maintenance_is_not_a_bad_query(self, front_door):
+        """Regression: a rejected ``/maintenance`` post (bad JSON, unknown
+        edge, bad weight) was counted in ``bad_requests``, the ``/query``
+        error count; it has its own counter on ``/healthz`` and ``/metrics``."""
+        before = front_door.health()["counters"]
+        for body in (
+            b'{"updates": [[0, 1',
+            b'{"updates": [[0, 35, 1.0]]}',
+            b'{"updates": [[0, 1, -2.0]]}',
+        ):
+            status, _ = self._post(front_door, "/maintenance", body)
+            assert status == 400
+        after = front_door.health()["counters"]
+        assert after["bad_requests"] == before["bad_requests"]
+        assert after["maintenance_rejected"] == before["maintenance_rejected"] + 3
+        assert after["maintenance_rounds"] == before["maintenance_rounds"]
+        with urllib.request.urlopen(f"{front_door.url}/metrics", timeout=10) as resp:
+            text = resp.read().decode("utf-8")
+        assert f"frontdoor_maintenance_rejected {after['maintenance_rejected']}" in text
+        self._assert_unharmed(front_door)
+
     def test_unexpected_handler_error_is_500_and_the_server_lives(
         self, front_door, monkeypatch, capsys
     ):

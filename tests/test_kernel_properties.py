@@ -325,10 +325,19 @@ def test_ksp_dg_kernels_identical_under_maintenance(seed: int) -> None:
 #: tightens inside a deviation round on both kernels; on a snapshot each
 #: pruned Yen adds one search from its target and prunes against the exact
 #: distance left): (1557, 15695, 19270, 14248, 19270, 67) and
-#: (1537, 18282, 22682, 44986, 22682, 67) before.  The unpruned rows are the
-#: original ones — ``pruning=False`` must never compute a bound.
+#: (1537, 18282, 22682, 44986, 22682, 67) before.  The snapshot row was
+#: re-pinned again when each pruned enumeration got one resumable reverse
+#: search, settled only as far as its prune bound reaches, and started
+#: finding its first path under that bound (subgraph Yen with k >= 2, the
+#: filter step's reference paths): as many searches where the bound turned
+#: finite (the resumable search takes the full ``bounds_to``'s place, the
+#: bounded first-path search the unbounded one's), one more where it never
+#: did (the reverse search the first path now starts with), and far fewer
+#: vertices settled and relaxed — (1696, 15744, 18666, 14396, 18666, 67)
+#: before.  The unpruned rows are the original ones — ``pruning=False``
+#: must never compute a bound.
 GOLDEN_HEAP_TOTALS = {
-    ("snapshot", True): (1696, 15744, 18666, 14396, 18666, 67),
+    ("snapshot", True): (1723, 13141, 14897, 16943, 14897, 61),
     ("snapshot", False): (1856, 24700, 41383, 0, 41383, 68),
     ("dict", True): (1537, 16871, 20750, 45791, 20750, 67),
     ("dict", False): (1856, 24700, 41383, 0, 41383, 68),

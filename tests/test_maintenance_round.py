@@ -5,7 +5,8 @@
 These tests pin what that walk may touch, as counts; that prices are summed
 left to right like ``DynamicGraph.path_distance`` (``sum()`` is compensated
 on Python >= 3.12 and would not be); and that an index attached after its
-graph moved catches up before it serves.
+graph moved catches up before it serves, and so does one that is never
+attached, or detached, as soon as it is queried.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import pytest
 
 from repro.algorithms import dijkstra, yen_k_shortest_paths
 from repro.core import DTLP, DTLPConfig, KSPDG, SubgraphIndex
+from repro.distributed import KSPDGEngine
 from repro.graph import DynamicGraph, Subgraph, WeightUpdate, road_network
+from repro.workloads import KSPQuery
 
 
 @pytest.fixture()
@@ -140,3 +143,38 @@ def test_late_attach_catches_up_before_it_serves(seed) -> None:
         source, target = rng.sample(vertices, 2)
         expected = [p.distance for p in yen_k_shortest_paths(graph, source, target, 2)]
         assert engine.query(source, target, 2).distances == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("entry", ["never-attached", "detached", "topology"])
+def test_unattached_index_catches_up_before_it_answers(entry) -> None:
+    """Regression: an index the graph moved past without it answered from
+    the prices of the version it last saw — 10 of these 60 answers were
+    wrong before ``KSPDG.query`` and the topology's batch entry caught the
+    index up; attached, 0 of 60."""
+    wrong = []
+    for seed in range(6):
+        graph = road_network(6, 6, seed=seed)
+        dtlp = DTLP(graph, DTLPConfig(z=8, xi=2)).build()
+        if entry == "detached":
+            dtlp.attach()
+            dtlp.detach()
+        rng = random.Random(seed)
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        graph.apply_updates([
+            WeightUpdate(u, v, graph.weight(u, v) * rng.uniform(0.5, 0.9))
+            for u, v in rng.sample(edges, len(edges) // 4)
+        ])
+        if entry == "topology":
+            engine = KSPDGEngine.local(dtlp, num_workers=2)
+            answer = lambda s, t: engine.answer(KSPQuery(0, s, t, 2)).paths
+        else:
+            answer = KSPDG(dtlp).query
+            answer = lambda s, t, query=answer: query(s, t, 2).paths
+        vertices = sorted(graph.vertices())
+        for _ in range(10):
+            source, target = rng.sample(vertices, 2)
+            expected = [p.distance for p in yen_k_shortest_paths(graph, source, target, 2)]
+            if [p.distance for p in answer(source, target)] != pytest.approx(expected):
+                wrong.append((seed, source, target))
+        assert not dtlp.attached
+    assert wrong == []

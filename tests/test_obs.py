@@ -89,6 +89,22 @@ class TestInstruments:
         assert histogram.quantile(100.0) == 4.0
         assert histogram.quantile(50.0) == 2.5
 
+    def test_merged_histogram_keeps_sampling_uniformly(self):
+        """Regression: ``merge`` dropped the absorbed reservoir's ``count``,
+        so the next 64 observations were each kept with probability 1
+        (64 / 1, 64 / 2, ... capped) instead of 64 / n and pushed the 2,000
+        absorbed observations out of the sample."""
+        absorbed = Histogram("h", max_samples=64)
+        for value in range(2000):
+            absorbed.observe(value)
+        merged = Histogram("h", max_samples=64)
+        merged.merge(absorbed)
+        for _ in range(200):
+            merged.observe(10_000)
+        assert merged._reservoir.count == merged.count == 2200
+        exact = 1099.5  # the 1,100th of 0..1999 followed by 200 x 10,000
+        assert abs(merged.quantile(50.0) - exact) < 0.15 * 2000
+
 
 class TestMetricsRegistry:
     def test_instruments_are_memoised_by_name(self):

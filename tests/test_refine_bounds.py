@@ -1,6 +1,6 @@
 """Subgraph Yen that bounds itself, and the join that remembers its prefixes.
 
-Three contracts of the refine step (``ARCHITECTURE.md``, "Goal-directed
+Four contracts of the refine step (``ARCHITECTURE.md``, "Goal-directed
 search & pruning"):
 
 * a pruned Yen on a snapshot prunes against distance-to-target bounds it
@@ -8,34 +8,50 @@ search & pruning"):
   ``apply_changes`` (a maintained subgraph snapshot, a refreshed stand-alone
   one), survive ``inf`` entries (a target some vertices cannot reach) and an
   ``allowed_vertices`` restriction, and never change a path;
+* those bounds come from one resumable search from the target per
+  enumeration, settled only as far as the prune bound reaches: what it
+  settles is exactly what the full search (``bounds_to``) computes;
 * the answers of three pinned query sequences on the benchmark's two
   networks are the ones the commit *before* self-bounding gave, to the byte
   (sha256 over ``repr`` of every distance and vertex tuple);
 * ``KSPDGQuery._candidates`` with its per-query table of joined prefixes
   returns, for every reference path of those sequences, what the plain
-  left-to-right fold of ``join_paths`` returns.
+  left-to-right fold of ``join_paths`` returns, and the best-first
+  ``join_paths`` returns what pricing, building and sorting every
+  concatenation returns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import List
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.dijkstra import dijkstra
 from repro.algorithms.yen import yen_k_shortest_paths
 from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.core.ksp_dg import KSPDGQuery, join_paths
+from repro.core.skeleton import SkeletonSearchView
 from repro.dynamics import TrafficModel
 from repro.graph import clustered_road_network, road_network
 from repro.graph.errors import PathNotFoundError
 from repro.graph.graph import WeightUpdate
+from repro.graph.paths import Path, merge_paths
 from repro.kernel import CSRSnapshot
+from repro.obs.profile import collecting
 from repro.workloads import QueryGenerator
 
 INF = float("inf")
+FIXED_BUDGET = dict(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def _signature(paths):
@@ -124,22 +140,148 @@ class TestSelfBoundedAcrossRounds:
             )
             assert snapshot.refresh() > 0
 
-    def test_unpruned_yen_never_computes_a_bound(self, monkeypatch):
-        calls: List[int] = []
-        bounds_to = CSRSnapshot.bounds_to
+    def test_one_reverse_search_only_as_far_as_bound(self, monkeypatch):
+        """Unpruned and k=1 enumerations run no reverse search; a pruned one
+        runs at most one, which settles no more indices than the full
+        search — and, on these queries, fewer in total."""
+        searches = []
+        reverse_search = CSRSnapshot.reverse_search
 
         def counted(self, target):
-            calls.append(target)
-            return bounds_to(self, target)
+            search = reverse_search(self, target)
+            searches.append(search)
+            return search
 
-        monkeypatch.setattr(CSRSnapshot, "bounds_to", counted)
+        monkeypatch.setattr(CSRSnapshot, "reverse_search", counted)
         snapshot = CSRSnapshot(road_network(6, 6, seed=47))
         yen_k_shortest_paths(snapshot, 0, 35, 4, prune=False)
-        assert calls == []
-        yen_k_shortest_paths(snapshot, 0, 35, 4, prune=True)
-        assert calls == [35]  # once per enumeration, when the bound turns finite
         yen_k_shortest_paths(snapshot, 0, 35, 1, prune=True)
-        assert calls == [35]  # k=1 never deviates: nothing to prune
+        assert searches == []
+        rng = random.Random(47)
+        settled_total = full_total = 0
+        for _ in range(20):
+            source, target = rng.sample(range(36), 2)
+            full = reverse_search(snapshot, target)
+            full.extend(INF)
+            full_settled = sum(distance != INF for distance in full.settled)
+            del searches[:]
+            yen_k_shortest_paths(snapshot, source, target, rng.choice((2, 3, 4)), prune=True)
+            assert len(searches) == 1  # k >= 2 finds even the first path under a bound
+            settled = sum(distance != INF for distance in searches[0].settled)
+            assert settled <= full_settled
+            settled_total += settled
+            full_total += full_settled
+        assert settled_total < full_total
+
+    def test_reference_enumerator_runs_one_reverse_search_per_query(self, monkeypatch):
+        skeleton_searches = []
+        reverse_search = CSRSnapshot.reverse_search
+
+        def counted(self, target):
+            if isinstance(self, SkeletonSearchView):
+                skeleton_searches.append(target)
+            return reverse_search(self, target)
+
+        monkeypatch.setattr(CSRSnapshot, "reverse_search", counted)
+        graph = road_network(8, 8, seed=48)
+        dtlp = DTLP(graph, DTLPConfig(z=16, xi=2)).build()
+        queries = QueryGenerator(graph, seed=48, min_hops=4).generate(6, k=3)
+        for pruning, expected in ((False, []), (True, [q.target for q in queries])):
+            del skeleton_searches[:]
+            engine = KSPDG(dtlp, pruning=pruning)
+            for query in queries:
+                engine.query(query.source, query.target, query.k)
+            assert skeleton_searches == expected
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    directed=st.booleans(),
+    target=st.integers(min_value=0, max_value=35),
+    stop=st.integers(min_value=0, max_value=35),
+    radii=st.lists(
+        # integer radii land exactly on the integer-weighted distances
+        st.one_of(st.integers(min_value=0, max_value=30).map(float), st.floats(0.0, 40.0)),
+        max_size=5,
+    ),
+)
+@settings(**FIXED_BUDGET)
+def test_resumable_bounds_equal_bounds_to_on_every_settled_index(
+    seed, directed, target, stop, radii
+):
+    """Stopped at a vertex, then extended ring by ring in any order: every
+    settled index carries the full search's distance, every index within
+    the largest radius asked for is settled, and nothing farther than that
+    radius or the stop vertex is.  The counting loop a profiling collector
+    switches to settles the same."""
+    graph = road_network(6, 6, seed=seed, directed=directed)
+    snapshot = CSRSnapshot(graph)
+    full = snapshot.bounds_to(target)
+    stop_index = snapshot.index_of[stop]
+
+    def rings():
+        search = snapshot.reverse_search(target)
+        yield search.extend(INF, stop=stop_index), list(search.settled)
+        for radius in radii:
+            yield search.extend(radius), list(search.settled)
+
+    lean = list(rings())
+    with collecting() as counters:
+        counted = list(rings())
+    assert counted == lean
+    assert counters.searches == 1 and counters.settled == sum(
+        distance != INF for distance in lean[-1][1]
+    )
+    stop_distance = lean[0][0]
+    assert stop_distance == full[stop_index]
+    assert lean[0][1][stop_index] == INF
+    reached = -INF
+    for radius, (_, settled) in zip(radii, lean[1:]):
+        reached = max(reached, radius)
+        for index, distance in enumerate(settled):
+            if distance != INF:
+                assert distance == full[index] <= max(reached, stop_distance)
+            elif full[index] <= reached:
+                raise AssertionError(f"index {index} at {full[index]} <= {reached} unsettled")
+
+
+def _brute_force_join(prefixes, extensions, k):
+    """``join_paths`` before it went best first: build, filter, sort all."""
+    joined = []
+    for prefix in prefixes:
+        for extension in extensions:
+            vertices = prefix.vertices + extension.vertices[1:]
+            if len(set(vertices)) == len(vertices):
+                joined.append(merge_paths(prefix, extension))
+    joined.sort()
+    return joined[:k]
+
+
+def _half_paths(junction_first: bool):
+    """Paths through a junction 0 over a pool of six vertices, so prefix and
+    extension overlap often, with small integer distances, so prices tie."""
+    middle = st.lists(st.integers(min_value=1, max_value=6), unique=True, max_size=3)
+    distance = st.integers(min_value=0, max_value=4).map(float)
+    return st.lists(
+        st.builds(
+            lambda d, vertices: Path(d, (0, *vertices) if junction_first else (*vertices, 0)),
+            distance,
+            middle,
+        ),
+        max_size=5,
+    )
+
+
+@given(
+    prefixes=_half_paths(junction_first=False),
+    extensions=_half_paths(junction_first=True),
+    k=st.integers(min_value=1, max_value=6),
+)
+@settings(**FIXED_BUDGET)
+def test_best_first_join_equals_the_brute_force_join(prefixes, extensions, k):
+    assert _signature(join_paths(prefixes, extensions, k)) == _signature(
+        _brute_force_join(prefixes, extensions, k)
+    )
 
 
 # ----------------------------------------------------------------------
