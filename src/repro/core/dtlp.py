@@ -196,8 +196,8 @@ class DTLP:
         self._fold_weights: List[float] = []
         self._pair_owners: Dict[Tuple[int, int], List[Tuple[SubgraphIndex, int]]] = {}
         # (subgraph_id, ordered pair, k) -> (epoch, partial k shortest
-        # paths).  Shared by KSP-DG queries and the SubgraphBolts; entries
-        # from stale epochs are overwritten on first recompute.
+        # paths).  Shared by KSP-DG queries and the SubgraphBolts; a
+        # subgraph's entries are dropped when its epoch advances.
         self._partial_memo: Dict[
             Tuple[int, Tuple[int, int], int], Tuple[int, Tuple[Path, ...]]
         ] = {}
@@ -357,6 +357,12 @@ class DTLP:
         epochs = self._weight_epochs
         for subgraph_id in bumped:
             epochs[subgraph_id] = epochs.get(subgraph_id, 0) + 1
+        if bumped:
+            # A memo entry of a dead epoch can never hit again; drop it now
+            # rather than when the FIFO cap reaches it.
+            memo = self._partial_memo
+            for key in [key for key in list(memo) if key[0] in bumped]:
+                memo.pop(key, None)
         self._weight_epoch_version = self._graph.version
         return groups
 

@@ -133,13 +133,30 @@ class SubgraphIndex:
     def bounding_paths(self, source: int, target: int) -> List[BoundingPath]:
         """The bounding paths for one (ordered) boundary pair."""
         pair = self._pair_numbers.get(self._pair_key(source, target))
-        return [] if pair is None else [self.path(p) for p in self._pair_paths[pair]]
+        return [] if pair is None else self._records(self._pair_paths[pair])
 
     def path(self, path_id: int) -> BoundingPath:
         """A record of bounding path ``path_id`` at its current price."""
-        vertices = self._path_vertices[path_id]
-        return BoundingPath(path_id, vertices[0], vertices[-1], vertices,
-                            self._path_vfrags[path_id], self._prices[path_id])
+        return self._records([path_id])[0]
+
+    def _records(self, numbers: Sequence[int]) -> List[BoundingPath]:
+        return [BoundingPath(p, vertices[0], vertices[-1], vertices,
+                             self._path_vfrags[p], self._prices[p])
+                for p, vertices in zip(numbers, self._walks(numbers))]
+
+    def _walks(self, numbers: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+        """The vertex tuples of paths ``numbers``, rebuilt rather than stored:
+        from each path's first vertex, its edge ids walked over the sorted
+        edge keys (read by records and the store, never by a query)."""
+        keys = list(self._units.edge_ids)  # insertion order is id order
+        for p in numbers:
+            vertex = self._path_sources[p]
+            walk = [vertex]
+            for edge in self._path_edges[p]:
+                u, v = keys[edge]
+                vertex = v if vertex == u else u
+                walk.append(vertex)
+            yield tuple(walk)
 
     def memory_estimate_bytes(self) -> int:
         """Bytes of the index's arrays, lists and tuples as ``sys.getsizeof``
@@ -147,8 +164,8 @@ class SubgraphIndex:
         units = self._units
         floats = (units.weights, units.prefix, self._prices, self.pair_bounds)
         others = (units.vfrags, self._path_vfrags, self._pair_depth,
-                  self._path_vertices, self._path_edges, self._pair_paths,
-                  *self._path_vertices, *self._path_edges, *self._pair_paths)
+                  self._path_sources, self._path_edges, self._pair_paths,
+                  *self._path_edges, *self._pair_paths)
         return (self._ep_index.memory_estimate_bytes()
                 + sum(map(sys.getsizeof, floats + others))
                 + sys.getsizeof(0.0) * sum(map(len, floats)))
@@ -211,8 +228,9 @@ class SubgraphIndex:
         prices: Optional[List[float]] = None,
     ) -> None:
         """Lay bounding paths out in index space: path ``p`` is
-        ``vertices[p]`` with ``vfrags[p]``, each pair lists its path numbers,
-        and ``prices`` (a restored index's) default to the live weights."""
+        ``vertices[p]`` with ``vfrags[p]``, kept as its first vertex and its
+        edge ids; each pair lists its path numbers, and ``prices`` (a
+        restored index's) default to the live weights."""
         units = SortedUnitWeights(self._subgraph, depth=max(vfrags, default=0))
         edge_ids = units.edge_ids
         directed = self._subgraph.directed
@@ -224,7 +242,7 @@ class SubgraphIndex:
                 f"a bounding path leaves subgraph {self._subgraph.subgraph_id}"
             ) from None
         self._units = units
-        self._path_vertices = vertices
+        self._path_sources = array("q", [path[0] for path in vertices])
         self._path_edges = path_edges
         self._path_vfrags = array("i", vfrags)
         self._ep_index = EPIndex(edge_ids, path_edges, directed)
@@ -286,7 +304,7 @@ class SubgraphIndex:
         paths = [
             [p, vertices[0], vertices[-1], list(vertices), self._path_vfrags[p],
              self._prices[p]]
-            for p, vertices in enumerate(self._path_vertices)
+            for p, vertices in enumerate(self._walks(range(len(self._prices))))
         ]
         pairs = [
             [key[0], key[1], list(numbers)]

@@ -34,13 +34,14 @@ def is_simple(vertices: Sequence[int]) -> bool:
     return len(set(vertices)) == len(vertices)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Path:
     """An immutable weighted path.
 
     Ordering compares ``(distance, vertices)`` which makes lists of paths
     sortable by distance with deterministic tie-breaking, a property the
-    KSP algorithms rely on for reproducible output.
+    KSP algorithms rely on for reproducible output.  Slotted: a served
+    answer and the partial-KSP memo hold many of them.
 
     Attributes
     ----------

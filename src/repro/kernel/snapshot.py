@@ -13,8 +13,10 @@ flat arrays while keeping the *weights* cheaply refreshable:
   preserves the source object's ``neighbors`` iteration order, which keeps
   relaxation order (and therefore predecessor choice on ties) identical to
   the reference implementation.
-* an arc-position map for O(1) directed ``(u, v) →`` weight lookup, used by
-  Yen's root pricing and by edge-ban translation.
+* no per-arc map: a directed ``(u, v) →`` weight lookup (Yen's root
+  pricing, edge-ban translation, weight refresh) finds ``v`` in ``u``'s
+  row with ``list.index`` — a C-speed scan of a road vertex's handful of
+  arcs, where a dict of every arc cost 46% of a subgraph snapshot.
 
 Snapshots model the paper's dynamics: topology is fixed, weights change.
 :meth:`CSRSnapshot.refresh` pulls in weight changes incrementally, keyed off
@@ -90,7 +92,6 @@ class CSRSnapshot:
         "_version_source",
         "_built_version",
         "_built_structure_version",
-        "_arc_pos",
         "_weights_epoch",
     )
 
@@ -104,18 +105,14 @@ class CSRSnapshot:
         indptr: List[int] = [0]
         indices: List[int] = []
         weights: List[float] = []
-        arc_pos: Dict[Tuple[int, int], int] = {}
-        for i, vid in enumerate(ids):
+        for vid in ids:
             for neighbor, weight in _neighbor_pairs(source, vid):
-                j = index_of[neighbor]
-                arc_pos[(i, j)] = len(indices)
-                indices.append(j)
+                indices.append(index_of[neighbor])
                 weights.append(float(weight))
             indptr.append(len(indices))
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        self._arc_pos = arc_pos
         # Derived per-vertex row view consumed by the kernel's inner loop:
         # rows[i] is a tuple of (neighbour_index, weight) pairs in CSR row
         # order.  Rebuilt per-vertex on refresh (tuples are immutable).
@@ -196,7 +193,14 @@ class CSRSnapshot:
         vi = index_of.get(v)
         if ui is None or vi is None:
             return None
-        return self._arc_pos.get((ui, vi))
+        return self._find_arc(ui, vi)
+
+    def _find_arc(self, ui: int, vi: int) -> Optional[int]:
+        """Position of arc ``(ui, vi)`` in index space: ``vi`` in row ``ui``."""
+        try:
+            return self.indices.index(vi, self.indptr[ui], self.indptr[ui + 1])
+        except ValueError:
+            return None
 
     def neighbors(self, vertex: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(neighbour_id, weight)`` pairs (graph-like protocol)."""
@@ -222,7 +226,7 @@ class CSRSnapshot:
     # weights
     # ------------------------------------------------------------------
     def weight(self, u: int, v: int) -> float:
-        """Current snapshot weight of arc ``(u, v)`` — O(1)."""
+        """Current snapshot weight of arc ``(u, v)``, found in ``u``'s row."""
         pos = self.arc_position(u, v)
         if pos is None:
             raise EdgeNotFoundError(u, v)
@@ -263,16 +267,19 @@ class CSRSnapshot:
         versioned = self._version_source
         if versioned is None:
             weights = self.weights
-            source = self._source
+            source_weight = self._source.weight
             ids = self.ids
+            indices = self.indices
+            indptr = self.indptr
             rewritten = 0
             changed_rows = set()
-            for (ui, vi), pos in self._arc_pos.items():
-                value = source.weight(ids[ui], ids[vi])
-                if value != weights[pos]:
-                    weights[pos] = value
-                    changed_rows.add(ui)
-                    rewritten += 1
+            for ui, u in enumerate(ids):
+                for pos in range(indptr[ui], indptr[ui + 1]):
+                    value = source_weight(u, ids[indices[pos]])
+                    if value != weights[pos]:
+                        weights[pos] = value
+                        changed_rows.add(ui)
+                        rewritten += 1
             self._rebuild_rows(changed_rows)
             if rewritten:
                 self._weights_epoch += 1
@@ -299,7 +306,7 @@ class CSRSnapshot:
         are rebuilt; :attr:`weights_epoch` advances iff an arc was rewritten.
         """
         weights = self.weights
-        arc_pos = self._arc_pos
+        find_arc = self._find_arc
         index_of = self.index_of
         directed = self.directed
         rewritten = 0
@@ -309,13 +316,13 @@ class CSRSnapshot:
             vi = index_of.get(v)
             if ui is None or vi is None:
                 continue
-            pos = arc_pos.get((ui, vi))
+            pos = find_arc(ui, vi)
             if pos is not None:
                 weights[pos] = weight
                 stale_rows.add(ui)
                 rewritten += 1
             if not directed:
-                pos = arc_pos.get((vi, ui))
+                pos = find_arc(vi, ui)
                 if pos is not None:
                     weights[pos] = weight
                     stale_rows.add(vi)

@@ -140,17 +140,15 @@ class TestRetainedBytes:
     entry, so bytes per entry is what ``peak_rss_mb`` grows by per answer."""
 
     ENTRIES = 200
-    #: Measured 3.0 KB on CPython 3.11 (a list, a slotted entry, and one
-    #: 8-byte slot per traversed edge in the inverted index's key sets);
-    #: a stored per-entry edge set costs 8.8 KB here.
+    #: Measured 0.3 KB on CPython 3.11 (a list, a slotted entry and the
+    #: LRU slot); an edge -> keys index, which this cache no longer keeps,
+    #: put it at 3.0 KB, and a stored per-entry edge set at 8.8 KB.
     CEILING_BYTES_PER_ENTRY = 4096
 
     @staticmethod
     def _three_paths_of_sixty_vertices():
-        # Three near-identical 60-vertex paths, like a k=3 answer.  Every
-        # entry traverses the same edges, the steady state of a serving
-        # window on one network: the index's edge keys exist already and
-        # only what ``put`` itself retains is left to measure.
+        # Three near-identical 60-vertex paths, like a k=3 answer, shared by
+        # every entry: only what ``put`` itself retains is left to measure.
         first = tuple(range(1000, 1060))
         second = first[:30] + (1070,) + first[31:]
         third = first[:40] + (1080,) + first[41:]
@@ -163,7 +161,7 @@ class TestRetainedBytes:
         paths = self._three_paths_of_sixty_vertices()
         keys = [(source, source + 1, 3) for source in range(self.ENTRIES)]
         cache = ResultCache(capacity=2 * self.ENTRIES)
-        cache.put((-1, -1, 3), paths, version=0)  # edge keys now exist
+        cache.put((-1, -1, 3), paths, version=0)
         gc.collect()
         tracemalloc.start()
         try:
