@@ -9,9 +9,6 @@ decisions the paper argues for qualitatively:
   smallest *unit* weights (phi = number of vfrags).  The ablation measures
   how much tighter the vfrag bound is on a real subgraph after a traffic
   snapshot — the tighter the bound, the fewer KSP-DG iterations.
-* **MFP-tree compression** (Section 4).  Measures the EP-Index entry count
-  against the number of nodes in the LSH/MFP-tree forest, i.e. the fraction
-  of duplicate bounding-path references the compression removes.
 * **Partial-path caching across iterations** (Section 5.2's optimisation).
   Compares the number of per-pair Yen computations KSP-DG performs with the
   number it would perform if every iteration recomputed all pairs.
@@ -24,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import DATASET_DEFAULT_Z, build_dataset, make_queries, print_experiment
-from repro.core import DTLP, DTLPConfig, KSPDG, build_mfp_forest, lsh_group_edges
+from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.dynamics import TrafficModel
 
 
@@ -77,50 +74,6 @@ def test_ablation_vfrag_vs_edge_count_bounds(scale, benchmark):
     assert vfrag_total >= hop_total * 0.99, (
         "the vfrag bound should be at least as tight as the edge-count bound"
     )
-
-
-@pytest.mark.paper_figure("ablation-mfp")
-def test_ablation_mfp_tree_compression(scale, benchmark):
-    name = scale.datasets[0]
-    graph = build_dataset(name, scale=scale.graph_scale)
-    dtlp = DTLP(graph, DTLPConfig(z=DATASET_DEFAULT_Z[name], xi=5)).build()
-
-    rows = []
-    total_entries = 0
-    total_nodes = 0
-    for subgraph_id, index in dtlp.subgraph_indexes().items():
-        path_sets = index.ep_index.path_sets()
-        if not path_sets:
-            continue
-        groups = lsh_group_edges(path_sets, num_hashes=16, num_bands=4)
-        forest = build_mfp_forest(path_sets, groups)
-        entries = index.ep_index.num_entries()
-        nodes = forest.num_nodes()
-        total_entries += entries
-        total_nodes += nodes
-
-    def kernel():
-        index = next(iter(dtlp.subgraph_indexes().values()))
-        path_sets = index.ep_index.path_sets()
-        groups = lsh_group_edges(path_sets, num_hashes=16, num_bands=4)
-        return build_mfp_forest(path_sets, groups)
-
-    benchmark.pedantic(kernel, rounds=1, iterations=1)
-
-    rows.append(
-        [
-            total_entries,
-            total_nodes,
-            round(total_nodes / max(total_entries, 1), 3),
-        ]
-    )
-    print_experiment(
-        "Ablation: EP-Index entries vs MFP-forest nodes (Section 4 compression)",
-        ["EP-Index entries", "MFP-forest nodes", "node/entry ratio"],
-        rows,
-        notes="a ratio below 1.0 means duplicate bounding-path references were compressed away",
-    )
-    assert total_nodes < total_entries
 
 
 @pytest.mark.paper_figure("ablation-cache")

@@ -11,7 +11,7 @@ Two classes of claims:
 
 * **identity** (hard assertion, any hardware): the rebalancing topology
   returns bit-identical paths and distances to the static one — before,
-  during and after the migration — on the serial, thread and process
+  during and after the migration — on the serial and process
   backends alike, and the migrations themselves fire at the same point
   with the same moves on every backend.
 * **balance** (hard assertion, any hardware — the load metric is the

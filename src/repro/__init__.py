@@ -10,15 +10,15 @@ queries over dynamic road networks:
   index-space shortest-path primitives every hot path runs on (see
   ``ARCHITECTURE.md``).
 * :mod:`repro.exec` — pluggable physical execution backends (``serial`` /
-  ``thread`` / ``process``): the process backend runs query batches on
+  ``process``): the process backend runs query batches on
   persistent worker processes holding resident index replicas, receiving
   only weight-update deltas and query envelopes between rounds.
 * :mod:`repro.algorithms` — Dijkstra primitives, Yen's algorithm, the
   FindKSP baseline and the CANDS single-shortest-path baseline; all accept
   either a graph-like object or a kernel snapshot.
 * :mod:`repro.core` — the DTLP two-level index (bounding paths, EP-Index,
-  lower bounds, skeleton graph, MinHash/LSH + MFP-tree compression) and the
-  KSP-DG filter-and-refine query algorithm.
+  lower bounds, skeleton graph) and the KSP-DG filter-and-refine query
+  algorithm.
 * :mod:`repro.distributed` — the logical cluster: balanced placement,
   Storm-like topology (spouts, bolts), deterministic query routing and
   per-worker cost accounting, executed on any :mod:`repro.exec` backend.
@@ -95,7 +95,6 @@ from .exec import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from .graph import (
@@ -183,7 +182,6 @@ __all__ = [
     "EXECUTORS",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     # dynamics & workloads

@@ -35,7 +35,7 @@ one query wave per epoch), printing rolling per-epoch lines and the final
 report.  Every command accepts either ``--dataset`` (one of NY, COL, FLA,
 CUSA, a scaled synthetic analogue) or ``--gr`` (path to a DIMACS file);
 ``bench``, ``replay`` and ``serve`` additionally accept
-``--executor {serial,thread,process}`` to pick the physical execution
+``--executor {serial,process}`` to pick the physical execution
 backend (worker processes hold resident index replicas; see
 ``ARCHITECTURE.md``, "Execution backends") and ``--rebalance [THRESHOLD]``
 to enable load-adaptive placement with live subgraph migration
@@ -73,8 +73,9 @@ from .distributed import (
     resolve_rebalance,
 )
 from .dynamics import TrafficModel
-from .exec import EXECUTORS
+from .exec import EXECUTORS, default_executor_name
 from .graph import DynamicGraph, dataset, read_gr, write_gr
+from .graph.errors import ExecutorError
 from .obs.trace import TraceSession, render_tree, trees_from_chrome
 from .service import KSPService, ServiceOverloadedError, generate_trace, replay
 from .workloads import FindKSPEngine, QueryEngine, QueryGenerator, YenEngine
@@ -99,6 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=7, help="random seed")
         sub.add_argument("--directed", action="store_true",
                          help="treat the network as a directed graph")
+
+    def add_executor_argument(sub: argparse.ArgumentParser, help: str) -> None:
+        # No argparse default: $REPRO_EXECUTOR applies (checked in main)
+        # only when the flag is omitted.
+        sub.add_argument("--executor", choices=list(EXECUTORS), default=None,
+                         help=f"{help}; defaults to $REPRO_EXECUTOR or serial")
 
     generate = subparsers.add_parser("generate", help="write a synthetic network to a .gr file")
     add_graph_arguments(generate)
@@ -135,10 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "layout + manifest)")
     partition.add_argument("--workers", type=int, default=4,
                            help="workers for a parallel index build")
-    partition.add_argument("--executor", choices=list(EXECUTORS), default=None,
-                           help="execution backend building per-subgraph indexes "
-                                "(process workers also write their part<k>/ files "
-                                "in parallel); defaults to $REPRO_EXECUTOR or serial")
+    add_executor_argument(partition, "execution backend building per-subgraph "
+                          "indexes (process workers also write their part<k>/ "
+                          "files in parallel)")
 
     stats = subparsers.add_parser("stats", help="build DTLP and print index statistics")
     add_graph_arguments(stats)
@@ -169,11 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--k", type=int, default=2)
     bench.add_argument("--num-queries", type=int, default=20)
     bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--executor", choices=list(EXECUTORS), default=None,
-                       help="physical execution backend running the batch "
-                            "(serial reference, thread pool, or worker processes "
-                            "holding resident index replicas); defaults to "
-                            "$REPRO_EXECUTOR or serial")
+    add_executor_argument(bench, "physical execution backend running the batch "
+                          "(serial reference, or worker processes holding "
+                          "resident index replicas)")
     bench.add_argument("--alpha", type=float, default=0.0,
                        help="apply one traffic snapshot changing this fraction of edges first")
     bench.add_argument("--tau", type=float, default=0.3)
@@ -221,10 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "service report")
         sub.add_argument("--workers", type=int, default=4,
                          help="simulated workers for the kspdg engine")
-        sub.add_argument("--executor", choices=list(EXECUTORS), default=None,
-                         help="physical execution backend for cache-miss compute "
-                              "batches (see ARCHITECTURE.md, 'Execution backends'); "
-                              "defaults to $REPRO_EXECUTOR or serial")
+        add_executor_argument(sub, "physical execution backend for cache-miss "
+                              "compute batches (see ARCHITECTURE.md, 'Execution "
+                              "backends')")
         sub.add_argument("--rebalance", nargs="?", const="on", default=None,
                          metavar="THRESHOLD",
                          help="enable load-adaptive placement with live subgraph "
@@ -290,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="apply one traffic round before every Nth batch "
                                 "(0 disables updates; default 2)")
     chaos_cmd.add_argument("--workers", type=int, default=4)
-    chaos_cmd.add_argument("--executor", choices=list(EXECUTORS), default=None,
-                           help="execution backend under test; defaults to "
-                                "$REPRO_EXECUTOR or serial")
+    add_executor_argument(chaos_cmd, "execution backend under test")
     chaos_cmd.add_argument("--kernel", choices=["snapshot", "dict"],
                            default="snapshot")
     chaos_cmd.add_argument("--fault-rate", type=float, default=0.3,
@@ -332,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="query engine inside each replica (default yen)")
         sub.add_argument("--kernel", choices=["snapshot", "dict"],
                          default="snapshot")
-        sub.add_argument("--executor", choices=list(EXECUTORS), default=None,
-                         help="execution backend inside each replica; defaults "
-                              "to $REPRO_EXECUTOR or serial")
+        add_executor_argument(sub, "execution backend inside each replica")
         sub.add_argument("--workers", type=int, default=2,
                          help="workers per replica engine")
         sub.add_argument("--z", type=int, default=48)
@@ -1063,6 +1062,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the ``repro`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Commands without --executor (``stats --metrics``) still build on the
+    # default backend, so a bad $REPRO_EXECUTOR fails here for every command.
+    if getattr(args, "executor", None) is None:
+        try:
+            default_executor_name()
+        except ExecutorError as exc:
+            parser.exit(2, f"repro: error: $REPRO_EXECUTOR: {exc}\n")
     return _COMMANDS[args.command](args)
 
 

@@ -4,8 +4,6 @@ from .bounding_paths import BoundingPath, compute_bounding_paths
 from .dtlp import DTLP, DTLPConfig, DTLPStatistics
 from .ep_index import EPIndex
 from .ksp_dg import KSPDG, KSPDGQuery, KSPResult, validate_kernel
-from .lsh import MinHasher, jaccard_similarity, lsh_group_edges
-from .mfp_tree import MFPForest, MFPNode, MFPTree, build_mfp_forest
 from .skeleton import SkeletonGraph
 from .subgraph_index import SubgraphIndex
 from .variants import constrained_ksp, diverse_ksp, path_overlap
@@ -21,13 +19,6 @@ __all__ = [
     "KSPDGQuery",
     "KSPResult",
     "validate_kernel",
-    "MinHasher",
-    "jaccard_similarity",
-    "lsh_group_edges",
-    "MFPForest",
-    "MFPNode",
-    "MFPTree",
-    "build_mfp_forest",
     "SkeletonGraph",
     "SubgraphIndex",
     "constrained_ksp",

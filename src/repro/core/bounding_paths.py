@@ -36,8 +36,8 @@ class BoundingPath:
     Attributes
     ----------
     path_id:
-        Identifier unique within the owning subgraph index; the EP-Index and
-        the MFP-tree refer to bounding paths by this id.
+        Identifier unique within the owning subgraph index; the EP-Index
+        refers to bounding paths by this id.
     source, target:
         The boundary-vertex pair this path connects.
     vertices:

@@ -1,15 +1,13 @@
 """DTLP: the Distributed Two-Level Path index.
 
-This module ties together the pieces of Sections 3 and 4 of the paper:
+This module ties together the pieces of Section 3 of the paper:
 
 * the graph is partitioned into subgraphs of at most ``z`` vertices
   (:mod:`repro.graph.partition`);
 * each subgraph receives a first-level :class:`~repro.core.subgraph_index.SubgraphIndex`
   holding bounding paths, the EP-Index and lower-bound distances;
 * the second level is the :class:`~repro.core.skeleton.SkeletonGraph` whose
-  edge weights are the minimum lower bound distances across subgraphs;
-* optionally, each subgraph's EP-Index is compressed with MinHash/LSH
-  grouping plus MFP-trees (Section 4).
+  edge weights are the minimum lower bound distances across subgraphs.
 
 The facade also implements the maintenance path of Algorithm 2: it can be
 registered as a listener on the dynamic graph (``graph.add_listener(dtlp.handle_updates)``)
@@ -36,16 +34,13 @@ from ..graph.partition import GraphPartition
 from ..graph.partition_ml import make_partition
 from ..graph.paths import Path
 from ..kernel.snapshot import CSRSnapshot
-from .lsh import lsh_group_edges
-from .mfp_tree import MFPForest, build_mfp_forest
 from .skeleton import SkeletonGraph, SkeletonSearchView
 from .subgraph_index import SubgraphIndex
 
 __all__ = ["DTLPConfig", "DTLPStatistics", "DTLP"]
 
 #: Cap on cross-query partial-KSP memo entries.  Each entry holds up to k
-#: Path tuples; eviction is FIFO (dict insertion order), tolerant of the
-#: benign insert races the thread executor produces.  32k entries cover
+#: Path tuples; eviction is FIFO (dict insertion order).  32k entries cover
 #: every boundary pair of the scaled datasets many times over while
 #: bounding a long-running service's footprint.
 _PARTIAL_MEMO_LIMIT = 32_768
@@ -65,11 +60,6 @@ class DTLPConfig:
     directed:
         Build the directed variant of the index (two bounding-path sets per
         boundary pair, a directed skeleton graph).
-    build_mfp_trees:
-        Whether to build the LSH/MFP-tree compression of the EP-Index.
-        Optional because the compression affects memory, not correctness.
-    lsh_num_hashes, lsh_num_bands:
-        MinHash/LSH parameters of Section 4.1.
     max_expansions:
         Cap on heap pops per bounding-path search; see
         :func:`repro.algorithms.dijkstra.lightest_vfrag_paths_from_source`.
@@ -86,9 +76,6 @@ class DTLPConfig:
     z: int = 200
     xi: int = 5
     directed: bool = False
-    build_mfp_trees: bool = False
-    lsh_num_hashes: int = 16
-    lsh_num_bands: int = 4
     max_expansions: int = 20_000
     partitioner: str = "bfs"
 
@@ -112,11 +99,15 @@ class DTLPStatistics:
     ep_index_entries: int = 0
     ep_index_bytes: int = 0
     skeleton_bytes: int = 0
-    mfp_nodes: int = 0
-    mfp_bytes: int = 0
     truncated_searches: int = 0
     build_seconds: float = 0.0
     last_maintenance_seconds: float = 0.0
+
+    @property
+    def mfp_bytes(self) -> int:
+        """Always 0: the Section 4 MFP-tree forest is not built.  Kept only
+        for ``perf/ladder.py``; a ``benchmark`` change drops that read."""
+        return 0
 
     def as_dict(self) -> Dict[str, float]:
         """Return the statistics as a plain dictionary (for reports)."""
@@ -172,7 +163,6 @@ class DTLP:
         self._subgraph_snapshots: Dict[int, CSRSnapshot] = {}
         self._snapshot_changes: Dict[int, Dict[Tuple[int, int], Tuple[int, int, float]]] = {}
         self._skeleton = SkeletonGraph(directed=self._config.directed)
-        self._mfp_forests: Dict[int, MFPForest] = {}
         self._built = False
         self._build_seconds = 0.0
         self._last_maintenance_seconds = 0.0
@@ -291,10 +281,6 @@ class DTLP:
                     self._weight_epoch_version,
                 )
         return snapshot
-
-    def mfp_forest(self, subgraph_id: int) -> Optional[MFPForest]:
-        """The MFP-forest of one subgraph (``None`` when compression is off)."""
-        return self._mfp_forests.get(subgraph_id)
 
     # ------------------------------------------------------------------
     # cross-query reuse: weight epochs, partial-KSP memo
@@ -566,8 +552,6 @@ class DTLP:
                 self._subgraph_indexes[subgraph.subgraph_id] = index
         self._rebuild_skeleton()
         self._build_round_tables()
-        if self._config.build_mfp_trees:
-            self._build_mfp_forests()
         self._built = True
         self._build_seconds = time.perf_counter() - started
         return self
@@ -613,8 +597,6 @@ class DTLP:
         else:
             dtlp._rebuild_skeleton()
         dtlp._build_round_tables()
-        if dtlp._config.build_mfp_trees:
-            dtlp._build_mfp_forests()
         dtlp._built = True
         dtlp._build_seconds = time.perf_counter() - started
         return dtlp
@@ -648,20 +630,6 @@ class DTLP:
                 self._fold_weights.append(self._graph.weight(u, v))
             for number, pair in enumerate(index.boundary_pairs()):
                 self._pair_owners.setdefault(pair, []).append((index, number))
-
-    def _build_mfp_forests(self) -> None:
-        """Build the LSH/MFP-tree compression for every subgraph."""
-        self._mfp_forests.clear()
-        for subgraph_id, index in self._subgraph_indexes.items():
-            path_sets = index.ep_index.path_sets()
-            if not path_sets:
-                continue
-            groups = lsh_group_edges(
-                path_sets,
-                num_hashes=self._config.lsh_num_hashes,
-                num_bands=self._config.lsh_num_bands,
-            )
-            self._mfp_forests[subgraph_id] = build_mfp_forest(path_sets, groups)
 
     # ------------------------------------------------------------------
     # pickling (process-backend replicas ship the whole index once)
@@ -862,10 +830,6 @@ class DTLP:
             index.memory_estimate_bytes() for index in self._subgraph_indexes.values()
         )
         stats.skeleton_bytes = self._skeleton.memory_estimate_bytes()
-        stats.mfp_nodes = sum(forest.num_nodes() for forest in self._mfp_forests.values())
-        stats.mfp_bytes = sum(
-            forest.memory_estimate_bytes() for forest in self._mfp_forests.values()
-        )
         stats.truncated_searches = sum(
             index.truncated_searches for index in self._subgraph_indexes.values()
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Dict, Iterator, Mapping, Sequence, Set, Tuple
+from typing import Iterator, Mapping, Sequence, Tuple
 
 __all__ = ["EPIndex"]
 
@@ -73,18 +73,16 @@ class EPIndex:
         """Total number of (edge, path) entries.
 
         The paper points out this is ``Nb * (Nb - 1) / 2 * xi * ne`` in the
-        worst case, i.e. usually much larger than the subgraph itself —
-        motivating the MFP-tree compression of Section 4.
+        worst case, i.e. usually much larger than the subgraph itself.  The
+        paper's Section 4 compresses it with MinHash/LSH + MFP-trees; these
+        two flat arrays are already smaller than that forest, so it is not
+        built (``docs/paper_map.md``, Figs. 15-18).
         """
         return len(self.paths)
 
     def num_edges(self) -> int:
         """Number of distinct edges with at least one bounding path."""
         return sum(1 for _ in self.edges())
-
-    def path_sets(self) -> Dict[Tuple[int, int], Set[int]]:
-        """Return edge -> set-of-path-numbers, the input shape for the MFP-tree."""
-        return {edge: set(self._slice(*edge)) for edge in self.edges()}
 
     def memory_estimate_bytes(self) -> int:
         """Bytes of the two flat arrays (the edge-id map is the subgraph's).

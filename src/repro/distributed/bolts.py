@@ -40,11 +40,7 @@ Bolts charge their work through an object with the
 concurrent execution backends the topology hands them a
 :class:`~repro.distributed.cluster.ClusterAccountant` that routes each
 task's charges into a private ledger, keeping the accounting exact (see
-``ARCHITECTURE.md``, "Placement vs. Executor").  During a concurrent batch
-the bolts' shared kernel snapshots must not be refreshed mid-flight; the
-topology calls :meth:`SubgraphBolt.sync_kernel_caches` /
-:meth:`QueryBolt.sync_kernel_caches` once, serially, before fanning out, so
-all snapshot accesses inside the batch are read-only.
+``ARCHITECTURE.md``, "Placement vs. Executor").
 """
 
 from __future__ import annotations
@@ -101,18 +97,6 @@ class SubgraphBolt:
             worker.charge_memory(
                 dtlp.subgraph_index(subgraph_id).memory_estimate_bytes()
             )
-
-    def sync_kernel_caches(self) -> None:
-        """Build/refresh the owned subgraphs' shared snapshots, serially.
-
-        Called by the topology before a concurrent batch so that every
-        snapshot is already current and all accesses during the batch are
-        read-only (refresh would otherwise race between tasks).
-        """
-        if self._mode.kernel == "dict":
-            return
-        for subgraph_id in self.subgraph_ids:
-            self._dtlp.subgraph_snapshot(subgraph_id)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -294,17 +278,6 @@ class QueryBolt:
         re-hosted on the survivors.
         """
         self._subgraph_bolts = list(subgraph_bolts)
-
-    def sync_kernel_caches(self) -> None:
-        """Build/refresh the shared skeleton-replica search view, serially.
-
-        Called by the topology before a concurrent batch; afterwards the
-        shared snapshot and the search image derived from it (hosted on the
-        DTLP, one per process) are current for the batch's graph version,
-        so concurrent queries only ever read them.
-        """
-        if self._mode.kernel != "dict":
-            self._dtlp.skeleton_search_view()
 
     # ------------------------------------------------------------------
     # query processing (Step 2 of Figure 14)

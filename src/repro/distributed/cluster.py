@@ -312,7 +312,7 @@ class ClusterAccountant:
     The bolts and the spout charge all compute/communication through one
     object with the :class:`SimulatedCluster` interface.  Under serial
     execution that object can simply be the shared cluster; under
-    concurrent execution (thread pool or worker-process replicas) each task
+    concurrent execution (worker-process replicas) each task
     must record into its own ledger to keep the accounting exact — float
     ``+=`` on shared counters is not atomic across threads.  The accountant
     forwards every access to the ledger activated on the *current thread*,

@@ -114,9 +114,9 @@ class KSPDGEngine:
         """Answer one query (used by the generic batch runner).
 
         Reuses the batch code path with a singleton batch, so per-batch
-        executor setup (replica groups, kernel-cache sync) is established
-        once on the topology and amortised across every subsequent call
-        instead of being re-paid per query.
+        executor setup (replica groups) is established once on the topology
+        and amortised across every subsequent call instead of being re-paid
+        per query.
         """
         return self.answer_many([query])[0]
 
@@ -240,7 +240,7 @@ def distributed_build_report(
     ``serial`` backend this helper builds the index once, records each
     subgraph's build time, and computes the makespan of a balanced
     assignment of those build tasks to ``num_workers`` workers.  With the
-    ``thread``/``process`` backends the subgraph indexes are genuinely
+    ``process`` backend the subgraph indexes are genuinely
     built in parallel — chunked by the same balanced assignment — and
     adopted into the final index, and ``parallel_build_seconds`` is the
     measured wall-clock time of that fan-out.

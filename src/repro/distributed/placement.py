@@ -7,7 +7,7 @@ side of the cluster on its own, separated from the *physical* execution
 backend (:mod:`repro.exec`): the placement decides who owns what and who is
 charged for which work, while an executor merely decides which OS resource
 runs it.  Keeping the placement pure and deterministic is what lets the
-serial, thread and process backends produce bit-identical results and cost
+serial and process backends produce bit-identical results and cost
 accounting (see ``ARCHITECTURE.md``, "Placement vs. Executor").
 """
 

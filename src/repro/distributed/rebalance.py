@@ -30,7 +30,7 @@ Determinism: the default load metric is ``"tasks"`` — the count of
 subgraph-attributed operations — which is identical on every execution
 backend, so a rebalancing topology keeps the repo's cross-backend
 bit-identity contract (same placements, same migrations, same counters on
-serial, thread and process).  The ``"seconds"`` metric uses measured wall
+serial and process).  The ``"seconds"`` metric uses measured wall
 clock instead; it tracks true hardware cost but makes placement decisions
 host-dependent, so it is opt-in.
 """

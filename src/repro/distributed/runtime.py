@@ -220,18 +220,6 @@ class LogicalTopology:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def sync_kernel_caches(self) -> None:
-        """Bring every shared kernel snapshot current, serially.
-
-        Run before fanning a batch over threads so that all snapshot
-        accesses inside the batch are read-only (refreshes would otherwise
-        race between tasks); see ``ARCHITECTURE.md``.
-        """
-        for bolt in self.subgraph_bolts:
-            bolt.sync_kernel_caches()
-        for query_bolt in self.query_bolts:
-            query_bolt.sync_kernel_caches()
-
     def run(
         self,
         envelopes: Sequence[QueryEnvelope],
@@ -263,10 +251,10 @@ class LogicalTopology:
     ) -> Tuple[List[Tuple[int, QueryBoltResult]], SimulatedCluster]:
         """:meth:`run` charging a private ledger, returned with the results.
 
-        The unit of concurrent execution: one thread task or one replica
-        chunk.  Charges are additive, so pre-merging a chunk into a single
-        ledger (instead of one per query) keeps the reply payload
-        independent of batch size without changing the absorbed totals.
+        The unit of concurrent execution: one replica chunk.  Charges are
+        additive, so pre-merging a chunk into a single ledger (instead of
+        one per query) keeps the reply payload independent of batch size
+        without changing the absorbed totals.
         """
         ledger = SimulatedCluster(self.cluster.num_workers)
         self.account.activate(ledger)

@@ -20,12 +20,10 @@ It separates two layers (``ARCHITECTURE.md``, "Placement vs. Executor"):
   attribution, which define the paper's figures and are identical on every
   backend;
 * the **physical executor** (:mod:`repro.exec`) — which OS resource runs
-  each query.  ``executor="serial"`` is the reference; ``"thread"`` fans a
-  batch over a thread pool against the shared index (each query charging a
-  private cost ledger); ``"process"`` fans it over persistent worker
-  processes holding resident :class:`~repro.distributed.runtime.TopologyReplica`
-  state, shipping only weight-update deltas and query envelopes between
-  rounds.
+  each query.  ``executor="serial"`` is the reference; ``"process"`` fans a
+  batch over persistent worker processes holding resident
+  :class:`~repro.distributed.runtime.TopologyReplica` state, shipping only
+  weight-update deltas and query envelopes between rounds.
 """
 
 from __future__ import annotations
@@ -134,7 +132,7 @@ class StormTopology:
         QueryBolt object can process any number of queries.
     executor:
         Physical execution backend for query batches: a backend name
-        (``"serial"``, ``"thread"``, ``"process"``), a pre-built
+        (``"serial"``, ``"process"``), a pre-built
         :class:`~repro.exec.base.Executor` to share, or ``None`` for the
         environment default (``$REPRO_EXECUTOR``, falling back to
         ``serial``).  The logical placement
@@ -728,16 +726,13 @@ class StormTopology:
         queries = list(queries)
         if queries:
             self._dtlp.catch_up()
-        backend = self._executor.name
         base = self._route_counter
         trace, profile = self._observability_flags()
         envelopes: List[QueryEnvelope] = [
             (offset, base + offset, query) for offset, query in enumerate(queries)
         ]
-        if backend == "process" and queries:
+        if self._executor.name == "process" and queries:
             tagged = self._run_on_replicas(envelopes, trace, profile)
-        elif backend == "thread" and len(queries) > 1:
-            tagged = self._run_threaded(envelopes, trace, profile)
         else:
             tagged = self._logical.run(envelopes, trace, profile)
         results = [result for _, result in tagged]
@@ -786,26 +781,8 @@ class StormTopology:
         return report
 
     # ------------------------------------------------------------------
-    # concurrent execution backends
+    # the process execution backend
     # ------------------------------------------------------------------
-    def _run_threaded(
-        self, envelopes: Sequence[QueryEnvelope], trace: bool, profile: bool
-    ) -> List[Tuple[int, QueryBoltResult]]:
-        """Fan a batch over the thread pool against the shared topology.
-
-        One task and one private cost ledger per query; the kernel caches
-        are brought current first so the tasks only read them.
-        """
-        self._logical.sync_kernel_caches()
-        tagged: List[Tuple[int, QueryBoltResult]] = []
-        for chunk, ledger in self._executor.map(
-            lambda envelope: self._logical.run_on_ledger([envelope], trace, profile),
-            list(envelopes),
-        ):
-            self._cluster.absorb(ledger)
-            tagged.extend(chunk)
-        return tagged
-
     def _make_bundle(self) -> TopologyBundle:
         """Capture the live topology state for replica construction.
 

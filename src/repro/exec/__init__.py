@@ -1,8 +1,8 @@
-"""Pluggable execution backends (serial / thread / process).
+"""Pluggable execution backends (serial / process).
 
 This package is the *physical* execution layer of the system: callers hand
 it work items (queries, index-construction tasks) and it runs them on one
-of three interchangeable backends.  The *logical* cluster — placement,
+of two interchangeable backends.  The *logical* cluster — placement,
 routing and cost attribution — stays in :mod:`repro.distributed`; see
 ``ARCHITECTURE.md`` ("Placement vs. Executor") for how the two compose.
 """
@@ -10,13 +10,13 @@ routing and cost attribution — stays in :mod:`repro.distributed`; see
 from .base import (
     EXECUTORS,
     Executor,
+    SerialExecutor,
     WorkerGroup,
     default_executor_name,
     make_executor,
     resolve_executor,
     validate_executor_name,
 )
-from .local import SerialExecutor, ThreadExecutor
 from .process import ProcessExecutor
 from .replicas import ReplicaSet
 
@@ -29,7 +29,6 @@ __all__ = [
     "resolve_executor",
     "validate_executor_name",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "ReplicaSet",
 ]

@@ -9,14 +9,11 @@ repository separates that deployment into two orthogonal concerns (see
   lives in :mod:`repro.distributed` and is what the paper's figures measure.
 * the **physical execution** — which OS resource actually runs a piece of
   work.  This module defines that abstraction: an :class:`Executor` turns
-  work items into results using one of three interchangeable backends:
+  work items into results using one of two interchangeable backends:
 
-  - ``serial`` — :class:`~repro.exec.local.SerialExecutor`, runs everything
-    inline on the calling thread.  The reference backend; all other
-    backends must produce bit-identical results.
-  - ``thread`` — :class:`~repro.exec.local.ThreadExecutor`, a thread pool
-    sharing the caller's memory.  Limited by the GIL for pure-Python
-    compute, but exercises real concurrency (and overlaps any wait states).
+  - ``serial`` — :class:`SerialExecutor`, runs everything inline on the
+    calling thread.  The reference backend; the process backend must
+    produce bit-identical results.
   - ``process`` — :class:`~repro.exec.process.ProcessExecutor`, persistent
     worker processes that hold *resident state* (DTLP indexes, CSR
     snapshots) and receive only weight-update deltas and query envelopes
@@ -46,6 +43,7 @@ from ..graph.errors import ExecutorError, ExecutorTaskError
 __all__ = [
     "EXECUTORS",
     "Executor",
+    "SerialExecutor",
     "WorkerGroup",
     "validate_executor_name",
     "default_executor_name",
@@ -82,7 +80,7 @@ def call_wrapped(fn: Callable[..., Any], *args: Any) -> Any:
 
 #: Backend names accepted everywhere an executor can be chosen (CLI
 #: ``--executor``, ``StormTopology(executor=...)``, engine constructors).
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: A call envelope handed to :meth:`WorkerGroup.call_each`:
 #: ``(slot, method_name, args_tuple)``.
@@ -93,7 +91,7 @@ def validate_executor_name(name: str) -> str:
     """Validate a backend name string, returning it unchanged."""
     if name not in EXECUTORS:
         raise ExecutorError(
-            f"unknown executor {name!r}; expected one of {EXECUTORS}"
+            f"unknown executor {name!r}; expected one of: {', '.join(EXECUTORS)}"
         )
     return name
 
@@ -153,7 +151,7 @@ class Executor(abc.ABC):
     Parameters
     ----------
     workers:
-        Degree of physical parallelism (threads or processes).  The serial
+        Degree of physical parallelism (worker processes).  The serial
         backend accepts the parameter for interface symmetry and ignores it.
     """
 
@@ -196,7 +194,7 @@ class Executor(abc.ABC):
         """Apply ``fn`` to every item, returning results in input order.
 
         The process backend requires ``fn`` and every item/result to be
-        picklable; the serial and thread backends accept closures.  On
+        picklable; the serial backend accepts closures.  On
         every backend the first failing item (in input order) is re-raised
         as :class:`~repro.graph.errors.ExecutorTaskError`.
         """
@@ -212,8 +210,8 @@ class Executor(abc.ABC):
         in-process backend raises :class:`~repro.graph.errors.ExecutorError`
         instead — it would alias one payload across every slot, so each
         "replica" would mutate the caller's live objects and a broadcast
-        would re-apply the same delta once per slot.  Serial and thread
-        callers share master state directly.
+        would re-apply the same delta once per slot.  Serial callers share
+        master state directly.
         """
         raise ExecutorError(
             f"worker groups require the process backend; the {self.name!r} "
@@ -234,17 +232,25 @@ class Executor(abc.ABC):
         return f"<{type(self).__name__} workers={self._workers}>"
 
 
+class SerialExecutor(Executor):
+    """The reference backend: every work item runs inline, in order.
+
+    Results (paths, distances and deterministic cost counters) define the
+    contract the process backend is property-tested against.
+    """
+
+    name = "serial"
+
+    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+        self._check_open()
+        return [call_wrapped(fn, item) for item in items]
+
+
 def make_executor(name: str, workers: int = 1) -> Executor:
-    """Instantiate a backend by name (``serial``, ``thread`` or ``process``)."""
+    """Instantiate a backend by name (``serial`` or ``process``)."""
     validate_executor_name(name)
     if name == "serial":
-        from .local import SerialExecutor
-
         return SerialExecutor(workers)
-    if name == "thread":
-        from .local import ThreadExecutor
-
-        return ThreadExecutor(workers)
     from .process import ProcessExecutor
 
     return ProcessExecutor(workers)

@@ -8,7 +8,7 @@ charges a private :class:`~repro.distributed.cluster.SimulatedCluster`
 ledger (which carries its own registry), and the master absorbs the ledgers
 in submission order.  Because the merge operations are commutative over the
 recorded multiset — counters add, gauges take the max, histograms merge
-their sample multisets — the serial, thread and process backends converge
+their sample multisets — the serial and process backends converge
 to identical registry contents for every deterministic instrument.
 
 Histogram quantiles reuse the seeded-reservoir machinery that previously

@@ -19,7 +19,7 @@ simulated cluster.
 
 The paper replicates the centralized baselines on every server and spreads
 queries across them randomly; the engines model that physically too: built
-with ``executor="thread"``/``"process"`` (see :mod:`repro.exec`),
+with ``executor="process"`` (see :mod:`repro.exec`),
 :meth:`~_CentralizedEngine.answer_many` fans the batch's independent OD
 pairs over the backend.  Process workers hold a resident engine replica —
 graph plus kernel snapshot — and receive only weight-update deltas and
@@ -238,14 +238,8 @@ class _CentralizedEngine:
         batches), so they parallelise without coordination.
         """
         queries = list(queries)
-        backend = self._executor.name
-        if backend == "process" and queries:
+        if self._executor.name == "process" and queries:
             return self._answer_on_replicas(queries)
-        if backend == "thread" and len(queries) > 1:
-            # Bring the shared snapshot current once, serially; every
-            # in-batch access is then read-only and thread-safe.
-            self._view()
-            return self._executor.map(self.answer, queries)
         return [self.answer(query) for query in queries]
 
     def _answer_on_replicas(self, queries: Sequence[KSPQuery]) -> List[QueryOutcome]:

@@ -105,12 +105,6 @@ class TestEPIndex:
         bare = EPIndex({(1, 2): 0, (2, 3): 1, (7, 8): 2}, [[0, 1]])
         assert bare.num_edges() == 2 and (7, 8) not in bare
 
-    def test_path_sets(self):
-        index = ep_index([(1, 2, 3)])
-        sets = index.path_sets()
-        assert sets[(1, 2)] == {0}
-        assert sets[(2, 3)] == {0}
-
     def test_contains_and_len(self):
         index = ep_index([(1, 2)])
         assert (1, 2) in index

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import cli
 from repro.cli import build_parser, main
 from repro.graph import road_network, write_gr
 
@@ -45,6 +46,30 @@ class TestParser:
                 )
             assert excinfo.value.code == 2
             assert "--heuristic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["gpu", "thread"])
+    def test_bad_repro_executor_exits_2_before_any_graph_is_built(
+        self, value, monkeypatch, capsys
+    ):
+        def no_graph(args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setenv("REPRO_EXECUTOR", value)
+        monkeypatch.setattr(cli, "_load_graph", no_graph)
+        for command in ("bench", "stats"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--dataset", "NY", "--scale", "0.1"])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert repr(value) in err and "serial, process" in err
+        # An explicit flag wins over the environment; the flag itself only
+        # accepts the two backends.
+        args = build_parser().parse_args(["bench", "--dataset", "NY", "--executor", "serial"])
+        assert args.executor == "serial"
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", "--dataset", "NY", "--executor", "thread"])
+        assert excinfo.value.code == 2
 
 
 class TestCommands:

@@ -74,15 +74,6 @@ class TestBuild:
             checked += 1
         assert checked > 0
 
-    def test_mfp_forests_only_when_requested(self, small_road_network, small_dtlp):
-        assert small_dtlp.mfp_forest(0) is None
-        with_mfp = DTLP(
-            small_road_network, DTLPConfig(z=20, xi=2, build_mfp_trees=True)
-        ).build()
-        assert any(
-            with_mfp.mfp_forest(sid) is not None for sid in with_mfp.subgraph_indexes()
-        )
-
 
 class TestStatistics:
     def test_statistics_fields(self, small_road_network, small_dtlp):

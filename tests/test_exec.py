@@ -9,7 +9,6 @@ from repro.exec import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     default_executor_name,
     make_executor,
     resolve_executor,
@@ -74,12 +73,14 @@ def executor(request):
 
 class TestFactoryHelpers:
     def test_validate_rejects_unknown_backend(self):
-        with pytest.raises(ExecutorError):
+        with pytest.raises(ExecutorError, match="serial, process"):
             validate_executor_name("gpu")
 
     def test_make_executor_types(self):
+        assert EXECUTORS == ("serial", "process")
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
+        with pytest.raises(ExecutorError):
+            make_executor("thread")
         ex = make_executor("process")
         assert isinstance(ex, ProcessExecutor)
         ex.close()
@@ -91,11 +92,12 @@ class TestFactoryHelpers:
     def test_default_executor_name_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert default_executor_name() == "serial"
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        assert default_executor_name() == "thread"
-        monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
-        with pytest.raises(ExecutorError):
-            default_executor_name()
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        assert default_executor_name() == "process"
+        for retired in ("thread", "gpu"):
+            monkeypatch.setenv("REPRO_EXECUTOR", retired)
+            with pytest.raises(ExecutorError):
+                default_executor_name()
 
     def test_resolve_name_is_owned(self):
         ex, owned = resolve_executor("serial", workers=2)
@@ -209,15 +211,14 @@ class TestReplicaSet:
 
         graph = DynamicGraph()
         graph.add_edge(0, 1, 1.0)
-        for name in ("serial", "thread"):
-            ex = make_executor(name, 2)
-            with pytest.raises(ExecutorError, match="process backend"):
-                ex.spawn_group(_make_accumulator, [0])
-            replicas = ReplicaSet(ex, _make_accumulator, graph)
-            with pytest.raises(ExecutorError, match="process backend"):
-                replicas.ensure(lambda: 0)
-            assert not replicas.active
-            ex.close()
+        ex = make_executor("serial", 2)
+        with pytest.raises(ExecutorError, match="process backend"):
+            ex.spawn_group(_make_accumulator, [0])
+        replicas = ReplicaSet(ex, _make_accumulator, graph)
+        with pytest.raises(ExecutorError, match="process backend"):
+            replicas.ensure(lambda: 0)
+        assert not replicas.active
+        ex.close()
 
 
 class TestProcessBackend:

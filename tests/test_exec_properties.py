@@ -1,7 +1,7 @@
 """Cross-backend identity properties of the execution layer.
 
-The serial executor is the reference; these tests assert that the thread
-and process backends produce **bit-identical** paths, distances, iteration
+The serial executor is the reference; these tests assert that the process
+backend produces **bit-identical** paths, distances, iteration
 counts and deterministic cost accounting (message counts, transfer units,
 task counts, memory attribution) on randomized graphs, across interleaved
 weight-update rounds, under both compute kernels.  Busy *time* is excluded

@@ -373,7 +373,7 @@ class TestTopologyObservability:
         assert metrics["bolt_queries_total"] == 8
         assert metrics["kernel_searches_total"] > 0
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_cross_backend_traces_and_metrics_match_serial(self, executor):
         serial_report, serial_tracer, serial_metrics = _topology_run("serial")
         other_report, other_tracer, other_metrics = _topology_run(executor)

@@ -11,8 +11,8 @@ Three layers of guarantees:
   boundary vertices than BFS at the same ``z``.
 * **Identity** — query answers are a function of the *graph*, not the
   partition: KSP-DG over a min-cut partition returns the same distances
-  as over a BFS partition, and bit-identical results across the serial,
-  thread and process backends.
+  as over a BFS partition, and bit-identical results across the serial
+  and process backends.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ class TestKSPDGIdentity:
                 engine.close()
         assert _distances(outputs["mincut"]) == _distances(outputs["bfs"])
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_bit_identical_across_backends(self, executor):
         graph = road_network(6, 6, seed=23)
         queries = QueryGenerator(graph, seed=24, min_hops=3).generate(8, k=3)

@@ -10,8 +10,7 @@ argument relies on:
   arbitrary weight changes handled through DTLP maintenance;
 * DTLP lower bound distances never exceed true shortest distances;
 * the graph partition covers all vertices and edges with edge-disjoint
-  subgraphs;
-* the MFP-forest reproduces the exact bounding-path sets of the EP-Index.
+  subgraphs.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import dijkstra, find_ksp, yen_k_shortest_paths
-from repro.core import DTLP, DTLPConfig, KSPDG, build_mfp_forest, lsh_group_edges
+from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.graph import partition_graph, random_graph
 from repro.graph.graph import WeightUpdate, edge_key
 
@@ -220,23 +219,6 @@ class TestIndexInvariants:
                         witness_best = path.distance
             if witness_best is not None:
                 assert weight <= witness_best + 1e-6
-
-    @given(
-        num_vertices=st.integers(min_value=8, max_value=20),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(**COMMON_SETTINGS)
-    def test_mfp_forest_reproduces_ep_index(self, num_vertices, seed):
-        graph = random_graph(num_vertices, num_vertices + 6, seed=seed)
-        dtlp = DTLP(graph, DTLPConfig(z=max(4, num_vertices // 2), xi=2)).build()
-        for index in dtlp.subgraph_indexes().values():
-            path_sets = index.ep_index.path_sets()
-            if not path_sets:
-                continue
-            groups = lsh_group_edges(path_sets, num_hashes=8, num_bands=4)
-            forest = build_mfp_forest(path_sets, groups)
-            for edge, paths in path_sets.items():
-                assert forest.paths_of_edge(edge) == paths
 
     @given(
         num_vertices=st.integers(min_value=6, max_value=18),

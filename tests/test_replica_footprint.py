@@ -293,11 +293,13 @@ def test_one_edge_paths_walk_either_way_along_an_undirected_edge(monkeypatch):
 
 #: sha256 over every file ``PartitionStore.save`` writes (relative name,
 #: then bytes) for ``clustered_road_network(3, 6, 6, seed=7)`` with
-#: ``DTLPConfig(z=36, xi=3, partitioner="mincut")`` and build times zeroed,
-#: captured while the index still stored each bounding path's vertex tuple.
+#: ``DTLPConfig(z=36, xi=3, partitioner="mincut")`` and build times zeroed.
+#: The ``part<k>/`` files are those written while the index still stored
+#: each bounding path's vertex tuple; the manifest's config has not carried
+#: the retired LSH / MFP-tree fields since they were removed.
 PINNED_STORE_DIGESTS = {
-    False: "62b4d9970f9fe5131a7f052a15a06005ab5f56ab6d90a2c233564592efccc2cc",
-    True: "c2c046d800d1eafa28c236c35dfc975e053dcded006ab9b66cdd6ab3658bd379",
+    False: "9b138d8e3cf0ecb6293b4eaed4f3a45e72966b0943aef31a68b4c8129417bf2f",
+    True: "80e72bc6c6a77a5548cc676e2efe08e226fc509ec1f42bac8295d7686733dcd1",
 }
 
 

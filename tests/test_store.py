@@ -34,6 +34,13 @@ from repro.store import (
 from repro.workloads import QueryGenerator
 
 CONFIG = DTLPConfig(z=12, xi=2, partitioner="mincut")
+#: Former ``DTLPConfig`` fields, with the defaults old manifests carry.
+RETIRED_CONFIG_KEYS = {
+    "max_paths_per_count": 4,
+    "build_mfp_trees": False,
+    "lsh_num_hashes": 16,
+    "lsh_num_bands": 4,
+}
 
 
 def _signature(outcomes):
@@ -171,12 +178,13 @@ class TestRoundTrip:
 
     def test_store_with_retired_max_paths_per_count_still_loads(self, saved):
         graph, dtlp, store, queries = saved
-        # Stores written while ``max_paths_per_count`` was still a (dead)
-        # knob carry it in the manifest's config and in every index state.
+        # Stores written while these were still DTLPConfig fields carry all
+        # of them in the manifest's config; ``max_paths_per_count`` was also
+        # written into every index state.
         manifest_path = store.root / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert "max_paths_per_count" not in manifest["config"]
-        manifest["config"]["max_paths_per_count"] = 4
+        assert not set(RETIRED_CONFIG_KEYS) & set(manifest["config"])
+        manifest["config"].update(RETIRED_CONFIG_KEYS)
         manifest_path.write_text(json.dumps(manifest))
         for part_dir in store.partition_paths():
             state = json.loads((part_dir / "index.json").read_text())

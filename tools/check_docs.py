@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs gate: intra-repo markdown link check + runnable README quickstart.
+"""Docs gate: intra-repo markdown links, code names and the README quickstart.
 
-Two checks, both exercised by the CI ``docs`` job and runnable locally:
+Three checks, all exercised by the CI ``docs`` job and runnable locally:
 
 * ``--links``: scan every tracked ``*.md`` file for markdown links and
   verify that each *relative* target (``[text](path)`` with no URL scheme)
@@ -9,17 +9,21 @@ Two checks, both exercised by the CI ``docs`` job and runnable locally:
   paper-map cross-reference web cannot rot silently.  Anchors-only links
   (``#section``) and external URLs are skipped; a ``path#anchor`` link is
   checked for the file part.
+* ``--names``: every backticked ``repro.<dotted>`` name in ``README.md``,
+  ``ARCHITECTURE.md`` and ``docs/paper_map.md`` must import as a module or
+  resolve as an attribute of one, so the docs cannot name deleted code.
 * ``--quickstart``: extract the first fenced ``python`` code block from
   ``README.md`` and execute it, so the quickstart the README promises is
   the quickstart that runs.
 
-With no flags, both checks run.  Exits non-zero on any failure, printing
+With no flags, all three checks run.  Exits non-zero on any failure, printing
 one line per problem.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -31,6 +35,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LINK_PATTERN = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)\)")
 SCHEME_PATTERN = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
 PYTHON_BLOCK_PATTERN = re.compile(r"```python\n(.*?)```", re.DOTALL)
+#: A backticked dotted name under the package, optionally called: `repro.x.y()`.
+NAME_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+NAME_DOCS = ("README.md", "ARCHITECTURE.md", "docs/paper_map.md")
 
 
 def iter_markdown_files() -> list[Path]:
@@ -65,6 +72,43 @@ def check_links() -> list[str]:
     return problems
 
 
+def resolves(name: str) -> bool:
+    """Whether ``name`` imports, or is an attribute chain off a module that does."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            # Only the name itself (or a parent of it) may be missing; a
+            # module that fails on one of its own imports is a real error.
+            if not f"{module}.".startswith(f"{exc.name}."):
+                raise
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_names(paths: list[Path] | None = None) -> tuple[int, list[str]]:
+    """Return ``(names checked, one message per name that does not resolve)``."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    checked = 0
+    problems: list[str] = []
+    for path in paths or [REPO_ROOT / doc for doc in NAME_DOCS]:
+        for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for match in NAME_PATTERN.finditer(line):
+                checked += 1
+                if not resolves(match.group(1)):
+                    problems.append(
+                        f"{path.name}:{line_number}: {match.group(1)} does not resolve"
+                    )
+    return checked, problems
+
+
 def run_quickstart() -> list[str]:
     """Execute the README's first python block; return failure messages."""
     readme = REPO_ROOT / "README.md"
@@ -84,10 +128,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links", action="store_true", help="only check links")
     parser.add_argument(
+        "--names", action="store_true", help="only check backticked repro.* names"
+    )
+    parser.add_argument(
         "--quickstart", action="store_true", help="only run the README quickstart"
     )
     args = parser.parse_args(argv)
-    run_all = not (args.links or args.quickstart)
+    run_all = not (args.links or args.names or args.quickstart)
 
     problems: list[str] = []
     if args.links or run_all:
@@ -97,6 +144,10 @@ def main(argv: list[str] | None = None) -> int:
             f"link check: {len(iter_markdown_files())} markdown files, "
             f"{len(link_problems)} broken links"
         )
+    if args.names or run_all:
+        checked, name_problems = check_names()
+        problems.extend(name_problems)
+        print(f"name check: {checked} repro.* names, {len(name_problems)} unresolved")
     if args.quickstart or run_all:
         quickstart_problems = run_quickstart()
         problems.extend(quickstart_problems)
