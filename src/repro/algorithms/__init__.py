@@ -4,8 +4,6 @@ from .cands import CandsIndex
 from .dijkstra import (
     dijkstra,
     iter_neighbors,
-    k_lightest_paths_by_vfrags,
-    lightest_vfrag_paths_from_source,
     shortest_distance,
     shortest_path,
     shortest_path_tree,
@@ -16,8 +14,6 @@ from .yen import LazyYen, yen_k_shortest_paths
 __all__ = [
     "dijkstra",
     "iter_neighbors",
-    "k_lightest_paths_by_vfrags",
-    "lightest_vfrag_paths_from_source",
     "shortest_distance",
     "shortest_path",
     "shortest_path_tree",

@@ -25,8 +25,7 @@ Provided algorithms:
 * :func:`vfrag_label_search` — the bounding-path search of Section 3.4
   (Algorithm 1's inner loop): a multi-label enumeration of the simple paths
   with the fewest *virtual fragments*, run in index space over
-  :func:`vfrag_rows`.  :func:`lightest_vfrag_paths_from_source` and
-  :func:`k_lightest_paths_by_vfrags` are its id-space entry points.
+  :func:`vfrag_rows`.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ __all__ = [
     "shortest_path",
     "shortest_distance",
     "shortest_path_tree",
-    "k_lightest_paths_by_vfrags",
-    "lightest_vfrag_paths_from_source",
     "vfrag_rows",
     "vfrag_label_search",
 ]
@@ -478,19 +475,38 @@ def vfrag_label_search(
 ) -> Tuple[Dict[int, List[Tuple[int, Tuple[int, ...]]]], bool]:
     """The bounding-path search of Section 3.4, in index space.
 
-    The one loop behind :func:`lightest_vfrag_paths_from_source` (which
-    documents the search and its caps); ``ids`` / ``rows`` come from
-    :func:`vfrag_rows`, ``source`` and ``wanted`` are local indices.  A label
-    is ``(count, seq, vertex, visited_mask, parent_label)``: a push is O(1),
-    simplicity is one ``mask & bit`` test, and a vertex tuple is rebuilt from
-    the parent chain only for the labels that are recorded.
+    Enumerates, from one source boundary vertex towards every other vertex
+    at once, the simple paths with the smallest distinct vfrag counts — a
+    key efficiency lever of the index build, because a subgraph with ``Nb``
+    boundary vertices then needs ``Nb`` searches instead of ``Nb^2``.
+    ``ids`` / ``rows`` come from :func:`vfrag_rows` (built once per subgraph
+    and shared by every source); ``source`` and ``wanted`` are local
+    indices.
+
+    The search is a multi-label Dijkstra on vfrag counts: each vertex accepts
+    up to ``max_distinct_counts + label_slack`` distinct count values, with at
+    most ``labels_per_count`` concrete labels per count (keeping more than one
+    avoids the case where the single kept witness of a tied count is a dead
+    end that cannot be extended into a simple path).  A label remembers the
+    vertices it visited so loops are excluded (bounding paths must be simple
+    paths).  The label caps make the search polynomial; they can in principle
+    miss a distinct count at a far target, which only makes the resulting
+    lower bound slightly looser, never incorrect.  ``max_expansions`` caps
+    the heap pops.
+
+    A label is ``(count, seq, vertex, visited_mask, parent_label)``: a push
+    is O(1), simplicity is one ``mask & bit`` test, and a vertex tuple is
+    rebuilt from the parent chain only for the labels that are recorded.
 
     Only ``wanted`` vertices are recorded (all when ``None``) and the search
     stops once each of them holds ``max_distinct_counts`` counts — nothing
     popped later could be recorded, so what is returned equals the
     unrestricted result restricted to ``wanted``.
 
-    Returns ``(results, truncated)``; ``truncated`` says the search stopped on
+    Returns ``(results, truncated)``.  ``results`` maps each recorded vertex
+    id (never the source) to a list of ``(vfrag_count, vertex_sequence)``
+    sorted by vfrag count: at most ``max_distinct_counts`` entries, distinct
+    counts, simple paths only.  ``truncated`` says the search stopped on
     ``max_expansions`` with labels left and a wanted vertex still short of
     ``max_distinct_counts`` counts, i.e. Theorem 1's bound may be looser than
     an exhaustive search would make it.
@@ -553,104 +569,3 @@ def vfrag_label_search(
                 label = label[4]
             paths.append((vfrags, tuple(reversed(sequence))))
     return results, bool(heap) and pending > 0
-
-
-def lightest_vfrag_paths_from_source(
-    subgraph,
-    source: int,
-    max_distinct_counts: int,
-    label_slack: int = 2,
-    labels_per_count: int = 2,
-    max_expansions: int = 500_000,
-    targets: Optional[Iterable[int]] = None,
-) -> Dict[int, List[Tuple[int, Tuple[int, ...]]]]:
-    """Simple paths with the smallest distinct vfrag counts from one source.
-
-    This is the bounding-path search of Section 3.4 run from a single source
-    boundary vertex towards *all* other vertices of the subgraph at once — a
-    key efficiency lever of the index build, because a subgraph with ``Nb``
-    boundary vertices then needs ``Nb`` searches instead of ``Nb^2``.
-
-    The search is a multi-label Dijkstra on vfrag counts: each vertex accepts
-    up to ``max_distinct_counts + label_slack`` distinct count values, with at
-    most ``labels_per_count`` concrete labels per count (keeping more than one
-    avoids the case where the single kept witness of a tied count is a dead
-    end that cannot be extended into a simple path).  A label remembers the
-    vertices it visited so loops are excluded (bounding paths must be simple
-    paths).  The label caps make the search polynomial; they can in principle
-    miss a distinct count at a far target, which only makes the resulting
-    lower bound slightly looser, never incorrect.
-
-    This wrapper maps the part of ``subgraph`` reachable from ``source`` into
-    index space (:func:`vfrag_rows`) and runs :func:`vfrag_label_search`;
-    a caller with many sources on one subgraph (the index build) builds the
-    rows once and calls the search itself.
-
-    Parameters
-    ----------
-    subgraph:
-        A graph-like object also exposing ``vfrag_count(u, v)``.
-    source:
-        The source vertex.
-    max_distinct_counts:
-        The paper's ``xi``: how many distinct vfrag counts to keep per target.
-    label_slack:
-        Extra distinct counts kept at intermediate vertices to reduce pruning
-        loss.
-    labels_per_count:
-        Number of concrete labels expanded per (vertex, count) pair.
-    max_expansions:
-        Safety cap on heap pops.
-    targets:
-        Record only these vertices and stop as soon as each holds
-        ``max_distinct_counts`` counts; the result equals the ``None`` (every
-        vertex) result restricted to ``targets``.
-
-    Returns
-    -------
-    dict mapping target vertex to a list of ``(vfrag_count, vertex_sequence)``
-    sorted by vfrag count (at most ``max_distinct_counts`` entries, distinct
-    counts, simple paths only).  The source itself is not included.
-    """
-    ids, rows = vfrag_rows(subgraph, (source,))
-    wanted = None
-    if targets is not None:
-        index_of = {vertex: index for index, vertex in enumerate(ids)}
-        wanted = [index_of[vertex] for vertex in targets if vertex in index_of]
-    results, _ = vfrag_label_search(
-        ids,
-        rows,
-        0,
-        max_distinct_counts,
-        wanted=wanted,
-        label_slack=label_slack,
-        labels_per_count=labels_per_count,
-        max_expansions=max_expansions,
-    )
-    return results
-
-
-def k_lightest_paths_by_vfrags(
-    subgraph,
-    source: int,
-    target: int,
-    max_distinct_counts: int,
-    max_expansions: int = 500_000,
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Simple paths from ``source`` to ``target`` with the smallest vfrag counts.
-
-    Pairwise variant of :func:`lightest_vfrag_paths_from_source`: the same
-    search with ``target`` as its only wanted vertex.
-
-    Returns a list of ``(vfrag_count, vertex_sequence)`` sorted by vfrag count.
-    """
-    if source == target:
-        return [(0, (source,))]
-    per_target = lightest_vfrag_paths_from_source(
-        subgraph,
-        source,
-        max_distinct_counts=max_distinct_counts,
-        max_expansions=max_expansions,
-        targets=(target,),
-    )
-    return per_target.get(target, [])

@@ -8,7 +8,6 @@ from .harness import (
     build_dataset,
     build_dtlp,
     make_queries,
-    make_update_batch,
 )
 from .reporting import format_table, print_experiment
 
@@ -20,7 +19,6 @@ __all__ = [
     "build_dataset",
     "build_dtlp",
     "make_queries",
-    "make_update_batch",
     "format_table",
     "print_experiment",
 ]

@@ -11,7 +11,7 @@ rows mirror the paper's series.  This module centralises the shared pieces:
 * :func:`build_dataset` / :func:`build_dtlp` — cached construction of graphs
   and indexes so that a benchmark session does not rebuild the same index for
   every figure.
-* small helpers for generating update batches and query batches.
+* small helpers for generating query batches and running topology batches.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from typing import Dict, List, Mapping, Tuple
 
 from ..core.dtlp import DTLP, DTLPConfig
 from ..distributed.topology import StormTopology, TopologyReport
-from ..dynamics.traffic import TrafficModel
 from ..graph.generators import dataset as make_dataset
-from ..graph.graph import DynamicGraph, WeightUpdate
+from ..graph.graph import DynamicGraph
 from ..workloads.queries import KSPQuery, QueryGenerator
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "build_dataset",
     "build_dtlp",
     "make_queries",
-    "make_update_batch",
     "run_topology_batch",
     "DATASET_DEFAULT_Z",
 ]
@@ -169,17 +167,6 @@ def make_queries(
     """Generate a reproducible batch of queries for an experiment."""
     generator = QueryGenerator(graph, seed=seed, min_hops=min_hops)
     return generator.generate(count, k=k)
-
-
-def make_update_batch(
-    graph: DynamicGraph,
-    alpha: float,
-    tau: float,
-    seed: int = 23,
-) -> List[WeightUpdate]:
-    """Generate (without applying) one snapshot of weight updates."""
-    model = TrafficModel(graph, alpha=alpha, tau=tau, seed=seed)
-    return model.generate_updates()
 
 
 def run_topology_batch(

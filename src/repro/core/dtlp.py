@@ -62,7 +62,7 @@ class DTLPConfig:
         boundary pair, a directed skeleton graph).
     max_expansions:
         Cap on heap pops per bounding-path search; see
-        :func:`repro.algorithms.dijkstra.lightest_vfrag_paths_from_source`.
+        :func:`repro.algorithms.dijkstra.vfrag_label_search`.
         ``DTLPStatistics.truncated_searches`` counts the searches it cut
         short.
     partitioner:
@@ -764,17 +764,6 @@ class DTLP:
     # ------------------------------------------------------------------
     # queries used by KSP-DG
     # ------------------------------------------------------------------
-    def minimum_lower_bound_distance(self, source: int, target: int) -> Optional[float]:
-        """Minimum lower bound distance between two boundary vertices (MBD).
-
-        Returns ``None`` when the vertices never co-occur in a subgraph.
-        """
-        if not self._built:
-            raise IndexStateError("DTLP.build() must run before queries")
-        if self._skeleton.has_edge(source, target):
-            return self._skeleton.weight(source, target)
-        return None
-
     def attachment_edges(self, vertex: int, kernel: str = "dict") -> Dict[int, float]:
         """Lower-bound edges connecting ``vertex`` to the skeleton graph.
 

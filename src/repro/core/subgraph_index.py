@@ -53,7 +53,7 @@ class SubgraphIndex:
         directions of every boundary pair (Section 5.3).
     max_expansions:
         Cap on heap pops per bounding-path search; see
-        :func:`repro.algorithms.dijkstra.lightest_vfrag_paths_from_source`.
+        :func:`repro.algorithms.dijkstra.vfrag_label_search`.
         :attr:`truncated_searches` counts the searches it cut short.
     """
 

@@ -101,19 +101,6 @@ class Placement:
         except KeyError:
             raise ClusterError(f"no worker with id {worker_id}") from None
 
-    def route_query(self, route_index: int, num_targets: int) -> int:
-        """Deterministic round-robin routing of the ``route_index``-th query.
-
-        Used to pick the QueryBolt serving a query.  The routing depends
-        only on the query's global submission index and the number of
-        routing targets, so replicas of the topology in executor worker
-        processes route every query to the same bolt the serial reference
-        would (a prerequisite for bit-identical communication accounting).
-        """
-        if num_targets < 1:
-            raise ClusterError("cannot route queries to zero targets")
-        return route_index % num_targets
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Placement workers={self._num_workers} "

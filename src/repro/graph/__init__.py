@@ -19,7 +19,6 @@ from .partition_ml import (
     PARTITIONERS,
     make_partition,
     partition_mincut,
-    vertex_weights_from_subgraph_costs,
 )
 from .paths import Path, is_simple, merge_paths, path_edges
 from .subgraph import SortedUnitWeights, Subgraph
@@ -55,7 +54,6 @@ __all__ = [
     "assemble_partition",
     "partition_mincut",
     "make_partition",
-    "vertex_weights_from_subgraph_costs",
     "PARTITIONERS",
     "Path",
     "is_simple",

@@ -32,7 +32,6 @@ import math
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -282,19 +281,6 @@ class DynamicGraph:
         """Current weight of one virtual fragment of edge ``(u, v)``."""
         return self.weight(u, v) / self.vfrag_count(u, v)
 
-    def edge_version(self, u: int, v: int) -> int:
-        """Graph version at which edge ``(u, v)`` last changed weight.
-
-        Returns 0 for edges that still carry their insertion-time weight.
-        The counter lets caches and other derived structures decide whether
-        a value computed at version ``t`` can still be trusted: a path
-        computed at ``t`` has an exact distance iff every edge on it has
-        ``edge_version(u, v) <= t``.
-        """
-        if not self.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        return self._edge_versions.get(self._key(u, v), 0)
-
     def edges_changed_since(self, version: int) -> Iterator[Tuple[int, int, float]]:
         """Yield ``(u, v, current_weight)`` for edges changed after ``version``.
 
@@ -331,18 +317,6 @@ class DynamicGraph:
             if edge_version > version:
                 u, v = key
                 yield u, v, self._adjacency[u][v]
-
-    def path_version(self, vertices: Sequence[int]) -> int:
-        """Largest :meth:`edge_version` along the path ``vertices``.
-
-        A cached result computed at graph version ``t`` remains
-        distance-exact while ``path_version(p) <= t`` for every path ``p``
-        it contains.
-        """
-        newest = 0
-        for index in range(len(vertices) - 1):
-            newest = max(newest, self.edge_version(vertices[index], vertices[index + 1]))
-        return newest
 
     def path_distance(self, vertices: Sequence[int]) -> float:
         """Distance of the path ``vertices`` under the current weights.
@@ -469,24 +443,6 @@ class DynamicGraph:
         # The change log is not copied: queries older than the clone point
         # must fall back to the version-table scan.
         clone._change_log_floor = self._version
-        return clone
-
-    def subgraph_view(self, vertices: Iterable[int]) -> "DynamicGraph":
-        """Return a new graph induced by ``vertices`` (copies weights).
-
-        Initial weights are carried over so the vfrag decomposition of the
-        sub-graph agrees with the parent graph.
-        """
-        wanted = set(vertices)
-        clone = DirectedDynamicGraph() if self._directed else DynamicGraph()
-        for vertex in wanted:
-            if not self.has_vertex(vertex):
-                raise VertexNotFoundError(vertex)
-            clone.add_vertex(vertex)
-        for (u, v), w0 in self._initial_weights.items():
-            if u in wanted and v in wanted:
-                clone.add_edge(u, v, self._adjacency[u][v])
-                clone._initial_weights[clone._key(u, v)] = w0
         return clone
 
     def total_weight(self) -> float:

@@ -32,9 +32,8 @@ adopted as a shared vertex by
 :func:`~repro.graph.partition.assemble_partition`.
 
 Load-aware balancing (the analog of DGL's ``balance_ntypes``) is optional:
-pass ``vertex_weights`` — e.g. derived from per-subgraph cost telemetry via
-:func:`vertex_weights_from_subgraph_costs` — and the partitioner
-additionally keeps every block's total weight under
+pass ``vertex_weights`` (per-vertex costs) and the partitioner additionally
+keeps every block's total weight under
 ``(1 + balance_slack) *`` the ideal average.
 
 All iteration orders are sorted, so the partitioner is deterministic for a
@@ -55,7 +54,6 @@ from .partition import GraphPartition, assemble_partition, partition_graph
 __all__ = [
     "partition_mincut",
     "make_partition",
-    "vertex_weights_from_subgraph_costs",
     "PARTITIONERS",
 ]
 
@@ -518,9 +516,8 @@ def partition_mincut(
         The paper's ``z``: maximum home vertices per subgraph.
     vertex_weights:
         Optional per-vertex cost weights for load-aware balancing (the
-        analog of DGL's ``balance_ntypes``); see
-        :func:`vertex_weights_from_subgraph_costs`.  Unweighted vertices
-        default to ``1.0``.
+        analog of DGL's ``balance_ntypes``).  Unweighted vertices default
+        to ``1.0``.
     balance_slack:
         With ``vertex_weights``, each block's total weight is kept under
         ``(1 + balance_slack) * total / ceil(n / z)``.
@@ -632,30 +629,6 @@ def _partition_with_block_count(
         blocks[block_id].append(vertex_ids[index])
     blocks = [sorted(block) for block in blocks if block]
     return assemble_partition(graph, blocks)
-
-
-def vertex_weights_from_subgraph_costs(
-    partition: GraphPartition,
-    subgraph_costs: Mapping[int, float],
-) -> Dict[int, float]:
-    """Spread per-subgraph cost telemetry onto vertices for load balancing.
-
-    The rebalancer's ledger reports cost per *subgraph*; the partitioner
-    balances *vertices*.  Each subgraph's cost is distributed uniformly over
-    its vertices (boundary vertices collect shares from every subgraph that
-    contains them), yielding the ``vertex_weights`` argument of
-    :func:`partition_mincut` — the analog of DGL's ``balance_ntypes`` label
-    weights, derived from observed load instead of node types.
-    """
-    weights: Dict[int, float] = {}
-    for subgraph in partition.subgraphs:
-        cost = float(subgraph_costs.get(subgraph.subgraph_id, 0.0))
-        if not subgraph.vertices:
-            continue
-        share = cost / len(subgraph.vertices)
-        for vertex in subgraph.vertices:
-            weights[vertex] = weights.get(vertex, 0.0) + share
-    return weights
 
 
 #: Registry used by the CLI (``--partitioner {bfs,mincut}``), the store and

@@ -34,9 +34,7 @@ from .profile import (
 from .trace import (
     Span,
     TraceSession,
-    add_span_args,
     begin_trace,
-    current_span,
     end_trace,
     mark,
     pop_span,
@@ -63,9 +61,7 @@ __all__ = [
     "kernel_counters",
     "Span",
     "TraceSession",
-    "add_span_args",
     "begin_trace",
-    "current_span",
     "end_trace",
     "mark",
     "pop_span",

@@ -74,15 +74,6 @@ class KernelCounters:
         """Plain mapping of every counter (stable key order)."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def merge(self, other: "KernelCounters") -> None:
-        """Fold another collector into this one (sums; peak takes the max)."""
-        self.searches += other.searches
-        self.settled += other.settled
-        self.relaxed += other.relaxed
-        self.pruned += other.pruned
-        self.heap_pushes += other.heap_pushes
-        self.heap_peak = max(self.heap_peak, other.heap_peak)
-
     def fold_into(self, registry) -> None:
         """Accumulate into a :class:`~repro.obs.metrics.MetricsRegistry`.
 

@@ -49,8 +49,6 @@ __all__ = [
     "push_span",
     "pop_span",
     "mark",
-    "add_span_args",
-    "current_span",
     "render_tree",
     "trees_from_chrome",
 ]
@@ -115,12 +113,6 @@ def end_trace() -> Optional[Span]:
     stack = getattr(_local, "stack", None)
     _local.stack = None
     return stack[0][0] if stack else None
-
-
-def current_span() -> Optional[Span]:
-    """The innermost open span, or ``None`` when tracing is off."""
-    stack = getattr(_local, "stack", None)
-    return stack[-1][0] if stack else None
 
 
 def push_span(name: str, _kernel: bool = False, **args: Any) -> Optional[Span]:
@@ -195,13 +187,6 @@ def mark(name: str, **args: Any) -> None:
         stack[-1][0].children.append(Span(name, args))
 
 
-def add_span_args(**args: Any) -> None:
-    """Attach args to the innermost open span (no-op when tracing is off)."""
-    stack = getattr(_local, "stack", None)
-    if stack:
-        stack[-1][0].args.update(args)
-
-
 # ----------------------------------------------------------------------
 # session: collection and export
 # ----------------------------------------------------------------------
@@ -240,21 +225,6 @@ class TraceSession:
     def queries(self) -> List[Tuple[int, Span]]:
         """``(seq, root)`` pairs collected so far, in collection order."""
         return list(self._queries)
-
-    @property
-    def events(self) -> List[Span]:
-        """Session-level event spans in collection order."""
-        return list(self._events)
-
-    @property
-    def num_spans(self) -> int:
-        """Total spans across every collected tree and event."""
-        total = 0
-        for _, root in self._queries:
-            total += sum(1 for _ in root.walk())
-        for event in self._events:
-            total += sum(1 for _ in event.walk())
-        return total
 
     # -- export --------------------------------------------------------
     def to_chrome_trace(self) -> Dict[str, Any]:
@@ -296,26 +266,6 @@ class TraceSession:
         with open(path, "wb") as handle:
             handle.write(payload)
         return len(payload)
-
-    def render_tree(self, max_queries: Optional[int] = None) -> str:
-        """Human-readable tree view of the collected spans."""
-        lines: List[str] = []
-        if self._events:
-            lines.append("session events:")
-            for event in self._events:
-                _render_span(event, "  ", lines)
-        shown = sorted(self._queries, key=lambda item: item[0])
-        omitted = 0
-        if max_queries is not None and len(shown) > max_queries:
-            omitted = len(shown) - max_queries
-            shown = shown[:max_queries]
-        for seq, root in shown:
-            lines.append(f"query #{seq}:")
-            _render_span(root, "  ", lines)
-        if omitted:
-            lines.append(f"... {omitted} more queries omitted")
-        return "\n".join(lines)
-
 
 def _metadata_event(tid: int, name: str) -> Dict[str, Any]:
     return {

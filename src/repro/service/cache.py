@@ -1,8 +1,7 @@
 """Result cache with update-scoped invalidation.
 
-The cache stores KSP results keyed by ``(source, target, k)`` together with
-the graph version they were computed at.  Invalidation is driven by the
-stream of :class:`~repro.graph.graph.WeightUpdate` batches:
+The cache stores KSP results keyed by ``(source, target, k)``.  Invalidation
+is driven by the stream of :class:`~repro.graph.graph.WeightUpdate` batches:
 
 * **scoped** (default): only entries whose cached paths traverse an updated
   edge are evicted.  Entries that survive are *distance-exact* — every
@@ -68,11 +67,10 @@ def _crosses(paths: Sequence[Path], arcs: Set[EdgeKey], endpoints: Set[int]) -> 
 class CacheEntry:
     """One cached KSP result."""
 
-    __slots__ = ("paths", "version")
+    __slots__ = ("paths",)
 
-    def __init__(self, paths: Sequence[Path], version: int) -> None:
+    def __init__(self, paths: Sequence[Path]) -> None:
         self.paths = list(paths)
-        self.version = version
 
 
 class CacheStats:
@@ -84,7 +82,6 @@ class CacheStats:
         "evictions",
         "invalidations",
         "full_flushes",
-        "stale_rejections",
     )
 
     def __init__(self) -> None:
@@ -93,18 +90,6 @@ class CacheStats:
         self.evictions = 0
         self.invalidations = 0
         self.full_flushes = 0
-        self.stale_rejections = 0
-
-    def reclassify_stale_hit(self) -> None:
-        """Turn the latest hit into a miss after a freshness check failed.
-
-        Used by the server's belt-and-braces re-validation: an entry that
-        slipped past invalidation (e.g. updates applied while the service's
-        listener was unregistered) is rejected at read time and recounted.
-        """
-        self.hits -= 1
-        self.misses += 1
-        self.stale_rejections += 1
 
     @property
     def hit_rate(self) -> float:
@@ -176,11 +161,11 @@ class ResultCache:
         """Return the entry for ``key`` without touching LRU order or stats."""
         return self._entries.get(key)
 
-    def put(self, key: QueryKey, paths: Sequence[Path], version: int) -> CacheEntry:
-        """Insert (or replace) the result for ``key`` computed at ``version``."""
+    def put(self, key: QueryKey, paths: Sequence[Path]) -> CacheEntry:
+        """Insert (or replace) the result for ``key``."""
         entries = self._entries
         entries.pop(key, None)
-        entry = entries[key] = CacheEntry(paths, version)
+        entry = entries[key] = CacheEntry(paths)
         while len(entries) > self._capacity:
             entries.popitem(last=False)
             self.stats.evictions += 1

@@ -7,9 +7,10 @@ which query traffic and road-network dynamics genuinely interleave:
 * queries are admitted through a bounded, coalescing
   :class:`~repro.service.pipeline.RequestPipeline` and answered in
   micro-batches;
-* answers are cached in a :class:`~repro.service.cache.ResultCache` whose
-  invalidation is wired to the graph's update stream, so a cached path is
-  never served after one of its edges changed weight;
+* answers are cached in a :class:`~repro.service.cache.ResultCache` that
+  the service builds and owns; its invalidation is wired to the graph's
+  update stream, which every weight change passes through, so a cached
+  path is never served after one of its edges changed weight;
 * a maintenance step applies :class:`~repro.dynamics.traffic.TrafficModel`
   snapshots to the graph between batches — the DTLP index (when attached)
   and the cache are refreshed through the same listener mechanism the
@@ -36,14 +37,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.dtlp import DTLP
 from ..dynamics.traffic import TrafficModel
-from ..graph.errors import EdgeNotFoundError
 from ..graph.graph import DynamicGraph, WeightUpdate
 from ..graph.paths import Path
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Span, TraceSession
 from ..workloads.queries import KSPQuery
 from ..workloads.runner import QueryEngine, QueryOutcome
-from .cache import CacheEntry, ResultCache
+from .cache import ResultCache
 from .errors import ServiceClosedError
 from .pipeline import PendingRequest, RequestPipeline
 from .telemetry import ServiceReport, ServiceTelemetry
@@ -95,9 +95,8 @@ class KSPService:
         Optional traffic model driving :meth:`maintenance_step` when no
         explicit update batch is passed.  Defaults to the paper's
         ``alpha=35%%, tau=30%%`` model.
-    cache:
-        A pre-configured :class:`ResultCache`, or ``None`` to build one from
-        ``cache_capacity`` / ``invalidation_mode``.  Pass
+    enable_cache / cache_capacity / invalidation_mode / full_eviction_threshold:
+        The service builds its own :class:`ResultCache` from these; pass
         ``enable_cache=False`` to serve uncached (every query computes).
     queue_capacity / max_batch_size:
         Admission-queue bound and micro-batch size (see
@@ -128,7 +127,6 @@ class KSPService:
         owns_engine: bool = False,
         dtlp: Optional[DTLP] = None,
         traffic: Optional[TrafficModel] = None,
-        cache: Optional[ResultCache] = None,
         enable_cache: bool = True,
         cache_capacity: int = 4096,
         invalidation_mode: str = "scoped",
@@ -152,25 +150,16 @@ class KSPService:
         if dtlp is not None:
             dtlp.attach()
         self._traffic = traffic
-        # A privately built cache is fully covered by this service's own
-        # invalidation listener; only externally supplied caches (possibly
-        # shared or pre-populated) need read-time freshness re-checks.
-        self._cache_is_external = cache is not None and enable_cache
-        if enable_cache:
-            # `cache or ...` would be wrong here: ResultCache defines
-            # __len__, so a freshly built (empty) cache is falsy.
-            self._cache: Optional[ResultCache] = (
-                cache
-                if cache is not None
-                else ResultCache(
-                    capacity=cache_capacity,
-                    directed=graph.directed,
-                    mode=invalidation_mode,
-                    full_eviction_threshold=full_eviction_threshold,
-                )
+        self._cache: Optional[ResultCache] = (
+            ResultCache(
+                capacity=cache_capacity,
+                directed=graph.directed,
+                mode=invalidation_mode,
+                full_eviction_threshold=full_eviction_threshold,
             )
-        else:
-            self._cache = None
+            if enable_cache
+            else None
+        )
         self._pipeline = RequestPipeline(
             capacity=queue_capacity, max_batch_size=max_batch_size
         )
@@ -292,9 +281,6 @@ class KSPService:
         misses: List[Tuple[int, PendingRequest]] = []
         for position, pending in enumerate(batch):
             entry = self._cache.get(pending.key) if self._cache is not None else None
-            if entry is not None and self._cache_is_external and not self._is_fresh(entry):
-                self._cache.stats.reclassify_stale_hit()
-                entry = None
             if entry is not None:
                 answered.append(
                     self._fan_out(pending, entry.paths, from_cache=True, version=version)
@@ -309,7 +295,7 @@ class KSPService:
             for (position, pending), outcome in zip(misses, outcomes):
                 outcome_by_position[position] = outcome
                 if self._cache is not None:
-                    self._cache.put(pending.key, outcome.paths, version)
+                    self._cache.put(pending.key, outcome.paths)
                 answered[position] = self._fan_out(
                     pending, outcome.paths, from_cache=False, version=version
                 )
@@ -421,28 +407,6 @@ class KSPService:
             )
             for query in pending.queries
         ]
-
-    def _is_fresh(self, entry: CacheEntry) -> bool:
-        """Re-check a hit against per-edge versions (belt and braces).
-
-        Scoped invalidation should have evicted any entry whose paths
-        touch an updated edge; this read-time check catches updates that
-        bypassed the listener (e.g. a cache populated by another service or
-        against another graph).  O(total path length) per hit, so the
-        server only runs it for externally supplied caches — a cache this
-        service built privately is fully covered by its own invalidation
-        listener and skips the walk.  Note a version fast-path would be
-        unsound here: two independent graphs can share a version number.
-        """
-        try:
-            return all(
-                self._graph.path_version(path.vertices) <= entry.version
-                for path in entry.paths
-            )
-        except EdgeNotFoundError:
-            # A cached path references an edge this graph doesn't have
-            # (cache populated against a different graph): stale.
-            return False
 
     def drain(self) -> List[ServedQuery]:
         """Answer every pending request, batch by batch."""
@@ -586,9 +550,8 @@ class KSPService:
             hits, misses = stats.hits, stats.misses
             hit_rate = stats.hit_rate
             invalidations, flushes = stats.invalidations, stats.full_flushes
-            stale_rejections = stats.stale_rejections
         else:
-            hits = misses = invalidations = flushes = stale_rejections = 0
+            hits = misses = invalidations = flushes = 0
             hit_rate = 0.0
         topology = getattr(self._engine, "topology", None)
         rebalancer = getattr(topology, "rebalancer", None)
@@ -607,7 +570,6 @@ class KSPService:
             retried_submissions=self._telemetry.retried_submissions,
             cache_invalidations=invalidations,
             cache_full_flushes=flushes,
-            cache_stale_rejections=stale_rejections,
             rebalances=rebalancer.rebalances if rebalancer else 0,
             subgraphs_migrated=rebalancer.subgraphs_migrated if rebalancer else 0,
             workers_joined=elasticity.workers_joined if elasticity else 0,

@@ -51,7 +51,6 @@ class ServiceReport:
     maintenance_seconds: float
     cache_invalidations: int
     cache_full_flushes: int
-    cache_stale_rejections: int
     kernel: str = "dict"
     #: Deadline-budget accounting: admissions shed up front as infeasible
     #: within their budget, queued slots whose deadline lapsed before
@@ -109,7 +108,6 @@ class ServiceReport:
             "maintenance time (s)": round(self.maintenance_seconds, 4),
             "cache invalidations": self.cache_invalidations,
             "cache full flushes": self.cache_full_flushes,
-            "cache stale rejections": self.cache_stale_rejections,
             "rebalances": self.rebalances,
             "subgraphs migrated": self.subgraphs_migrated,
             "workers joined": self.workers_joined,
@@ -186,7 +184,6 @@ class ServiceTelemetry:
         shed: int,
         cache_invalidations: int,
         cache_full_flushes: int,
-        cache_stale_rejections: int = 0,
         kernel: str = "dict",
         shed_deadline: int = 0,
         deadline_expired: int = 0,
@@ -234,7 +231,6 @@ class ServiceTelemetry:
             maintenance_seconds=self.maintenance_seconds,
             cache_invalidations=cache_invalidations,
             cache_full_flushes=cache_full_flushes,
-            cache_stale_rejections=cache_stale_rejections,
             kernel=kernel,
             shed_deadline=shed_deadline,
             deadline_expired=deadline_expired,

@@ -11,7 +11,6 @@ from repro.bench import (
     build_dtlp,
     format_table,
     make_queries,
-    make_update_batch,
     print_experiment,
 )
 
@@ -67,10 +66,3 @@ class TestHarnessBuilders:
         queries = make_queries(graph, 5, k=3)
         assert len(queries) == 5
         assert all(query.k == 3 for query in queries)
-
-    def test_make_update_batch_does_not_mutate_graph(self):
-        graph = build_dataset("NY", scale=0.3)
-        version_before = graph.version
-        batch = make_update_batch(graph, alpha=0.3, tau=0.3)
-        assert batch
-        assert graph.version == version_before

@@ -4,21 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import EPIndex
-from repro.core.bounding_paths import BoundingPath, compute_bounding_paths
+from repro.core import EPIndex, SubgraphIndex
+from repro.core.bounding_paths import BoundingPath
 from repro.graph import DynamicGraph, Subgraph
 
 
-def full_subgraph(graph, subgraph_id=0):
+def bounding_paths(graph, source, target, xi):
+    """The bounding paths of ``(source, target)`` over the whole of ``graph``
+    with both endpoints as boundary vertices (Algorithm 1 for one pair)."""
     edges = [(u, v) for u, v, _ in graph.edges()]
-    return Subgraph(subgraph_id, graph, graph.vertices(), edges)
+    subgraph = Subgraph(0, graph, graph.vertices(), edges)
+    subgraph.set_boundary_vertices({source, target})
+    return SubgraphIndex(subgraph, xi=xi).build().bounding_paths(source, target)
 
 
 class TestBoundingPathRecord:
-    def test_edge_pairs(self):
-        path = BoundingPath(0, 1, 4, (1, 2, 3, 4), 7, 9.0)
-        assert path.edge_pairs() == [(1, 2), (2, 3), (3, 4)]
-
     def test_repr_contains_endpoints(self):
         path = BoundingPath(3, 1, 4, (1, 4), 2, 5.0)
         assert "1->4" in repr(path)
@@ -27,40 +27,30 @@ class TestBoundingPathRecord:
 class TestComputeBoundingPaths:
     def test_sg4_pair_13_14(self, sg4_graph):
         """Example 3: bounding paths between v13 and v14 with xi = 2."""
-        subgraph = full_subgraph(sg4_graph, 4)
-        paths = compute_bounding_paths(subgraph, 13, 14, xi=2)
+        paths = bounding_paths(sg4_graph, 13, 14, xi=2)
         assert [p.vertices for p in paths] == [(13, 16, 14), (13, 18, 17, 16, 14)]
         assert [p.vfrag_count for p in paths] == [8, 10]
         assert paths[0].distance == pytest.approx(8.0)
         assert paths[1].distance == pytest.approx(10.0)
 
     def test_xi_one_returns_single_path(self, sg4_graph):
-        subgraph = full_subgraph(sg4_graph, 4)
-        paths = compute_bounding_paths(subgraph, 13, 14, xi=1)
+        paths = bounding_paths(sg4_graph, 13, 14, xi=1)
         assert len(paths) == 1
         assert paths[0].vertices == (13, 16, 14)
-
-    def test_path_ids_start_at_given_offset(self, sg4_graph):
-        subgraph = full_subgraph(sg4_graph, 4)
-        paths = compute_bounding_paths(subgraph, 13, 14, xi=2, first_path_id=10)
-        assert [p.path_id for p in paths] == [10, 11]
 
     def test_disconnected_pair_returns_empty(self):
         graph = DynamicGraph()
         graph.add_edge(1, 2, 1.0)
         graph.add_edge(3, 4, 1.0)
-        subgraph = full_subgraph(graph)
-        assert compute_bounding_paths(subgraph, 1, 4, xi=2) == []
+        assert bounding_paths(graph, 1, 4, xi=2) == []
 
     def test_invalid_xi_rejected(self, sg4_graph):
-        subgraph = full_subgraph(sg4_graph, 4)
         with pytest.raises(ValueError):
-            compute_bounding_paths(subgraph, 13, 14, xi=0)
+            bounding_paths(sg4_graph, 13, 14, xi=0)
 
     def test_distances_reflect_current_weights(self, sg4_graph):
-        subgraph = full_subgraph(sg4_graph, 4)
         sg4_graph.update_weight(13, 16, 50.0)
-        paths = compute_bounding_paths(subgraph, 13, 14, xi=1)
+        paths = bounding_paths(sg4_graph, 13, 14, xi=1)
         # Bounding paths are defined by vfrag counts (initial weights), so the
         # fewest-vfrag path is still <13,16,14>, but its distance reflects the
         # new weight.

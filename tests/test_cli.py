@@ -241,6 +241,13 @@ class TestCommands:
         assert report["chaos"]["wrong_answer_count"] == 0
         assert report["chaos"]["kills"] == 1
 
+    def test_serve_http_runs_for_its_duration_and_reports(self, capsys):
+        code = main(["serve-http", "--dataset", "NY", "--scale", "0.3", "--duration", "0.3"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "front door listening on http://" in out
+        assert re.search(r"^served 0 ok / 0 degraded of 0 requests", out, re.MULTILINE)
+
     def test_missing_graph_source_fails(self):
         with pytest.raises(SystemExit):
             main(["stats", "--z", "16"])

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from repro.algorithms import (
     dijkstra,
-    k_lightest_paths_by_vfrags,
-    lightest_vfrag_paths_from_source,
     shortest_distance,
     shortest_path,
     shortest_path_tree,
 )
+from repro.algorithms.dijkstra import vfrag_label_search, vfrag_rows
 from repro.graph import (
     DynamicGraph,
     PathNotFoundError,
@@ -155,6 +154,17 @@ class TestShortestPathTree:
             assert hops < 100
 
 
+def label_search(subgraph, source, xi, max_expansions=500_000, targets=None):
+    """``vfrag_label_search`` from one source, with vertex ids in and out."""
+    ids, rows = vfrag_rows(subgraph, (source,))
+    index_of = {vertex: index for index, vertex in enumerate(ids)}
+    wanted = None if targets is None else [index_of[v] for v in targets if v in index_of]
+    results, _ = vfrag_label_search(
+        ids, rows, 0, xi, wanted=wanted, max_expansions=max_expansions
+    )
+    return results
+
+
 class TestVfragLabelSearch:
     def make_subgraph(self, graph):
         edges = [(u, v) for u, v, _ in graph.edges()]
@@ -162,7 +172,7 @@ class TestVfragLabelSearch:
 
     def test_minimum_count_is_vfrag_shortest(self, sg4_graph):
         subgraph = self.make_subgraph(sg4_graph)
-        results = k_lightest_paths_by_vfrags(subgraph, 13, 14, max_distinct_counts=2)
+        results = label_search(subgraph, 13, 2, targets=[14])[14]
         assert results, "expected at least one bounding path"
         counts = [count for count, _ in results]
         # The fewest-vfrag path between 13 and 14 is <13,16,14> with 8 vfrags
@@ -171,7 +181,7 @@ class TestVfragLabelSearch:
 
     def test_second_distinct_count_matches_paper_example3(self, sg4_graph):
         subgraph = self.make_subgraph(sg4_graph)
-        results = k_lightest_paths_by_vfrags(subgraph, 13, 14, max_distinct_counts=2)
+        results = label_search(subgraph, 13, 2, targets=[14])[14]
         assert len(results) == 2
         # Example 3: the second bounding path is <13,18,17,16,14> with 10 vfrags
         assert results[1][0] == 10
@@ -179,17 +189,18 @@ class TestVfragLabelSearch:
 
     def test_xi_one_keeps_single_count(self, sg4_graph):
         subgraph = self.make_subgraph(sg4_graph)
-        results = k_lightest_paths_by_vfrags(subgraph, 13, 14, max_distinct_counts=1)
-        assert len(results) == 1
+        assert len(label_search(subgraph, 13, 1, targets=[14])[14]) == 1
 
     def test_source_equals_target(self, sg4_graph):
+        # The source is never recorded, even when it is a wanted vertex.
         subgraph = self.make_subgraph(sg4_graph)
-        assert k_lightest_paths_by_vfrags(subgraph, 13, 13, 3) == [(0, (13,))]
+        assert 13 not in label_search(subgraph, 13, 3)
+        assert label_search(subgraph, 13, 3, targets=[13]) == {}
 
     def test_counts_strictly_increasing_and_simple(self):
         graph = road_network(5, 5, seed=6)
         subgraph = self.make_subgraph(graph)
-        results = k_lightest_paths_by_vfrags(subgraph, 0, 24, max_distinct_counts=4)
+        results = label_search(subgraph, 0, 4, targets=[24])[24]
         counts = [count for count, _ in results]
         assert counts == sorted(set(counts))
         for _, vertices in results:
@@ -198,25 +209,25 @@ class TestVfragLabelSearch:
     def test_from_source_covers_all_reachable_targets(self):
         graph = road_network(4, 4, seed=6)
         subgraph = self.make_subgraph(graph)
-        per_target = lightest_vfrag_paths_from_source(subgraph, 0, max_distinct_counts=2)
+        per_target = label_search(subgraph, 0, 2)
         assert set(per_target) == set(graph.vertices()) - {0}
 
     def test_from_source_counts_match_pairwise(self):
         graph = road_network(4, 4, seed=6)
         subgraph = self.make_subgraph(graph)
-        per_target = lightest_vfrag_paths_from_source(subgraph, 0, max_distinct_counts=3)
+        per_target = label_search(subgraph, 0, 3)
         for target in [5, 10, 15]:
-            pairwise = k_lightest_paths_by_vfrags(subgraph, 0, target, 3)
+            pairwise = label_search(subgraph, 0, 3, targets=[target])[target]
             assert per_target[target][0][0] == pairwise[0][0]
 
     def test_invalid_xi_rejected(self, sg4_graph):
-        subgraph = self.make_subgraph(sg4_graph)
+        ids, rows = vfrag_rows(self.make_subgraph(sg4_graph), (13,))
         with pytest.raises(ValueError):
-            lightest_vfrag_paths_from_source(subgraph, 13, max_distinct_counts=0)
+            vfrag_label_search(ids, rows, 0, max_distinct_counts=0)
 
     def test_path_counts_equal_sum_of_edge_vfrags(self, sg4_graph):
         subgraph = self.make_subgraph(sg4_graph)
-        results = k_lightest_paths_by_vfrags(subgraph, 13, 19, max_distinct_counts=3)
+        results = label_search(subgraph, 13, 3, targets=[19])[19]
         for count, vertices in results:
             expected = sum(
                 subgraph.vfrag_count(vertices[index], vertices[index + 1])
@@ -295,9 +306,7 @@ class TestVfragSearchTargets:
     )
     def test_targets_restrict_the_full_result_and_paths_are_well_formed(self, case):
         subgraph, source, xi, max_expansions = case
-        full = lightest_vfrag_paths_from_source(
-            subgraph, source, max_distinct_counts=xi, max_expansions=max_expansions
-        )
+        full = label_search(subgraph, source, xi, max_expansions)
         reference = reference_label_search(subgraph, source, xi, max_expansions)
         assert list(full.items()) == list(reference.items())
 
@@ -318,12 +327,8 @@ class TestVfragSearchTargets:
         candidates = sorted(subgraph.vertices) + [max(subgraph.vertices) + 1]
         for size in range(len(candidates) + 1):
             for targets in itertools.combinations(candidates, size):
-                restricted = lightest_vfrag_paths_from_source(
-                    subgraph,
-                    source,
-                    max_distinct_counts=xi,
-                    max_expansions=max_expansions,
-                    targets=targets,
+                restricted = label_search(
+                    subgraph, source, xi, max_expansions, targets=targets
                 )
                 expected = [item for item in full.items() if item[0] in targets]
                 assert list(restricted.items()) == expected

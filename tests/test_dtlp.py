@@ -41,8 +41,6 @@ class TestBuild:
             _ = dtlp.partition
         with pytest.raises(IndexStateError):
             dtlp.statistics()
-        with pytest.raises(IndexStateError):
-            dtlp.minimum_lower_bound_distance(0, 1)
 
     def test_config_directedness_follows_graph(self, small_road_network):
         dtlp = DTLP(small_road_network, DTLPConfig(z=20, xi=2, directed=True))
@@ -155,12 +153,6 @@ class TestMaintenance:
         elapsed = dtlp.handle_updates(updates)
         assert elapsed >= 0
         assert dtlp.last_maintenance_seconds == elapsed
-
-    def test_minimum_lower_bound_distance(self, small_dtlp):
-        skeleton = small_dtlp.skeleton_graph
-        u, v, weight = next(iter(skeleton.edges()))
-        assert small_dtlp.minimum_lower_bound_distance(u, v) == pytest.approx(weight)
-        assert small_dtlp.minimum_lower_bound_distance(u, u) is None
 
     def test_attachment_edges_for_non_boundary_vertex(self, small_road_network, small_dtlp):
         partition = small_dtlp.partition

@@ -31,6 +31,12 @@ from repro.frontdoor import server as frontdoor_server
 from repro.frontdoor.server import MAX_K
 from repro.graph import EdgeNotFoundError, WeightUpdate, road_network
 
+#: The ``/query`` outcome counters; every request lands in exactly one.
+QUERY_OUTCOMES = (
+    "served_ok", "served_degraded", "shed_overload", "shed_deadline_infeasible",
+    "deadline_exceeded", "no_replica_available", "bad_requests", "internal_errors",
+)
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -103,6 +109,51 @@ class TestDeadlines:
 
     def test_default_budget_succeeds(self, front_door, client):
         assert client.query(2, 33, k=2).status == 200
+
+    def test_deadline_spent_waiting_on_stalled_replica_is_504(self, graph):
+        # The first replica of the key's route is stalled past the budget:
+        # the front door's wait for its answer times out at the deadline,
+        # and the failover to the second replica finds the budget spent.
+        replicas = build_replicas(graph, num_replicas=2, engine="yen", stall_seconds=0.6)
+        with start_front_door(replicas, degraded_mode=False) as handle:
+            server = handle.server
+            handle.run_on_loop(server.replicas[server.router.order((0, 35, 2))[0]].stall, 1)
+            with FrontDoorClient.for_url(handle.url) as raw:
+                status, payload, _headers = raw._request(
+                    "POST", "/query", {"source": 0, "target": 35, "k": 2},
+                    {"X-Deadline-Ms": "150"}, timeout=5.0,
+                )
+            assert status == 504
+            assert "deadline exceeded" in payload["error"]
+            counters = server.counters
+            assert counters["deadline_exceeded"] == 1
+            assert counters["requests_total"] == sum(counters[name] for name in QUERY_OUTCOMES)
+
+    def test_deadline_lapsed_in_replica_queue_is_504(self, graph):
+        # The replica finds the slot's deadline passed when it drains its
+        # queue (its clock runs ten seconds ahead here) while the caller is
+        # still waiting: the slot is served as expired, the waiter fails
+        # with DeadlineExceededError and the front door answers 504 without
+        # failing over, since a live replica replied.
+        replicas = build_replicas(graph, num_replicas=2, engine="yen")
+        with start_front_door(replicas, degraded_mode=False) as handle:
+            server = handle.server
+            first = server.router.order((0, 35, 2))[0]
+            pipeline = server.replicas[first].service.pipeline
+            next_batch = pipeline.next_batch
+            pipeline.next_batch = lambda now=None: next_batch(time.perf_counter() + 10.0)
+            with FrontDoorClient.for_url(handle.url) as raw:
+                status, payload, _headers = raw._request(
+                    "POST", "/query", {"source": 0, "target": 35, "k": 2},
+                    {"X-Deadline-Ms": "5000"}, timeout=10.0,
+                )
+            assert status == 504
+            assert "deadline exceeded" in payload["error"]
+            assert pipeline.deadline_expired == 1
+            assert server.breakers[first].state == "closed"
+            counters = server.counters
+            assert counters["deadline_exceeded"] == 1
+            assert counters["requests_total"] == sum(counters[name] for name in QUERY_OUTCOMES)
 
 
 class TestFailoverAndDegraded:

@@ -211,21 +211,6 @@ class TestSnapshotsAndViews:
         snapshot = graph.snapshot()
         assert snapshot.initial_weight(1, 2) == 3.0
 
-    def test_subgraph_view_restricts_vertices(self):
-        graph = DynamicGraph()
-        graph.add_edge(1, 2, 3.0)
-        graph.add_edge(2, 3, 4.0)
-        view = graph.subgraph_view([1, 2])
-        assert view.num_vertices == 2
-        assert view.has_edge(1, 2)
-        assert not view.has_edge(2, 3)
-
-    def test_subgraph_view_unknown_vertex_raises(self):
-        graph = DynamicGraph()
-        graph.add_edge(1, 2, 3.0)
-        with pytest.raises(VertexNotFoundError):
-            graph.subgraph_view([1, 99])
-
     def test_path_distance(self):
         graph = DynamicGraph()
         graph.add_edge(1, 2, 3.0)

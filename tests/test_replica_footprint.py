@@ -154,7 +154,7 @@ def test_scoped_invalidation_evicts_what_a_brute_force_scan_evicts(
         if operation[0] == "put":
             _, key, paths = operation
             keys.add(key)
-            cache.put(key, paths, version=0)
+            cache.put(key, paths)
             oracle.put(key, paths)
         elif operation[0] == "get":
             entry = cache.get(operation[1])

