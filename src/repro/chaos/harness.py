@@ -47,7 +47,7 @@ from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.yen import yen_k_shortest_paths
-from ..distributed.rebalance import ElasticityStats
+from ..distributed.topology import ElasticityStats
 from ..dynamics.traffic import TrafficModel
 from ..frontdoor.breaker import OPEN
 from ..graph.errors import EdgeNotFoundError

@@ -28,7 +28,7 @@ class TopologyTarget:
 
     It keeps what only a topology has: workers die mid-batch (a ``kill``
     with an ``offset``), the queries routed to a dying QueryBolt are
-    counted as retried, elasticity/autoscale/store wiring is the
+    counted as retried, elasticity/store wiring is the
     topology's own, and every batch reports its deterministic counters.
     Stalls and slowdowns are simulated wall clock — a stalled worker adds
     :data:`STALL_SECONDS` per batch, a slowed one multiplies the batch's

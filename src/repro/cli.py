@@ -37,10 +37,7 @@ CUSA, a scaled synthetic analogue) or ``--gr`` (path to a DIMACS file);
 ``bench``, ``replay`` and ``serve`` additionally accept
 ``--executor {serial,process}`` to pick the physical execution
 backend (worker processes hold resident index replicas; see
-``ARCHITECTURE.md``, "Execution backends") and ``--rebalance [THRESHOLD]``
-to enable load-adaptive placement with live subgraph migration
-(``$REPRO_REBALANCE`` sets the default; see ``ARCHITECTURE.md``, "Load
-telemetry & rebalancing"); ``replay``/``serve`` accept
+``ARCHITECTURE.md``, "Execution backends"); ``replay``/``serve`` accept
 ``--kernel {snapshot,dict}`` to pick the compute path, which the printed
 service report echoes back.
 
@@ -66,12 +63,7 @@ from typing import Optional, Sequence
 from .algorithms import yen_k_shortest_paths
 from .bench.reporting import format_table
 from .core import DTLP, DTLPConfig, KSPDG
-from .distributed import (
-    KSPDGEngine,
-    StormTopology,
-    default_rebalance_spec,
-    resolve_rebalance,
-)
+from .distributed import KSPDGEngine, StormTopology
 from .dynamics import TrafficModel
 from .exec import EXECUTORS, default_executor_name
 from .graph import DynamicGraph, dataset, read_gr, write_gr
@@ -181,22 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--alpha", type=float, default=0.0,
                        help="apply one traffic snapshot changing this fraction of edges first")
     bench.add_argument("--tau", type=float, default=0.3)
-    bench.add_argument("--rebalance", nargs="?", const="on", default=None,
-                       metavar="THRESHOLD",
-                       help="enable load-adaptive placement with live subgraph "
-                            "migration; optional max/mean imbalance threshold "
-                            "(default 1.25).  The batch then runs in rounds so "
-                            "the skew trigger can fire mid-run.  Defaults to "
-                            "$REPRO_REBALANCE or off")
-    bench.add_argument("--rounds", type=int, default=None,
-                       help="split the query batch into this many rounds "
-                            "(default: 4 when --rebalance is active, else 1)")
-    bench.add_argument("--autoscale", metavar="HIGH[:LOW]", default=None,
-                       help="enable saturation-driven worker elasticity: add a "
-                            "worker when the rolling per-worker load exceeds "
-                            "HIGH (tasks per batch), retire the coldest one "
-                            "below LOW (default HIGH/4); implies rounds so the "
-                            "trigger can fire mid-run")
     bench.add_argument("--kernel", choices=["snapshot", "dict"],
                        default="snapshot",
                        help="compute kernel: array-backed snapshots (default, "
@@ -228,14 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         add_executor_argument(sub, "physical execution backend for cache-miss "
                               "compute batches (see ARCHITECTURE.md, 'Execution "
                               "backends')")
-        sub.add_argument("--rebalance", nargs="?", const="on", default=None,
-                         metavar="THRESHOLD",
-                         help="enable load-adaptive placement with live subgraph "
-                              "migration on the kspdg engine's topology "
-                              "(optional max/mean imbalance threshold, default "
-                              "1.25); the maintenance loop then re-tests the "
-                              "skew trigger every round.  Defaults to "
-                              "$REPRO_REBALANCE or off")
         sub.add_argument("--no-cache", action="store_true",
                          help="disable the result cache (every query computes)")
         sub.add_argument("--cache-capacity", type=int, default=4096)
@@ -304,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_cmd.add_argument("--kinds", default="kill,join,stall",
                            help="comma-separated fault kinds to draw from "
                                 "(kill, join, stall, slow)")
-    chaos_cmd.add_argument("--autoscale", metavar="HIGH[:LOW]", default=None,
-                           help="additionally enable saturation-driven worker "
-                                "elasticity during the chaos run")
     chaos_cmd.add_argument("--alpha", type=float, default=0.25,
                            help="fraction of edges changed per traffic round")
     chaos_cmd.add_argument("--tau", type=float, default=0.3)
@@ -398,13 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "report as JSON to FILE")
 
     return parser
-
-
-def _rebalance_spec(args: argparse.Namespace):
-    """The effective rebalance spec: ``--rebalance`` or ``$REPRO_REBALANCE``."""
-    if args.rebalance is not None:
-        return args.rebalance
-    return default_rebalance_spec()
 
 
 def _load_graph(args: argparse.Namespace) -> DynamicGraph:
@@ -553,84 +511,34 @@ def _command_bench(args: argparse.Namespace) -> int:
     if args.alpha > 0:
         dtlp.attach()
         TrafficModel(graph, alpha=args.alpha, tau=args.tau, seed=args.seed).advance()
-    rebalance = _rebalance_spec(args)
     with StormTopology(
-        dtlp, num_workers=args.workers, executor=args.executor, rebalance=rebalance,
-        autoscale=args.autoscale, kernel=args.kernel, store_path=args.store,
+        dtlp, num_workers=args.workers, executor=args.executor,
+        kernel=args.kernel, store_path=args.store,
     ) as topology:
         executor_name = topology.executor.name
         queries = QueryGenerator(graph, seed=args.seed, min_hops=3).generate(
             args.num_queries, k=args.k
         )
-        # With rebalancing active the batch runs in rounds so the skew
-        # trigger (tested between batches) can fire mid-run and later
-        # rounds serve on the corrected placement.
-        if args.rounds is not None and args.rounds < 1:
-            raise SystemExit("--rounds must be at least 1")
-        adaptive = topology.rebalancer is not None or topology.autoscaler is not None
-        num_rounds = (
-            args.rounds if args.rounds is not None else (4 if adaptive else 1)
-        )
-        num_rounds = max(1, min(num_rounds, len(queries) or 1))
-        chunk = max(1, -(-len(queries) // num_rounds))
-        results, makespan, compute, comm = [], 0.0, 0.0, 0
-        load_balance = {"busy_spread": 0.0}
-        executed_rounds = 0
         profiling = args.profile or args.profile_out is not None
         profiler = cProfile.Profile() if profiling else None
         started = time.perf_counter()
         if profiler is not None:
             profiler.enable()
-        for offset in range(0, len(queries), chunk):
-            report = topology.run_queries(queries[offset:offset + chunk])
-            executed_rounds += 1
-            results.extend(report.results)
-            makespan += report.makespan_seconds
-            compute += report.total_compute_seconds
-            comm += report.communication_units
-            load_balance = report.load_balance
+        report = topology.run_queries(queries)
         if profiler is not None:
             profiler.disable()
         wall = time.perf_counter() - started
-        iterations = (
-            sum(result.iterations for result in results) / len(results)
-            if results else 0.0
-        )
-        rebalancer = topology.rebalancer
-        autoscaler = topology.autoscaler
-        elasticity = topology.elasticity
     rows = [
         ["queries", len(queries)],
         ["workers", args.workers],
         ["executor", executor_name],
-        ["rounds", executed_rounds],
         ["wall time (s)", round(wall, 4)],
-        ["parallel time (s)", round(makespan, 4)],
-        ["total compute (s)", round(compute, 4)],
-        ["communication (vertex units)", comm],
-        ["mean iterations", round(iterations, 2)],
-        # Busy time is reset per round, so the spread describes the final
-        # round only — with rebalancing that is the post-migration steady
-        # state, which is the number of interest.
-        ["busy-time spread (final round)", round(load_balance["busy_spread"], 4)],
+        ["parallel time (s)", round(report.makespan_seconds, 4)],
+        ["total compute (s)", round(report.total_compute_seconds, 4)],
+        ["communication (vertex units)", report.communication_units],
+        ["mean iterations", round(report.mean_iterations, 2)],
+        ["busy-time spread", round(report.load_balance["busy_spread"], 4)],
     ]
-    if rebalancer is not None:
-        rows += [
-            ["rebalances", rebalancer.rebalances],
-            ["subgraphs migrated", rebalancer.subgraphs_migrated],
-            ["migration transfer (vertex units)", rebalancer.transfer_units],
-            ["load imbalance (max/mean)",
-             round(rebalancer.load_report(topology.placement).imbalance(), 4)],
-        ]
-    if autoscaler is not None:
-        rows += [
-            ["scale-ups / scale-downs",
-             f"{autoscaler.scale_ups} / {autoscaler.scale_downs}"],
-            ["workers joined", elasticity.workers_joined],
-            ["workers retired", elasticity.workers_retired],
-            ["join transfer (vertex units)", elasticity.join_transfer_units],
-            ["recovery time (s)", round(elasticity.recovery_seconds, 4)],
-        ]
     print(format_table(["metric", "value"], rows))
     if profiler is not None:
         stats = pstats.Stats(profiler)
@@ -649,10 +557,6 @@ def _build_service(args: argparse.Namespace, graph: DynamicGraph) -> KSPService:
     """Assemble the serving stack requested by the service CLI arguments."""
     dtlp: Optional[DTLP] = None
     engine: QueryEngine
-    rebalance = _rebalance_spec(args)
-    # Resolve once: specs like "off"/"0" are non-None strings that still
-    # mean disabled.
-    rebalance_enabled = resolve_rebalance(rebalance) is not None
     if args.engine == "yen":
         engine = YenEngine(
             graph, kernel=args.kernel, executor=args.executor,
@@ -667,13 +571,7 @@ def _build_service(args: argparse.Namespace, graph: DynamicGraph) -> KSPService:
         dtlp = _build_dtlp(args, graph)
         engine = KSPDGEngine.local(
             dtlp, num_workers=args.workers, kernel=args.kernel,
-            executor=args.executor, rebalance=rebalance, store_path=args.store,
-        )
-    if rebalance_enabled and args.engine != "kspdg":
-        print(
-            f"note: --rebalance only applies to the kspdg engine's topology; "
-            f"ignored for {args.engine}",
-            file=sys.stderr,
+            executor=args.executor, store_path=args.store,
         )
     traffic = TrafficModel(graph, alpha=args.alpha, tau=args.tau, seed=args.seed)
     return KSPService(
@@ -687,7 +585,6 @@ def _build_service(args: argparse.Namespace, graph: DynamicGraph) -> KSPService:
         invalidation_mode=args.invalidation,
         queue_capacity=args.queue_capacity,
         max_batch_size=args.batch_size,
-        rebalance_every=1 if (rebalance_enabled and args.engine == "kspdg") else 0,
         tracer=TraceSession() if args.trace else None,
     )
 
@@ -788,7 +685,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         executor=args.executor,
         kernel=args.kernel,
-        autoscale=args.autoscale,
         store_path=args.store,
     )
     report = run_chaos(TopologyTarget(topology), workload, plan)

@@ -2,49 +2,28 @@
 
 The *logical* cluster lives here (placement, routing, cost attribution);
 the *physical* execution backends live in :mod:`repro.exec` — see
-``ARCHITECTURE.md`` ("Placement vs. Executor").  The placement is either
-static (the paper's deployment-time greedy balance) or *load-adaptive*:
-:mod:`repro.distributed.rebalance` aggregates per-subgraph cost telemetry
-into rolling load reports and live-migrates subgraphs between workers when
-a configurable skew threshold is crossed (``ARCHITECTURE.md``, "Load
-telemetry & rebalancing").
+``ARCHITECTURE.md`` ("Placement vs. Executor").  The placement is the
+paper's deployment-time greedy balance over vertex counts; it changes only
+through the topology's fault and elasticity surgery (a worker failure,
+join or retirement).
 """
 
-from .autoscale import AutoscaleConfig, Autoscaler, resolve_autoscale
 from .bolts import EntranceSpout, QueryBolt, QueryBoltResult, SubgraphBolt
 from .cluster import ClusterAccountant, SimulatedCluster, SimulatedWorker, WorkerStats
 from .engine import DistributedBuildReport, KSPDGEngine, distributed_build_report
-from .placement import Placement, greedy_balance
-from .rebalance import (
-    ElasticityStats,
-    LoadReport,
-    MigrationPlan,
-    RebalanceConfig,
-    Rebalancer,
-    apply_join,
-    apply_moves,
-    default_rebalance_spec,
-    plan_join,
-    plan_rebalance,
-    resolve_rebalance,
-)
+from .placement import LoadReport, MigrationPlan, Placement, greedy_balance, plan_join
 from .runtime import (
     LogicalTopology,
     TopologyBundle,
     TopologyReplica,
     build_topology_replica,
 )
-from .topology import JoinReport, StormTopology, TopologyReport
+from .topology import ElasticityStats, JoinReport, StormTopology, TopologyReport
 
 __all__ = [
-    "AutoscaleConfig",
-    "Autoscaler",
     "ElasticityStats",
     "JoinReport",
-    "apply_join",
-    "apply_moves",
     "plan_join",
-    "resolve_autoscale",
     "EntranceSpout",
     "QueryBolt",
     "QueryBoltResult",
@@ -57,11 +36,6 @@ __all__ = [
     "greedy_balance",
     "LoadReport",
     "MigrationPlan",
-    "RebalanceConfig",
-    "Rebalancer",
-    "default_rebalance_spec",
-    "plan_rebalance",
-    "resolve_rebalance",
     "LogicalTopology",
     "TopologyBundle",
     "TopologyReplica",

@@ -34,9 +34,8 @@ class WorkerStats:
     """Accumulated cost statistics of one worker.
 
     ``subgraph_seconds`` / ``subgraph_tasks`` attribute SubgraphBolt work
-    to the individual subgraph that was served — the telemetry stream the
-    load-adaptive placement layer (:mod:`repro.distributed.rebalance`)
-    aggregates.  They are a *parallel* channel: charging them never touches
+    to the individual subgraph that was served.  They are a *parallel*
+    channel: charging them never touches
     ``busy_seconds`` or ``tasks_executed``, so the pre-existing counters
     stay bit-identical to the seed behaviour.
     """
@@ -98,11 +97,11 @@ class SimulatedWorker:
     def charge_subgraph(self, subgraph_id: int, seconds: float) -> None:
         """Attribute one subgraph-serving operation to ``subgraph_id``.
 
-        Feeds the load-adaptive placement telemetry only; the worker-level
+        Per-subgraph cost telemetry only; the worker-level
         ``busy_seconds`` / ``tasks_executed`` counters are charged
         separately (and unchanged) by the existing ``charge_compute``
-        calls.  The task count is the deterministic load metric (identical
-        on every execution backend); the seconds are the wall-clock one.
+        calls.  The task count is deterministic (identical on every
+        execution backend); the seconds are wall clock.
         """
         if seconds < 0:
             raise ClusterError("cannot charge negative subgraph time")

@@ -52,8 +52,6 @@ class KSPDGEngine:
         kernel: str = "snapshot",
         executor: Union[str, Executor, None] = None,
         executor_workers: Optional[int] = None,
-        rebalance: Union[None, bool, float, str] = None,
-        autoscale: Union[None, bool, int, float, str] = None,
         pruning: bool = True,
         store_path: Optional[str] = None,
     ) -> "KSPDGEngine":
@@ -65,9 +63,6 @@ class KSPDGEngine:
         immediately visible to subsequent queries.  ``kernel`` selects the
         compute path of the bolts (array snapshots by default),
         ``executor`` the physical backend running query batches,
-        ``rebalance`` enables load-adaptive placement with live subgraph
-        migration, ``autoscale`` enables saturation-driven worker
-        join/retirement (see :mod:`repro.distributed.autoscale`),
         ``pruning`` switches the bound-pruned query kernel (see
         ``ARCHITECTURE.md``), and ``store_path``
         lets process replicas cold-start from a partition store instead of
@@ -80,8 +75,6 @@ class KSPDGEngine:
                 kernel=kernel,
                 executor=executor,
                 executor_workers=executor_workers,
-                rebalance=rebalance,
-                autoscale=autoscale,
                 pruning=pruning,
                 store_path=store_path,
             )

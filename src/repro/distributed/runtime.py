@@ -3,8 +3,8 @@
 :class:`LogicalTopology` is the deployment of Figure 14 as one object: the
 SubgraphBolts and QueryBolts built from ordered specs, the EntranceSpout
 wired over them, the :class:`~repro.distributed.cluster.ClusterAccountant`
-they all charge through, the placement surgery (:meth:`~LogicalTopology.migrate`,
-:meth:`~LogicalTopology.fail_worker`, :meth:`~LogicalTopology.add_worker`,
+they all charge through, the placement surgery
+(:meth:`~LogicalTopology.fail_worker`, :meth:`~LogicalTopology.add_worker`,
 :meth:`~LogicalTopology.retire_worker`) and the query-envelope runner.  The
 master's :class:`~repro.distributed.topology.StormTopology` holds one and
 adds what only a master has (planning, the executor, broadcasts); with the
@@ -32,8 +32,7 @@ After the spawn only three kinds of message cross the process boundary:
   returned with the tagged results and absorbed by the master (charges
   are additive, so the merge is exact).
 * **placement-change plans** — the move lists computed on the master by
-  the load-adaptive placement layer (:mod:`repro.distributed.rebalance`),
-  by failover or by a join/retirement.  Each replica already holds every
+  failover or by a join/retirement.  Each replica already holds every
   subgraph's state, so only the plan crosses the pipe and the replica
   applies the surgery in place — no respawn, no bundle re-ship.
 
@@ -48,11 +47,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.dtlp import DTLP
 from ..core.ksp_dg import SearchMode
+from ..graph.errors import ClusterError
 from ..graph.graph import WeightUpdate
 from ..workloads.queries import KSPQuery
 from .bolts import EntranceSpout, QueryBolt, QueryBoltResult, SubgraphBolt
 from .cluster import ClusterAccountant, SimulatedCluster
-from .rebalance import Move, apply_join, apply_moves
+from .placement import Move
 
 __all__ = [
     "LogicalTopology",
@@ -139,28 +139,56 @@ class LogicalTopology:
     # ------------------------------------------------------------------
     # placement surgery (plans are computed by the master)
     # ------------------------------------------------------------------
-    def migrate(self, moves: Sequence[Move]) -> int:
-        """Apply a live migration plan; returns the subgraphs migrated.
+    def _apply_moves(self, moves: Sequence[Move], transfer_state: bool) -> int:
+        """Re-host subgraphs between live SubgraphBolts; returns the count.
 
-        Every copy holds every subgraph's state already, so a migration is
-        pure bolt surgery (:func:`~repro.distributed.rebalance.apply_moves`
-        with state transfer charged) followed by a re-wire.
+        For every ``(subgraph_id, source, target)``: the subgraph id is
+        removed from the source bolt and added to the target bolt, the
+        resident first-level index memory is re-attributed (released on the
+        source, charged on the target), and — when ``transfer_state`` —
+        shipping the subgraph state is charged as communication of the
+        subgraph's vertex count from source to target (the unit of the
+        paper's Section 5.6.1 cost model).  ``transfer_state=False`` is the
+        failover path: the source worker is gone, survivors rebuild from
+        the shared graph store, so only memory is charged on the gainer.
         """
-        migrated = apply_moves(
-            moves, self.subgraph_bolts, self.account, self.dtlp, transfer_state=True
-        )
-        self._rewire()
-        return migrated
+        by_worker = {}
+        for bolt in self.subgraph_bolts:
+            by_worker.setdefault(bolt.worker_id, []).append(bolt)
+        for subgraph_id, source, target in moves:
+            source_bolt = next(
+                (b for b in by_worker.get(source, []) if subgraph_id in b.subgraph_ids),
+                None,
+            )
+            targets = by_worker.get(target)
+            if targets is None:
+                raise ClusterError(
+                    f"cannot migrate subgraph {subgraph_id}: no SubgraphBolt on "
+                    f"worker {target}"
+                )
+            if source_bolt is None and transfer_state:
+                raise ClusterError(
+                    f"cannot migrate subgraph {subgraph_id}: worker {source} "
+                    "does not own it"
+                )
+            if source_bolt is not None:
+                source_bolt.subgraph_ids.discard(subgraph_id)
+            targets[0].subgraph_ids.add(subgraph_id)
+            memory = self.dtlp.subgraph_index(subgraph_id).memory_estimate_bytes()
+            if transfer_state and source_bolt is not None:
+                self.account.worker(source).charge_memory(-memory)
+                self.account.send(
+                    source, target, self.dtlp.partition.subgraph(subgraph_id).num_vertices
+                )
+            self.account.worker(target).charge_memory(memory)
+        return len(moves)
 
     def _drain_worker(
         self, worker_id: int, moves: Sequence[Move], transfer_state: bool
     ) -> int:
-        # apply_moves discards every moved id from its source bolt, so the
+        # _apply_moves discards every moved id from its source bolt, so the
         # drained worker's bolts end up empty before they are dropped.
-        migrated = apply_moves(
-            moves, self.subgraph_bolts, self.account, self.dtlp,
-            transfer_state=transfer_state,
-        )
+        migrated = self._apply_moves(moves, transfer_state)
         self.subgraph_bolts = [
             bolt for bolt in self.subgraph_bolts if bolt.worker_id != worker_id
         ]
@@ -200,9 +228,16 @@ class LogicalTopology:
         Grows the cost cluster to hold the new id (so later ledgers have
         the right shape) and appends an empty SubgraphBolt and one
         QueryBolt — at the end of both lists, see the class docstring —
-        before :func:`~repro.distributed.rebalance.apply_join` moves load
-        onto the joiner.  Logical workers are a placement concept: the
-        executor's OS-process pool is untouched.
+        before the plan moves load onto the joiner.  Logical workers are a
+        placement concept: the executor's OS-process pool is untouched.
+
+        Without a partition store the joiner receives each migrated
+        subgraph's state from its previous host (peer transfer charged in
+        vertex units).  With ``from_store`` the joiner instead loads the
+        partition files from disk: the sources still release the index
+        memory, and the master ships only the ``catchup_updates``-long
+        weight delta since the store was saved — O(load) cold start
+        instead of O(state).
         """
         while self.cluster.num_workers <= worker_id:
             self.cluster.add_worker()
@@ -210,10 +245,17 @@ class LogicalTopology:
             self._subgraph_bolt(f"subgraph-bolt-{worker_id}", worker_id, ())
         )
         self.query_bolts.append(self._query_bolt(f"query-bolt-{worker_id}-0", worker_id))
-        migrated = apply_join(
-            moves, self.subgraph_bolts, self.account, self.dtlp,
-            from_store=from_store, catchup_updates=catchup_updates,
-        )
+        migrated = self._apply_moves(moves, transfer_state=not from_store)
+        if from_store:
+            # transfer_state=False charges only the gainer's memory (the
+            # failover contract, where the source is gone); on a join the
+            # source is alive and hands its copy off, so release it here.
+            for subgraph_id, source, _ in moves:
+                self.account.worker(source).charge_memory(
+                    -self.dtlp.subgraph_index(subgraph_id).memory_estimate_bytes()
+                )
+            if catchup_updates > 0 and moves:
+                self.account.send(-1, worker_id, catchup_updates)  # master -> joiner
         self._rewire()
         return migrated
 

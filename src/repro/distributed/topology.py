@@ -11,7 +11,7 @@ The bolts, the spout and the surgery that re-hosts subgraphs live in one
 :class:`~repro.distributed.runtime.LogicalTopology`, the same object every
 process replica holds; this class adds what only the master does — planning
 (who moves where), the physical executor, the replica broadcasts, the
-rebalance/autoscale loops and their statistics, and the trace session.
+elasticity statistics, and the trace session.
 
 It separates two layers (``ARCHITECTURE.md``, "Placement vs. Executor"):
 
@@ -29,7 +29,7 @@ It separates two layers (``ARCHITECTURE.md``, "Placement vs. Executor"):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.dtlp import DTLP
@@ -39,21 +39,9 @@ from ..graph.errors import ClusterError
 from ..graph.graph import WeightUpdate
 from ..obs.trace import Span, TraceSession
 from ..workloads.queries import KSPQuery
-from .autoscale import AutoscaleConfig, Autoscaler, resolve_autoscale
 from .bolts import QueryBolt, QueryBoltResult, SubgraphBolt
 from .cluster import SimulatedCluster
-from .placement import Placement
-from .rebalance import (
-    ElasticityStats,
-    LoadReport,
-    MigrationPlan,
-    Move,
-    RebalanceConfig,
-    Rebalancer,
-    collect_subgraph_loads,
-    plan_join,
-    resolve_rebalance,
-)
+from .placement import LoadReport, Move, Placement, plan_join, vertex_loads
 from .runtime import (
     LogicalTopology,
     QueryEnvelope,
@@ -61,7 +49,63 @@ from .runtime import (
     build_topology_replica,
 )
 
-__all__ = ["TopologyReport", "JoinReport", "StormTopology"]
+__all__ = ["TopologyReport", "ElasticityStats", "JoinReport", "StormTopology"]
+
+
+@dataclass
+class ElasticityStats:
+    """Recovery/elasticity SLO counters of one topology.
+
+    Everything here is deterministic across execution backends except
+    ``recovery_seconds`` (measured wall clock of the join/fail/retire
+    surgeries — an SLO, not a replayable counter), which is why the
+    deterministic fields also ride the cluster metrics registry while the
+    seconds stay report-only.
+    """
+
+    workers_joined: int = 0
+    workers_lost: int = 0
+    workers_retired: int = 0
+    #: Vertex units shipped to joiners (peer transfer) plus catch-up
+    #: deltas (store-backed joins), cumulative across joins.
+    join_transfer_units: int = 0
+    #: Subgraphs re-hosted by failovers, retirements and joins.
+    subgraphs_recovered: int = 0
+    #: Queries re-routed because their target QueryBolt died before they
+    #: were served (the harness's at-least-once retry path).
+    retried_queries: int = 0
+    #: Queries lost outright; stays zero under the retry policy and is
+    #: reported so that "zero" is an asserted fact rather than an absence.
+    dropped_queries: int = 0
+    #: Wall clock spent inside recovery surgery (join + failover + retire).
+    recovery_seconds: float = 0.0
+
+    def fold_into(self, metrics) -> None:
+        """Charge the deterministic counters into a metrics registry."""
+        metrics.counter(
+            "elasticity_workers_joined_total", help="workers added by scale-up"
+        ).inc(self.workers_joined)
+        metrics.counter(
+            "elasticity_workers_lost_total", help="workers lost to failures"
+        ).inc(self.workers_lost)
+        metrics.counter(
+            "elasticity_workers_retired_total", help="workers drained by scale-down"
+        ).inc(self.workers_retired)
+        metrics.counter(
+            "elasticity_join_transfer_units_total",
+            help="state units shipped to joining workers",
+        ).inc(self.join_transfer_units)
+        metrics.counter(
+            "elasticity_subgraphs_recovered_total",
+            help="subgraphs re-hosted by failover/retire/join surgery",
+        ).inc(self.subgraphs_recovered)
+        metrics.counter(
+            "elasticity_retried_queries_total",
+            help="queries re-routed off dead workers",
+        ).inc(self.retried_queries)
+        metrics.counter(
+            "elasticity_dropped_queries_total", help="queries lost to faults"
+        ).inc(self.dropped_queries)
 
 
 @dataclass(frozen=True)
@@ -144,29 +188,6 @@ class StormTopology:
         Degree of physical parallelism when ``executor`` is a name;
         defaults to ``num_workers`` so the physical pool mirrors the
         logical cluster.
-    rebalance:
-        Load-adaptive placement (see :mod:`repro.distributed.rebalance`):
-        ``None``/``False`` keeps the deployment-time placement fixed (the
-        paper's behaviour, and the default); ``True`` enables the skew
-        trigger with defaults; a number sets the imbalance threshold; a
-        :class:`~repro.distributed.rebalance.RebalanceConfig` sets
-        everything.  When enabled the topology folds each completed
-        batch's per-subgraph load telemetry into a rolling profile and —
-        at the configured cadence — migrates subgraphs live to rebalance
-        the observed (not estimated) load.  Paths and distances are
-        placement-independent, so results stay bit-identical across a
-        migration; the deterministic ``"tasks"`` metric keeps the
-        migrations themselves identical on every execution backend.
-    autoscale:
-        Saturation-driven pool elasticity (see
-        :mod:`repro.distributed.autoscale`): ``None`` (default) keeps the
-        worker pool fixed; a number sets the high watermark (rolling tasks
-        per worker per batch) above which :meth:`add_worker` runs and
-        below a quarter of which the coldest worker is retired;
-        ``"HIGH:LOW"`` or an
-        :class:`~repro.distributed.autoscale.AutoscaleConfig` set
-        everything.  Deterministic under the default ``"tasks"`` metric,
-        like rebalancing.
     tracer:
         A :class:`~repro.obs.trace.TraceSession` to collect per-query span
         trees into (admission → route → bolt work items → kernel searches),
@@ -202,8 +223,6 @@ class StormTopology:
         kernel: str = "snapshot",
         executor: Union[str, Executor, None] = None,
         executor_workers: Optional[int] = None,
-        rebalance: Union[None, bool, float, str, RebalanceConfig] = None,
-        autoscale: Union[None, bool, int, float, str, AutoscaleConfig] = None,
         pruning: bool = True,
         tracer: Optional[TraceSession] = None,
         kernel_profiling: Optional[bool] = None,
@@ -241,22 +260,10 @@ class StormTopology:
         )
 
         # Balanced logical placement of subgraphs onto workers by vertex count.
-        self._placement = Placement.balanced(dtlp.partition, num_workers)
+        placement = Placement.balanced(dtlp.partition, num_workers)
 
-        # Load-adaptive placement: rolling per-subgraph load aggregation and
-        # the skew trigger (None when static placement was requested).
-        config = resolve_rebalance(rebalance)
-        self._rebalancer: Optional[Rebalancer] = (
-            Rebalancer(config) if config is not None else None
-        )
-
-        # Pool elasticity: the saturation-driven scale trigger (None keeps
-        # the pool size fixed) and the recovery SLO counters every join /
-        # failure / retirement folds into.
-        autoscale_config = resolve_autoscale(autoscale)
-        self._autoscaler: Optional[Autoscaler] = (
-            Autoscaler(autoscale_config) if autoscale_config is not None else None
-        )
+        # The recovery SLO counters every join / failure / retirement folds
+        # into.
         self.elasticity = ElasticityStats()
 
         self._logical = LogicalTopology(
@@ -264,7 +271,7 @@ class StormTopology:
             self._mode,
             self._cluster,
             [
-                (f"subgraph-bolt-{worker_id}", worker_id, self._placement.subgraphs_on(worker_id))
+                (f"subgraph-bolt-{worker_id}", worker_id, placement.subgraphs_on(worker_id))
                 for worker_id in range(num_workers)
             ],
             [
@@ -299,23 +306,13 @@ class StormTopology:
 
     @property
     def placement(self) -> Placement:
-        """The logical subgraph→worker placement."""
-        return self._placement
+        """The logical subgraph→worker placement, read from the live bolts."""
+        return self._live_placement()
 
     @property
     def executor(self) -> Executor:
         """The physical execution backend running query batches."""
         return self._executor
-
-    @property
-    def rebalancer(self) -> Optional[Rebalancer]:
-        """The load-adaptive placement loop, or ``None`` (static placement)."""
-        return self._rebalancer
-
-    @property
-    def autoscaler(self) -> Optional[Autoscaler]:
-        """The saturation-driven scale loop, or ``None`` (fixed pool)."""
-        return self._autoscaler
 
     @property
     def tracer(self) -> Optional[TraceSession]:
@@ -351,28 +348,8 @@ class StormTopology:
     # operations
     # ------------------------------------------------------------------
     def submit_weight_updates(self, updates: Sequence[WeightUpdate]) -> None:
-        """Route one batch of weight updates through the topology.
-
-        With rebalancing enabled, the per-subgraph maintenance charges are
-        folded into the rolling load profile immediately: they land on the
-        cluster *between* batches, where the next batch's metric reset
-        would erase them before the post-batch ``observe`` ran — and
-        update-driven hotspots (weight churn concentrated on a few
-        subgraphs) are exactly the skew the paper's scenario produces.
-        """
-        if self._rebalancer is None:
-            self._logical.spout.submit_weight_updates(updates)
-            return
-        metric = self._rebalancer.config.metric
-        before = collect_subgraph_loads(self._cluster, metric)
+        """Route one batch of weight updates through the topology."""
         self._logical.spout.submit_weight_updates(updates)
-        after = collect_subgraph_loads(self._cluster, metric)
-        delta = {
-            subgraph_id: amount - before.get(subgraph_id, 0.0)
-            for subgraph_id, amount in after.items()
-            if amount - before.get(subgraph_id, 0.0) > 0.0
-        }
-        self._rebalancer.observe_loads(delta)
 
     def fail_worker(self, worker_id: int) -> int:
         """Simulate the failure of one worker and reassign its subgraphs.
@@ -384,12 +361,11 @@ class StormTopology:
         first-level indexes) elsewhere.  The failed worker's QueryBolts stop
         receiving new queries.
 
-        Recovery reuses the live migration path
-        (:func:`~repro.distributed.rebalance.apply_moves` with
-        ``transfer_state=False`` — the dead worker cannot ship state, so
-        survivors rebuild the indexes from the shared graph store and only
-        memory is charged on the gainers).  On the process backend the
-        resident replicas perform the identical surgery in place via one
+        Recovery re-hosts through the same move surgery as a join or a
+        retirement, with no state transfer: the dead worker cannot ship
+        state, so survivors rebuild the indexes from the shared graph store
+        and only memory is charged on the gainers.  On the process backend
+        the resident replicas perform the identical surgery in place via one
         broadcast instead of being discarded and respawned.
 
         Returns the number of subgraphs that were migrated.  Raises
@@ -423,14 +399,13 @@ class StormTopology:
 
         The inverse of :meth:`fail_worker`: a fresh worker (next dense id)
         gets an empty SubgraphBolt plus a QueryBolt, and the join planner
-        (:func:`~repro.distributed.rebalance.plan_join`) steals subgraphs
-        from the hottest workers onto it — weighted by the rebalancer's
-        rolling observed loads when available, by vertex counts otherwise,
-        always deterministically.  Without a partition store the stolen
-        subgraphs' state ships from their previous hosts (peer transfer in
-        vertex units); with one (:mod:`repro.store`) the joiner cold-starts
-        from the partition files and only the catch-up weight delta since
-        the store was saved crosses the wire — O(load), the PR-8 path.
+        (:func:`~repro.distributed.placement.plan_join`) steals subgraphs
+        from the hottest workers onto it, weighted by vertex counts (the
+        deployment-time estimate), deterministically.  Without a partition
+        store the stolen subgraphs' state ships from their previous hosts
+        (peer transfer in vertex units); with one (:mod:`repro.store`) the
+        joiner cold-starts from the partition files and only the catch-up
+        weight delta since the store was saved crosses the wire — O(load).
 
         Resident process replicas run the same
         :meth:`~repro.distributed.runtime.LogicalTopology.add_worker` with
@@ -448,9 +423,8 @@ class StormTopology:
 
         grown = self._live_placement(worker_id + 1)
         load = LoadReport.from_loads(
-            self._join_weights(),
+            vertex_loads(self._dtlp.partition),
             grown,
-            self._load_metric(),
             workers=self.alive_workers() + [worker_id],
         )
         plan = plan_join(load, grown, worker_id)
@@ -490,18 +464,15 @@ class StormTopology:
         retiree is alive, so its subgraphs *ship their state* to the
         survivors (peer transfer, ``transfer_state=True``) instead of
         being rebuilt.  ``worker_id`` defaults to the coldest alive worker
-        under the rolling observed loads (highest id on ties, so recent
-        joiners retire first).  Returns the number of subgraphs migrated
-        off the retiree.
+        by vertex count (highest id on ties, so recent joiners retire
+        first).  Returns the number of subgraphs migrated off the retiree.
         """
         started = time.perf_counter()
         alive = self.alive_workers()
         if len(alive) <= 1:
             raise ClusterError("cannot retire the only remaining worker")
-        weights = self._join_weights()
-        load = LoadReport.from_loads(
-            weights, self._live_placement(), self._load_metric(), workers=alive
-        )
+        weights = vertex_loads(self._dtlp.partition)
+        load = LoadReport.from_loads(weights, self._live_placement(), workers=alive)
         if worker_id is None:
             worker_id = min(
                 alive, key=lambda w: (load.worker_load.get(w, 0.0), -w)
@@ -547,12 +518,10 @@ class StormTopology:
 
         ``operation`` names a :class:`~repro.distributed.runtime.LogicalTopology`
         method and ``plan`` its arguments; resident process replicas get the
-        identical call in one broadcast instead of a respawn.  The logical
-        placement is then re-read from the live bolts.  Returns the number
-        of subgraphs migrated.
+        identical call in one broadcast instead of a respawn.  Returns the
+        number of subgraphs migrated.
         """
         migrated = getattr(self._logical, operation)(*plan)
-        self._placement = self._live_placement()
         self._replica_set.broadcast(operation, *plan)
         return migrated
 
@@ -573,36 +542,6 @@ class StormTopology:
         except StoreError:
             return None
 
-    def _load_metric(self) -> str:
-        """Load metric steering join/retire plans (rebalancer's, or tasks)."""
-        if self._rebalancer is not None:
-            return self._rebalancer.config.metric
-        if self._autoscaler is not None:
-            return self._autoscaler.config.metric
-        return "tasks"
-
-    def _join_weights(self) -> Dict[int, float]:
-        """Per-subgraph weights for join/retire planning.
-
-        The rebalancer's rolling observed loads with the vertex-count
-        baseline tiebreak when observations exist; plain vertex counts
-        otherwise (cold start — the deployment-time estimate).
-        """
-        baseline = {
-            subgraph.subgraph_id: float(subgraph.num_vertices)
-            for subgraph in self._dtlp.partition.subgraphs
-        }
-        observed = self._rebalancer.loads if self._rebalancer is not None else {}
-        total = sum(observed.values())
-        if total <= 0.0:
-            return baseline
-        baseline_total = sum(baseline.values()) or 1.0
-        tiebreak_scale = total * 1e-3 / baseline_total
-        return {
-            sid: observed.get(sid, 0.0) + size * tiebreak_scale
-            for sid, size in baseline.items()
-        }
-
     def _live_placement(self, num_workers: Optional[int] = None) -> Placement:
         """The live bolt assignment, sized to the cluster unless told otherwise."""
         return Placement(
@@ -614,9 +553,6 @@ class StormTopology:
             },
         )
 
-    # ------------------------------------------------------------------
-    # load-adaptive placement
-    # ------------------------------------------------------------------
     def alive_workers(self) -> List[int]:
         """Worker ids currently hosting SubgraphBolts (failures excluded)."""
         return sorted({bolt.worker_id for bolt in self._logical.subgraph_bolts})
@@ -626,81 +562,6 @@ class StormTopology:
         """Total queries submitted so far — the deterministic round-robin
         routing cursor (identical on every backend and in replicas)."""
         return self._route_counter
-
-    def load_report(self, metric: str = "tasks") -> LoadReport:
-        """Per-subgraph/per-worker load observed since the last metric reset.
-
-        Batch-scoped by default (``run_queries`` resets the cluster's time
-        counters before each batch); the *rolling* profile across batches
-        lives on :attr:`rebalancer` when rebalancing is enabled.
-        """
-        report = LoadReport.collect(
-            self._cluster, self._placement, metric, workers=self.alive_workers()
-        )
-        return replace(
-            report,
-            workers_joined=self.elasticity.workers_joined,
-            workers_lost=self.elasticity.workers_lost,
-        )
-
-    def maybe_rebalance(self, force: bool = False) -> Optional[MigrationPlan]:
-        """Test the skew trigger and execute a live migration if it fires.
-
-        Requires the topology to have been built with ``rebalance=...``.
-        Called automatically after each ``check_every``-th batch; callers
-        may also invoke it directly (e.g. the serving layer's maintenance
-        loop, or ``force=True`` to rebalance regardless of the threshold).
-        Returns the executed plan, or ``None`` when no migration happened.
-        """
-        if self._rebalancer is None:
-            raise ClusterError(
-                "topology was built with a static placement; pass "
-                "rebalance=... to StormTopology to enable load-adaptive "
-                "placement"
-            )
-        plan = self._rebalancer.maybe_plan(
-            self._placement,
-            workers=self.alive_workers(),
-            force=force,
-            # Vertex counts — the deployment-time estimate — spread cold
-            # (unobserved) subgraphs by size instead of piling them onto
-            # greedy's first tie-break worker.
-            baseline={
-                subgraph.subgraph_id: float(subgraph.num_vertices)
-                for subgraph in self._dtlp.partition.subgraphs
-            },
-        )
-        if plan is None:
-            return None
-        self._execute_migration(plan)
-        # The transfer is charged to the live cluster, but the per-batch
-        # metric reset erases it before the next report — the rebalancer
-        # keeps the cumulative cost so reports can still surface it.
-        self._rebalancer.record_executed(
-            plan,
-            transfer_units=sum(
-                self._dtlp.partition.subgraph(subgraph_id).num_vertices
-                for subgraph_id, _, _ in plan.moves
-            ),
-        )
-        return plan
-
-    def _execute_migration(self, plan: MigrationPlan) -> None:
-        """Live-migrate subgraphs to the plan's placement, on every backend.
-
-        Runs strictly *between* batches (the only time this is called), so
-        there are no in-flight envelopes to drain — the synchronous batch
-        protocol is the drain.  The master re-hosts the subgraph ids,
-        re-attributes index memory and charges the state transfer as
-        communication; resident process replicas perform the identical
-        surgery via one ``migrate`` broadcast (the move list is the only
-        payload — each replica already holds every subgraph's state).  The
-        global ``route_index`` counter is untouched, so query routing —
-        and with it the result stream — continues bit-identically across
-        the swap.
-        """
-        self._apply_surgery("migrate", list(plan.moves))
-        self._placement = plan.placement
 
     def run_queries(self, queries: Sequence[KSPQuery], reset_metrics: bool = True) -> TopologyReport:
         """Process a batch of queries and return the aggregate report.
@@ -751,33 +612,6 @@ class StormTopology:
         report.total_compute_seconds = self._cluster.total_compute_seconds()
         report.communication_units = self._cluster.total_communication_units()
         report.load_balance = self._cluster.load_balance_report()
-        # Load-adaptive placement: fold this batch's per-subgraph telemetry
-        # into the rolling profile, then fire the skew trigger if due.  The
-        # migration (if any) runs strictly between batches — after this
-        # report is frozen, before the next batch — so the swap never races
-        # in-flight work and the report reflects the placement that served
-        # it.  Only metric-reset batches observe (a reset_metrics=False
-        # batch would double-count the preceding one).
-        if self._rebalancer is not None and queries and reset_metrics:
-            self._rebalancer.observe(self._cluster, self._placement)
-            if self._rebalancer.check_due():
-                self.maybe_rebalance()
-        # Pool elasticity rides the same batch boundary: fold the batch's
-        # saturation in, and run the join/retire surgery strictly between
-        # batches — deterministic under the "tasks" metric, like the
-        # rebalance trigger above.
-        if self._autoscaler is not None and queries and reset_metrics:
-            loads = collect_subgraph_loads(
-                self._cluster, self._autoscaler.config.metric
-            )
-            alive = self.alive_workers()
-            decision = self._autoscaler.observe(sum(loads.values()), len(alive))
-            if decision == "up":
-                self.add_worker()
-                self._autoscaler.record_scaled("up")
-            elif decision == "down" and len(alive) > 1:
-                self.retire_worker()
-                self._autoscaler.record_scaled("down")
         return report
 
     # ------------------------------------------------------------------

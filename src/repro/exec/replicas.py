@@ -119,7 +119,7 @@ class ReplicaSet:
 
         The complement of the delta-sync in :meth:`ensure` for state
         changes that are *not* derivable from the graph's change feed —
-        e.g. a live subgraph migration, where the master ships the move
+        e.g. a worker failure or join, where the master ships the move
         list once and every replica applies the identical surgery instead
         of being discarded and respawned.  When the group is not spawned
         there is nothing to keep in sync (the next :meth:`ensure` captures

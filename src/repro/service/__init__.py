@@ -12,10 +12,7 @@ is meant to run in production:
   (:class:`ServiceOverloadedError`);
 * :class:`KSPService` — the server: request path, maintenance loop applying
   :class:`~repro.dynamics.traffic.TrafficModel` snapshots to the graph and
-  DTLP index between batches (optionally re-testing the placement skew
-  trigger every ``rebalance_every`` rounds when the engine runs on a
-  rebalancing topology — see :mod:`repro.distributed.rebalance`), and
-  telemetry;
+  DTLP index between batches, and telemetry;
 * :class:`ServiceReport` — latency percentiles, cache hit rate, queue depth
   and shed counts;
 * :func:`generate_trace` / :func:`replay` — reproducible mixed

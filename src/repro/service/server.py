@@ -101,15 +101,6 @@ class KSPService:
     queue_capacity / max_batch_size:
         Admission-queue bound and micro-batch size (see
         :class:`RequestPipeline`).
-    rebalance_every:
-        When > 0 and the engine runs on a rebalancing topology (built with
-        ``rebalance=...``; see :mod:`repro.distributed.rebalance`), every
-        ``rebalance_every``-th maintenance round also tests the placement
-        skew trigger and live-migrates subgraphs if it fires.  This is the
-        maintenance-loop hook of the load-adaptive placement layer; the
-        topology additionally auto-checks at its own ``check_every``
-        batch cadence.  ``0`` (default) leaves rebalancing entirely to the
-        topology.
     tracer:
         A :class:`~repro.obs.trace.TraceSession` collecting one span tree
         per admitted query — queue wait, micro-batch, cache lookup, and
@@ -133,7 +124,6 @@ class KSPService:
         full_eviction_threshold: int = 512,
         queue_capacity: int = 256,
         max_batch_size: int = 16,
-        rebalance_every: int = 0,
         tracer: Optional[TraceSession] = None,
     ) -> None:
         self._graph = graph
@@ -163,8 +153,6 @@ class KSPService:
         self._pipeline = RequestPipeline(
             capacity=queue_capacity, max_batch_size=max_batch_size
         )
-        self._rebalance_every = rebalance_every
-        self._maintenance_since_rebalance = 0
         self._telemetry = ServiceTelemetry()
         self._tracer = tracer
         # Deterministic per-query trace sequence, assigned in admission
@@ -465,15 +453,6 @@ class KSPService:
                 updates=len(updates),
                 graph_version=self._graph.version,
             )
-        if self._rebalance_every > 0:
-            self._maintenance_since_rebalance += 1
-            if self._maintenance_since_rebalance >= self._rebalance_every:
-                self._maintenance_since_rebalance = 0
-                topology = getattr(self._engine, "topology", None)
-                if topology is not None and topology.rebalancer is not None:
-                    # Between batches by construction: maintenance and
-                    # query batches never overlap in the serving loop.
-                    topology.maybe_rebalance()
         return updates
 
     # ------------------------------------------------------------------
@@ -554,7 +533,6 @@ class KSPService:
             hits = misses = invalidations = flushes = 0
             hit_rate = 0.0
         topology = getattr(self._engine, "topology", None)
-        rebalancer = getattr(topology, "rebalancer", None)
         elasticity = getattr(topology, "elasticity", None)
         return self._telemetry.build_report(
             engine_name=getattr(self._engine, "name", type(self._engine).__name__),
@@ -570,8 +548,6 @@ class KSPService:
             retried_submissions=self._telemetry.retried_submissions,
             cache_invalidations=invalidations,
             cache_full_flushes=flushes,
-            rebalances=rebalancer.rebalances if rebalancer else 0,
-            subgraphs_migrated=rebalancer.subgraphs_migrated if rebalancer else 0,
             workers_joined=elasticity.workers_joined if elasticity else 0,
             workers_lost=elasticity.workers_lost if elasticity else 0,
             workers_retired=elasticity.workers_retired if elasticity else 0,

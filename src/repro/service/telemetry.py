@@ -61,8 +61,6 @@ class ServiceReport:
     shed_deadline: int = 0
     deadline_expired: int = 0
     retried_submissions: int = 0
-    rebalances: int = 0
-    subgraphs_migrated: int = 0
     #: Recovery SLO counters (non-zero only for elastic distributed
     #: engines): pool membership changes since the service started plus
     #: the query-level fault cost — queries re-routed after a worker
@@ -108,8 +106,6 @@ class ServiceReport:
             "maintenance time (s)": round(self.maintenance_seconds, 4),
             "cache invalidations": self.cache_invalidations,
             "cache full flushes": self.cache_full_flushes,
-            "rebalances": self.rebalances,
-            "subgraphs migrated": self.subgraphs_migrated,
             "workers joined": self.workers_joined,
             "workers lost": self.workers_lost,
             "workers retired": self.workers_retired,
@@ -188,8 +184,6 @@ class ServiceTelemetry:
         shed_deadline: int = 0,
         deadline_expired: int = 0,
         retried_submissions: int = 0,
-        rebalances: int = 0,
-        subgraphs_migrated: int = 0,
         workers_joined: int = 0,
         workers_lost: int = 0,
         workers_retired: int = 0,
@@ -235,8 +229,6 @@ class ServiceTelemetry:
             shed_deadline=shed_deadline,
             deadline_expired=deadline_expired,
             retried_submissions=retried_submissions,
-            rebalances=rebalances,
-            subgraphs_migrated=subgraphs_migrated,
             workers_joined=workers_joined,
             workers_lost=workers_lost,
             workers_retired=workers_retired,

@@ -4,8 +4,7 @@ The evaluation layer between raw engines and the benchmarks/serving stack:
 
 * :class:`KSPQuery` / :class:`QueryGenerator` — reproducible random query
   workloads (``Nq`` concurrent queries), with optional minimum hop
-  separation and *hotspot* pools for skewed rush-hour-style demand (used
-  by the load-adaptive placement benchmarks);
+  separation;
 * :class:`QueryEngine` — the protocol every engine satisfies (``answer``,
   optionally ``answer_many`` for physically parallel batches); concrete
   centralized baselines :class:`YenEngine` / :class:`FindKSPEngine` live

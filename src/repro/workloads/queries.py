@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from ..graph.graph import DynamicGraph
 
@@ -70,16 +70,6 @@ class QueryGenerator:
         between source and target is at least ``min_hops``.  This mimics the
         paper's setting where queries span multiple subgraphs.  Set to 0 to
         accept any distinct pair.
-    hotspot:
-        Optional subset of vertices modelling a demand hotspot (a rush-hour
-        district): queries drawn from the hotspot pick both endpoints from
-        this pool.  Used by the load-adaptive placement benchmarks to build
-        skewed workloads.  Vertices not present in the graph are ignored.
-    hotspot_fraction:
-        Fraction of queries drawn from the hotspot pool (default ``1.0`` —
-        every query — when a hotspot is given).  The remaining queries draw
-        from the whole graph.  With no ``hotspot`` the generator's random
-        stream is byte-identical to previous releases.
     """
 
     def __init__(
@@ -87,8 +77,6 @@ class QueryGenerator:
         graph: DynamicGraph,
         seed: int = 11,
         min_hops: int = 0,
-        hotspot: Optional[Sequence[int]] = None,
-        hotspot_fraction: float = 1.0,
     ) -> None:
         self._graph = graph
         self._rng = random.Random(seed)
@@ -96,15 +84,6 @@ class QueryGenerator:
         if len(self._vertices) < 2:
             raise ValueError("query generation requires a graph with at least 2 vertices")
         self._min_hops = min_hops
-        if not 0.0 <= hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be in [0, 1]")
-        self._hotspot: Optional[List[int]] = None
-        self._hotspot_fraction = hotspot_fraction
-        if hotspot is not None:
-            pool = sorted(set(hotspot) & set(self._vertices))
-            if len(pool) < 2:
-                raise ValueError("hotspot needs at least 2 vertices present in the graph")
-            self._hotspot = pool
 
     def _hop_distance_at_least(self, source: int, target: int, hops: int) -> bool:
         """Return ``True`` when target is at least ``hops`` BFS hops from source."""
@@ -129,11 +108,6 @@ class QueryGenerator:
     def generate_one(self, query_id: int, k: int) -> KSPQuery:
         """Generate a single query with the given id and ``k``."""
         pool = self._vertices
-        if self._hotspot is not None and (
-            self._hotspot_fraction >= 1.0
-            or self._rng.random() < self._hotspot_fraction
-        ):
-            pool = self._hotspot
         for _ in range(1000):
             source, target = self._rng.sample(pool, 2)
             if self._hop_distance_at_least(source, target, self._min_hops):

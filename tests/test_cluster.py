@@ -100,3 +100,31 @@ class TestSimulatedCluster:
         cluster.master.charge_compute(1.0)
         cluster.reset_time()
         assert cluster.makespan_seconds() == 0.0
+
+
+class TestAccounting:
+    """Per-subgraph cost accounting: a channel parallel to the worker counters."""
+
+    def test_charge_subgraph_does_not_touch_worker_counters(self):
+        cluster = SimulatedCluster(1)
+        cluster.worker(0).charge_subgraph(3, 0.1)
+        stats = cluster.worker(0).stats
+        assert stats.busy_seconds == 0.0
+        assert stats.tasks_executed == 0
+        assert stats.subgraph_tasks == {3: 1}
+
+    def test_absorb_merges_subgraph_loads(self):
+        base, ledger = SimulatedCluster(2), SimulatedCluster(2)
+        base.worker(0).charge_subgraph(0, 0.1)
+        ledger.worker(0).charge_subgraph(0, 0.2)
+        ledger.worker(1).charge_subgraph(5, 0.3)
+        base.absorb(ledger)
+        assert base.worker(0).stats.subgraph_tasks == {0: 2}
+        assert base.worker(0).stats.subgraph_seconds[0] == pytest.approx(0.3)
+        assert base.worker(1).stats.subgraph_tasks == {5: 1}
+
+    def test_reset_time_clears_subgraph_loads(self):
+        cluster = SimulatedCluster(1)
+        cluster.worker(0).charge_subgraph(0, 0.1)
+        cluster.reset_time()
+        assert cluster.worker(0).stats.subgraph_tasks == {}

@@ -6,9 +6,12 @@ import pytest
 
 from repro.algorithms import yen_k_shortest_paths
 from repro.core import DTLP, DTLPConfig
-from repro.distributed import StormTopology
+from repro.distributed import LoadReport, Placement, StormTopology
+from repro.exec import EXECUTORS
 from repro.graph import ClusterError, road_network
 from repro.workloads import QueryGenerator
+
+CONCURRENT = [name for name in EXECUTORS if name != "serial"]
 
 
 @pytest.fixture()
@@ -175,73 +178,100 @@ class TestWorkerJoin:
             topology.retire_worker(0)
 
 
-class TestAutoscaler:
-    def test_scale_up_fires_above_watermark(self):
-        from repro.distributed import AutoscaleConfig, Autoscaler
+class TestLoadReport:
+    """The per-worker rollup that join and retirement plan over."""
 
-        scaler = Autoscaler(AutoscaleConfig(high=10.0, min_batches=2, cooldown=0))
-        assert scaler.observe(100.0, num_workers=4) is None  # min_batches gate
-        assert scaler.observe(100.0, num_workers=4) == "up"
+    def test_from_loads_rollup_and_imbalance(self):
+        placement = Placement(2, {0: 0, 1: 0, 2: 1})
+        report = LoadReport.from_loads({0: 6.0, 1: 2.0, 2: 4.0}, placement)
+        assert report.worker_load == {0: 8.0, 1: 4.0}
+        assert report.imbalance() == pytest.approx(8.0 / 6.0)
+        assert sum(report.subgraph_load.values()) == 12.0
 
-    def test_scale_down_fires_below_low_watermark(self):
-        from repro.distributed import AutoscaleConfig, Autoscaler
+    def test_unobserved_subgraphs_count_as_zero(self):
+        placement = Placement(2, {0: 0, 1: 1})
+        report = LoadReport.from_loads({0: 5.0}, placement)
+        assert report.subgraph_load == {0: 5.0, 1: 0.0}
+        assert report.worker_load == {0: 5.0, 1: 0.0}
 
-        scaler = Autoscaler(
-            AutoscaleConfig(high=100.0, low=10.0, min_batches=1, cooldown=0)
+    def test_empty_load_is_balanced(self):
+        placement = Placement(3, {0: 0})
+        assert LoadReport.from_loads({}, placement).imbalance() == 1.0
+
+    def test_worker_subset_excludes_dead_workers(self):
+        placement = Placement(3, {0: 0, 1: 1})
+        report = LoadReport.from_loads({0: 4.0, 1: 4.0}, placement, workers=[0, 1])
+        assert report.workers == (0, 1)
+        assert report.imbalance() == 1.0
+
+
+def _result_signature(report):
+    return [
+        ([(path.vertices, path.distance) for path in result.paths], result.iterations)
+        for result in report.results
+    ]
+
+
+def _deterministic_counters(cluster):
+    nodes = list(cluster.workers) + [cluster.master]
+    return [
+        (
+            node.stats.worker_id,
+            node.stats.messages_sent,
+            node.stats.messages_received,
+            node.stats.units_sent,
+            node.stats.units_received,
+            node.stats.tasks_executed,
+            node.stats.memory_bytes,
+            tuple(sorted(node.stats.subgraph_tasks.items())),
         )
-        assert scaler.observe(4.0, num_workers=4) == "down"
-        assert scaler.observe(4.0, num_workers=1) is None  # min_workers floor
+        for node in nodes
+    ]
 
-    def test_cooldown_spaces_scaling_decisions(self):
-        from repro.distributed import AutoscaleConfig, Autoscaler
 
-        scaler = Autoscaler(AutoscaleConfig(high=10.0, min_batches=1, cooldown=2))
-        assert scaler.observe(100.0, num_workers=4) == "up"
-        scaler.record_scaled("up")
-        assert scaler.observe(100.0, num_workers=5) is None
-        assert scaler.observe(100.0, num_workers=5) is None
-        assert scaler.observe(100.0, num_workers=5) == "up"
+class TestFailoverThroughMigrationPath:
+    """Process replicas re-host a failed worker's subgraphs in place."""
 
-    def test_topology_autoscales_under_load(self):
-        graph = road_network(7, 7, seed=31)
-        dtlp = DTLP(graph, DTLPConfig(z=14, xi=2)).build()
-        topology = StormTopology(
-            dtlp, num_workers=2, autoscale="4:0.001"
-        )
-        queries = QueryGenerator(graph, seed=3, min_hops=3).generate(6, k=2)
-        for _ in range(3):
-            topology.run_queries(queries)
-        assert topology.autoscaler.scale_ups >= 1
-        assert topology.elasticity.workers_joined >= 1
-        assert topology.cluster.num_workers > 2
-        report = topology.run_queries(queries)
-        for query, result in zip(queries, report.results):
-            expected = yen_k_shortest_paths(graph, query.source, query.target, query.k)
-            assert [round(p.distance, 6) for p in result.paths] == [
-                round(p.distance, 6) for p in expected
-            ]
+    def test_process_backend_failover_without_respawn(self):
+        graph = road_network(8, 8, seed=5)
+        dtlp = DTLP(graph, DTLPConfig(z=12, xi=2)).build()
+        queries = QueryGenerator(graph, seed=9, min_hops=3).generate(6, k=2)
+        with StormTopology(
+            dtlp, num_workers=4, executor="process", executor_workers=2
+        ) as topology:
+            topology.run_queries(queries)  # spawn the resident replicas
+            assert topology._replica_set.active
+            migrated = topology.fail_worker(1)
+            assert migrated > 0
+            # The group was patched in place, not discarded.
+            assert topology._replica_set.active
+            report = topology.run_queries(queries)
+            for query, result in zip(queries, report.results):
+                expected = yen_k_shortest_paths(graph, query.source, query.target, query.k)
+                assert [round(p.distance, 6) for p in result.paths] == [
+                    round(p.distance, 6) for p in expected
+                ]
 
-    def test_autoscale_deterministic_across_backends(self):
-        def run(executor):
-            graph = road_network(7, 7, seed=31)
-            dtlp = DTLP(graph, DTLPConfig(z=14, xi=2)).build()
+    @pytest.mark.parametrize("executor", CONCURRENT)
+    def test_post_failure_results_identical_across_backends(self, executor):
+        def run(backend):
+            graph = road_network(8, 8, seed=5)
+            dtlp = DTLP(graph, DTLPConfig(z=12, xi=2)).build()
+            queries = QueryGenerator(graph, seed=9, min_hops=3).generate(6, k=2)
             with StormTopology(
-                dtlp, num_workers=2, executor=executor, autoscale="4:0.001"
+                dtlp, num_workers=4, executor=backend, executor_workers=2
             ) as topology:
-                queries = QueryGenerator(graph, seed=3, min_hops=3).generate(6, k=2)
-                signatures = []
-                for _ in range(3):
-                    report = topology.run_queries(queries)
-                    signatures.append(
-                        [
-                            [(p.vertices, p.distance) for p in r.paths]
-                            for r in report.results
-                        ]
-                    )
-                return signatures, topology.elasticity.workers_joined, \
-                    topology.cluster.num_workers
+                first = topology.run_queries(queries)
+                topology.fail_worker(2)
+                second = topology.run_queries(queries)
+                return (
+                    _result_signature(first),
+                    _result_signature(second),
+                    _deterministic_counters(topology.cluster),
+                    tuple(sorted(topology.placement.assignment.items())),
+                )
 
-        assert run("process") == run("serial")
+        assert run(executor) == run("serial")
 
 
 class TestReplicaBroadcastAtomicity:
@@ -337,8 +367,8 @@ class TestServiceRecoveryReporting:
             for query in queries:
                 service.submit(query)
             service.drain()
-            engine.topology.fail_worker(1)
-            engine.topology.add_worker()
+            failed_over = engine.topology.fail_worker(1)
+            join = engine.topology.add_worker()
             report = service.report()
             assert report.workers_lost == 1
             assert report.workers_joined == 1
@@ -354,6 +384,12 @@ class TestServiceRecoveryReporting:
             rendered = registry.render_prometheus()
             assert "elasticity_workers_lost_total 1" in rendered
             assert "elasticity_workers_joined_total 1" in rendered
+            # The surgery's one counter: every subgraph the kill and the
+            # join re-hosted, counted once.
+            migrated = failed_over + join.subgraphs_migrated
+            assert failed_over > 0 and join.subgraphs_migrated > 0
+            assert f"elasticity_subgraphs_recovered_total {migrated}" in rendered
+            assert "rebalance_" not in rendered
             # Wall-clock recovery time must stay out of the registry.
             assert "recovery_seconds" not in rendered
         finally:

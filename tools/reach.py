@@ -181,8 +181,6 @@ def drivers(work: Path) -> list[tuple[str, list[str], dict[str, str]]]:
     cli = [
         ["bench", "--dataset", "NY", "--scale", "0.4", "--num-queries", "8", "--workers", "4"],
         ["serve", "--dataset", "NY", "--scale", "0.4", "--epochs", "2", "--queries-per-epoch", "10"],
-        ["bench", "--dataset", "NY", "--scale", "0.4", "--num-queries", "8", "--workers", "4",
-         "--rebalance", "1.3"],
         ["partition", "--dataset", "NY", "--scale", "0.4", "--partitioner", "mincut",
          "--out", f"{out}/store"],
         ["replay", "--dataset", "NY", "--scale", "0.4", "--num-queries", "100", "--update-rounds", "5",
