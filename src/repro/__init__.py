@@ -31,11 +31,9 @@ queries over dynamic road networks:
   snapshots with query batches, latency/hit-rate telemetry, and a trace
   replay driver (``repro replay`` / ``repro serve``).
 * :mod:`repro.chaos` — the deterministic fault-injection harness: seeded
-  :class:`~repro.chaos.plan.FaultPlan` schedules (kill / join / stall /
-  slow pinned to batch indices) replayed against a live topology or an
-  HTTP front door, every answer checked against Yen on a twin graph, and
-  recovery SLOs (time-to-recover, qps dip) scored per fault
-  (``repro chaos``, ``repro loadtest``).
+  :class:`~repro.chaos.plan.FaultPlan` schedules (replica kill / stall /
+  slow pinned to batch indices) replayed against an HTTP front door, every
+  answer checked against Yen on a twin graph (``repro loadtest``).
 * :mod:`repro.bench` — the experiment harness used by ``benchmarks/``.
 
 Quickstart
@@ -71,7 +69,7 @@ from .chaos import (
     ChaosReport,
     FaultEvent,
     FaultPlan,
-    TopologyTarget,
+    FrontDoorTarget,
     generate_chaos_workload,
     run_chaos,
 )
@@ -207,7 +205,7 @@ __all__ = [
     "ChaosReport",
     "FaultEvent",
     "FaultPlan",
-    "TopologyTarget",
+    "FrontDoorTarget",
     "generate_chaos_workload",
     "run_chaos",
 ]

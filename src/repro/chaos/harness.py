@@ -1,53 +1,34 @@
 """One chaos harness: a seeded fault plan, a workload, a target, one oracle.
 
 :func:`run_chaos` replays a pre-generated workload (query batches
-interleaved with pre-generated traffic rounds) into a *target* — a live
-:class:`~repro.distributed.topology.StormTopology`
-(:class:`~repro.chaos.targets.TopologyTarget`) or an HTTP front door over
-service replicas (:class:`~repro.chaos.targets.FrontDoorTarget`) —
-injecting the faults of a :class:`~repro.chaos.plan.FaultPlan` at their
-pinned batch indices, and scores every answer against one
-:class:`Oracle`: Yen on a twin graph that receives the same rounds.
+interleaved with pre-generated traffic rounds) into a *target* — an HTTP
+front door over service replicas
+(:class:`~repro.chaos.targets.FrontDoorTarget`) — injecting the faults of
+a :class:`~repro.chaos.plan.FaultPlan` at their pinned batch indices, and
+scores every answer against one :class:`Oracle`: Yen on a twin graph that
+receives the same rounds.
 
 A target serves one run, which closes it.  It exposes ``graph`` (the
 served graph before the run, from which the oracle's twin is copied),
-``MID_BATCH_KILLS`` (whether a kill with an ``offset`` lands inside its
-batch) and ``alive()``, ``kill(victim, event, upcoming) -> moved``,
-``join() -> (worker, moved) | None``, ``stall(victim, event)``,
+``alive()``, ``kill(victim, event)``, ``stall(victim, event)``,
 ``slow(victim, event)``, ``apply_round(updates) -> version``,
 ``run(queries) -> answers``, plus the hooks ``begin_batch(index, heal)``,
-``end_batch(index, queries, wall) -> BatchSample``, ``finish(report)``
-and ``close()``.  Workers (topology) and replicas (front door) share one
-id space: the victims.
+``finish(report)`` and ``close()``.  Replica ids are the victims.
 
 Batches are windows of traffic.  Faults and weight-update rounds land on
-the quiet boundary before a batch (or, for a topology kill with an
-``offset``, between two segments of it), so every fresh answer is
-computed at one well-defined graph version and the oracle comparison is
-exact.
-
-Determinism contract
---------------------
-On a topology target, two runs of one workload and plan — on any
-execution backend — produce byte-identical answer signatures, fault
-event logs and per-batch counters
-(:meth:`ChaosReport.deterministic_signature`), and the answers of a
-faulted run equal those of a fault-free run bit for bit.  Only wall-clock
-fields (batch seconds, qps, recovery seconds) vary; they feed the
-recovery SLOs, never the correctness checks.
+the quiet boundary before a batch, so every fresh answer is computed at
+one well-defined graph version and the oracle comparison is exact.
 """
 
 from __future__ import annotations
 
 import math
 import pickle
-import statistics
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algorithms.yen import yen_k_shortest_paths
-from ..distributed.topology import ElasticityStats
 from ..dynamics.traffic import TrafficModel
 from ..frontdoor.breaker import OPEN
 from ..graph.errors import EdgeNotFoundError
@@ -59,13 +40,10 @@ from .plan import ChaosError, FaultEvent, FaultPlan
 
 __all__ = [
     "Answer",
-    "AnswerSignature",
-    "BatchSample",
     "ChaosEvent",
     "ChaosReport",
     "ChaosWorkload",
     "Oracle",
-    "RecoverySample",
     "generate_chaos_workload",
     "run_chaos",
 ]
@@ -75,15 +53,8 @@ QueryKey = Tuple[int, int, int]
 #: One answer's paths as ``(vertices, distance)`` pairs, best first.
 Paths = Tuple[Tuple[Tuple[int, ...], float], ...]
 
-#: One query's answer, reduced to a comparable value: a tuple of
-#: ``(path vertices, distance rounded to 9 decimals)`` per returned path.
-AnswerSignature = Tuple[Tuple[Tuple[int, ...], float], ...]
-
 #: Relative tolerance when comparing distances against the oracle.
 _DISTANCE_RTOL = 1e-6
-
-#: A batch back above this fraction of the pre-fault qps has recovered.
-RECOVERY_FRACTION = 0.7
 
 
 @dataclass(frozen=True)
@@ -99,10 +70,6 @@ class ChaosWorkload:
 
     batches: Tuple[Tuple[KSPQuery, ...], ...]
     updates: Dict[int, Tuple[WeightUpdate, ...]] = field(default_factory=dict)
-
-    @property
-    def total_queries(self) -> int:
-        return sum(len(batch) for batch in self.batches)
 
 
 def generate_chaos_workload(
@@ -147,58 +114,13 @@ class ChaosEvent:
     batch_index: int
     kind: str
     worker_id: int
-    #: Whether the event took effect (a kill is skipped when one worker
-    #: is left; a front-door join is skipped when no replica is down).
+    #: Whether the event took effect (a kill is skipped when one replica
+    #: is left).
     applied: bool
-    subgraphs_moved: int = 0
-    offset: Optional[int] = None
     workers_alive: int = 0
     #: Position of the event among its batch's events: with the batch
     #: index, the seed of its deferred-victim draw.
     ordinal: int = 0
-
-    def as_tuple(self) -> Tuple:
-        return astuple(self)
-
-
-@dataclass(frozen=True)
-class BatchSample:
-    """Per-batch telemetry: deterministic counters + wall-clock timing."""
-
-    batch_index: int
-    queries: int
-    #: Deterministic (identical across backends and repeats); zero on
-    #: targets that keep no such counters.
-    communication_units: int
-    messages: int
-    #: Wall clock — includes the round and any fault surgery injected
-    #: during the batch plus simulated stall/slowdown penalties; feeds qps
-    #: and SLOs only.
-    wall_seconds: float
-
-    @property
-    def qps(self) -> float:
-        return self.queries / max(self.wall_seconds, 1e-9)
-
-
-@dataclass(frozen=True)
-class RecoverySample:
-    """Recovery SLO for one applied fault event.
-
-    The baseline is the median qps of the clean batches before the first
-    fault; the system has *recovered* at the first post-fault batch whose
-    qps is back above :data:`RECOVERY_FRACTION` of that baseline.
-    """
-
-    kind: str
-    batch_index: int
-    worker_id: int
-    recovered: bool
-    recovery_batches: int
-    recovery_seconds: float
-    qps_baseline: float
-    qps_dip: float
-    qps_recovered: float
 
 
 @dataclass(frozen=True)
@@ -214,9 +136,6 @@ class Answer:
     version: int = -1
     degraded: bool = False
     latency_seconds: float = 0.0
-
-    def signature(self) -> AnswerSignature:
-        return tuple((vertices, round(distance, 9)) for vertices, distance in self.paths)
 
 
 def _close(got: float, expected: float) -> bool:
@@ -323,7 +242,7 @@ class Oracle:
 
 @dataclass
 class ChaosReport:
-    """One scored chaos run, whichever target it drove."""
+    """One scored chaos run."""
 
     #: Batches the plan may fault, then clean cooldown batches.
     windows: int
@@ -336,20 +255,14 @@ class ChaosReport:
     wrong_answers: List[dict] = field(default_factory=list)
     status_counts: Dict[int, int] = field(default_factory=dict)
     events: List[ChaosEvent] = field(default_factory=list)
-    samples: List[BatchSample] = field(default_factory=list)
-    signatures: List[AnswerSignature] = field(default_factory=list)
-    recoveries: List[RecoverySample] = field(default_factory=list)
     #: End-to-end latencies (ms) of every answered query.
     latencies_ms: List[float] = field(default_factory=list)
     #: Wall clock spent in the target's ``run`` (boundaries excluded).
     traffic_seconds: float = 0.0
     # -- counted by the target ---------------------------------------------
-    #: Work re-submitted because of a fault: queries re-routed off a dying
-    #: worker (topology) or replica re-submissions (front door).
+    #: Replica re-submissions of previously shed work.
     retries: int = 0
-    #: Topology only: the elasticity counters.
-    elasticity: Optional[ElasticityStats] = None
-    #: Front door only: breaker trips and the breakers' final states.
+    #: Breaker trips and the breakers' final states.
     breaker_trips: int = 0
     final_breaker_states: Dict[int, str] = field(default_factory=dict)
 
@@ -377,36 +290,14 @@ class ChaosReport:
         return sum(1 for e in self.events if e.kind == "kill" and e.applied)
 
     @property
-    def dropped_queries(self) -> int:
-        lost = self.elasticity.dropped_queries if self.elasticity else 0
-        return self.unavailable + lost
-
-    @property
     def correct(self) -> bool:
         """True when every answer held up against the oracle."""
         return not self.wrong_answers
 
     @property
-    def ok(self) -> bool:
-        """Zero wrong answers and zero dropped queries."""
-        return self.correct and self.dropped_queries == 0
-
-    @property
     def breakers_recovered(self) -> bool:
         """True when no breaker is still open after the cooldown."""
         return all(state != OPEN for state in self.final_breaker_states.values())
-
-    def deterministic_signature(self) -> Tuple:
-        """The portion of a topology run that must be identical across
-        repeats and backends: answers, event log, per-batch counters."""
-        return (
-            tuple(self.signatures),
-            tuple(event.as_tuple() for event in self.events),
-            tuple(
-                (s.batch_index, s.queries, s.communication_units, s.messages)
-                for s in self.samples
-            ),
-        )
 
 
 def run_chaos(
@@ -426,7 +317,6 @@ def run_chaos(
         windows = len(workload.batches) - cooldown_windows
         report = ChaosReport(windows=windows, cooldown_windows=cooldown_windows)
         for index, batch in enumerate(workload.batches):
-            started = time.perf_counter()
             cooldown = index >= windows
             target.begin_batch(index, heal=index == windows)
             round_updates = workload.updates.get(index)
@@ -441,29 +331,13 @@ def run_chaos(
                         "oracle_version": expected,
                         "window": index,
                     })
-            # Events by the batch position they fire at (0 = boundary).
-            cuts: Dict[int, List[Tuple[int, FaultEvent]]] = {}
             due = () if cooldown else [e for e in events if e.batch_index == index]
             for ordinal, event in enumerate(due):
-                at = 0
-                if target.MID_BATCH_KILLS and event.kind == "kill" and event.offset:
-                    at = min(event.offset, len(batch))
-                cuts.setdefault(at, []).append((ordinal, event))
-            start = 0
-            for at in sorted(set(cuts) | {len(batch)}):
-                if at > start:
-                    _serve(target, oracle, batch[start:at], report, index, cooldown)
-                    start = at
-                for ordinal, event in cuts.get(at, ()):
-                    report.events.append(
-                        _inject(target, plan, event, ordinal, len(batch) - at)
-                    )
-            wall = time.perf_counter() - started
-            report.samples.append(target.end_batch(index, len(batch), wall))
+                report.events.append(_inject(target, plan, event, ordinal))
+            _serve(target, oracle, batch, report, index, cooldown)
         target.finish(report)
     finally:
         target.close()
-    report.recoveries = _score_recoveries(report)
     return report
 
 
@@ -475,7 +349,7 @@ def _serve(
     index: int,
     cooldown: bool,
 ) -> None:
-    """Run one segment of a batch and score its answers."""
+    """Run one batch and score its answers."""
     started = time.perf_counter()
     answers = target.run(queries)
     report.traffic_seconds += time.perf_counter() - started
@@ -491,7 +365,6 @@ def _serve(
         else:
             report.fresh += 1
         report.latencies_ms.append(answer.latency_seconds * 1e3)
-        report.signatures.append(answer.signature())
         wrong = oracle.check(answer)
         if wrong is not None:
             wrong["window"] = index
@@ -500,86 +373,26 @@ def _serve(
         report.cooldown_unavailable += len(queries) - answered
 
 
-def _inject(
-    target,
-    plan: FaultPlan,
-    event: FaultEvent,
-    ordinal: int,
-    upcoming: int,
-) -> ChaosEvent:
+def _inject(target, plan: FaultPlan, event: FaultEvent, ordinal: int) -> ChaosEvent:
     """Apply one fault event to the target and log how it landed.
 
-    The victim rule: ``event.worker_id`` when that worker is alive, else
+    The victim rule: ``event.worker_id`` when that replica is alive, else
     a draw over the sorted live set from the event's own
-    ``plan.victim_rng(batch, ordinal)``.  The last live worker is never
+    ``plan.victim_rng(batch, ordinal)``.  The last live replica is never
     killed — the kill is logged as skipped.
     """
     alive = target.alive()
-    applied, moved = True, 0
-    if event.kind == "join":
-        joined = target.join()
-        applied = joined is not None
-        victim, moved = joined if applied else (-1, 0)
-    else:
-        victim = event.worker_id
-        if victim not in alive:
-            victim = alive[plan.victim_rng(event.batch_index, ordinal).randrange(len(alive))]
-        if event.kind != "kill":
-            getattr(target, event.kind)(victim, event)
-        elif len(alive) > 1:
-            moved = target.kill(victim, event, upcoming)
-        else:
-            applied = False
+    victim = event.worker_id
+    if victim not in alive:
+        victim = alive[plan.victim_rng(event.batch_index, ordinal).randrange(len(alive))]
+    applied = event.kind != "kill" or len(alive) > 1
+    if applied:
+        getattr(target, event.kind)(victim, event)
     return ChaosEvent(
         batch_index=event.batch_index,
         kind=event.kind,
         worker_id=victim,
         applied=applied,
-        subgraphs_moved=moved,
-        offset=event.offset,
         workers_alive=len(target.alive()),
         ordinal=ordinal,
     )
-
-
-def _score_recoveries(report: ChaosReport) -> List[RecoverySample]:
-    """Score time-to-recover for every applied fault event.
-
-    Baseline qps is the median over the clean batches before the first
-    fault (falling back to the overall median when a plan starts faulting
-    immediately)."""
-    applied = [event for event in report.events if event.applied]
-    samples = report.samples
-    if not applied or not samples:
-        return []
-    qps = [sample.qps for sample in samples]
-    first_fault = min(event.batch_index for event in applied)
-    clean = qps[:first_fault]
-    baseline = statistics.median(clean if clean else qps)
-    threshold = RECOVERY_FRACTION * baseline
-    recoveries = []
-    for event in applied:
-        index = event.batch_index
-        recovered_at = next(
-            (probe for probe in range(index + 1, len(qps)) if qps[probe] >= threshold),
-            None,
-        )
-        window_end = recovered_at if recovered_at is not None else len(qps)
-        recoveries.append(
-            RecoverySample(
-                kind=event.kind,
-                batch_index=index,
-                worker_id=event.worker_id,
-                recovered=recovered_at is not None,
-                recovery_batches=(
-                    recovered_at - index if recovered_at is not None else -1
-                ),
-                recovery_seconds=sum(s.wall_seconds for s in samples[index:window_end]),
-                qps_baseline=baseline,
-                qps_dip=min(qps[index:window_end] or [qps[index]]),
-                qps_recovered=(
-                    qps[recovered_at] if recovered_at is not None else qps[-1]
-                ),
-            )
-        )
-    return recoveries

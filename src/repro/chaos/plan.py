@@ -4,14 +4,13 @@ A :class:`FaultPlan` is the entire source of nondeterminism in a chaos
 run, and it is *pinned to batch indices, not wall clock*: every event
 names the query micro-batch it fires at, so the same plan injected into
 the same workload produces the same fault sequence on every execution
-backend and on every repeat — which is what lets the harness assert
-byte-identical answers and event logs (see :mod:`repro.chaos.harness`).
+backend and on every repeat (see :mod:`repro.chaos.harness`).
 
 Victim selection may be deferred (``worker_id=None``): the concrete
-worker is then drawn at injection time from a ``random.Random`` seeded
-with ``(plan seed, batch index, event ordinal)`` over the *alive* worker
+replica is then drawn at injection time from a ``random.Random`` seeded
+with ``(plan seed, batch index, event ordinal)`` over the *alive* replica
 set — deterministic given the run's history, while staying valid across
-earlier kills and joins the plan itself caused.
+earlier kills the plan itself caused.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ from ..graph.errors import ReproError
 
 __all__ = ["FAULT_KINDS", "FaultEvent", "FaultPlan", "ChaosError"]
 
-#: Supported fault kinds.  ``kill`` loses a worker (failover surgery);
-#: ``join`` adds one (scale-up surgery); ``stall`` pauses a worker for
+#: Supported fault kinds.  ``kill`` takes a replica down for
+#: ``duration_batches`` batches; ``stall`` pauses one for
 #: ``duration_batches`` batches; ``slow`` degrades one by ``factor``.
-FAULT_KINDS = ("kill", "join", "stall", "slow")
+FAULT_KINDS = ("kill", "stall", "slow")
 
 
 class ChaosError(ReproError):
@@ -41,21 +40,16 @@ class FaultEvent:
     Attributes
     ----------
     batch_index:
-        The micro-batch the event fires at (before the batch runs, or —
-        for a ``kill`` with ``offset`` — after that many of its queries).
+        The micro-batch the event fires at, before the batch runs.
     kind:
         One of :data:`FAULT_KINDS`.
     worker_id:
-        The victim (ignored for ``join``), or ``None`` to draw a live
-        worker at injection time from the plan's seed.
+        The victim, or ``None`` to draw a live replica at injection time
+        from the plan's seed.
     duration_batches:
-        How many batches a ``stall``/``slow`` lasts.
+        How many batches a ``kill``/``stall``/``slow`` lasts.
     factor:
-        Slowdown multiplier of a ``slow`` worker.
-    offset:
-        For ``kill``: number of the batch's queries served *before* the
-        worker dies — the mid-batch death the harness asserts answer
-        correctness across.  ``None`` kills at the batch boundary.
+        Slowdown multiplier of a ``slow`` replica.
     """
 
     batch_index: int
@@ -63,7 +57,6 @@ class FaultEvent:
     worker_id: Optional[int] = None
     duration_batches: int = 1
     factor: float = 2.0
-    offset: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -76,8 +69,6 @@ class FaultEvent:
             raise ChaosError("duration_batches must be >= 1")
         if self.factor < 1.0:
             raise ChaosError(f"slow factor must be >= 1.0, got {self.factor}")
-        if self.offset is not None and self.offset < 0:
-            raise ChaosError("offset must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,16 +93,12 @@ class FaultPlan:
         cls,
         seed: int,
         num_batches: int,
-        kinds: Sequence[str] = ("kill", "join", "stall"),
+        kinds: Sequence[str] = ("kill", "stall"),
         rate: float = 0.2,
-        batch_size: Optional[int] = None,
     ) -> "FaultPlan":
         """Draw a random plan: each batch suffers one event with ``rate``.
 
-        ``batch_size`` (when known) lets generated kills land *mid-batch*
-        — a random split point inside the batch — instead of only at
-        batch boundaries.  Batch 0 is left fault-free so every run has at
-        least one clean baseline batch for recovery scoring.
+        Batch 0 is left fault-free so every run starts on a healthy fleet.
         """
         for kind in kinds:
             if kind not in FAULT_KINDS:
@@ -124,9 +111,6 @@ class FaultPlan:
             if rng.random() >= rate:
                 continue
             kind = kinds[rng.randrange(len(kinds))]
-            offset = None
-            if kind == "kill" and batch_size and rng.random() < 0.5:
-                offset = rng.randrange(1, batch_size) if batch_size > 1 else None
             events.append(
                 FaultEvent(
                     batch_index=index,
@@ -135,7 +119,6 @@ class FaultPlan:
                         rng.randrange(1, 3) if kind in ("stall", "slow") else 1
                     ),
                     factor=round(1.5 + rng.random(), 3),
-                    offset=offset,
                 )
             )
         return cls(seed=seed, events=tuple(events))

@@ -244,45 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--epochs", type=int, default=10)
     serve.add_argument("--queries-per-epoch", type=int, default=40)
 
-    chaos_cmd = subparsers.add_parser(
-        "chaos",
-        help="replay traffic under a seeded fault plan (kill/join/stall/slow) "
-             "and score answers against a fault-free oracle")
-    add_graph_arguments(chaos_cmd)
-    add_store_arguments(chaos_cmd)
-    chaos_cmd.add_argument("--z", type=int, default=48)
-    chaos_cmd.add_argument("--xi", type=int, default=3)
-    chaos_cmd.add_argument("--k", type=int, default=2)
-    chaos_cmd.add_argument("--batches", type=int, default=8,
-                           help="query micro-batches to replay (default 8)")
-    chaos_cmd.add_argument("--batch-size", type=int, default=8,
-                           help="queries per micro-batch (default 8)")
-    chaos_cmd.add_argument("--update-every", type=int, default=2,
-                           help="apply one traffic round before every Nth batch "
-                                "(0 disables updates; default 2)")
-    chaos_cmd.add_argument("--workers", type=int, default=4)
-    add_executor_argument(chaos_cmd, "execution backend under test")
-    chaos_cmd.add_argument("--kernel", choices=["snapshot", "dict"],
-                           default="snapshot")
-    chaos_cmd.add_argument("--fault-rate", type=float, default=0.3,
-                           help="probability a batch suffers one fault "
-                                "(default 0.3)")
-    chaos_cmd.add_argument("--fault-seed", type=int, default=11,
-                           help="seed of the generated fault plan (default 11)")
-    chaos_cmd.add_argument("--kinds", default="kill,join,stall",
-                           help="comma-separated fault kinds to draw from "
-                                "(kill, join, stall, slow)")
-    chaos_cmd.add_argument("--alpha", type=float, default=0.25,
-                           help="fraction of edges changed per traffic round")
-    chaos_cmd.add_argument("--tau", type=float, default=0.3)
-    chaos_cmd.add_argument("--require-join", action="store_true",
-                           help="exit non-zero unless the run performed at "
-                                "least one successful worker join that "
-                                "migrated state")
-    chaos_cmd.add_argument("--json", metavar="FILE", default=None,
-                           help="additionally write the scored chaos report "
-                                "as JSON to FILE")
-
     trace_cmd = subparsers.add_parser(
         "trace", help="render a recorded Chrome trace-event JSON as a span tree")
     trace_cmd.add_argument("file", help="trace JSON written by --trace")
@@ -658,90 +619,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_chaos(args: argparse.Namespace) -> int:
-    from .chaos import FaultPlan, TopologyTarget, generate_chaos_workload, run_chaos
-
-    kinds = tuple(kind.strip() for kind in args.kinds.split(",") if kind.strip())
-    dtlp = _build_dtlp(args, _load_graph(args))
-    workload = generate_chaos_workload(
-        dtlp.graph,
-        num_batches=args.batches,
-        batch_size=args.batch_size,
-        k=args.k,
-        seed=args.seed,
-        update_every=args.update_every,
-        alpha=args.alpha,
-        tau=args.tau,
-    )
-    plan = FaultPlan.generate(
-        args.fault_seed,
-        num_batches=args.batches,
-        kinds=kinds,
-        rate=args.fault_rate,
-        batch_size=args.batch_size,
-    )
-    topology = StormTopology(
-        dtlp,
-        num_workers=args.workers,
-        executor=args.executor,
-        kernel=args.kernel,
-        store_path=args.store,
-    )
-    report = run_chaos(TopologyTarget(topology), workload, plan)
-    stats = report.elasticity
-    rows = [
-        ["batches x batch size", f"{args.batches} x {args.batch_size}"],
-        ["planned faults", len(plan.events)],
-        ["total queries", report.total],
-        ["wrong answers (vs oracle)", len(report.wrong_answers)],
-        ["dropped queries", report.dropped_queries],
-        ["retried queries", stats.retried_queries],
-        ["workers lost", stats.workers_lost],
-        ["workers joined", stats.workers_joined],
-        ["workers retired", stats.workers_retired],
-        ["subgraphs recovered", stats.subgraphs_recovered],
-        ["join transfer (vertex units)", stats.join_transfer_units],
-    ]
-    print(format_table(["metric", "value"], rows))
-    if report.recoveries:
-        print()
-        recovery_rows = [
-            [
-                sample.kind,
-                sample.batch_index,
-                sample.worker_id,
-                "yes" if sample.recovered else "NO",
-                sample.recovery_batches,
-                round(sample.recovery_seconds * 1e3, 3),
-                round(sample.qps_dip / sample.qps_baseline, 3)
-                if sample.qps_baseline
-                else 0.0,
-            ]
-            for sample in report.recoveries
-        ]
-        print(format_table(
-            ["fault", "batch", "worker", "recovered", "batches to recover",
-             "recovery (ms)", "qps dip (x baseline)"],
-            recovery_rows,
-        ))
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as handle:
-            json.dump(TopologyTarget.summary(report), handle, indent=2, sort_keys=True)
-        print(f"wrote chaos report to {args.json}")
-    joined_with_migration = any(
-        event.kind == "join" and event.applied and event.subgraphs_moved > 0
-        for event in report.events
-    )
-    if not report.ok:
-        print("FAIL: chaos run diverged from the fault-free oracle")
-        return 1
-    if args.require_join and not joined_with_migration:
-        print("FAIL: --require-join set but no join migrated state")
-        return 2
-    print("OK: zero wrong answers, zero dropped queries")
-    return 0
-
-
 def _build_frontdoor_replicas(args: argparse.Namespace, graph: DynamicGraph):
     from .frontdoor import build_replicas
 
@@ -855,7 +732,6 @@ def _command_loadtest(args: argparse.Namespace) -> int:
                 num_batches=args.fault_windows,
                 kinds=("kill", "stall", "slow"),
                 rate=args.fault_rate,
-                batch_size=args.window_requests,
             )
         cooldown = 3  # clean windows in which breakers must close again
         workload = generate_chaos_workload(
@@ -947,7 +823,6 @@ _COMMANDS = {
     "bench": _command_bench,
     "replay": _command_replay,
     "serve": _command_serve,
-    "chaos": _command_chaos,
     "trace": _command_trace,
     "serve-http": _command_serve_http,
     "loadtest": _command_loadtest,

@@ -3,27 +3,23 @@
 The *logical* cluster lives here (placement, routing, cost attribution);
 the *physical* execution backends live in :mod:`repro.exec` — see
 ``ARCHITECTURE.md`` ("Placement vs. Executor").  The placement is the
-paper's deployment-time greedy balance over vertex counts; it changes only
-through the topology's fault and elasticity surgery (a worker failure,
-join or retirement).
+paper's deployment-time greedy balance over vertex counts, fixed for the
+topology's lifetime.
 """
 
 from .bolts import EntranceSpout, QueryBolt, QueryBoltResult, SubgraphBolt
 from .cluster import ClusterAccountant, SimulatedCluster, SimulatedWorker, WorkerStats
 from .engine import DistributedBuildReport, KSPDGEngine, distributed_build_report
-from .placement import LoadReport, MigrationPlan, Placement, greedy_balance, plan_join
+from .placement import Placement, greedy_balance
 from .runtime import (
     LogicalTopology,
     TopologyBundle,
     TopologyReplica,
     build_topology_replica,
 )
-from .topology import ElasticityStats, JoinReport, StormTopology, TopologyReport
+from .topology import StormTopology, TopologyReport
 
 __all__ = [
-    "ElasticityStats",
-    "JoinReport",
-    "plan_join",
     "EntranceSpout",
     "QueryBolt",
     "QueryBoltResult",
@@ -34,8 +30,6 @@ __all__ = [
     "WorkerStats",
     "Placement",
     "greedy_balance",
-    "LoadReport",
-    "MigrationPlan",
     "LogicalTopology",
     "TopologyBundle",
     "TopologyReplica",

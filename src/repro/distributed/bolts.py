@@ -271,14 +271,6 @@ class QueryBolt:
         # queries routed to this bolt at once.
         self._counter_lock = threading.Lock()
 
-    def set_subgraph_bolts(self, subgraph_bolts: Sequence[SubgraphBolt]) -> None:
-        """Replace the set of SubgraphBolts this QueryBolt fans out to.
-
-        Used by the topology when workers fail and their subgraphs are
-        re-hosted on the survivors.
-        """
-        self._subgraph_bolts = list(subgraph_bolts)
-
     # ------------------------------------------------------------------
     # query processing (Step 2 of Figure 14)
     # ------------------------------------------------------------------

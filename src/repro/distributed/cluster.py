@@ -87,11 +87,7 @@ class SimulatedWorker:
         self.stats.units_received += units
 
     def charge_memory(self, num_bytes: int) -> None:
-        """Attribute ``num_bytes`` of resident index memory to this worker.
-
-        Negative amounts release memory — used when a subgraph index
-        migrates off this worker.
-        """
+        """Attribute ``num_bytes`` of resident index memory to this worker."""
         self.stats.memory_bytes += num_bytes
 
     def charge_subgraph(self, subgraph_id: int, seconds: float) -> None:
@@ -118,12 +114,7 @@ class SimulatedWorker:
 
 
 class SimulatedCluster:
-    """A pool of simulated workers plus one master.
-
-    The pool starts at ``num_workers`` and can only *grow*
-    (:meth:`add_worker`, the scale-up path): worker ids are stable for the
-    lifetime of the cluster, and a failed or retired worker keeps its slot
-    (and its accumulated statistics) — it simply stops hosting bolts.
+    """A fixed pool of simulated workers plus one master.
 
     Parameters
     ----------
@@ -173,20 +164,6 @@ class SimulatedCluster:
             return self._workers[worker_id]
         except IndexError:
             raise ClusterError(f"no worker with id {worker_id}") from None
-
-    def add_worker(self) -> int:
-        """Grow the pool by one fresh worker; returns its id.
-
-        The scale-up half of elasticity: ids are dense and stable, so the
-        new worker's id is always the previous pool size.  Ledger clusters
-        created after the join (and replica clusters grown by the same
-        broadcast) agree on the new shape, which is what keeps
-        :meth:`absorb`'s worker-count check — and with it the cross-backend
-        counter identity — intact across a join.
-        """
-        worker_id = len(self._workers)
-        self._workers.append(SimulatedWorker(worker_id))
-        return worker_id
 
     def assign_balanced(self, loads: Mapping[int, float]) -> Dict[int, int]:
         """Assign items to workers balancing the given loads.

@@ -123,7 +123,7 @@ class KSPDGEngine:
         if not queries:
             return []
         started = time.perf_counter()
-        report = self._topology.run_queries(queries, reset_metrics=True)
+        report = self._topology.run_queries(queries)
         elapsed = (time.perf_counter() - started) / len(queries)
         return [
             QueryOutcome(
@@ -138,7 +138,7 @@ class KSPDGEngine:
 
     def run_batch(self, queries: Sequence[KSPQuery]) -> TopologyReport:
         """Process a whole batch with cluster-level cost accounting."""
-        return self._topology.run_queries(queries, reset_metrics=True)
+        return self._topology.run_queries(queries)
 
     def healthy(self) -> bool:
         """Whether the topology's execution backend can answer queries.

@@ -10,17 +10,13 @@ runs it.  Keeping the placement pure and deterministic is what lets the
 serial and process backends produce bit-identical results and cost
 accounting (see ``ARCHITECTURE.md``, "Placement vs. Executor").
 
-The placement is fixed at deployment, as in the paper, and changes only
-through the fault and elasticity surgery of
-:class:`~repro.distributed.topology.StormTopology` (a failure, a join, a
-retirement).  :func:`plan_join` plans the one of those that is not a plain
-drain: which subgraphs a freshly joined worker takes over.
+The placement is fixed at deployment, as in the paper (Section 5.2): a
+greedy balance of vertex counts that no later event re-labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..graph.errors import ClusterError
 from ..graph.partition import GraphPartition
@@ -29,14 +25,7 @@ __all__ = [
     "greedy_balance",
     "vertex_loads",
     "Placement",
-    "Move",
-    "LoadReport",
-    "MigrationPlan",
-    "plan_join",
 ]
-
-#: One migration: ``(subgraph_id, source_worker, target_worker)``.
-Move = Tuple[int, int, int]
 
 
 def greedy_balance(loads: Mapping[int, float], num_workers: int) -> Dict[int, int]:
@@ -121,151 +110,3 @@ class Placement:
             f"<Placement workers={self._num_workers} "
             f"subgraphs={len(self._assignment)}>"
         )
-
-
-@dataclass(frozen=True)
-class LoadReport:
-    """Per-subgraph loads rolled up to per-worker loads under one placement.
-
-    Attributes
-    ----------
-    workers:
-        The worker ids the loads were aggregated over — all workers of the
-        placement by default, or the surviving subset after failures (dead
-        workers must neither receive subgraphs nor skew the mean).
-    subgraph_load:
-        Load per subgraph id.
-    worker_load:
-        Sum of the owned subgraphs' loads per worker id; every worker in
-        ``workers`` appears, including idle ones.
-    """
-
-    workers: Tuple[int, ...]
-    subgraph_load: Dict[int, float] = field(default_factory=dict)
-    worker_load: Dict[int, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_loads(
-        cls,
-        subgraph_load: Mapping[int, float],
-        placement: Placement,
-        workers: Optional[Sequence[int]] = None,
-    ) -> "LoadReport":
-        """Roll per-subgraph loads up to per-worker loads under ``placement``.
-
-        Subgraphs missing from ``subgraph_load`` count as zero; loads for
-        subgraphs the placement does not know are ignored.  ``workers``
-        defaults to every worker of the placement; pass the surviving
-        subset after failures.
-        """
-        pool: Tuple[int, ...] = (
-            tuple(range(placement.num_workers))
-            if workers is None
-            else tuple(sorted(set(workers)))
-        )
-        if not pool:
-            raise ClusterError("a load report needs at least one worker")
-        worker_load: Dict[int, float] = {worker_id: 0.0 for worker_id in pool}
-        known: Dict[int, float] = {}
-        for subgraph_id, worker_id in sorted(placement.assignment.items()):
-            load = float(subgraph_load.get(subgraph_id, 0.0))
-            known[subgraph_id] = load
-            if worker_id in worker_load:
-                worker_load[worker_id] += load
-        return cls(workers=pool, subgraph_load=known, worker_load=worker_load)
-
-    def imbalance(self) -> float:
-        """Skew score: max worker load over mean worker load.
-
-        ``1.0`` means perfectly balanced; ``len(workers)`` means one
-        worker carries everything.  A report with no load is ``1.0``.
-        """
-        loads = [self.worker_load.get(w, 0.0) for w in self.workers]
-        mean = sum(loads) / max(len(loads), 1)
-        if mean <= 0.0:
-            return 1.0
-        return max(loads) / mean
-
-
-@dataclass(frozen=True)
-class MigrationPlan:
-    """The moves of one placement change and the skew they leave.
-
-    Attributes
-    ----------
-    moves:
-        ``(subgraph_id, source_worker, target_worker)`` triples, sorted by
-        subgraph id, covering exactly the subgraphs whose owner changes.
-    imbalance_before / imbalance_after:
-        Max/mean worker-load ratio under the old and new placement,
-        computed from the same loads.
-    """
-
-    moves: Tuple[Move, ...]
-    imbalance_before: float
-    imbalance_after: float
-
-
-def plan_join(
-    load: LoadReport,
-    placement: Placement,
-    joiner: int,
-) -> Optional[MigrationPlan]:
-    """Plan the migration onto a freshly joined (empty) worker.
-
-    The inverse of the failover plan: instead of spreading a dead worker's
-    subgraphs over the survivors, subgraphs are *stolen* from the loaded
-    workers onto the joiner.  Each step takes the currently hottest donor
-    (lowest id on ties) and moves its heaviest subgraph (lowest id on
-    ties) whose transfer keeps the joiner strictly below the donor's
-    pre-move load — the classic work-stealing condition, which terminates
-    (every subgraph moves at most once) and never turns the joiner into
-    the new hotspot.  Iteration order is fixed by worker/subgraph id, so
-    the plan is deterministic and identical on every execution backend.
-
-    ``load`` must include the joiner in its worker pool (with zero load).
-    Returns ``None`` when nothing can usefully move (e.g. a single
-    subgraph, or no load at all).
-    """
-    if joiner not in load.workers:
-        raise ClusterError(f"joiner {joiner} missing from the load report pool")
-    loads = {worker_id: load.worker_load.get(worker_id, 0.0) for worker_id in load.workers}
-    assignment = dict(placement.assignment)
-    sub_load = load.subgraph_load
-    donors = sorted(worker_id for worker_id in load.workers if worker_id != joiner)
-    if not donors:
-        return None
-    moves = []
-    while True:
-        # Hottest donor first, but fall through to cooler donors when the
-        # hottest one cannot donate (e.g. it owns a single huge subgraph
-        # the stealing condition refuses to move wholesale).
-        stolen = False
-        for donor in sorted(donors, key=lambda worker_id: (-loads[worker_id], worker_id)):
-            best_sid: Optional[int] = None
-            best_load = -1.0
-            for sid in sorted(s for s, w in assignment.items() if w == donor):
-                amount = float(sub_load.get(sid, 0.0))
-                if loads[joiner] + amount < loads[donor] and amount > best_load:
-                    best_sid, best_load = sid, amount
-            if best_sid is None:
-                continue
-            assignment[best_sid] = joiner
-            loads[donor] -= best_load
-            loads[joiner] += best_load
-            moves.append((best_sid, donor, joiner))
-            stolen = True
-            break
-        if not stolen:
-            break
-    if not moves:
-        return None
-    num_workers = max(placement.num_workers, joiner + 1)
-    after = LoadReport.from_loads(
-        sub_load, Placement(num_workers, assignment), workers=load.workers
-    )
-    return MigrationPlan(
-        moves=tuple(sorted(moves)),
-        imbalance_before=load.imbalance(),
-        imbalance_after=after.imbalance(),
-    )

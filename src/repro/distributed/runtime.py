@@ -3,19 +3,17 @@
 :class:`LogicalTopology` is the deployment of Figure 14 as one object: the
 SubgraphBolts and QueryBolts built from ordered specs, the EntranceSpout
 wired over them, the :class:`~repro.distributed.cluster.ClusterAccountant`
-they all charge through, the placement surgery
-(:meth:`~LogicalTopology.fail_worker`, :meth:`~LogicalTopology.add_worker`,
-:meth:`~LogicalTopology.retire_worker`) and the query-envelope runner.  The
-master's :class:`~repro.distributed.topology.StormTopology` holds one and
-adds what only a master has (planning, the executor, broadcasts); with the
-``process`` execution backend every executor worker holds another — a
-:class:`TopologyReplica`, built **once** from a pickled
+they all charge through, and the query-envelope runner.  The master's
+:class:`~repro.distributed.topology.StormTopology` holds one and adds what
+only a master has (the executor, the replica group, the trace session);
+with the ``process`` execution backend every executor worker holds another
+— a :class:`TopologyReplica`, built **once** from a pickled
 :class:`TopologyBundle` when the group is spawned, which adds only how it
 boots and how it catches up.  Master and replicas therefore run the same
-surgery and the same runner by construction, which is what keeps routing
-and the deterministic cost counters bit-identical across backends.
+runner over the same bolt lists by construction, which is what keeps
+routing and the deterministic cost counters bit-identical across backends.
 
-After the spawn only three kinds of message cross the process boundary:
+After the spawn only two kinds of message cross the process boundary:
 
 * **weight-update deltas** (:meth:`TopologyReplica.sync`) — the master
   ships ``graph.edges_changed_since(last_synced_version)`` before each
@@ -31,10 +29,6 @@ After the spawn only three kinds of message cross the process boundary:
   bit for bit.  The chunk's charges are merged into one ledger cluster
   returned with the tagged results and absorbed by the master (charges
   are additive, so the merge is exact).
-* **placement-change plans** — the move lists computed on the master by
-  failover or by a join/retirement.  Each replica already holds every
-  subgraph's state, so only the plan crosses the pipe and the replica
-  applies the surgery in place — no respawn, no bundle re-ship.
 
 The module-level :func:`build_topology_replica` is the picklable factory
 handed to :meth:`repro.exec.base.Executor.spawn_group`.
@@ -47,12 +41,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.dtlp import DTLP
 from ..core.ksp_dg import SearchMode
-from ..graph.errors import ClusterError
 from ..graph.graph import WeightUpdate
 from ..workloads.queries import KSPQuery
 from .bolts import EntranceSpout, QueryBolt, QueryBoltResult, SubgraphBolt
 from .cluster import ClusterAccountant, SimulatedCluster
-from .placement import Move
 
 __all__ = [
     "LogicalTopology",
@@ -78,9 +70,9 @@ class LogicalTopology:
 
     Components are built in spec order: SubgraphBolt order determines the
     QueryBolts' fan-out (communication accounting) and QueryBolt order the
-    round-robin routing, so two copies built from the same specs and fed
-    the same plans stay interchangeable.  ``cluster`` receives every charge
-    made while no private ledger is active.
+    round-robin routing, so two copies built from the same specs stay
+    interchangeable.  ``cluster`` receives every charge made while no
+    private ledger is active.
     """
 
     def __init__(
@@ -99,165 +91,16 @@ class LogicalTopology:
         # with no ledger active it charges ``cluster`` directly.
         self.account = ClusterAccountant(cluster)
         self.subgraph_bolts: List[SubgraphBolt] = [
-            self._subgraph_bolt(*spec) for spec in subgraph_bolts
+            SubgraphBolt(name, worker_id, self.account, dtlp, subgraph_ids, mode)
+            for name, worker_id, subgraph_ids in subgraph_bolts
         ]
         self.query_bolts: List[QueryBolt] = [
-            self._query_bolt(*spec) for spec in query_bolts
+            QueryBolt(name, worker_id, self.account, dtlp, self.subgraph_bolts, mode)
+            for name, worker_id in query_bolts
         ]
-        self._rewire()
-
-    def _subgraph_bolt(
-        self, name: str, worker_id: int, subgraph_ids: Sequence[int]
-    ) -> SubgraphBolt:
-        return SubgraphBolt(
-            name, worker_id, self.account, self.dtlp, subgraph_ids, self.mode
-        )
-
-    def _query_bolt(self, name: str, worker_id: int) -> QueryBolt:
-        return QueryBolt(
-            name, worker_id, self.account, self.dtlp, self.subgraph_bolts, self.mode
-        )
-
-    def _rewire(self) -> None:
-        """Point every QueryBolt and a fresh spout at the current bolt lists."""
-        for query_bolt in self.query_bolts:
-            query_bolt.set_subgraph_bolts(self.subgraph_bolts)
         self.spout = EntranceSpout(
-            self.account, self.dtlp, self.subgraph_bolts, self.query_bolts
+            self.account, dtlp, self.subgraph_bolts, self.query_bolts
         )
-
-    def specs(self) -> Tuple[List[SubgraphBoltSpec], List[QueryBoltSpec]]:
-        """The live bolt lists as ordered specs (what a bundle ships)."""
-        return (
-            [
-                (bolt.name, bolt.worker_id, tuple(sorted(bolt.subgraph_ids)))
-                for bolt in self.subgraph_bolts
-            ],
-            [(bolt.name, bolt.worker_id) for bolt in self.query_bolts],
-        )
-
-    # ------------------------------------------------------------------
-    # placement surgery (plans are computed by the master)
-    # ------------------------------------------------------------------
-    def _apply_moves(self, moves: Sequence[Move], transfer_state: bool) -> int:
-        """Re-host subgraphs between live SubgraphBolts; returns the count.
-
-        For every ``(subgraph_id, source, target)``: the subgraph id is
-        removed from the source bolt and added to the target bolt, the
-        resident first-level index memory is re-attributed (released on the
-        source, charged on the target), and — when ``transfer_state`` —
-        shipping the subgraph state is charged as communication of the
-        subgraph's vertex count from source to target (the unit of the
-        paper's Section 5.6.1 cost model).  ``transfer_state=False`` is the
-        failover path: the source worker is gone, survivors rebuild from
-        the shared graph store, so only memory is charged on the gainer.
-        """
-        by_worker = {}
-        for bolt in self.subgraph_bolts:
-            by_worker.setdefault(bolt.worker_id, []).append(bolt)
-        for subgraph_id, source, target in moves:
-            source_bolt = next(
-                (b for b in by_worker.get(source, []) if subgraph_id in b.subgraph_ids),
-                None,
-            )
-            targets = by_worker.get(target)
-            if targets is None:
-                raise ClusterError(
-                    f"cannot migrate subgraph {subgraph_id}: no SubgraphBolt on "
-                    f"worker {target}"
-                )
-            if source_bolt is None and transfer_state:
-                raise ClusterError(
-                    f"cannot migrate subgraph {subgraph_id}: worker {source} "
-                    "does not own it"
-                )
-            if source_bolt is not None:
-                source_bolt.subgraph_ids.discard(subgraph_id)
-            targets[0].subgraph_ids.add(subgraph_id)
-            memory = self.dtlp.subgraph_index(subgraph_id).memory_estimate_bytes()
-            if transfer_state and source_bolt is not None:
-                self.account.worker(source).charge_memory(-memory)
-                self.account.send(
-                    source, target, self.dtlp.partition.subgraph(subgraph_id).num_vertices
-                )
-            self.account.worker(target).charge_memory(memory)
-        return len(moves)
-
-    def _drain_worker(
-        self, worker_id: int, moves: Sequence[Move], transfer_state: bool
-    ) -> int:
-        # _apply_moves discards every moved id from its source bolt, so the
-        # drained worker's bolts end up empty before they are dropped.
-        migrated = self._apply_moves(moves, transfer_state)
-        self.subgraph_bolts = [
-            bolt for bolt in self.subgraph_bolts if bolt.worker_id != worker_id
-        ]
-        self.query_bolts = [
-            bolt for bolt in self.query_bolts if bolt.worker_id != worker_id
-        ]
-        if not self.query_bolts:
-            # Always keep at least one QueryBolt alive on a surviving worker.
-            survivor = self.subgraph_bolts[0].worker_id
-            self.query_bolts = [
-                self._query_bolt(f"query-bolt-{survivor}-recovered", survivor)
-            ]
-        self._rewire()
-        return migrated
-
-    def fail_worker(self, worker_id: int, moves: Sequence[Move]) -> int:
-        """Drop a dead worker's bolts after re-hosting its subgraphs.
-
-        The dead worker cannot ship state: survivors rebuild from the
-        shared graph store and only memory is charged on the gainers.
-        """
-        return self._drain_worker(worker_id, moves, transfer_state=False)
-
-    def retire_worker(self, worker_id: int, moves: Sequence[Move]) -> int:
-        """Drop a live worker's bolts after it shipped its subgraphs away."""
-        return self._drain_worker(worker_id, moves, transfer_state=True)
-
-    def add_worker(
-        self,
-        worker_id: int,
-        moves: Sequence[Move],
-        from_store: bool = False,
-        catchup_updates: int = 0,
-    ) -> int:
-        """Add worker ``worker_id``'s bolts and apply the join plan.
-
-        Grows the cost cluster to hold the new id (so later ledgers have
-        the right shape) and appends an empty SubgraphBolt and one
-        QueryBolt — at the end of both lists, see the class docstring —
-        before the plan moves load onto the joiner.  Logical workers are a
-        placement concept: the executor's OS-process pool is untouched.
-
-        Without a partition store the joiner receives each migrated
-        subgraph's state from its previous host (peer transfer charged in
-        vertex units).  With ``from_store`` the joiner instead loads the
-        partition files from disk: the sources still release the index
-        memory, and the master ships only the ``catchup_updates``-long
-        weight delta since the store was saved — O(load) cold start
-        instead of O(state).
-        """
-        while self.cluster.num_workers <= worker_id:
-            self.cluster.add_worker()
-        self.subgraph_bolts.append(
-            self._subgraph_bolt(f"subgraph-bolt-{worker_id}", worker_id, ())
-        )
-        self.query_bolts.append(self._query_bolt(f"query-bolt-{worker_id}-0", worker_id))
-        migrated = self._apply_moves(moves, transfer_state=not from_store)
-        if from_store:
-            # transfer_state=False charges only the gainer's memory (the
-            # failover contract, where the source is gone); on a join the
-            # source is alive and hands its copy off, so release it here.
-            for subgraph_id, source, _ in moves:
-                self.account.worker(source).charge_memory(
-                    -self.dtlp.subgraph_index(subgraph_id).memory_estimate_bytes()
-                )
-            if catchup_updates > 0 and moves:
-                self.account.send(-1, worker_id, catchup_updates)  # master -> joiner
-        self._rewire()
-        return migrated
 
     # ------------------------------------------------------------------
     # queries

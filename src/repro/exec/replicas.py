@@ -60,8 +60,8 @@ class ReplicaSet:
         """Return the synced group, spawning it from a fresh bundle if needed.
 
         ``bundle_factory`` is invoked only on (re)spawn, so callers can
-        capture live state (e.g. post-failover bolt assignments) at exactly
-        the moment it ships.  After spawn — or on every later call — the
+        capture live state (e.g. the current weights) at exactly the moment
+        it ships.  After spawn — or on every later call — the
         replicas are brought current with one broadcast of the coalesced
         weight-update delta since the last sync.
         """
@@ -96,8 +96,7 @@ class ReplicaSet:
         replica from a fresh bundle of the master's live state (a
         consistent snapshot by construction), and re-raise as
         :class:`~repro.graph.errors.ExecutorTaskError` so callers hit one
-        error type for both task-level and transport-level failures (the
-        topology's failure path treats it like a worker loss).
+        error type for both task-level and transport-level failures.
         """
         assert self._group is not None
         try:
@@ -113,24 +112,6 @@ class ReplicaSet:
                 f"was discarded to avoid a half-synced replica set: {exc}",
                 "",
             ) from exc
-
-    def broadcast(self, method: str, *args: Any) -> Optional[List[Any]]:
-        """Invoke ``method`` on every live replica; no-op when not spawned.
-
-        The complement of the delta-sync in :meth:`ensure` for state
-        changes that are *not* derivable from the graph's change feed —
-        e.g. a worker failure or join, where the master ships the move
-        list once and every replica applies the identical surgery instead
-        of being discarded and respawned.  When the group is not spawned
-        there is nothing to keep in sync (the next :meth:`ensure` captures
-        live state in a fresh bundle) and ``None`` is returned.  A failure
-        mid-broadcast discards the group and re-raises as
-        :class:`~repro.graph.errors.ExecutorTaskError` (see
-        :meth:`_atomic_broadcast`) — never a half-updated replica set.
-        """
-        if self._group is None:
-            return None
-        return self._atomic_broadcast(method, *args)
 
     def discard(self) -> None:
         """Drop the group; the next :meth:`ensure` respawns from fresh state."""

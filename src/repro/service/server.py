@@ -473,14 +473,6 @@ class KSPService:
         cluster = getattr(topology, "cluster", None)
         if cluster is not None:
             registry.absorb(cluster.metrics)
-        # Elasticity (join/loss/retirement) counters are folded in at
-        # report time rather than charged to cluster.metrics as events
-        # happen: the cluster registry is absorbed wholesale above, so
-        # event-time charging would double-count, and the wall-clock
-        # recovery timer must stay out of the deterministic registry.
-        elasticity = getattr(topology, "elasticity", None)
-        if elasticity is not None:
-            elasticity.fold_into(registry)
         telemetry = self._telemetry
         registry.counter(
             "service_queries_served_total", help="queries answered incl. cache hits"
@@ -532,8 +524,6 @@ class KSPService:
         else:
             hits = misses = invalidations = flushes = 0
             hit_rate = 0.0
-        topology = getattr(self._engine, "topology", None)
-        elasticity = getattr(topology, "elasticity", None)
         return self._telemetry.build_report(
             engine_name=getattr(self._engine, "name", type(self._engine).__name__),
             kernel=getattr(self._engine, "kernel", "dict"),
@@ -548,12 +538,6 @@ class KSPService:
             retried_submissions=self._telemetry.retried_submissions,
             cache_invalidations=invalidations,
             cache_full_flushes=flushes,
-            workers_joined=elasticity.workers_joined if elasticity else 0,
-            workers_lost=elasticity.workers_lost if elasticity else 0,
-            workers_retired=elasticity.workers_retired if elasticity else 0,
-            retried_queries=elasticity.retried_queries if elasticity else 0,
-            dropped_queries=elasticity.dropped_queries if elasticity else 0,
-            recovery_seconds=elasticity.recovery_seconds if elasticity else 0.0,
             metrics=self.metrics_text(),
         )
 

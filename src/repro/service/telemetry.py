@@ -61,17 +61,6 @@ class ServiceReport:
     shed_deadline: int = 0
     deadline_expired: int = 0
     retried_submissions: int = 0
-    #: Recovery SLO counters (non-zero only for elastic distributed
-    #: engines): pool membership changes since the service started plus
-    #: the query-level fault cost — queries re-routed after a worker
-    #: loss, queries dropped outright (the chaos harness asserts this
-    #: stays 0), and the cumulative wall clock spent in recovery surgery.
-    workers_joined: int = 0
-    workers_lost: int = 0
-    workers_retired: int = 0
-    retried_queries: int = 0
-    dropped_queries: int = 0
-    recovery_seconds: float = 0.0
     #: Prometheus-style text exposition of the engine/cluster metrics
     #: registry at report time ("" when the engine exposes none).  A
     #: multi-line block, so it is deliberately excluded from as_dict().
@@ -106,12 +95,6 @@ class ServiceReport:
             "maintenance time (s)": round(self.maintenance_seconds, 4),
             "cache invalidations": self.cache_invalidations,
             "cache full flushes": self.cache_full_flushes,
-            "workers joined": self.workers_joined,
-            "workers lost": self.workers_lost,
-            "workers retired": self.workers_retired,
-            "retried queries": self.retried_queries,
-            "dropped queries": self.dropped_queries,
-            "recovery time (s)": round(self.recovery_seconds, 4),
         }
 
 
@@ -184,12 +167,6 @@ class ServiceTelemetry:
         shed_deadline: int = 0,
         deadline_expired: int = 0,
         retried_submissions: int = 0,
-        workers_joined: int = 0,
-        workers_lost: int = 0,
-        workers_retired: int = 0,
-        retried_queries: int = 0,
-        dropped_queries: int = 0,
-        recovery_seconds: float = 0.0,
         metrics: str = "",
     ) -> ServiceReport:
         """Freeze the current counters into a :class:`ServiceReport`."""
@@ -229,11 +206,5 @@ class ServiceTelemetry:
             shed_deadline=shed_deadline,
             deadline_expired=deadline_expired,
             retried_submissions=retried_submissions,
-            workers_joined=workers_joined,
-            workers_lost=workers_lost,
-            workers_retired=workers_retired,
-            retried_queries=retried_queries,
-            dropped_queries=dropped_queries,
-            recovery_seconds=recovery_seconds,
             metrics=metrics,
         )

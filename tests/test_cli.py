@@ -38,7 +38,7 @@ class TestParser:
 
     def test_removed_heuristic_flag_is_an_argparse_error(self, capsys):
         # Not a silently accepted no-op: the knob is gone everywhere it was.
-        for command in ("query", "bench", "replay", "serve", "chaos"):
+        for command in ("query", "bench", "replay", "serve"):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(
                     [command, "--dataset", "NY", "--source", "0", "--target", "5",
@@ -185,32 +185,6 @@ class TestCommands:
         assert match is not None
         assert int(match.group(1)) > 0
         assert "shed requests" in captured
-
-    def test_chaos_command_writes_its_report(self, tmp_path, capsys):
-        out = tmp_path / "chaos.json"
-        code = main(
-            [
-                "chaos",
-                "--dataset", "NY",
-                "--scale", "0.25",
-                "--z", "16",
-                "--xi", "2",
-                "--batches", "4",
-                "--batch-size", "4",
-                "--fault-rate", "1.0",
-                "--json", str(out),
-            ]
-        )
-        assert code == 0
-        assert "OK: zero wrong answers" in capsys.readouterr().out
-        report = json.loads(out.read_text())
-        assert sorted(report) == [
-            "dropped_queries", "events", "join_transfer_units", "recoveries",
-            "retried_queries", "subgraphs_recovered", "total_queries",
-            "workers_joined", "workers_lost", "workers_retired", "wrong_answers",
-        ]
-        assert report["total_queries"] == 16 and report["wrong_answers"] == 0
-        assert len(report["events"]) == 3
 
     def test_loadtest_pinned_faults_write_their_report(self, tmp_path, capsys):
         graph_file = tmp_path / "grid.gr"

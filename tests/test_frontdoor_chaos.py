@@ -124,6 +124,38 @@ class TestPinnedPlan:
         ]
 
 
+class TestChaosSafety:
+    def test_kill_skipped_at_last_worker(self):
+        """The harness never kills the last live replica — it logs a skip."""
+        plan = FaultPlan(
+            seed=2,
+            events=tuple(
+                # Long enough that no victim revives before the cooldown.
+                FaultEvent(batch_index=index, kind="kill", duration_batches=10)
+                for index in range(1, 5)
+            ),
+        )
+        result = run_frontdoor(plan)
+        assert result.correct, result.wrong_answers[:3]
+        assert result.kills == 2  # 3 replicas, 2 killable
+        skipped = [e for e in result.events if not e.applied]
+        assert len(skipped) == 2
+        assert all(e.workers_alive == 1 for e in skipped)
+
+    def test_identical_kills_get_their_own_ordinals(self):
+        """Two equal events in one batch are two events: each is logged
+        with its own ordinal and draws its victim from its own RNG."""
+        kill = FaultEvent(batch_index=1, kind="kill")
+        plan = FaultPlan(seed=5, events=(kill, kill))
+        result = run_frontdoor(plan, windows=3)
+        assert result.correct, result.wrong_answers[:3]
+        assert [e.ordinal for e in result.events] == [0, 1]
+        alive = [0, 1, 2]
+        for event in result.events:
+            draw = plan.victim_rng(1, event.ordinal).randrange(len(alive))
+            assert event.applied and event.worker_id == alive.pop(draw)
+
+
 class TestSeededPlans:
     @pytest.mark.parametrize("plan_seed", [1, 7, 23])
     def test_generated_plans_uphold_the_contract(self, plan_seed):
@@ -132,7 +164,6 @@ class TestSeededPlans:
             num_batches=5,
             kinds=("kill", "stall", "slow"),
             rate=0.6,
-            batch_size=6,
         )
         result = run_frontdoor(
             plan, graph=road_network(6, 6, seed=plan_seed), seed=plan_seed

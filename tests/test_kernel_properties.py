@@ -398,7 +398,7 @@ def test_removed_fast_kernel_value_is_a_clean_error(capsys) -> None:
     with pytest.raises(QueryError, match="unknown kernel 'fast'"):
         validate_kernel("fast")
     parser = build_parser()
-    for command in ("bench", "replay", "serve", "chaos", "serve-http", "loadtest"):
+    for command in ("bench", "replay", "serve", "serve-http", "loadtest"):
         arguments = [command, "--dataset", "NY", "--kernel"]
         assert parser.parse_args(arguments + ["dict"]).kernel == "dict"
         with pytest.raises(SystemExit) as excinfo:

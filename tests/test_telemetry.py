@@ -132,58 +132,3 @@ class TestServiceTelemetry:
         assert report.metrics.startswith("# TYPE")
         assert all(not isinstance(value, str) or "\n" not in value
                    for value in table.values())
-
-
-class TestServiceReportRecoveryFields:
-    """The elasticity/recovery SLO fields added for the chaos harness."""
-
-    def _report(self, **recovery) -> ServiceReport:
-        telemetry = ServiceTelemetry()
-        telemetry.record_served(0.001)
-        return telemetry.build_report(
-            engine_name="test", graph_version=0, cache_hits=0, cache_misses=0,
-            hit_rate=0.0, coalesced=0, shed=0, cache_invalidations=0,
-            cache_full_flushes=0, metrics="", **recovery,
-        )
-
-    def test_defaults_are_zero(self):
-        report = self._report()
-        assert report.workers_joined == 0
-        assert report.workers_lost == 0
-        assert report.workers_retired == 0
-        assert report.retried_queries == 0
-        assert report.dropped_queries == 0
-        assert report.recovery_seconds == 0.0
-
-    def test_build_report_threads_recovery_fields_through(self):
-        report = self._report(
-            workers_joined=2, workers_lost=1, workers_retired=1,
-            retried_queries=3, dropped_queries=0, recovery_seconds=1.23456,
-        )
-        assert report.workers_joined == 2
-        assert report.workers_lost == 1
-        assert report.workers_retired == 1
-        assert report.retried_queries == 3
-        assert report.dropped_queries == 0
-        assert report.recovery_seconds == pytest.approx(1.23456)
-
-    def test_as_dict_rows_and_rounding(self):
-        table = self._report(
-            workers_joined=1, workers_lost=2, workers_retired=3,
-            retried_queries=4, dropped_queries=5, recovery_seconds=0.123456789,
-        ).as_dict()
-        assert table["workers joined"] == 1
-        assert table["workers lost"] == 2
-        assert table["workers retired"] == 3
-        assert table["retried queries"] == 4
-        assert table["dropped queries"] == 5
-        # Wall-clock seconds are rounded to 4 decimals for the table.
-        assert table["recovery time (s)"] == 0.1235
-
-    def test_as_dict_groups_recovery_rows_together(self):
-        keys = list(self._report().as_dict())
-        start = keys.index("workers joined")
-        assert keys[start:start + 6] == [
-            "workers joined", "workers lost", "workers retired",
-            "retried queries", "dropped queries", "recovery time (s)",
-        ]

@@ -185,9 +185,6 @@ def drivers(work: Path) -> list[tuple[str, list[str], dict[str, str]]]:
          "--out", f"{out}/store"],
         ["replay", "--dataset", "NY", "--scale", "0.4", "--num-queries", "100", "--update-rounds", "5",
          "--partitioner", "mincut", "--store", f"{out}/store", "--validate"],
-        ["chaos", "--dataset", "NY", "--scale", "0.5", "--batches", "25", "--batch-size", "8",
-         "--workers", "4", "--executor", "process", "--fault-seed", "23", "--fault-rate", "0.3",
-         "--kinds", "kill,join,stall", "--require-join", "--json", f"{out}/chaos_report.json"],
         ["loadtest", "--dataset", "NY", "--scale", "0.3", "--requests", "200", "--replicas", "3",
          "--pin-faults", "--require-breaker-trip", "--availability-floor", "0.95",
          "--json", f"{out}/loadtest_report.json"],
