@@ -73,7 +73,7 @@ def test_fig35_38_baseline_comparison_vs_nq(scale, benchmark):
             "paper: KSP-DG outperforms both baselines with a lower growth rate. "
             f"At this reduced scale KSP-DG won {wins}/{comparisons} configurations — "
             "on graphs this small a full-graph Yen query is already cheap, so the "
-            "crossover the paper reports requires larger graphs (see EXPERIMENTS.md)."
+            "crossover the paper reports requires larger graphs (see docs/paper_map.md)."
         ),
     )
     # Sanity checks: every engine produced timings, and both KSP-DG and Yen

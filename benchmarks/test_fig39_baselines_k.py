@@ -64,7 +64,7 @@ def test_fig39_baseline_comparison_vs_k(scale, benchmark):
             f"Measured growth from k={scale.k_values[0]} to k={scale.k_values[-1]}: "
             f"KSP-DG x{ksp_growth:.1f}, Yen x{yen_growth:.1f}. At this reduced scale the "
             "full-graph baselines stay cheap, so the paper's ordering is not reached "
-            "(see EXPERIMENTS.md)."
+            "(see docs/paper_map.md)."
         ),
     )
     # Sanity checks: both systems produce growing, positive timings with k.

@@ -55,157 +55,35 @@ Serving quickstart (see ``examples/live_service.py`` for the full loop)
 0
 """
 
-from .algorithms import (
-    CandsIndex,
-    FindKSP,
-    LazyYen,
-    dijkstra,
-    find_ksp,
-    shortest_distance,
-    shortest_path,
-    yen_k_shortest_paths,
-)
-from .chaos import (
-    ChaosReport,
-    FaultEvent,
-    FaultPlan,
-    FrontDoorTarget,
-    generate_chaos_workload,
-    run_chaos,
-)
-from .core import (
-    DTLP,
-    DTLPConfig,
-    DTLPStatistics,
-    EPIndex,
-    KSPDG,
-    KSPResult,
-    SkeletonGraph,
-    SubgraphIndex,
-    constrained_ksp,
-    diverse_ksp,
-    path_overlap,
-)
-from .distributed import KSPDGEngine, Placement, SimulatedCluster, StormTopology, TopologyReport
+from .algorithms import yen_k_shortest_paths
+from .core import DTLP, KSPDG, DTLPConfig
+from .distributed import StormTopology
 from .dynamics import TrafficModel
-from .exec import (
-    EXECUTORS,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from .graph import (
-    DATASET_SPECS,
-    DirectedDynamicGraph,
-    DynamicGraph,
-    GraphPartition,
-    Path,
-    ReproError,
-    Subgraph,
-    WeightUpdate,
-    dataset,
-    grid_graph,
-    partition_graph,
-    random_graph,
-    road_network,
-)
-from .service import (
-    KSPService,
-    ReplayResult,
-    RequestPipeline,
-    ResultCache,
-    ServedQuery,
-    ServiceOverloadedError,
-    ServiceReport,
-    TraceEvent,
-    generate_trace,
-    replay,
-)
-from .workloads import (
-    BatchReport,
-    BatchRunner,
-    FindKSPEngine,
-    KSPQuery,
-    QueryGenerator,
-    YenEngine,
-)
+from .graph import WeightUpdate, dataset, random_graph, road_network
+from .service import KSPService, generate_trace, replay
+from .workloads import YenEngine
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "__version__",
     # graph
-    "DynamicGraph",
-    "DirectedDynamicGraph",
     "WeightUpdate",
-    "GraphPartition",
-    "partition_graph",
-    "Subgraph",
-    "Path",
-    "ReproError",
-    "road_network",
-    "grid_graph",
-    "random_graph",
     "dataset",
-    "DATASET_SPECS",
+    "random_graph",
+    "road_network",
     # algorithms
-    "dijkstra",
-    "shortest_path",
-    "shortest_distance",
     "yen_k_shortest_paths",
-    "LazyYen",
-    "find_ksp",
-    "FindKSP",
-    "CandsIndex",
     # core
     "DTLP",
     "DTLPConfig",
-    "DTLPStatistics",
-    "EPIndex",
-    "SkeletonGraph",
-    "SubgraphIndex",
     "KSPDG",
-    "KSPResult",
-    "constrained_ksp",
-    "diverse_ksp",
-    "path_overlap",
     # distributed
-    "SimulatedCluster",
     "StormTopology",
-    "TopologyReport",
-    "KSPDGEngine",
-    "Placement",
-    # exec
-    "EXECUTORS",
-    "Executor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "make_executor",
     # dynamics & workloads
     "TrafficModel",
-    "KSPQuery",
-    "QueryGenerator",
-    "BatchRunner",
-    "BatchReport",
     "YenEngine",
-    "FindKSPEngine",
     # service
     "KSPService",
-    "ResultCache",
-    "RequestPipeline",
-    "ServedQuery",
-    "ServiceReport",
-    "ServiceOverloadedError",
-    "TraceEvent",
-    "ReplayResult",
     "generate_trace",
     "replay",
-    # chaos
-    "ChaosReport",
-    "FaultEvent",
-    "FaultPlan",
-    "FrontDoorTarget",
-    "generate_chaos_workload",
-    "run_chaos",
 ]

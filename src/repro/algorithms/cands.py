@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..graph.errors import IndexStateError
 from ..graph.graph import WeightUpdate
@@ -59,7 +59,6 @@ class CandsIndex:
         # subgraph id -> {(u, v): Path}
         self._paths: Dict[int, Dict[Tuple[int, int], Path]] = {}
         self._built = False
-        self._last_maintenance_seconds = 0.0
 
     # ------------------------------------------------------------------
     # build & maintain
@@ -104,26 +103,11 @@ class CandsIndex:
             touched.add(self._partition.owner_of_edge(update.u, update.v))
         for subgraph_id in touched:
             self._paths[subgraph_id] = self._index_subgraph(subgraph_id)
-        elapsed = time.perf_counter() - started
-        self._last_maintenance_seconds = elapsed
-        return elapsed
-
-    @property
-    def last_maintenance_seconds(self) -> float:
-        """Duration of the most recent :meth:`handle_updates` call."""
-        return self._last_maintenance_seconds
-
-    def num_indexed_paths(self) -> int:
-        """Total number of indexed boundary-to-boundary shortest paths."""
-        return sum(len(paths) for paths in self._paths.values())
+        return time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def indexed_path(self, subgraph_id: int, source: int, target: int) -> Optional[Path]:
-        """Return the indexed shortest path between two boundary vertices."""
-        return self._paths.get(subgraph_id, {}).get((source, target))
-
     def shortest_path(self, source: int, target: int) -> Path:
         """Answer a single-shortest-path query using the boundary index.
 

@@ -20,8 +20,6 @@ Provided algorithms:
   early exit at a target and optional restriction to a vertex subset.
 * :func:`shortest_path` — convenience wrapper returning a single
   :class:`~repro.graph.paths.Path`.
-* :func:`shortest_path_tree` — full predecessor tree towards a destination
-  (used by the FindKSP baseline).
 * :func:`vfrag_label_search` — the bounding-path search of Section 3.4
   (Algorithm 1's inner loop): a multi-label enumeration of the simple paths
   with the fewest *virtual fragments*, run in index space over
@@ -62,7 +60,6 @@ __all__ = [
     "dijkstra",
     "shortest_path",
     "shortest_distance",
-    "shortest_path_tree",
     "vfrag_rows",
     "vfrag_label_search",
 ]
@@ -422,20 +419,6 @@ def _shortest_path_snapshot(
 def shortest_distance(graph, source: int, target: int) -> float:
     """Return only the shortest distance from ``source`` to ``target``."""
     return shortest_path(graph, source, target).distance
-
-
-def shortest_path_tree(graph, destination: int) -> Tuple[Dict[int, float], Dict[int, int]]:
-    """Shortest-path tree towards ``destination``.
-
-    Returns ``(distance_to_destination, successor)`` for every vertex that can
-    reach the destination.  For undirected graphs this is a plain Dijkstra
-    from the destination; for directed graphs callers should pass the reverse
-    graph.  The FindKSP baseline uses the tree both to guide deviations and to
-    lower-bound candidate path lengths.
-    """
-    distances, predecessors = dijkstra(graph, destination)
-    successors = {vertex: parent for vertex, parent in predecessors.items()}
-    return distances, successors
 
 
 def vfrag_rows(graph_like, seeds: Iterable[int]) -> Tuple[List[int], VfragRows]:

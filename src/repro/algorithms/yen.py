@@ -175,11 +175,6 @@ class LazyYen:
         self._deviation_index: dict = {}
         self._exhausted = False
 
-    @property
-    def found_paths(self) -> List[Path]:
-        """Paths produced so far, in increasing distance order."""
-        return list(self._found)
-
     def set_upper_bound(self, bound: float) -> None:
         """Install an external upper bound on useful path distances.
 

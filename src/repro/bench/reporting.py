@@ -2,8 +2,8 @@
 
 The paper presents its results as figures; the reproduction prints the same
 series as aligned text tables so that ``pytest benchmarks/ --benchmark-only``
-output can be compared against the paper directly and archived in
-``EXPERIMENTS.md``.
+output can be compared against the paper directly (``docs/paper_map.md``
+maps each benchmark to its figure).
 
 Because pytest captures stdout of passing tests, :func:`print_experiment`
 additionally appends every table to the file named by the

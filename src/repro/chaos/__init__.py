@@ -8,29 +8,14 @@ kills, stalls and slowdowns — and checks every answer against Yen on a
 twin graph that receives the same rounds.
 """
 
-from .harness import (
-    Answer,
-    ChaosEvent,
-    ChaosReport,
-    ChaosWorkload,
-    Oracle,
-    generate_chaos_workload,
-    run_chaos,
-)
-from .plan import FAULT_KINDS, ChaosError, FaultEvent, FaultPlan
+from .harness import generate_chaos_workload, run_chaos
+from .plan import FaultEvent, FaultPlan
 from .targets import FrontDoorTarget
 
 __all__ = [
-    "FAULT_KINDS",
-    "Answer",
-    "ChaosError",
-    "ChaosEvent",
-    "ChaosReport",
-    "ChaosWorkload",
     "FaultEvent",
     "FaultPlan",
     "FrontDoorTarget",
-    "Oracle",
     "generate_chaos_workload",
     "run_chaos",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 __all__ = ["EPIndex"]
 
@@ -64,11 +64,6 @@ class EPIndex:
         """Numbers of the bounding paths passing through edge ``(u, v)``."""
         return tuple(self._slice(u, v))
 
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over every edge that carries at least one bounding path."""
-        offsets = self.offsets
-        return (key for key, e in self._edge_ids.items() if offsets[e] < offsets[e + 1])
-
     def num_entries(self) -> int:
         """Total number of (edge, path) entries.
 
@@ -80,10 +75,6 @@ class EPIndex:
         """
         return len(self.paths)
 
-    def num_edges(self) -> int:
-        """Number of distinct edges with at least one bounding path."""
-        return sum(1 for _ in self.edges())
-
     def memory_estimate_bytes(self) -> int:
         """Bytes of the two flat arrays (the edge-id map is the subgraph's).
 
@@ -94,5 +85,5 @@ class EPIndex:
     def __contains__(self, edge: Tuple[int, int]) -> bool:
         return len(self._slice(*edge)) > 0
 
-    def __len__(self) -> int:
-        return self.num_edges()
+    def __len__(self) -> int:  # distinct edges with at least one bounding path
+        return sum(self.offsets[e] < self.offsets[e + 1] for e in self._edge_ids.values())

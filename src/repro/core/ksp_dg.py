@@ -497,21 +497,6 @@ class KSPDG:
         """The underlying DTLP index."""
         return self._dtlp
 
-    @property
-    def kernel(self) -> str:
-        """Compute kernel answering queries (one of :data:`KERNELS`)."""
-        return self._mode.kernel
-
-    @property
-    def pruning(self) -> bool:
-        """Whether bound-based pruning and cross-query reuse are active.
-
-        ``False`` restores the exact pre-pruning code path — kept as the
-        benchmark baseline (``benchmarks/test_pruning_speedup.py``); results
-        are bit-identical either way.
-        """
-        return self._mode.pruning
-
     def query(
         self,
         source: int,
@@ -548,7 +533,3 @@ class KSPDG:
             on_partial=on_partial,
             on_merge=on_merge,
         ).run()
-
-    def query_many(self, queries: Sequence[Tuple[int, int, int]]) -> List[KSPResult]:
-        """Answer a batch of queries sequentially (single-process execution)."""
-        return [self.query(source, target, k) for source, target, k in queries]

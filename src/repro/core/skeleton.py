@@ -100,14 +100,6 @@ class SkeletonGraph:
         """Iterate over all vertices."""
         return iter(self._adjacency)
 
-    def has_vertex(self, vertex: int) -> bool:
-        """Return ``True`` when ``vertex`` is in the skeleton graph."""
-        return vertex in self._adjacency
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Return ``True`` when the edge ``(u, v)`` exists."""
-        return u in self._adjacency and v in self._adjacency[u]
-
     def weight(self, u: int, v: int) -> float:
         """Weight of edge ``(u, v)``."""
         return self._adjacency[u][v]

@@ -86,16 +86,6 @@ class SubgraphIndex:
         return self._subgraph
 
     @property
-    def subgraph_id(self) -> int:
-        """Id of the indexed subgraph."""
-        return self._subgraph.subgraph_id
-
-    @property
-    def xi(self) -> int:
-        """Number of bounding paths kept per boundary pair."""
-        return self._xi
-
-    @property
     def ep_index(self) -> EPIndex:
         """The edge-to-paths maintenance index."""
         return self._ep_index
@@ -283,7 +273,6 @@ class SubgraphIndex:
                 "vertex or edge set differs"
             )
         self._subgraph = subgraph
-        self._units.rebind(subgraph)
         return self
 
     # ------------------------------------------------------------------
@@ -431,11 +420,6 @@ class SubgraphIndex:
     # ------------------------------------------------------------------
     # lower bounds (Theorem 1)
     # ------------------------------------------------------------------
-    def bound_distance(self, path: BoundingPath) -> float:
-        """Bound distance of one of this index's bounding paths: the sum of
-        its vfrag-count smallest unit weights."""
-        return self._units.smallest_sum(path.vfrag_count)
-
     def lower_bound_distance(self, source: int, target: int) -> Optional[float]:
         """Lower bound of the shortest distance between two boundary vertices.
 

@@ -7,36 +7,14 @@ paper's deployment-time greedy balance over vertex counts, fixed for the
 topology's lifetime.
 """
 
-from .bolts import EntranceSpout, QueryBolt, QueryBoltResult, SubgraphBolt
-from .cluster import ClusterAccountant, SimulatedCluster, SimulatedWorker, WorkerStats
-from .engine import DistributedBuildReport, KSPDGEngine, distributed_build_report
-from .placement import Placement, greedy_balance
-from .runtime import (
-    LogicalTopology,
-    TopologyBundle,
-    TopologyReplica,
-    build_topology_replica,
-)
-from .topology import StormTopology, TopologyReport
+from .bolts import QueryBolt, SubgraphBolt
+from .engine import KSPDGEngine, distributed_build_report
+from .topology import StormTopology
 
 __all__ = [
-    "EntranceSpout",
     "QueryBolt",
-    "QueryBoltResult",
     "SubgraphBolt",
-    "ClusterAccountant",
-    "SimulatedCluster",
-    "SimulatedWorker",
-    "WorkerStats",
-    "Placement",
-    "greedy_balance",
-    "LogicalTopology",
-    "TopologyBundle",
-    "TopologyReplica",
-    "build_topology_replica",
-    "DistributedBuildReport",
     "KSPDGEngine",
     "distributed_build_report",
     "StormTopology",
-    "TopologyReport",
 ]

@@ -92,7 +92,6 @@ class SubgraphBolt:
         self._mode = mode
         self.subgraph_ids: Set[int] = set(subgraph_ids)
         worker = cluster.worker(worker_id)
-        worker.host(name)
         for subgraph_id in self.subgraph_ids:
             worker.charge_memory(
                 dtlp.subgraph_index(subgraph_id).memory_estimate_bytes()
@@ -264,7 +263,6 @@ class QueryBolt:
         self._subgraph_bolts = list(subgraph_bolts)
         self._mode = mode
         worker = cluster.worker(worker_id)
-        worker.host(name)
         worker.charge_memory(dtlp.skeleton_graph.memory_estimate_bytes())
         self.queries_processed = 0
         # Guards the counter above: concurrent backends may process several
@@ -387,7 +385,6 @@ class EntranceSpout:
             for subgraph_id in bolt.subgraph_ids:
                 self._bolt_by_subgraph[subgraph_id] = bolt
         self._next_query_bolt = 0
-        cluster.master.host("entrance-spout")
 
     # ------------------------------------------------------------------
     # updates

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from ..graph.errors import ClusterError
 from ..obs.metrics import MetricsRegistry
@@ -58,16 +58,6 @@ class SimulatedWorker:
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.stats = WorkerStats(worker_id=worker_id)
-        self._components: List[str] = []
-
-    def host(self, component_name: str) -> None:
-        """Record that a topology component is placed on this worker."""
-        self._components.append(component_name)
-
-    @property
-    def components(self) -> Tuple[str, ...]:
-        """Names of the components hosted by this worker."""
-        return tuple(self._components)
 
     def charge_compute(self, seconds: float) -> None:
         """Attribute ``seconds`` of computation to this worker."""
@@ -145,11 +135,6 @@ class SimulatedCluster:
     def num_workers(self) -> int:
         """Number of worker servers."""
         return len(self._workers)
-
-    @property
-    def workers(self) -> Sequence[SimulatedWorker]:
-        """The worker objects."""
-        return tuple(self._workers)
 
     @property
     def master(self) -> SimulatedWorker:
@@ -300,11 +285,6 @@ class ClusterAccountant:
         self._base = base
         self._local = threading.local()
 
-    @property
-    def base(self) -> SimulatedCluster:
-        """The shared cluster charged when no ledger is active."""
-        return self._base
-
     def activate(self, ledger: Optional[SimulatedCluster]) -> None:
         """Route this thread's subsequent charges into ``ledger``."""
         self._local.ledger = ledger
@@ -317,11 +297,6 @@ class ClusterAccountant:
         return getattr(self._local, "ledger", None) or self._base
 
     # SimulatedCluster interface consumed by spout/bolts ----------------
-    @property
-    def num_workers(self) -> int:
-        """Number of worker servers (placement shape, never ledger-local)."""
-        return self._base.num_workers
-
     @property
     def master(self) -> SimulatedWorker:
         """The master node of the active target."""

@@ -25,7 +25,7 @@ from ..workloads.queries import KSPQuery
 from ..workloads.runner import QueryOutcome
 from .cluster import SimulatedCluster
 from .placement import greedy_balance
-from .topology import StormTopology, TopologyReport
+from .topology import StormTopology
 
 __all__ = ["KSPDGEngine", "distributed_build_report", "DistributedBuildReport"]
 
@@ -34,9 +34,8 @@ class KSPDGEngine:
     """Query engine running KSP-DG on the simulated topology.
 
     Satisfies the :class:`~repro.workloads.runner.QueryEngine` protocol:
-    :meth:`answer` processes a single query.  Batch execution with proper
-    parallel-time accounting should use :meth:`run_batch`, which returns the
-    richer :class:`~repro.distributed.topology.TopologyReport`.
+    :meth:`answer` processes a single query and :meth:`answer_many` a batch
+    through the topology's execution backend.
     """
 
     name = "KSP-DG"
@@ -90,11 +89,6 @@ class KSPDGEngine:
         """Compute kernel of the underlying topology."""
         return self._topology.kernel
 
-    @property
-    def executor_name(self) -> str:
-        """Execution backend of the underlying topology."""
-        return self._topology.executor.name
-
     def enable_tracing(self) -> None:
         """Run subsequent queries under span tracing.
 
@@ -135,10 +129,6 @@ class KSPDGEngine:
             )
             for query, result in zip(queries, report.results)
         ]
-
-    def run_batch(self, queries: Sequence[KSPQuery]) -> TopologyReport:
-        """Process a whole batch with cluster-level cost accounting."""
-        return self._topology.run_queries(queries)
 
     def healthy(self) -> bool:
         """Whether the topology's execution backend can answer queries.

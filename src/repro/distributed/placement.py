@@ -88,16 +88,6 @@ class Placement:
         """Balanced placement of a partition's subgraphs by vertex count."""
         return cls(num_workers, greedy_balance(vertex_loads(partition), num_workers))
 
-    @property
-    def num_workers(self) -> int:
-        """Number of logical workers."""
-        return self._num_workers
-
-    @property
-    def assignment(self) -> Dict[int, int]:
-        """Copy of the subgraph→worker mapping."""
-        return dict(self._assignment)
-
     def subgraphs_on(self, worker_id: int) -> Tuple[int, ...]:
         """Subgraphs owned by one worker, in assignment order."""
         try:

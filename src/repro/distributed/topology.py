@@ -206,29 +206,14 @@ class StormTopology:
         return self._cluster
 
     @property
-    def dtlp(self) -> DTLP:
-        """The DTLP index served by the topology."""
-        return self._dtlp
-
-    @property
     def kernel(self) -> str:
         """Compute kernel used by the bolts (``"snapshot"`` or ``"dict"``)."""
         return self._mode.kernel
 
     @property
-    def pruning(self) -> bool:
-        """Whether bound pruning and cross-query reuse are active."""
-        return self._mode.pruning
-
-    @property
     def executor(self) -> Executor:
         """The physical execution backend running query batches."""
         return self._executor
-
-    @property
-    def tracer(self) -> Optional[TraceSession]:
-        """The owned span-trace session, or ``None``."""
-        return self._tracer
 
     def enable_query_traces(self) -> None:
         """Run queries under tracing without owning a session.

@@ -19,7 +19,7 @@ and the number-of-iterations analysis relies on it.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from ..graph.graph import DynamicGraph, WeightUpdate
 
@@ -87,11 +87,6 @@ class TrafficModel:
         self._timestamp = 0
         self._edges: List[Tuple[int, int]] = [(u, v) for u, v, _ in graph.edges()]
 
-    @property
-    def timestamp(self) -> int:
-        """Number of snapshots generated so far."""
-        return self._timestamp
-
     def generate_updates(self) -> List[WeightUpdate]:
         """Generate (but do not apply) one snapshot's worth of weight updates.
 
@@ -144,7 +139,3 @@ class TrafficModel:
         self._graph.apply_updates(updates)
         return updates
 
-    def stream(self, num_snapshots: int) -> Iterator[List[WeightUpdate]]:
-        """Yield ``num_snapshots`` successive applied snapshots."""
-        for _ in range(num_snapshots):
-            yield self.advance()

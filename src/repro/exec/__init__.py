@@ -7,28 +7,13 @@ routing and cost attribution — stays in :mod:`repro.distributed`; see
 ``ARCHITECTURE.md`` ("Placement vs. Executor") for how the two compose.
 """
 
-from .base import (
-    EXECUTORS,
-    Executor,
-    SerialExecutor,
-    WorkerGroup,
-    default_executor_name,
-    make_executor,
-    resolve_executor,
-    validate_executor_name,
-)
-from .process import ProcessExecutor
+from .base import EXECUTORS, Executor, default_executor_name, resolve_executor
 from .replicas import ReplicaSet
 
 __all__ = [
     "EXECUTORS",
     "Executor",
-    "WorkerGroup",
     "default_executor_name",
-    "make_executor",
     "resolve_executor",
-    "validate_executor_name",
-    "SerialExecutor",
-    "ProcessExecutor",
     "ReplicaSet",
 ]

@@ -169,11 +169,6 @@ class Executor(abc.ABC):
         """Configured degree of physical parallelism."""
         return self._workers
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run."""
-        return self._closed
-
     def healthy(self) -> bool:
         """Whether the backend can currently execute work.
 

@@ -24,46 +24,18 @@ needs once there is more than one replica: an asyncio HTTP/JSON server
   target of :mod:`repro.chaos`.
 """
 
-from .breaker import CLOSED, FAILURE_KINDS, HALF_OPEN, OPEN, CircuitBreaker
 from .client import ClientResult, FrontDoorClient
-from .deadline import DEFAULT_BUDGET_MS, Deadline
-from .errors import (
-    FrontDoorError,
-    NoReplicaAvailableError,
-    ReplicaUnavailableError,
-)
-from .loadtest import LoadtestResult, find_knee, push_queries, run_closed_loop
-from .replicas import REPLICA_ENGINES, ServiceReplica, build_replicas
+from .loadtest import find_knee
+from .replicas import ServiceReplica, build_replicas
 from .retry import RetryPolicy
-from .router import Router, rendezvous_order
-from .server import FrontDoorHandle, FrontDoorServer, start_front_door
-from .stale import StaleCache
+from .server import start_front_door
 
 __all__ = [
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
-    "FAILURE_KINDS",
-    "CircuitBreaker",
     "ClientResult",
     "FrontDoorClient",
-    "DEFAULT_BUDGET_MS",
-    "Deadline",
-    "FrontDoorError",
-    "NoReplicaAvailableError",
-    "ReplicaUnavailableError",
-    "LoadtestResult",
     "find_knee",
-    "push_queries",
-    "run_closed_loop",
-    "REPLICA_ENGINES",
     "ServiceReplica",
     "build_replicas",
     "RetryPolicy",
-    "Router",
-    "rendezvous_order",
-    "FrontDoorHandle",
-    "FrontDoorServer",
     "start_front_door",
-    "StaleCache",
 ]

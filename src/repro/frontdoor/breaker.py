@@ -67,7 +67,6 @@ class CircuitBreaker:
         self._clock = clock if clock is not None else time.monotonic
         self._state = CLOSED
         self._consecutive: Dict[str, int] = {kind: 0 for kind in FAILURE_KINDS}
-        self._consecutive_total = 0
         self._open_until = 0.0
         #: Consecutive trips without an intervening success; drives the
         #: exponential open-window backoff for flapping replicas.
@@ -86,11 +85,6 @@ class CircuitBreaker:
             self._state = HALF_OPEN
             self._probes_in_flight = 0
         return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        """Failures since the last success (any kind)."""
-        return self._consecutive_total
 
     def current_open_window(self) -> float:
         """Open window the *next* trip would impose (doubling, capped)."""
@@ -133,7 +127,6 @@ class CircuitBreaker:
             self._probes_in_flight = max(0, self._probes_in_flight - 1)
         self._state = CLOSED
         self._trip_streak = 0
-        self._consecutive_total = 0
         for kind in self._consecutive:
             self._consecutive[kind] = 0
 
@@ -148,7 +141,6 @@ class CircuitBreaker:
             self._trip()
             return
         self._consecutive[kind] += 1
-        self._consecutive_total += 1
         threshold = (
             self.refused_threshold if kind == "refused" else self.failure_threshold
         )
@@ -160,6 +152,5 @@ class CircuitBreaker:
         self._open_until = self._clock() + self.current_open_window()
         self._trip_streak += 1
         self.trips += 1
-        self._consecutive_total = 0
         for kind in self._consecutive:
             self._consecutive[kind] = 0

@@ -53,11 +53,6 @@ class Router:
             raise ValueError("router needs at least one replica id")
         self._replica_ids = list(replica_ids)
 
-    @property
-    def replica_ids(self) -> List[int]:
-        """All known replica ids (routable or not)."""
-        return list(self._replica_ids)
-
     def order(self, key: QueryKey) -> List[int]:
         """Primary-first failover chain for one query key."""
         return rendezvous_order(key, self._replica_ids)

@@ -306,11 +306,6 @@ class FrontDoorServer:
         self._port = self._server.sockets[0].getsockname()[1]
 
     @property
-    def port(self) -> int:
-        """Bound port (resolved after :meth:`start` when 0 was requested)."""
-        return self._port
-
-    @property
     def url(self) -> str:
         """Base URL of the running server."""
         return f"http://{self._host}:{self._port}"

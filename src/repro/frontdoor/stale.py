@@ -48,11 +48,6 @@ class StaleCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def capacity(self) -> int:
-        """Maximum number of retained keys."""
-        return self._capacity
-
     def put(self, key: QueryKey, paths: Tuple[Path, ...], graph_version: int) -> None:
         """Remember the latest good answer for ``key`` (LRU insert)."""
         if key in self._entries:

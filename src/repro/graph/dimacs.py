@@ -1,8 +1,8 @@
 """Readers and writers for the DIMACS shortest-path challenge graph format.
 
 The paper's datasets (NY, COL, FLA, CUSA) are distributed as DIMACS ``.gr``
-files (one ``a u v w`` line per arc) with optional ``.co`` coordinate files.
-This module lets users who have those files load them into a
+files (one ``a u v w`` line per arc); the optional ``.co`` coordinate files
+are not read.  This module lets users who have those files load them into a
 :class:`~repro.graph.graph.DynamicGraph`; the bundled experiments use the
 synthetic generators instead, but the loader keeps the library usable on the
 real datasets.
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import gzip
 from pathlib import Path as FilePath
-from typing import Dict, Optional, TextIO, Tuple, Union
+from typing import Optional, TextIO, Union
 
 from .errors import GraphError
 from .graph import DirectedDynamicGraph, DynamicGraph
 
-__all__ = ["read_gr", "write_gr", "read_coordinates"]
+__all__ = ["read_gr", "write_gr"]
 
 
 def _open_text(path: Union[str, FilePath]) -> TextIO:
@@ -117,23 +117,3 @@ def write_gr(
                 handle.write(f"a {u} {v} {weight}\n")
 
 
-def read_coordinates(path: Union[str, FilePath]) -> Dict[int, Tuple[float, float]]:
-    """Load a DIMACS ``.co`` coordinate file.
-
-    Returns a mapping from vertex id to ``(x, y)``.  Coordinates are useful
-    for geography-aware query generation (origin/destination pairs drawn from
-    nearby regions) but are not required by any algorithm in the library.
-    """
-    coordinates: Dict[int, Tuple[float, float]] = {}
-    with _open_text(path) as handle:
-        for line_number, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("c") or line.startswith("p"):
-                continue
-            fields = line.split()
-            if fields[0] != "v" or len(fields) != 4:
-                raise GraphError(
-                    f"{path}:{line_number}: unrecognised coordinate line {line!r}"
-                )
-            coordinates[int(fields[1])] = (float(fields[2]), float(fields[3]))
-    return coordinates

@@ -44,7 +44,6 @@ from .errors import (
     InvalidWeightError,
     VertexNotFoundError,
 )
-from .paths import Path
 
 __all__ = [
     "WeightUpdate",
@@ -210,10 +209,6 @@ class DynamicGraph:
         except KeyError:
             raise VertexNotFoundError(vertex) from None
 
-    def degree(self, vertex: int) -> int:
-        """Number of incident edges (out-degree for directed graphs)."""
-        return len(self.neighbors(vertex))
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -277,10 +272,6 @@ class DynamicGraph:
         """
         return max(1, int(round(self.initial_weight(u, v))))
 
-    def unit_weight(self, u: int, v: int) -> float:
-        """Current weight of one virtual fragment of edge ``(u, v)``."""
-        return self.weight(u, v) / self.vfrag_count(u, v)
-
     def edges_changed_since(self, version: int) -> Iterator[Tuple[int, int, float]]:
         """Yield ``(u, v, current_weight)`` for edges changed after ``version``.
 
@@ -333,10 +324,6 @@ class DynamicGraph:
         except KeyError:
             raise EdgeNotFoundError(u, v) from None
         return total
-
-    def path(self, vertices: Sequence[int]) -> Path:
-        """Build a :class:`Path` for ``vertices`` using current weights."""
-        return Path(self.path_distance(vertices), tuple(vertices))
 
     # ------------------------------------------------------------------
     # dynamics
@@ -444,10 +431,6 @@ class DynamicGraph:
         # must fall back to the version-table scan.
         clone._change_log_floor = self._version
         return clone
-
-    def total_weight(self) -> float:
-        """Sum of current weights over all edges (useful for sanity checks)."""
-        return sum(self._adjacency[u][v] for (u, v) in self._initial_weights)
 
     def __contains__(self, vertex: object) -> bool:
         return vertex in self._adjacency

@@ -31,11 +31,6 @@ boundary-vertex count: every cross edge forces exactly one endpoint to be
 adopted as a shared vertex by
 :func:`~repro.graph.partition.assemble_partition`.
 
-Load-aware balancing (the analog of DGL's ``balance_ntypes``) is optional:
-pass ``vertex_weights`` (per-vertex costs) and the partitioner additionally
-keeps every block's total weight under
-``(1 + balance_slack) *`` the ideal average.
-
 All iteration orders are sorted, so the partitioner is deterministic for a
 given graph regardless of insertion order or ``PYTHONHASHSEED`` — the same
 contract :func:`~repro.graph.partition.partition_graph` honours, which the
@@ -45,7 +40,7 @@ partition store's fingerprints rely on.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import PartitionError
 from .graph import DynamicGraph
@@ -76,18 +71,16 @@ _DEFAULT_REFINE_PASSES = 8
 class _Level:
     """One level of the multilevel hierarchy (index-based, symmetrised)."""
 
-    __slots__ = ("adjacency", "size", "load", "parent")
+    __slots__ = ("adjacency", "size", "parent")
 
     def __init__(
         self,
         adjacency: List[Dict[int, float]],
         size: List[int],
-        load: List[float],
         parent: Optional[List[int]],
     ) -> None:
         self.adjacency = adjacency
         self.size = size
-        self.load = load
         #: For each vertex of the *finer* level, the index of its coarse
         #: super-vertex (``None`` at the finest level).
         self.parent = parent
@@ -97,11 +90,7 @@ class _Level:
         return len(self.adjacency)
 
 
-def _finest_level(
-    graph: DynamicGraph,
-    vertex_ids: Sequence[int],
-    vertex_weights: Optional[Mapping[int, float]],
-) -> _Level:
+def _finest_level(graph: DynamicGraph, vertex_ids: Sequence[int]) -> _Level:
     """Index the graph's vertices (sorted order) into a symmetrised level."""
     index_of = {vertex: index for index, vertex in enumerate(vertex_ids)}
     adjacency: List[Dict[int, float]] = [dict() for _ in vertex_ids]
@@ -113,12 +102,7 @@ def _finest_level(
         # counts adjacency, not orientation.
         adjacency[iu][iv] = adjacency[iu].get(iv, 0.0) + 1.0
         adjacency[iv][iu] = adjacency[iv].get(iu, 0.0) + 1.0
-    size = [1] * len(vertex_ids)
-    if vertex_weights is None:
-        load = [1.0] * len(vertex_ids)
-    else:
-        load = [float(vertex_weights.get(vertex, 1.0)) for vertex in vertex_ids]
-    return _Level(adjacency, size, load, parent=None)
+    return _Level(adjacency, [1] * len(vertex_ids), parent=None)
 
 
 def _induced_level(level: _Level, indices: Sequence[int]) -> _Level:
@@ -132,8 +116,7 @@ def _induced_level(level: _Level, indices: Sequence[int]) -> _Level:
             if local_v is not None:
                 row[local_v] = weight
     size = [level.size[index] for index in indices]
-    load = [level.load[index] for index in indices]
-    return _Level(adjacency, size, load, parent=None)
+    return _Level(adjacency, size, parent=None)
 
 
 def _coarsen(level: _Level, size_cap: int) -> Optional[_Level]:
@@ -179,27 +162,23 @@ def _coarsen(level: _Level, size_cap: int) -> Optional[_Level]:
 
     adjacency: List[Dict[int, float]] = [dict() for _ in range(next_id)]
     size = [0] * next_id
-    load = [0.0] * next_id
     for u in range(n):
         cu = parent[u]
         size[cu] += level.size[u]
-        load[cu] += level.load[u]
         row = adjacency[cu]
         for v, weight in level.adjacency[u].items():
             cv = parent[v]
             if cv == cu:
                 continue
             row[cv] = row.get(cv, 0.0) + weight
-    return _Level(adjacency, size, load, parent=parent)
+    return _Level(adjacency, size, parent=parent)
 
 
 def _fm_pass(
     level: _Level,
     assign: List[int],
     block_size: List[int],
-    block_load: List[float],
     block_cap: Sequence[int],
-    load_cap: Optional[Sequence[float]],
 ) -> float:
     """One Fiduccia–Mattheyses pass; returns the cut reduction achieved.
 
@@ -216,8 +195,6 @@ def _fm_pass(
 
     def feasible(u: int, target: int) -> bool:
         if block_size[target] + level.size[u] > block_cap[target]:
-            return False
-        if load_cap is not None and block_load[target] + level.load[u] > load_cap[target]:
             return False
         return block_size[assign[u]] > level.size[u]  # never empty a block
 
@@ -271,9 +248,7 @@ def _fm_pass(
         locked[u] = True
         assign[u] = target
         block_size[current] -= level.size[u]
-        block_load[current] -= level.load[u]
         block_size[target] += level.size[u]
-        block_load[target] += level.load[u]
         total += -neg_gain
         moves.append((u, current, target))
         if total > best_total:
@@ -290,9 +265,7 @@ def _fm_pass(
     for u, origin, target in reversed(moves[best_prefix:]):
         assign[u] = origin
         block_size[target] -= level.size[u]
-        block_load[target] -= level.load[u]
         block_size[origin] += level.size[u]
-        block_load[origin] += level.load[u]
     return best_total
 
 
@@ -301,7 +274,6 @@ def _refine(
     assign: List[int],
     num_blocks: int,
     block_cap: Sequence[int],
-    load_cap: Optional[Sequence[float]],
     passes: int,
 ) -> None:
     """KL/FM boundary refinement, in place: repeated FM passes.
@@ -309,36 +281,25 @@ def _refine(
     Stops early once a full pass yields no cut reduction.
     """
     block_size = [0] * num_blocks
-    block_load = [0.0] * num_blocks
     for u, b in enumerate(assign):
         block_size[b] += level.size[u]
-        block_load[b] += level.load[u]
 
     for _ in range(passes):
-        if _fm_pass(level, assign, block_size, block_load, block_cap, load_cap) <= 0:
+        if _fm_pass(level, assign, block_size, block_cap) <= 0:
             break
 
 
-def _grow_side(
-    level: _Level,
-    target: int,
-    forced_minimum: int,
-    cap: int,
-    load_cap: Optional[float],
-) -> List[int]:
+def _grow_side(level: _Level, target: int, cap: int) -> List[int]:
     """Greedy graph growing of one bisection side; returns 0/1 assignment.
 
     Side 0 is grown from a peripheral seed (minimum degree) by repeatedly
     absorbing the frontier vertex with the best GGGP gain (edges absorbed
     into the side minus edges newly exposed) until it reaches ``target``
-    size.  Growth below ``forced_minimum`` ignores the load cap: the size
-    contract (every block at most ``z`` home vertices) is hard, the load
-    balance soft.
+    size.
     """
     n = level.num_vertices
     assign = [1] * n
     grown = 0
-    grown_load = 0.0
     conn: Dict[int, float] = {}
 
     def next_seed() -> int:
@@ -353,10 +314,9 @@ def _grow_side(
         return best
 
     def absorb(u: int) -> None:
-        nonlocal grown, grown_load
+        nonlocal grown
         assign[u] = 0
         grown += level.size[u]
-        grown_load += level.load[u]
         conn.pop(u, None)
         for v, weight in level.adjacency[u].items():
             if assign[v] == 1:
@@ -368,12 +328,6 @@ def _grow_side(
         best_gain = float("-inf")
         for v in sorted(conn):
             if grown + level.size[v] > cap:
-                continue
-            if (
-                load_cap is not None
-                and grown >= forced_minimum
-                and grown_load + level.load[v] > load_cap
-            ):
                 continue
             degree = sum(level.adjacency[v].values())
             gain = 2.0 * conn[v] - degree
@@ -396,7 +350,6 @@ def _multilevel_bisect(
     blocks_side0: int,
     blocks_side1: int,
     max_vertices: int,
-    load_caps: Optional[Tuple[float, float]],
     passes: int,
 ) -> List[int]:
     """Bisect ``sub`` into two sides sized for ``blocks_side0``/``blocks_side1``
@@ -430,23 +383,15 @@ def _multilevel_bisect(
             break
         levels.append(coarser)
 
-    load_cap0 = load_caps[0] if load_caps is not None else None
-    assign = _grow_side(
-        levels[-1],
-        target,
-        forced_minimum=max(0, total_size - cap1),
-        cap=cap0,
-        load_cap=load_cap0,
-    )
+    assign = _grow_side(levels[-1], target, cap=cap0)
     caps = (cap0, cap1)
-    load_list = list(load_caps) if load_caps is not None else None
-    _refine(levels[-1], assign, 2, caps, load_list, passes)
+    _refine(levels[-1], assign, 2, caps, passes)
     for level_index in range(len(levels) - 2, -1, -1):
         level = levels[level_index]
         parent = levels[level_index + 1].parent
         assert parent is not None
         assign = [assign[parent[u]] for u in range(level.num_vertices)]
-        _refine(level, assign, 2, caps, load_list, passes)
+        _refine(level, assign, 2, caps, passes)
     return assign
 
 
@@ -455,7 +400,6 @@ def _partition_indices(
     indices: List[int],
     num_blocks: int,
     max_vertices: int,
-    load_budget: Optional[float],
     passes: int,
     blocks_out: List[List[int]],
 ) -> None:
@@ -466,12 +410,7 @@ def _partition_indices(
     blocks_side0 = (num_blocks + 1) // 2
     blocks_side1 = num_blocks - blocks_side0
     sub = _induced_level(level, indices)
-    load_caps: Optional[Tuple[float, float]] = None
-    if load_budget is not None:
-        load_caps = (load_budget * blocks_side0, load_budget * blocks_side1)
-    assign = _multilevel_bisect(
-        sub, blocks_side0, blocks_side1, max_vertices, load_caps, passes
-    )
+    assign = _multilevel_bisect(sub, blocks_side0, blocks_side1, max_vertices, passes)
     side0 = [indices[local] for local, side in enumerate(assign) if side == 0]
     side1 = [indices[local] for local, side in enumerate(assign) if side == 1]
     if not side0 or not side1:
@@ -483,20 +422,14 @@ def _partition_indices(
         if not side1:
             blocks_out.append(side0)
             return
-    _partition_indices(
-        level, side0, blocks_side0, max_vertices, load_budget, passes, blocks_out
-    )
-    _partition_indices(
-        level, side1, blocks_side1, max_vertices, load_budget, passes, blocks_out
-    )
+    _partition_indices(level, side0, blocks_side0, max_vertices, passes, blocks_out)
+    _partition_indices(level, side1, blocks_side1, max_vertices, passes, blocks_out)
 
 
 def partition_mincut(
     graph: DynamicGraph,
     max_vertices: int,
     *,
-    vertex_weights: Optional[Mapping[int, float]] = None,
-    balance_slack: float = 0.2,
     refine_passes: int = _DEFAULT_REFINE_PASSES,
 ) -> GraphPartition:
     """Partition ``graph`` with the multilevel min-cut scheme.
@@ -514,13 +447,6 @@ def partition_mincut(
         The graph to partition.
     max_vertices:
         The paper's ``z``: maximum home vertices per subgraph.
-    vertex_weights:
-        Optional per-vertex cost weights for load-aware balancing (the
-        analog of DGL's ``balance_ntypes``).  Unweighted vertices default
-        to ``1.0``.
-    balance_slack:
-        With ``vertex_weights``, each block's total weight is kept under
-        ``(1 + balance_slack) * total / ceil(n / z)``.
     refine_passes:
         Upper bound on FM sweeps per level.
     """
@@ -530,10 +456,10 @@ def partition_mincut(
         return GraphPartition(graph, [])
 
     vertex_ids = sorted(graph.vertices())
-    if len(vertex_ids) <= max_vertices and vertex_weights is None:
+    if len(vertex_ids) <= max_vertices:
         return assemble_partition(graph, [vertex_ids])
 
-    finest = _finest_level(graph, vertex_ids, vertex_weights)
+    finest = _finest_level(graph, vertex_ids)
     num_vertices = len(vertex_ids)
 
     # Candidate block counts: the minimum feasible k, and — when that packs
@@ -550,14 +476,7 @@ def partition_mincut(
     best: Optional[GraphPartition] = None
     for num_blocks in candidates:
         attempt = _partition_with_block_count(
-            graph,
-            finest,
-            vertex_ids,
-            num_blocks,
-            max_vertices,
-            vertex_weights,
-            balance_slack,
-            refine_passes,
+            graph, finest, vertex_ids, num_blocks, max_vertices, refine_passes
         )
         if best is None or len(attempt.boundary_vertices) < len(best.boundary_vertices):
             best = attempt
@@ -571,18 +490,9 @@ def _partition_with_block_count(
     vertex_ids: Sequence[int],
     num_blocks: int,
     max_vertices: int,
-    vertex_weights: Optional[Mapping[int, float]],
-    balance_slack: float,
     refine_passes: int,
 ) -> GraphPartition:
     """One full multilevel run targeting ``num_blocks`` blocks."""
-    num_vertices = len(vertex_ids)
-    load_budget: Optional[float] = None
-    if vertex_weights is not None:
-        total_load = sum(finest.load)
-        load_budget = (total_load / num_blocks) * (1.0 + balance_slack)
-        # A single vertex heavier than the cap must still be placeable.
-        load_budget = max(load_budget, max(finest.load))
 
     # Coarsen the whole graph first (super-vertices capped at z/8 so blocks
     # can still be packed tightly), seed the coarsest level by recursive
@@ -604,7 +514,6 @@ def _partition_with_block_count(
         list(range(coarsest.num_vertices)),
         num_blocks,
         max_vertices,
-        load_budget,
         refine_passes,
         blocks_idx,
     )
@@ -615,14 +524,13 @@ def _partition_with_block_count(
         for index in block:
             assign[index] = block_id
     caps = [max_vertices] * len(blocks_idx)
-    load_caps = [load_budget] * len(blocks_idx) if load_budget is not None else None
-    _refine(coarsest, assign, len(blocks_idx), caps, load_caps, refine_passes)
+    _refine(coarsest, assign, len(blocks_idx), caps, refine_passes)
     for level_index in range(len(levels) - 2, -1, -1):
         level = levels[level_index]
         parent = levels[level_index + 1].parent
         assert parent is not None
         assign = [assign[parent[u]] for u in range(level.num_vertices)]
-        _refine(level, assign, len(blocks_idx), caps, load_caps, refine_passes)
+        _refine(level, assign, len(blocks_idx), caps, refine_passes)
 
     blocks: List[List[int]] = [[] for _ in range(len(blocks_idx))]
     for index, block_id in enumerate(assign):

@@ -80,21 +80,6 @@ class Path:
         """Return ``True`` when the path has no repeated vertices."""
         return is_simple(self.vertices)
 
-    def contains_edge(self, u: int, v: int) -> bool:
-        """Return ``True`` when the undirected edge ``(u, v)`` lies on the path."""
-        for a, b in self.edges():
-            if (a, b) == (u, v) or (a, b) == (v, u):
-                return True
-        return False
-
-    def prefix(self, length: int) -> "Path":
-        """Return the prefix with ``length`` vertices (distance unknown, set to 0).
-
-        The prefix distance is recomputed by callers that know the weights;
-        this helper only slices the vertex sequence.
-        """
-        return Path(0.0, self.vertices[:length])
-
     def with_distance(self, distance: float) -> "Path":
         """Return a copy of this path carrying ``distance``."""
         return Path(distance, self.vertices)

@@ -7,9 +7,11 @@ subgraphs but never share edges.  Each subgraph knows:
 
 * its id within the partition,
 * the set of vertices and edges assigned to it,
-* which of its vertices are boundary vertices,
-* the multiset of unit weights of its edges, kept sorted so bound distances
-  (sums of the smallest unit weights, Section 3.4) can be computed quickly.
+* which of its vertices are boundary vertices.
+
+:class:`SortedUnitWeights` keeps the unit weights of a subgraph's edges
+sorted, so bound distances (sums of the smallest unit weights, Section 3.4)
+are prefix sums.
 
 The subgraph does **not** copy weights; it reads them from the parent graph
 so that weight updates are visible immediately.  This mirrors the paper's
@@ -19,7 +21,7 @@ subgraphs.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import EdgeNotFoundError, VertexNotFoundError
 from .graph import DynamicGraph, edge_key
@@ -122,10 +124,6 @@ class Subgraph:
             raise VertexNotFoundError(next(iter(unknown)))
         self._boundary = boundary_set
 
-    def has_vertex(self, vertex: int) -> bool:
-        """Return ``True`` when ``vertex`` belongs to this subgraph."""
-        return vertex in self._vertices
-
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` when the edge ``(u, v)`` belongs to this subgraph."""
         key = (u, v) if self.directed else edge_key(u, v)
@@ -155,68 +153,6 @@ class Subgraph:
             raise EdgeNotFoundError(u, v)
         return self._parent.vfrag_count(u, v)
 
-    def unit_weight(self, u: int, v: int) -> float:
-        """Current unit weight (weight per vfrag) of an edge of this subgraph."""
-        if not self.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        return self._parent.unit_weight(u, v)
-
-    def path_distance(self, vertices: Sequence[int]) -> float:
-        """Distance of a path that stays inside this subgraph.
-
-        :meth:`weight` summed left to right, written as one loop; every edge
-        is checked to belong to the subgraph.
-        """
-        edges = self._edges
-        directed = self._parent.directed
-        parent_weight = self._parent.weight
-        total = 0.0
-        for index in range(len(vertices) - 1):
-            u = vertices[index]
-            v = vertices[index + 1]
-            if ((u, v) if directed or u <= v else (v, u)) not in edges:
-                raise EdgeNotFoundError(u, v)
-            total += parent_weight(u, v)
-        return total
-
-    # ------------------------------------------------------------------
-    # unit-weight machinery for bound distances
-    # ------------------------------------------------------------------
-    def unit_weight_profile(self) -> List[Tuple[float, int]]:
-        """Return the sorted multiset of unit weights as ``(unit_weight, count)``.
-
-        Example 4 in the paper describes this profile: for SG'4 it is
-        ``[(1/3, 3), (1/2, 4), (1, 8), (2, 3)]``.  The profile is recomputed
-        from the parent's current weights on every call; the DTLP index
-        caches it per maintenance batch.
-        """
-        counts: Dict[float, int] = {}
-        for u, v in self._edges:
-            unit = self._parent.unit_weight(u, v)
-            counts[unit] = counts.get(unit, 0) + self._parent.vfrag_count(u, v)
-        return sorted(counts.items())
-
-    def smallest_unit_weight_sum(self, num_vfrags: int) -> float:
-        """Sum of the ``num_vfrags`` smallest unit weights in this subgraph.
-
-        This is the *bound distance* primitive of Section 3.4.  When the
-        subgraph contains fewer vfrags than requested the sum of all of them
-        is returned (the bound can only get looser, never incorrect).
-        """
-        remaining = num_vfrags
-        total = 0.0
-        for unit, count in self.unit_weight_profile():
-            if remaining <= 0:
-                break
-            take = min(count, remaining)
-            total += take * unit
-            remaining -= take
-        return total
-
-    def total_vfrags(self) -> int:
-        """Total number of virtual fragments across the subgraph's edges."""
-        return sum(self._parent.vfrag_count(u, v) for u, v in self._edges)
-
     def __contains__(self, vertex: object) -> bool:
         return vertex in self._vertices
 
@@ -239,7 +175,6 @@ class SortedUnitWeights:
     """
 
     def __init__(self, subgraph: Subgraph, depth: Optional[int] = None) -> None:
-        self._subgraph = subgraph
         parent = subgraph.parent
         keys = sorted(subgraph.edge_set)
         self.edge_ids: Dict[Tuple[int, int], int] = {key: i for i, key in enumerate(keys)}
@@ -256,7 +191,7 @@ class SortedUnitWeights:
         total = 0.0
         need = self.depth
         for unit, count in sorted(
-            # DynamicGraph.unit_weight, with the vfrag count at hand.
+            # Each edge's unit weight: its weight per vfrag.
             (weight / count, count) for weight, count in zip(self.weights, self.vfrags)
         ):
             if need <= 0:
@@ -266,30 +201,6 @@ class SortedUnitWeights:
                 prefix.append(total)
             need -= count
         self.prefix = prefix
-
-    def update_edges(self, edges: Iterable[Tuple[int, int]]) -> None:
-        """Read the current weights of ``edges`` from the parent, then
-        :meth:`refresh`."""
-        directed = self._subgraph.directed
-        parent_weight = self._subgraph.parent.weight
-        for u, v in edges:
-            eid = self.edge_ids.get((u, v) if directed else edge_key(u, v))
-            if eid is None:
-                raise EdgeNotFoundError(u, v)
-            self.weights[eid] = parent_weight(u, v)
-        self.refresh()
-
-    def rebind(self, subgraph: Subgraph) -> None:
-        """Re-point at an equivalent subgraph (see ``SubgraphIndex.rebind``)."""
-        self._subgraph = subgraph
-
-    def smallest_sum(self, num_vfrags: int) -> float:
-        """Sum of the smallest ``num_vfrags`` unit weights (at most
-        :attr:`depth` of them)."""
-        return self.prefix[max(0, min(num_vfrags, self.depth))]
-
-    def __len__(self) -> int:
-        return sum(self.vfrags)
 
 
 __all__.append("SortedUnitWeights")

@@ -20,20 +20,8 @@ dict-based reference path) or a snapshot (the array path) and produce
 bit-identical results for both.
 """
 
-from .primitives import (
-    ResumableSearch,
-    bounded_dijkstra_arrays,
-    dijkstra_arrays,
-    dijkstra_arrays_multi,
-    reconstruct_indices,
-)
 from .snapshot import CSRSnapshot
 
 __all__ = [
     "CSRSnapshot",
-    "ResumableSearch",
-    "bounded_dijkstra_arrays",
-    "dijkstra_arrays",
-    "dijkstra_arrays_multi",
-    "reconstruct_indices",
 ]

@@ -214,14 +214,6 @@ class CSRSnapshot:
         for e in range(self.indptr[i], self.indptr[i + 1]):
             yield ids[indices[e]], weights[e]
 
-    def degree(self, vertex: int) -> int:
-        """Number of outgoing arcs of ``vertex``."""
-        try:
-            i = self.index_of[vertex]
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-        return self.indptr[i + 1] - self.indptr[i]
-
     # ------------------------------------------------------------------
     # weights
     # ------------------------------------------------------------------
@@ -242,16 +234,6 @@ class CSRSnapshot:
     # ------------------------------------------------------------------
     # refresh
     # ------------------------------------------------------------------
-    def is_current(self) -> bool:
-        """Whether the snapshot weights match the source's current version.
-
-        Always ``False`` for unversioned sources (skeleton graphs), whose
-        staleness cannot be detected cheaply.
-        """
-        if self._version_source is None:
-            return False
-        return self._version_source.version == self._built_version
-
     def refresh(self) -> int:
         """Pull weight changes from the source; returns arcs rewritten.
 

@@ -14,60 +14,4 @@
   per primitive call and zero per-relaxation branches.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ReservoirSampler,
-    percentile,
-)
-from .profile import (
-    KernelCounters,
-    activate,
-    collecting,
-    counters_delta,
-    counters_snapshot,
-    deactivate,
-    kernel_counters,
-)
-from .trace import (
-    Span,
-    TraceSession,
-    begin_trace,
-    end_trace,
-    mark,
-    pop_span,
-    push_span,
-    render_tree,
-    span,
-    trace_active,
-    trees_from_chrome,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ReservoirSampler",
-    "percentile",
-    "KernelCounters",
-    "activate",
-    "collecting",
-    "counters_delta",
-    "counters_snapshot",
-    "deactivate",
-    "kernel_counters",
-    "Span",
-    "TraceSession",
-    "begin_trace",
-    "end_trace",
-    "mark",
-    "pop_span",
-    "push_span",
-    "render_tree",
-    "span",
-    "trace_active",
-    "trees_from_chrome",
-]
+__all__: list[str] = []

@@ -198,16 +198,6 @@ class Histogram:
             self.max = value
         self._reservoir.add(value)
 
-    @property
-    def samples(self) -> List[float]:
-        """The current reservoir sample (read-only view by convention)."""
-        return self._reservoir.samples
-
-    @property
-    def mean(self) -> float:
-        """Exact mean over every observation (not just the reservoir)."""
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float:
         """The ``q``-th percentile (``q`` in [0, 100]) over the reservoir.
 
@@ -291,10 +281,6 @@ class MetricsRegistry:
     ) -> Histogram:
         """Get or create a histogram."""
         return self._get(name, Histogram, help, max_samples=max_samples)
-
-    def get(self, name: str) -> Optional[Instrument]:
-        """Look an instrument up without creating it."""
-        return self._instruments.get(name)
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -32,35 +32,15 @@ Quickstart
 0
 """
 
-from .cache import CacheEntry, CacheStats, ResultCache
-from .errors import (
-    DeadlineExceededError,
-    ServiceClosedError,
-    ServiceError,
-    ServiceOverloadedError,
-)
-from .pipeline import PendingRequest, RequestPipeline
-from .replay import ReplayResult, TraceEvent, generate_trace, replay
-from .server import KSPService, ServedQuery
-from .telemetry import ServiceReport, ServiceTelemetry, percentile
+from .cache import ResultCache
+from .errors import ServiceOverloadedError
+from .replay import generate_trace, replay
+from .server import KSPService
 
 __all__ = [
-    "CacheEntry",
-    "CacheStats",
     "ResultCache",
-    "ServiceError",
     "ServiceOverloadedError",
-    "ServiceClosedError",
-    "DeadlineExceededError",
-    "PendingRequest",
-    "RequestPipeline",
-    "TraceEvent",
-    "ReplayResult",
     "generate_trace",
     "replay",
     "KSPService",
-    "ServedQuery",
-    "ServiceReport",
-    "ServiceTelemetry",
-    "percentile",
 ]

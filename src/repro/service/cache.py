@@ -157,10 +157,6 @@ class ResultCache:
         self.stats.hits += 1
         return entry
 
-    def peek(self, key: QueryKey) -> Optional[CacheEntry]:
-        """Return the entry for ``key`` without touching LRU order or stats."""
-        return self._entries.get(key)
-
     def put(self, key: QueryKey, paths: Sequence[Path]) -> CacheEntry:
         """Insert (or replace) the result for ``key``."""
         entries = self._entries

@@ -403,24 +403,6 @@ class KSPService:
             served.extend(self.process_batch())
         return served
 
-    def answer_now(self, query: KSPQuery) -> ServedQuery:
-        """Synchronous convenience: submit one query and serve it immediately.
-
-        Bypasses batching but not the cache or telemetry.  Only valid while
-        no other requests are pending — serving just this query would force
-        discarding the other waiters' answers — so it raises ``ValueError``
-        on a non-empty queue; interleaved callers use
-        :meth:`submit`/:meth:`process_batch` instead.
-        """
-        if not self._pipeline.empty:
-            raise ValueError(
-                "answer_now() requires an empty admission queue; "
-                "use submit() and process_batch() when requests are pending"
-            )
-        self.submit(query)
-        served = self.drain()
-        return served[0]
-
     # ------------------------------------------------------------------
     # maintenance path
     # ------------------------------------------------------------------

@@ -8,18 +8,10 @@ index in contiguous *local* ids.  See ``ARCHITECTURE.md``, "Partition
 quality & the partition store".
 """
 
-from .partition_store import (
-    PartitionStore,
-    StoreError,
-    graph_structure_fingerprint,
-    graph_weights_fingerprint,
-    load_or_build,
-)
+from .partition_store import PartitionStore, StoreError, load_or_build
 
 __all__ = [
     "PartitionStore",
     "StoreError",
-    "graph_structure_fingerprint",
-    "graph_weights_fingerprint",
     "load_or_build",
 ]

@@ -443,28 +443,6 @@ class PartitionStore:
                     stale.append(WeightUpdate(u, v, live_weight))
         return subgraph, index, stale
 
-    def load_partition(
-        self, graph: DynamicGraph, part_id: int
-    ) -> Tuple[Subgraph, SubgraphIndex]:
-        """Load a single partition (the worker path: no global tables).
-
-        Stale edges (stored current weight != live weight) are refreshed
-        through :meth:`SubgraphIndex.apply_updates` before returning, so
-        the index answers against the live weights.  Boundary vertices are
-        restored from the partition's own files; no sibling partition is
-        touched.
-        """
-        self._validate_structure(graph)
-        manifest = self.manifest
-        compare = manifest["weights_fingerprint"] != graph_weights_fingerprint(graph)
-        candidates = self._stale_candidates(graph) if compare else None
-        subgraph, index, stale = self._read_partition(
-            graph, part_id, candidates, compare
-        )
-        if stale:
-            index.apply_updates(stale)
-        return subgraph, index
-
     def load(self, graph: DynamicGraph) -> DTLP:
         """Restore a built DTLP against the live ``graph``.
 

@@ -17,22 +17,13 @@ See ``ARCHITECTURE.md`` for where this layer sits in the stack and
 """
 
 from .queries import KSPQuery, QueryGenerator
-from .runner import (
-    BatchReport,
-    BatchRunner,
-    FindKSPEngine,
-    QueryEngine,
-    QueryOutcome,
-    YenEngine,
-)
+from .runner import BatchRunner, FindKSPEngine, QueryEngine, YenEngine
 
 __all__ = [
     "KSPQuery",
     "QueryGenerator",
-    "BatchReport",
     "BatchRunner",
     "FindKSPEngine",
     "QueryEngine",
-    "QueryOutcome",
     "YenEngine",
 ]

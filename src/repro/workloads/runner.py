@@ -100,18 +100,6 @@ class BatchReport:
     wall_seconds: float = 0.0
 
     @property
-    def num_queries(self) -> int:
-        """Number of queries in the batch."""
-        return len(self.outcomes)
-
-    @property
-    def mean_seconds_per_query(self) -> float:
-        """Average single-query processing time."""
-        if not self.outcomes:
-            return 0.0
-        return self.total_cpu_seconds / len(self.outcomes)
-
-    @property
     def mean_iterations(self) -> float:
         """Average number of iterations per query (KSP-DG only; 0 otherwise)."""
         if not self.outcomes:
@@ -211,11 +199,6 @@ class _CentralizedEngine:
             executor, workers=executor_workers
         )
         self._replica_set = ReplicaSet(self._executor, _build_engine_replica, graph)
-
-    @property
-    def executor_name(self) -> str:
-        """Execution backend used for batch fan-out."""
-        return self._executor.name
 
     def _view(self):
         """The compute view answering the next query (refreshed snapshot or graph)."""

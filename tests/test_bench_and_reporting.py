@@ -9,10 +9,10 @@ from repro.bench import (
     QUICK_SCALE,
     build_dataset,
     build_dtlp,
-    format_table,
     make_queries,
     print_experiment,
 )
+from repro.bench.reporting import format_table
 
 
 class TestReporting:

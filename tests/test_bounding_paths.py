@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import EPIndex, SubgraphIndex
+from repro.core.ep_index import EPIndex
+from repro.core.subgraph_index import SubgraphIndex
 from repro.core.bounding_paths import BoundingPath
-from repro.graph import DynamicGraph, Subgraph
+from repro.graph import DynamicGraph
+from repro.graph.subgraph import Subgraph
 
 
 def bounding_paths(graph, source, target, xi):
@@ -90,10 +92,10 @@ class TestEPIndex:
     def test_entry_count(self):
         index = ep_index([(1, 2, 3), (2, 3, 4)])
         assert index.num_entries() == 4
-        assert index.num_edges() == 3
+        assert len(index) == 3
         # An edge of the subgraph no bounding path uses is not counted.
         bare = EPIndex({(1, 2): 0, (2, 3): 1, (7, 8): 2}, [[0, 1]])
-        assert bare.num_edges() == 2 and (7, 8) not in bare
+        assert len(bare) == 2 and (7, 8) not in bare
 
     def test_contains_and_len(self):
         index = ep_index([(1, 2)])

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import ChaosError, FaultEvent, FaultPlan
+from repro.chaos import FaultEvent, FaultPlan
+from repro.chaos.plan import ChaosError
 
 
 class TestFaultPlan:

@@ -1,4 +1,4 @@
-"""The docs gate's name check (``tools/check_docs.py --names``)."""
+"""The docs gate: its name check and its public-surface check."""
 
 from __future__ import annotations
 
@@ -28,3 +28,36 @@ def test_a_doc_naming_a_missing_module_fails(tmp_path):
 def test_the_repository_docs_name_only_existing_code():
     checked, problems = check_docs.check_names()
     assert checked > 0 and problems == []
+
+
+def _fixture_package(root: Path, sub_init: str) -> Path:
+    """``root/src/pkg`` with one subpackage ``pkg.sub`` whose ``__init__``
+    is ``sub_init``; the top package re-exports ``used`` and its docstring
+    example imports it."""
+    package = root / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        '"""Top.\n\n>>> from pkg import used\n"""\n\n'
+        'from .sub import used\n\n__all__ = ["used"]\n'
+    )
+    (package / "sub" / "__init__.py").write_text(sub_init)
+    (package / "sub" / "impl.py").write_text("used = unused = hidden = None\n")
+    return root / "src"
+
+
+def test_an_export_no_reader_imports_fails(tmp_path):
+    src = _fixture_package(
+        tmp_path, 'from .impl import unused, used\n\n__all__ = ["used", "unused"]\n'
+    )
+    problems = check_docs.check_surface(src, "pkg", readers=["from pkg.sub import used\n"])
+    assert problems == ["pkg/sub/__init__.py: __all__ name 'unused' is imported by no reader"]
+
+
+def test_an_init_import_outside_all_fails(tmp_path):
+    src = _fixture_package(tmp_path, 'from .impl import hidden, used\n\n__all__ = ["used"]\n')
+    problems = check_docs.check_surface(src, "pkg", readers=[])
+    assert problems == ["pkg/sub/__init__.py: imports 'hidden' but does not export it"]
+
+
+def test_the_repository_exports_only_what_its_readers_import():
+    assert check_docs.check_surface() == []

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributed import SimulatedCluster
-from repro.graph import ClusterError
+from repro.distributed.cluster import SimulatedCluster
+from repro.graph.errors import ClusterError
 
 
 class TestSimulatedWorker:
@@ -21,11 +21,6 @@ class TestSimulatedWorker:
         cluster = SimulatedCluster(1)
         with pytest.raises(ClusterError):
             cluster.worker(0).charge_compute(-1.0)
-
-    def test_host_records_components(self):
-        cluster = SimulatedCluster(1)
-        cluster.worker(0).host("bolt-a")
-        assert cluster.worker(0).components == ("bolt-a",)
 
     def test_reset_time_keeps_memory(self):
         cluster = SimulatedCluster(1)

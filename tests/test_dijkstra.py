@@ -10,21 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import (
-    dijkstra,
-    shortest_distance,
-    shortest_path,
-    shortest_path_tree,
-)
+from repro.algorithms import shortest_path
+from repro.algorithms.dijkstra import dijkstra, shortest_distance
 from repro.algorithms.dijkstra import vfrag_label_search, vfrag_rows
-from repro.graph import (
-    DynamicGraph,
-    PathNotFoundError,
-    Subgraph,
-    grid_graph,
-    random_graph,
-    road_network,
-)
+from repro.graph import DynamicGraph, random_graph, road_network
+from repro.graph.errors import PathNotFoundError
+from repro.graph.generators import grid_graph
+from repro.graph.subgraph import Subgraph
 
 
 def brute_force_shortest(graph, source, target):
@@ -132,26 +124,6 @@ class TestShortestPath:
         direct = shortest_path(graph, 0, 24)
         via_subgraph = shortest_path(subgraph, 0, 24)
         assert via_subgraph.distance == pytest.approx(direct.distance)
-
-
-class TestShortestPathTree:
-    def test_tree_distances_match_individual_queries(self):
-        graph = road_network(5, 5, seed=3)
-        distances, successors = shortest_path_tree(graph, 24)
-        for vertex in list(graph.vertices())[:10]:
-            assert distances[vertex] == pytest.approx(
-                shortest_distance(graph, vertex, 24)
-            )
-
-    def test_following_successors_reaches_destination(self):
-        graph = road_network(5, 5, seed=3)
-        distances, successors = shortest_path_tree(graph, 24)
-        vertex = 0
-        hops = 0
-        while vertex != 24:
-            vertex = successors[vertex]
-            hops += 1
-            assert hops < 100
 
 
 def label_search(subgraph, source, xi, max_expansions=500_000, targets=None):

@@ -6,7 +6,8 @@ import gzip
 
 import pytest
 
-from repro.graph import DynamicGraph, GraphError, read_coordinates, read_gr, write_gr
+from repro.graph import DynamicGraph, read_gr, write_gr
+from repro.graph.errors import GraphError
 from repro.graph import road_network
 
 
@@ -71,16 +72,3 @@ class TestMalformedInput:
         assert loaded.weight(1, 2) == 3.0
 
 
-class TestCoordinates:
-    def test_read_coordinates(self, tmp_path):
-        path = tmp_path / "net.co"
-        path.write_text("c coords\np aux sp co 2\nv 1 -739 407\nv 2 -740 416\n")
-        coordinates = read_coordinates(path)
-        assert coordinates[1] == (-739.0, 407.0)
-        assert coordinates[2] == (-740.0, 416.0)
-
-    def test_bad_coordinate_line(self, tmp_path):
-        path = tmp_path / "net.co"
-        path.write_text("v 1 2\n")
-        with pytest.raises(GraphError):
-            read_coordinates(path)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import dijkstra
+from repro.algorithms.dijkstra import dijkstra
 from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.dynamics import TrafficModel
-from repro.graph import IndexStateError, StaleStructureError, partition_graph, road_network
+from repro.graph import partition_graph, road_network
+from repro.graph.errors import IndexStateError, StaleStructureError
 
 
 def min_within_subgraph_distance(partition, u, v):

@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec import (
-    EXECUTORS,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    default_executor_name,
-    make_executor,
-    resolve_executor,
-    validate_executor_name,
-)
+from repro.exec import EXECUTORS, Executor, default_executor_name, resolve_executor
+from repro.exec.base import SerialExecutor, make_executor, validate_executor_name
+from repro.exec.process import ProcessExecutor
 from repro.graph.errors import ExecutorError, ExecutorTaskError
 
 ALL_BACKENDS = list(EXECUTORS)
@@ -237,7 +230,7 @@ class TestProcessBackend:
         assert ex.map(_square, [2, 3]) == [4, 9]
         assert ex.started
         ex.close()
-        assert ex.closed
+        assert not ex.healthy()
         ex.close()  # idempotent
 
     def test_slots_pinned_round_robin(self):
@@ -252,7 +245,7 @@ class TestProcessBackend:
     def test_context_manager_closes(self):
         with ProcessExecutor(1) as ex:
             ex.map(_square, [1])
-        assert ex.closed
+        assert not ex.healthy()
 
     def test_unpicklable_item_does_not_desync_the_pipes(self):
         # Outgoing messages are pickled in full before any byte is written,

@@ -29,7 +29,7 @@ KERNELS = ("snapshot", "dict")
 
 def _deterministic_worker_counters(cluster):
     """Every deterministic counter of every node (busy time excluded)."""
-    nodes = list(cluster.workers) + [cluster.master]
+    nodes = [cluster.worker(i) for i in range(cluster.num_workers)] + [cluster.master]
     return [
         (
             node.stats.worker_id,

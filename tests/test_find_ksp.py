@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import FindKSP, find_ksp, yen_k_shortest_paths
-from repro.graph import DynamicGraph, PathNotFoundError, QueryError, road_network
+from repro.algorithms import yen_k_shortest_paths
+from repro.algorithms.find_ksp import FindKSP, find_ksp
+from repro.graph import DynamicGraph, road_network
+from repro.graph.errors import PathNotFoundError, QueryError
 
 
 class TestFindKSP:

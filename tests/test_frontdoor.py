@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.frontdoor import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    Deadline,
-    RetryPolicy,
-    Router,
-    StaleCache,
-    rendezvous_order,
-)
+from repro.frontdoor import RetryPolicy
+from repro.frontdoor.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.frontdoor.deadline import Deadline
+from repro.frontdoor.router import Router, rendezvous_order
+from repro.frontdoor.stale import StaleCache
 from repro.graph.paths import Path
 
 

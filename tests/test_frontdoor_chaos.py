@@ -25,15 +25,8 @@ from dataclasses import replace
 import pytest
 
 from repro.algorithms import yen_k_shortest_paths
-from repro.chaos import (
-    Answer,
-    FaultEvent,
-    FaultPlan,
-    FrontDoorTarget,
-    Oracle,
-    generate_chaos_workload,
-    run_chaos,
-)
+from repro.chaos import FaultEvent, FaultPlan, FrontDoorTarget, generate_chaos_workload, run_chaos
+from repro.chaos.harness import Answer, Oracle
 from repro.dynamics import TrafficModel
 from repro.frontdoor import build_replicas
 from repro.graph import road_network

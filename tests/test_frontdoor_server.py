@@ -29,7 +29,8 @@ from repro.frontdoor import (
 )
 from repro.frontdoor import server as frontdoor_server
 from repro.frontdoor.server import MAX_K
-from repro.graph import EdgeNotFoundError, WeightUpdate, road_network
+from repro.graph import WeightUpdate, road_network
+from repro.graph.errors import EdgeNotFoundError
 
 #: The ``/query`` outcome counters; every request lands in exactly one.
 QUERY_OUTCOMES = (
@@ -417,7 +418,7 @@ class TestHostileInputs:
             assert fresh.health()["status"] == "ok"
         for breaker in front_door.server.breakers.values():
             assert breaker.state == "closed"
-            assert breaker.consecutive_failures == 0
+            assert breaker.trips == 0
 
     def test_maintenance_on_unknown_edge_is_400(self, graph, front_door):
         assert not graph.has_edge(0, 35)

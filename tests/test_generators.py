@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph import (
-    DATASET_SPECS,
-    dataset,
-    grid_graph,
-    random_graph,
-    road_network,
-)
-from repro.algorithms import dijkstra
+from repro.graph import dataset, random_graph, road_network
+from repro.graph.generators import DATASET_SPECS, grid_graph
+from repro.algorithms.dijkstra import dijkstra
 
 
 def is_connected(graph) -> bool:

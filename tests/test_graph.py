@@ -6,15 +6,9 @@ import pickle
 
 import pytest
 
-from repro.graph import (
-    DirectedDynamicGraph,
-    DynamicGraph,
-    EdgeNotFoundError,
-    InvalidWeightError,
-    VertexNotFoundError,
-    WeightUpdate,
-    edge_key,
-)
+from repro.graph import DynamicGraph, WeightUpdate
+from repro.graph.errors import EdgeNotFoundError, InvalidWeightError, VertexNotFoundError
+from repro.graph.graph import DirectedDynamicGraph, edge_key
 
 
 class TestEdgeKey:
@@ -80,14 +74,6 @@ class TestConstruction:
         edges = sorted(graph.edges())
         assert edges == [(1, 2, 3.0), (2, 3, 4.0)]
 
-    def test_degree(self):
-        graph = DynamicGraph()
-        graph.add_edge(1, 2, 1.0)
-        graph.add_edge(1, 3, 1.0)
-        assert graph.degree(1) == 2
-        assert graph.degree(2) == 1
-
-
 class TestVirtualFragments:
     def test_vfrag_count_is_rounded_initial_weight(self):
         graph = DynamicGraph()
@@ -99,24 +85,13 @@ class TestVirtualFragments:
         graph.add_edge(1, 2, 0.3)
         assert graph.vfrag_count(1, 2) == 1
 
-    def test_unit_weight_initially_one_for_integer_weights(self):
-        graph = DynamicGraph()
-        graph.add_edge(1, 2, 5.0)
-        assert graph.unit_weight(1, 2) == pytest.approx(1.0)
-
-    def test_unit_weight_tracks_current_weight(self):
-        graph = DynamicGraph()
-        graph.add_edge(1, 2, 3.0)
-        graph.update_weight(1, 2, 1.0)
-        assert graph.unit_weight(1, 2) == pytest.approx(1.0 / 3.0)
-        assert graph.vfrag_count(1, 2) == 3
-
     def test_initial_weight_preserved_after_update(self):
         graph = DynamicGraph()
         graph.add_edge(1, 2, 3.0)
         graph.update_weight(1, 2, 9.0)
         assert graph.initial_weight(1, 2) == 3.0
         assert graph.weight(1, 2) == 9.0
+        assert graph.vfrag_count(1, 2) == 3
 
 
 class TestUpdates:
@@ -216,13 +191,6 @@ class TestSnapshotsAndViews:
         graph.add_edge(1, 2, 3.0)
         graph.add_edge(2, 3, 4.0)
         assert graph.path_distance((1, 2, 3)) == pytest.approx(7.0)
-
-    def test_total_weight(self):
-        graph = DynamicGraph()
-        graph.add_edge(1, 2, 3.0)
-        graph.add_edge(2, 3, 4.0)
-        assert graph.total_weight() == pytest.approx(7.0)
-
 
 class TestDirectedGraph:
     def test_directed_edges_independent(self):

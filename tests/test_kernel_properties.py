@@ -34,14 +34,14 @@ from repro.graph import road_network
 from repro.graph.errors import PathNotFoundError, QueryError
 from repro.graph.generators import random_graph
 from repro.graph.graph import WeightUpdate
-from repro.kernel import (
-    CSRSnapshot,
+from repro.kernel import CSRSnapshot
+from repro.kernel.primitives import (
     bounded_dijkstra_arrays,
     dijkstra_arrays,
     dijkstra_arrays_multi,
     reconstruct_indices,
 )
-from repro.obs import collecting
+from repro.obs.profile import collecting
 from repro.workloads import QueryGenerator
 
 SEEDS = [0, 1, 2, 3, 4]

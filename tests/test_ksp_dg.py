@@ -15,7 +15,8 @@ import pytest
 from repro.algorithms import yen_k_shortest_paths
 from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.dynamics import TrafficModel
-from repro.graph import PathNotFoundError, QueryError, road_network
+from repro.graph import road_network
+from repro.graph.errors import PathNotFoundError, QueryError
 from repro.workloads import QueryGenerator
 
 
@@ -108,14 +109,6 @@ class TestQueryCorrectness:
     def test_engine_requires_built_index(self, small_road_network):
         with pytest.raises(QueryError):
             KSPDG(DTLP(small_road_network, DTLPConfig(z=16, xi=2)))
-
-    def test_query_many(self, small_road_network, small_dtlp):
-        engine = KSPDG(small_dtlp)
-        results = engine.query_many([(0, 63, 2), (7, 56, 2)])
-        assert len(results) == 2
-        for result in results:
-            assert result.paths
-
 
 class TestDynamicCorrectness:
     def test_matches_yen_after_traffic_updates(self):

@@ -15,10 +15,13 @@ import random
 
 import pytest
 
-from repro.algorithms import dijkstra, yen_k_shortest_paths
-from repro.core import DTLP, DTLPConfig, KSPDG, SubgraphIndex
+from repro.algorithms import yen_k_shortest_paths
+from repro.algorithms.dijkstra import dijkstra
+from repro.core import DTLP, DTLPConfig, KSPDG
+from repro.core.subgraph_index import SubgraphIndex
 from repro.distributed import KSPDGEngine
-from repro.graph import DynamicGraph, Subgraph, WeightUpdate, road_network
+from repro.graph import DynamicGraph, WeightUpdate, road_network
+from repro.graph.subgraph import Subgraph
 from repro.workloads import KSPQuery
 
 
@@ -34,7 +37,7 @@ def maintained(monkeypatch):
 
     def logged_reprice(index, changes):
         numbers = reprice(index, changes)
-        repriced.append((index.subgraph_id, numbers))
+        repriced.append((index, numbers))
         return numbers
 
     def logged_set_edge(u, v, weight):
@@ -59,7 +62,7 @@ def test_one_edge_round_reprices_its_ep_list_and_its_owners_pairs(maintained) ->
         through = list(index.ep_index.paths_through_edge(u, v))
         del repriced[:], written[:]
         graph.update_weight(u, v, graph.weight(u, v) + 1.5)
-        assert repriced == [(index.subgraph_id, sorted(through))]
+        assert repriced == [(index, sorted(through))]
         assert sorted(written) == sorted(index.boundary_pairs())
         checked += bool(through)
     assert checked  # some sampled edge carries bounding paths

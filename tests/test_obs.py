@@ -29,17 +29,9 @@ from repro.kernel.primitives import (
     dijkstra_arrays,
     dijkstra_arrays_multi,
 )
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    KernelCounters,
-    MetricsRegistry,
-    Span,
-    TraceSession,
-    collecting,
-    kernel_counters,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.profile import KernelCounters, collecting, kernel_counters
+from repro.obs.trace import Span, TraceSession
 from repro.obs.trace import (
     begin_trace,
     end_trace,

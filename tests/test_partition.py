@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph import (
-    DynamicGraph,
-    PartitionError,
-    Subgraph,
-    VertexNotFoundError,
-    partition_graph,
-    road_network,
-)
+from repro.graph import DynamicGraph, partition_graph, road_network
+from repro.graph.errors import PartitionError, VertexNotFoundError
+from repro.graph.subgraph import Subgraph
 from repro.graph.graph import edge_key
 from repro.graph.partition import GraphPartition
 

@@ -25,14 +25,14 @@ from repro.core import DTLP, DTLPConfig
 from repro.distributed import KSPDGEngine
 from repro.graph import (
     DynamicGraph,
-    PartitionError,
     clustered_road_network,
-    make_partition,
     partition_graph,
     partition_mincut,
     random_graph,
     road_network,
 )
+from repro.graph.errors import PartitionError
+from repro.graph.partition_ml import make_partition
 from repro.graph.graph import edge_key
 from repro.workloads import QueryGenerator
 
@@ -151,34 +151,6 @@ class TestMincutQuality:
         bfs = partition_graph(graph, z)
         mincut = partition_mincut(graph, z)
         assert len(mincut.boundary_vertices) <= 0.75 * len(bfs.boundary_vertices)
-
-    def test_load_aware_balancing(self):
-        graph = road_network(8, 8, seed=13)
-        z = 16
-        baseline = partition_mincut(graph, z)
-        # Pretend one block's vertices are 10x hotter than the rest;
-        # rebuilding with those vertex weights must spread that block's
-        # load.  The load cap is a feasibility constraint, not a hard
-        # guarantee (growth floors can override it), so the assertion is
-        # the behavioral one: the hottest block gets strictly cooler.
-        hot = baseline.subgraphs[0].vertices
-        weights = {v: 10.0 if v in hot else 1.0 for v in graph.vertices()}
-        rebalanced = partition_mincut(
-            graph, z, vertex_weights=weights, balance_slack=0.2
-        )
-        check_partition_contract(graph, rebalanced, z)
-
-        def max_home_load(partition):
-            loads = []
-            for subgraph in partition.subgraphs:
-                home = set(subgraph.vertices)
-                for other in partition.subgraphs:
-                    if other.subgraph_id != subgraph.subgraph_id:
-                        home -= other.vertices
-                loads.append(sum(weights[v] for v in home))
-            return max(loads)
-
-        assert max_home_load(rebalanced) < max_home_load(baseline)
 
 
 def _distances(outcomes):

@@ -54,12 +54,6 @@ class TestPath:
         second = Path(1.0, (1, 3))
         assert first < second
 
-    def test_contains_edge_both_orientations(self):
-        path = Path(3.0, (1, 2, 3))
-        assert path.contains_edge(1, 2)
-        assert path.contains_edge(2, 1)
-        assert not path.contains_edge(1, 3)
-
     def test_contains_vertex(self):
         path = Path(3.0, (1, 2, 3))
         assert 2 in path
@@ -80,10 +74,6 @@ class TestPath:
     def test_is_simple_method(self):
         assert Path(1.0, (1, 2, 3)).is_simple()
         assert not Path(1.0, (1, 2, 1)).is_simple()
-
-    def test_prefix_slices_vertices(self):
-        path = Path(9.0, (1, 2, 3, 4))
-        assert path.prefix(2).vertices == (1, 2)
 
     def test_hashable_and_equal(self):
         assert Path(1.0, (1, 2)) == Path(1.0, (1, 2))

@@ -21,7 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import dijkstra, find_ksp, yen_k_shortest_paths
+from repro.algorithms import yen_k_shortest_paths
+from repro.algorithms.dijkstra import dijkstra
+from repro.algorithms.find_ksp import find_ksp
 from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.graph import partition_graph, random_graph
 from repro.graph.graph import WeightUpdate, edge_key

@@ -295,7 +295,10 @@ class TestTopologyPruningIdentity:
                                     worker.stats.units_sent,
                                     worker.stats.tasks_executed,
                                 )
-                                for worker in topology.cluster.workers
+                                for worker in map(
+                                    topology.cluster.worker,
+                                    range(topology.cluster.num_workers),
+                                )
                             ],
                         )
                     )

@@ -14,14 +14,9 @@ import pytest
 from repro.core import DTLP, DTLPConfig
 from repro.dynamics import TrafficModel
 from repro.graph import DynamicGraph, road_network
-from repro.service import (
-    KSPService,
-    ServiceClosedError,
-    ServiceOverloadedError,
-    generate_trace,
-    percentile,
-    replay,
-)
+from repro.service import KSPService, ServiceOverloadedError, generate_trace, replay
+from repro.service.errors import ServiceClosedError
+from repro.service.telemetry import percentile
 from repro.workloads import KSPQuery, YenEngine
 
 
@@ -70,7 +65,8 @@ class TestGraphVersioning:
         assert clone.version == diamond.version
 
     def test_apply_updates_is_atomic_on_bad_batch(self, diamond):
-        from repro.graph import EdgeNotFoundError, WeightUpdate
+        from repro.graph import WeightUpdate
+        from repro.graph.errors import EdgeNotFoundError
 
         with pytest.raises(EdgeNotFoundError):
             diamond.apply_updates(
@@ -134,8 +130,10 @@ class TestDedup:
 
     def test_cache_serves_repeats_across_batches(self, diamond):
         service, engine = make_service(diamond)
-        first = service.answer_now(KSPQuery(query_id=0, source=0, target=3, k=2))
-        second = service.answer_now(KSPQuery(query_id=1, source=0, target=3, k=2))
+        service.submit(KSPQuery(query_id=0, source=0, target=3, k=2))
+        [first] = service.drain()
+        service.submit(KSPQuery(query_id=1, source=0, target=3, k=2))
+        [second] = service.drain()
         assert engine.calls == 1
         assert not first.from_cache
         assert second.from_cache
@@ -143,8 +141,10 @@ class TestDedup:
 
     def test_disabled_cache_always_computes(self, diamond):
         service, engine = make_service(diamond, enable_cache=False)
-        service.answer_now(KSPQuery(query_id=0, source=0, target=3, k=2))
-        service.answer_now(KSPQuery(query_id=1, source=0, target=3, k=2))
+        service.submit(KSPQuery(query_id=0, source=0, target=3, k=2))
+        service.drain()
+        service.submit(KSPQuery(query_id=1, source=0, target=3, k=2))
+        service.drain()
         assert engine.calls == 2
         assert service.cache is None
         assert service.report().hit_rate == 0.0
@@ -153,10 +153,12 @@ class TestDedup:
 class TestInvalidationUnderUpdates:
     def test_update_on_cached_path_forces_recompute(self, diamond):
         service, engine = make_service(diamond)
-        before = service.answer_now(KSPQuery(query_id=0, source=0, target=3, k=1))
+        service.submit(KSPQuery(query_id=0, source=0, target=3, k=1))
+        [before] = service.drain()
         assert before.paths[0].distance == pytest.approx(2.0)
         service.maintenance_step([_update(diamond, 0, 1, 10.0)])
-        after = service.answer_now(KSPQuery(query_id=1, source=0, target=3, k=1))
+        service.submit(KSPQuery(query_id=1, source=0, target=3, k=1))
+        [after] = service.drain()
         assert engine.calls == 2  # cache entry was evicted
         assert not after.from_cache
         assert after.paths[0].vertices == (0, 2, 3)
@@ -164,10 +166,12 @@ class TestInvalidationUnderUpdates:
 
     def test_update_off_cached_paths_keeps_entry_exact(self, diamond):
         service, engine = make_service(diamond)
-        service.answer_now(KSPQuery(query_id=0, source=0, target=3, k=1))
+        service.submit(KSPQuery(query_id=0, source=0, target=3, k=1))
+        service.drain()
         # k=1 answer is 0-1-3; the 0-2 edge is on no cached path.
         service.maintenance_step([_update(diamond, 0, 2, 2.5)])
-        again = service.answer_now(KSPQuery(query_id=1, source=0, target=3, k=1))
+        service.submit(KSPQuery(query_id=1, source=0, target=3, k=1))
+        [again] = service.drain()
         assert engine.calls == 1
         assert again.from_cache
         assert diamond.path_distance(again.paths[0].vertices) == pytest.approx(
@@ -178,9 +182,11 @@ class TestInvalidationUnderUpdates:
         # Updates applied directly to the graph (not via maintenance_step)
         # must reach the cache through the listener.
         service, engine = make_service(diamond)
-        service.answer_now(KSPQuery(query_id=0, source=0, target=3, k=1))
+        service.submit(KSPQuery(query_id=0, source=0, target=3, k=1))
+        service.drain()
         diamond.update_weight(1, 3, 10.0)
-        answer = service.answer_now(KSPQuery(query_id=1, source=0, target=3, k=1))
+        service.submit(KSPQuery(query_id=1, source=0, target=3, k=1))
+        [answer] = service.drain()
         assert engine.calls == 2
         assert answer.paths[0].distance == pytest.approx(4.0)
 
@@ -220,11 +226,12 @@ class TestLifecycle:
 
     def test_context_manager_detaches_listener(self, diamond):
         with make_service(diamond)[0] as service:
-            service.answer_now(KSPQuery(query_id=0, source=0, target=3, k=1))
+            service.submit(KSPQuery(query_id=0, source=0, target=3, k=1))
+            service.drain()
         assert service.closed
         # After close, graph updates no longer touch the (closed) cache.
         diamond.update_weight(0, 1, 9.0)
-        assert service.cache.peek((0, 3, 1)) is not None
+        assert service.cache.get((0, 3, 1)) is not None
 
     def test_close_detaches_dtlp_it_attached(self):
         graph = road_network(6, 6, seed=2)

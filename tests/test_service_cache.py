@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph import DynamicGraph, Path, WeightUpdate
+from repro.graph import DynamicGraph, WeightUpdate
+from repro.graph.paths import Path
 from repro.service import ResultCache
 
 
@@ -23,14 +24,6 @@ class TestLookups:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
-
-    def test_peek_does_not_touch_stats(self):
-        cache = ResultCache(capacity=4)
-        cache.put((0, 3, 2), make_paths([0, 1, 3]))
-        assert cache.peek((0, 3, 2)) is not None
-        assert cache.peek((9, 9, 9)) is None
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 0
 
     def test_put_replaces_existing_entry(self):
         cache = ResultCache(capacity=4)
@@ -100,7 +93,7 @@ class TestScopedInvalidation:
         graph.add_edge(0, 2, 2.0)
         graph.add_edge(2, 3, 2.0)
         cache = ResultCache(capacity=8)
-        cache.put((0, 3, 1), [graph.path([0, 1, 3])])
+        cache.put((0, 3, 1), make_paths([0, 1, 3]))
         graph.update_weight(0, 2, 10.0)  # off-path edge
         cache.invalidate([WeightUpdate(0, 2, 10.0)])
         entry = cache.get((0, 3, 1))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import RequestPipeline, ServiceOverloadedError
+from repro.service import ServiceOverloadedError
+from repro.service.pipeline import RequestPipeline
 from repro.workloads import KSPQuery
 
 

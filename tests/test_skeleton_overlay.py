@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import dijkstra
+from repro.algorithms.dijkstra import dijkstra
 from repro.algorithms.yen import LazyYen
 from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.core.skeleton import SkeletonSearchView

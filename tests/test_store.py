@@ -24,13 +24,8 @@ from repro.distributed import KSPDGEngine, distributed_build_report
 from repro.dynamics import TrafficModel
 from repro.graph import DynamicGraph, road_network
 from repro.store import partition_store
-from repro.store import (
-    PartitionStore,
-    StoreError,
-    graph_structure_fingerprint,
-    graph_weights_fingerprint,
-    load_or_build,
-)
+from repro.store import PartitionStore, StoreError, load_or_build
+from repro.store.partition_store import graph_structure_fingerprint, graph_weights_fingerprint
 from repro.workloads import QueryGenerator
 
 CONFIG = DTLPConfig(z=12, xi=2, partitioner="mincut")
@@ -320,35 +315,6 @@ class TestInterruptedSave:
         PartitionStore.save(dtlp, tmp_path / "store")
         written = list((tmp_path / "store").rglob("*.json"))
         assert events == ["file", "replace", "dir"] * len(written)
-
-
-class TestLoadPartition:
-    def test_single_partition_matches_full_load(self, saved):
-        graph, dtlp, store, _ = saved
-        for subgraph in dtlp.partition.subgraphs:
-            part, index = store.load_partition(graph, subgraph.subgraph_id)
-            assert part.vertices == subgraph.vertices
-            assert part.edge_set == subgraph.edge_set
-            assert set(part.boundary_vertices) == set(subgraph.boundary_vertices)
-            original = dtlp.subgraph_index(subgraph.subgraph_id)
-            assert index.export_state() == original.export_state()
-
-    def test_single_partition_refreshes_stale_weights(self, saved):
-        graph, dtlp, store, _ = saved
-        TrafficModel(graph, alpha=0.3, tau=0.4, seed=37).advance()
-        fresh = DTLP(graph, CONFIG).build()
-        for subgraph in fresh.partition.subgraphs:
-            _, index = store.load_partition(graph, subgraph.subgraph_id)
-            expected = fresh.subgraph_index(subgraph.subgraph_id)
-            got = {
-                (u, v, tuple(path_ids))
-                for u, v, path_ids in index.export_state()["pairs"]
-            }
-            want = {
-                (u, v, tuple(path_ids))
-                for u, v, path_ids in expected.export_state()["pairs"]
-            }
-            assert got == want
 
 
 class TestLoadOrBuild:

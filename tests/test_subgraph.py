@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph import DynamicGraph, EdgeNotFoundError, Subgraph, VertexNotFoundError
+from repro.graph import DynamicGraph
+from repro.graph.errors import EdgeNotFoundError, VertexNotFoundError
+from repro.graph.subgraph import Subgraph
 from repro.graph.subgraph import SortedUnitWeights
 
 from conftest import apply_sg4_change
@@ -21,7 +23,7 @@ class TestSubgraphStructure:
         subgraph = make_sg4_subgraph(sg4_graph)
         assert subgraph.num_vertices == 6
         assert subgraph.num_edges == 6
-        assert subgraph.has_vertex(13)
+        assert 13 in subgraph.vertices
         assert subgraph.has_edge(13, 16)
         assert subgraph.has_edge(16, 13)
 
@@ -32,7 +34,7 @@ class TestSubgraphStructure:
 
     def test_vertex_outside_subgraph(self, sg4_graph):
         subgraph = make_sg4_subgraph(sg4_graph)
-        assert not subgraph.has_vertex(99)
+        assert 99 not in subgraph.vertices
         with pytest.raises(VertexNotFoundError):
             list(subgraph.neighbors(99))
 
@@ -61,78 +63,41 @@ class TestSubgraphStructure:
         neighbors = dict(subgraph.neighbors(17))
         assert neighbors == {18: 2.0, 16: 2.0, 19: 3.0}
 
-    def test_path_distance(self, sg4_graph):
-        subgraph = make_sg4_subgraph(sg4_graph)
-        # Example 2: D(P1(13,14)) = 5 + 3 = 8
-        assert subgraph.path_distance((13, 16, 14)) == pytest.approx(8.0)
-
-
 class TestUnitWeightProfile:
+    """The sorted unit weights of SG4 (Example 4), as ``SortedUnitWeights``
+    keeps them: ``prefix[n]`` is the sum of the ``n`` smallest."""
+
+    @staticmethod
+    def unit_weights(prefix):
+        return [b - a for a, b in zip(prefix, prefix[1:])]
+
     def test_initial_profile_all_ones(self, sg4_graph):
-        subgraph = make_sg4_subgraph(sg4_graph)
-        profile = subgraph.unit_weight_profile()
-        assert profile == [(1.0, 18)]
-        assert subgraph.total_vfrags() == 18
+        units = SortedUnitWeights(make_sg4_subgraph(sg4_graph))
+        assert units.depth == 18
+        assert self.unit_weights(units.prefix) == [1.0] * 18
 
     def test_profile_matches_paper_example4(self, sg4_graph):
         """After the SG4 -> SG'4 change the profile is the one in Example 4."""
         subgraph = make_sg4_subgraph(sg4_graph)
         apply_sg4_change(sg4_graph)
-        profile = subgraph.unit_weight_profile()
-        assert profile == [
-            (pytest.approx(1 / 3), 3),
-            (pytest.approx(1 / 2), 4),
-            (pytest.approx(1.0), 8),
-            (pytest.approx(2.0), 3),
-        ]
+        assert self.unit_weights(SortedUnitWeights(subgraph).prefix) == pytest.approx(
+            [1 / 3] * 3 + [1 / 2] * 4 + [1.0] * 8 + [2.0] * 3
+        )
 
     def test_bound_distance_of_example4(self, sg4_graph):
         """Example 4: the 8 smallest unit weights sum to 4 in SG'4."""
         subgraph = make_sg4_subgraph(sg4_graph)
         apply_sg4_change(sg4_graph)
-        assert subgraph.smallest_unit_weight_sum(8) == pytest.approx(4.0)
+        assert SortedUnitWeights(subgraph).prefix[8] == pytest.approx(4.0)
 
     def test_bound_distance_initial(self, sg4_graph):
         """Before the change the 8 smallest unit weights sum to 8 (Example 4)."""
-        subgraph = make_sg4_subgraph(sg4_graph)
-        assert subgraph.smallest_unit_weight_sum(8) == pytest.approx(8.0)
+        assert SortedUnitWeights(make_sg4_subgraph(sg4_graph)).prefix[8] == pytest.approx(8.0)
 
     def test_sum_beyond_available_vfrags_returns_total(self, sg4_graph):
-        subgraph = make_sg4_subgraph(sg4_graph)
-        total = subgraph.smallest_unit_weight_sum(10_000)
-        assert total == pytest.approx(18.0)
+        units = SortedUnitWeights(make_sg4_subgraph(sg4_graph), depth=10_000)
+        assert units.depth == 18
+        assert units.prefix[-1] == pytest.approx(18.0)
 
     def test_sum_of_zero_vfrags(self, sg4_graph):
-        subgraph = make_sg4_subgraph(sg4_graph)
-        assert subgraph.smallest_unit_weight_sum(0) == 0.0
-
-
-class TestSortedUnitWeights:
-    def test_matches_profile_sum(self, sg4_graph):
-        subgraph = make_sg4_subgraph(sg4_graph)
-        sorted_units = SortedUnitWeights(subgraph)
-        for count in (1, 5, 8, 18):
-            assert sorted_units.smallest_sum(count) == pytest.approx(
-                subgraph.smallest_unit_weight_sum(count)
-            )
-
-    def test_update_edge_refreshes_sums(self, sg4_graph):
-        subgraph = make_sg4_subgraph(sg4_graph)
-        sorted_units = SortedUnitWeights(subgraph)
-        apply_sg4_change(sg4_graph)
-        sorted_units.update_edges([(13, 18), (18, 17), (17, 16), (17, 19)])
-        assert sorted_units.smallest_sum(8) == pytest.approx(4.0)
-        assert len(sorted_units) == 18
-
-    def test_update_unknown_edge_raises(self, sg4_graph):
-        subgraph = make_sg4_subgraph(sg4_graph)
-        sorted_units = SortedUnitWeights(subgraph)
-        with pytest.raises(EdgeNotFoundError):
-            sorted_units.update_edges([(13, 19)])
-
-    def test_noop_update_keeps_sums(self, sg4_graph):
-        subgraph = make_sg4_subgraph(sg4_graph)
-        sorted_units = SortedUnitWeights(subgraph)
-        before = sorted_units.smallest_sum(5)
-        sorted_units.update_edges([(13, 16)])
-        assert sorted_units.smallest_sum(5) == pytest.approx(before)
+        assert SortedUnitWeights(make_sg4_subgraph(sg4_graph)).prefix[0] == 0.0

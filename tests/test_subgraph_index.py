@@ -7,17 +7,18 @@ import json
 
 import pytest
 
-from repro.algorithms import shortest_distance
-from repro.core import DTLP, DTLPConfig, SubgraphIndex
+from repro.algorithms.dijkstra import shortest_distance
+from repro.core import DTLP, DTLPConfig
+from repro.core.subgraph_index import SubgraphIndex
 from repro.graph import (
     DynamicGraph,
-    IndexStateError,
-    Subgraph,
     WeightUpdate,
     clustered_road_network,
     random_graph,
     road_network,
 )
+from repro.graph.errors import IndexStateError
+from repro.graph.subgraph import Subgraph
 from repro.dynamics import TrafficModel
 
 from conftest import apply_sg4_change
@@ -60,7 +61,7 @@ class TestBuild:
         assert index.build_seconds >= 0.0
 
     def test_directed_index_has_both_directions(self):
-        from repro.graph import DirectedDynamicGraph
+        from repro.graph.graph import DirectedDynamicGraph
 
         graph = DirectedDynamicGraph()
         graph.add_edge(1, 2, 2.0)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import yen_k_shortest_paths
-from repro.core import KSPDG, constrained_ksp, diverse_ksp, path_overlap
-from repro.graph import QueryError
+from repro.core import KSPDG
+from repro.core.variants import constrained_ksp, diverse_ksp, path_overlap
+from repro.graph.errors import QueryError
 
 
 @pytest.fixture(scope="module")

@@ -88,7 +88,7 @@ class TestBatchRunner:
         engine = YenEngine(small_road_network)
         generator = QueryGenerator(small_road_network, seed=2)
         report = BatchRunner(engine, num_servers=1).run(generator.generate(5, k=2))
-        assert report.num_queries == 5
+        assert len(report.outcomes) == 5
         assert report.total_cpu_seconds > 0
         for outcome in report.outcomes:
             assert len(outcome.paths) == 2
@@ -118,9 +118,6 @@ class TestBatchRunner:
     def test_mean_statistics(self, small_road_network):
         generator = QueryGenerator(small_road_network, seed=4)
         report = BatchRunner(YenEngine(small_road_network)).run(generator.generate(4, k=2))
-        assert report.mean_seconds_per_query == pytest.approx(
-            report.total_cpu_seconds / 4
-        )
         assert report.mean_iterations == 0.0
 
     def test_invalid_server_count(self, small_road_network):
@@ -129,6 +126,5 @@ class TestBatchRunner:
 
     def test_empty_batch(self, small_road_network):
         report = BatchRunner(YenEngine(small_road_network)).run([])
-        assert report.num_queries == 0
+        assert report.outcomes == []
         assert report.parallel_seconds == 0.0
-        assert report.mean_seconds_per_query == 0.0

@@ -6,8 +6,10 @@ import itertools
 
 import pytest
 
-from repro.algorithms import LazyYen, yen_k_shortest_paths
-from repro.graph import DynamicGraph, PathNotFoundError, QueryError, road_network
+from repro.algorithms import yen_k_shortest_paths
+from repro.algorithms.yen import LazyYen
+from repro.graph import DynamicGraph, road_network
+from repro.graph.errors import PathNotFoundError, QueryError
 
 
 def all_simple_path_distances(graph, source, target):
@@ -104,12 +106,6 @@ class TestLazyYen:
         lazy = LazyYen(diamond_graph, 0, 3)
         collected = list(itertools.islice(lazy, 2))
         assert len(collected) == 2
-
-    def test_found_paths_accumulate(self, diamond_graph):
-        lazy = LazyYen(diamond_graph, 0, 3)
-        lazy.next_path()
-        lazy.next_path()
-        assert len(lazy.found_paths) == 2
 
     def test_monotone_distances_on_dense_graph(self):
         graph = road_network(5, 5, seed=11)

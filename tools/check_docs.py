@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs gate: intra-repo markdown links, code names and the README quickstart.
+"""Docs gate: markdown links, code names, the quickstarts and the public surface.
 
-Three checks, all exercised by the CI ``docs`` job and runnable locally:
+Five checks, all exercised by the CI ``docs`` job and runnable locally:
 
 * ``--links``: scan every tracked ``*.md`` file for markdown links and
   verify that each *relative* target (``[text](path)`` with no URL scheme)
@@ -16,13 +16,26 @@ Three checks, all exercised by the CI ``docs`` job and runnable locally:
   ``README.md`` and execute it, so the quickstart the README promises is
   the quickstart that runs.
 
-With no flags, all three checks run.  Exits non-zero on any failure, printing
+Two more run only in the default (no-flag) run:
+
+* the ``repro`` package docstring's examples run as doctests, so its two
+  quickstarts keep working;
+* the public surface: every ``__all__`` of a package under ``src/repro``
+  lists only names some reader imports from that package, and every
+  ``__init__.py`` imports exactly its ``__all__``.  The readers are
+  ``README.md``'s python blocks, ``examples/``, ``benchmarks/``, ``perf/``,
+  ``tools/``, the ``repro`` modules outside the package and the ``repro``
+  package docstring; ``tests/`` is not a reader.
+
+With no flags, all checks run.  Exits non-zero on any failure, printing
 one line per problem.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import doctest
 import importlib
 import re
 import sys
@@ -38,6 +51,8 @@ PYTHON_BLOCK_PATTERN = re.compile(r"```python\n(.*?)```", re.DOTALL)
 #: A backticked dotted name under the package, optionally called: `repro.x.y()`.
 NAME_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 NAME_DOCS = ("README.md", "ARCHITECTURE.md", "docs/paper_map.md")
+#: Directories whose python files read the package's public surface.
+READER_DIRS = ("examples", "benchmarks", "perf", "tools")
 
 
 def iter_markdown_files() -> list[Path]:
@@ -124,6 +139,106 @@ def run_quickstart() -> list[str]:
     return []
 
 
+def run_package_doctests() -> list[str]:
+    """Run the ``repro`` package docstring's examples; return failure messages."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    import repro
+
+    result = doctest.testmod(repro, report=False)
+    if result.failed:
+        return [f"repro docstring: {result.failed} of {result.attempted} examples failed"]
+    return []
+
+
+def _imported_names(tree: ast.AST, package: str | None) -> set[tuple[str, str]]:
+    """``(module, name)`` for every ``from module import name`` in ``tree``.
+
+    ``package`` is the dotted package a relative import resolves against;
+    ``None`` (a file outside ``src``) ignores relative imports.
+    """
+    found: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            if package is None:
+                continue
+            base = package.split(".")[: len(package.split(".")) - node.level + 1]
+            module = ".".join(base + ([node.module] if node.module else []))
+        else:
+            module = node.module or ""
+        found.update((module, alias.name) for alias in node.names)
+    return found
+
+
+def _module_package(path: Path, src_root: Path) -> tuple[str, str]:
+    """``(dotted module, dotted package it lives in)`` of a file under ``src_root``."""
+    parts = list(path.relative_to(src_root).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+        return ".".join(parts), ".".join(parts)
+    return ".".join(parts), ".".join(parts[:-1])
+
+
+def reader_sources() -> list[str]:
+    """The python source of every reader outside ``src``: the files under
+    :data:`READER_DIRS` and ``README.md``'s python blocks."""
+    files = sorted(path for name in READER_DIRS for path in (REPO_ROOT / name).rglob("*.py"))
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    return [path.read_text(encoding="utf-8") for path in files] + PYTHON_BLOCK_PATTERN.findall(
+        readme
+    )
+
+
+def check_surface(
+    src_root: Path = REPO_ROOT / "src", top: str = "repro", readers: list[str] | None = None
+) -> list[str]:
+    """Return one message per ``__all__`` name no reader imports, and per
+    ``__init__.py`` import that is not in its ``__all__``.
+
+    ``src_root / top`` is the top package; every package below it is
+    checked.  ``readers`` are the python sources outside ``src_root``
+    (default: :func:`reader_sources`).  Inside it, a module reads every
+    package but its own, and the top package's docstring examples read it.
+    """
+    init_files = sorted((src_root / top).rglob("__init__.py"))
+    imports: dict[str, set[str]] = {}  # package -> names its readers import
+
+    def record(tree: ast.AST, package: str | None = None) -> None:
+        for module, name in _imported_names(tree, package):
+            # A package's own modules do not read its surface.
+            if module != package:
+                imports.setdefault(module, set()).add(name)
+
+    for source in reader_sources() if readers is None else readers:
+        record(ast.parse(source))
+    for path in sorted((src_root / top).rglob("*.py")):
+        module, package = _module_package(path, src_root)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        record(tree, package)
+        if module == top:
+            examples = doctest.DocTestParser().get_examples(ast.get_docstring(tree) or "")
+            record(ast.parse("\n".join(e.source for e in examples)))
+
+    problems: list[str] = []
+    for init in init_files:
+        package = _module_package(init, src_root)[0]
+        tree = ast.parse(init.read_text(encoding="utf-8"))
+        exported: list[str] = []
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = list(ast.literal_eval(node.value))
+        rel = init.relative_to(src_root)
+        for name in exported:
+            if name not in imports.get(package, ()):
+                problems.append(f"{rel}: __all__ name {name!r} is imported by no reader")
+        for module, name in sorted(_imported_names(tree, package)):
+            if name not in exported and module != "__future__":
+                problems.append(f"{rel}: imports {name!r} but does not export it")
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links", action="store_true", help="only check links")
@@ -153,6 +268,14 @@ def main(argv: list[str] | None = None) -> int:
         problems.extend(quickstart_problems)
         if not quickstart_problems:
             print("README quickstart: ran clean")
+    if run_all:
+        doctest_problems = run_package_doctests()
+        problems.extend(doctest_problems)
+        if not doctest_problems:
+            print("repro docstring examples: ran clean")
+        surface_problems = check_surface()
+        problems.extend(surface_problems)
+        print(f"public surface: {len(surface_problems)} problems")
 
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
