@@ -12,7 +12,7 @@ users keep asking for routes.  This example wires the full serving stack of
   in which popular origin/destination pairs repeat,
 * every served path is re-priced against the current weights to show that
   scoped invalidation never serves a stale distance,
-* the final :class:`~repro.service.telemetry.ServiceReport` prints latency
+* the final :class:`~repro.service.server.ServiceReport` prints latency
   percentiles, cache hit rate, queue pressure and shed counts.
 
 Run with::

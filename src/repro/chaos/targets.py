@@ -111,7 +111,7 @@ class FrontDoorTarget:
             lambda: {rid: server.breakers[rid].state for rid in sorted(server.breakers)}
         )
         report.retries = sum(
-            replica.service.report().retried_submissions
+            replica.service.retried_submissions.value
             for replica in self._replicas.values()
             if not replica.service.closed
         )

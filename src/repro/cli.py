@@ -598,7 +598,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     next_query_id = 0
     for epoch in range(1, args.epochs + 1):
         updates = service.maintenance_step()
-        shed_before = service.pipeline.shed
+        shed_before = service.pipeline.shed.value
         # The epoch's queries arrive as one burst (concurrent users), so a
         # wave larger than the admission queue genuinely sheds its overflow.
         for offset in range(args.queries_per_epoch):
@@ -610,7 +610,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         next_query_id += args.queries_per_epoch
         answers = service.drain()
         hits = sum(1 for answer in answers if answer.from_cache)
-        shed = service.pipeline.shed - shed_before
+        shed = service.pipeline.shed.value - shed_before
         print(f"epoch {epoch:3d}: {len(updates)} updates applied, "
               f"{len(answers)} queries served ({hits} from cache, {shed} shed)")
     _print_report(service)

@@ -91,10 +91,6 @@ class StormTopology:
         A built DTLP index over the dynamic graph.
     num_workers:
         Number of worker servers (the paper's ``Ns``).
-    query_bolts_per_worker:
-        How many QueryBolts to place on each worker; the paper deploys "one
-        or more", and one is sufficient for the simulation because a single
-        QueryBolt object can process any number of queries.
     executor:
         Physical execution backend for query batches: a backend name
         (``"serial"``, ``"process"``), a pre-built
@@ -140,7 +136,6 @@ class StormTopology:
         self,
         dtlp: DTLP,
         num_workers: int = 4,
-        query_bolts_per_worker: int = 1,
         kernel: str = "snapshot",
         executor: Union[str, Executor, None] = None,
         executor_workers: Optional[int] = None,
@@ -151,8 +146,6 @@ class StormTopology:
     ) -> None:
         if not dtlp.built:
             raise ClusterError("the DTLP index must be built before deploying a topology")
-        if query_bolts_per_worker < 1:
-            raise ClusterError("query_bolts_per_worker must be at least 1")
         self._dtlp = dtlp
         # Partition-store directory the index was saved to (or loaded
         # from).  When set, process replicas are spawned from the store's
@@ -188,10 +181,10 @@ class StormTopology:
             (f"subgraph-bolt-{worker_id}", worker_id, placement.subgraphs_on(worker_id))
             for worker_id in range(num_workers)
         ]
+        # One QueryBolt per worker: the paper deploys "one or more", and a
+        # single QueryBolt object can process any number of queries.
         self._query_specs = [
-            (f"query-bolt-{worker_id}-{replica}", worker_id)
-            for worker_id in range(num_workers)
-            for replica in range(query_bolts_per_worker)
+            (f"query-bolt-{worker_id}-0", worker_id) for worker_id in range(num_workers)
         ]
         self._logical = LogicalTopology(
             dtlp, self._mode, self._cluster, self._subgraph_specs, self._query_specs

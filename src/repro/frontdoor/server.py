@@ -16,7 +16,7 @@ network service built robustness-first — every request crosses, in order:
    window and drains micro-batches on a dedicated thread, resolving one
    future per waiting request.
 
-Failures cascade *sideways* before they cascade *up*: a refused or
+Failures cascade *sideways* before they cascade *up*: a refused, failed or
 timed-out replica triggers failover to the next replica in the chain
 (budget permitting), and only when every route is exhausted does the
 request fail — or, with degraded mode on, get answered from the
@@ -84,6 +84,13 @@ _BODY_READ_TIMEOUT = 10.0
 #: ``k`` the paper's evaluation or this repository's benchmarks use.
 MAX_K = 500
 
+#: Seconds a replica worker waits after a wake-up before draining, so
+#: near-simultaneous requests ride the same micro-batch.
+_BATCH_WINDOW = 0.004
+
+#: Entries in the last-known-answer cache behind degraded serving.
+_STALE_CAPACITY = 4096
+
 
 class _ReplicaWorker:
     """Async adapter around one replica: waiter futures + batch drainer.
@@ -99,11 +106,9 @@ class _ReplicaWorker:
         self,
         replica: ServiceReplica,
         loop: asyncio.AbstractEventLoop,
-        batch_window: float,
     ) -> None:
         self.replica = replica
         self._loop = loop
-        self._batch_window = batch_window
         self._waiters: Dict[QueryKey, Deque[asyncio.Future]] = {}
         self._wake = asyncio.Event()
         self._pool = ThreadPoolExecutor(
@@ -147,17 +152,14 @@ class _ReplicaWorker:
                 break
             # Coalescing window: let near-simultaneous requests pile into
             # the same micro-batch before draining.
-            await asyncio.sleep(self._batch_window)
+            await asyncio.sleep(_BATCH_WINDOW)
             while not self.replica.service.pipeline.empty:
                 self._draining = True
                 try:
                     served = await self._loop.run_in_executor(
                         self._pool, self.replica.serve_batch
                     )
-                except (ReplicaUnavailableError, ServiceClosedError) as exc:
-                    self._fail_all_waiters(exc)
-                    break
-                except Exception as exc:  # engine/backend failure
+                except Exception as exc:  # replica down, or engine failure
                     self._fail_all_waiters(exc)
                     break
                 finally:
@@ -200,7 +202,7 @@ class _ReplicaWorker:
     async def quiesce(self) -> None:
         """Wait until the replica has no in-flight or queued work."""
         while not self.idle:
-            await asyncio.sleep(self._batch_window)
+            await asyncio.sleep(_BATCH_WINDOW)
 
     async def stop(self) -> None:
         self._stopping = True
@@ -238,6 +240,10 @@ class FrontDoorServer:
     Construction wires, per replica: a circuit breaker, an async worker
     and its batch thread.  ``degraded_mode=False`` is strict mode: the
     stale cache is never consulted and exhausted routes surface as errors.
+
+    Every request outcome is counted, on the event loop as it happens, in
+    a ``frontdoor_<name>`` counter of ``metrics``, the server's own
+    registry; ``/healthz`` and ``/metrics`` both read those counters.
     """
 
     def __init__(
@@ -247,10 +253,6 @@ class FrontDoorServer:
         port: int = 0,
         *,
         degraded_mode: bool = True,
-        default_budget_ms: float = DEFAULT_BUDGET_MS,
-        batch_window: float = 0.004,
-        stale_capacity: int = 4096,
-        breakers: Optional[Dict[int, CircuitBreaker]] = None,
     ) -> None:
         if not replicas:
             raise ValueError("front door needs at least one replica")
@@ -260,15 +262,13 @@ class FrontDoorServer:
         if len(self.replicas) != len(replicas):
             raise ValueError("replica ids must be unique")
         self.router = Router(sorted(self.replicas))
-        self.breakers: Dict[int, CircuitBreaker] = breakers or {
+        self.breakers: Dict[int, CircuitBreaker] = {
             replica_id: CircuitBreaker() for replica_id in self.replicas
         }
         self.degraded_mode = degraded_mode
-        self.default_budget_ms = default_budget_ms
-        self.stale = StaleCache(stale_capacity)
+        self.stale = StaleCache(_STALE_CAPACITY)
         self._host = host
         self._port = port
-        self._batch_window = batch_window
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self.workers: Dict[int, _ReplicaWorker] = {}
@@ -276,20 +276,20 @@ class FrontDoorServer:
         self._next_query_id = 0
         self._maintenance_gate = asyncio.Event()
         self._maintenance_gate.set()
-        self.counters: Dict[str, int] = {
-            "requests_total": 0,
-            "served_ok": 0,
-            "served_degraded": 0,
-            "shed_overload": 0,
-            "shed_deadline_infeasible": 0,
-            "deadline_exceeded": 0,
-            "no_replica_available": 0,
-            "failovers": 0,
-            "bad_requests": 0,
-            "internal_errors": 0,
-            "maintenance_rounds": 0,
-            "maintenance_rejected": 0,
-        }
+        self.metrics = MetricsRegistry()
+        counter = self.metrics.counter
+        self._requests_total = counter("frontdoor_requests_total")
+        self._served_ok = counter("frontdoor_served_ok")
+        self._served_degraded = counter("frontdoor_served_degraded")
+        self._shed_overload = counter("frontdoor_shed_overload")
+        self._shed_deadline_infeasible = counter("frontdoor_shed_deadline_infeasible")
+        self._deadline_exceeded = counter("frontdoor_deadline_exceeded")
+        self._no_replica_available = counter("frontdoor_no_replica_available")
+        self._failovers = counter("frontdoor_failovers")
+        self._bad_requests = counter("frontdoor_bad_requests")
+        self._internal_errors = counter("frontdoor_internal_errors")
+        self._maintenance_rounds = counter("frontdoor_maintenance_rounds")
+        self._maintenance_rejected = counter("frontdoor_maintenance_rejected")
 
     # ------------------------------------------------------------------
     # lifecycle (event-loop thread)
@@ -297,7 +297,7 @@ class FrontDoorServer:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         for replica_id, replica in self.replicas.items():
-            worker = _ReplicaWorker(replica, self._loop, self._batch_window)
+            worker = _ReplicaWorker(replica, self._loop)
             worker.start()
             self.workers[replica_id] = worker
         self._server = await asyncio.start_server(
@@ -474,14 +474,14 @@ class FrontDoorServer:
             return 404, {"error": f"no route for {method} {path}"}, None
         except Exception as exc:
             traceback.print_exc()
-            self.counters["internal_errors"] += 1
+            self._internal_errors.inc()
             return 500, {"error": f"internal error: {type(exc).__name__}: {exc}"}, None
 
     # ------------------------------------------------------------------
     # /query
     # ------------------------------------------------------------------
     async def _handle_query(self, headers: Dict[str, str], body: bytes):
-        self.counters["requests_total"] += 1
+        self._requests_total.inc()
         try:
             request = json.loads(body.decode("utf-8"))
             source = int(request["source"])
@@ -491,17 +491,17 @@ class FrontDoorServer:
                 raise ValueError(f"k must be between 1 and {MAX_K}, got {k}")
             budget_ms = headers.get("x-deadline-ms")
             deadline = Deadline.from_budget_ms(
-                float(budget_ms) if budget_ms else self.default_budget_ms
+                float(budget_ms) if budget_ms else DEFAULT_BUDGET_MS
             )
         except (
             ValueError, KeyError, TypeError, UnicodeDecodeError, OverflowError
         ) as exc:
             # OverflowError: int() of a JSON ``Infinity``.
-            self.counters["bad_requests"] += 1
+            self._bad_requests.inc()
             return 400, {"error": f"bad request: {exc}"}, None
         topology = next(iter(self.replicas.values())).service.graph
         if not (topology.has_vertex(source) and topology.has_vertex(target)):
-            self.counters["bad_requests"] += 1
+            self._bad_requests.inc()
             return 404, {"error": f"unknown vertex in ({source}, {target})"}, None
         await self._maintenance_gate.wait()
         query_id = self._next_query_id
@@ -515,12 +515,12 @@ class FrontDoorServer:
             if degraded is not None:
                 return degraded
             status = 503 if exc.reason == "deadline" else 429
-            counter = (
-                "shed_deadline_infeasible"
+            shed = (
+                self._shed_deadline_infeasible
                 if exc.reason == "deadline"
-                else "shed_overload"
+                else self._shed_overload
             )
-            self.counters[counter] += 1
+            shed.inc()
             return (
                 status,
                 {"error": str(exc), "reason": exc.reason,
@@ -528,24 +528,22 @@ class FrontDoorServer:
                 {"Retry-After": f"{exc.retry_after:.3f}"},
             )
         except DeadlineExceededError as exc:
-            self.counters["deadline_exceeded"] += 1
+            self._deadline_exceeded.inc()
             return 504, {"error": str(exc)}, None
         except NoReplicaAvailableError as exc:
             degraded = self._try_degraded(key)
             if degraded is not None:
                 return degraded
-            self.counters["no_replica_available"] += 1
+            self._no_replica_available.inc()
             retry_after = self._min_breaker_retry_after()
             return (
                 503,
                 {"error": str(exc), "retry_after": round(retry_after, 4)},
                 {"Retry-After": f"{retry_after:.3f}"},
             )
-        except ServiceClosedError as exc:
-            return 503, {"error": str(exc)}, None
-        self.counters["served_ok"] += 1
+        self._served_ok.inc()
         if attempts > 1:
-            self.counters["failovers"] += attempts - 1
+            self._failovers.inc(attempts - 1)
         # The stale cache keeps the Path objects the replica's result cache
         # already holds; a degraded body is rendered only when one is served.
         self.stale.put(key, tuple(answer.paths), answer.graph_version)
@@ -599,6 +597,11 @@ class FrontDoorServer:
             except (ReplicaUnavailableError, ServiceClosedError):
                 breaker.record_failure("refused")
                 continue
+            except Exception:
+                # The replica's engine failed the batch: count it against
+                # the breaker and let the next replica try.
+                breaker.record_failure("error")
+                continue
             breaker.record_success()
             if attempts > 1:
                 # Tell the serving replica its answer absorbed a failover
@@ -635,7 +638,7 @@ class FrontDoorServer:
         if entry is None:
             return None
         paths, version = entry
-        self.counters["served_degraded"] += 1
+        self._served_degraded.inc()
         payload = self._answer_body(key, paths, version)
         payload.update(degraded=True, stale_graph_version=version)
         return 200, payload, None
@@ -658,12 +661,12 @@ class FrontDoorServer:
         except (
             ValueError, KeyError, TypeError, UnicodeDecodeError, OverflowError
         ) as exc:
-            self.counters["maintenance_rejected"] += 1
+            self._maintenance_rejected.inc()
             return 400, {"error": f"bad maintenance request: {exc}"}, None
         try:
             version = await self._apply_maintenance(updates)
         except EdgeNotFoundError as exc:
-            self.counters["maintenance_rejected"] += 1
+            self._maintenance_rejected.inc()
             edge = f"({exc.u}, {exc.v})"
             return 400, {"error": f"bad maintenance request: no edge {edge}"}, None
         return 200, {"applied": len(updates), "graph_version": version}, None
@@ -696,7 +699,7 @@ class FrontDoorServer:
                     replica.apply_maintenance,
                     updates,
                 )
-            self.counters["maintenance_rounds"] += 1
+            self._maintenance_rounds.inc()
         finally:
             self._maintenance_gate.set()
         return next(iter(self.replicas.values())).service.graph.version
@@ -730,15 +733,17 @@ class FrontDoorServer:
             "status": "ok" if all_healthy else "degraded",
             "degraded_mode": self.degraded_mode,
             "breaker_trips_total": self.breaker_trips_total(),
-            "counters": dict(self.counters),
+            "counters": {
+                counter.name[len("frontdoor_"):]: counter.value
+                for counter in self.metrics
+            },
             "replicas": replica_states,
         }
 
     def metrics_registry(self) -> MetricsRegistry:
         """Front-door metrics: request counters + per-replica breaker state."""
         registry = MetricsRegistry()
-        for name, value in self.counters.items():
-            registry.counter(f"frontdoor_{name}").inc(value)
+        registry.absorb(self.metrics)
         registry.counter(
             "frontdoor_breaker_trips_total",
             help="circuit-breaker trips summed over replicas",

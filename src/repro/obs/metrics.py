@@ -11,18 +11,22 @@ recorded multiset — counters add, gauges take the max, histograms merge
 their sample multisets — the serial and process backends converge
 to identical registry contents for every deterministic instrument.
 
-Histogram quantiles reuse the seeded-reservoir machinery that previously
-lived inline in :mod:`repro.service.telemetry` (now lifted here as
-:class:`ReservoirSampler` and re-imported by the service layer): memory is
+Histogram quantiles come from a seeded :class:`ReservoirSampler`: memory is
 bounded by a fixed-size reservoir, the sampler's RNG is seeded so replays
 stay deterministic, and quantiles are computed over the *sorted* samples so
 they are independent of merge order whenever the sample count stays below
 the reservoir cap (above the cap they are a deterministic approximation).
 
+A component that counts owns one registry and records into it when the
+event happens; a composite absorbs its parts' registries on demand (see
+:meth:`repro.service.server.KSPService.metrics_registry`).  Wall-clock
+histograms stay with their owner, unregistered, so the exposition remains
+replay-deterministic.
+
 :meth:`MetricsRegistry.render_prometheus` emits the Prometheus text
 exposition format (``# HELP`` / ``# TYPE`` + samples, histograms as
-summaries with quantile labels) consumed by ``repro stats --metrics`` and
-the :class:`~repro.service.telemetry.ServiceReport` passthrough.
+summaries with quantile labels) consumed by ``repro stats --metrics``,
+``repro replay/serve --metrics`` and the front door's ``/metrics``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ is meant to run in production:
   (:class:`ServiceOverloadedError`);
 * :class:`KSPService` — the server: request path, maintenance loop applying
   :class:`~repro.dynamics.traffic.TrafficModel` snapshots to the graph and
-  DTLP index between batches, and telemetry;
+  DTLP index between batches, and the counts of what it served, kept in
+  metrics registries (:mod:`repro.obs.metrics`);
 * :class:`ServiceReport` — latency percentiles, cache hit rate, queue depth
   and shed counts;
 * :func:`generate_trace` / :func:`replay` — reproducible mixed

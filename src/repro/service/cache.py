@@ -45,8 +45,9 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..graph.graph import WeightUpdate, edge_key
 from ..graph.paths import Path
+from ..obs.metrics import MetricsRegistry
 
-__all__ = ["CacheEntry", "CacheStats", "ResultCache"]
+__all__ = ["CacheEntry", "ResultCache"]
 
 QueryKey = Tuple[int, int, int]
 EdgeKey = Tuple[int, int]
@@ -73,31 +74,6 @@ class CacheEntry:
         self.paths = list(paths)
 
 
-class CacheStats:
-    """Counters exposed through :class:`~repro.service.telemetry.ServiceReport`."""
-
-    __slots__ = (
-        "hits",
-        "misses",
-        "evictions",
-        "invalidations",
-        "full_flushes",
-    )
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.full_flushes = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class ResultCache:
     """LRU cache of KSP results with scoped invalidation.
 
@@ -115,6 +91,9 @@ class ResultCache:
     full_eviction_threshold:
         In scoped mode, an update batch touching more than this many
         distinct edges flushes the whole cache instead of scanning it.
+
+    Lookups, evictions, invalidated entries and full flushes are counted
+    in ``metrics``, the cache's own registry, as they happen.
     """
 
     def __init__(
@@ -133,7 +112,12 @@ class ResultCache:
         self._mode = mode
         self._full_eviction_threshold = full_eviction_threshold
         self._entries: "OrderedDict[QueryKey, CacheEntry]" = OrderedDict()
-        self.stats = CacheStats()
+        self.metrics = MetricsRegistry()
+        self.hits = self.metrics.counter("service_cache_hits_total")
+        self.misses = self.metrics.counter("service_cache_misses_total")
+        self.evictions = self.metrics.counter("service_cache_evictions_total")
+        self.invalidations = self.metrics.counter("service_cache_invalidations_total")
+        self.full_flushes = self.metrics.counter("service_cache_full_flushes_total")
 
     def _edge_key(self, u: int, v: int) -> EdgeKey:
         return (u, v) if self._directed else edge_key(u, v)
@@ -148,13 +132,13 @@ class ResultCache:
         return key in self._entries
 
     def get(self, key: QueryKey) -> Optional[CacheEntry]:
-        """Return the live entry for ``key``, updating LRU order and stats."""
+        """Return the live entry for ``key``, updating LRU order and counts."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
+            self.misses.inc()
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1
+        self.hits.inc()
         return entry
 
     def put(self, key: QueryKey, paths: Sequence[Path]) -> CacheEntry:
@@ -164,7 +148,7 @@ class ResultCache:
         entry = entries[key] = CacheEntry(paths)
         while len(entries) > self._capacity:
             entries.popitem(last=False)
-            self.stats.evictions += 1
+            self.evictions.inc()
         return entry
 
     # ------------------------------------------------------------------
@@ -191,13 +175,13 @@ class ResultCache:
         ]
         for key in stale_keys:
             del self._entries[key]
-        self.stats.invalidations += len(stale_keys)
+        self.invalidations.inc(len(stale_keys))
         return len(stale_keys)
 
     def flush(self) -> int:
         """Drop every entry; returns the number of entries dropped."""
         dropped = len(self._entries)
         self._entries.clear()
-        self.stats.invalidations += dropped
-        self.stats.full_flushes += 1
+        self.invalidations.inc(dropped)
+        self.full_flushes.inc()
         return dropped

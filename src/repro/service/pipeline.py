@@ -39,6 +39,7 @@ import time
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
+from ..obs.metrics import MetricsRegistry
 from ..workloads.queries import KSPQuery
 from .errors import ServiceOverloadedError
 
@@ -112,15 +113,28 @@ class RequestPipeline:
         #: :meth:`next_batch` and handed to the server via
         #: :meth:`drain_expired` so waiters still get a (failed) response.
         self._expired: List[PendingRequest] = []
-        self.submitted = 0
-        self.coalesced = 0
-        self.shed = 0
-        #: Admissions rejected because the deadline budget cannot cover the
-        #: estimated backlog (``reason="deadline"`` sheds).
-        self.deadline_rejected = 0
-        #: Slots that expired while queued (their waiters receive a
-        #: deadline-expired response instead of an answer).
-        self.deadline_expired = 0
+        #: Admission counts, written under the lock as they happen.
+        #: ``queue_depth_sum`` adds the depth after every admitted submit;
+        #: divided by ``submitted`` it is the exact mean queue depth.
+        self.metrics = MetricsRegistry()
+        self.submitted = self.metrics.counter("service_submitted_total")
+        self.coalesced = self.metrics.counter("service_coalesced_total")
+        self.shed = self.metrics.counter("service_shed_total")
+        self.deadline_rejected = self.metrics.counter(
+            "service_shed_deadline_total",
+            help="admissions rejected as infeasible within their deadline budget",
+        )
+        self.deadline_expired = self.metrics.counter(
+            "service_deadline_expired_total",
+            help="queued slots whose deadline lapsed before batching",
+        )
+        self.max_queue_depth = self.metrics.gauge(
+            "service_max_queue_depth", help="admission-queue high-water mark"
+        )
+        self.queue_depth_sum = self.metrics.counter(
+            "service_queue_depth_sum_total",
+            help="admission-queue depth summed over admitted submissions",
+        )
 
     @property
     def capacity(self) -> int:
@@ -212,13 +226,13 @@ class RequestPipeline:
                     pending.deadline = None
                 elif pending.deadline is not None and deadline > pending.deadline:
                     pending.deadline = deadline
-                self.submitted += 1
-                self.coalesced += 1
+                self._admitted()
+                self.coalesced.inc()
                 return True
             if deadline is not None:
                 wait = self.estimated_wait_seconds()
                 if timestamp + wait >= deadline:
-                    self.deadline_rejected += 1
+                    self.deadline_rejected.inc()
                     raise ServiceOverloadedError(
                         key,
                         self._capacity,
@@ -226,7 +240,7 @@ class RequestPipeline:
                         reason="deadline",
                     )
             if len(self._pending) >= self._capacity:
-                self.shed += 1
+                self.shed.inc()
                 raise ServiceOverloadedError(
                     key,
                     self._capacity,
@@ -236,8 +250,15 @@ class RequestPipeline:
             self._pending[key] = PendingRequest(
                 key, query, timestamp, deadline=deadline
             )
-            self.submitted += 1
+            self._admitted()
             return False
+
+    def _admitted(self) -> None:
+        """Count one admitted submission and sample the queue depth."""
+        depth = len(self._pending)
+        self.submitted.inc()
+        self.queue_depth_sum.inc(depth)
+        self.max_queue_depth.set_max(depth)
 
     def next_batch(self, now: Optional[float] = None) -> List[PendingRequest]:
         """Pop up to ``max_batch_size`` live pending requests in FIFO order.
@@ -253,7 +274,7 @@ class RequestPipeline:
             while self._pending and len(batch) < self._max_batch_size:
                 _, pending = self._pending.popitem(last=False)
                 if pending.expired(timestamp):
-                    self.deadline_expired += 1
+                    self.deadline_expired.inc()
                     self._expired.append(pending)
                     continue
                 batch.append(pending)

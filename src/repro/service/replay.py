@@ -30,8 +30,7 @@ from ..dynamics.traffic import TrafficModel
 from ..graph.graph import DynamicGraph, WeightUpdate
 from ..workloads.queries import KSPQuery, QueryGenerator
 from .errors import ServiceOverloadedError
-from .server import KSPService, ServedQuery
-from .telemetry import ServiceReport
+from .server import KSPService, ServedQuery, ServiceReport
 
 __all__ = ["TraceEvent", "generate_trace", "ReplayResult", "replay"]
 
@@ -131,9 +130,6 @@ class ReplayResult:
     served: List[ServedQuery] = field(default_factory=list)
     shed_queries: List[KSPQuery] = field(default_factory=list)
     stale_served: int = 0
-    #: Retries of shed submissions that eventually got admitted (pressure
-    #: absorbed by backoff, distinct from queries lost in shed_queries).
-    retried_submissions: int = 0
 
     @property
     def num_served(self) -> int:
@@ -184,7 +180,6 @@ def replay(
     served_all: List[ServedQuery] = []
     shed_queries: List[KSPQuery] = []
     stale_served = 0
-    retried_submissions = 0
 
     def handle(served: List[ServedQuery]) -> None:
         nonlocal stale_served
@@ -201,7 +196,6 @@ def replay(
 
     def submit_with_backoff(query: KSPQuery) -> bool:
         """Submit with capped retry-on-shed; returns ``False`` if shed."""
-        nonlocal retried_submissions
         for attempt in range(max_retries + 1):
             try:
                 service.submit(query)
@@ -219,7 +213,6 @@ def replay(
                     if service.pipeline.empty:
                         break
                     handle(service.process_batch())
-                retried_submissions += 1
                 service.note_retry()
         return False
 
@@ -241,5 +234,4 @@ def replay(
         served=served_all,
         shed_queries=shed_queries,
         stale_served=stale_served,
-        retried_submissions=retried_submissions,
     )

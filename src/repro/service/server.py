@@ -15,8 +15,9 @@ which query traffic and road-network dynamics genuinely interleave:
   snapshots to the graph between batches — the DTLP index (when attached)
   and the cache are refreshed through the same listener mechanism the
   paper's Algorithm 2 uses;
-* every served query feeds :class:`~repro.service.telemetry.ServiceTelemetry`,
-  summarised on demand as a :class:`~repro.service.telemetry.ServiceReport`.
+* every count is recorded, as it happens, into the metrics registry of the
+  component that sees it (service, pipeline, cache); :meth:`KSPService.report`
+  and :meth:`KSPService.metrics_registry` read those instruments.
 
 Consistency model: updates are applied only *between* micro-batches, so all
 queries of a batch observe one graph snapshot (the paper's ``G_curr``), and
@@ -33,22 +34,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.dtlp import DTLP
 from ..dynamics.traffic import TrafficModel
 from ..graph.graph import DynamicGraph, WeightUpdate
 from ..graph.paths import Path
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.trace import Span, TraceSession
 from ..workloads.queries import KSPQuery
 from ..workloads.runner import QueryEngine, QueryOutcome
 from .cache import ResultCache
 from .errors import ServiceClosedError
 from .pipeline import PendingRequest, RequestPipeline
-from .telemetry import ServiceReport, ServiceTelemetry
 
-__all__ = ["ServedQuery", "KSPService"]
+__all__ = ["ServedQuery", "ServiceReport", "KSPService"]
+
+#: Latency reservoir size: percentiles stay exact up to this many serves.
+_LATENCY_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,77 @@ class ServedQuery:
     latency_seconds: float = 0.0
     graph_version: int = 0
     deadline_expired: bool = False
+
+
+@dataclass(frozen=True)
+class ServiceReport:
+    """Immutable summary of a service's activity since it started.
+
+    Latencies are measured per served query from admission to response, so
+    they include queue wait, and cache hits pull the percentiles down —
+    exactly the effect the result cache exists to produce.  Retries are
+    client retries of previously shed submissions (reported via
+    :meth:`KSPService.note_retry`): the pressure absorbed by backoff, while
+    ``shed`` is the work actually lost.
+    """
+
+    engine_name: str
+    kernel: str
+    graph_version: int
+    queries_served: int
+    unique_computations: int
+    cache_hits: int
+    cache_misses: int
+    hit_rate: float
+    coalesced: int
+    shed: int
+    shed_deadline: int
+    deadline_expired: int
+    retried_submissions: int
+    latency_p50_ms: float
+    latency_p90_ms: float
+    latency_p95_ms: float
+    latency_p99_ms: float
+    latency_mean_ms: float
+    latency_max_ms: float
+    max_queue_depth: int
+    mean_queue_depth: float
+    maintenance_rounds: int
+    updates_applied: int
+    maintenance_seconds: float
+    cache_invalidations: int
+    cache_full_flushes: int
+
+    def as_dict(self) -> Dict[str, Union[int, float, str]]:
+        """Ordered mapping used by the CLI table and the benchmarks."""
+        return {
+            "engine": self.engine_name,
+            "kernel": self.kernel,
+            "graph version": self.graph_version,
+            "queries served": self.queries_served,
+            "unique computations": self.unique_computations,
+            "cache hits": self.cache_hits,
+            "cache misses": self.cache_misses,
+            "cache hit rate": round(self.hit_rate, 4),
+            "coalesced requests": self.coalesced,
+            "shed requests": self.shed,
+            "shed (deadline infeasible)": self.shed_deadline,
+            "deadline expired in queue": self.deadline_expired,
+            "retried submissions": self.retried_submissions,
+            "latency p50 (ms)": round(self.latency_p50_ms, 3),
+            "latency p90 (ms)": round(self.latency_p90_ms, 3),
+            "latency p95 (ms)": round(self.latency_p95_ms, 3),
+            "latency p99 (ms)": round(self.latency_p99_ms, 3),
+            "latency mean (ms)": round(self.latency_mean_ms, 3),
+            "latency max (ms)": round(self.latency_max_ms, 3),
+            "max queue depth": self.max_queue_depth,
+            "mean queue depth": round(self.mean_queue_depth, 2),
+            "maintenance rounds": self.maintenance_rounds,
+            "updates applied": self.updates_applied,
+            "maintenance time (s)": round(self.maintenance_seconds, 4),
+            "cache invalidations": self.cache_invalidations,
+            "cache full flushes": self.cache_full_flushes,
+        }
 
 
 class KSPService:
@@ -95,7 +169,7 @@ class KSPService:
         Optional traffic model driving :meth:`maintenance_step` when no
         explicit update batch is passed.  Defaults to the paper's
         ``alpha=35%%, tau=30%%`` model.
-    enable_cache / cache_capacity / invalidation_mode / full_eviction_threshold:
+    enable_cache / cache_capacity / invalidation_mode:
         The service builds its own :class:`ResultCache` from these; pass
         ``enable_cache=False`` to serve uncached (every query computes).
     queue_capacity / max_batch_size:
@@ -121,7 +195,6 @@ class KSPService:
         enable_cache: bool = True,
         cache_capacity: int = 4096,
         invalidation_mode: str = "scoped",
-        full_eviction_threshold: int = 512,
         queue_capacity: int = 256,
         max_batch_size: int = 16,
         tracer: Optional[TraceSession] = None,
@@ -145,7 +218,6 @@ class KSPService:
                 capacity=cache_capacity,
                 directed=graph.directed,
                 mode=invalidation_mode,
-                full_eviction_threshold=full_eviction_threshold,
             )
             if enable_cache
             else None
@@ -153,7 +225,24 @@ class KSPService:
         self._pipeline = RequestPipeline(
             capacity=queue_capacity, max_batch_size=max_batch_size
         )
-        self._telemetry = ServiceTelemetry()
+        # Batch-side counts (the replica thread), except retries, which
+        # the submitting side notes.  The wall-clock histograms stay out of
+        # the registry so its exposition is replay-deterministic.
+        self.metrics = MetricsRegistry()
+        self.queries_served = self.metrics.counter(
+            "service_queries_served_total", help="queries answered incl. cache hits"
+        )
+        self.unique_computations = self.metrics.counter(
+            "service_unique_computations_total", help="batch slots computed by the engine"
+        )
+        self.maintenance_rounds = self.metrics.counter("service_maintenance_rounds_total")
+        self.updates_applied = self.metrics.counter("service_updates_applied_total")
+        self.retried_submissions = self.metrics.counter(
+            "service_retried_submissions_total",
+            help="client retries of previously shed submissions",
+        )
+        self.latency_ms = Histogram("service_latency_ms", max_samples=_LATENCY_SAMPLES)
+        self.maintenance_seconds = Histogram("service_maintenance_seconds")
         self._tracer = tracer
         # Deterministic per-query trace sequence, assigned in admission
         # (batch-slot) order — the span-tree key of the exported trace.
@@ -225,9 +314,7 @@ class KSPService:
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
-        coalesced = self._pipeline.submit(query, deadline=deadline)
-        self._telemetry.record_queue_depth(self._pipeline.depth)
-        return coalesced
+        return self._pipeline.submit(query, deadline=deadline)
 
     def note_retry(self) -> None:
         """Record one client retry of a previously shed submission.
@@ -236,7 +323,7 @@ class KSPService:
         so the report can separate *pressure absorbed by backoff* from
         *work lost to shedding*.
         """
-        self._telemetry.retried_submissions += 1
+        self.retried_submissions.inc()
 
     def process_batch(self) -> List[ServedQuery]:
         """Answer one micro-batch of pending requests (may be empty).
@@ -279,7 +366,7 @@ class KSPService:
         outcome_by_position: dict = {}
         if misses:
             outcomes = self._answer_misses([pending for _, pending in misses])
-            self._telemetry.unique_computations += len(misses)
+            self.unique_computations.inc(len(misses))
             for (position, pending), outcome in zip(misses, outcomes):
                 outcome_by_position[position] = outcome
                 if self._cache is not None:
@@ -363,7 +450,8 @@ class KSPService:
         latency = max(0.0, finished - pending.enqueued_at)
         results = []
         for query in pending.queries:
-            self._telemetry.record_served(latency)
+            self.queries_served.inc()
+            self.latency_ms.observe(latency * 1e3)
             results.append(
                 ServedQuery(
                     query=query,
@@ -380,7 +468,7 @@ class KSPService:
     ) -> List[ServedQuery]:
         """Answer an in-queue-expired slot with failure serves.
 
-        Deliberately bypasses ``record_served``: expired slots measure how
+        Deliberately not counted as served: expired slots measure how
         long callers were willing to wait, not how fast the service
         answered, so they must not drag the latency percentiles.
         """
@@ -428,7 +516,9 @@ class KSPService:
         started = time.perf_counter()
         self._graph.apply_updates(updates)
         elapsed = time.perf_counter() - started
-        self._telemetry.record_maintenance(len(updates), elapsed)
+        self.maintenance_rounds.inc()
+        self.updates_applied.inc(len(updates))
+        self.maintenance_seconds.observe(elapsed)
         if self._tracer is not None:
             self._tracer.event(
                 "maintenance",
@@ -445,51 +535,14 @@ class KSPService:
 
         A fresh registry absorbing the engine topology's cluster registry
         (bolt/spout/kernel instruments, already merged deterministically
-        across executor ledgers) plus the service-level serving counters.
-        Building it on demand keeps the serving hot path free of extra
-        bookkeeping — everything here is derived from state the service
-        already tracks.
+        across executor ledgers) and the service's, the pipeline's and the
+        cache's own registries.
         """
         registry = MetricsRegistry()
-        topology = getattr(self._engine, "topology", None)
-        cluster = getattr(topology, "cluster", None)
-        if cluster is not None:
-            registry.absorb(cluster.metrics)
-        telemetry = self._telemetry
-        registry.counter(
-            "service_queries_served_total", help="queries answered incl. cache hits"
-        ).inc(telemetry.queries_served)
-        registry.counter(
-            "service_unique_computations_total", help="batch slots computed by the engine"
-        ).inc(telemetry.unique_computations)
-        registry.counter("service_maintenance_rounds_total").inc(
-            telemetry.maintenance_rounds
-        )
-        registry.counter("service_updates_applied_total").inc(telemetry.updates_applied)
-        registry.gauge(
-            "service_max_queue_depth", help="admission-queue high-water mark"
-        ).set_max(telemetry.depth_max)
-        registry.counter("service_shed_total").inc(self._pipeline.shed)
-        registry.counter(
-            "service_shed_deadline_total",
-            help="admissions rejected as infeasible within their deadline budget",
-        ).inc(self._pipeline.deadline_rejected)
-        registry.counter(
-            "service_deadline_expired_total",
-            help="queued slots whose deadline lapsed before batching",
-        ).inc(self._pipeline.deadline_expired)
-        registry.counter(
-            "service_retried_submissions_total",
-            help="client retries of previously shed submissions",
-        ).inc(self._telemetry.retried_submissions)
-        registry.counter("service_coalesced_total").inc(self._pipeline.coalesced)
-        if self._cache is not None:
-            stats = self._cache.stats
-            registry.counter("service_cache_hits_total").inc(stats.hits)
-            registry.counter("service_cache_misses_total").inc(stats.misses)
-            registry.counter("service_cache_invalidations_total").inc(
-                stats.invalidations
-            )
+        cluster = getattr(getattr(self._engine, "topology", None), "cluster", None)
+        for part in (cluster, self, self._pipeline, self._cache):
+            if part is not None:
+                registry.absorb(part.metrics)
         return registry
 
     def metrics_text(self) -> str:
@@ -498,29 +551,43 @@ class KSPService:
 
     def report(self) -> ServiceReport:
         """Summarise everything served so far as a :class:`ServiceReport`."""
-        if self._cache is not None:
-            stats = self._cache.stats
-            hits, misses = stats.hits, stats.misses
-            hit_rate = stats.hit_rate
-            invalidations, flushes = stats.invalidations, stats.full_flushes
-        else:
-            hits = misses = invalidations = flushes = 0
-            hit_rate = 0.0
-        return self._telemetry.build_report(
+        cache, pipeline, latency = self._cache, self._pipeline, self.latency_ms
+        hits, misses, invalidations, flushes = (
+            (cache.hits.value, cache.misses.value, cache.invalidations.value,
+             cache.full_flushes.value)
+            if cache is not None
+            else (0, 0, 0, 0)
+        )
+        submitted = pipeline.submitted.value
+        return ServiceReport(
             engine_name=getattr(self._engine, "name", type(self._engine).__name__),
             kernel=getattr(self._engine, "kernel", "dict"),
             graph_version=self._graph.version,
+            queries_served=self.queries_served.value,
+            unique_computations=self.unique_computations.value,
             cache_hits=hits,
             cache_misses=misses,
-            hit_rate=hit_rate,
-            coalesced=self._pipeline.coalesced,
-            shed=self._pipeline.shed,
-            shed_deadline=self._pipeline.deadline_rejected,
-            deadline_expired=self._pipeline.deadline_expired,
-            retried_submissions=self._telemetry.retried_submissions,
+            hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+            coalesced=pipeline.coalesced.value,
+            shed=pipeline.shed.value,
+            shed_deadline=pipeline.deadline_rejected.value,
+            deadline_expired=pipeline.deadline_expired.value,
+            retried_submissions=self.retried_submissions.value,
+            latency_p50_ms=latency.quantile(50.0),
+            latency_p90_ms=latency.quantile(90.0),
+            latency_p95_ms=latency.quantile(95.0),
+            latency_p99_ms=latency.quantile(99.0),
+            latency_mean_ms=latency.total / latency.count if latency.count else 0.0,
+            latency_max_ms=latency.max or 0.0,
+            max_queue_depth=pipeline.max_queue_depth.value,
+            mean_queue_depth=(
+                pipeline.queue_depth_sum.value / submitted if submitted else 0.0
+            ),
+            maintenance_rounds=self.maintenance_rounds.value,
+            updates_applied=self.updates_applied.value,
+            maintenance_seconds=self.maintenance_seconds.total,
             cache_invalidations=invalidations,
             cache_full_flushes=flushes,
-            metrics=self.metrics_text(),
         )
 
     def close(self) -> None:

@@ -31,6 +31,7 @@ from repro.frontdoor import server as frontdoor_server
 from repro.frontdoor.server import MAX_K
 from repro.graph import WeightUpdate, road_network
 from repro.graph.errors import EdgeNotFoundError
+from repro.workloads import KSPQuery
 
 #: The ``/query`` outcome counters; every request lands in exactly one.
 QUERY_OUTCOMES = (
@@ -126,7 +127,7 @@ class TestDeadlines:
                 )
             assert status == 504
             assert "deadline exceeded" in payload["error"]
-            counters = server.counters
+            counters = handle.health()["counters"]
             assert counters["deadline_exceeded"] == 1
             assert counters["requests_total"] == sum(counters[name] for name in QUERY_OUTCOMES)
 
@@ -150,9 +151,9 @@ class TestDeadlines:
                 )
             assert status == 504
             assert "deadline exceeded" in payload["error"]
-            assert pipeline.deadline_expired == 1
+            assert pipeline.deadline_expired.value == 1
             assert server.breakers[first].state == "closed"
-            counters = server.counters
+            counters = handle.health()["counters"]
             assert counters["deadline_exceeded"] == 1
             assert counters["requests_total"] == sum(counters[name] for name in QUERY_OUTCOMES)
 
@@ -170,7 +171,7 @@ class TestFailoverAndDegraded:
             assert [path["distance"] for path in result.paths] == pytest.approx(
                 [path.distance for path in expected]
             )
-        assert server.counters["failovers"] > 0
+        assert front_door.health()["counters"]["failovers"] > 0
 
     def test_degraded_serving_from_stale_cache(self, front_door, client):
         server = front_door.server
@@ -192,7 +193,7 @@ class TestFailoverAndDegraded:
         assert [stale.payload[name] for name in shared] == [
             warm.payload[name] for name in shared
         ]
-        assert server.counters["served_degraded"] == 1
+        assert front_door.health()["counters"]["served_degraded"] == 1
 
     def test_uncached_key_fails_when_all_replicas_down(self, front_door, client):
         server = front_door.server
@@ -212,7 +213,33 @@ class TestFailoverAndDegraded:
                     handle.run_on_loop(replica.kill)
                 result = strict_client.query(0, 35, k=2, budget_ms=250.0)
                 assert result.status == 503
-                assert server.counters["served_degraded"] == 0
+                assert handle.health()["counters"]["served_degraded"] == 0
+
+    def test_engine_failure_fails_over_and_trips_the_breaker(self, graph):
+        # The key's primary replica answers every batch with an engine
+        # error: each request is answered by the other replica on its second
+        # attempt, and the primary's breaker opens after failure_threshold
+        # such errors.
+        replicas = build_replicas(graph, num_replicas=2, engine="yen")
+        with start_front_door(replicas, degraded_mode=False) as handle:
+            server = handle.server
+            primary, other = server.router.order((0, 35, 2))
+
+            def broken(queries):
+                raise RuntimeError("engine failure")
+
+            server.replicas[primary].service.engine.answer_many = broken
+            breaker = server.breakers[primary]
+            with FrontDoorClient.for_url(handle.url) as raw:
+                for _ in range(breaker.failure_threshold):
+                    result = raw.query(0, 35, k=2)
+                    assert result.status == 200
+                    assert result.payload["replica"] == other
+                    assert result.payload["attempts"] == 2
+                assert handle.run_on_loop(lambda: breaker.trips) == 1
+            counters = handle.health()["counters"]
+            assert counters["failovers"] == breaker.failure_threshold
+            assert counters["internal_errors"] == 0
 
     def test_breaker_opens_after_repeated_refusals(self, front_door, client):
         server = front_door.server
@@ -295,6 +322,49 @@ class TestObservability:
             text = resp.read().decode("utf-8")
         assert "frontdoor_requests_total 1" in text
         assert "frontdoor_breaker_state" in text
+
+    def test_healthz_counters_are_the_metrics_series(self, graph):
+        replicas = build_replicas(graph, num_replicas=2, engine="yen", queue_capacity=1)
+        with start_front_door(replicas) as handle:
+            server = handle.server
+            with FrontDoorClient.for_url(handle.url) as raw:
+                assert raw.query(0, 35, k=2).status == 200
+                # Failover: the key's primary refuses, the other answers.
+                down = server.router.order((7, 28, 2))[0]
+                handle.run_on_loop(server.replicas[down].kill)
+                assert raw.query(7, 28, k=2).payload["attempts"] == 2
+                handle.run_on_loop(server.replicas[down].revive)
+                # Bad requests: an unknown vertex and a malformed body.
+                assert raw.query(0, 10_000, k=2).status == 404
+                status, _, _ = raw._request("POST", "/query", {"source": 0}, {}, 5.0)
+                assert status == 400
+                status, _, _ = raw._request("POST", "/maintenance", {"updates": 1}, {}, 5.0)
+                assert status == 400
+                # Fill both one-slot queues without waking their workers:
+                # a new key is shed, a key answered before is served stale.
+                for replica in server.replicas.values():
+                    handle.run_on_loop(
+                        replica.service.submit, KSPQuery(query_id=-1, source=3, target=30, k=2)
+                    )
+                status, _, _ = raw._request(
+                    "POST", "/query", {"source": 14, "target": 21, "k": 2}, {}, 5.0
+                )
+                assert status == 429
+                assert raw.query(0, 35, k=2).degraded
+            counters = handle.health()["counters"]
+            with urllib.request.urlopen(f"{handle.url}/metrics", timeout=10) as resp:
+                lines = resp.read().decode("utf-8").splitlines()
+        assert list(counters) == [
+            "requests_total", "served_ok", "served_degraded", "shed_overload",
+            "shed_deadline_infeasible", "deadline_exceeded", "no_replica_available",
+            "failovers", "bad_requests", "internal_errors", "maintenance_rounds",
+            "maintenance_rejected",
+        ]
+        for name in ("served_ok", "served_degraded", "shed_overload", "failovers",
+                     "bad_requests", "maintenance_rejected"):
+            assert counters[name] > 0, name
+        for name, value in counters.items():
+            assert f"frontdoor_{name} {value}" in lines, name
 
     def test_oversized_body_is_rejected(self, front_door):
         # Declare a 2 MiB body but send none: the server must refuse from
@@ -553,8 +623,9 @@ class TestOverload:
                 thread.start()
             for thread in threads:
                 thread.join()
-            shed = handle.server.counters["shed_overload"]
-            deadline_shed = handle.server.counters["shed_deadline_infeasible"]
+            counters = handle.health()["counters"]
+            shed = counters["shed_overload"]
+            deadline_shed = counters["shed_deadline_infeasible"]
             # Under this much pressure requests must be refused early —
             # queue-full (429) or deadline-infeasible (503) shedding.
             assert shed + deadline_shed > 0

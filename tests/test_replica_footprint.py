@@ -165,8 +165,7 @@ def test_scoped_invalidation_evicts_what_a_brute_force_scan_evicts(
         # which key a later over-capacity put evicts.
         assert {key for key in keys if key in cache} == set(oracle.entries)
         assert len(cache) == len(oracle.entries)
-        stats = cache.stats
-        assert {name: getattr(stats, name) for name in oracle.stats} == oracle.stats
+        assert {name: getattr(cache, name).value for name in oracle.stats} == oracle.stats
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ rounds with a positive cache hit rate and zero stale served results).
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core import DTLP, DTLPConfig
@@ -16,7 +18,7 @@ from repro.dynamics import TrafficModel
 from repro.graph import DynamicGraph, road_network
 from repro.service import KSPService, ServiceOverloadedError, generate_trace, replay
 from repro.service.errors import ServiceClosedError
-from repro.service.telemetry import percentile
+from repro.obs.metrics import percentile
 from repro.workloads import KSPQuery, YenEngine
 
 
@@ -283,6 +285,75 @@ class TestPercentile:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
+
+
+class TestOneCountingPath:
+    """Each count lives in one instrument; the report reads the same ones."""
+
+    #: ``ServiceReport`` field → the ``metrics_registry()`` series it reads.
+    SERIES = {
+        "queries_served": "service_queries_served_total",
+        "unique_computations": "service_unique_computations_total",
+        "cache_hits": "service_cache_hits_total",
+        "cache_misses": "service_cache_misses_total",
+        "coalesced": "service_coalesced_total",
+        "shed": "service_shed_total",
+        "shed_deadline": "service_shed_deadline_total",
+        "deadline_expired": "service_deadline_expired_total",
+        "retried_submissions": "service_retried_submissions_total",
+        "max_queue_depth": "service_max_queue_depth",
+        "maintenance_rounds": "service_maintenance_rounds_total",
+        "updates_applied": "service_updates_applied_total",
+        "cache_invalidations": "service_cache_invalidations_total",
+        "cache_full_flushes": "service_cache_full_flushes_total",
+    }
+
+    def test_report_counts_are_the_registry_series(self, diamond):
+        service, _ = make_service(diamond, queue_capacity=2, max_batch_size=1)
+        service.submit(KSPQuery(query_id=0, source=0, target=3, k=2))
+        service.submit(KSPQuery(query_id=1, source=0, target=3, k=2))
+        service.submit(KSPQuery(query_id=2, source=1, target=2, k=1))
+        with pytest.raises(ServiceOverloadedError):
+            service.submit(KSPQuery(query_id=3, source=0, target=2, k=1))
+        service.note_retry()
+        with pytest.raises(ServiceOverloadedError):
+            service.submit(
+                KSPQuery(query_id=4, source=0, target=2, k=1),
+                deadline=time.perf_counter() - 1.0,
+            )
+        service.drain()
+        service.submit(KSPQuery(query_id=5, source=0, target=3, k=2))
+        service.drain()
+        service.maintenance_step([_update(diamond, 0, 1, 10.0)])
+        # A slot whose deadline lapses in the queue: the pipeline's clock
+        # runs ten seconds ahead when it forms the batch.
+        service.submit(
+            KSPQuery(query_id=6, source=2, target=3, k=1),
+            deadline=time.perf_counter() + 5.0,
+        )
+        next_batch = service.pipeline.next_batch
+        service.pipeline.next_batch = lambda now=None: next_batch(
+            time.perf_counter() + 10.0
+        )
+        service.drain()
+
+        report = service.report()
+        series = service.metrics_registry().as_dict()
+        for field, name in self.SERIES.items():
+            assert getattr(report, field) == series[name], field
+        assert report.mean_queue_depth == (
+            series["service_queue_depth_sum_total"] / series["service_submitted_total"]
+        )
+        assert report.hit_rate == report.cache_hits / (
+            report.cache_hits + report.cache_misses
+        )
+        for field in ("coalesced", "shed", "shed_deadline", "deadline_expired",
+                      "retried_submissions", "cache_hits", "cache_invalidations"):
+            assert getattr(report, field) > 0, field
+        # Wall-clock distributions stay out of the exposition.
+        text = service.metrics_text()
+        assert "latency" not in text and "maintenance_seconds" not in text
+        assert "summary" not in text
 
 
 class TestReplayAcceptance:

@@ -21,9 +21,8 @@ class TestLookups:
         entry = cache.get((0, 3, 2))
         assert entry is not None
         assert entry.paths[0].vertices == (0, 1, 3)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+        assert cache.hits.value == 1
+        assert cache.misses.value == 1
 
     def test_put_replaces_existing_entry(self):
         cache = ResultCache(capacity=4)
@@ -44,7 +43,7 @@ class TestLookups:
         cache.put((2, 3, 1), make_paths([2, 3]))
         assert (0, 1, 1) in cache
         assert (1, 2, 1) not in cache
-        assert cache.stats.evictions == 1
+        assert cache.evictions.value == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -62,7 +61,7 @@ class TestScopedInvalidation:
         assert evicted == 1
         assert (0, 3, 2) not in cache
         assert (4, 6, 1) in cache
-        assert cache.stats.invalidations == 1
+        assert cache.invalidations.value == 1
 
     def test_update_on_any_of_the_k_paths_evicts(self):
         # The second-ranked path's edge changing must also evict the entry.
@@ -111,7 +110,7 @@ class TestScopedInvalidation:
             [WeightUpdate(8, 9, 1.0), WeightUpdate(9, 10, 1.0), WeightUpdate(10, 11, 1.0)]
         )
         assert len(cache) == 0
-        assert cache.stats.full_flushes == 1
+        assert cache.full_flushes.value == 1
 
     def test_full_mode_flushes_on_any_update(self):
         cache = ResultCache(capacity=8, mode="full")

@@ -26,8 +26,8 @@ class TestAdmission:
         pipeline.submit(query(0, 1, 2))
         assert pipeline.submit(query(1, 1, 2)) is True
         assert pipeline.depth == 1  # one pending answer, two waiters
-        assert pipeline.coalesced == 1
-        assert pipeline.submitted == 2
+        assert pipeline.coalesced.value == 1
+        assert pipeline.submitted.value == 2
 
     def test_different_k_does_not_coalesce(self):
         pipeline = RequestPipeline(capacity=4)
@@ -43,14 +43,14 @@ class TestAdmission:
             pipeline.submit(query(2, 5, 6))
         assert excinfo.value.key == (5, 6, 2)
         assert excinfo.value.capacity == 2
-        assert pipeline.shed == 1
+        assert pipeline.shed.value == 1
 
     def test_coalescing_does_not_consume_capacity(self):
         pipeline = RequestPipeline(capacity=1)
         pipeline.submit(query(0, 1, 2))
         # Identical query still admitted at full capacity.
         assert pipeline.submit(query(1, 1, 2)) is True
-        assert pipeline.shed == 0
+        assert pipeline.shed.value == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,21 @@
-"""Tests for the serving-layer telemetry and its shared obs machinery.
+"""Tests for the serving-layer latency record and its shared obs machinery.
 
-``service/telemetry.py`` re-exports :func:`repro.obs.metrics.percentile`
-and records latencies through a seeded :class:`ReservoirSampler`; these
-tests pin the edge cases of both (empty input, single sample, extreme
-quantiles, reservoir overflow determinism) and the report surface
-(``latency_p95_ms`` and its ``as_dict`` row, the ``metrics`` passthrough).
+:class:`KSPService` records each served query's latency into a seeded
+:class:`~repro.obs.metrics.Histogram` built on :func:`percentile` and
+:class:`ReservoirSampler`; these tests pin the edge cases of both (empty
+input, single sample, extreme quantiles, reservoir overflow determinism)
+and the report surface (``latency_p95_ms`` and its ``as_dict`` row).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import ReservoirSampler
-from repro.service.telemetry import ServiceReport, ServiceTelemetry, percentile
+from repro.graph import road_network
+from repro.obs.metrics import ReservoirSampler, percentile
+from repro.service import KSPService
+from repro.service.server import ServiceReport
+from repro.workloads import YenEngine
 
 
 class TestPercentile:
@@ -80,37 +83,37 @@ class TestReservoirSampler:
         assert a.samples != b.samples
 
 
-class TestServiceTelemetry:
-    def test_reservoir_bounds_latency_memory(self):
-        telemetry = ServiceTelemetry(max_latency_samples=32)
-        for i in range(100):
-            telemetry.record_served(i / 1000.0)
-        assert len(telemetry.latency_samples) == 32
-        assert telemetry.queries_served == 100
-        # Exact aggregates are unaffected by the sampling.
-        assert telemetry.latency_max_seconds == pytest.approx(0.099)
+class TestServiceLatency:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return road_network(3, 3, seed=1)
 
-    def test_replayed_streams_build_identical_reservoirs(self):
+    def _service(self, graph, latencies_ms) -> KSPService:
+        service = KSPService(graph, YenEngine(graph))
+        for latency in latencies_ms:
+            service.latency_ms.observe(latency)
+        return service
+
+    def test_reservoir_bounds_latency_memory(self, graph):
+        overflow = 100_000 + 50
+        latency = self._service(graph, range(overflow)).latency_ms
+        assert len(latency._reservoir.samples) == 100_000
+        assert latency.count == overflow
+        # Exact aggregates are unaffected by the sampling.
+        assert latency.max == overflow - 1
+
+    def test_replayed_streams_build_identical_reservoirs(self, graph):
         def run():
-            telemetry = ServiceTelemetry(max_latency_samples=16)
-            for i in range(300):
-                telemetry.record_served((i * 7919 % 100) / 1000.0)
-            return telemetry.latency_samples
+            stream = (i * 7919 % 100 for i in range(100_000 + 300))
+            return self._service(graph, stream).latency_ms._reservoir.samples
 
         assert run() == run()
 
-    def _report(self, latencies_seconds) -> ServiceReport:
-        telemetry = ServiceTelemetry()
-        for latency in latencies_seconds:
-            telemetry.record_served(latency)
-        return telemetry.build_report(
-            engine_name="test", graph_version=0, cache_hits=0, cache_misses=0,
-            hit_rate=0.0, coalesced=0, shed=0, cache_invalidations=0,
-            cache_full_flushes=0, metrics="# TYPE x counter\nx 1\n",
-        )
+    def _report(self, graph, latencies_ms) -> ServiceReport:
+        return self._service(graph, latencies_ms).report()
 
-    def test_report_percentile_ordering_includes_p95(self):
-        report = self._report([i / 1000.0 for i in range(1, 101)])
+    def test_report_percentile_ordering_includes_p95(self, graph):
+        report = self._report(graph, [float(i) for i in range(1, 101)])
         assert (
             report.latency_p50_ms
             <= report.latency_p90_ms
@@ -120,15 +123,14 @@ class TestServiceTelemetry:
         )
         assert report.latency_p95_ms == pytest.approx(95.05, rel=1e-6)
 
-    def test_as_dict_has_p95_row_but_not_metrics_block(self):
-        report = self._report([0.001, 0.002])
+    def test_as_dict_has_p95_row_but_not_metrics_block(self, graph):
+        report = self._report(graph, [1.0, 2.0])
         table = report.as_dict()
         keys = list(table)
         assert "latency p95 (ms)" in table
         # Ordered between p90 and p99, like the exposition order.
         assert keys.index("latency p90 (ms)") < keys.index("latency p95 (ms)")
         assert keys.index("latency p95 (ms)") < keys.index("latency p99 (ms)")
-        # The multi-line Prometheus block rides the report object only.
-        assert report.metrics.startswith("# TYPE")
+        # Every row is one table cell: no multi-line exposition block.
         assert all(not isinstance(value, str) or "\n" not in value
                    for value in table.values())

@@ -48,11 +48,6 @@ class TestTopologyConstruction:
             for i in range(topology.cluster.num_workers)
         )
 
-    def test_invalid_query_bolt_count(self, deployed):
-        _, dtlp, _ = deployed
-        with pytest.raises(ClusterError):
-            StormTopology(dtlp, num_workers=2, query_bolts_per_worker=0)
-
 
 class TestDistributedQueries:
     def test_results_match_yen(self, deployed):
