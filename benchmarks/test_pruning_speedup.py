@@ -71,7 +71,7 @@ def _run_batch(side, z, xi, executor, pruning, traffic_rounds=0):
     with topology:
         model = TrafficModel(graph, seed=13, **TRAFFIC)
         for _ in range(traffic_rounds):
-            topology.submit_weight_updates(model.advance())
+            model.advance()
         started = time.perf_counter()
         report = topology.run_queries(queries)
         elapsed = time.perf_counter() - started

@@ -46,7 +46,6 @@ def main() -> None:
         updates = traffic.generate_updates()
         graph.apply_updates(updates)
         dtlp.handle_updates(updates)
-        topology.submit_weight_updates([])  # routing already done via dtlp above
 
         batch = requests.generate(8, k=3)
         report = topology.run_queries(batch)

@@ -24,9 +24,8 @@ subgraph containing the pair, solved in this process"), and the distributed
 :class:`~repro.distributed.bolts.QueryBolt` passes "broadcast the reference
 path to my SubgraphBolts and gather what they own" — each SubgraphBolt
 solving its pairs through the same :func:`solve_pair`.  The
-``on_reference_path`` / ``on_partial`` / ``on_merge`` hooks report each
-phase's wall-clock time; they are how the bolts charge the work to their
-simulated workers.
+``on_reference_path`` / ``on_merge`` hooks report each phase's wall-clock
+time; they are how a QueryBolt charges the work to its simulated worker.
 
 The loop keeps a per-query cache of partial k-shortest-path results keyed
 by adjacent-vertex pair — consecutive reference paths typically share many
@@ -153,7 +152,6 @@ def solve_pair(
     pair: Pair,
     k: int,
     subgraph_ids: Iterable[int],
-    on_partial: Optional[Callable[[int, Pair, float], None]] = None,
 ) -> Tuple[List[Path], int]:
     """Partial k shortest paths of one adjacent pair inside ``subgraph_ids``.
 
@@ -168,15 +166,12 @@ def solve_pair(
     ``pruning=False`` on neither.  Memo hits and
     pruned runs are bit-identical to the unpruned computation.  Returns the
     concatenated per-subgraph results (callers keep the
-    :func:`best_k_distinct`) and how many subgraphs were memo hits;
-    ``on_partial(subgraph_id, pair, seconds)`` is called once per subgraph
-    either way.
+    :func:`best_k_distinct`) and how many subgraphs were memo hits.
     """
     source, target = pair
     collected: List[Path] = []
     reused = 0
     for subgraph_id in subgraph_ids:
-        started = time.perf_counter()
         paths = dtlp.partial_memo_get(subgraph_id, pair, k) if mode.pruning else None
         if paths is not None:
             reused += 1
@@ -191,8 +186,6 @@ def solve_pair(
             if mode.pruning:
                 dtlp.partial_memo_put(subgraph_id, pair, k, paths)
         collected.extend(paths)
-        if on_partial is not None:
-            on_partial(subgraph_id, pair, time.perf_counter() - started)
     return collected, reused
 
 
@@ -292,8 +285,6 @@ PartialsProvider = Callable[[Path, Sequence[Pair], int], Mapping[Pair, List[Path
 #: ``on_reference_path(path, seconds)`` after every filter step; ``path`` is
 #: ``None`` when the skeleton graph has no further reference path.
 ReferenceHook = Callable[[Optional[Path], float], None]
-#: ``on_partial(subgraph_id, pair, seconds)`` per locally solved partial.
-PartialHook = Callable[[int, Pair, float], None]
 #: ``on_merge(seconds)`` once per iteration: join plus top-k update.
 MergeHook = Callable[[float], None]
 
@@ -320,7 +311,6 @@ class KSPDGQuery:
         direct_edge: Optional[float] = None,
         partials: Optional[PartialsProvider] = None,
         on_reference_path: Optional[ReferenceHook] = None,
-        on_partial: Optional[PartialHook] = None,
         on_merge: Optional[MergeHook] = None,
     ) -> None:
         if k <= 0:
@@ -332,7 +322,6 @@ class KSPDGQuery:
         self._mode = mode
         self._partials = partials or self._solve_locally
         self._on_reference_path = on_reference_path
-        self._on_partial = on_partial
         self._on_merge = on_merge
         self._partial_computations = 0
         self._partial_reused = 0
@@ -373,7 +362,7 @@ class KSPDGQuery:
         for pair in needed:
             owners = partition.subgraphs_containing_pair(*pair)
             found[pair], reused = solve_pair(
-                self._dtlp, self._mode, pair, k, owners, self._on_partial
+                self._dtlp, self._mode, pair, k, owners
             )
             self._partial_reused += reused
             self._partial_computations += len(owners) - reused
@@ -503,7 +492,6 @@ class KSPDG:
         target: int,
         k: int,
         on_reference_path: Optional[ReferenceHook] = None,
-        on_partial: Optional[PartialHook] = None,
         on_merge: Optional[MergeHook] = None,
     ) -> KSPResult:
         """Answer one k-shortest-path query.
@@ -530,6 +518,5 @@ class KSPDG:
             attachments,
             direct_edge,
             on_reference_path=on_reference_path,
-            on_partial=on_partial,
             on_merge=on_merge,
         ).run()

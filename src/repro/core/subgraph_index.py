@@ -25,11 +25,11 @@ import sys
 import time
 from array import array
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..algorithms.dijkstra import vfrag_label_search, vfrag_rows
 from ..graph.errors import IndexStateError
-from ..graph.graph import WeightUpdate, edge_key
+from ..graph.graph import edge_key
 from ..graph.subgraph import SortedUnitWeights, Subgraph
 from .bounding_paths import BoundingPath
 from .ep_index import EPIndex
@@ -317,7 +317,8 @@ class SubgraphIndex:
         ``subgraph`` must be the live subgraph the snapshot was taken of
         (same id, vertices and edges); stored path distances reflect the
         weights at save time, so the caller refreshes stale edges through
-        :meth:`apply_updates` afterwards.
+        :meth:`reprice` afterwards (the store does it through
+        :meth:`~repro.core.dtlp.DTLP.handle_updates`).
         """
         if int(state["subgraph_id"]) != subgraph.subgraph_id:
             raise IndexStateError(
@@ -352,25 +353,6 @@ class SubgraphIndex:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def apply_updates(self, updates: Sequence[WeightUpdate]) -> Set[Pair]:
-        """:meth:`reprice` the edges of ``updates`` this subgraph owns, at
-        their weights in the parent graph (updated before listeners run).
-        Returns the boundary pairs whose bounding paths were re-priced."""
-        if not self._built:
-            raise IndexStateError("SubgraphIndex.build() must run before updates")
-        edge_ids = self._units.edge_ids
-        directed = self._subgraph.directed
-        weight = self._subgraph.parent.weight
-        changes = []
-        for update in updates:
-            u, v = update.u, update.v
-            edge = edge_ids.get((u, v) if directed or u <= v else (v, u))
-            if edge is not None:
-                changes.append((edge, weight(u, v)))
-        repriced = set(self.reprice(changes))
-        return {key for key, numbers in zip(self._pair_keys, self._pair_paths)
-                if not repriced.isdisjoint(numbers)}
-
     def reprice(self, changes: Sequence[Tuple[int, float]]) -> List[int]:
         """Algorithm 2 for one subgraph: ``changes`` lists ``(edge id, new
         weight)``, the last entry for an edge winning.  Every path the

@@ -3,13 +3,13 @@
 Section 6.1 of the paper deploys KSP-DG on Apache Storm as a topology with
 three component types.  The simulated runtime keeps the same decomposition:
 
-* :class:`EntranceSpout` — runs on the master, receives edge-weight updates
-  and incoming KSP queries, routes updates to the SubgraphBolt owning the
-  affected subgraph and assigns each query to a QueryBolt.
+* :class:`EntranceSpout` — runs on the master, receives incoming KSP
+  queries, runs Step 1 for non-boundary endpoints and assigns each query to
+  a QueryBolt.
 * :class:`SubgraphBolt` — runs on a worker; owns one or more subgraphs and
-  their first-level DTLP indexes; answers two kinds of requests: weight
-  updates (index maintenance) and reference-path broadcasts (computes the
-  partial k shortest paths for the adjacent vertex pairs it can serve).
+  their first-level DTLP indexes; answers Step-1 probes and reference-path
+  broadcasts (computes the partial k shortest paths for the adjacent vertex
+  pairs it can serve).
 * :class:`QueryBolt` — runs on a worker; holds a replica of the skeleton
   graph, computes reference paths, broadcasts them, merges the returned
   partial paths into candidate KSPs and applies the termination test.
@@ -22,6 +22,13 @@ pair it owns through the same :func:`repro.core.ksp_dg.solve_pair` the
 in-process engine uses.  What this module adds is placement: who owns which
 subgraph, which messages cross workers, and who is charged.
 
+Weight updates take no route through these components.  The paper's spout
+routes them to the owning SubgraphBolts (Section 6.1); here every serving
+process holds the whole index, so the graph applies a round and the index
+hears it once through :meth:`~repro.core.dtlp.DTLP.handle_updates` — as a
+graph listener, through :meth:`~repro.core.dtlp.DTLP.catch_up` before the
+next batch, or through a worker-process replica's sync.
+
 Every piece of computation is timed with ``time.perf_counter`` and charged to
 the hosting worker through the :class:`~repro.distributed.cluster.SimulatedCluster`,
 and every inter-component message is charged as communication, so aggregate
@@ -31,7 +38,7 @@ Bolts search in the :class:`~repro.core.ksp_dg.SearchMode` chosen at
 topology construction (see ``ARCHITECTURE.md``): with the array-backed
 ``"snapshot"`` kernel each SubgraphBolt reads its subgraphs through
 the DTLP's shared snapshot cache (persisted across micro-batches, refreshed
-incrementally after ``apply_updates``) and each QueryBolt searches a
+incrementally after each maintenance round) and each QueryBolt searches a
 per-query overlay of the DTLP's shared skeleton search view
 (:meth:`~repro.core.dtlp.DTLP.reference_enumerator`).
 
@@ -59,8 +66,6 @@ from ..core.ksp_dg import (
     direct_distance,
     solve_pair,
 )
-from ..graph.errors import ClusterError
-from ..graph.graph import WeightUpdate
 from ..graph.paths import Path
 from ..obs.profile import KernelCounters
 from ..obs.profile import activate as activate_profiling
@@ -98,25 +103,6 @@ class SubgraphBolt:
             )
 
     # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def handle_weight_updates(self, subgraph_id: int, updates: Sequence[WeightUpdate]) -> None:
-        """Apply weight updates to one of the owned subgraph indexes."""
-        if subgraph_id not in self.subgraph_ids:
-            raise ClusterError(
-                f"{self.name} does not own subgraph {subgraph_id}"
-            )
-        started = time.perf_counter()
-        self._dtlp.subgraph_index(subgraph_id).apply_updates(updates)
-        elapsed = time.perf_counter() - started
-        worker = self._cluster.worker(self.worker_id)
-        worker.charge_compute(elapsed)
-        worker.charge_subgraph(subgraph_id, elapsed)
-        metrics = self._cluster.metrics
-        metrics.counter("bolt_update_batches_total").inc()
-        metrics.counter("bolt_updates_applied_total").inc(len(updates))
-
-    # ------------------------------------------------------------------
     # query support
     # ------------------------------------------------------------------
     def partial_ksps_for_reference(
@@ -133,11 +119,9 @@ class SubgraphBolt:
         Pairs an earlier reference path of the query already brought in are
         not solved again.
 
-        Memo hits are bit-identical to recomputation, and every subgraph
-        still receives exactly one ``charge_subgraph`` per served pair, so
-        the deterministic load telemetry (``subgraph_tasks``) and message
-        accounting stay identical on every execution backend regardless of
-        memo warmth.
+        Memo hits are bit-identical to recomputation, so the answers and the
+        message accounting are identical on every execution backend
+        regardless of memo warmth.
         """
         started = time.perf_counter()
         worker = self._cluster.worker(self.worker_id)
@@ -145,9 +129,6 @@ class SubgraphBolt:
         memo_hits = 0
         memo_misses = 0
         partials_span = push_span("partials", bolt=self.name)
-
-        def charge_subgraph(subgraph_id: int, _pair: Pair, seconds: float) -> None:
-            worker.charge_subgraph(subgraph_id, seconds)
 
         for pair in needed:
             local_owners = (
@@ -160,7 +141,7 @@ class SubgraphBolt:
             # set iteration order.
             pair_span = push_span("pair", _kernel=True, u=pair[0], v=pair[1])
             collected, pair_hits = solve_pair(
-                self._dtlp, self._mode, pair, k, local_owners, charge_subgraph
+                self._dtlp, self._mode, pair, k, local_owners
             )
             memo_hits += pair_hits
             memo_misses += len(local_owners) - pair_hits
@@ -195,7 +176,6 @@ class SubgraphBolt:
             self._partition.subgraphs_of_vertex(vertex)
         )
         for subgraph_id in sorted(owners):
-            sub_started = time.perf_counter()
             index = self._dtlp.subgraph_index(subgraph_id)
             kernel = self._mode.kernel
             view = (
@@ -207,9 +187,6 @@ class SubgraphBolt:
                 current = bounds.get(boundary)
                 if current is None or distance < current:
                     bounds[boundary] = distance
-            self._cluster.worker(self.worker_id).charge_subgraph(
-                subgraph_id, time.perf_counter() - sub_started
-            )
         if attach_span is not None:
             attach_span.args["boundaries"] = len(bounds)
         pop_span(attach_span)
@@ -229,13 +206,9 @@ class SubgraphBolt:
         for subgraph_id in self._partition.subgraphs_containing_pair(source, target):
             if subgraph_id not in self.subgraph_ids:
                 continue
-            sub_started = time.perf_counter()
             value = direct_distance(self._dtlp, subgraph_id, source, target, self._mode)
             if value is not None and (best is None or value < best):
                 best = value
-            self._cluster.worker(self.worker_id).charge_subgraph(
-                subgraph_id, time.perf_counter() - sub_started
-            )
         if direct_span is not None:
             direct_span.args["found"] = best is not None
         pop_span(direct_span)
@@ -366,7 +339,8 @@ class QueryBoltResult:
 
 
 class EntranceSpout:
-    """Master component: receives updates and queries and routes them."""
+    """Master component: runs Step 1 and routes each query to a QueryBolt;
+    weight updates never pass through it (see the module docstring)."""
 
     def __init__(
         self,
@@ -376,41 +350,13 @@ class EntranceSpout:
         query_bolts: Sequence[QueryBolt],
     ) -> None:
         self._cluster = cluster
-        self._dtlp = dtlp
         self._partition = dtlp.partition
-        self._subgraph_bolts = list(subgraph_bolts)
         self._query_bolts = list(query_bolts)
         self._bolt_by_subgraph: Dict[int, SubgraphBolt] = {}
-        for bolt in self._subgraph_bolts:
+        for bolt in subgraph_bolts:
             for subgraph_id in bolt.subgraph_ids:
                 self._bolt_by_subgraph[subgraph_id] = bolt
         self._next_query_bolt = 0
-
-    # ------------------------------------------------------------------
-    # updates
-    # ------------------------------------------------------------------
-    def submit_weight_updates(self, updates: Sequence[WeightUpdate]) -> None:
-        """Route a batch of weight updates to the owning SubgraphBolts.
-
-        Also refreshes the skeleton-graph replica (second-level index) after
-        the per-subgraph maintenance completes, charging the work to the
-        master, which mirrors the paper's description of the skeleton graph
-        being kept consistent across QueryBolts.
-        """
-        started = time.perf_counter()
-        updates_by_subgraph: Dict[int, List[WeightUpdate]] = {}
-        for update in updates:
-            owner = self._partition.owner_of_edge(update.u, update.v)
-            updates_by_subgraph.setdefault(owner, []).append(update)
-        self._cluster.master.charge_compute(time.perf_counter() - started)
-        for subgraph_id, batch in updates_by_subgraph.items():
-            bolt = self._bolt_by_subgraph[subgraph_id]
-            self._cluster.send(SimulatedCluster.MASTER_ID, bolt.worker_id, len(batch))
-            bolt.handle_weight_updates(subgraph_id, batch)
-        # Skeleton refresh (aggregation of lower bound distances).
-        started = time.perf_counter()
-        self._dtlp._refresh_skeleton_for_subgraphs(set(updates_by_subgraph))
-        self._cluster.master.charge_compute(time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # queries

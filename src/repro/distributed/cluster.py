@@ -19,7 +19,7 @@ latency trends rather than network-level effects.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from ..graph.errors import ClusterError
@@ -31,14 +31,7 @@ __all__ = ["WorkerStats", "SimulatedWorker", "SimulatedCluster", "ClusterAccount
 
 @dataclass
 class WorkerStats:
-    """Accumulated cost statistics of one worker.
-
-    ``subgraph_seconds`` / ``subgraph_tasks`` attribute SubgraphBolt work
-    to the individual subgraph that was served.  They are a *parallel*
-    channel: charging them never touches
-    ``busy_seconds`` or ``tasks_executed``, so the pre-existing counters
-    stay bit-identical to the seed behaviour.
-    """
+    """Accumulated cost statistics of one worker."""
 
     worker_id: int
     busy_seconds: float = 0.0
@@ -48,8 +41,6 @@ class WorkerStats:
     units_received: int = 0
     tasks_executed: int = 0
     memory_bytes: int = 0
-    subgraph_seconds: Dict[int, float] = field(default_factory=dict)
-    subgraph_tasks: Dict[int, int] = field(default_factory=dict)
 
 
 class SimulatedWorker:
@@ -79,23 +70,6 @@ class SimulatedWorker:
     def charge_memory(self, num_bytes: int) -> None:
         """Attribute ``num_bytes`` of resident index memory to this worker."""
         self.stats.memory_bytes += num_bytes
-
-    def charge_subgraph(self, subgraph_id: int, seconds: float) -> None:
-        """Attribute one subgraph-serving operation to ``subgraph_id``.
-
-        Per-subgraph cost telemetry only; the worker-level
-        ``busy_seconds`` / ``tasks_executed`` counters are charged
-        separately (and unchanged) by the existing ``charge_compute``
-        calls.  The task count is deterministic (identical on every
-        execution backend); the seconds are wall clock.
-        """
-        if seconds < 0:
-            raise ClusterError("cannot charge negative subgraph time")
-        stats = self.stats
-        stats.subgraph_seconds[subgraph_id] = (
-            stats.subgraph_seconds.get(subgraph_id, 0.0) + seconds
-        )
-        stats.subgraph_tasks[subgraph_id] = stats.subgraph_tasks.get(subgraph_id, 0) + 1
 
     def reset_time(self) -> None:
         """Clear accumulated busy time and message counters (memory stays)."""
@@ -135,11 +109,6 @@ class SimulatedCluster:
     def num_workers(self) -> int:
         """Number of worker servers."""
         return len(self._workers)
-
-    @property
-    def master(self) -> SimulatedWorker:
-        """The master node hosting the EntranceSpout."""
-        return self._master
 
     def worker(self, worker_id: int) -> SimulatedWorker:
         """Return a worker by id (or the master for ``MASTER_ID``)."""
@@ -256,14 +225,6 @@ class SimulatedCluster:
             mine.stats.units_sent += theirs.stats.units_sent
             mine.stats.units_received += theirs.stats.units_received
             mine.stats.tasks_executed += theirs.stats.tasks_executed
-            for subgraph_id, seconds in theirs.stats.subgraph_seconds.items():
-                mine.stats.subgraph_seconds[subgraph_id] = (
-                    mine.stats.subgraph_seconds.get(subgraph_id, 0.0) + seconds
-                )
-            for subgraph_id, tasks in theirs.stats.subgraph_tasks.items():
-                mine.stats.subgraph_tasks[subgraph_id] = (
-                    mine.stats.subgraph_tasks.get(subgraph_id, 0) + tasks
-                )
         self.metrics.absorb(ledger.metrics)
 
 
@@ -297,11 +258,6 @@ class ClusterAccountant:
         return getattr(self._local, "ledger", None) or self._base
 
     # SimulatedCluster interface consumed by spout/bolts ----------------
-    @property
-    def master(self) -> SimulatedWorker:
-        """The master node of the active target."""
-        return self._target().master
-
     def worker(self, worker_id: int) -> SimulatedWorker:
         """A worker of the active target (or its master for ``MASTER_ID``)."""
         return self._target().worker(worker_id)

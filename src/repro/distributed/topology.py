@@ -4,8 +4,13 @@
 on the master, one SubgraphBolt per worker (owning a load-balanced share of
 the subgraphs and their first-level DTLP indexes), and one QueryBolt per
 worker (each holding a replica of the skeleton graph).  The topology exposes
-the two external operations of the system — submitting weight updates and
-submitting KSP queries — plus the cost metrics the benchmarks read.
+one external operation — running a batch of KSP queries — plus the cost
+metrics the benchmarks read.  Weight updates do not pass through it: the
+graph applies a round and the index hears it once through
+:meth:`~repro.core.dtlp.DTLP.handle_updates` — as a graph listener when
+attached, through :meth:`~repro.core.dtlp.DTLP.catch_up` at the start of
+the next batch otherwise, and through
+:meth:`~repro.distributed.runtime.TopologyReplica.sync` in a worker process.
 
 The bolts and the spout live in one
 :class:`~repro.distributed.runtime.LogicalTopology`, the same object every
@@ -236,10 +241,6 @@ class StormTopology:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def submit_weight_updates(self, updates: Sequence[WeightUpdate]) -> None:
-        """Route one batch of weight updates through the topology."""
-        self._logical.spout.submit_weight_updates(updates)
-
     def _store_catchup(self) -> Optional[Tuple[WeightUpdate, ...]]:
         """Weight delta since the attached partition store was saved.
 

@@ -92,6 +92,21 @@ _BATCH_WINDOW = 0.004
 _STALE_CAPACITY = 4096
 
 
+def _json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer: a float, string or ``bool`` is a
+    ``TypeError``, never coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value: object, name: str) -> float:
+    """``value`` as a float when it is a JSON number (not a ``bool``)."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class _ReplicaWorker:
     """Async adapter around one replica: waiter futures + batch drainer.
 
@@ -484,19 +499,16 @@ class FrontDoorServer:
         self._requests_total.inc()
         try:
             request = json.loads(body.decode("utf-8"))
-            source = int(request["source"])
-            target = int(request["target"])
-            k = int(request.get("k", 2))
+            source = _json_int(request["source"], "source")
+            target = _json_int(request["target"], "target")
+            k = _json_int(request.get("k", 2), "k")
             if not 1 <= k <= MAX_K:
                 raise ValueError(f"k must be between 1 and {MAX_K}, got {k}")
             budget_ms = headers.get("x-deadline-ms")
             deadline = Deadline.from_budget_ms(
                 float(budget_ms) if budget_ms else DEFAULT_BUDGET_MS
             )
-        except (
-            ValueError, KeyError, TypeError, UnicodeDecodeError, OverflowError
-        ) as exc:
-            # OverflowError: int() of a JSON ``Infinity``.
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             self._bad_requests.inc()
             return 400, {"error": f"bad request: {exc}"}, None
         topology = next(iter(self.replicas.values())).service.graph
@@ -655,12 +667,15 @@ class FrontDoorServer:
         try:
             request = json.loads(body.decode("utf-8"))
             updates = [
-                WeightUpdate(int(u), int(v), float(weight))
+                WeightUpdate(
+                    _json_int(u, "u"), _json_int(v, "v"), _json_number(weight, "weight")
+                )
                 for u, v, weight in request["updates"]
             ]
         except (
             ValueError, KeyError, TypeError, UnicodeDecodeError, OverflowError
         ) as exc:
+            # OverflowError: float() of an integer weight past the float range.
             self._maintenance_rejected.inc()
             return 400, {"error": f"bad maintenance request: {exc}"}, None
         try:

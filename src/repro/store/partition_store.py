@@ -35,7 +35,7 @@ The manifest carries two fingerprints:
      compare of stored current weight vs live weight.
 
   Differing edges are refreshed through the normal maintenance path
-  (``SubgraphIndex.apply_updates`` + skeleton refresh), which recomputes
+  (one :meth:`~repro.core.dtlp.DTLP.handle_updates` round), which recomputes
   exactly the bounding-path distances the changes touched.  Either way the
   expensive part of a build — the bounding-path searches — never reruns,
   which is where the O(load) cold start comes from.

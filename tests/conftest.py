@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import DTLP, DTLPConfig
 from repro.graph import DynamicGraph, road_network
+from repro.graph.graph import edge_key
 from repro.kernel import CSRSnapshot
 
 
@@ -101,6 +102,16 @@ def apply_sg4_change(graph: DynamicGraph) -> None:
     graph.update_weight(18, 17, 1.0)
     graph.update_weight(17, 16, 1.0)
     graph.update_weight(17, 19, 6.0)
+
+
+def reprice_updates(index, updates) -> List[int]:
+    """Re-price one undirected subgraph index for ``updates`` through its
+    ``edge_ids`` — the owner's share of a ``DTLP.handle_updates`` round.
+    Returns the numbers of the re-priced bounding paths."""
+    edge_ids = index.edge_ids
+    return index.reprice(
+        [(edge_ids[edge_key(update.u, update.v)], update.new_weight) for update in updates]
+    )
 
 
 @pytest.fixture()

@@ -29,7 +29,7 @@ KERNELS = ("snapshot", "dict")
 
 def _deterministic_worker_counters(cluster):
     """Every deterministic counter of every node (busy time excluded)."""
-    nodes = [cluster.worker(i) for i in range(cluster.num_workers)] + [cluster.master]
+    nodes = [cluster.worker(i) for i in (*range(cluster.num_workers), cluster.MASTER_ID)]
     return [
         (
             node.stats.worker_id,
@@ -75,8 +75,7 @@ def _run_topology_rounds(executor: str, kernel: str, seed: int):
                 )
             )
             if round_number < 2:
-                updates = model.advance()
-                topology.submit_weight_updates(updates)
+                model.advance()
     return signatures
 
 
@@ -129,7 +128,6 @@ class TestRandomizedGraphs:
                         )
                         updates = model.generate_updates()
                         graph.apply_updates(updates)
-                        topology.submit_weight_updates(updates)
                 return signatures
 
             reference = run("serial")
@@ -158,7 +156,6 @@ class TestRandomizedGraphs:
                     )
                     updates = model2.generate_updates()
                     graph2.apply_updates(updates)
-                    topology.submit_weight_updates(updates)
             assert signatures == reference
 
 

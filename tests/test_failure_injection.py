@@ -105,8 +105,7 @@ class TestReplicaBroadcastAtomicity:
             victim = topology.executor._processes[0]
             victim.terminate()
             victim.join()
-            updates = TrafficModel(graph, alpha=0.3, tau=0.4, seed=5).advance()
-            topology.submit_weight_updates(updates)
+            TrafficModel(graph, alpha=0.3, tau=0.4, seed=5).advance()
             with pytest.raises(ExecutorTaskError):
                 topology.run_queries(queries)
             assert not topology._replica_set.active

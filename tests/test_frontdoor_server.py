@@ -529,6 +529,51 @@ class TestHostileInputs:
         assert f"frontdoor_maintenance_rejected {after['maintenance_rejected']}" in text
         self._assert_unharmed(front_door)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"source": 0.9, "target": 35, "k": 2}',
+            b'{"source": "0", "target": 35, "k": 2.7}',
+            b'{"source": true, "target": 35, "k": true}',
+            b'{"source": 0, "target": 35.0, "k": 2}',
+            b'{"source": 0, "target": 35, "k": "2"}',
+        ],
+    )
+    def test_non_integer_query_fields_are_400(self, front_door, body):
+        """Regression: ``int()`` coerced floats, numeric strings and
+        booleans, so these answered 200 for a query nobody asked."""
+        before = front_door.health()["counters"]
+        status, payload = self._post(front_door, "/query", body)
+        assert status == 400
+        assert "integer" in payload["error"]
+        after = front_door.health()["counters"]
+        assert after["bad_requests"] == before["bad_requests"] + 1
+        assert after["served_ok"] == before["served_ok"]
+        self._assert_unharmed(front_door)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"updates": [[0.7, 1.2, 2.5]]}',
+            b'{"updates": [["0", 1, 2.5]]}',
+            b'{"updates": [[false, 1, 2.5]]}',
+            b'{"updates": [[0, 1, "2.5"]]}',
+            b'{"updates": [[0, 1, true]]}',
+        ],
+    )
+    def test_non_integer_edge_or_non_number_weight_is_400(self, front_door, body):
+        """Regression: ``int()`` / ``float()`` coerced these into a valid
+        round on edge (0, 1), which then applied with a 200."""
+        status, _payload = self._post(front_door, "/maintenance", body)
+        assert status == 400
+        counters = front_door.health()["counters"]
+        assert counters["maintenance_rejected"] == 1
+        assert counters["maintenance_rounds"] == 0
+        assert counters["bad_requests"] == 0
+        for replica in front_door.server.replicas.values():
+            assert replica.service.graph.version == 0
+        self._assert_unharmed(front_door)
+
     def test_unexpected_handler_error_is_500_and_the_server_lives(
         self, front_door, monkeypatch, capsys
     ):
@@ -576,7 +621,7 @@ class TestHostileInputs:
             )
             assert status == 400
             assert str(MAX_K) in payload["error"]
-        # A JSON ``Infinity`` cannot even become an int.
+        # A JSON ``Infinity`` is not an integer.
         status, _payload = self._post(
             front_door, "/query", b'{"source": 0, "target": 35, "k": Infinity}'
         )

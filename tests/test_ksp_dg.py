@@ -157,24 +157,20 @@ class TestResultMetadata:
     def test_hooks_invoked(self, small_road_network, small_dtlp):
         """The hooks the QueryBolt charges its worker through: one call per
         filter step (the last one fetched the path that ended the loop, or
-        ``None``), per locally solved (subgraph, pair) and per merge."""
+        ``None``) and per merge."""
         engine = KSPDG(small_dtlp)
         reference_calls = []
-        partial_calls = []
         merge_calls = []
         result = engine.query(
             0,
             63,
             2,
             on_reference_path=lambda path, seconds: reference_calls.append(path),
-            on_partial=lambda sid, pair, seconds: partial_calls.append((sid, pair)),
             on_merge=lambda seconds: merge_calls.append(seconds),
         )
         assert result.iterations >= 1
         assert reference_calls[:-1] == result.reference_paths
         assert len(merge_calls) == result.iterations
-        assert len(partial_calls) == result.partial_computations + result.partial_reused
-        assert len(set(partial_calls)) == len(partial_calls)
         assert all(seconds >= 0 for seconds in merge_calls)
 
     def test_more_iterations_for_larger_k(self, small_road_network, small_dtlp):

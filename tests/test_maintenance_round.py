@@ -24,6 +24,8 @@ from repro.graph import DynamicGraph, WeightUpdate, road_network
 from repro.graph.subgraph import Subgraph
 from repro.workloads import KSPQuery
 
+from conftest import reprice_updates
+
 
 @pytest.fixture()
 def maintained(monkeypatch):
@@ -111,7 +113,7 @@ def test_maintained_price_sums_left_to_right() -> None:
     subgraph.set_boundary_vertices({0, 3})
     index = SubgraphIndex(subgraph, xi=1).build()
     graph.update_weight(0, 1, 1e16)
-    index.apply_updates([WeightUpdate(0, 1, 1e16)])
+    reprice_updates(index, [WeightUpdate(0, 1, 1e16)])
     assert graph.path_distance((0, 1, 2, 3)) == 1e16  # 1e16 + 1.0 rounds back
     assert index.bounding_paths(0, 3)[0].distance == 1e16
 

@@ -18,7 +18,7 @@ from repro.core.subgraph_index import SubgraphIndex
 from repro.graph import DynamicGraph, WeightUpdate
 from repro.graph.subgraph import Subgraph
 
-from conftest import apply_sg4_change
+from conftest import apply_sg4_change, reprice_updates
 
 
 def full_subgraph(graph, boundary, subgraph_id=0):
@@ -50,7 +50,7 @@ class TestExample2And4:
             WeightUpdate(17, 19, 6.0),
         ]
         apply_sg4_change(sg4_graph)
-        index.apply_updates(updates)
+        reprice_updates(index, updates)
         # Example 2: the new shortest distance between v13 and v14 is 6.
         assert shortest_distance(sg4_graph, 13, 14) == pytest.approx(6.0)
         # The lower bound respects it.

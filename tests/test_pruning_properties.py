@@ -303,7 +303,7 @@ class TestTopologyPruningIdentity:
                         )
                     )
                     if round_number == 0:
-                        topology.submit_weight_updates(model.advance())
+                        model.advance()
             return signatures
 
         reference = run("serial", False)

