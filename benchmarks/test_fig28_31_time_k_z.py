@@ -35,11 +35,9 @@ def test_fig28_31_processing_time_vs_k_and_z(scale, benchmark):
     k_grid = scale.k_values
     for name in scale.datasets:
         z_grid = scale.z_values[name][:3]
-        times = {}
         for z in z_grid:
             for k in k_grid:
                 report = batch_time(name, scale, z=z, k=k)
-                times[(z, k)] = report.makespan_seconds
                 rows.append(
                     [
                         name,
@@ -50,7 +48,7 @@ def test_fig28_31_processing_time_vs_k_and_z(scale, benchmark):
                         round(report.mean_iterations, 1),
                     ]
                 )
-        per_dataset[name] = (z_grid, times)
+        per_dataset[name] = z_grid
 
     benchmark.pedantic(
         lambda: batch_time(scale.datasets[0], scale, z=scale.z_values[scale.datasets[0]][1],
@@ -65,6 +63,15 @@ def test_fig28_31_processing_time_vs_k_and_z(scale, benchmark):
         notes="paper: time grows roughly linearly in k; U-shaped in z",
     )
     # Processing time should grow with k for every dataset at the default z.
-    for name, (z_grid, times) in per_dataset.items():
+    # The simulated makespan sums measured compute, so one batch per cell
+    # moves with what ran before it in the process (a full benchmark run
+    # once read the k = 6 batch 37 % below the k = 2 one); the two compared
+    # cells take the minimum of three fresh batches, as Figure 20 does.
+    for name, z_grid in per_dataset.items():
         middle_z = z_grid[min(1, len(z_grid) - 1)]
-        assert times[(middle_z, k_grid[-1])] >= times[(middle_z, k_grid[0])] * 0.8
+
+        def fastest(k):
+            return min(batch_time(name, scale, z=middle_z, k=k).makespan_seconds
+                       for _ in range(3))
+
+        assert fastest(k_grid[-1]) >= fastest(k_grid[0]) * 0.8

@@ -14,6 +14,8 @@ Paper map: ``docs/paper_map.md`` ties every benchmark to its figure/table.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.bench import DATASET_DEFAULT_Z, build_dataset, make_queries, print_experiment
@@ -38,8 +40,14 @@ def test_fig35_38_baseline_comparison_vs_nq(scale, benchmark):
         topology = StormTopology(dtlp, num_workers=NUM_SERVERS, pruning=False)
         for batch_size in scale.num_query_batches:
             queries = make_queries(graph, batch_size, k=2, seed=61)
+            # Each cell is one timed batch of a few ms: collect first, so a
+            # full collection of the session's heap (~25 ms in a full
+            # benchmark run) cannot land inside one and invert the series.
+            gc.collect()
             ksp_dg_report = topology.run_queries(queries)
+            gc.collect()
             yen_report = BatchRunner(YenEngine(graph, prune=False), num_servers=NUM_SERVERS).run(queries)
+            gc.collect()
             findksp_report = BatchRunner(
                 FindKSPEngine(graph, prune=False), num_servers=NUM_SERVERS
             ).run(queries)

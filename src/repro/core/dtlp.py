@@ -34,6 +34,7 @@ from ..graph.partition import GraphPartition
 from ..graph.partition_ml import make_partition
 from ..graph.paths import Path
 from ..kernel.snapshot import CSRSnapshot
+from .layout import IndexLayout
 from .skeleton import SkeletonGraph, SkeletonSearchView
 from .subgraph_index import SubgraphIndex
 
@@ -178,13 +179,11 @@ class DTLP:
         # reflect; see handle_updates and attach.
         self._priced_version = graph.version
         self._epoch_lock = threading.Lock()
-        # Built once with the indexes: canonical edge key -> (global edge
-        # id, owner, owner's edge id, subgraphs whose epoch it bumps); per
-        # global id the weight the last fold saw; per boundary pair the
-        # (index, pair number) of every subgraph holding it.
-        self._edge_slots: Dict[Tuple[int, int], Tuple[int, int, int, Tuple[int, ...]]] = {}
+        # Made once with the indexes: everything no round or query writes,
+        # shared by this index's copies in the process (see IndexLayout).
+        self._layout: Optional[IndexLayout] = None
+        # Per global edge id of the layout, the weight the last fold saw.
         self._fold_weights: List[float] = []
-        self._pair_owners: Dict[Tuple[int, int], List[Tuple[SubgraphIndex, int]]] = {}
         # (subgraph_id, ordered pair, k) -> (epoch, partial k shortest
         # paths).  Shared by KSP-DG queries and the SubgraphBolts; a
         # subgraph's entries are dropped when its epoch advances.
@@ -229,6 +228,13 @@ class DTLP:
     def built(self) -> bool:
         """Whether :meth:`build` has completed."""
         return self._built
+
+    @property
+    def layout(self) -> IndexLayout:
+        """The index's fixed structure, shared by its in-process copies."""
+        if self._layout is None:
+            raise IndexStateError("DTLP.build() must run before accessing the layout")
+        return self._layout
 
     @property
     def build_seconds(self) -> float:
@@ -325,7 +331,7 @@ class DTLP:
         if the weight differs from the last fold's, bumps the epochs its
         slot names and, with ``regroup``, groups ``(edge id, weight)`` under
         the owner.  Callers hold ``_epoch_lock``."""
-        slots = self._edge_slots
+        slots = self._layout.edge_slots
         fold_weights = self._fold_weights
         snapshots = self._subgraph_snapshots
         pending = self._snapshot_changes
@@ -551,7 +557,7 @@ class DTLP:
                 ).build()
                 self._subgraph_indexes[subgraph.subgraph_id] = index
         self._rebuild_skeleton()
-        self._build_round_tables()
+        self._freeze_layout()
         self._built = True
         self._build_seconds = time.perf_counter() - started
         return self
@@ -596,7 +602,7 @@ class DTLP:
             dtlp._skeleton = skeleton
         else:
             dtlp._rebuild_skeleton()
-        dtlp._build_round_tables()
+        dtlp._freeze_layout()
         dtlp._built = True
         dtlp._build_seconds = time.perf_counter() - started
         return dtlp
@@ -612,42 +618,72 @@ class DTLP:
                 skeleton.update_edge_minimum(source, target, value)
         self._skeleton = skeleton
 
-    def _build_round_tables(self) -> None:
-        """Lay the partition out in index space for maintenance rounds.  An
-        edge bumps the epoch of every subgraph holding both endpoints: only
-        boundary vertices are shared, so that is the owner alone unless both
-        are boundary vertices."""
+    def _freeze_layout(self) -> None:
+        """Make the :class:`IndexLayout` of the built indexes: the partition
+        and the indexes' tables laid out in index space for maintenance
+        rounds.  An edge bumps the epoch of every subgraph holding both
+        endpoints: only boundary vertices are shared, so that is the owner
+        alone unless both are boundary vertices."""
         partition = self._partition
         assert partition is not None
         boundary = partition.boundary_vertices
-        self._edge_slots, self._fold_weights, self._pair_owners = {}, [], {}
+        edge_slots, fold_weights, pair_owners = {}, [], {}
         for owner, index in self._subgraph_indexes.items():
             alone = (owner,)
             for (u, v), edge in index.edge_ids.items():
                 both = u in boundary and v in boundary
                 bumps = partition.subgraphs_containing_pair(u, v) if both else alone
-                self._edge_slots[(u, v)] = (len(self._fold_weights), owner, edge, bumps)
-                self._fold_weights.append(self._graph.weight(u, v))
+                edge_slots[(u, v)] = (len(fold_weights), owner, edge, bumps)
+                fold_weights.append(self._graph.weight(u, v))
             for number, pair in enumerate(index.boundary_pairs()):
-                self._pair_owners.setdefault(pair, []).append((index, number))
+                pair_owners.setdefault(pair, []).append((owner, number))
+        self._fold_weights = fold_weights
+        self._layout = IndexLayout(
+            partition.layout,
+            tuple(index.tables for index in self._subgraph_indexes.values()),
+            edge_slots,
+            {pair: tuple(owners) for pair, owners in pair_owners.items()},
+        )
 
     # ------------------------------------------------------------------
-    # pickling (process-backend replicas ship the whole index once)
+    # pickling (replicas and process workers get the index this way)
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Locks are process-local; caches are cheap to rebuild and pinning
-        # them to the sender's epochs across the pipe buys nothing.
+        # Locks are process-local; caches (the memo and the kernel
+        # snapshots, whose rows embed weights) are cheap to rebuild and
+        # pinning them to the sender's epochs buys nothing.
         state["_epoch_lock"] = None
         state["_partial_memo"] = {}
+        state["_subgraph_snapshots"] = {}
+        state["_snapshot_changes"] = {}
         state["_skeleton_kernel_snapshot"] = None
         state["_skeleton_kernel_version"] = -1
         state["_skeleton_image"] = None
+        if self._layout is not None:
+            # A built index travels as its layout (a token where this
+            # process already holds it, see IndexLayout) plus what each
+            # copy writes; the partition and the indexes are views over the
+            # layout, made again on arrival.
+            state["_partition"] = None
+            state["_subgraph_indexes"] = {
+                subgraph_id: index.own_state()
+                for subgraph_id, index in self._subgraph_indexes.items()
+            }
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._epoch_lock = threading.Lock()
+        layout = self._layout
+        if layout is not None:
+            self._partition = partition = GraphPartition.view(self._graph, layout.partition)
+            self._subgraph_indexes = {
+                subgraph_id: SubgraphIndex.view(
+                    partition.subgraph(subgraph_id), layout.tables[subgraph_id], own
+                )
+                for subgraph_id, own in state["_subgraph_indexes"].items()
+            }
 
     # ------------------------------------------------------------------
     # maintenance (Algorithm 2)
@@ -734,7 +770,7 @@ class DTLP:
                 groups = {}
                 for u, v, weight in changed:
                     key = (u, v) if graph.directed or u <= v else (v, u)
-                    _, owner, edge, _ = self._edge_slots[key]
+                    _, owner, edge, _ = self._layout.edge_slots[key]
                     groups.setdefault(owner, []).append((edge, weight))
             indexes = self._subgraph_indexes
             for owner, changes in groups.items():
@@ -748,15 +784,17 @@ class DTLP:
     def _refresh_skeleton_for_subgraphs(self, subgraph_ids: Iterable[int]) -> None:
         """Set the skeleton weight of every pair the given subgraphs hold:
         the minimum of its holders' Theorem 1 bounds."""
-        pair_owners = self._pair_owners
+        pair_owners = self._layout.pair_owners
+        indexes = self._subgraph_indexes
         set_edge = self._skeleton.set_edge
         done: Set[Tuple[int, int]] = set()
         for subgraph_id in subgraph_ids:
-            for pair in self._subgraph_indexes[subgraph_id].boundary_pairs():
+            for pair in indexes[subgraph_id].boundary_pairs():
                 if pair in done:
                     continue
                 done.add(pair)
-                bounds = [index.pair_bounds[number] for index, number in pair_owners[pair]]
+                bounds = [indexes[owner].pair_bounds[number]
+                          for owner, number in pair_owners[pair]]
                 bounds = [bound for bound in bounds if bound is not None]
                 if bounds:
                     set_edge(pair[0], pair[1], min(bounds))

@@ -12,8 +12,9 @@ maintains:
 * the resulting *lower bound distance* (Definitions 6-7, Theorem 1).
 
 All of it in index space (ARCHITECTURE.md, "A round in index space"): the
-structure is built once, and a weight update writes edge weights, path
-prices, the unit-weight prefix and the pair bounds, nothing else.
+structure is built once into :class:`PathTables`, and a weight update
+writes edge weights, path prices, the unit-weight prefix and the pair
+bounds, nothing else.
 
 The class also exposes the statistics the evaluation section reports
 (number of bounding paths, EP-Index size, maintenance timing hooks).
@@ -25,7 +26,7 @@ import sys
 import time
 from array import array
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..algorithms.dijkstra import vfrag_label_search, vfrag_rows
 from ..graph.errors import IndexStateError
@@ -34,9 +35,33 @@ from ..graph.subgraph import SortedUnitWeights, Subgraph
 from .bounding_paths import BoundingPath
 from .ep_index import EPIndex
 
-__all__ = ["SubgraphIndex"]
+__all__ = ["PathTables", "SubgraphIndex"]
 
 Pair = Tuple[int, int]
+
+
+class PathTables(NamedTuple):
+    """What a :class:`SubgraphIndex` never writes after build: the edge
+    numbering and vfrag counts of its :class:`SortedUnitWeights` with the
+    prefix depth, per bounding path its first vertex, edge ids and vfrag
+    count, the EP-Index, and per boundary pair its key, path numbers and
+    prefix depth (``pair_numbers`` maps a key to its pair number).
+
+    Copies of a built DTLP in one process share it (see
+    :class:`~repro.core.layout.IndexLayout`).
+    """
+
+    edge_ids: Dict[Pair, int]
+    vfrags: List[int]
+    depth: int
+    path_sources: array
+    path_edges: List[Tuple[int, ...]]
+    path_vfrags: array
+    ep_index: EPIndex
+    pair_keys: List[Pair]
+    pair_numbers: Dict[Pair, int]
+    pair_paths: List[List[int]]
+    pair_depth: array
 
 
 class SubgraphIndex:
@@ -88,7 +113,12 @@ class SubgraphIndex:
     @property
     def ep_index(self) -> EPIndex:
         """The edge-to-paths maintenance index."""
-        return self._ep_index
+        return self._tables.ep_index
+
+    @property
+    def tables(self) -> PathTables:
+        """The index's build-time structure."""
+        return self._tables
 
     @property
     def built(self) -> bool:
@@ -110,11 +140,11 @@ class SubgraphIndex:
     @property
     def edge_ids(self) -> Dict[Pair, int]:
         """Canonical edge key -> the dense edge id used by this index."""
-        return self._units.edge_ids
+        return self._tables.edge_ids
 
     def boundary_pairs(self) -> Iterator[Pair]:
         """Iterate over the indexed boundary-vertex pairs."""
-        return iter(self._pair_keys)
+        return iter(self._tables.pair_keys)
 
     def num_bounding_paths(self) -> int:
         """Total number of bounding paths stored for this subgraph."""
@@ -122,8 +152,9 @@ class SubgraphIndex:
 
     def bounding_paths(self, source: int, target: int) -> List[BoundingPath]:
         """The bounding paths for one (ordered) boundary pair."""
-        pair = self._pair_numbers.get(self._pair_key(source, target))
-        return [] if pair is None else self._records(self._pair_paths[pair])
+        tables = self._tables
+        pair = tables.pair_numbers.get(self._pair_key(source, target))
+        return [] if pair is None else self._records(tables.pair_paths[pair])
 
     def path(self, path_id: int) -> BoundingPath:
         """A record of bounding path ``path_id`` at its current price."""
@@ -131,18 +162,19 @@ class SubgraphIndex:
 
     def _records(self, numbers: Sequence[int]) -> List[BoundingPath]:
         return [BoundingPath(p, vertices[0], vertices[-1], vertices,
-                             self._path_vfrags[p], self._prices[p])
+                             self._tables.path_vfrags[p], self._prices[p])
                 for p, vertices in zip(numbers, self._walks(numbers))]
 
     def _walks(self, numbers: Sequence[int]) -> Iterator[Tuple[int, ...]]:
         """The vertex tuples of paths ``numbers``, rebuilt rather than stored:
         from each path's first vertex, its edge ids walked over the sorted
         edge keys (read by records and the store, never by a query)."""
-        keys = list(self._units.edge_ids)  # insertion order is id order
+        tables = self._tables
+        keys = list(tables.edge_ids)  # insertion order is id order
         for p in numbers:
-            vertex = self._path_sources[p]
+            vertex = tables.path_sources[p]
             walk = [vertex]
-            for edge in self._path_edges[p]:
+            for edge in tables.path_edges[p]:
                 u, v = keys[edge]
                 vertex = v if vertex == u else u
                 walk.append(vertex)
@@ -151,12 +183,12 @@ class SubgraphIndex:
     def memory_estimate_bytes(self) -> int:
         """Bytes of the index's arrays, lists and tuples as ``sys.getsizeof``
         counts them, plus the float objects the float lists point to."""
-        units = self._units
+        units, tables = self._units, self._tables
         floats = (units.weights, units.prefix, self._prices, self.pair_bounds)
-        others = (units.vfrags, self._path_vfrags, self._pair_depth,
-                  self._path_sources, self._path_edges, self._pair_paths,
-                  *self._path_edges, *self._pair_paths)
-        return (self._ep_index.memory_estimate_bytes()
+        others = (units.vfrags, tables.path_vfrags, tables.pair_depth,
+                  tables.path_sources, tables.path_edges, tables.pair_paths,
+                  *tables.path_edges, *tables.pair_paths)
+        return (tables.ep_index.memory_estimate_bytes()
                 + sum(map(sys.getsizeof, floats + others))
                 + sys.getsizeof(0.0) * sum(map(len, floats)))
 
@@ -232,17 +264,24 @@ class SubgraphIndex:
                 f"a bounding path leaves subgraph {self._subgraph.subgraph_id}"
             ) from None
         self._units = units
-        self._path_sources = array("q", [path[0] for path in vertices])
-        self._path_edges = path_edges
-        self._path_vfrags = array("i", vfrags)
-        self._ep_index = EPIndex(edge_ids, path_edges, directed)
-        self._pair_keys = [key for key, _ in pairs]
-        self._pair_numbers = {key: number for number, key in enumerate(self._pair_keys)}
-        self._pair_paths = [numbers for _, numbers in pairs]
-        # Bound distances grow with the vfrag count, so Theorem 1 reads the
-        # prefix once per pair, at its widest path.
-        self._pair_depth = array("i", (min(max(vfrags[p] for p in numbers), units.depth)
-                                       if numbers else 0 for numbers in self._pair_paths))
+        pair_keys = [key for key, _ in pairs]
+        pair_paths = [numbers for _, numbers in pairs]
+        self._tables = PathTables(
+            edge_ids=edge_ids,
+            vfrags=units.vfrags,
+            depth=units.depth,
+            path_sources=array("q", [path[0] for path in vertices]),
+            path_edges=path_edges,
+            path_vfrags=array("i", vfrags),
+            ep_index=EPIndex(edge_ids, path_edges, directed),
+            pair_keys=pair_keys,
+            pair_numbers={key: number for number, key in enumerate(pair_keys)},
+            pair_paths=pair_paths,
+            # Bound distances grow with the vfrag count, so Theorem 1 reads
+            # the prefix once per pair, at its widest path.
+            pair_depth=array("i", (min(max(vfrags[p] for p in numbers), units.depth)
+                                   if numbers else 0 for numbers in pair_paths)),
+        )
         self._prices = [0.0] * len(vertices) if prices is None else prices
         if prices is None:
             self._price(range(len(vertices)))
@@ -276,6 +315,34 @@ class SubgraphIndex:
         return self
 
     # ------------------------------------------------------------------
+    # copies (DTLP pickling)
+    # ------------------------------------------------------------------
+    def own_state(self) -> Dict[str, object]:
+        """Everything but the subgraph and the tables: the parameters, the
+        build facts and what a weight round writes (the weights and prefix
+        of :class:`SortedUnitWeights`, prices, :attr:`pair_bounds`)."""
+        state = self.__dict__.copy()
+        del state["_subgraph"], state["_tables"]
+        units = state.pop("_units")
+        state["_units"] = (units.weights, units.prefix)
+        return state
+
+    @classmethod
+    def view(
+        cls, subgraph: Subgraph, tables: PathTables, state: Dict[str, object]
+    ) -> "SubgraphIndex":
+        """An index of ``subgraph`` over ``tables`` (not copied) holding
+        :meth:`own_state` ``state``."""
+        index = cls.__new__(cls)
+        index.__dict__.update(state)
+        index._subgraph, index._tables = subgraph, tables
+        weights, prefix = state["_units"]
+        index._units = SortedUnitWeights.over(
+            tables.edge_ids, tables.vfrags, tables.depth, weights, prefix
+        )
+        return index
+
+    # ------------------------------------------------------------------
     # serialization (repro.store)
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
@@ -290,14 +357,15 @@ class SubgraphIndex:
         """
         if not self._built:
             raise IndexStateError("SubgraphIndex.build() must run before export")
+        tables = self._tables
         paths = [
-            [p, vertices[0], vertices[-1], list(vertices), self._path_vfrags[p],
+            [p, vertices[0], vertices[-1], list(vertices), tables.path_vfrags[p],
              self._prices[p]]
             for p, vertices in enumerate(self._walks(range(len(self._prices))))
         ]
         pairs = [
             [key[0], key[1], list(numbers)]
-            for key, numbers in sorted(zip(self._pair_keys, self._pair_paths))
+            for key, numbers in sorted(zip(tables.pair_keys, tables.pair_paths))
         ]
         return {
             "subgraph_id": self._subgraph.subgraph_id,
@@ -362,8 +430,8 @@ class SubgraphIndex:
         if not changes:
             return []
         weights = self._units.weights
-        offsets = self._ep_index.offsets
-        through = self._ep_index.paths
+        offsets = self._tables.ep_index.offsets
+        through = self._tables.ep_index.paths
         touched = bytearray(len(self._prices))
         for edge, weight in changes:
             weights[edge] = weight
@@ -380,7 +448,7 @@ class SubgraphIndex:
         the loop of ``DynamicGraph.path_distance``, never ``sum()``."""
         weights = self._units.weights
         prices = self._prices
-        path_edges = self._path_edges
+        path_edges = self._tables.path_edges
         for p in numbers:
             total = 0.0
             for edge in path_edges[p]:
@@ -396,7 +464,7 @@ class SubgraphIndex:
         prefix = self._units.prefix
         self.pair_bounds = [
             min(min(map(price, numbers)), prefix[depth]) if numbers else None
-            for numbers, depth in zip(self._pair_paths, self._pair_depth)
+            for numbers, depth in zip(self._tables.pair_paths, self._tables.pair_depth)
         ]
 
     # ------------------------------------------------------------------
@@ -409,12 +477,12 @@ class SubgraphIndex:
         (no bounding paths exist); otherwise Theorem 1's bound, as of the
         last build, restore or :meth:`reprice`.
         """
-        pair = self._pair_numbers.get(self._pair_key(source, target))
+        pair = self._tables.pair_numbers.get(self._pair_key(source, target))
         return None if pair is None else self.pair_bounds[pair]
 
     def lower_bound_distances(self) -> Dict[Pair, float]:
         """Lower bound distances for every indexed boundary pair."""
-        pairs = zip(self._pair_keys, self.pair_bounds)
+        pairs = zip(self._tables.pair_keys, self.pair_bounds)
         return {key: bound for key, bound in pairs if bound is not None}
 
     def lower_bounds_from_vertex(self, vertex: int, view=None) -> Dict[int, float]:

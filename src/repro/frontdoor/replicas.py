@@ -169,7 +169,9 @@ def build_replicas(
     """Build ``num_replicas`` independent serving stacks from one seed graph.
 
     Every replica gets its own pickled copy of ``graph`` (and, for the
-    ``kspdg`` engine, of the DTLP index built once over the seed graph), an
+    ``kspdg`` engine, of the weight state of the DTLP index built once over
+    the seed graph; the index's fixed layout is one object every replica of
+    the process shares, see :class:`~repro.core.layout.IndexLayout`), an
     engine on the requested kernel/executor, and a private
     :class:`KSPService`.  The caller — normally the front door server —
     owns the returned replicas and must close them.

@@ -37,48 +37,89 @@ exact partition of a reference graph as a regression test.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import PartitionError, VertexNotFoundError
 from .graph import DynamicGraph, edge_key
-from .subgraph import Subgraph
+from .subgraph import Subgraph, SubgraphTopology
 
-__all__ = ["GraphPartition", "partition_graph", "assemble_partition"]
+__all__ = ["GraphPartition", "PartitionLayout", "partition_graph", "assemble_partition"]
+
+
+class PartitionLayout(NamedTuple):
+    """What a partition is, fixed once it is made: each subgraph's
+    :class:`~repro.graph.subgraph.SubgraphTopology` (by subgraph id), vertex
+    -> ids of the subgraphs containing it, canonical edge key -> owning
+    subgraph id, and the boundary vertices.
+
+    Never written; copies of a built DTLP in one process share it (see
+    :class:`~repro.core.layout.IndexLayout`).
+    """
+
+    topologies: Tuple[SubgraphTopology, ...]
+    vertex_subgraphs: Dict[int, Tuple[int, ...]]
+    edge_owner: Dict[Tuple[int, int], int]
+    boundary: FrozenSet[int]
+
+    @classmethod
+    def of(cls, subgraphs: Sequence[Subgraph]) -> "PartitionLayout":
+        """The layout of ``subgraphs`` (ids ``0..n-1`` in order); records
+        each one's boundary vertices on it."""
+        if [s.subgraph_id for s in subgraphs] != list(range(len(subgraphs))):
+            raise PartitionError("subgraph ids must be 0..n-1 in order")
+        vertex_subgraphs: Dict[int, List[int]] = {}
+        edge_owner: Dict[Tuple[int, int], int] = {}
+        for subgraph in subgraphs:
+            for vertex in subgraph.vertices:
+                vertex_subgraphs.setdefault(vertex, []).append(subgraph.subgraph_id)
+            for key in subgraph.edge_set:
+                if key in edge_owner:
+                    raise PartitionError(
+                        f"edge {key} assigned to more than one subgraph"
+                    )
+                edge_owner[key] = subgraph.subgraph_id
+        boundary = {
+            vertex for vertex, owners in vertex_subgraphs.items() if len(owners) > 1
+        }
+        for subgraph in subgraphs:
+            subgraph.set_boundary_vertices(subgraph.vertices & boundary)
+        # Frozen from the set, not from an iterable: set iteration order
+        # reaches tie-breaking downstream, and the pinned results assume
+        # the order of a frozenset copied from a set built this way.
+        return cls(
+            tuple(subgraph.topology for subgraph in subgraphs),
+            {vertex: tuple(owners) for vertex, owners in vertex_subgraphs.items()},
+            edge_owner,
+            frozenset(boundary),
+        )
 
 
 class GraphPartition:
     """The result of partitioning a dynamic graph into subgraphs.
 
     Instances are created by :func:`partition_graph`; they can also be built
-    directly from explicit vertex/edge assignments (useful in tests).
+    directly from explicit vertex/edge assignments (useful in tests).  A
+    partition is a view: its graph, a :class:`PartitionLayout` and one
+    :class:`~repro.graph.subgraph.Subgraph` view per topology.
     """
 
     def __init__(self, graph: DynamicGraph, subgraphs: Sequence[Subgraph]) -> None:
         self._graph = graph
         self._subgraphs: List[Subgraph] = list(subgraphs)
-        self._vertex_to_subgraphs: Dict[int, List[int]] = {}
-        self._edge_to_subgraph: Dict[Tuple[int, int], int] = {}
-        for subgraph in self._subgraphs:
-            for vertex in subgraph.vertices:
-                self._vertex_to_subgraphs.setdefault(vertex, []).append(
-                    subgraph.subgraph_id
-                )
-            for key in subgraph.edge_set:
-                if key in self._edge_to_subgraph:
-                    raise PartitionError(
-                        f"edge {key} assigned to more than one subgraph"
-                    )
-                self._edge_to_subgraph[key] = subgraph.subgraph_id
-        self._boundary: Set[int] = {
-            vertex
-            for vertex, owners in self._vertex_to_subgraphs.items()
-            if len(owners) > 1
-        }
-        for subgraph in self._subgraphs:
-            subgraph.set_boundary_vertices(
-                subgraph.vertices & self._boundary
-            )
+        self._layout = PartitionLayout.of(self._subgraphs)
         self._validate_cover()
+
+    @classmethod
+    def view(cls, graph: DynamicGraph, layout: PartitionLayout) -> "GraphPartition":
+        """A partition of ``graph`` over an existing layout (not copied)."""
+        partition = cls.__new__(cls)
+        partition._graph = graph
+        partition._layout = layout
+        partition._subgraphs = [
+            Subgraph.view(subgraph_id, graph, topology)
+            for subgraph_id, topology in enumerate(layout.topologies)
+        ]
+        return partition
 
     # ------------------------------------------------------------------
     # validation
@@ -86,7 +127,7 @@ class GraphPartition:
     def _validate_cover(self) -> None:
         """Check the partition covers every vertex and edge of the graph."""
         graph_vertices = set(self._graph.vertices())
-        covered_vertices = set(self._vertex_to_subgraphs)
+        covered_vertices = set(self._layout.vertex_subgraphs)
         if covered_vertices != graph_vertices:
             missing = graph_vertices - covered_vertices
             extra = covered_vertices - graph_vertices
@@ -98,7 +139,7 @@ class GraphPartition:
             (u, v) if self._graph.directed else edge_key(u, v)
             for u, v, _ in self._graph.edges()
         }
-        covered_edges = set(self._edge_to_subgraph)
+        covered_edges = set(self._layout.edge_owner)
         if covered_edges != graph_edges:
             missing_edges = graph_edges - covered_edges
             extra_edges = covered_edges - graph_edges
@@ -116,6 +157,11 @@ class GraphPartition:
         return self._graph
 
     @property
+    def layout(self) -> PartitionLayout:
+        """The partition's fixed structure."""
+        return self._layout
+
+    @property
     def subgraphs(self) -> Sequence[Subgraph]:
         """All subgraphs in id order."""
         return tuple(self._subgraphs)
@@ -128,7 +174,7 @@ class GraphPartition:
     @property
     def boundary_vertices(self) -> FrozenSet[int]:
         """Vertices shared by two or more subgraphs (Definition 5)."""
-        return frozenset(self._boundary)
+        return self._layout.boundary
 
     def subgraph(self, subgraph_id: int) -> Subgraph:
         """Return the subgraph with the given id."""
@@ -140,7 +186,7 @@ class GraphPartition:
     def subgraphs_of_vertex(self, vertex: int) -> Tuple[int, ...]:
         """Ids of the subgraphs containing ``vertex``."""
         try:
-            return tuple(self._vertex_to_subgraphs[vertex])
+            return self._layout.vertex_subgraphs[vertex]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
 
@@ -159,13 +205,13 @@ class GraphPartition:
         """Id of the unique subgraph owning the edge ``(u, v)``."""
         key = (u, v) if self._graph.directed else edge_key(u, v)
         try:
-            return self._edge_to_subgraph[key]
+            return self._layout.edge_owner[key]
         except KeyError:
             raise PartitionError(f"edge ({u}, {v}) not covered by the partition") from None
 
     def is_boundary(self, vertex: int) -> bool:
         """Return ``True`` when ``vertex`` is a boundary vertex."""
-        return vertex in self._boundary
+        return vertex in self._layout.boundary
 
     def subgraphs_with_min_boundary(self, minimum: int) -> int:
         """Count subgraphs having more than ``minimum`` boundary vertices.
@@ -189,7 +235,7 @@ class GraphPartition:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<GraphPartition n={self.num_subgraphs} "
-            f"boundary={len(self._boundary)}>"
+            f"boundary={len(self._layout.boundary)}>"
         )
 
 

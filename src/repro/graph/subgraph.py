@@ -9,6 +9,10 @@ subgraphs but never share edges.  Each subgraph knows:
 * the set of vertices and edges assigned to it,
 * which of its vertices are boundary vertices.
 
+Its vertices, edges, adjacency and boundary vertices form its
+:class:`SubgraphTopology`, which never changes once the partition is made;
+a :class:`Subgraph` is a view of one topology over one parent graph.
+
 :class:`SortedUnitWeights` keeps the unit weights of a subgraph's edges
 sorted, so bound distances (sums of the smallest unit weights, Section 3.4)
 are prefix sums.
@@ -21,16 +25,70 @@ subgraphs.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import EdgeNotFoundError, VertexNotFoundError
 from .graph import DynamicGraph, edge_key
 
-__all__ = ["Subgraph"]
+__all__ = ["Subgraph", "SubgraphTopology"]
+
+
+class SubgraphTopology(NamedTuple):
+    """What a subgraph is, fixed at partition time: its vertices, canonical
+    edge keys, adjacency (vertex -> neighbours, in the order the edges were
+    given) and boundary vertices.
+
+    Never written; :meth:`Subgraph.set_boundary_vertices` swaps in a new
+    one.  Copies of a built DTLP in one process share it (see
+    :class:`~repro.core.layout.IndexLayout`).
+    """
+
+    vertices: FrozenSet[int]
+    edges: FrozenSet[Tuple[int, int]]
+    adjacency: Dict[int, Tuple[int, ...]]
+    boundary: FrozenSet[int] = frozenset()
+
+    @classmethod
+    def of(
+        cls, directed: bool, vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
+    ) -> "SubgraphTopology":
+        """The topology of ``edges`` over ``vertices``, without boundary."""
+        vertex_set: Set[int] = set(vertices)
+        edge_set: Set[Tuple[int, int]] = set()
+        adjacency: Dict[int, List[int]] = {v: [] for v in vertex_set}
+        for u, v in edges:
+            if u not in vertex_set or v not in vertex_set:
+                raise VertexNotFoundError(u if u not in vertex_set else v)
+            key = (u, v) if directed else edge_key(u, v)
+            if key in edge_set:
+                continue
+            edge_set.add(key)
+            adjacency[key[0]].append(key[1])
+            if not directed:
+                adjacency[key[1]].append(key[0])
+        # Frozen from the sets, not from the iterables: set iteration order
+        # reaches tie-breaking downstream, and the pinned results assume
+        # the order of a frozenset copied from a set built this way.
+        return cls(
+            frozenset(vertex_set),
+            frozenset(edge_set),
+            {v: tuple(neighbors) for v, neighbors in adjacency.items()},
+        )
+
+    def with_boundary(self, boundary: Iterable[int]) -> "SubgraphTopology":
+        """The same topology with ``boundary`` as its boundary vertices."""
+        boundary_set = set(boundary)
+        unknown = boundary_set - self.vertices
+        if unknown:
+            raise VertexNotFoundError(next(iter(unknown)))
+        return self._replace(boundary=frozenset(boundary_set))
 
 
 class Subgraph:
     """A vertex- and edge-subset of a parent dynamic graph.
+
+    A thin view: its id, the parent it reads weights from, and a
+    :class:`SubgraphTopology`.
 
     Parameters
     ----------
@@ -55,23 +113,18 @@ class Subgraph:
     ) -> None:
         self.subgraph_id = subgraph_id
         self._parent = parent
-        self._vertices: Set[int] = set(vertices)
-        self._edges: Set[Tuple[int, int]] = set()
-        self._adjacency: Dict[int, List[int]] = {v: [] for v in self._vertices}
-        for u, v in edges:
-            if u not in self._vertices or v not in self._vertices:
-                raise VertexNotFoundError(u if u not in self._vertices else v)
-            key = (u, v) if parent.directed else edge_key(u, v)
-            if key in self._edges:
-                continue
-            self._edges.add(key)
-            self._adjacency[key[0]].append(key[1])
-            if not parent.directed:
-                self._adjacency[key[1]].append(key[0])
-            else:
-                # directed arcs keep their orientation only
-                pass
-        self._boundary: Set[int] = set()
+        self._topology = SubgraphTopology.of(parent.directed, vertices, edges)
+
+    @classmethod
+    def view(
+        cls, subgraph_id: int, parent: DynamicGraph, topology: SubgraphTopology
+    ) -> "Subgraph":
+        """A subgraph of ``parent`` over an existing topology (not copied)."""
+        subgraph = cls.__new__(cls)
+        subgraph.subgraph_id = subgraph_id
+        subgraph._parent = parent
+        subgraph._topology = topology
+        return subgraph
 
     # ------------------------------------------------------------------
     # structure
@@ -82,6 +135,11 @@ class Subgraph:
         return self._parent
 
     @property
+    def topology(self) -> SubgraphTopology:
+        """The subgraph's vertices, edges, adjacency and boundary."""
+        return self._topology
+
+    @property
     def directed(self) -> bool:
         """Whether the parent (and therefore this subgraph) is directed."""
         return self._parent.directed
@@ -89,22 +147,22 @@ class Subgraph:
     @property
     def vertices(self) -> FrozenSet[int]:
         """The vertices assigned to this subgraph."""
-        return frozenset(self._vertices)
+        return self._topology.vertices
 
     @property
     def edge_set(self) -> FrozenSet[Tuple[int, int]]:
         """The canonical edge keys assigned to this subgraph."""
-        return frozenset(self._edges)
+        return self._topology.edges
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices in the subgraph."""
-        return len(self._vertices)
+        return len(self._topology.vertices)
 
     @property
     def num_edges(self) -> int:
         """Number of edges in the subgraph."""
-        return len(self._edges)
+        return len(self._topology.edges)
 
     @property
     def boundary_vertices(self) -> FrozenSet[int]:
@@ -114,32 +172,31 @@ class Subgraph:
         after all subgraphs have been created (a single subgraph cannot know
         on its own which of its vertices are shared).
         """
-        return frozenset(self._boundary)
+        return self._topology.boundary
 
     def set_boundary_vertices(self, boundary: Iterable[int]) -> None:
         """Record which vertices of this subgraph are boundary vertices."""
-        boundary_set = set(boundary)
-        unknown = boundary_set - self._vertices
-        if unknown:
-            raise VertexNotFoundError(next(iter(unknown)))
-        self._boundary = boundary_set
+        self._topology = self._topology.with_boundary(boundary)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` when the edge ``(u, v)`` belongs to this subgraph."""
         key = (u, v) if self.directed else edge_key(u, v)
-        return key in self._edges
+        return key in self._topology.edges
 
     def neighbors(self, vertex: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(neighbour, current_weight)`` for edges inside the subgraph."""
-        if vertex not in self._adjacency:
+        adjacency = self._topology.adjacency
+        if vertex not in adjacency:
             raise VertexNotFoundError(vertex)
-        for other in self._adjacency[vertex]:
-            yield other, self._parent.weight(vertex, other)
+        weight = self._parent.weight
+        for other in adjacency[vertex]:
+            yield other, weight(vertex, other)
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate over edges as ``(u, v, current_weight)``."""
-        for u, v in self._edges:
-            yield u, v, self._parent.weight(u, v)
+        weight = self._parent.weight
+        for u, v in self._topology.edges:
+            yield u, v, weight(u, v)
 
     def weight(self, u: int, v: int) -> float:
         """Current weight of an edge of this subgraph."""
@@ -154,12 +211,12 @@ class Subgraph:
         return self._parent.vfrag_count(u, v)
 
     def __contains__(self, vertex: object) -> bool:
-        return vertex in self._vertices
+        return vertex in self._topology.vertices
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Subgraph id={self.subgraph_id} |V|={self.num_vertices} "
-            f"|E|={self.num_edges} |B|={len(self._boundary)}>"
+            f"|E|={self.num_edges} |B|={len(self.boundary_vertices)}>"
         )
 
 
@@ -184,6 +241,22 @@ class SortedUnitWeights:
         self.depth = total if depth is None else min(depth, total)
         self.prefix: List[float] = []
         self.refresh()
+
+    @classmethod
+    def over(
+        cls,
+        edge_ids: Dict[Tuple[int, int], int],
+        vfrags: List[int],
+        depth: int,
+        weights: List[float],
+        prefix: List[float],
+    ) -> "SortedUnitWeights":
+        """Unit weights over another's edge numbering and vfrag counts (not
+        copied), with their own ``weights`` and matching ``prefix``."""
+        units = cls.__new__(cls)
+        units.edge_ids, units.vfrags, units.depth = edge_ids, vfrags, depth
+        units.weights, units.prefix = weights, prefix
+        return units
 
     def refresh(self) -> None:
         """Re-derive :attr:`prefix` from :attr:`weights`."""

@@ -205,6 +205,13 @@ class TestPartitionValidation:
         with pytest.raises(PartitionError):
             GraphPartition(graph, [first, duplicate])
 
+    def test_ids_out_of_position_rejected(self):
+        graph = make_chain(3)
+        first = Subgraph(1, graph, {0, 1}, {(0, 1)})
+        second = Subgraph(0, graph, {1, 2}, {(1, 2)})
+        with pytest.raises(PartitionError):
+            GraphPartition(graph, [first, second])
+
     def test_missing_edge_rejected(self):
         graph = make_chain(3)
         only_one_edge = Subgraph(0, graph, {0, 1, 2}, {(0, 1)})

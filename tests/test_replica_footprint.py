@@ -14,7 +14,9 @@ derives what they held, and these tests pin each derivation to an oracle:
   partition store must write the bytes it wrote when they were stored.
 
 Plus the slotted :class:`Path`, the memo that forgets dead epochs, and a
-hardware-free memory gate (``tracemalloc``) on what a replica retains.
+hardware-free memory gate (``tracemalloc``) on what a replica retains; the
+layout a replica shares with its in-process siblings is pinned in
+``tests/test_index_layout.py``.
 """
 
 from __future__ import annotations
@@ -410,8 +412,11 @@ class TestMemoryGate:
 
     * per cached miss through a ``KSPService``: 3,476 B (4,519).  With the
       result cache's edge -> keys index it was 7,463 B;
-    * one pickled ``(graph, DTLP)`` copy: 1,400,779 B (1,821,013), was
-      1,497,679 B;
+    * one pickled ``(graph, DTLP)`` copy: 1,345,609 B (1,821,013), was
+      1,497,679 B, then 1,400,779 B before the copy's partition and index
+      tables moved into the layout.  A lone copy builds its own layout;
+    * a second copy while the first lives, so the two share one layout:
+      542,468 B (705,208);
     * per bounding path of one ``SubgraphIndex`` over a 10 x 10 grid with
       its 41 degree < 4 vertices as boundary: 309 B (402).  With the stored
       vertex tuples it was 425 B.
@@ -440,6 +445,13 @@ class TestMemoryGate:
         blob = pickle.dumps(_gate_network())
         retained, _ = _traced(lambda: pickle.loads(blob))
         assert retained <= 1_821_013
+
+    def test_bytes_of_a_second_in_process_copy(self):
+        blob = pickle.dumps(_gate_network())
+        _, first = pickle.loads(blob)
+        retained, (_, second) = _traced(lambda: pickle.loads(blob))
+        assert second.layout is first.layout
+        assert retained <= 705_208
 
     def test_bytes_per_bounding_path(self):
         graph = road_network(10, 10, seed=7)
