@@ -20,6 +20,7 @@ memo warmth cannot leak between the timed sides.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from heapq import heappop, heappush
@@ -68,8 +69,11 @@ def _lean_dijkstra(rows, num_vertices: int, source: int, target: int):
 
 
 def _best_of(callable_, repeats: int) -> float:
+    # Each sample lasts a few ms: collect first, so a full collection of
+    # the session's heap cannot land inside one and read as hook cost.
     best = float("inf")
     for _ in range(repeats):
+        gc.collect()
         started = time.perf_counter()
         callable_()
         best = min(best, time.perf_counter() - started)
@@ -118,6 +122,7 @@ def test_obs_overhead(scale) -> None:
         # warm one side against the other.
         tracer = TraceSession() if observed else None
         with StormTopology(dtlp, pruning=False, tracer=tracer) as topology:
+            gc.collect()
             started = time.perf_counter()
             topology.run_queries(queries)
             elapsed = time.perf_counter() - started

@@ -6,12 +6,13 @@ users keep asking for routes.  This example wires the full serving stack of
 
 * a scaled "NY" road network is generated and indexed with DTLP,
 * a :class:`~repro.service.server.KSPService` serves KSP queries through a
-  coalescing admission queue and an update-scoped result cache,
+  coalescing admission queue and a result cache,
 * epochs interleave a traffic snapshot (maintenance: graph + DTLP + cache
-  invalidation through one listener fan-out) with a wave of route requests
-  in which popular origin/destination pairs repeat,
+  through one listener fan-out; each round empties the cache, because a
+  weight drop anywhere can open a shorter path than a cached one) with a
+  wave of route requests in which popular origin/destination pairs repeat,
 * every served path is re-priced against the current weights to show that
-  scoped invalidation never serves a stale distance,
+  no stale distance is ever served,
 * the final :class:`~repro.service.server.ServiceReport` prints latency
   percentiles, cache hit rate, queue pressure and shed counts.
 

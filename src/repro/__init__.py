@@ -26,7 +26,7 @@ queries over dynamic road networks:
 * :mod:`repro.workloads` — query generation and batch runners.
 * :mod:`repro.service` — the online serving layer: a long-lived
   :class:`~repro.service.server.KSPService` with a result cache
-  (update-scoped invalidation), a coalescing bounded admission queue with
+  (emptied by every weight round), a coalescing bounded admission queue with
   micro-batching and load shedding, a maintenance loop interleaving traffic
   snapshots with query batches, latency/hit-rate telemetry, and a trace
   replay driver (``repro replay`` / ``repro serve``).

@@ -207,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--no-cache", action="store_true",
                          help="disable the result cache (every query computes)")
         sub.add_argument("--cache-capacity", type=int, default=4096)
-        sub.add_argument("--invalidation", choices=["scoped", "full"], default="scoped",
-                         help="cache invalidation mode on weight updates")
         sub.add_argument("--queue-capacity", type=int, default=256,
                          help="admission queue bound before load shedding")
         sub.add_argument("--batch-size", type=int, default=16,
@@ -543,7 +541,6 @@ def _build_service(args: argparse.Namespace, graph: DynamicGraph) -> KSPService:
         traffic=traffic,
         enable_cache=not args.no_cache,
         cache_capacity=args.cache_capacity,
-        invalidation_mode=args.invalidation,
         queue_capacity=args.queue_capacity,
         max_batch_size=args.batch_size,
         tracer=TraceSession() if args.trace else None,

@@ -5,8 +5,9 @@ Turns the offline engines of :mod:`repro.workloads` and
 road-network weight updates genuinely interleave, the way the paper's system
 is meant to run in production:
 
-* :class:`ResultCache` — ``(source, target, k)``-keyed result cache with
-  update-scoped invalidation driven by the graph's version counter;
+* :class:`ResultCache` — ``(source, target, k)``-keyed result cache that
+  every applied weight round empties, so a hit was computed at the
+  current weights;
 * :class:`RequestPipeline` — bounded admission queue with dedup of identical
   in-flight queries, micro-batching and typed load shedding
   (:class:`ServiceOverloadedError`);

@@ -1,68 +1,34 @@
-"""Result cache with update-scoped invalidation.
+"""Result cache, emptied by every weight round.
 
-The cache stores KSP results keyed by ``(source, target, k)``.  Invalidation
-is driven by the stream of :class:`~repro.graph.graph.WeightUpdate` batches:
+The cache stores KSP results keyed by ``(source, target, k)``.  A cached
+answer is correct only while it is still the top k at the current weights,
+and any applied weight round can end that: a rise on a cached path changes
+its distance, and a *drop* anywhere else can open a shorter path the entry
+does not hold.  So the rule is the simplest exact one: every applied round
+that finds the cache non-empty empties it (:meth:`ResultCache.invalidate`).
 
-* **scoped** (default): only entries whose cached paths traverse an updated
-  edge are evicted.  Entries that survive are *distance-exact* — every
-  returned path's distance still equals the sum of current edge weights —
-  because no edge on any of their paths has changed.  The top-k *set* may
-  become slightly conservative when a weight decrease elsewhere opens a new
-  shorter alternative; latency-critical serving accepts this (the paths
-  served are real paths with true current distances), and the
-  ``full_eviction_threshold`` bounds how long entries can linger under heavy
-  churn.
-* **full**: every update batch flushes the whole cache, trading hit rate for
-  strict top-k freshness.
-
-Scoped invalidation scans the cached paths; nothing is stored per edge.
-The round's changed edges give a set of endpoint vertices; a C-speed
-``isdisjoint`` of each path's vertex tuple against that set passes over
-almost every path, and only the paths that meet an endpoint are checked
-edge by edge.  The inverted index from edge to cache keys this replaced
-kept 3.3 KB per cached k=3 answer on a 2,304-vertex road network (the
-entry itself takes 0.2 KB besides its paths) and cost ~86 µs per ``put``
-(now ~5 µs).  Invalidation of 2,000 such answers, median of 7 random
-rounds, on a 2-core Xeon (the eviction sets are identical):
-
-==============  =======  =======  =======  =======
-edges / round         1       10      100      400
-==============  =======  =======  =======  =======
-inverted index  0.8 ms   12.2 ms   103 ms   165 ms
-scan            5.0 ms    5.4 ms  11.7 ms   6.6 ms
-==============  =======  =======  =======  =======
-
-The scan loses only on rounds of a few edges.  When one batch updates more
-than ``full_eviction_threshold`` distinct edges the cache flushes wholesale
-instead (a snapshot changing 35% of all edges — the paper's default
-traffic model — touches nearly every entry anyway).
+Keeping the entries whose paths avoid the changed edges ("scoped"
+invalidation, the rule this replaced) served answers that were no longer
+the top k.  On a 10 x 10 road network with ``TrafficModel(alpha=0.05,
+tau=0.3)``, 500 queries at k = 2 and 50 rounds, it served 51, 62 and 56
+hits at seeds 5, 6 and 7, of which 1, 2 and 1 were not whole-graph Yen's
+top k; flushing serves 2, 3 and 2 hits there, every one exact.  Under
+heavy traffic the old rule flushed anyway: a round of the ``dynamic-traffic``
+benchmark workload changes about 1,450 edges, past its 512-edge threshold.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Tuple
 
-from ..graph.graph import WeightUpdate, edge_key
+from ..graph.graph import WeightUpdate
 from ..graph.paths import Path
 from ..obs.metrics import MetricsRegistry
 
 __all__ = ["CacheEntry", "ResultCache"]
 
 QueryKey = Tuple[int, int, int]
-EdgeKey = Tuple[int, int]
-
-
-def _crosses(paths: Sequence[Path], arcs: Set[EdgeKey], endpoints: Set[int]) -> bool:
-    """Whether a path traverses one of ``arcs``; ``endpoints`` holds their
-    vertices, so a path that meets none of them is passed over at C speed."""
-    for path in paths:
-        vertices = path.vertices
-        if not endpoints.isdisjoint(vertices) and not arcs.isdisjoint(
-            zip(vertices, vertices[1:])
-        ):
-            return True
-    return False
 
 
 class CacheEntry:
@@ -75,42 +41,22 @@ class CacheEntry:
 
 
 class ResultCache:
-    """LRU cache of KSP results with scoped invalidation.
+    """LRU cache of KSP results, emptied by every weight round.
 
     Parameters
     ----------
     capacity:
         Maximum number of entries; the least recently used entry is evicted
         first.
-    directed:
-        Whether edge keys are directional.  Must match the graph the results
-        were computed on, otherwise scoped invalidation would miss updates
-        arriving with the opposite vertex order.
-    mode:
-        ``"scoped"`` or ``"full"`` — see the module docstring.
-    full_eviction_threshold:
-        In scoped mode, an update batch touching more than this many
-        distinct edges flushes the whole cache instead of scanning it.
 
     Lookups, evictions, invalidated entries and full flushes are counted
     in ``metrics``, the cache's own registry, as they happen.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        directed: bool = False,
-        mode: str = "scoped",
-        full_eviction_threshold: int = 512,
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
-        if mode not in ("scoped", "full"):
-            raise ValueError(f"mode must be 'scoped' or 'full', got {mode!r}")
         self._capacity = capacity
-        self._directed = directed
-        self._mode = mode
-        self._full_eviction_threshold = full_eviction_threshold
         self._entries: "OrderedDict[QueryKey, CacheEntry]" = OrderedDict()
         self.metrics = MetricsRegistry()
         self.hits = self.metrics.counter("service_cache_hits_total")
@@ -118,9 +64,6 @@ class ResultCache:
         self.evictions = self.metrics.counter("service_cache_evictions_total")
         self.invalidations = self.metrics.counter("service_cache_invalidations_total")
         self.full_flushes = self.metrics.counter("service_cache_full_flushes_total")
-
-    def _edge_key(self, u: int, v: int) -> EdgeKey:
-        return (u, v) if self._directed else edge_key(u, v)
 
     # ------------------------------------------------------------------
     # lookups and insertion
@@ -155,28 +98,16 @@ class ResultCache:
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self, updates: Sequence[WeightUpdate]) -> int:
-        """Evict entries affected by ``updates``; returns the eviction count.
+        """Empty the cache for one applied round; returns the eviction count.
 
         Registered by :class:`~repro.service.server.KSPService` as a graph
-        listener, so any weight change applied through the graph — the
-        maintenance loop or an out-of-band update — keeps the cache honest.
+        listener, so after any weight change applied through the graph — the
+        maintenance loop or an out-of-band update — no answer computed at
+        older weights is served.
         """
         if not updates or not self._entries:
             return 0
-        changed = {self._edge_key(update.u, update.v) for update in updates}
-        if self._mode == "full" or len(changed) > self._full_eviction_threshold:
-            return self.flush()
-        endpoints = {vertex for edge in changed for vertex in edge}
-        if not self._directed:
-            changed.update([(v, u) for u, v in changed])
-        stale_keys: List[QueryKey] = [
-            key for key, entry in self._entries.items()
-            if _crosses(entry.paths, changed, endpoints)
-        ]
-        for key in stale_keys:
-            del self._entries[key]
-        self.invalidations.inc(len(stale_keys))
-        return len(stale_keys)
+        return self.flush()
 
     def flush(self) -> int:
         """Drop every entry; returns the number of entries dropped."""

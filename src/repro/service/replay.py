@@ -171,8 +171,11 @@ def replay(
 
     With ``validate=True`` every served path is re-priced against the
     graph's current weights immediately on serve; any mismatch beyond
-    floating-point tolerance counts as *stale*.  With scoped cache
-    invalidation this count must be zero — the test suite asserts it.
+    floating-point tolerance counts as *stale*, and the test suite asserts
+    the count is zero.  Re-pricing checks each path's distance only: it
+    cannot see an answer whose paths are priced right but are no longer
+    the top k, which only a comparison with a fresh whole-graph
+    computation shows.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be non-negative")

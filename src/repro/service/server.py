@@ -8,9 +8,9 @@ which query traffic and road-network dynamics genuinely interleave:
   :class:`~repro.service.pipeline.RequestPipeline` and answered in
   micro-batches;
 * answers are cached in a :class:`~repro.service.cache.ResultCache` that
-  the service builds and owns; its invalidation is wired to the graph's
-  update stream, which every weight change passes through, so a cached
-  path is never served after one of its edges changed weight;
+  the service builds and owns; it listens to the graph's update stream,
+  which every weight change passes through, and every applied round
+  empties it, so a hit was computed at the current weights;
 * a maintenance step applies :class:`~repro.dynamics.traffic.TrafficModel`
   snapshots to the graph between batches — the DTLP index (when attached)
   and the cache are refreshed through the same listener mechanism the
@@ -21,8 +21,9 @@ which query traffic and road-network dynamics genuinely interleave:
 
 Consistency model: updates are applied only *between* micro-batches, so all
 queries of a batch observe one graph snapshot (the paper's ``G_curr``), and
-cache entries surviving scoped invalidation are distance-exact (see
-:mod:`repro.service.cache`).
+every applied round empties the result cache, so a hit was computed at the
+weights it is served at (see :mod:`repro.service.cache` for why a round
+empties the whole cache).
 
 Engines may answer on the array-backed kernel (``kernel="snapshot"``, the
 default) or the dict reference path; the report records which one ran (see
@@ -152,7 +153,7 @@ class KSPService:
     graph:
         The live dynamic graph.  The service registers a listener on it so
         *any* applied weight update (its own maintenance loop or an external
-        writer) invalidates affected cache entries.
+        writer) empties the result cache.
     engine:
         Any :class:`~repro.workloads.runner.QueryEngine`.  The engine must
         answer against the live graph/index objects so that maintenance is
@@ -169,9 +170,10 @@ class KSPService:
         Optional traffic model driving :meth:`maintenance_step` when no
         explicit update batch is passed.  Defaults to the paper's
         ``alpha=35%%, tau=30%%`` model.
-    enable_cache / cache_capacity / invalidation_mode:
+    enable_cache / cache_capacity:
         The service builds its own :class:`ResultCache` from these; pass
         ``enable_cache=False`` to serve uncached (every query computes).
+        Every applied weight round empties the cache.
     queue_capacity / max_batch_size:
         Admission-queue bound and micro-batch size (see
         :class:`RequestPipeline`).
@@ -194,7 +196,6 @@ class KSPService:
         traffic: Optional[TrafficModel] = None,
         enable_cache: bool = True,
         cache_capacity: int = 4096,
-        invalidation_mode: str = "scoped",
         queue_capacity: int = 256,
         max_batch_size: int = 16,
         tracer: Optional[TraceSession] = None,
@@ -214,13 +215,7 @@ class KSPService:
             dtlp.attach()
         self._traffic = traffic
         self._cache: Optional[ResultCache] = (
-            ResultCache(
-                capacity=cache_capacity,
-                directed=graph.directed,
-                mode=invalidation_mode,
-            )
-            if enable_cache
-            else None
+            ResultCache(capacity=cache_capacity) if enable_cache else None
         )
         self._pipeline = RequestPipeline(
             capacity=queue_capacity, max_batch_size=max_batch_size

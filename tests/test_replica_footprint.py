@@ -1,12 +1,9 @@
 """What a replica keeps: derived structures agree with what they replaced.
 
 A serving replica holds its ``(graph, DTLP)`` copy, its result cache and its
-partial-KSP memo.  Three stored structures were replaced by code that
-derives what they held, and these tests pin each derivation to an oracle:
+partial-KSP memo.  Stored structures were replaced by code that derives
+what they held, and these tests pin each derivation to an oracle:
 
-* scoped cache invalidation scans the cached paths instead of keeping an
-  edge -> keys index: it must evict exactly what a brute-force scan evicts,
-  in the same LRU order with the same counters;
 * ``CSRSnapshot`` finds an arc in its row instead of keeping a per-arc
   dict: every lookup must equal a dict of the graph's arcs;
 * ``SubgraphIndex`` rebuilds a bounding path's vertices from its first
@@ -28,146 +25,20 @@ import hashlib
 import pickle
 import random
 import tracemalloc
-from collections import OrderedDict
 from pathlib import Path as FilePath
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.core.subgraph_index import SubgraphIndex
 from repro.distributed import KSPDGEngine
 from repro.graph import WeightUpdate, clustered_road_network, random_graph, road_network
 from repro.graph.subgraph import Subgraph
-from repro.graph.graph import edge_key
 from repro.graph.paths import Path
 from repro.kernel import CSRSnapshot
-from repro.service import KSPService, ResultCache
+from repro.service import KSPService
 from repro.store import PartitionStore
 from repro.workloads import QueryGenerator
-
-BUDGET = dict(
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-
-# ----------------------------------------------------------------------
-# scoped invalidation == a brute-force scan
-# ----------------------------------------------------------------------
-class OracleCache:
-    """The cache's contract written as plainly as possible."""
-
-    def __init__(self, capacity, directed, threshold):
-        self.capacity = capacity
-        self.directed = directed
-        self.threshold = threshold
-        self.entries = OrderedDict()
-        self.stats = dict(hits=0, misses=0, evictions=0, invalidations=0, full_flushes=0)
-
-    def get(self, key):
-        if key not in self.entries:
-            self.stats["misses"] += 1
-            return None
-        self.entries.move_to_end(key)
-        self.stats["hits"] += 1
-        return self.entries[key]
-
-    def put(self, key, paths):
-        self.entries.pop(key, None)
-        self.entries[key] = paths
-        while len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-            self.stats["evictions"] += 1
-
-    def _on(self, a, b, u, v):
-        return (a, b) == (u, v) or (not self.directed and (b, a) == (u, v))
-
-    def invalidate(self, updates):
-        if not updates or not self.entries:
-            return 0
-        distinct = {(u, v) if self.directed else edge_key(u, v) for u, v in updates}
-        if len(distinct) > self.threshold:
-            dropped = len(self.entries)
-            self.entries.clear()
-            self.stats["invalidations"] += dropped
-            self.stats["full_flushes"] += 1
-            return dropped
-        stale = [
-            key for key, paths in self.entries.items()
-            if any(self._on(a, b, u, v)
-                   for path in paths
-                   for a, b in zip(path.vertices, path.vertices[1:])
-                   for u, v in updates)
-        ]
-        for key in stale:
-            del self.entries[key]
-        self.stats["invalidations"] += len(stale)
-        return len(stale)
-
-
-VERTICES = 7
-
-
-@st.composite
-def simple_paths(draw):
-    vertices = draw(st.permutations(range(VERTICES)))
-    length = draw(st.integers(min_value=2, max_value=5))
-    return Path(float(length - 1), tuple(vertices[:length]))
-
-
-def _operations():
-    key = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3))
-    arc = st.tuples(st.integers(0, VERTICES - 1), st.integers(0, VERTICES - 1)).filter(
-        lambda edge: edge[0] != edge[1]
-    )
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("put"), key, st.lists(simple_paths(), min_size=1, max_size=3)),
-            st.tuples(st.just("get"), key),
-            # Repeats and both orientations of an edge within one round.
-            st.tuples(st.just("invalidate"), st.lists(arc, max_size=6)),
-        ),
-        max_size=40,
-    )
-
-
-@settings(max_examples=150, **BUDGET)
-@given(
-    directed=st.booleans(),
-    capacity=st.integers(1, 6),
-    threshold=st.integers(1, 5),
-    operations=_operations(),
-)
-def test_scoped_invalidation_evicts_what_a_brute_force_scan_evicts(
-    directed, capacity, threshold, operations
-):
-    cache = ResultCache(capacity=capacity, directed=directed, full_eviction_threshold=threshold)
-    oracle = OracleCache(capacity, directed, threshold)
-    keys = set()
-    for operation in operations:
-        if operation[0] == "put":
-            _, key, paths = operation
-            keys.add(key)
-            cache.put(key, paths)
-            oracle.put(key, paths)
-        elif operation[0] == "get":
-            entry = cache.get(operation[1])
-            expected = oracle.get(operation[1])
-            assert (entry is None) == (expected is None)
-            if entry is not None:
-                assert entry.paths == expected
-        else:
-            updates = [WeightUpdate(u, v, 1.0) for u, v in operation[1]]
-            assert cache.invalidate(updates) == oracle.invalidate(operation[1])
-        # Membership without touching LRU order; the order itself shows in
-        # which key a later over-capacity put evicts.
-        assert {key for key in keys if key in cache} == set(oracle.entries)
-        assert len(cache) == len(oracle.entries)
-        assert {name: getattr(cache, name).value for name in oracle.stats} == oracle.stats
 
 
 # ----------------------------------------------------------------------

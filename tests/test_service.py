@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.algorithms import yen_k_shortest_paths
 from repro.core import DTLP, DTLPConfig
 from repro.dynamics import TrafficModel
 from repro.graph import DynamicGraph, road_network
@@ -170,15 +171,18 @@ class TestInvalidationUnderUpdates:
         service, engine = make_service(diamond)
         service.submit(KSPQuery(query_id=0, source=0, target=3, k=1))
         service.drain()
-        # k=1 answer is 0-1-3; the 0-2 edge is on no cached path.
-        service.maintenance_step([_update(diamond, 0, 2, 2.5)])
+        # k=1 answer is 0-1-3; the 0-2 edge is on no cached path.  The
+        # round still evicts the entry: a change off every cached path (a
+        # drop elsewhere) can open a shorter path the entry does not hold,
+        # so the answer is computed afresh.
+        service.maintenance_step([_update(diamond, 0, 2, 1.5)])
+        assert len(service.cache) == 0
         service.submit(KSPQuery(query_id=1, source=0, target=3, k=1))
         [again] = service.drain()
-        assert engine.calls == 1
-        assert again.from_cache
-        assert diamond.path_distance(again.paths[0].vertices) == pytest.approx(
-            again.paths[0].distance
-        )
+        assert engine.calls == 2
+        assert not again.from_cache
+        assert again.paths[0].vertices == (0, 1, 3)
+        assert again.paths[0].distance == pytest.approx(2.0)
 
     def test_external_updates_also_invalidate(self, diamond):
         # Updates applied directly to the graph (not via maintenance_step)
@@ -378,6 +382,24 @@ class TestReplayAcceptance:
 
         assert outcome.num_served + outcome.num_shed == 500
         assert outcome.stale_served == 0
+        # Re-pricing cannot see a hit that is priced right but no longer
+        # the top k: compare every hit with Yen on a twin graph at the
+        # version it was served at.
+        twin = road_network(10, 10, seed=5)
+        twins = {twin.version: twin.snapshot()}
+        for event in trace:
+            if event.kind == "update":
+                twin.apply_updates(list(event.updates))
+                twins[twin.version] = twin.snapshot()
+        hits = [answer for answer in outcome.served if answer.from_cache]
+        for answer in hits:
+            query = answer.query
+            expected = yen_k_shortest_paths(
+                twins[answer.graph_version], query.source, query.target, query.k
+            )
+            assert [path.distance for path in answer.paths] == pytest.approx(
+                [path.distance for path in expected]
+            )
         assert report.hit_rate > 0
         assert report.cache_hits > 0
         assert report.maintenance_rounds == 50
