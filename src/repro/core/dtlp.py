@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -160,9 +161,9 @@ class DTLP:
         # consumer (KSP-DG refine, distributed bolts) and refreshed
         # incrementally instead of re-adapting the mutable graph per call:
         # the epoch fold leaves each cached snapshot's changed edges in its
-        # bucket (edge -> latest (u, v, weight)), applied on its next read.
+        # bucket (global edge id -> latest weight), applied on its next read.
         self._subgraph_snapshots: Dict[int, CSRSnapshot] = {}
-        self._snapshot_changes: Dict[int, Dict[Tuple[int, int], Tuple[int, int, float]]] = {}
+        self._snapshot_changes: Dict[int, Dict[int, float]] = {}
         self._skeleton = SkeletonGraph(directed=self._config.directed)
         self._built = False
         self._build_seconds = 0.0
@@ -190,11 +191,10 @@ class DTLP:
         self._partial_memo: Dict[
             Tuple[int, Tuple[int, int], int], Tuple[int, Tuple[Path, ...]]
         ] = {}
-        # Shared kernel view of the un-augmented skeleton graph, refreshed
-        # by graph-version compare, plus what is derived from it per weight
-        # epoch: the search image every query overlays its endpoints on.
+        # Shared kernel view of the un-augmented skeleton graph and the
+        # search image every query overlays its endpoints on, both built on
+        # the first query and written by each round after it.
         self._skeleton_kernel_snapshot: Optional[CSRSnapshot] = None
-        self._skeleton_kernel_version: int = -1
         self._skeleton_image: Optional[SkeletonSearchView] = None
 
     # ------------------------------------------------------------------
@@ -281,11 +281,17 @@ class DTLP:
             if snapshot is None:
                 snapshot = CSRSnapshot(self._partition.subgraph(subgraph_id))
                 self._subgraph_snapshots[subgraph_id] = snapshot
+                self._snapshot_changes[subgraph_id] = {}
             elif snapshot.version != self._weight_epoch_version:
-                snapshot.apply_changes(
-                    self._snapshot_changes.pop(subgraph_id, {}).values(),
-                    self._weight_epoch_version,
-                )
+                bucket = self._snapshot_changes[subgraph_id]
+                self._snapshot_changes[subgraph_id] = {}
+                arcs = self._layout.edge_arcs
+                changes = [(arcs[4 * slot], arcs[4 * slot + 1], weight)
+                           for slot, weight in bucket.items()]
+                if not self._graph.directed:
+                    changes += [(arcs[4 * slot + 2], arcs[4 * slot + 3], weight)
+                                for slot, weight in bucket.items()]
+                snapshot.apply_changes(changes, self._weight_epoch_version)
         return snapshot
 
     # ------------------------------------------------------------------
@@ -324,28 +330,32 @@ class DTLP:
             self._fold(self._graph.edges_changed_since(self._weight_epoch_version))
 
     def _fold(
-        self, changes: Iterable[Tuple[int, int, float]], regroup: bool = False
+        self, changes: Iterable[Tuple[int, int, float]]
     ) -> Dict[int, List[Tuple[int, float]]]:
         """The one walk of the change feed per graph version.  Files each
-        ``(u, v, weight)`` under its owner's cached snapshot, if any;
-        if the weight differs from the last fold's, bumps the epochs its
-        slot names and, with ``regroup``, groups ``(edge id, weight)`` under
-        the owner.  Callers hold ``_epoch_lock``."""
+        ``(u, v, weight)`` under its owner's cached snapshot, if any; if
+        the weight differs from the last fold's, bumps the epochs its slot
+        names and groups ``(edge id, weight)`` under the owner, which the
+        caller re-prices when the fold is a round.  Callers hold
+        ``_epoch_lock``."""
         slots = self._layout.edge_slots
         fold_weights = self._fold_weights
-        snapshots = self._subgraph_snapshots
         pending = self._snapshot_changes
         groups: Dict[int, List[Tuple[int, float]]] = {}
         bumped: Set[int] = set()
         for u, v, weight in changes:
             slot, owner, edge, bumps = slots[(u, v)]
-            if owner in snapshots:
-                pending.setdefault(owner, {})[(u, v)] = (u, v, weight)
+            bucket = pending.get(owner)
+            if bucket is not None:
+                bucket[slot] = weight
             if weight != fold_weights[slot]:
                 fold_weights[slot] = weight
                 bumped.update(bumps)
-                if regroup:
-                    groups.setdefault(owner, []).append((edge, weight))
+                group = groups.get(owner)
+                if group is None:
+                    groups[owner] = [(edge, weight)]
+                else:
+                    group.append((edge, weight))
         epochs = self._weight_epochs
         for subgraph_id in bumped:
             epochs[subgraph_id] = epochs.get(subgraph_id, 0) + 1
@@ -395,31 +405,27 @@ class DTLP:
     def skeleton_snapshot(self) -> CSRSnapshot:
         """Shared kernel snapshot of the un-augmented skeleton graph.
 
-        Built lazily, refreshed by one graph-version compare (the skeleton
-        itself is unversioned, so maintenance-driven weight changes are
-        detected through the parent graph's version — the same scheme the
-        QueryBolts used per-bolt before this cache centralised it).
+        Built lazily; from then on every round writes the arcs it moved
+        into it by position (:meth:`handle_updates`), the only writer of the
+        skeleton's weights, so a read never re-reads the skeleton.
         """
         if not self._built:
             raise IndexStateError("DTLP.build() must run before snapshots are read")
-        version = self._graph.version
         snapshot = self._skeleton_kernel_snapshot
         if snapshot is None or snapshot.source is not self._skeleton:
             snapshot = CSRSnapshot(self._skeleton)
             self._skeleton_kernel_snapshot = snapshot
-            self._skeleton_kernel_version = version
-        elif self._skeleton_kernel_version != version:
-            snapshot.refresh()
-            self._skeleton_kernel_version = version
         return snapshot
 
     def skeleton_search_view(self) -> SkeletonSearchView:
         """Per-epoch search image of the shared skeleton snapshot.
 
-        Built lazily on the first query and again whenever
-        :meth:`skeleton_snapshot` was rebuilt or its weights epoch moved;
-        queries only ever read it (:meth:`SkeletonSearchView.overlay`
-        copies), so one image serves every QueryBolt of the process.
+        Built lazily on the first query, and again only if
+        :meth:`skeleton_snapshot` was rebuilt or moved past it; each round
+        derives the next epoch's image from it instead
+        (:meth:`SkeletonSearchView.moved`).  Queries only ever read it
+        (:meth:`SkeletonSearchView.overlay` copies), so one image serves
+        every QueryBolt of the process.
         """
         snapshot = self.skeleton_snapshot()
         image = self._skeleton_image
@@ -526,7 +532,6 @@ class DTLP:
         self._snapshot_changes.clear()
         self._partial_memo.clear()
         self._skeleton_kernel_snapshot = None
-        self._skeleton_kernel_version = -1
         self._skeleton_image = None
         with self._epoch_lock:
             self._weight_epochs.clear()
@@ -623,26 +628,59 @@ class DTLP:
         and the indexes' tables laid out in index space for maintenance
         rounds.  An edge bumps the epoch of every subgraph holding both
         endpoints: only boundary vertices are shared, so that is the owner
-        alone unless both are boundary vertices."""
+        alone unless both are boundary vertices.  The skeleton pairs are
+        its arcs: the pairs some holder has bounding paths for."""
         partition = self._partition
         assert partition is not None
         boundary = partition.boundary_vertices
-        edge_slots, fold_weights, pair_owners = {}, [], {}
+        directed = self._config.directed
+        edge_slots, fold_weights, edge_arcs = {}, [], array("i")
+        holders: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         for owner, index in self._subgraph_indexes.items():
             alone = (owner,)
+            first = len(fold_weights)
             for (u, v), edge in index.edge_ids.items():
                 both = u in boundary and v in boundary
                 bumps = partition.subgraphs_containing_pair(u, v) if both else alone
                 edge_slots[(u, v)] = (len(fold_weights), owner, edge, bumps)
                 fold_weights.append(self._graph.weight(u, v))
-            for number, pair in enumerate(index.boundary_pairs()):
-                pair_owners.setdefault(pair, []).append((owner, number))
+            edge_arcs += array("i", (-1,)) * (4 * (len(fold_weights) - first))
+            # Written in place: a table of every arc's position would keep
+            # two tuples per arc alive for the collector to walk.
+            for u, v, row, position in CSRSnapshot.arc_positions(partition.subgraph(owner)):
+                if directed or u <= v:
+                    at = 4 * edge_slots[(u, v)][0]
+                else:
+                    at = 4 * edge_slots[(v, u)][0] + 2
+                edge_arcs[at] = row
+                edge_arcs[at + 1] = position
+            for number, (pair, paths) in enumerate(
+                zip(index.tables.pair_keys, index.tables.pair_paths)
+            ):
+                if paths:
+                    holders.setdefault(pair, []).append((owner, number))
+        positions = {
+            (u, v): (row, position)
+            for u, v, row, position in CSRSnapshot.arc_positions(self._skeleton)
+        }
+        pair_ids = {pair: number for number, pair in enumerate(holders)}
+        skeleton_pairs = tuple(
+            (u, v, tuple(owners),
+             (positions[(u, v)],) if directed else (positions[(u, v)], positions[(v, u)]))
+            for (u, v), owners in holders.items()
+        )
+        owner_pairs = tuple(
+            tuple(pair_ids[pair] for pair in index.boundary_pairs() if pair in pair_ids)
+            for index in self._subgraph_indexes.values()
+        )
         self._fold_weights = fold_weights
         self._layout = IndexLayout(
             partition.layout,
             tuple(index.tables for index in self._subgraph_indexes.values()),
             edge_slots,
-            {pair: tuple(owners) for pair, owners in pair_owners.items()},
+            edge_arcs,
+            skeleton_pairs,
+            owner_pairs,
         )
 
     # ------------------------------------------------------------------
@@ -658,7 +696,6 @@ class DTLP:
         state["_subgraph_snapshots"] = {}
         state["_snapshot_changes"] = {}
         state["_skeleton_kernel_snapshot"] = None
-        state["_skeleton_kernel_version"] = -1
         state["_skeleton_image"] = None
         if self._layout is not None:
             # A built index travels as its layout (a token where this
@@ -746,7 +783,7 @@ class DTLP:
         when the prices already claim the graph's version (a store restored
         at save-time weights), the edges of ``updates`` — are grouped per
         owner, each owner re-prices (:meth:`SubgraphIndex.reprice`) and the
-        skeleton weights of its pairs are set.
+        skeleton weights of its pairs are written (:meth:`_write_skeleton`).
 
         Returns the wall-clock time spent, which the maintenance-cost
         experiments (Figures 19-23) report.
@@ -759,8 +796,9 @@ class DTLP:
             self._check_structure()
             priced = self._priced_version
             if priced == self._weight_epoch_version < graph.version:
-                # Every attached round: one walk folds and groups.
-                groups = self._fold(graph.edges_changed_since(priced), regroup=True)
+                # Every attached round, and the catch-up of an index no
+                # read folded ahead of its prices: one walk folds and groups.
+                groups = self._fold(graph.edges_changed_since(priced))
             else:
                 self._advance_weight_epochs()
                 changed = (
@@ -775,29 +813,46 @@ class DTLP:
             indexes = self._subgraph_indexes
             for owner, changes in groups.items():
                 indexes[owner].reprice(changes)
-            self._refresh_skeleton_for_subgraphs(groups)
+            self._write_skeleton(groups)
             self._priced_version = graph.version
         elapsed = time.perf_counter() - started
         self._last_maintenance_seconds = elapsed
         return elapsed
 
-    def _refresh_skeleton_for_subgraphs(self, subgraph_ids: Iterable[int]) -> None:
-        """Set the skeleton weight of every pair the given subgraphs hold:
-        the minimum of its holders' Theorem 1 bounds."""
-        pair_owners = self._layout.pair_owners
-        indexes = self._subgraph_indexes
+    def _write_skeleton(self, subgraph_ids: Iterable[int]) -> None:
+        """Set the skeleton weight of every pair the given subgraphs hold,
+        the minimum of its holders' Theorem 1 bounds, and write the arcs
+        whose weight moved into the skeleton snapshot by position; the next
+        search image is derived from the current one by those arcs."""
+        layout = self._layout
+        skeleton_pairs = layout.skeleton_pairs
+        owner_pairs = layout.owner_pairs
+        bounds = [index.pair_bounds for index in self._subgraph_indexes.values()]
         set_edge = self._skeleton.set_edge
-        done: Set[Tuple[int, int]] = set()
+        snapshot = self._skeleton_kernel_snapshot
+        weights = snapshot.weights if snapshot is not None else None
+        moved: List[Tuple[int, int, float]] = []
+        done = bytearray(len(skeleton_pairs))
         for subgraph_id in subgraph_ids:
-            for pair in indexes[subgraph_id].boundary_pairs():
-                if pair in done:
+            for pair in owner_pairs[subgraph_id]:
+                if done[pair]:
                     continue
-                done.add(pair)
-                bounds = [indexes[owner].pair_bounds[number]
-                          for owner, number in pair_owners[pair]]
-                bounds = [bound for bound in bounds if bound is not None]
-                if bounds:
-                    set_edge(pair[0], pair[1], min(bounds))
+                done[pair] = 1
+                u, v, holders, arcs = skeleton_pairs[pair]
+                if len(holders) == 1:
+                    owner, number = holders[0]
+                    bound = bounds[owner][number]
+                else:
+                    bound = min([bounds[owner][number] for owner, number in holders])
+                set_edge(u, v, bound)
+                if weights is not None and weights[arcs[0][1]] != bound:
+                    for row, position in arcs:
+                        moved.append((row, position, bound))
+        if moved:
+            image = self._skeleton_image
+            current = image is not None and image.weights_epoch == snapshot.weights_epoch
+            snapshot.apply_changes(moved, snapshot.version)
+            self._skeleton_image = image.moved(moved) if current else None
 
     # ------------------------------------------------------------------
     # queries used by KSP-DG

@@ -8,9 +8,17 @@ weights move.  :class:`IndexLayout` holds all of that fixed structure:
   topology, vertex -> subgraphs, edge -> owner, the boundary vertices);
 * each subgraph index's :class:`~repro.core.subgraph_index.PathTables`;
 * per canonical edge key its fold slot: ``(global edge id, owner, the
-  owner's edge id, subgraphs whose weight epoch the edge bumps)``;
-* per boundary pair the ``(subgraph id, pair number)`` of each subgraph
-  holding it.
+  owner's edge id, subgraphs whose weight epoch the edge bumps)``, and per
+  global edge id the ``(row, flat position)`` of its arcs in the owner's
+  :class:`~repro.kernel.snapshot.CSRSnapshot`;
+* per skeleton pair (a skeleton arc) its endpoints, the ``(subgraph id,
+  pair number)`` of each subgraph pricing it and the ``(row, flat
+  position)`` of its arcs in the skeleton's snapshot, and per subgraph the
+  skeleton pairs it holds.
+
+The positions are a function of the topologies and of the skeleton's
+adjacency order, which no round moves, so a round writes every kernel view
+by position instead of searching its rows.
 
 A layout pickles as a process-fresh token plus its state, the state
 pickled on its own into one bytes object.  Unpickling returns the live
@@ -28,6 +36,7 @@ import pickle
 import threading
 import uuid
 import weakref
+from array import array
 from typing import Dict, Optional, Tuple
 
 from ..graph.partition import PartitionLayout
@@ -38,8 +47,12 @@ __all__ = ["IndexLayout"]
 Pair = Tuple[int, int]
 #: canonical edge key -> (global edge id, owner, owner's edge id, bumped ids)
 EdgeSlots = Dict[Pair, Tuple[int, int, int, Tuple[int, ...]]]
-#: boundary pair -> ((subgraph id, pair number), ...) of its holders
-PairOwners = Dict[Pair, Tuple[Tuple[int, int], ...]]
+#: per skeleton pair id: (u, v, ((subgraph id, pair number), ...) of the
+#: holders with bounding paths, ((row, position) of arc (u, v), and of arc
+#: (v, u) when undirected))
+SkeletonPairs = Tuple[
+    Tuple[int, int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]], ...
+]
 
 _LIVE: "weakref.WeakValueDictionary[str, IndexLayout]" = weakref.WeakValueDictionary()
 _LIVE_LOCK = threading.Lock()
@@ -48,26 +61,38 @@ _LIVE_LOCK = threading.Lock()
 class IndexLayout:
     """Everything of a built DTLP that no weight round or query writes."""
 
-    __slots__ = ("token", "partition", "tables", "edge_slots", "pair_owners", "__weakref__")
+    __slots__ = (
+        "token", "partition", "tables", "edge_slots", "edge_arcs",
+        "skeleton_pairs", "owner_pairs", "__weakref__",
+    )
 
     def __init__(
         self,
         partition: PartitionLayout,
         tables: Tuple[PathTables, ...],
         edge_slots: EdgeSlots,
-        pair_owners: PairOwners,
+        edge_arcs: array,
+        skeleton_pairs: SkeletonPairs,
+        owner_pairs: Tuple[Tuple[int, ...], ...],
         token: Optional[str] = None,
     ) -> None:
         self.token = uuid.uuid4().hex if token is None else token
         self.partition = partition
         self.tables = tables
         self.edge_slots = edge_slots
-        self.pair_owners = pair_owners
+        #: global edge id g -> entries 4g .. 4g + 3: row and position of its
+        #: arc (u, v), then of (v, u) (-1, -1 when directed), in the owner's
+        #: subgraph snapshot
+        self.edge_arcs = edge_arcs
+        self.skeleton_pairs = skeleton_pairs
+        #: subgraph id -> ids of the skeleton pairs it holds
+        self.owner_pairs = owner_pairs
         with _LIVE_LOCK:
             _LIVE[self.token] = self
 
     def __reduce__(self):
-        state = (self.partition, self.tables, self.edge_slots, self.pair_owners)
+        state = (self.partition, self.tables, self.edge_slots, self.edge_arcs,
+                 self.skeleton_pairs, self.owner_pairs)
         return _shared, (self.token, pickle.dumps(state, pickle.HIGHEST_PROTOCOL))
 
 

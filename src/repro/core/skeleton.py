@@ -14,7 +14,8 @@ vertices of its subgraph.  :meth:`SkeletonGraph.augmented` returns such a
 copy without mutating the shared instance; it is the reference tier.
 
 :class:`SkeletonSearchView` is the array-kernel counterpart: an image of the
-shared skeleton snapshot built once per weight epoch, over which each query
+shared skeleton snapshot, built once and then derived from the previous
+epoch's by rewriting the rows a round moved, over which each query
 lays its endpoints in O(|V|) pointer copies instead of copying and
 re-flattening every skeleton edge, and which prices the exact distance to
 the query target as the lower bound of the reference-path searches.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..graph.errors import EdgeNotFoundError, VertexNotFoundError
 from ..graph.graph import edge_key
@@ -65,11 +66,16 @@ class SkeletonGraph:
 
     def set_edge(self, u: int, v: int, weight: float) -> None:
         """Insert or overwrite the edge ``(u, v)`` with ``weight``."""
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self._adjacency[u][v] = weight
+        adjacency = self._adjacency
+        row = adjacency.get(u)
+        if row is None:
+            row = adjacency[u] = {}
+        row[v] = weight
+        row = adjacency.get(v)
+        if row is None:
+            row = adjacency[v] = {}
         if not self._directed:
-            self._adjacency[v][u] = weight
+            row[u] = weight
 
     def update_edge_minimum(self, u: int, v: int, weight: float) -> None:
         """Set the edge weight to the minimum of the current and new value.
@@ -185,9 +191,10 @@ def _with_arc(row: _Row, neighbor: int, weight: float, exists: bool) -> _Row:
 class SkeletonSearchView(CSRSnapshot):
     """Search-only kernel view of a skeleton snapshot plus attached endpoints.
 
-    Built from the shared skeleton snapshot once per weight epoch, spread
-    over a gapped index space (see :data:`_IMAGE_STRIDE`); :meth:`overlay`
-    then derives the
+    Built from the shared skeleton snapshot once, spread over a gapped index
+    space (see :data:`_IMAGE_STRIDE`); each later weight epoch's image is
+    derived from the one before by :meth:`moved`.  :meth:`overlay` then
+    derives the
     per-query view of "skeleton + attached endpoints" by copying the row
     list shallowly and rewriting only the rows the attachments touch.
 
@@ -246,6 +253,36 @@ class SkeletonSearchView(CSRSnapshot):
                 for vi, w in row:
                     transposed[vi].append((ui, w))
             self._reverse_rows = [tuple(row) for row in transposed]
+
+    def moved(self, arcs: Iterable[Tuple[int, int, float]]) -> "SkeletonSearchView":
+        """The image of the source snapshot after its arcs ``(row, flat
+        position, weight)`` were rewritten, derived from this one: the row
+        list and arc map are copied shallowly and only the rows holding
+        those arcs are re-derived, so nothing is re-flattened and this
+        image, which queries may still hold, is left as it was."""
+        snapshot = self._source
+        stride = _IMAGE_STRIDE
+        offset = stride - 1
+        indices = snapshot.indices
+        view = copy.copy(self)
+        view._weights_epoch = snapshot.weights_epoch
+        view.rows = rows = list(self.rows)
+        view._arcs = arc_weights = dict(self._arcs)
+        reverse = None if self._reverse_rows is None else list(self._reverse_rows)
+        view._reverse_rows = reverse
+        moved_rows = set()
+        for row, position, weight in arcs:
+            moved_rows.add(row)
+            u, v = stride * row + offset, stride * indices[position] + offset
+            arc_weights[(u, v)] = weight
+            if reverse is not None:
+                reverse[v] = _with_arc(reverse[v], u, weight, True)
+        snapshot_rows = snapshot.rows
+        for row in moved_rows:
+            rows[stride * row + offset] = tuple(
+                (stride * j + offset, w) for j, w in snapshot_rows[row]
+            )
+        return view
 
     # ------------------------------------------------------------------
     # per-query overlay (Section 5.3)

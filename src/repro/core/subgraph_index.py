@@ -25,7 +25,6 @@ from __future__ import annotations
 import sys
 import time
 from array import array
-from itertools import compress
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..algorithms.dijkstra import vfrag_label_search, vfrag_rows
@@ -432,12 +431,11 @@ class SubgraphIndex:
         weights = self._units.weights
         offsets = self._tables.ep_index.offsets
         through = self._tables.ep_index.paths
-        touched = bytearray(len(self._prices))
+        touched = set()
         for edge, weight in changes:
             weights[edge] = weight
-            for p in through[offsets[edge]:offsets[edge + 1]]:
-                touched[p] = 1
-        repriced = list(compress(range(len(touched)), touched))
+            touched.update(through[offsets[edge]:offsets[edge + 1]])
+        repriced = sorted(touched)
         self._price(repriced)
         self._units.refresh()
         self._refresh_bounds()

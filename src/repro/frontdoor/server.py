@@ -692,14 +692,16 @@ class FrontDoorServer:
         The gate closes admission first so the drain converges; every
         replica then applies the identical round, keeping graph versions
         aligned across the set — the invariant that makes ``graph_version``
-        in responses meaningful for validation.  Edges are checked before
-        anything is touched: a round is applied replica by replica, so an
-        unknown edge discovered halfway would leave the versions diverged.
+        in responses meaningful for validation.  A round naming an unknown
+        edge is refused before the gate closes, by the check each graph's
+        atomic :meth:`~repro.graph.graph.DynamicGraph.apply_updates` makes
+        (:meth:`~repro.graph.graph.DynamicGraph.require_edges`) run on the
+        first replica's graph: every replica's graph has the same edges,
+        killed replicas included, so a bad request neither stalls admission
+        for a drain nor leaves any replica a version apart.
         """
         topology = next(iter(self.replicas.values())).service.graph
-        for update in updates:
-            if not topology.has_edge(update.u, update.v):
-                raise EdgeNotFoundError(update.u, update.v)
+        topology.require_edges(updates)
         self._maintenance_gate.clear()
         try:
             for worker in self.workers.values():

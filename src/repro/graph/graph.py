@@ -61,6 +61,10 @@ def edge_key(u: int, v: int) -> Tuple[int, int]:
 class WeightUpdate:
     """A single edge-weight change event.
 
+    A value: hashed by its fields and never written after construction,
+    which :class:`DynamicGraph`'s change log relies on, since it keeps the
+    applied objects themselves.
+
     Attributes
     ----------
     u, v:
@@ -136,12 +140,15 @@ class DynamicGraph:
         self._structure_version = 0
         # canonical edge key -> version at which the edge last changed weight
         self._edge_versions: Dict[Tuple[int, int], int] = {}
-        # Append-only (version, edge key) log of weight changes, so
+        # Append-only log of applied updates with the version of each, so
         # edges_changed_since(v) costs O(changes after v) instead of
-        # O(all edges ever changed).  Compacted once it outgrows 2 * |E|
-        # (see apply_updates); _change_log_floor is the newest version
-        # whose changes may have been dropped from the log.
-        self._change_log: List[Tuple[int, Tuple[int, int]]] = []
+        # O(all edges ever changed).  It holds the batch's own update
+        # objects, so logging allocates nothing a collector has to track.
+        # Compacted once it outgrows 2 * |E| (see apply_updates);
+        # _change_log_floor is the newest version whose changes may have
+        # been dropped from the log.
+        self._change_log: List[WeightUpdate] = []
+        self._change_log_versions: List[int] = []
         self._change_log_floor = 0
 
     # ------------------------------------------------------------------
@@ -292,17 +299,21 @@ class DynamicGraph:
         if version >= self._version:
             return
         if version >= self._change_log_floor:
-            # A 1-tuple sorts before every (version + 1, key) entry, so this
-            # finds the first change strictly newer than ``version``.
-            start = bisect.bisect_left(self._change_log, (version + 1,))
-            # The same edge may appear in several batches; report it once.
-            seen: set = set()
-            for _, key in self._change_log[start:]:
-                if key in seen:
-                    continue
-                seen.add(key)
-                u, v = key
-                yield u, v, self._adjacency[u][v]
+            # The first change strictly newer than ``version``.
+            start = bisect.bisect_right(self._change_log_versions, version)
+            # The same edge may appear in several batches, or reversed: its
+            # canonical key is reported once, with its last logged write,
+            # which is its current weight.
+            latest: Dict[Tuple[int, int], float] = {}
+            if self._directed:
+                for update in self._change_log[start:]:
+                    latest[(update.u, update.v)] = update.new_weight
+            else:
+                for update in self._change_log[start:]:
+                    u, v = update.u, update.v
+                    latest[(u, v) if u <= v else (v, u)] = update.new_weight
+            for (u, v), weight in latest.items():
+                yield u, v, weight
             return
         for key, edge_version in self._edge_versions.items():
             if edge_version > version:
@@ -366,31 +377,46 @@ class DynamicGraph:
         # Validate the whole batch before touching any weight so a bad
         # update cannot leave the graph half-applied with no version bump
         # or listener notification (atomicity, as promised above).
-        for update in updates:
-            if not self.has_edge(update.u, update.v):
-                raise EdgeNotFoundError(update.u, update.v)
-        applied: List[WeightUpdate] = []
-        for update in updates:
-            u, v = update.u, update.v
-            self._adjacency[u][v] = update.new_weight
-            if not self._directed:
-                self._adjacency[v][u] = update.new_weight
-            applied.append(update)
-        if not applied:
+        updates = list(updates)
+        self.require_edges(updates)
+        if not updates:
             return
         self._version += 1
-        for update in applied:
-            key = self._key(update.u, update.v)
-            self._edge_versions[key] = self._version
-            self._change_log.append((self._version, key))
+        version = self._version
+        adjacency = self._adjacency
+        edge_versions = self._edge_versions
+        directed = self._directed
+        for update in updates:
+            u, v, weight = update.u, update.v, update.new_weight
+            adjacency[u][v] = weight
+            if directed:
+                edge_versions[(u, v)] = version
+            else:
+                adjacency[v][u] = weight
+                edge_versions[(u, v) if u <= v else (v, u)] = version
+        log = self._change_log
+        log += updates
+        self._change_log_versions += [version] * len(updates)
         # Past 2 * |E| entries the version-table fallback of
         # edges_changed_since is no dearer than the log: drop the older half.
-        if len(self._change_log) > 2 * len(self._initial_weights):
-            keep_from = len(self._change_log) // 2
-            self._change_log_floor = self._change_log[keep_from - 1][0]
-            del self._change_log[:keep_from]
+        if len(log) > 2 * len(self._initial_weights):
+            keep_from = len(log) // 2
+            self._change_log_floor = self._change_log_versions[keep_from - 1]
+            del log[:keep_from]
+            del self._change_log_versions[:keep_from]
         for listener in list(self._listeners):
-            listener(applied)
+            listener(updates)
+
+    def require_edges(self, updates: Sequence[WeightUpdate]) -> None:
+        """Raise :class:`EdgeNotFoundError` for the first update naming no
+        edge.  The check :meth:`apply_updates` makes before it writes; a
+        caller that must refuse a bad batch before doing anything else (the
+        front door, before it drains its replicas) runs it first."""
+        adjacency = self._adjacency
+        for update in updates:
+            row = adjacency.get(update.u)
+            if row is None or update.v not in row:
+                raise EdgeNotFoundError(update.u, update.v)
 
     # ------------------------------------------------------------------
     # pickling

@@ -25,6 +25,7 @@ subgraphs.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import EdgeNotFoundError, VertexNotFoundError
@@ -188,9 +189,9 @@ class Subgraph:
         adjacency = self._topology.adjacency
         if vertex not in adjacency:
             raise VertexNotFoundError(vertex)
-        weight = self._parent.weight
+        row = self._parent.neighbors(vertex)
         for other in adjacency[vertex]:
-            yield other, weight(vertex, other)
+            yield other, row[other]
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate over edges as ``(u, v, current_weight)``."""
@@ -259,21 +260,24 @@ class SortedUnitWeights:
         return units
 
     def refresh(self) -> None:
-        """Re-derive :attr:`prefix` from :attr:`weights`."""
-        prefix = [0.0]
-        total = 0.0
+        """Re-derive :attr:`prefix` from :attr:`weights`.
+
+        Edges are ordered by unit weight alone: edges of equal unit weight
+        add the same value once per vfrag, so their order among themselves
+        cannot change a prefix sum."""
         need = self.depth
-        for unit, count in sorted(
-            # Each edge's unit weight: its weight per vfrag.
-            (weight / count, count) for weight, count in zip(self.weights, self.vfrags)
-        ):
+        vfrags = self.vfrags
+        # Each edge's unit weight: its weight per vfrag.
+        units = [weight / count for weight, count in zip(self.weights, vfrags)]
+        steps: List[float] = []
+        for edge in sorted(range(len(units)), key=units.__getitem__):
             if need <= 0:
                 break
-            for _ in range(min(count, need)):
-                total += unit
-                prefix.append(total)
+            count = min(vfrags[edge], need)
+            steps += [units[edge]] * count
             need -= count
-        self.prefix = prefix
+        # accumulate adds left to right, one vfrag at a time.
+        self.prefix = list(accumulate(steps, initial=0.0))
 
 
 __all__.append("SortedUnitWeights")

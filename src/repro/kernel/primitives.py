@@ -2,7 +2,7 @@
 
 These functions are the hot inner loops of the repository.  They work on
 the per-vertex row view of a :class:`~repro.kernel.snapshot.CSRSnapshot`
-(``rows[i]`` is a tuple of ``(neighbour_index, weight)`` pairs derived from
+(``rows[i]`` lists the ``(neighbour_index, weight)`` pairs derived from
 the flat CSR arrays) — no neighbour-adapter dispatch, no per-edge dictionary
 probing — and every identifier they touch is a dense ``0..n-1`` index, so
 tentative distances and predecessors are plain lists.

@@ -19,21 +19,24 @@ flat arrays while keeping the *weights* cheaply refreshable:
   arcs, where a dict of every arc cost 46% of a subgraph snapshot.
 
 Snapshots model the paper's dynamics: topology is fixed, weights change.
-:meth:`CSRSnapshot.refresh` pulls in weight changes incrementally, keyed off
-the per-edge version counters of :class:`~repro.graph.graph.DynamicGraph`
+:meth:`CSRSnapshot.apply_changes` is the one writer: it rewrites arcs by
+flat position.  A position is a function of the source's topology alone
+(:meth:`CSRSnapshot.arc_positions`), so the DTLP computes every arc's once
+per built index and hands each of its subgraph and skeleton snapshots the
+positions and weights a round moved.  :meth:`CSRSnapshot.refresh` pulls in
+weight changes for a stand-alone snapshot, keyed off the per-edge version
+counters of :class:`~repro.graph.graph.DynamicGraph`
 (``edges_changed_since``), so a long-lived consumer (the serving loop)
-refreshes in O(changed edges) instead of rebuilding in O(V + E); the DTLP
-hands each of its per-subgraph snapshots its own share of that list through
-:meth:`CSRSnapshot.apply_changes`.  Sources without version counters (the
-skeleton graph) fall back to a full weight re-read, which is still cheap
-because no structure is rebuilt.  See ``ARCHITECTURE.md`` for where
-snapshots sit in the layer stack and when to prefer them over the
-dict-based reference path.
+refreshes in O(changed edges) instead of rebuilding in O(V + E).  Sources
+without version counters fall back to a full weight re-read.  See
+``ARCHITECTURE.md`` for where snapshots sit in the layer stack and when to
+prefer them over the dict-based reference path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..graph.errors import EdgeNotFoundError, StaleStructureError, VertexNotFoundError
 from ..graph.graph import DynamicGraph
@@ -55,6 +58,15 @@ def _vertex_iterable(source) -> Iterator[int]:
     """Vertices of any graph-like (``vertices`` may be a method or property)."""
     vertices = source.vertices
     return iter(vertices() if callable(vertices) else vertices)
+
+
+def _arc_order(source) -> Iterator[Tuple[int, Iterator[Tuple[int, float]]]]:
+    """The one arc order of a snapshot: a row per vertex in sorted-id
+    order, each row's ``(neighbour, weight)`` pairs in the source's own
+    ``neighbors`` order.  A flat position counts the arcs in this order,
+    for the constructor and for :meth:`CSRSnapshot.arc_positions` alike."""
+    for vid in sorted(_vertex_iterable(source)):
+        yield vid, _neighbor_pairs(source, vid)
 
 
 class CSRSnapshot:
@@ -98,26 +110,28 @@ class CSRSnapshot:
     def __init__(self, source) -> None:
         self._source = source
         self.directed: bool = bool(getattr(source, "directed", False))
-        ids: List[int] = sorted(_vertex_iterable(source))
+        ids: List[int] = []
+        indptr: List[int] = [0]
+        neighbors: List[int] = []
+        weights: List[float] = []
+        for vid, pairs in _arc_order(source):
+            ids.append(vid)
+            for neighbor, weight in pairs:
+                neighbors.append(neighbor)
+                weights.append(float(weight))
+            indptr.append(len(neighbors))
         self.ids = ids
         index_of: Dict[int, int] = {vid: i for i, vid in enumerate(ids)}
         self.index_of = index_of
-        indptr: List[int] = [0]
-        indices: List[int] = []
-        weights: List[float] = []
-        for vid in ids:
-            for neighbor, weight in _neighbor_pairs(source, vid):
-                indices.append(index_of[neighbor])
-                weights.append(float(weight))
-            indptr.append(len(indices))
+        indices = [index_of[neighbor] for neighbor in neighbors]
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         # Derived per-vertex row view consumed by the kernel's inner loop:
-        # rows[i] is a tuple of (neighbour_index, weight) pairs in CSR row
-        # order.  Rebuilt per-vertex on refresh (tuples are immutable).
-        self.rows: List[Tuple[Tuple[int, float], ...]] = [
-            tuple(zip(indices[indptr[i]:indptr[i + 1]], weights[indptr[i]:indptr[i + 1]]))
+        # rows[i] lists the (neighbour_index, weight) pairs of vertex i in
+        # CSR row order; a weight write replaces its one pair in place.
+        self.rows: List[List[Tuple[int, float]]] = [
+            list(zip(indices[indptr[i]:indptr[i + 1]], weights[indptr[i]:indptr[i + 1]]))
             for i in range(len(ids))
         ]
         # Weight-refresh bookkeeping: incremental when the source carries
@@ -139,6 +153,17 @@ class CSRSnapshot:
         )
         self._weights_epoch: int = 0
 
+    @staticmethod
+    def arc_positions(source) -> Iterator[Tuple[int, int, int, int]]:
+        """``(u, v, row, flat position)`` of every arc of the snapshot of
+        ``source``, without building it: the constructor's walk
+        (:func:`_arc_order`), keeping nothing."""
+        position = 0
+        for row, (u, pairs) in enumerate(_arc_order(source)):
+            for v, _ in pairs:
+                yield u, v, row, position
+                position += 1
+
     # ------------------------------------------------------------------
     # structure accessors
     # ------------------------------------------------------------------
@@ -154,7 +179,8 @@ class CSRSnapshot:
 
     @property
     def weights_epoch(self) -> int:
-        """Counter advanced every time :meth:`refresh` rewrote any weight.
+        """Counter advanced every time :meth:`apply_changes` or
+        :meth:`refresh` rewrote any weight.
 
         Unlike :attr:`version` (which tracks the *source graph's* version
         and advances even when none of the changed edges belong to this
@@ -239,12 +265,12 @@ class CSRSnapshot:
 
         A no-op when a versioned source did not move; otherwise one walk of
         the *whole graph's* change list since the snapshot's version, of
-        which :meth:`apply_changes` keeps the arcs held here — right for one
-        stand-alone snapshot; a set of them should share the walk, as
-        :meth:`repro.core.dtlp.DTLP.subgraph_snapshot` does.  Unversioned
-        sources re-read every arc weight.  Topology changes are *not*
-        picked up: a versioned source that gained a vertex or an edge
-        since the build raises :class:`StaleStructureError`.
+        which the arcs held here are rewritten — right for one stand-alone
+        snapshot; a set of them should share the walk, as the DTLP does for
+        its subgraph snapshots.  Unversioned sources re-read every arc
+        weight.  Topology changes are *not* picked up: a versioned source
+        that gained a vertex or an edge since the build raises
+        :class:`StaleStructureError`.
         """
         versioned = self._version_source
         if versioned is None:
@@ -253,19 +279,13 @@ class CSRSnapshot:
             ids = self.ids
             indices = self.indices
             indptr = self.indptr
-            rewritten = 0
-            changed_rows = set()
+            changes = []
             for ui, u in enumerate(ids):
                 for pos in range(indptr[ui], indptr[ui + 1]):
                     value = source_weight(u, ids[indices[pos]])
                     if value != weights[pos]:
-                        weights[pos] = value
-                        changed_rows.add(ui)
-                        rewritten += 1
-            self._rebuild_rows(changed_rows)
-            if rewritten:
-                self._weights_epoch += 1
-            return rewritten
+                        changes.append((ui, pos, value))
+            return self.apply_changes(changes, self._built_version)
         if versioned.structure_version != self._built_structure_version:
             raise StaleStructureError(
                 "vertices or edges were added to the graph after this "
@@ -275,24 +295,18 @@ class CSRSnapshot:
         if current == self._built_version:
             return 0
         return self.apply_changes(
-            versioned.edges_changed_since(self._built_version), current
+            self._positioned(versioned.edges_changed_since(self._built_version)),
+            current,
         )
 
-    def apply_changes(self, changes, version: int) -> int:
-        """Rewrite the arcs of ``changes``; returns arcs rewritten.
-
-        The one writer of versioned snapshots.  ``changes`` iterates over
-        ``(u, v, weight)`` in the source graph's edge orientation and must
-        cover every edge held here that changed up to ``version``, which
-        becomes the snapshot's; edges not held are skipped.  Touched rows
-        are rebuilt; :attr:`weights_epoch` advances iff an arc was rewritten.
-        """
-        weights = self.weights
-        find_arc = self._find_arc
+    def _positioned(
+        self, changes: Iterable[Tuple[int, int, float]]
+    ) -> Iterator[Tuple[int, int, float]]:
+        """``(row, position, weight)`` of the held arcs of ``(u, v, weight)``
+        changes: ``v`` found in ``u``'s row, and ``u`` in ``v``'s when
+        undirected."""
         index_of = self.index_of
-        directed = self.directed
-        rewritten = 0
-        stale_rows = set()
+        find_arc = self._find_arc
         for u, v, weight in changes:
             ui = index_of.get(u)
             vi = index_of.get(v)
@@ -300,31 +314,34 @@ class CSRSnapshot:
                 continue
             pos = find_arc(ui, vi)
             if pos is not None:
-                weights[pos] = weight
-                stale_rows.add(ui)
-                rewritten += 1
-            if not directed:
+                yield ui, pos, weight
+            if not self.directed:
                 pos = find_arc(vi, ui)
                 if pos is not None:
-                    weights[pos] = weight
-                    stale_rows.add(vi)
-                    rewritten += 1
-        self._rebuild_rows(stale_rows)
+                    yield vi, pos, weight
+
+    def apply_changes(self, changes: Iterable[Tuple[int, int, float]], version: int) -> int:
+        """Rewrite arcs by position; returns arcs rewritten.
+
+        The one writer of snapshot weights.  ``changes`` iterates over
+        ``(row, flat position, weight)``; for a versioned source it must
+        cover every arc held here that changed up to ``version``, which
+        becomes the snapshot's.  Each arc's pair in its row is replaced in
+        place; :attr:`weights_epoch` advances iff an arc was rewritten.
+        """
+        weights = self.weights
+        indices = self.indices
+        indptr = self.indptr
+        rows = self.rows
+        rewritten = 0
+        for row, pos, weight in changes:
+            weights[pos] = weight
+            rows[row][pos - indptr[row]] = (indices[pos], weight)
+            rewritten += 1
         self._built_version = version
         if rewritten:
             self._weights_epoch += 1
         return rewritten
-
-    def _rebuild_rows(self, row_indices) -> None:
-        """Re-derive the row view of the given vertex indices from the CSR arrays."""
-        indptr = self.indptr
-        indices = self.indices
-        weights = self.weights
-        rows = self.rows
-        for i in row_indices:
-            rows[i] = tuple(
-                zip(indices[indptr[i]:indptr[i + 1]], weights[indptr[i]:indptr[i + 1]])
-            )
 
     # ------------------------------------------------------------------
     # lower bounds

@@ -508,6 +508,29 @@ class TestHostileInputs:
             assert replica.service.graph.version == 0
         self._assert_unharmed(front_door)
 
+    def test_rejected_maintenance_drains_no_replica(self, front_door, monkeypatch):
+        """A round naming an unknown edge is refused before the admission
+        gate closes: no worker is quiesced, so one bad post stalls no
+        query."""
+        quiesced = []
+        quiesce = frontdoor_server._ReplicaWorker.quiesce
+
+        async def counted_quiesce(worker):
+            quiesced.append(worker)
+            await quiesce(worker)
+
+        monkeypatch.setattr(frontdoor_server._ReplicaWorker, "quiesce", counted_quiesce)
+        status, _ = self._post(
+            front_door, "/maintenance", b'{"updates": [[0, 1, 2.5], [0, 35, 1.0]]}'
+        )
+        assert status == 400
+        assert quiesced == []
+        assert front_door.server._maintenance_gate.is_set()
+        status, _ = self._post(front_door, "/maintenance", b'{"updates": [[0, 1, 2.5]]}')
+        assert status == 200
+        assert len(quiesced) == len(front_door.server.workers)
+        self._assert_unharmed(front_door)
+
     def test_rejected_maintenance_is_not_a_bad_query(self, front_door):
         """Regression: a rejected ``/maintenance`` post (bad JSON, unknown
         edge, bad weight) was counted in ``bad_requests``, the ``/query``

@@ -18,7 +18,6 @@ import random
 import pytest
 
 from repro.core import DTLP, DTLPConfig, KSPDG
-from repro.core.layout import IndexLayout
 from repro.graph import WeightUpdate, clustered_road_network
 from repro.store import PartitionStore
 from repro.workloads import QueryGenerator
@@ -60,9 +59,29 @@ def _round(graph, seed):
             for u, v in edges]
 
 
-def _fingerprint(layout: IndexLayout) -> str:
+def _addressed_arcs(dtlp) -> list:
+    """Per edge key, the arcs its two ``(row, position)`` entries address in
+    its owner's snapshot, read off the snapshot itself, and whether each row
+    is the one holding its position: canonical where the positions are
+    not, since a store load rebuilds the adjacency in another order."""
+    addressed = []
+    layout = dtlp.layout
+    for (u, v), (slot, owner, _, _) in sorted(layout.edge_slots.items()):
+        snapshot = dtlp.subgraph_snapshot(owner)
+        ids, indptr = snapshot.ids, snapshot.indptr
+        entries = layout.edge_arcs[4 * slot:4 * slot + 4]
+        addressed.append(((u, v), [
+            (indptr[row] <= pos < indptr[row + 1], (ids[row], ids[snapshot.indices[pos]]))
+            if pos >= 0 else None
+            for row, pos in zip(entries[::2], entries[1::2])
+        ]))
+    return addressed
+
+
+def _fingerprint(dtlp) -> str:
     """sha256 of the layout's contents in a canonical form: independent of
     set and dict order and of pair numbering, which a store load redoes."""
+    layout = dtlp.layout
     partition = layout.partition
     tables = layout.tables
     canonical = [
@@ -79,8 +98,13 @@ def _fingerprint(layout: IndexLayout) -> str:
           sorted(t.pair_keys) == sorted(t.pair_numbers))
          for t in tables],
         sorted(layout.edge_slots.items()),
-        sorted((pair, sorted((sid, tables[sid].pair_keys[n]) for sid, n in owners))
-               for pair, owners in layout.pair_owners.items()),
+        _addressed_arcs(dtlp),
+        # Skeleton arc positions follow the skeleton's adjacency order,
+        # which a store load rebuilds: the pairs and holders are compared.
+        sorted((u, v, sorted((sid, tables[sid].pair_keys[n]) for sid, n in holders))
+               for u, v, holders, _ in layout.skeleton_pairs),
+        [sorted(layout.skeleton_pairs[pair][:2] for pair in pairs)
+         for pairs in layout.owner_pairs],
     ]
     return hashlib.sha256(repr(canonical).encode()).hexdigest()
 
@@ -143,16 +167,16 @@ def test_a_round_on_one_copy_reaches_no_other(directed):
 def test_rounds_queries_and_the_store_leave_the_layout_as_built(tmp_path):
     graph = _tied_graph()
     dtlp = DTLP(graph, CONFIG).build().attach()
-    built = _fingerprint(dtlp.layout)
+    built = _fingerprint(dtlp)
     queries = QueryGenerator(graph, seed=9, min_hops=4).generate(8, k=3)
     for seed in range(3):
         _answers(dtlp, queries)
         graph.apply_updates(_round(graph, seed))
-    assert _fingerprint(dtlp.layout) == built
+    assert _fingerprint(dtlp) == built
     PartitionStore.save(dtlp, tmp_path)
-    assert _fingerprint(dtlp.layout) == built
+    assert _fingerprint(dtlp) == built
     loaded = PartitionStore(tmp_path).load(pickle.loads(pickle.dumps(graph)))
     assert loaded.layout is not dtlp.layout
     assert loaded.layout.token != dtlp.layout.token
-    assert _fingerprint(loaded.layout) == built
+    assert _fingerprint(loaded) == built
     assert _answers(loaded, queries) == _answers(dtlp, queries)

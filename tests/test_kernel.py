@@ -59,7 +59,7 @@ class TestCSRSnapshotStructure:
         # Row view mirrors the flat arrays.
         for i in range(snapshot.num_vertices):
             start, end = snapshot.indptr[i], snapshot.indptr[i + 1]
-            assert snapshot.rows[i] == tuple(
+            assert snapshot.rows[i] == list(
                 zip(snapshot.indices[start:end], snapshot.weights[start:end])
             )
 

@@ -41,12 +41,15 @@ from hypothesis import strategies as st
 
 from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.core.subgraph_index import SubgraphIndex
+from repro.core.skeleton import SkeletonSearchView
 from repro.distributed import StormTopology
+from repro.frontdoor import FrontDoorClient, build_replicas, start_front_door
 from repro.dynamics import TrafficModel
 from repro.graph import clustered_road_network, random_graph, road_network
 from repro.graph.errors import PathNotFoundError
 from repro.graph.generators import grid_graph
 from repro.graph.graph import DynamicGraph, WeightUpdate
+from repro.graph.subgraph import Subgraph
 from repro.kernel import CSRSnapshot
 from repro.workloads import QueryGenerator
 
@@ -239,20 +242,55 @@ def moved_batch(
     return batch
 
 
+def assert_views_equal_a_rebuild(dtlp: DTLP, fresh: DTLP) -> None:
+    """Every kernel view ``dtlp`` keeps equals the one a fresh build makes:
+    each subgraph snapshot's ``weights`` and ``rows``, the skeleton
+    snapshot's, and the search image's ``rows`` and its weight of every
+    skeleton arc."""
+    for subgraph_id in dtlp.subgraph_indexes():
+        kept = dtlp.subgraph_snapshot(subgraph_id)
+        rebuilt = fresh.subgraph_snapshot(subgraph_id)
+        assert kept.weights == rebuilt.weights
+        assert kept.rows == rebuilt.rows
+    kept, rebuilt = dtlp.skeleton_snapshot(), fresh.skeleton_snapshot()
+    assert kept.weights == rebuilt.weights
+    assert kept.rows == rebuilt.rows
+    image, rebuilt_image = dtlp.skeleton_search_view(), fresh.skeleton_search_view()
+    assert image.rows == rebuilt_image.rows
+    for u, v, weight in fresh.skeleton_graph.edges():
+        assert image.weight(u, v) == rebuilt_image.weight(u, v) == weight
+        if not fresh.graph.directed:
+            assert image.weight(v, u) == weight
+
+
 @given(
     graph=networks(),
     z=st.sampled_from((5, 8)),
     integer=st.booleans(),
     direction=st.sampled_from(("up", "down", "both")),
     rounds=st.integers(min_value=1, max_value=4),
+    attached=st.booleans(),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(**FIXED_BUDGET)
-def test_batched_maintenance_equals_rebuild(graph, z, integer, direction, rounds, seed) -> None:
+def test_batched_maintenance_equals_rebuild(
+    graph, z, integer, direction, rounds, attached, seed
+) -> None:
+    """A round leaves the index and every kernel view it keeps where a
+    fresh build would: attached, folded from the round, or detached and
+    caught up from the change log; the views were all read before the
+    first round, so each is maintained rather than built late."""
     rng = random.Random(seed)
-    dtlp = DTLP(graph, DTLPConfig(z=z, xi=2)).build().attach()
+    dtlp = DTLP(graph, DTLPConfig(z=z, xi=2)).build()
+    if attached:
+        dtlp.attach()
+    for subgraph_id in dtlp.subgraph_indexes():
+        dtlp.subgraph_snapshot(subgraph_id)
+    dtlp.skeleton_search_view()
     for _ in range(rounds):
         graph.apply_updates(moved_batch(graph, rng, integer, direction))
+        if not attached:
+            dtlp.catch_up()
         twin_graph, twin = pickle.loads(pickle.dumps((graph, dtlp)))
         fresh = DTLP(twin_graph, twin.config, partition=twin.partition).build()
         for subgraph_id, index in dtlp.subgraph_indexes().items():
@@ -261,6 +299,7 @@ def test_batched_maintenance_equals_rebuild(graph, z, integer, direction, rounds
             assert index.export_state()["paths"] == rebuilt.export_state()["paths"]
             assert index.lower_bound_distances() == rebuilt.lower_bound_distances()
         assert sorted(dtlp.skeleton_graph.edges()) == sorted(fresh.skeleton_graph.edges())
+        assert_views_equal_a_rebuild(dtlp, fresh)
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +323,10 @@ def test_one_change_walk_per_graph_version(monkeypatch) -> None:
     reprice = SubgraphIndex.reprice
 
     def counted_apply(self, changes, version: int) -> int:
-        rewritten.append(apply_changes(self, changes, version))
-        return rewritten[-1]
+        count = apply_changes(self, changes, version)
+        if isinstance(self.source, Subgraph):  # not the skeleton's snapshot
+            rewritten.append(count)
+        return count
 
     def counted_reprice(self, changes):
         key_of = {edge: key for key, edge in self.edge_ids.items()}
@@ -341,6 +382,59 @@ def test_one_change_walk_per_graph_version(monkeypatch) -> None:
                 assert sum(rewritten) == 2 * len(changed), flow  # both arcs of each edge
                 assert len(rewritten) == len(subgraph_ids), flow
                 assert sorted(repriced) == sorted(changed), flow
+
+
+def test_a_round_and_its_next_query_rebuild_no_view(monkeypatch) -> None:
+    """After the first round, a round posted to a front door of two KSP-DG
+    replicas plus the query after it re-read no skeleton, re-flatten no
+    search image and build no kernel view: each round writes the views by
+    position.  The round's edges are validated once per graph, by its
+    ``apply_updates``, and once more by the front door on the first
+    replica's graph before it drains the replicas; ``has_edge`` is never
+    asked."""
+    calls: Dict[str, int] = {}
+    validated: Dict[int, List[int]] = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((CSRSnapshot, "__init__"), (CSRSnapshot, "refresh"),
+                        (SkeletonSearchView, "__init__"), (DynamicGraph, "has_edge")):
+        counting(owner, name)
+    require_edges = DynamicGraph.require_edges
+
+    def counted_require(self, updates):
+        validated.setdefault(id(self), []).append(len(updates))
+        return require_edges(self, updates)
+
+    monkeypatch.setattr(DynamicGraph, "require_edges", counted_require)
+
+    graph = road_network(8, 8, seed=1)
+    edges = [(u, v) for u, v, _ in graph.edges()]
+    rng = random.Random(4)
+    replicas = build_replicas(graph, num_replicas=2, engine="kspdg", z=12, xi=2)
+    with start_front_door(replicas) as front_door:
+        with FrontDoorClient.for_url(front_door.url) as client:
+            for round_number in range(3):
+                assert client.query(0, 63, k=2).status == 200
+                calls.clear()
+                validated.clear()
+                changed = rng.sample(edges, len(edges) // 2)
+                updates = [WeightUpdate(u, v, graph.weight(u, v) * rng.uniform(0.8, 1.5))
+                           for u, v in changed]
+                front_door.apply_maintenance(updates)
+                assert sorted(validated.values()) == [[len(updates)], [len(updates)] * 2]
+                assert calls.get("has_edge", 0) == 0
+                assert client.query(7, 56, k=2).status == 200
+                if round_number:
+                    assert calls.get("refresh", 0) == 0, calls
+                    assert calls.get("__init__", 0) == 0, calls
 
 
 def test_snapshot_first_built_mid_history_owes_nothing() -> None:

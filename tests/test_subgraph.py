@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import DynamicGraph
 from repro.graph.errors import EdgeNotFoundError, VertexNotFoundError
@@ -93,6 +95,38 @@ class TestUnitWeightProfile:
     def test_bound_distance_initial(self, sg4_graph):
         """Before the change the 8 smallest unit weights sum to 8 (Example 4)."""
         assert SortedUnitWeights(make_sg4_subgraph(sg4_graph)).prefix[8] == pytest.approx(8.0)
+
+    @given(
+        edges=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=4),
+                st.one_of(
+                    st.sampled_from((0.0, 0.1, 0.3, 1.0, 2.0, 1e16)),
+                    st.floats(min_value=0.0, max_value=50.0),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        depth=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_prefix_is_the_sorted_per_vfrag_list_summed_left_to_right(self, edges, depth):
+        """The reference, bit for bit: every vfrag's unit weight listed,
+        sorted, and summed left to right; ties between edges of equal unit
+        weight and different vfrag counts included."""
+        vfrags = [count for count, _ in edges]
+        weights = [unit * count for count, unit in edges]
+        depth = min(depth, sum(vfrags))
+        units = SortedUnitWeights.over({}, vfrags, depth, weights, [])
+        units.refresh()
+        per_vfrag = sorted(
+            weight / count for weight, count in zip(weights, vfrags) for _ in range(count)
+        )
+        expected = [0.0]
+        for unit in per_vfrag[:depth]:
+            expected.append(expected[-1] + unit)
+        assert [x.hex() for x in units.prefix] == [x.hex() for x in expected]
 
     def test_sum_beyond_available_vfrags_returns_total(self, sg4_graph):
         units = SortedUnitWeights(make_sg4_subgraph(sg4_graph), depth=10_000)
