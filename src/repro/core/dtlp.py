@@ -14,10 +14,20 @@ registered as a listener on the dynamic graph (``graph.add_listener(dtlp.handle_
 so that every batch of weight updates refreshes the affected bounding-path
 distances and the skeleton-graph edge weights.
 
+The index has one version, the graph version its prices reflect.  Every
+read a query makes — a subgraph snapshot, the skeleton search image, the
+dict skeleton, the partial-KSP memo — first brings an index the graph moved
+past without it current, through the same round an attached index runs as
+a listener, so no read is ever answered from weights the prices do not
+reflect.
+
 The index additionally hosts the shared per-subgraph kernel-snapshot cache
-(:meth:`DTLP.subgraph_snapshot`) consumed by KSP-DG and the distributed
-bolts; see ``ARCHITECTURE.md`` for the layer stack and the snapshot/dict
-kernel trade-off.
+(:meth:`DTLP.subgraph_snapshot`) and the skeleton search image
+(:meth:`DTLP.skeleton_search_view`) consumed by KSP-DG and the distributed
+bolts; each round writes both by the arc addresses its
+:class:`~repro.core.layout.IndexLayout` holds.  See ``ARCHITECTURE.md`` for
+the layer stack, where each weight lives and the snapshot/dict kernel
+trade-off.
 """
 
 from __future__ import annotations
@@ -160,7 +170,7 @@ class DTLP:
         # Lazily built per-subgraph kernel snapshots, shared by every
         # consumer (KSP-DG refine, distributed bolts) and refreshed
         # incrementally instead of re-adapting the mutable graph per call:
-        # the epoch fold leaves each cached snapshot's changed edges in its
+        # a round's fold leaves each cached snapshot's changed edges in its
         # bucket (global edge id -> latest weight), applied on its next read.
         self._subgraph_snapshots: Dict[int, CSRSnapshot] = {}
         self._snapshot_changes: Dict[int, Dict[int, float]] = {}
@@ -169,32 +179,21 @@ class DTLP:
         self._build_seconds = 0.0
         self._last_maintenance_seconds = 0.0
         self._attached = False
-        # Per-subgraph weight epochs: a subgraph's epoch advances only when
-        # an edge it contains changed weight, derived lazily from the
-        # graph's change feed.  Epochs key the cross-query partial-KSP
-        # memo below, so a maintenance round invalidates exactly the
-        # touched subgraphs.
-        self._weight_epochs: Dict[int, int] = {}
-        self._weight_epoch_version = graph.version
-        # The graph version the bounding-path prices and skeleton weights
-        # reflect; see handle_updates and attach.
+        # The index's one version: the graph version the bounding-path
+        # prices, the skeleton weights, the memo and every kernel view
+        # reflect (see _current).
         self._priced_version = graph.version
         self._epoch_lock = threading.Lock()
         # Made once with the indexes: everything no round or query writes,
         # shared by this index's copies in the process (see IndexLayout).
         self._layout: Optional[IndexLayout] = None
-        # Per global edge id of the layout, the weight the last fold saw.
-        self._fold_weights: List[float] = []
-        # (subgraph_id, ordered pair, k) -> (epoch, partial k shortest
-        # paths).  Shared by KSP-DG queries and the SubgraphBolts; a
-        # subgraph's entries are dropped when its epoch advances.
-        self._partial_memo: Dict[
-            Tuple[int, Tuple[int, int], int], Tuple[int, Tuple[Path, ...]]
-        ] = {}
-        # Shared kernel view of the un-augmented skeleton graph and the
-        # search image every query overlays its endpoints on, both built on
-        # the first query and written by each round after it.
-        self._skeleton_kernel_snapshot: Optional[CSRSnapshot] = None
+        # (subgraph_id, ordered pair, k) -> partial k shortest paths.
+        # Shared by KSP-DG queries and the SubgraphBolts; a round drops the
+        # entries of every subgraph holding both ends of an edge it moved.
+        self._partial_memo: Dict[Tuple[int, Tuple[int, int], int], Tuple[Path, ...]] = {}
+        # The search image of the skeleton graph every query overlays its
+        # endpoints on, built on the first query and derived by each round
+        # after it.
         self._skeleton_image: Optional[SkeletonSearchView] = None
 
     # ------------------------------------------------------------------
@@ -219,9 +218,11 @@ class DTLP:
 
     @property
     def skeleton_graph(self) -> SkeletonGraph:
-        """The second-level skeleton graph ``G_lambda``."""
+        """The second-level skeleton graph ``G_lambda``, current (see
+        :meth:`catch_up`)."""
         if not self._built:
             raise IndexStateError("DTLP.build() must run before accessing the skeleton graph")
+        self.catch_up()
         return self._skeleton
 
     @property
@@ -265,24 +266,24 @@ class DTLP:
         The snapshot is shared across queries and iterations: the first
         access pays the CSR build, later ones compare versions and, when the
         graph moved, rewrite the arcs of this subgraph's own changed edges
-        — bucketed by the one walk of the change feed per graph version
-        (:meth:`_advance_weight_epochs`), so a round costs O(changed edges)
-        over all snapshots together.  This is the array-backed fast path of
-        the refine step; the :class:`~repro.graph.subgraph.Subgraph` object
-        itself remains the dict-based reference (see ``ARCHITECTURE.md``).
+        — bucketed by the one fold of a round (:meth:`_fold`), so a round
+        costs O(changed edges) over all snapshots together.  This is the
+        array-backed fast path of the refine step; the
+        :class:`~repro.graph.subgraph.Subgraph` object itself remains the
+        dict-based reference (see ``ARCHITECTURE.md``).
         """
         if self._partition is None:
             raise IndexStateError("DTLP.build() must run before snapshots are read")
         with self._epoch_lock:
-            # Fold first: a snapshot built below already holds every change
-            # up to the version the fold stops at.
-            self._advance_weight_epochs()
+            # Current first: a snapshot built below already holds every
+            # change up to the version the round stops at.
+            self._current()
             snapshot = self._subgraph_snapshots.get(subgraph_id)
             if snapshot is None:
                 snapshot = CSRSnapshot(self._partition.subgraph(subgraph_id))
                 self._subgraph_snapshots[subgraph_id] = snapshot
                 self._snapshot_changes[subgraph_id] = {}
-            elif snapshot.version != self._weight_epoch_version:
+            elif snapshot.version != self._priced_version:
                 bucket = self._snapshot_changes[subgraph_id]
                 self._snapshot_changes[subgraph_id] = {}
                 arcs = self._layout.edge_arcs
@@ -291,152 +292,56 @@ class DTLP:
                 if not self._graph.directed:
                     changes += [(arcs[4 * slot + 2], arcs[4 * slot + 3], weight)
                                 for slot, weight in bucket.items()]
-                snapshot.apply_changes(changes, self._weight_epoch_version)
+                snapshot.apply_changes(changes, self._priced_version)
         return snapshot
 
-    # ------------------------------------------------------------------
-    # cross-query reuse: weight epochs, partial-KSP memo
-    # ------------------------------------------------------------------
-    def subgraph_weights_epoch(self, subgraph_id: int) -> int:
-        """Epoch counter of one subgraph's weights.
+    def skeleton_search_view(self) -> SkeletonSearchView:
+        """The search image of the current skeleton graph.
 
-        Advances exactly when an edge contained in the subgraph changed
-        weight, derived lazily from the graph's
-        :meth:`~repro.graph.graph.DynamicGraph.edges_changed_since` feed.
-        Serves as the invalidation key of every cross-query cache: two
-        reads returning the same epoch guarantee the subgraph's weights
-        did not change in between.  Thread-safe (concurrent query batches
-        read epochs while the graph is quiescent; the lock makes the lazy
-        advance race-free regardless).
+        Built from the skeleton graph on the first query; each round then
+        derives the next epoch's image from it by the arcs it moved
+        (:meth:`SkeletonSearchView.moved`).  Queries only ever read it
+        (:meth:`SkeletonSearchView.overlay` copies), so one image serves
+        every QueryBolt of the process.
         """
+        if not self._built:
+            raise IndexStateError("DTLP.build() must run before snapshots are read")
         with self._epoch_lock:
-            self._advance_weight_epochs()
-            return self._weight_epochs.get(subgraph_id, 0)
+            self._current()
+            if self._skeleton_image is None:
+                self._skeleton_image = SkeletonSearchView(self._skeleton)
+            return self._skeleton_image
 
-    def _check_structure(self) -> None:
-        """Refuse to serve a graph whose topology moved under the index."""
-        if self._graph.structure_version != self._structure_version:
-            raise StaleStructureError(
-                "vertices or edges were added to the graph after this DTLP "
-                "was built; call DTLP.build() again"
-            )
-
-    def _advance_weight_epochs(self) -> None:
-        """Fold graph changes since the last look into per-subgraph state
-        (the lazy fold of a detached index; an attached one folds in
-        :meth:`handle_updates`).  Callers hold ``_epoch_lock``."""
-        self._check_structure()
-        if self._graph.version != self._weight_epoch_version:
-            self._fold(self._graph.edges_changed_since(self._weight_epoch_version))
-
-    def _fold(
-        self, changes: Iterable[Tuple[int, int, float]]
-    ) -> Dict[int, List[Tuple[int, float]]]:
-        """The one walk of the change feed per graph version.  Files each
-        ``(u, v, weight)`` under its owner's cached snapshot, if any; if
-        the weight differs from the last fold's, bumps the epochs its slot
-        names and groups ``(edge id, weight)`` under the owner, which the
-        caller re-prices when the fold is a round.  Callers hold
-        ``_epoch_lock``."""
-        slots = self._layout.edge_slots
-        fold_weights = self._fold_weights
-        pending = self._snapshot_changes
-        groups: Dict[int, List[Tuple[int, float]]] = {}
-        bumped: Set[int] = set()
-        for u, v, weight in changes:
-            slot, owner, edge, bumps = slots[(u, v)]
-            bucket = pending.get(owner)
-            if bucket is not None:
-                bucket[slot] = weight
-            if weight != fold_weights[slot]:
-                fold_weights[slot] = weight
-                bumped.update(bumps)
-                group = groups.get(owner)
-                if group is None:
-                    groups[owner] = [(edge, weight)]
-                else:
-                    group.append((edge, weight))
-        epochs = self._weight_epochs
-        for subgraph_id in bumped:
-            epochs[subgraph_id] = epochs.get(subgraph_id, 0) + 1
-        if bumped:
-            # A memo entry of a dead epoch can never hit again; drop it now
-            # rather than when the FIFO cap reaches it.
-            memo = self._partial_memo
-            for key in [key for key in list(memo) if key[0] in bumped]:
-                memo.pop(key, None)
-        self._weight_epoch_version = self._graph.version
-        return groups
-
+    # ------------------------------------------------------------------
+    # cross-query reuse: the partial-KSP memo
+    # ------------------------------------------------------------------
     def partial_memo_get(
         self, subgraph_id: int, pair: Tuple[int, int], k: int
     ) -> Optional[List[Path]]:
         """Memoised partial k shortest paths for one (subgraph, pair, k).
 
-        Returns ``None`` on a miss or when the stored entry predates the
-        subgraph's current weight epoch.  Hits return the exact paths a
-        fresh computation would produce (Yen is deterministic and the
-        epoch pins the weights), so reuse is invisible in results — it
+        Returns ``None`` on a miss.  The index is brought current first and
+        every round drops the entries of the subgraphs whose weights it
+        moved, so hits return the exact paths a fresh computation would
+        produce (Yen is deterministic) — reuse is invisible in results, it
         only removes recompute.
         """
-        entry = self._partial_memo.get((subgraph_id, pair, k))
-        if entry is None:
-            return None
-        epoch, paths = entry
-        if epoch != self.subgraph_weights_epoch(subgraph_id):
-            return None
-        return list(paths)
+        self.catch_up()
+        paths = self._partial_memo.get((subgraph_id, pair, k))
+        return None if paths is None else list(paths)
 
     def partial_memo_put(
         self, subgraph_id: int, pair: Tuple[int, int], k: int, paths: Sequence[Path]
     ) -> None:
-        """Store one partial-KSP result under the subgraph's current epoch."""
+        """Store one partial-KSP result, computed on the current weights."""
+        self.catch_up()
         memo = self._partial_memo
         if len(memo) >= _PARTIAL_MEMO_LIMIT:
             try:
                 memo.pop(next(iter(memo)), None)
             except (StopIteration, RuntimeError):  # racing eviction/clear
                 pass
-        memo[(subgraph_id, pair, k)] = (
-            self.subgraph_weights_epoch(subgraph_id),
-            tuple(paths),
-        )
-
-    def skeleton_snapshot(self) -> CSRSnapshot:
-        """Shared kernel snapshot of the un-augmented skeleton graph.
-
-        Built lazily; from then on every round writes the arcs it moved
-        into it by position (:meth:`handle_updates`), the only writer of the
-        skeleton's weights, so a read never re-reads the skeleton.
-        """
-        if not self._built:
-            raise IndexStateError("DTLP.build() must run before snapshots are read")
-        snapshot = self._skeleton_kernel_snapshot
-        if snapshot is None or snapshot.source is not self._skeleton:
-            snapshot = CSRSnapshot(self._skeleton)
-            self._skeleton_kernel_snapshot = snapshot
-        return snapshot
-
-    def skeleton_search_view(self) -> SkeletonSearchView:
-        """Per-epoch search image of the shared skeleton snapshot.
-
-        Built lazily on the first query, and again only if
-        :meth:`skeleton_snapshot` was rebuilt or moved past it; each round
-        derives the next epoch's image from it instead
-        (:meth:`SkeletonSearchView.moved`).  Queries only ever read it
-        (:meth:`SkeletonSearchView.overlay` copies), so one image serves
-        every QueryBolt of the process.
-        """
-        snapshot = self.skeleton_snapshot()
-        image = self._skeleton_image
-        if (
-            image is None
-            or image.source is not snapshot
-            or image.weights_epoch != snapshot.weights_epoch
-        ):
-            image = SkeletonSearchView(snapshot)
-            self._skeleton_image = image
-        return image
+        memo[(subgraph_id, pair, k)] = tuple(paths)
 
     def reference_enumerator(
         self,
@@ -452,7 +357,9 @@ class DTLP:
         ``attachments`` maps each non-boundary query endpoint to its
         ``{boundary_vertex: lower_bound}`` edges and ``direct_edge`` is the
         within-subgraph distance between endpoints sharing a subgraph; the
-        enumeration runs on the skeleton graph with both added.
+        enumeration runs on the skeleton graph with both added.  On a
+        directed graph the source's edges are distances from it and the
+        target's distances to it (:meth:`attachment_edges`).
 
         With ``kernel="dict"`` that graph is the reference tier,
         :meth:`SkeletonGraph.augmented`, searched unbounded.  The array
@@ -464,7 +371,7 @@ class DTLP:
         later one under the Theorem 3 bound the query installs, settling
         only what those bounds reach.  Attachments the image has no room
         for (more than two new vertices in one id gap, which a query's two
-        endpoints never are) get the rebuilt snapshot.
+        endpoints never are) get a snapshot of the augmented skeleton.
         """
         direct = (
             (source, target, direct_edge)
@@ -531,11 +438,9 @@ class DTLP:
         self._subgraph_snapshots.clear()
         self._snapshot_changes.clear()
         self._partial_memo.clear()
-        self._skeleton_kernel_snapshot = None
         self._skeleton_image = None
         with self._epoch_lock:
-            self._weight_epochs.clear()
-            self._weight_epoch_version = self._priced_version = self._graph.version
+            self._priced_version = self._graph.version
         if prebuilt_indexes is not None:
             expected = {s.subgraph_id for s in self._partition.subgraphs}
             if set(prebuilt_indexes) != expected:
@@ -626,54 +531,54 @@ class DTLP:
     def _freeze_layout(self) -> None:
         """Make the :class:`IndexLayout` of the built indexes: the partition
         and the indexes' tables laid out in index space for maintenance
-        rounds.  An edge bumps the epoch of every subgraph holding both
-        endpoints: only boundary vertices are shared, so that is the owner
-        alone unless both are boundary vertices.  The skeleton pairs are
-        its arcs: the pairs some holder has bounding paths for."""
+        rounds.  An edge's move reaches the memo of every subgraph holding
+        both endpoints: only boundary vertices are shared, so that is the
+        owner alone unless both are boundary vertices.  The skeleton pairs
+        are its arcs: the pairs some holder has bounding paths for, each
+        addressed in the skeleton graph's arc order, which is its search
+        image's."""
         partition = self._partition
         assert partition is not None
         boundary = partition.boundary_vertices
         directed = self._config.directed
-        edge_slots, fold_weights, edge_arcs = {}, [], array("i")
+        edge_slots, edge_arcs = {}, array("i")
         holders: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         for owner, index in self._subgraph_indexes.items():
             alone = (owner,)
-            first = len(fold_weights)
+            first = len(edge_slots)
             for (u, v), edge in index.edge_ids.items():
                 both = u in boundary and v in boundary
-                bumps = partition.subgraphs_containing_pair(u, v) if both else alone
-                edge_slots[(u, v)] = (len(fold_weights), owner, edge, bumps)
-                fold_weights.append(self._graph.weight(u, v))
-            edge_arcs += array("i", (-1,)) * (4 * (len(fold_weights) - first))
-            # Written in place: a table of every arc's position would keep
+                holding = partition.subgraphs_containing_pair(u, v) if both else alone
+                edge_slots[(u, v)] = (len(edge_slots), owner, edge, holding)
+            edge_arcs += array("i", (-1,)) * (4 * (len(edge_slots) - first))
+            # Written in place: a table of every arc's address would keep
             # two tuples per arc alive for the collector to walk.
-            for u, v, row, position in CSRSnapshot.arc_positions(partition.subgraph(owner)):
+            for u, v, row, offset in CSRSnapshot.arc_positions(partition.subgraph(owner)):
                 if directed or u <= v:
                     at = 4 * edge_slots[(u, v)][0]
                 else:
                     at = 4 * edge_slots[(v, u)][0] + 2
                 edge_arcs[at] = row
-                edge_arcs[at + 1] = position
+                edge_arcs[at + 1] = offset
             for number, (pair, paths) in enumerate(
                 zip(index.tables.pair_keys, index.tables.pair_paths)
             ):
                 if paths:
                     holders.setdefault(pair, []).append((owner, number))
-        positions = {
-            (u, v): (row, position)
-            for u, v, row, position in CSRSnapshot.arc_positions(self._skeleton)
+        addresses = {
+            (u, v): (row, offset)
+            for u, v, row, offset in CSRSnapshot.arc_positions(self._skeleton)
         }
         pair_ids = {pair: number for number, pair in enumerate(holders)}
         skeleton_pairs = tuple(
             (u, v, tuple(owners),
-             (positions[(u, v)],) if directed else (positions[(u, v)], positions[(v, u)]))
+             (addresses[(u, v)],) if directed else (addresses[(u, v)], addresses[(v, u)]))
             for (u, v), owners in holders.items()
         )
         owner_pairs = tuple(
             tuple(pair_ids[pair] for pair in index.boundary_pairs() if pair in pair_ids)
             for index in self._subgraph_indexes.values()
         )
-        self._fold_weights = fold_weights
         self._layout = IndexLayout(
             partition.layout,
             tuple(index.tables for index in self._subgraph_indexes.values()),
@@ -695,7 +600,6 @@ class DTLP:
         state["_partial_memo"] = {}
         state["_subgraph_snapshots"] = {}
         state["_snapshot_changes"] = {}
-        state["_skeleton_kernel_snapshot"] = None
         state["_skeleton_image"] = None
         if self._layout is not None:
             # A built index travels as its layout (a token where this
@@ -752,17 +656,25 @@ class DTLP:
         return self
 
     def catch_up(self) -> None:
-        """Re-price an index whose graph moved without it.
+        """Bring an index the graph moved past without it current.
 
         An index never attached, or detached, keeps the prices of the
         version it last saw.  When that version is behind the graph's, one
         :meth:`handle_updates` round (under the epoch lock) re-prices every
         edge changed since — the round :meth:`attach` opens with.  A current
-        index costs one compare, so the query entry points
-        (:meth:`KSPDG.query`, the topology's batch entry) call it serially
-        before they search or fan out.
+        index costs two compares, so every read a query makes runs it
+        first: the query entry points (:meth:`KSPDG.query`, the topology's
+        batch entry) before they search or fan out, and the index's own
+        reads (:attr:`skeleton_graph`, the partial memo, and under the
+        epoch lock :meth:`subgraph_snapshot` and
+        :meth:`skeleton_search_view`).  A graph whose vertices or edges
+        moved raises :class:`StaleStructureError` here.
         """
-        if self._built and self._priced_version != self._graph.version:
+        graph = self._graph
+        if self._built and (
+            self._priced_version != graph.version
+            or self._structure_version != graph.structure_version
+        ):
             self.handle_updates(())
 
     def detach(self) -> None:
@@ -778,59 +690,101 @@ class DTLP:
 
             graph.add_listener(dtlp.handle_updates)
 
-        One round of Algorithm 2 in index space (ARCHITECTURE.md, "A round
-        in index space"): the edges changed since the priced version — or,
-        when the prices already claim the graph's version (a store restored
-        at save-time weights), the edges of ``updates`` — are grouped per
-        owner, each owner re-prices (:meth:`SubgraphIndex.reprice`) and the
-        skeleton weights of its pairs are written (:meth:`_write_skeleton`).
-
-        Returns the wall-clock time spent, which the maintenance-cost
-        experiments (Figures 19-23) report.
+        One round of Algorithm 2 in index space (:meth:`_current`).  Returns
+        the wall-clock time spent, which the maintenance-cost experiments
+        (Figures 19-23) report.
         """
         if not self._built:
             raise IndexStateError("DTLP.build() must run before updates are applied")
         started = time.perf_counter()
-        graph = self._graph
         with self._epoch_lock:
-            self._check_structure()
-            priced = self._priced_version
-            if priced == self._weight_epoch_version < graph.version:
-                # Every attached round, and the catch-up of an index no
-                # read folded ahead of its prices: one walk folds and groups.
-                groups = self._fold(graph.edges_changed_since(priced))
-            else:
-                self._advance_weight_epochs()
-                changed = (
-                    graph.edges_changed_since(priced) if priced < graph.version
-                    else ((u.u, u.v, graph.weight(u.u, u.v)) for u in updates)
-                )
-                groups = {}
-                for u, v, weight in changed:
-                    key = (u, v) if graph.directed or u <= v else (v, u)
-                    _, owner, edge, _ = self._layout.edge_slots[key]
-                    groups.setdefault(owner, []).append((edge, weight))
-            indexes = self._subgraph_indexes
-            for owner, changes in groups.items():
-                indexes[owner].reprice(changes)
-            self._write_skeleton(groups)
-            self._priced_version = graph.version
+            self._current(updates)
         elapsed = time.perf_counter() - started
         self._last_maintenance_seconds = elapsed
         return elapsed
 
+    def _check_structure(self) -> None:
+        """Refuse to serve a graph whose topology moved under the index."""
+        if self._graph.structure_version != self._structure_version:
+            raise StaleStructureError(
+                "vertices or edges were added to the graph after this DTLP "
+                "was built; call DTLP.build() again"
+            )
+
+    def _current(self, updates: Sequence[WeightUpdate] = ()) -> None:
+        """The one round that brings the index to the graph's version
+        (ARCHITECTURE.md, "A round in index space").  Its changed edges are
+        the ones changed since the priced version — or, when the prices
+        already claim the graph's version (a store restored at save-time
+        weights), the edges of ``updates``.  They are folded once
+        (:meth:`_fold`), each owner re-prices (:meth:`SubgraphIndex.reprice`)
+        and the skeleton weights of its pairs are written
+        (:meth:`_write_skeleton`).  A no-op on a current index.  Callers
+        hold ``_epoch_lock``."""
+        self._check_structure()
+        graph = self._graph
+        if self._priced_version != graph.version:
+            changes = graph.edges_changed_since(self._priced_version)
+        elif updates:
+            changes = []
+            for update in updates:
+                u, v = update.u, update.v
+                if not graph.directed and u > v:
+                    u, v = v, u
+                changes.append((u, v, graph.weight(u, v)))
+        else:
+            return
+        groups = self._fold(changes)
+        indexes = self._subgraph_indexes
+        for owner, edges in groups.items():
+            indexes[owner].reprice(edges)
+        self._write_skeleton(groups)
+        self._priced_version = graph.version
+
+    def _fold(
+        self, changes: Iterable[Tuple[int, int, float]]
+    ) -> Dict[int, List[Tuple[int, float]]]:
+        """The one walk of a round's changed edges.  Files each ``(u, v,
+        weight)`` under its owner's cached snapshot, if any; if the weight
+        differs from the one the owner's prices were taken at
+        (:attr:`SubgraphIndex.edge_weights`), drops the memo entries of the
+        subgraphs holding both endpoints and groups ``(edge id, weight)``
+        under the owner for re-pricing."""
+        slots = self._layout.edge_slots
+        weights = [index.edge_weights for index in self._subgraph_indexes.values()]
+        pending = self._snapshot_changes
+        groups: Dict[int, List[Tuple[int, float]]] = {}
+        moved: Set[int] = set()
+        for u, v, weight in changes:
+            slot, owner, edge, holding = slots[(u, v)]
+            bucket = pending.get(owner)
+            if bucket is not None:
+                bucket[slot] = weight
+            if weight != weights[owner][edge]:
+                moved.update(holding)
+                group = groups.get(owner)
+                if group is None:
+                    groups[owner] = [(edge, weight)]
+                else:
+                    group.append((edge, weight))
+        if moved:
+            # An entry of a moved subgraph can never hit again; drop it now
+            # rather than when the FIFO cap reaches it.
+            memo = self._partial_memo
+            for key in [key for key in list(memo) if key[0] in moved]:
+                memo.pop(key, None)
+        return groups
+
     def _write_skeleton(self, subgraph_ids: Iterable[int]) -> None:
         """Set the skeleton weight of every pair the given subgraphs hold,
-        the minimum of its holders' Theorem 1 bounds, and write the arcs
-        whose weight moved into the skeleton snapshot by position; the next
-        search image is derived from the current one by those arcs."""
+        the minimum of its holders' Theorem 1 bounds; the next search image
+        is derived from the current one by the arcs whose weight moved."""
         layout = self._layout
         skeleton_pairs = layout.skeleton_pairs
         owner_pairs = layout.owner_pairs
         bounds = [index.pair_bounds for index in self._subgraph_indexes.values()]
+        weight = self._skeleton.weight
         set_edge = self._skeleton.set_edge
-        snapshot = self._skeleton_kernel_snapshot
-        weights = snapshot.weights if snapshot is not None else None
         moved: List[Tuple[int, int, float]] = []
         done = bytearray(len(skeleton_pairs))
         for subgraph_id in subgraph_ids:
@@ -844,26 +798,29 @@ class DTLP:
                     bound = bounds[owner][number]
                 else:
                     bound = min([bounds[owner][number] for owner, number in holders])
+                if bound != weight(u, v):
+                    for row, offset in arcs:
+                        moved.append((row, offset, bound))
                 set_edge(u, v, bound)
-                if weights is not None and weights[arcs[0][1]] != bound:
-                    for row, position in arcs:
-                        moved.append((row, position, bound))
-        if moved:
-            image = self._skeleton_image
-            current = image is not None and image.weights_epoch == snapshot.weights_epoch
-            snapshot.apply_changes(moved, snapshot.version)
-            self._skeleton_image = image.moved(moved) if current else None
+        image = self._skeleton_image
+        if moved and image is not None:
+            self._skeleton_image = image.moved(moved)
 
     # ------------------------------------------------------------------
     # queries used by KSP-DG
     # ------------------------------------------------------------------
-    def attachment_edges(self, vertex: int, kernel: str = "dict") -> Dict[int, float]:
+    def attachment_edges(
+        self, vertex: int, kernel: str = "dict", towards: bool = False
+    ) -> Dict[int, float]:
         """Lower-bound edges connecting ``vertex`` to the skeleton graph.
 
         For a boundary vertex the result is empty (it is already part of the
         skeleton graph).  For a non-boundary vertex the result maps each
         boundary vertex of the vertex's subgraph to a lower bound of the
-        within-subgraph distance, as required by Section 5.3.
+        within-subgraph distance, as required by Section 5.3: the distance
+        from ``vertex`` for a query source, and with ``towards`` the
+        distance to it, for a query target — the two differ only on a
+        directed graph (:meth:`SubgraphIndex.lower_bounds_to_vertex`).
 
         With ``kernel="snapshot"`` the one-to-many searches run on the
         shared subgraph snapshots (bit-identical distances, array speed);
@@ -876,9 +833,8 @@ class DTLP:
         for subgraph_id in self._partition.subgraphs_of_vertex(vertex):
             index = self._subgraph_indexes[subgraph_id]
             view = self.subgraph_snapshot(subgraph_id) if kernel != "dict" else None
-            for boundary, distance in index.lower_bounds_from_vertex(
-                vertex, view=view
-            ).items():
+            bounds = index.lower_bounds_to_vertex if towards else index.lower_bounds_from_vertex
+            for boundary, distance in bounds(vertex, view=view).items():
                 current = edges.get(boundary)
                 if current is None or distance < current:
                     edges[boundary] = distance

@@ -209,15 +209,19 @@ def endpoint_attachments(
 ) -> Tuple[Dict[int, Dict[int, float]], Optional[float]]:
     """Skeleton attachments of the non-boundary endpoints, and the direct edge.
 
-    The direct edge is the within-subgraph distance between endpoints that
-    share a subgraph (at least one of them non-boundary): paths staying
-    inside that subgraph must be represented in the skeleton graph too.
+    The target's attachment edges are distances *to* it, the source's
+    distances from it.  The direct edge is the within-subgraph distance
+    between endpoints that share a subgraph (at least one of them
+    non-boundary): paths staying inside that subgraph must be represented
+    in the skeleton graph too.
     Computed in this process; the distributed EntranceSpout gathers the
     same two values from its SubgraphBolts (Step 1 of Figure 14).
     """
     partition = dtlp.partition
     attachments = {
-        endpoint: dtlp.attachment_edges(endpoint, kernel=mode.kernel)
+        endpoint: dtlp.attachment_edges(
+            endpoint, kernel=mode.kernel, towards=endpoint != source
+        )
         for endpoint in (source, target)
         if not partition.is_boundary(endpoint)
     }

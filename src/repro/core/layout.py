@@ -8,17 +8,20 @@ weights move.  :class:`IndexLayout` holds all of that fixed structure:
   topology, vertex -> subgraphs, edge -> owner, the boundary vertices);
 * each subgraph index's :class:`~repro.core.subgraph_index.PathTables`;
 * per canonical edge key its fold slot: ``(global edge id, owner, the
-  owner's edge id, subgraphs whose weight epoch the edge bumps)``, and per
-  global edge id the ``(row, flat position)`` of its arcs in the owner's
+  owner's edge id, subgraphs holding both endpoints)``, and per global edge
+  id the ``(row, offset in row)`` of its arcs in the owner's
   :class:`~repro.kernel.snapshot.CSRSnapshot`;
 * per skeleton pair (a skeleton arc) its endpoints, the ``(subgraph id,
-  pair number)`` of each subgraph pricing it and the ``(row, flat
-  position)`` of its arcs in the skeleton's snapshot, and per subgraph the
+  pair number)`` of each subgraph pricing it and the ``(row, offset in
+  row)`` of its arcs in the skeleton graph's arc order, which is its
+  :class:`~repro.core.skeleton.SkeletonSearchView`'s, and per subgraph the
   skeleton pairs it holds.
 
-The positions are a function of the topologies and of the skeleton's
+The addresses are a function of the topologies and of the skeleton's
 adjacency order, which no round moves, so a round writes every kernel view
-by position instead of searching its rows.
+by address instead of searching its rows.  No weight lives here: an edge
+weight's one copy per index is its owner's unit weights (plus one per
+kernel view), and a skeleton bound's its holders' pair bounds.
 
 A layout pickles as a process-fresh token plus its state, the state
 pickled on its own into one bytes object.  Unpickling returns the live
@@ -45,10 +48,11 @@ from .subgraph_index import PathTables
 __all__ = ["IndexLayout"]
 
 Pair = Tuple[int, int]
-#: canonical edge key -> (global edge id, owner, owner's edge id, bumped ids)
+#: canonical edge key -> (global edge id, owner, owner's edge id, ids of the
+#: subgraphs holding both endpoints)
 EdgeSlots = Dict[Pair, Tuple[int, int, int, Tuple[int, ...]]]
 #: per skeleton pair id: (u, v, ((subgraph id, pair number), ...) of the
-#: holders with bounding paths, ((row, position) of arc (u, v), and of arc
+#: holders with bounding paths, ((row, offset) of arc (u, v), and of arc
 #: (v, u) when undirected))
 SkeletonPairs = Tuple[
     Tuple[int, int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]], ...
@@ -80,9 +84,9 @@ class IndexLayout:
         self.partition = partition
         self.tables = tables
         self.edge_slots = edge_slots
-        #: global edge id g -> entries 4g .. 4g + 3: row and position of its
-        #: arc (u, v), then of (v, u) (-1, -1 when directed), in the owner's
-        #: subgraph snapshot
+        #: global edge id g -> entries 4g .. 4g + 3: row and offset in row of
+        #: its arc (u, v), then of (v, u) (-1, -1 when directed), in the
+        #: owner's subgraph snapshot
         self.edge_arcs = edge_arcs
         self.skeleton_pairs = skeleton_pairs
         #: subgraph id -> ids of the skeleton pairs it holds

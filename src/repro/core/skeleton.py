@@ -14,11 +14,13 @@ vertices of its subgraph.  :meth:`SkeletonGraph.augmented` returns such a
 copy without mutating the shared instance; it is the reference tier.
 
 :class:`SkeletonSearchView` is the array-kernel counterpart: an image of the
-shared skeleton snapshot, built once and then derived from the previous
-epoch's by rewriting the rows a round moved, over which each query
+shared skeleton graph, built from it once and then derived from the previous
+epoch's by rewriting the arcs a round moved, over which each query
 lays its endpoints in O(|V|) pointer copies instead of copying and
 re-flattening every skeleton edge, and which prices the exact distance to
-the query target as the lower bound of the reference-path searches.
+the query target as the lower bound of the reference-path searches.  It is
+the only kernel view of the skeleton: a skeleton bound lives in the index's
+pair bounds, the dict graph and this image.
 """
 
 from __future__ import annotations
@@ -189,14 +191,15 @@ def _with_arc(row: _Row, neighbor: int, weight: float, exists: bool) -> _Row:
 
 
 class SkeletonSearchView(CSRSnapshot):
-    """Search-only kernel view of a skeleton snapshot plus attached endpoints.
+    """Search-only kernel view of a skeleton graph plus attached endpoints.
 
-    Built from the shared skeleton snapshot once, spread over a gapped index
-    space (see :data:`_IMAGE_STRIDE`); each later weight epoch's image is
-    derived from the one before by :meth:`moved`.  :meth:`overlay` then
-    derives the
-    per-query view of "skeleton + attached endpoints" by copying the row
-    list shallowly and rewriting only the rows the attachments touch.
+    Built from the skeleton graph once, in the arc order a
+    :class:`~repro.kernel.snapshot.CSRSnapshot` of it would have, spread
+    over a gapped index space (see :data:`_IMAGE_STRIDE`); each later
+    weight epoch's image is derived from the one before by :meth:`moved`.
+    :meth:`overlay` then derives the per-query view of "skeleton + attached
+    endpoints" by copying the row list shallowly and rewriting only the
+    rows the attachments touch.
 
     Identity contract: an overlay searches exactly like
     ``CSRSnapshot(skeleton.augmented(attachments))`` — index order is id
@@ -205,10 +208,10 @@ class SkeletonSearchView(CSRSnapshot):
     heap tie-breaks, predecessor choices and therefore reference paths
     repeat bit for bit.  ``tests/test_skeleton_overlay.py`` pins this down.
 
-    Only what the search kernels read is materialised: ``ids`` (``None`` in
-    free slots), ``index_of``, ``rows`` and ``weight``; the flat CSR arrays
-    of the base class are never built, so ``num_vertices`` / ``len`` report
-    the size of the index space, not the vertex count.
+    ``ids`` holds ``None`` in free slots, so ``num_vertices`` / ``len``
+    report the size of the index space, not the vertex count.  ``weight``
+    reads an arc map instead of scanning a row: a boundary vertex has many
+    more arcs than a road vertex.
 
     The view doubles as its own lower-bound provider: the inherited
     :meth:`~repro.kernel.snapshot.CSRSnapshot.reverse_search` searches the
@@ -218,26 +221,24 @@ class SkeletonSearchView(CSRSnapshot):
 
     __slots__ = ("_base_ids", "_arcs", "_patch", "_reverse_rows")
 
-    def __init__(self, snapshot: CSRSnapshot) -> None:
-        # Deliberately not calling CSRSnapshot.__init__: it would flatten a
-        # graph-like source, which is the per-query cost this class removes.
+    def __init__(self, source) -> None:
+        # The base constructor lays the rows out densely, in the one arc
+        # order; they are spread over the gapped index space here.
+        super().__init__(source)
         stride = _IMAGE_STRIDE
-        offset = stride - 1
-        base_ids = snapshot.ids
-        size = stride * len(base_ids) + offset
-        self._source = snapshot
-        self._weights_epoch = snapshot.weights_epoch
-        self.directed = snapshot.directed
+        first = stride - 1
+        base_ids = self.ids
+        size = stride * len(base_ids) + first
         self._base_ids = base_ids
         ids: List[Optional[int]] = [None] * size
-        ids[offset::stride] = base_ids
+        ids[first::stride] = base_ids
         self.ids = ids
         self.index_of = {
-            vid: stride * rank + offset for rank, vid in enumerate(base_ids)
+            vid: stride * rank + first for rank, vid in enumerate(base_ids)
         }
         rows: List[_Row] = [()] * size
-        rows[offset::stride] = [
-            tuple((stride * j + offset, w) for j, w in row) for row in snapshot.rows
+        rows[first::stride] = [
+            tuple((stride * j + first, w) for j, w in row) for row in self.rows
         ]
         self.rows = rows
         # (u_index, v_index) -> weight of every base arc, shared by all
@@ -255,33 +256,28 @@ class SkeletonSearchView(CSRSnapshot):
             self._reverse_rows = [tuple(row) for row in transposed]
 
     def moved(self, arcs: Iterable[Tuple[int, int, float]]) -> "SkeletonSearchView":
-        """The image of the source snapshot after its arcs ``(row, flat
-        position, weight)`` were rewritten, derived from this one: the row
-        list and arc map are copied shallowly and only the rows holding
-        those arcs are re-derived, so nothing is re-flattened and this
-        image, which queries may still hold, is left as it was."""
-        snapshot = self._source
+        """The image after the skeleton arcs ``(row, offset in row, weight)``
+        moved — ``row`` counting base vertices in id order, as
+        :meth:`~repro.kernel.snapshot.CSRSnapshot.arc_positions` of the
+        skeleton graph does — derived from this one: the row list and arc
+        map are copied shallowly and only the rows holding those arcs are
+        rewritten, so nothing is re-flattened and this image, which queries
+        may still hold, is left as it was."""
         stride = _IMAGE_STRIDE
-        offset = stride - 1
-        indices = snapshot.indices
+        first = stride - 1
         view = copy.copy(self)
-        view._weights_epoch = snapshot.weights_epoch
         view.rows = rows = list(self.rows)
         view._arcs = arc_weights = dict(self._arcs)
         reverse = None if self._reverse_rows is None else list(self._reverse_rows)
         view._reverse_rows = reverse
-        moved_rows = set()
-        for row, position, weight in arcs:
-            moved_rows.add(row)
-            u, v = stride * row + offset, stride * indices[position] + offset
+        for row, offset, weight in arcs:
+            u = stride * row + first
+            arcs_of_u = rows[u]
+            v = arcs_of_u[offset][0]
+            rows[u] = arcs_of_u[:offset] + ((v, weight),) + arcs_of_u[offset + 1:]
             arc_weights[(u, v)] = weight
             if reverse is not None:
                 reverse[v] = _with_arc(reverse[v], u, weight, True)
-        snapshot_rows = snapshot.rows
-        for row in moved_rows:
-            rows[stride * row + offset] = tuple(
-                (stride * j + offset, w) for j, w in snapshot_rows[row]
-            )
         return view
 
     # ------------------------------------------------------------------
@@ -362,23 +358,6 @@ class SkeletonSearchView(CSRSnapshot):
     def vertices(self) -> Iterator[int]:
         """Iterate over the vertex ids (free slots skipped)."""
         return iter(self.index_of)
-
-    def neighbors(self, vertex: int) -> Iterator[Tuple[int, float]]:
-        """Yield ``(neighbour_id, weight)`` pairs (graph-like protocol)."""
-        try:
-            row = self.rows[self.index_of[vertex]]
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-        ids = self.ids
-        for j, w in row:
-            yield ids[j], w
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Return ``True`` when the arc ``(u, v)`` is in the view."""
-        index_of = self.index_of
-        if u not in index_of or v not in index_of:
-            return False
-        return self._arc_weight((index_of[u], index_of[v])) is not None
 
     def weight(self, u: int, v: int) -> float:
         """Current weight of arc ``(u, v)`` — O(1)."""

@@ -25,12 +25,13 @@ from __future__ import annotations
 import sys
 import time
 from array import array
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ..algorithms.dijkstra import vfrag_label_search, vfrag_rows
+from ..algorithms.dijkstra import dijkstra, vfrag_label_search, vfrag_rows
 from ..graph.errors import IndexStateError
 from ..graph.graph import edge_key
 from ..graph.subgraph import SortedUnitWeights, Subgraph
+from ..kernel.snapshot import ReversedView
 from .bounding_paths import BoundingPath
 from .ep_index import EPIndex
 
@@ -141,6 +142,13 @@ class SubgraphIndex:
         """Canonical edge key -> the dense edge id used by this index."""
         return self._tables.edge_ids
 
+    @property
+    def edge_weights(self) -> List[float]:
+        """Per edge id, the weight the prices and bounds were taken at:
+        the live weight after a build, the save-time one after a restore,
+        and from then on what :meth:`reprice` last wrote."""
+        return self._units.weights
+
     def boundary_pairs(self) -> Iterator[Pair]:
         """Iterate over the indexed boundary-vertex pairs."""
         return iter(self._tables.pair_keys)
@@ -247,12 +255,16 @@ class SubgraphIndex:
         vfrags: List[int],
         pairs: List[Tuple[Pair, List[int]]],
         prices: Optional[List[float]] = None,
+        weights: Optional[Mapping[Pair, float]] = None,
     ) -> None:
         """Lay bounding paths out in index space: path ``p`` is
         ``vertices[p]`` with ``vfrags[p]``, kept as its first vertex and its
-        edge ids; each pair lists its path numbers, and ``prices`` (a
-        restored index's) default to the live weights."""
-        units = SortedUnitWeights(self._subgraph, depth=max(vfrags, default=0))
+        edge ids; each pair lists its path numbers, and ``prices`` and the
+        ``weights`` they were taken at (a restored index's) default to the
+        live weights."""
+        units = SortedUnitWeights(
+            self._subgraph, depth=max(vfrags, default=0), weights=weights
+        )
         edge_ids = units.edge_ids
         directed = self._subgraph.directed
         try:
@@ -378,14 +390,22 @@ class SubgraphIndex:
         }
 
     @classmethod
-    def from_state(cls, subgraph: Subgraph, state: Dict[str, object]) -> "SubgraphIndex":
+    def from_state(
+        cls,
+        subgraph: Subgraph,
+        state: Dict[str, object],
+        weights: Optional[Mapping[Pair, float]] = None,
+    ) -> "SubgraphIndex":
         """Rebuild a built index from :meth:`export_state` output.
 
         ``subgraph`` must be the live subgraph the snapshot was taken of
         (same id, vertices and edges); stored path distances reflect the
-        weights at save time, so the caller refreshes stale edges through
-        :meth:`reprice` afterwards (the store does it through
-        :meth:`~repro.core.dtlp.DTLP.handle_updates`).
+        weights at save time, which ``weights`` gives per canonical edge key
+        (default: the live ones).  The restored index is the saved one, and
+        the caller brings it to the live weights through :meth:`reprice`
+        (the store does it through
+        :meth:`~repro.core.dtlp.DTLP.handle_updates`, whose round finds the
+        edges whose live weight differs from :attr:`edge_weights`).
         """
         if int(state["subgraph_id"]) != subgraph.subgraph_id:
             raise IndexStateError(
@@ -411,6 +431,7 @@ class SubgraphIndex:
             [int(row[4]) for row in rows],
             [((int(u), int(v)), [int(i) for i in ids]) for u, v, ids in state["pairs"]],
             prices=[float(row[5]) for row in rows],
+            weights=weights,
         )
         index._built = True
         index._build_seconds = float(state.get("build_seconds", 0.0))
@@ -499,11 +520,39 @@ class SubgraphIndex:
         the DTLP's shared cache) so the search runs on the array kernel;
         results are bit-identical to the dict path.
         """
-        from ..algorithms.dijkstra import dijkstra
-
         boundary = self._subgraph.boundary_vertices
         distances, _ = dijkstra(view if view is not None else self._subgraph,
                                 vertex, targets=set(boundary))
+        return {
+            vertex_id: distances[vertex_id]
+            for vertex_id in boundary
+            if vertex_id in distances and vertex_id != vertex
+        }
+
+    def lower_bounds_to_vertex(self, vertex: int, view=None) -> Dict[int, float]:
+        """Lower bounds from each boundary vertex to an arbitrary vertex.
+
+        The attachment of a non-boundary query *target* (Section 5.3): its
+        skeleton arcs run boundary vertex -> target, so on a directed graph
+        they need the within-subgraph distance *to* ``vertex``, which one
+        search from ``vertex`` over the transposed arcs gives.  On a kernel
+        ``view`` that is its
+        :meth:`~repro.kernel.snapshot.CSRSnapshot.reverse_search`; the dict
+        path searches a :class:`~repro.kernel.snapshot.ReversedView` of the
+        subgraph, whose arcs come in the transposed rows' order, so both
+        return the same bits.  Undirected, this is
+        :meth:`lower_bounds_from_vertex`.
+        """
+        if not self._directed:
+            return self.lower_bounds_from_vertex(vertex, view=view)
+        boundary = self._subgraph.boundary_vertices
+        if view is not None:
+            settled, index_of = view.bounds_to(vertex), view.index_of
+            distances = {b: settled[index_of[b]] for b in boundary
+                         if settled[index_of[b]] != float("inf")}
+        else:
+            distances, _ = dijkstra(ReversedView(self._subgraph), vertex,
+                                    targets=set(boundary))
         return {
             vertex_id: distances[vertex_id]
             for vertex_id in boundary

@@ -163,11 +163,12 @@ class SubgraphBolt:
             metrics.counter("dtlp_memo_misses_total").inc(memo_misses)
         return results
 
-    def attachment_bounds(self, vertex: int) -> Dict[int, float]:
+    def attachment_bounds(self, vertex: int, towards: bool = False) -> Dict[int, float]:
         """Step-1 support: lower bounds from a non-boundary vertex.
 
         Computes, within every owned subgraph containing ``vertex``, the
-        distances from the vertex to the subgraph's boundary vertices.
+        distances from the vertex to the subgraph's boundary vertices, or
+        with ``towards`` (a query target) from them to the vertex.
         """
         started = time.perf_counter()
         attach_span = push_span("attach", _kernel=True, bolt=self.name, vertex=vertex)
@@ -181,9 +182,10 @@ class SubgraphBolt:
             view = (
                 self._dtlp.subgraph_snapshot(subgraph_id) if kernel != "dict" else None
             )
-            for boundary, distance in index.lower_bounds_from_vertex(
-                vertex, view=view
-            ).items():
+            bounds_of = (
+                index.lower_bounds_to_vertex if towards else index.lower_bounds_from_vertex
+            )
+            for boundary, distance in bounds_of(vertex, view=view).items():
                 current = bounds.get(boundary)
                 if current is None or distance < current:
                     bounds[boundary] = distance
@@ -388,7 +390,9 @@ class EntranceSpout:
             for subgraph_id in owners:
                 bolt = self._bolt_by_subgraph[subgraph_id]
                 self._cluster.send(SimulatedCluster.MASTER_ID, bolt.worker_id, 2)
-                bolt_bounds = bolt.attachment_bounds(endpoint)
+                bolt_bounds = bolt.attachment_bounds(
+                    endpoint, towards=endpoint != query.source
+                )
                 self._cluster.send(bolt.worker_id, SimulatedCluster.MASTER_ID, len(bolt_bounds))
                 for boundary, distance in bolt_bounds.items():
                     current = bounds.get(boundary)

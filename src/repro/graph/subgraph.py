@@ -26,7 +26,7 @@ subgraphs.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from .errors import EdgeNotFoundError, VertexNotFoundError
 from .graph import DynamicGraph, edge_key
@@ -225,18 +225,27 @@ class SortedUnitWeights:
     """A subgraph's edges in index space, and its smallest unit weights.
 
     Edge ``i`` is the ``i``-th key of ``sorted(subgraph.edge_set)``, with its
-    current weight and vfrag count.  :attr:`prefix` holds the sums of the
+    weight (the current one, or ``weights[key]`` when given) and vfrag
+    count.  :attr:`prefix` holds the sums of the
     smallest unit weights (one per vfrag) — the bound distances of Section
     3.4 — ``depth`` vfrags deep: a bounding path is simple, so no bound reads
     past the widest one.  :meth:`refresh` sorts per *edge* and adds one vfrag
     at a time: bit for bit the sums of the sorted per-vfrag list.
     """
 
-    def __init__(self, subgraph: Subgraph, depth: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        subgraph: Subgraph,
+        depth: Optional[int] = None,
+        weights: Optional[Mapping[Tuple[int, int], float]] = None,
+    ) -> None:
         parent = subgraph.parent
         keys = sorted(subgraph.edge_set)
         self.edge_ids: Dict[Tuple[int, int], int] = {key: i for i, key in enumerate(keys)}
-        self.weights: List[float] = [parent.weight(u, v) for u, v in keys]
+        self.weights: List[float] = (
+            [parent.weight(u, v) for u, v in keys] if weights is None
+            else [weights[key] for key in keys]
+        )
         self.vfrags: List[int] = [parent.vfrag_count(u, v) for u, v in keys]
         total = sum(self.vfrags)
         self.depth = total if depth is None else min(depth, total)

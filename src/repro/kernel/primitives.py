@@ -1,11 +1,11 @@
 """Array-native shortest-path primitives operating in snapshot index space.
 
 These functions are the hot inner loops of the repository.  They work on
-the per-vertex row view of a :class:`~repro.kernel.snapshot.CSRSnapshot`
-(``rows[i]`` lists the ``(neighbour_index, weight)`` pairs derived from
-the flat CSR arrays) — no neighbour-adapter dispatch, no per-edge dictionary
-probing — and every identifier they touch is a dense ``0..n-1`` index, so
-tentative distances and predecessors are plain lists.
+the rows of a :class:`~repro.kernel.snapshot.CSRSnapshot` (``rows[i]``
+lists the ``(neighbour_index, weight)`` pairs of vertex ``i``, the
+snapshot's one copy of its arcs) — no neighbour-adapter dispatch, no
+per-edge dictionary probing — and every identifier they touch is a dense
+``0..n-1`` index, so tentative distances and predecessors are plain lists.
 
 Settled-vertex bookkeeping uses the classic stale-entry test (``d >
 dist[u]``) instead of a visited set: with non-negative weights a vertex's

@@ -1,31 +1,30 @@
 """Compact array-backed graph snapshots (the ``CSR`` kernel representation).
 
 A :class:`CSRSnapshot` freezes the *topology* of a graph-like object into
-flat arrays while keeping the *weights* cheaply refreshable:
+index space while keeping the *weights* cheaply refreshable:
 
 * ``ids`` — sorted vertex-id interning table (index → original id).  Sorting
   makes the id → index mapping order-isomorphic, so heap tie-breaking inside
   the kernel primitives matches the dict-based reference algorithms exactly
   and both produce bit-identical results.
-* ``indptr`` / ``indices`` / ``weights`` — standard CSR adjacency: the
-  neighbours of interned vertex ``i`` are
-  ``indices[indptr[i]:indptr[i+1]]`` with parallel arc weights.  Row order
-  preserves the source object's ``neighbors`` iteration order, which keeps
-  relaxation order (and therefore predecessor choice on ties) identical to
-  the reference implementation.
+* ``rows`` — the adjacency, and the one copy of every arc weight: the arcs
+  of interned vertex ``i`` are ``rows[i]``, a list of ``(neighbour_index,
+  weight)`` pairs in the source object's ``neighbors`` iteration order,
+  which keeps relaxation order (and therefore predecessor choice on ties)
+  identical to the reference implementation.
 * no per-arc map: a directed ``(u, v) →`` weight lookup (Yen's root
-  pricing, edge-ban translation, weight refresh) finds ``v`` in ``u``'s
-  row with ``list.index`` — a C-speed scan of a road vertex's handful of
-  arcs, where a dict of every arc cost 46% of a subgraph snapshot.
+  pricing, edge-ban translation, weight refresh) scans ``u``'s row for
+  ``v`` — a road vertex's handful of arcs, where a dict of every arc cost
+  46% of a subgraph snapshot.
 
 Snapshots model the paper's dynamics: topology is fixed, weights change.
 :meth:`CSRSnapshot.apply_changes` is the one writer: it rewrites arcs by
-flat position.  A position is a function of the source's topology alone
-(:meth:`CSRSnapshot.arc_positions`), so the DTLP computes every arc's once
-per built index and hands each of its subgraph and skeleton snapshots the
-positions and weights a round moved.  :meth:`CSRSnapshot.refresh` pulls in
-weight changes for a stand-alone snapshot, keyed off the per-edge version
-counters of :class:`~repro.graph.graph.DynamicGraph`
+``(row, offset in row)``.  An arc's address is a function of the source's
+topology alone (:meth:`CSRSnapshot.arc_positions`), so the DTLP computes
+every arc's once per built index and hands each of its subgraph snapshots
+the addresses and weights a round moved.  :meth:`CSRSnapshot.refresh` pulls
+in weight changes for a stand-alone snapshot, keyed off the per-edge
+version counters of :class:`~repro.graph.graph.DynamicGraph`
 (``edges_changed_since``), so a long-lived consumer (the serving loop)
 refreshes in O(changed edges) instead of rebuilding in O(V + E).  Sources
 without version counters fall back to a full weight re-read.  See
@@ -63,14 +62,14 @@ def _vertex_iterable(source) -> Iterator[int]:
 def _arc_order(source) -> Iterator[Tuple[int, Iterator[Tuple[int, float]]]]:
     """The one arc order of a snapshot: a row per vertex in sorted-id
     order, each row's ``(neighbour, weight)`` pairs in the source's own
-    ``neighbors`` order.  A flat position counts the arcs in this order,
+    ``neighbors`` order.  An arc's ``(row, offset)`` counts in this order,
     for the constructor and for :meth:`CSRSnapshot.arc_positions` alike."""
     for vid in sorted(_vertex_iterable(source)):
         yield vid, _neighbor_pairs(source, vid)
 
 
 class CSRSnapshot:
-    """A flat-array view of a graph-like object for the kernel primitives.
+    """An index-space view of a graph-like object for the kernel primitives.
 
     Parameters
     ----------
@@ -95,9 +94,6 @@ class CSRSnapshot:
     __slots__ = (
         "ids",
         "index_of",
-        "indptr",
-        "indices",
-        "weights",
         "rows",
         "directed",
         "_source",
@@ -111,28 +107,17 @@ class CSRSnapshot:
         self._source = source
         self.directed: bool = bool(getattr(source, "directed", False))
         ids: List[int] = []
-        indptr: List[int] = [0]
-        neighbors: List[int] = []
-        weights: List[float] = []
+        arcs: List[List[Tuple[int, float]]] = []
         for vid, pairs in _arc_order(source):
             ids.append(vid)
-            for neighbor, weight in pairs:
-                neighbors.append(neighbor)
-                weights.append(float(weight))
-            indptr.append(len(neighbors))
+            arcs.append([(neighbor, float(weight)) for neighbor, weight in pairs])
         self.ids = ids
         index_of: Dict[int, int] = {vid: i for i, vid in enumerate(ids)}
         self.index_of = index_of
-        indices = [index_of[neighbor] for neighbor in neighbors]
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        # Derived per-vertex row view consumed by the kernel's inner loop:
-        # rows[i] lists the (neighbour_index, weight) pairs of vertex i in
-        # CSR row order; a weight write replaces its one pair in place.
+        # The kernel's inner loop reads rows[i]: the (neighbour_index,
+        # weight) pairs of vertex i; a weight write replaces its one pair.
         self.rows: List[List[Tuple[int, float]]] = [
-            list(zip(indices[indptr[i]:indptr[i + 1]], weights[indptr[i]:indptr[i + 1]]))
-            for i in range(len(ids))
+            [(index_of[neighbor], weight) for neighbor, weight in row] for row in arcs
         ]
         # Weight-refresh bookkeeping: incremental when the source carries
         # version counters (DynamicGraph directly, Subgraph via its parent),
@@ -155,14 +140,12 @@ class CSRSnapshot:
 
     @staticmethod
     def arc_positions(source) -> Iterator[Tuple[int, int, int, int]]:
-        """``(u, v, row, flat position)`` of every arc of the snapshot of
+        """``(u, v, row, offset in row)`` of every arc of the snapshot of
         ``source``, without building it: the constructor's walk
         (:func:`_arc_order`), keeping nothing."""
-        position = 0
         for row, (u, pairs) in enumerate(_arc_order(source)):
-            for v, _ in pairs:
-                yield u, v, row, position
-                position += 1
+            for offset, (v, _) in enumerate(pairs):
+                yield u, v, row, offset
 
     # ------------------------------------------------------------------
     # structure accessors
@@ -178,19 +161,6 @@ class CSRSnapshot:
         return self._built_version
 
     @property
-    def weights_epoch(self) -> int:
-        """Counter advanced every time :meth:`apply_changes` or
-        :meth:`refresh` rewrote any weight.
-
-        Unlike :attr:`version` (which tracks the *source graph's* version
-        and advances even when none of the changed edges belong to this
-        snapshot), the epoch moves only when this snapshot's weights
-        actually changed — the invalidation key used by derived caches
-        (the skeleton search image, partial-KSP memos).
-        """
-        return self._weights_epoch
-
-    @property
     def num_vertices(self) -> int:
         """Number of vertices in the snapshot."""
         return len(self.ids)
@@ -198,7 +168,8 @@ class CSRSnapshot:
     @property
     def num_edges(self) -> int:
         """Number of edges (arcs for directed snapshots)."""
-        return len(self.indices) if self.directed else len(self.indices) // 2
+        arcs = sum(map(len, self.rows))
+        return arcs if self.directed else arcs // 2
 
     def vertices(self) -> Iterator[int]:
         """Iterate over the original vertex ids."""
@@ -210,45 +181,41 @@ class CSRSnapshot:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` when the arc ``(u, v)`` is in the snapshot."""
-        return self.arc_position(u, v) is not None
+        return self._arc(u, v) is not None
 
-    def arc_position(self, u: int, v: int) -> Optional[int]:
-        """Flat-array position of the directed arc ``(u, v)``, or ``None``."""
+    def _arc(self, u: int, v: int) -> Optional[Tuple[int, int]]:
+        """``(row, offset)`` of the directed arc ``(u, v)``: ``v`` found in
+        ``u``'s row, or ``None``."""
         index_of = self.index_of
         ui = index_of.get(u)
         vi = index_of.get(v)
         if ui is None or vi is None:
             return None
-        return self._find_arc(ui, vi)
-
-    def _find_arc(self, ui: int, vi: int) -> Optional[int]:
-        """Position of arc ``(ui, vi)`` in index space: ``vi`` in row ``ui``."""
-        try:
-            return self.indices.index(vi, self.indptr[ui], self.indptr[ui + 1])
-        except ValueError:
-            return None
+        for offset, (j, _) in enumerate(self.rows[ui]):
+            if j == vi:
+                return ui, offset
+        return None
 
     def neighbors(self, vertex: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(neighbour_id, weight)`` pairs (graph-like protocol)."""
         try:
-            i = self.index_of[vertex]
+            row = self.rows[self.index_of[vertex]]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
         ids = self.ids
-        indices = self.indices
-        weights = self.weights
-        for e in range(self.indptr[i], self.indptr[i + 1]):
-            yield ids[indices[e]], weights[e]
+        for j, w in row:
+            yield ids[j], w
 
     # ------------------------------------------------------------------
     # weights
     # ------------------------------------------------------------------
     def weight(self, u: int, v: int) -> float:
         """Current snapshot weight of arc ``(u, v)``, found in ``u``'s row."""
-        pos = self.arc_position(u, v)
-        if pos is None:
+        arc = self._arc(u, v)
+        if arc is None:
             raise EdgeNotFoundError(u, v)
-        return self.weights[pos]
+        row, offset = arc
+        return self.rows[row][offset][1]
 
     def path_distance(self, vertices) -> float:
         """Distance of a path under the snapshot's current weights."""
@@ -274,17 +241,15 @@ class CSRSnapshot:
         """
         versioned = self._version_source
         if versioned is None:
-            weights = self.weights
             source_weight = self._source.weight
             ids = self.ids
-            indices = self.indices
-            indptr = self.indptr
             changes = []
-            for ui, u in enumerate(ids):
-                for pos in range(indptr[ui], indptr[ui + 1]):
-                    value = source_weight(u, ids[indices[pos]])
-                    if value != weights[pos]:
-                        changes.append((ui, pos, value))
+            for ui, row in enumerate(self.rows):
+                u = ids[ui]
+                for offset, (vi, weight) in enumerate(row):
+                    value = source_weight(u, ids[vi])
+                    if value != weight:
+                        changes.append((ui, offset, value))
             return self.apply_changes(changes, self._built_version)
         if versioned.structure_version != self._built_structure_version:
             raise StaleStructureError(
@@ -295,48 +260,40 @@ class CSRSnapshot:
         if current == self._built_version:
             return 0
         return self.apply_changes(
-            self._positioned(versioned.edges_changed_since(self._built_version)),
+            self._addressed(versioned.edges_changed_since(self._built_version)),
             current,
         )
 
-    def _positioned(
+    def _addressed(
         self, changes: Iterable[Tuple[int, int, float]]
     ) -> Iterator[Tuple[int, int, float]]:
-        """``(row, position, weight)`` of the held arcs of ``(u, v, weight)``
+        """``(row, offset, weight)`` of the held arcs of ``(u, v, weight)``
         changes: ``v`` found in ``u``'s row, and ``u`` in ``v``'s when
         undirected."""
-        index_of = self.index_of
-        find_arc = self._find_arc
+        find = self._arc
         for u, v, weight in changes:
-            ui = index_of.get(u)
-            vi = index_of.get(v)
-            if ui is None or vi is None:
-                continue
-            pos = find_arc(ui, vi)
-            if pos is not None:
-                yield ui, pos, weight
+            arc = find(u, v)
+            if arc is not None:
+                yield arc[0], arc[1], weight
             if not self.directed:
-                pos = find_arc(vi, ui)
-                if pos is not None:
-                    yield vi, pos, weight
+                arc = find(v, u)
+                if arc is not None:
+                    yield arc[0], arc[1], weight
 
     def apply_changes(self, changes: Iterable[Tuple[int, int, float]], version: int) -> int:
-        """Rewrite arcs by position; returns arcs rewritten.
+        """Rewrite arcs by address; returns arcs rewritten.
 
         The one writer of snapshot weights.  ``changes`` iterates over
-        ``(row, flat position, weight)``; for a versioned source it must
+        ``(row, offset in row, weight)``; for a versioned source it must
         cover every arc held here that changed up to ``version``, which
         becomes the snapshot's.  Each arc's pair in its row is replaced in
-        place; :attr:`weights_epoch` advances iff an arc was rewritten.
+        place; ``_weights_epoch`` advances iff an arc was rewritten.
         """
-        weights = self.weights
-        indices = self.indices
-        indptr = self.indptr
         rows = self.rows
         rewritten = 0
-        for row, pos, weight in changes:
-            weights[pos] = weight
-            rows[row][pos - indptr[row]] = (indices[pos], weight)
+        for row, offset, weight in changes:
+            arcs = rows[row]
+            arcs[offset] = (arcs[offset][0], weight)
             rewritten += 1
         self._built_version = version
         if rewritten:
@@ -397,7 +354,7 @@ class CSRSnapshot:
         """
         if not self.directed:
             return self
-        return CSRSnapshot(_ReversedView(self))
+        return CSRSnapshot(ReversedView(self))
 
     def __contains__(self, vertex: object) -> bool:
         return vertex in self.index_of
@@ -413,22 +370,21 @@ class CSRSnapshot:
         )
 
 
-class _ReversedView:
-    """Minimal graph-like adapter presenting a directed snapshot reversed."""
+class ReversedView:
+    """Minimal graph-like adapter presenting any graph-like source with every
+    arc reversed: ``neighbors(v)`` lists the arcs into ``v``, by source
+    vertex in sorted-id order and then in that vertex's ``neighbors``
+    order — the order of :meth:`CSRSnapshot.reverse_search`'s transposed
+    rows, so a search over either relaxes alike."""
 
-    def __init__(self, snapshot: CSRSnapshot) -> None:
-        self._snapshot = snapshot
+    def __init__(self, source) -> None:
         self.directed = True
         reversed_adjacency: Dict[int, List[Tuple[int, float]]] = {
-            vid: [] for vid in snapshot.ids
+            vid: [] for vid in sorted(_vertex_iterable(source))
         }
-        ids = snapshot.ids
-        indptr = snapshot.indptr
-        indices = snapshot.indices
-        weights = snapshot.weights
-        for i, vid in enumerate(ids):
-            for e in range(indptr[i], indptr[i + 1]):
-                reversed_adjacency[ids[indices[e]]].append((vid, weights[e]))
+        for vid, pairs in _arc_order(source):
+            for neighbor, weight in pairs:
+                reversed_adjacency[neighbor].append((vid, weight))
         self._adjacency = reversed_adjacency
 
     @property

@@ -275,6 +275,8 @@ class PartitionStore:
         """
         if not dtlp.built:
             raise StoreError("cannot save an unbuilt DTLP")
+        # The prices written must be the ones of the weights written.
+        dtlp.catch_up()
         store = cls(root)
         store.root.mkdir(parents=True, exist_ok=True)
         graph = dtlp.graph
@@ -429,18 +431,20 @@ class PartitionStore:
             _read_json(part_dir / "index.json"),
             dict(enumerate(to_global)),
         )
-        index = SubgraphIndex.from_state(subgraph, state)
+        # The index comes back as saved: its prices with the weights they
+        # were taken at, which the maintenance round compares to the live.
+        saved: Dict[Tuple[int, int], float] = {}
         stale: List[WeightUpdate] = []
-        if compare:
-            for lu, lv, _, stored_weight in edges:
-                u, v = to_global[lu], to_global[lv]
-                if candidates is not None:
-                    key = (u, v) if graph.directed else edge_key(u, v)
-                    if key not in candidates:
-                        continue
-                live_weight = graph.weight(u, v)
-                if live_weight != stored_weight:
-                    stale.append(WeightUpdate(u, v, live_weight))
+        for lu, lv, _, stored_weight in edges:
+            u, v = to_global[lu], to_global[lv]
+            key = (u, v) if graph.directed else edge_key(u, v)
+            saved[key] = float(stored_weight)
+            if not compare or (candidates is not None and key not in candidates):
+                continue
+            live_weight = graph.weight(u, v)
+            if live_weight != stored_weight:
+                stale.append(WeightUpdate(u, v, live_weight))
+        index = SubgraphIndex.from_state(subgraph, state, saved)
         return subgraph, index, stale
 
     def load(self, graph: DynamicGraph) -> DTLP:

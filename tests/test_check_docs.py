@@ -25,6 +25,22 @@ def test_a_doc_naming_a_missing_module_fails(tmp_path):
     ]
 
 
+def test_a_doc_naming_a_deleted_member_fails(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`DTLP.build()`, `DTLP.skeleton_graph`, `CSRSnapshot.rows`,\n"
+        "`SkeletonSearchView.reverse_search` and `IndexLayout.edge_arcs` resolve;\n"
+        "`DTLP.skeleton_snapshot()` and `CSRSnapshot.indptr` do not;\n"
+        "`BENCHMARK.json` names no class of the package.\n"
+    )
+    checked, problems = check_docs.check_names([doc])
+    assert checked == 7
+    assert problems == [
+        "doc.md:3: DTLP.skeleton_snapshot does not resolve",
+        "doc.md:3: CSRSnapshot.indptr does not resolve",
+    ]
+
+
 def test_the_repository_docs_name_only_existing_code():
     checked, problems = check_docs.check_names()
     assert checked > 0 and problems == []

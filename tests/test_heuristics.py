@@ -206,10 +206,13 @@ class TestEarlyExitWithBans:
 
 class TestWeightEpochsAndMemo:
     def test_epoch_bumps_only_for_touched_subgraphs(self):
+        from repro.graph.paths import Path
+
         graph = road_network(8, 8, seed=15)
         dtlp = DTLP(graph, DTLPConfig(z=16, xi=2)).build()
         subgraph_ids = list(dtlp.subgraph_indexes())
-        before = {sid: dtlp.subgraph_weights_epoch(sid) for sid in subgraph_ids}
+        for sid in subgraph_ids:
+            dtlp.partial_memo_put(sid, (0, 1), 1, [Path(1.0, (0, 1))])
         # Update one edge owned by one subgraph.
         target_sid = subgraph_ids[0]
         subgraph = dtlp.partition.subgraph(target_sid)
@@ -218,7 +221,7 @@ class TestWeightEpochsAndMemo:
         touched = {
             sid
             for sid in subgraph_ids
-            if dtlp.subgraph_weights_epoch(sid) != before[sid]
+            if dtlp.partial_memo_get(sid, (0, 1), 1) is None
         }
         assert target_sid in touched
         # Only subgraphs containing the changed pair are invalidated.
@@ -254,6 +257,7 @@ class TestWeightEpochsAndMemo:
         dtlp.partial_memo_put(sid, (0, 1), 2, [Path(1.0, (0, 1))])
         clone = pickle.loads(pickle.dumps(dtlp))
         # Caches are dropped across the pipe (cheap to rebuild); the clone
-        # must still answer memo queries (cold) and advance epochs.
+        # must still answer memo queries (cold) and keep new entries.
         assert clone.partial_memo_get(sid, (0, 1), 2) is None
-        assert isinstance(clone.subgraph_weights_epoch(sid), int)
+        clone.partial_memo_put(sid, (0, 1), 2, [Path(1.0, (0, 1))])
+        assert clone.partial_memo_get(sid, (0, 1), 2) == [Path(1.0, (0, 1))]

@@ -60,20 +60,20 @@ def _round(graph, seed):
 
 
 def _addressed_arcs(dtlp) -> list:
-    """Per edge key, the arcs its two ``(row, position)`` entries address in
-    its owner's snapshot, read off the snapshot itself, and whether each row
-    is the one holding its position: canonical where the positions are
-    not, since a store load rebuilds the adjacency in another order."""
+    """Per edge key, the arcs its two ``(row, offset)`` entries address in
+    its owner's snapshot, read off the snapshot itself, and whether each
+    offset lies in its row: canonical where the addresses are not, since a
+    store load rebuilds the adjacency in another order."""
     addressed = []
     layout = dtlp.layout
     for (u, v), (slot, owner, _, _) in sorted(layout.edge_slots.items()):
         snapshot = dtlp.subgraph_snapshot(owner)
-        ids, indptr = snapshot.ids, snapshot.indptr
+        ids, rows = snapshot.ids, snapshot.rows
         entries = layout.edge_arcs[4 * slot:4 * slot + 4]
         addressed.append(((u, v), [
-            (indptr[row] <= pos < indptr[row + 1], (ids[row], ids[snapshot.indices[pos]]))
-            if pos >= 0 else None
-            for row, pos in zip(entries[::2], entries[1::2])
+            (offset < len(rows[row]), (ids[row], ids[rows[row][offset][0]]))
+            if offset >= 0 else None
+            for row, offset in zip(entries[::2], entries[1::2])
         ]))
     return addressed
 
@@ -123,13 +123,13 @@ def test_an_in_process_copy_shares_the_layout_and_nothing_a_copy_writes():
         assert twin.subgraph.topology is index.subgraph.topology
         assert twin.subgraph.parent is copy_graph
         assert twin._prices is not index._prices and twin._prices == index._prices
+        assert twin.edge_weights is not index.edge_weights
+        assert twin.edge_weights == index.edge_weights
         assert twin.pair_bounds is not index.pair_bounds
         assert twin.pair_bounds == index.pair_bounds
     assert copy_graph is not graph and copy.graph is copy_graph
     assert copy.skeleton_graph is not dtlp.skeleton_graph
     assert copy._partial_memo is not dtlp._partial_memo and not copy._partial_memo
-    assert copy._weight_epochs is not dtlp._weight_epochs
-    assert copy._fold_weights is not dtlp._fold_weights
     assert _answers(copy, queries) == _answers(dtlp, queries)
 
 

@@ -54,14 +54,12 @@ class TestCSRSnapshotStructure:
 
     def test_csr_arrays_are_consistent(self, triangle: DynamicGraph) -> None:
         snapshot = CSRSnapshot(triangle)
-        assert snapshot.indptr[0] == 0
-        assert snapshot.indptr[-1] == len(snapshot.indices) == len(snapshot.weights)
-        # Row view mirrors the flat arrays.
-        for i in range(snapshot.num_vertices):
-            start, end = snapshot.indptr[i], snapshot.indptr[i + 1]
-            assert snapshot.rows[i] == list(
-                zip(snapshot.indices[start:end], snapshot.weights[start:end])
-            )
+        assert len(snapshot.rows) == snapshot.num_vertices
+        # Each row is its vertex's arcs in index space, in the source's order.
+        for i, vertex in enumerate(snapshot.ids):
+            assert snapshot.rows[i] == [
+                (snapshot.index_of[v], w) for v, w in triangle.neighbors(vertex).items()
+            ]
 
     def test_neighbors_match_source_graph(self, triangle: DynamicGraph) -> None:
         snapshot = CSRSnapshot(triangle)

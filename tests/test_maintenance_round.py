@@ -6,11 +6,13 @@ These tests pin what that walk may touch, as counts; that prices are summed
 left to right like ``DynamicGraph.path_distance`` (``sum()`` is compensated
 on Python >= 3.12 and would not be); and that an index attached after its
 graph moved catches up before it serves, and so does one that is never
-attached, or detached, as soon as it is queried.
+attached, or detached, before any read a query makes.  Plus the Section 5.3
+attachment of a directed query's target, by distances to it.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -20,11 +22,13 @@ from repro.algorithms.dijkstra import dijkstra
 from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.core.subgraph_index import SubgraphIndex
 from repro.distributed import KSPDGEngine
+from repro.dynamics import TrafficModel
 from repro.graph import DynamicGraph, WeightUpdate, road_network
 from repro.graph.subgraph import Subgraph
 from repro.workloads import KSPQuery
 
 from conftest import reprice_updates
+from test_scoped_refresh import assert_views_equal_a_rebuild
 
 
 @pytest.fixture()
@@ -51,8 +55,17 @@ def maintained(monkeypatch):
     return graph, dtlp, repriced, written
 
 
-def epochs_of(dtlp):
-    return {s.subgraph_id: dtlp.subgraph_weights_epoch(s.subgraph_id) for s in dtlp.partition}
+def memoise_every_subgraph(dtlp):
+    """One partial-memo entry per subgraph, for :func:`moved_subgraphs`."""
+    for subgraph in dtlp.partition:
+        dtlp.partial_memo_put(subgraph.subgraph_id, (-1, -2), 1, [])
+
+
+def moved_subgraphs(dtlp):
+    """The subgraphs whose entry a round since :func:`memoise_every_subgraph`
+    dropped: those whose weights it moved."""
+    return {s.subgraph_id for s in dtlp.partition
+            if dtlp.partial_memo_get(s.subgraph_id, (-1, -2), 1) is None}
 
 
 def test_one_edge_round_reprices_its_ep_list_and_its_owners_pairs(maintained) -> None:
@@ -72,11 +85,11 @@ def test_one_edge_round_reprices_its_ep_list_and_its_owners_pairs(maintained) ->
 
 def test_round_that_changes_no_weight_bumps_no_epoch(maintained) -> None:
     graph, dtlp, repriced, written = maintained
-    before = epochs_of(dtlp)
+    memoise_every_subgraph(dtlp)
     version = graph.version
     graph.apply_updates([WeightUpdate(u, v, w) for u, v, w in graph.edges()])
     assert graph.version == version + 1
-    assert epochs_of(dtlp) == before
+    assert moved_subgraphs(dtlp) == set()
     assert repriced == [] and written == []
 
 
@@ -90,7 +103,7 @@ def test_epoch_advances_iff_a_contained_edge_changed(attached) -> None:
     rng = random.Random(7)
     edges = [(u, v) for u, v, _ in graph.edges()]
     for _ in range(4):
-        before = epochs_of(dtlp)
+        memoise_every_subgraph(dtlp)
         batch = rng.sample(edges, 10)
         moved = batch[: rng.randint(0, 10)]
         graph.apply_updates(
@@ -100,9 +113,7 @@ def test_epoch_advances_iff_a_contained_edge_changed(attached) -> None:
         # Only boundary vertices are shared, so a subgraph holds both
         # endpoints of a changed edge iff it owns it or both are boundary.
         expected = {s for u, v in moved for s in partition.subgraphs_containing_pair(u, v)}
-        after = epochs_of(dtlp)
-        assert {s for s in after if after[s] != before[s]} == expected
-        assert all(after[s] == before[s] + 1 for s in expected)
+        assert moved_subgraphs(dtlp) == expected
 
 
 def test_maintained_price_sums_left_to_right() -> None:
@@ -183,3 +194,78 @@ def test_unattached_index_catches_up_before_it_answers(entry) -> None:
                 wrong.append((seed, source, target))
         assert not dtlp.attached
     assert wrong == []
+
+
+@pytest.mark.parametrize("source, target, yen_distance", [
+    (35, 63, 51.441581),
+    (38, 52, 32.0),
+])
+def test_directed_target_attaches_by_distances_to_it(source, target, yen_distance) -> None:
+    """Regression: a non-boundary target was attached to the skeleton by
+    its distances *from* it, which on asymmetric weights are no lower
+    bounds of the arcs boundary -> target, so Theorem 3 stopped early and
+    these queries answered 55.250178 and 34.0."""
+    graph = road_network(8, 8, seed=2, directed=True)
+    dtlp = DTLP(graph, DTLPConfig(z=12, xi=2)).build()
+    TrafficModel(graph, seed=2, alpha=0.35, tau=0.6, direction="increase").advance()
+    assert not dtlp.partition.is_boundary(target)
+    expected = [p.distance for p in yen_k_shortest_paths(graph, source, target, 1)]
+    assert expected == pytest.approx([yen_distance])
+    for kernel in ("snapshot", "dict"):
+        answer = KSPDG(dtlp, kernel=kernel).query(source, target, 1)
+        assert answer.distances == expected, kernel
+    engine = KSPDGEngine.local(dtlp, num_workers=2)
+    assert [p.distance for p in engine.answer(KSPQuery(0, source, target, 1)).paths] == expected
+
+
+READERS = {
+    "subgraph_snapshot": lambda dtlp: [dtlp.subgraph_snapshot(s.subgraph_id)
+                                       for s in dtlp.partition],
+    "skeleton_search_view": lambda dtlp: dtlp.skeleton_search_view(),
+    "skeleton_graph": lambda dtlp: dtlp.skeleton_graph,
+    "KSPDG.query": lambda dtlp: KSPDG(dtlp).query(0, 35, 2),
+}
+
+
+@pytest.mark.parametrize("entry", ["never-attached", "detached"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_stale_index_is_current_before_any_read(monkeypatch, reader, entry) -> None:
+    """Whichever read comes first after a round the index did not hear, it
+    re-prices each changed edge exactly once, a second read re-prices
+    nothing, no memo entry of a moved subgraph survives, and every view
+    equals a fresh build's."""
+    graph = road_network(6, 6, seed=3)
+    dtlp = DTLP(graph, DTLPConfig(z=8, xi=2)).build()
+    if entry == "detached":
+        dtlp.attach()
+        dtlp.detach()
+    KSPDG(dtlp).query(0, 35, 2)  # views built and memo filled at the old weights
+    memoise_every_subgraph(dtlp)
+    before = dict(dtlp._partial_memo)
+    repriced = []
+    reprice = SubgraphIndex.reprice
+
+    def counted_reprice(index, changes):
+        key_of = {edge: key for key, edge in index.edge_ids.items()}
+        repriced.extend(key_of[edge] for edge, _ in changes)
+        return reprice(index, changes)
+
+    monkeypatch.setattr(SubgraphIndex, "reprice", counted_reprice)
+    rng = random.Random(3)
+    edges = sorted((u, v) for u, v, _ in graph.edges())
+    changed = rng.sample(edges, len(edges) // 4)
+    graph.apply_updates([WeightUpdate(u, v, graph.weight(u, v) + 1.5) for u, v in changed])
+    assert repriced == []
+    READERS[reader](dtlp)
+    assert sorted(repriced) == sorted(changed)
+    READERS[reader](dtlp)
+    assert sorted(repriced) == sorted(changed)
+    moved = {s for u, v in changed for s in dtlp.partition.subgraphs_containing_pair(u, v)}
+    # A query may memoise the pair again, on the new weights.
+    assert not [key for key, paths in dtlp._partial_memo.items()
+                if key[0] in moved and before.get(key) is paths]
+    twin_graph, twin = pickle.loads(pickle.dumps((graph, dtlp)))
+    fresh = DTLP(twin_graph, twin.config, partition=twin.partition).build()
+    assert_views_equal_a_rebuild(dtlp, fresh)
+    assert sorted(repriced) == sorted(changed)
+    assert not dtlp.attached

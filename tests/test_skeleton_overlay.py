@@ -322,7 +322,7 @@ class TestBoundsAreAdmissible:
         vertices = sorted(graph.vertices())
         target = rng.choice(vertices)
         outsider = max(vertices) + 1
-        base = SkeletonSearchView(CSRSnapshot(graph))
+        base = SkeletonSearchView(graph)
         attached = base.overlay(
             {outsider: {v: float(rng.randint(1, 9)) for v in rng.sample(vertices, 3)}}
         )
@@ -351,6 +351,6 @@ class TestBoundsAreAdmissible:
                         assert bound == true_distance  # integer weights: exact
 
     def test_unknown_target_has_no_bounds(self):
-        view = SkeletonSearchView(CSRSnapshot(road_network(3, 3, seed=1)))
+        view = SkeletonSearchView(road_network(3, 3, seed=1))
         assert view.bounds_to(10_000) is None
 

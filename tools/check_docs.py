@@ -11,7 +11,11 @@ Five checks, all exercised by the CI ``docs`` job and runnable locally:
   checked for the file part.
 * ``--names``: every backticked ``repro.<dotted>`` name in ``README.md``,
   ``ARCHITECTURE.md`` and ``docs/paper_map.md`` must import as a module or
-  resolve as an attribute of one, so the docs cannot name deleted code.
+  resolve as an attribute of one, and every backticked ``Class.member``
+  whose class is defined under ``src/repro`` must name a member of it or
+  of a base class defined there (a method, property, class attribute,
+  annotated field, ``__slots__`` entry or ``self.<name>`` assignment), so
+  the docs cannot name deleted code.
 * ``--quickstart``: extract the first fenced ``python`` code block from
   ``README.md`` and execute it, so the quickstart the README promises is
   the quickstart that runs.
@@ -50,6 +54,8 @@ SCHEME_PATTERN = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
 PYTHON_BLOCK_PATTERN = re.compile(r"```python\n(.*?)```", re.DOTALL)
 #: A backticked dotted name under the package, optionally called: `repro.x.y()`.
 NAME_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+#: A backticked ``Class.member``, optionally called: `DTLP.build()`.
+MEMBER_PATTERN = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`")
 NAME_DOCS = ("README.md", "ARCHITECTURE.md", "docs/paper_map.md")
 #: Directories whose python files read the package's public surface.
 READER_DIRS = ("examples", "benchmarks", "perf", "tools")
@@ -108,9 +114,46 @@ def resolves(name: str) -> bool:
     return False
 
 
+def class_members(src_root: Path = REPO_ROOT / "src" / "repro") -> dict[str, set[str]]:
+    """Class name -> every member name of the classes of that name defined
+    under ``src_root``, their bases' (defined there too) included."""
+    members: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
+    for path in sorted(src_root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = members.setdefault(node.name, set())
+            bases.setdefault(node.name, set()).update(
+                base.id for base in node.bases if isinstance(base, ast.Name)
+            )
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(item.name)
+                targets = getattr(item, "targets", [getattr(item, "target", None)])
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        names.add(target.id)
+                        if target.id == "__slots__":
+                            names.update(ast.literal_eval(item.value))
+            for item in ast.walk(node):
+                if (isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store)
+                        and isinstance(item.value, ast.Name) and item.value.id == "self"):
+                    names.add(item.attr)
+
+    def closed(name: str, seen: frozenset = frozenset()) -> set[str]:
+        found = set(members.get(name, ()))
+        for base in bases.get(name, set()) - seen - {name}:
+            found |= closed(base, seen | {name})
+        return found
+
+    return {name: closed(name) for name in members}
+
+
 def check_names(paths: list[Path] | None = None) -> tuple[int, list[str]]:
     """Return ``(names checked, one message per name that does not resolve)``."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    members = class_members()
     checked = 0
     problems: list[str] = []
     for path in paths or [REPO_ROOT / doc for doc in NAME_DOCS]:
@@ -120,6 +163,15 @@ def check_names(paths: list[Path] | None = None) -> tuple[int, list[str]]:
                 if not resolves(match.group(1)):
                     problems.append(
                         f"{path.name}:{line_number}: {match.group(1)} does not resolve"
+                    )
+            for match in MEMBER_PATTERN.finditer(line):
+                owner, member = match.groups()
+                if owner not in members:
+                    continue  # not a class of the package: `BENCHMARK.json`
+                checked += 1
+                if member not in members[owner]:
+                    problems.append(
+                        f"{path.name}:{line_number}: {owner}.{member} does not resolve"
                     )
     return checked, problems
 
@@ -262,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.names or run_all:
         checked, name_problems = check_names()
         problems.extend(name_problems)
-        print(f"name check: {checked} repro.* names, {len(name_problems)} unresolved")
+        print(f"name check: {checked} repro.* and Class.member names, {len(name_problems)} unresolved")
     if args.quickstart or run_all:
         quickstart_problems = run_quickstart()
         problems.extend(quickstart_problems)
